@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot paths: the event scheduler, the
-//! compare's voting core, flow-table lookup, packet codecs and the
-//! OpenFlow wire codec.
+//! `FlowSet` pacing queue, the compare's voting core, flow-table lookup,
+//! packet codecs and the OpenFlow wire codec.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -26,13 +26,18 @@ fn test_frame(tag: u8) -> Bytes {
     )
 }
 
-/// Delay pattern spanning every timing-wheel level plus the far-future
-/// heap, driven by a deterministic LCG.
-fn churn_delay(state: &mut u64) -> SimDuration {
+/// One step of the deterministic LCG the queue benches draw delays from.
+fn lcg(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
-    let x = *state >> 16;
+    *state >> 16
+}
+
+/// Delay pattern spanning every timing-wheel level plus the far-future
+/// heap, driven by a deterministic LCG.
+fn churn_delay(state: &mut u64) -> SimDuration {
+    let x = lcg(state);
     let nanos = match x & 0xF {
         0..=9 => x >> 4 & 0xF_FFFF,
         10..=14 => x >> 4 & 0x3F_FFFF,
@@ -69,6 +74,62 @@ fn bench_scheduler(c: &mut Criterion) {
             std::hint::black_box(ev)
         })
     });
+}
+
+fn bench_flowset_pacing(c: &mut Criterion) {
+    // `FlowSet`'s pacing queue under the deadline mix of the reference
+    // benchmark's `flowset_1m`: first packets uniform over 800 ms, the
+    // second one 960 µs after the first, two packets per flow. Held at
+    // steady state — a flow that sent its second packet is replaced by a
+    // fresh one — so one iteration is one packet's queue work: peek, pop,
+    // re-queue. The wheel is what `FlowSet` embeds; the heap is what it
+    // embedded up to PR 11, kept here to size the difference per packet.
+    const SPREAD_NS: u64 = 800_000_000;
+    const GAP_NS: u64 = 960_000;
+    /// Payload bit telling a flow's second packet from its first.
+    const SECOND: u32 = 1 << 31;
+    fn next_due(now: SimTime, tag: u32, state: &mut u64) -> SimTime {
+        let delay = if tag & SECOND == 0 {
+            GAP_NS
+        } else {
+            lcg(state) % SPREAD_NS
+        };
+        now + SimDuration::from_nanos(delay)
+    }
+    for (name, flows) in [("1k", 1_000u32), ("100k", 100_000), ("1m", 1_000_000)] {
+        c.bench_function(&format!("flowset_pacing_{name}"), |b| {
+            let mut wheel: netco_sim::Scheduler<u32> = netco_sim::Scheduler::new();
+            let mut state = 0x9E37_79B9u64;
+            for slot in 0..flows {
+                wheel.schedule_at(SimTime::from_nanos(lcg(&mut state) % SPREAD_NS), slot);
+            }
+            b.iter(|| {
+                let now = wheel.peek_time().expect("flight never drains");
+                let (_, tag) = wheel.pop().expect("peeked");
+                wheel.schedule_at(next_due(now, tag, &mut state), tag ^ SECOND);
+                tag
+            })
+        });
+        c.bench_function(&format!("flowset_pacing_heap_{name}"), |b| {
+            use std::cmp::Reverse;
+            let mut heap = std::collections::BinaryHeap::new();
+            let mut order = 0u64;
+            let mut state = 0x9E37_79B9u64;
+            for slot in 0..flows {
+                let due = SimTime::from_nanos(lcg(&mut state) % SPREAD_NS);
+                heap.push(Reverse((due, order, slot)));
+                order += 1;
+            }
+            b.iter(|| {
+                let &Reverse((now, _, _)) = heap.peek().expect("flight never drains");
+                let Reverse((_, _, tag)) = heap.pop().expect("peeked");
+                let due = next_due(now, tag, &mut state);
+                heap.push(Reverse((due, order, tag ^ SECOND)));
+                order += 1;
+                tag
+            })
+        });
+    }
 }
 
 fn compare_observe_core(strategy: CompareStrategy) -> CompareCore {
@@ -216,6 +277,7 @@ fn bench_openflow_wire(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scheduler,
+    bench_flowset_pacing,
     bench_compare_observe,
     bench_compare,
     bench_flow_table,

@@ -1,17 +1,17 @@
 //! `flow_smoke`: the CI timed smoke for the million-flow traffic engine.
 //!
-//! Runs the canonical flow-scale world (default 100,000 concurrent flows)
-//! twice with the same seed, prints one JSON line, and exits non-zero if
-//! any flow failed to complete or the reruns were not bit-identical. CI
-//! wraps the invocation in `timeout`, so a performance regression that
-//! blows the wall-clock budget fails the job even though the run itself
-//! would eventually succeed.
+//! Runs the canonical flow-scale world (default 100,000 concurrent flows;
+//! CI passes 1,000,000) twice with the same seed, prints one JSON line, and
+//! exits non-zero if any flow failed to complete or the reruns were not
+//! bit-identical. CI wraps the invocation in `timeout`, so a performance
+//! regression that blows the wall-clock budget fails the job even though
+//! the run itself would eventually succeed.
 //!
 //! Usage: `flow_smoke [flows] [--dispatch=fast|dyn]`
 //!
-//! `--dispatch=dyn` runs the PR-9 baseline hot path (boxed dyn dispatch,
-//! modeled CPU admission, no template-frame cache) instead of the default
-//! fast path — handy for ad-hoc A/B probes outside `perf_report`.
+//! `--dispatch=dyn` runs boxed dyn dispatch with modeled CPU admission
+//! instead of the default fast path — handy for ad-hoc A/B probes outside
+//! `perf_report`.
 
 use netco_bench::flows::{peak_rss_mb, run_flow_world_mode, DispatchMode};
 

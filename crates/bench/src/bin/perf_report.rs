@@ -501,8 +501,8 @@ struct FlowScalePoint {
 
 /// Million-flow scale sweep over
 /// [`netco_bench::flows::run_flow_world_mode`], interleaved A/B per flow
-/// count: the A leg is the PR-9 hot path (dyn dispatch, CPU bypass off),
-/// the B leg the PR-10 fast path (`DeviceKind` enum + bypass).
+/// count: the A leg is dyn dispatch with the CPU bypass off, the B leg
+/// the PR-10 fast path (`DeviceKind` enum + bypass).
 /// `events_per_sec` reports the fast leg's best wall, `speedup_median`
 /// the median per-pair wall ratio, and `digest_identical` asserts every
 /// leg of every pair produced the same sink digest and event count.

@@ -18,14 +18,11 @@ use netco_traffic::{FlowSet, FlowSetConfig, FlowSink, SizeDist};
 /// Which hot path drives a flow-scale run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// The PR-9 baseline: boxed dyn dispatch with the CPU fast path
-    /// forced off — every admission through the modeled `cpu_admit` — and
-    /// the template-frame cache off, so every packet pays the full
-    /// build-allocate-checksum cost PR 9 paid.
+    /// Boxed dyn dispatch with the CPU fast path forced off — every
+    /// admission through the modeled `cpu_admit`.
     DynModeled,
     /// The PR-10 fast path: `DeviceKind` enum dispatch with the CPU
-    /// bypass on (both defaults of an accelerated world) and the
-    /// template-frame cache on.
+    /// bypass on (both defaults of an accelerated world).
     Fast,
 }
 
@@ -81,8 +78,7 @@ pub fn run_flow_world_mode(flows: usize, seed: u64, mode: DispatchMode) -> FlowR
         .with_size_dist(SizeDist::Fixed(2_400))
         .with_payload_len(1_200)
         .with_flow_rate(10_000_000)
-        .with_start_spread(SimDuration::from_millis(800))
-        .with_frame_cache(mode == DispatchMode::Fast);
+        .with_start_spread(SimDuration::from_millis(800));
     let mut w = World::new(seed);
     let src = w.add_node("flows", FlowSet::new(na, cfg), CpuModel::default());
     let dst = w.add_node("sink", FlowSink::new(nb), CpuModel::default());

@@ -239,6 +239,15 @@ mod tests {
     }
 
     #[test]
+    fn traffic_engine_does_not_fatten_every_device_slot() {
+        // Every slot of an accelerated world is as large as the largest
+        // variant, today `GuardSwitch`; `FlowSet` boxes its pacing wheel
+        // to stay below it.
+        use std::mem::size_of;
+        assert!(size_of::<FlowSet>() <= size_of::<GuardSwitch>());
+    }
+
+    #[test]
     fn pre_boxed_devices_classify_through_double_boxing() {
         // Builders like `build_world` hand `add_node` an already-boxed
         // `Box<dyn Device>`; classification must see through the re-boxing.

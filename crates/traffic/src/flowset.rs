@@ -3,25 +3,25 @@
 //! [`FlowSet`] is a single device that drives an arbitrary number of
 //! concurrent flows — the workload shape the paper's testbed could never
 //! reach (Mininet tops out at thousands of iperf processes). Instead of one
-//! device per flow, all per-flow state lives in struct-of-arrays slabs
-//! inside one device, and one service timer drains a pacing heap. That
-//! keeps the marginal cost of a flow to a few dozen bytes and one heap
-//! entry, so a single world comfortably holds 10⁶ live flows.
+//! device per flow, a live flow is one 16-byte record in a slab inside one
+//! device plus one 32-byte entry in a pacing wheel — the workspace's own
+//! hierarchical timing wheel, [`netco_sim::Scheduler`], keyed by next-packet
+//! deadline — and one service timer drains whatever the wheel says is due.
+//! That is ~48 B and O(1) queue work per packet whatever the flow count, so
+//! a single world comfortably holds 10⁶ live flows.
 //!
 //! The engine is deterministic end to end: flow sizes and arrival times
 //! come from per-flow splitmix64 streams derived from the world seed, so
 //! two runs with the same seed produce bit-identical packet sequences
 //! (checkable via [`FlowSetStats::digest`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use netco_net::packet::builder;
 use netco_net::packet::L4View;
 use netco_net::{Ctx, Device, Frame, HostNic, MacAddr, PortId};
-use netco_sim::{SimDuration, SimTime};
+use netco_sim::{Scheduler, SimDuration, SimTime};
 
 use crate::common::NIC_PORT;
 
@@ -104,22 +104,14 @@ pub struct FlowSetConfig {
     pub flow_rate_bps: u64,
     /// Window over which pre-spawned flows' first packets are staggered.
     pub start_spread: SimDuration,
-    /// Reuse one template frame per (destination MAC, payload length)
-    /// instead of building every packet from scratch. All packets of this
-    /// engine with equal length are byte-identical (zero payload, constant
-    /// headers, IP id 0), so emitting clones of a cached [`Frame`] is
-    /// wire-equivalent and O(1) — and every clone shares one parse memo at
-    /// the sink. Off reproduces the pre-cache (PR-9) build cost for A/B
-    /// baselines.
-    pub frame_cache: bool,
     /// Stamp each packet's payload with the flow id and a per-engine
     /// emission counter (16 big-endian bytes) so every packet this engine
     /// emits is content-unique. Required when the traffic crosses a NetCo
     /// compare: its content-keyed packet cache (paper §V) suppresses
     /// byte-identical packets as replicated-copy duplicates, so an
     /// all-zero-payload stream would collapse to one release per vote key.
-    /// Takes precedence over [`frame_cache`](FlowSetConfig::frame_cache)
-    /// (a unique payload has no template to share).
+    /// Costs a fresh build per packet: a unique payload has no template
+    /// frame to share.
     pub tagged_payload: bool,
 }
 
@@ -141,7 +133,6 @@ impl FlowSetConfig {
             payload_len: 1200,
             flow_rate_bps: 10_000_000,
             start_spread: SimDuration::from_millis(100),
-            frame_cache: true,
             tagged_payload: false,
         }
     }
@@ -185,13 +176,6 @@ impl FlowSetConfig {
     /// Builder: sets the start-stagger window for pre-spawned flows.
     pub fn with_start_spread(mut self, d: SimDuration) -> FlowSetConfig {
         self.start_spread = d;
-        self
-    }
-
-    /// Builder: enables or disables the template-frame cache (on by
-    /// default; see [`FlowSetConfig::frame_cache`]).
-    pub fn with_frame_cache(mut self, on: bool) -> FlowSetConfig {
-        self.frame_cache = on;
         self
     }
 
@@ -268,12 +252,21 @@ fn zero_payload(len: usize) -> Bytes {
     Bytes::from_static(&ZERO_PAYLOAD[..len.min(ZERO_PAYLOAD.len())])
 }
 
+/// Everything the engine keeps per live flow. 16 bytes, so a packet
+/// touches one cache line of the slab.
+#[derive(Debug, Clone, Copy)]
+struct Flow {
+    /// Payload bytes still to send.
+    remaining: u64,
+    /// Spawn index: names the flow in the digest and in tagged payloads.
+    id: u64,
+}
+
 /// The million-flow engine. See the [module docs](self) for the design.
 ///
-/// Per-flow state is three parallel slabs (`remaining`, `rng`, `flow_id`)
-/// plus one entry in the pacing heap; freed slots are recycled through a
-/// free list, so memory is bounded by the *peak* concurrent flow count,
-/// not the total spawned.
+/// Per-flow state is one [`Flow`] record in a slab plus one entry in the
+/// pacing wheel; freed slots are recycled through a free list, so memory
+/// is bounded by the *peak* concurrent flow count, not the total spawned.
 #[derive(Debug)]
 pub struct FlowSet {
     nic: HostNic,
@@ -282,15 +275,18 @@ pub struct FlowSet {
     rng_base: u64,
     /// Stream for arrival-process draws (interarrival gaps).
     arrival_rng: FlowRng,
-    // --- slabs, indexed by slot ---
-    remaining: Vec<u64>,
-    rng: Vec<FlowRng>,
-    flow_id: Vec<u64>,
+    /// Live flows, indexed by slot.
+    flows: Vec<Flow>,
     free: Vec<u32>,
-    /// Pacing heap: earliest next-packet deadline first; `order` is a
-    /// monotone tiebreak so equal deadlines fire in spawn order.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    order: u64,
+    /// Pacing wheel: one entry per live flow, payload = slot, due at the
+    /// flow's next-packet deadline. Equal deadlines pop in push order, so
+    /// they fire in spawn order. The wheel's own clock trails the world's
+    /// (it only moves on pop) and is never read. Deliberately not attached
+    /// to telemetry: `sim.sched.*` counts world events only. Boxed because
+    /// an accelerated world stores this struct inline in every device slot
+    /// (`DeviceKind`), and the wheel's few hundred bytes of slot tables
+    /// would make it the largest variant.
+    pacing: Box<Scheduler<u32>>,
     /// The deadline the earliest outstanding service timer targets.
     armed_for: Option<SimTime>,
     arrivals_until: SimTime,
@@ -309,12 +305,9 @@ impl FlowSet {
             cfg,
             rng_base: 0,
             arrival_rng: FlowRng(0),
-            remaining: Vec::new(),
-            rng: Vec::new(),
-            flow_id: Vec::new(),
+            flows: Vec::new(),
             free: Vec::new(),
-            heap: BinaryHeap::new(),
-            order: 0,
+            pacing: Box::default(),
             armed_for: None,
             arrivals_until: SimTime::ZERO,
             tmpl: None,
@@ -334,24 +327,22 @@ impl FlowSet {
 
     fn spawn_flow(&mut self, first_due: SimTime) {
         let id = self.stats.spawned;
-        let mut rng = FlowRng::new(self.rng_base, id);
-        let size = self.cfg.size_dist.sample(&mut rng);
+        let remaining = self
+            .cfg
+            .size_dist
+            .sample(&mut FlowRng::new(self.rng_base, id));
+        let flow = Flow { remaining, id };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.remaining[s as usize] = size;
-                self.rng[s as usize] = rng;
-                self.flow_id[s as usize] = id;
+                self.flows[s as usize] = flow;
                 s
             }
             None => {
-                self.remaining.push(size);
-                self.rng.push(rng);
-                self.flow_id.push(id);
-                (self.remaining.len() - 1) as u32
+                self.flows.push(flow);
+                (self.flows.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse((first_due, self.order, slot)));
-        self.order += 1;
+        self.pacing.schedule_at(first_due, slot);
         self.stats.spawned += 1;
         self.stats.active += 1;
     }
@@ -359,19 +350,20 @@ impl FlowSet {
     /// Emits one packet for `slot`; returns the flow's next deadline, or
     /// `None` when the flow just sent its last byte.
     fn service_slot(&mut self, ctx: &mut Ctx<'_>, now: SimTime, slot: u32) -> Option<SimTime> {
-        let i = slot as usize;
-        let take = (self.cfg.payload_len as u64).min(self.remaining[i]);
+        let Flow { remaining, id } = self.flows[slot as usize];
+        let take = (self.cfg.payload_len as u64).min(remaining);
         if let Some(dst_mac) = self.nic.resolve(self.cfg.dst_ip) {
-            let frame = self.frame_for(dst_mac, take, self.flow_id[i]);
+            let frame = self.frame_for(dst_mac, take, id);
             ctx.send_frame(NIC_PORT, frame);
         }
-        self.remaining[i] -= take;
+        let left = remaining - take;
+        self.flows[slot as usize].remaining = left;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += take;
         let d = digest_fold(self.stats.digest, now.as_nanos());
-        let d = digest_fold(d, self.flow_id[i]);
+        let d = digest_fold(d, id);
         self.stats.digest = digest_fold(d, take);
-        if self.remaining[i] == 0 {
+        if left == 0 {
             self.stats.completed += 1;
             self.stats.active -= 1;
             self.free.push(slot);
@@ -382,10 +374,11 @@ impl FlowSet {
     }
 
     /// One packet's wire frame: a clone of the cached template when the
-    /// (dst MAC, length) pair matches, a fresh build otherwise. The built
-    /// frame is byte-identical either way (see
-    /// [`FlowSetConfig::frame_cache`]) — unless payload tagging is on, in
-    /// which case every packet is unique and always built fresh.
+    /// (dst MAC, length) pair matches, a fresh build otherwise. All
+    /// equal-length packets of this engine are byte-identical (zero
+    /// payload, constant headers, IP id 0), so the clone is wire-equivalent,
+    /// O(1), and shares one parse memo at the sink — unless payload tagging
+    /// is on, in which case every packet is unique and always built fresh.
     fn frame_for(&mut self, dst_mac: MacAddr, take: u64, flow_id: u64) -> Frame {
         if self.cfg.tagged_payload {
             let mut payload = vec![0u8; take as usize];
@@ -405,11 +398,9 @@ impl FlowSet {
                 None,
             ));
         }
-        if self.cfg.frame_cache {
-            if let Some((mac, len, f)) = &self.tmpl {
-                if *mac == dst_mac && *len == take {
-                    return f.clone();
-                }
+        if let Some((mac, len, f)) = &self.tmpl {
+            if *mac == dst_mac && *len == take {
+                return f.clone();
             }
         }
         let frame = Frame::from(builder::udp_frame(
@@ -422,15 +413,13 @@ impl FlowSet {
             zero_payload(take as usize),
             None,
         ));
-        if self.cfg.frame_cache {
-            self.tmpl = Some((dst_mac, take, frame.clone()));
-        }
+        self.tmpl = Some((dst_mac, take, frame.clone()));
         frame
     }
 
-    /// Ensures a service timer is pending for the heap's earliest deadline.
+    /// Ensures a service timer is pending for the wheel's earliest deadline.
     fn arm_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&Reverse((due, _, _))) = self.heap.peek() else {
+        let Some(due) = self.pacing.peek_time() else {
             return;
         };
         if self.armed_for.is_some_and(|t| t <= due) {
@@ -461,6 +450,7 @@ impl Device for FlowSet {
         self.arrivals_until = ctx.now() + self.cfg.arrival_window;
         let now = ctx.now();
         let spread = self.cfg.start_spread.as_nanos();
+        self.flows.reserve(self.cfg.initial_flows);
         for _ in 0..self.cfg.initial_flows {
             // Stagger first packets over the spread window; each flow's
             // offset comes from its own stream so the pattern is seed-stable.
@@ -497,18 +487,15 @@ impl Device for FlowSet {
                 if self.armed_for.is_some_and(|t| t <= now) {
                     self.armed_for = None;
                 }
-                // Drain every flow whose deadline has passed. Deadlines in
-                // the heap are unique per live flow, so re-pushing inside
-                // the loop is safe: a re-pushed deadline is strictly later
-                // than `now` whenever packet_gap > 0.
-                while let Some(&Reverse((due, _, slot))) = self.heap.peek() {
-                    if due > now {
-                        break;
-                    }
-                    self.heap.pop();
+                // Drain every flow whose deadline has passed. A live flow
+                // has exactly one entry in the wheel, so re-queueing inside
+                // the loop is safe: the new deadline is strictly later than
+                // `now` whenever packet_gap > 0, and one at `now` itself
+                // lands behind everything already due then.
+                while self.pacing.peek_time().is_some_and(|due| due <= now) {
+                    let (_, slot) = self.pacing.pop().expect("peeked a due entry");
                     if let Some(next) = self.service_slot(ctx, now, slot) {
-                        self.heap.push(Reverse((next.max(now), self.order, slot)));
-                        self.order += 1;
+                        self.pacing.schedule_at(next.max(now), slot);
                         if next <= now {
                             // Zero pacing gap: yield to the scheduler rather
                             // than spinning the whole flow out in one tick.
@@ -747,9 +734,9 @@ mod tests {
         assert!(stats.spawned > 1000, "spawned {}", stats.spawned);
         assert_eq!(stats.completed, stats.spawned);
         assert!(
-            fs.remaining.len() < stats.spawned as usize / 10,
+            fs.flows.len() < stats.spawned as usize / 10,
             "slab {} for {} flows",
-            fs.remaining.len(),
+            fs.flows.len(),
             stats.spawned
         );
     }
