@@ -7,7 +7,9 @@
 //!
 //! Semantics match the real crate for this subset: `Bytes::clone` and
 //! `Bytes::slice` are O(1) reference-count operations, equality/hashing
-//! are by content, and `BytesMut::freeze` converts without copying.
+//! are by content, and `BytesMut::freeze` converts without copying: the
+//! buffer that was written is the buffer every clone and slice reads, spare
+//! capacity included, so size a `BytesMut` to its message.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +22,9 @@ use std::sync::Arc;
 /// A cheaply clonable, immutable, contiguous slice of memory.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    // The `Vec` stays behind the `Arc` as it was handed over:
+    // `Arc::<[u8]>::from(vec)` would allocate a second buffer and copy.
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -44,7 +48,7 @@ impl Bytes {
     fn from_vec(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -399,6 +403,21 @@ mod tests {
             &frozen[..],
             &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0xff]
         );
+    }
+
+    #[test]
+    fn freeze_and_from_vec_keep_the_buffer() {
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(b"written once");
+        let written = b.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ptr(), written);
+        assert_eq!(frozen.clone().as_ptr(), written);
+        assert_eq!(frozen.slice(8..).as_ptr(), written.wrapping_add(8));
+
+        let v = vec![7u8; 100];
+        let built = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), built);
     }
 
     #[test]

@@ -25,7 +25,17 @@ const TPID_8021Q: u16 = 0x8100;
 /// `EthernetFrame`/`wire::encode` allocations were a measurable share of the
 /// guard's per-frame cost.
 pub fn of_wrap(msg: &OfMessage, xid: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + 2048);
+    // The frozen frame keeps whatever capacity is reserved here for as long
+    // as any copy of it lives, so reserve for this message: the payload it
+    // carries plus `OF_FIXED_HINT` for the OpenFlow header and the fixed
+    // part of a packet-in or packet-out with a few actions. Anything
+    // larger (a flow-mod, a features reply) is rare and grows the buffer.
+    const OF_FIXED_HINT: usize = 48;
+    let payload = match msg {
+        OfMessage::PacketIn { data, .. } | OfMessage::PacketOut { data, .. } => data.len(),
+        _ => 0,
+    };
+    let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + OF_FIXED_HINT + payload);
     buf.put_slice(&MacAddr::ZERO.octets());
     buf.put_slice(&MacAddr::ZERO.octets());
     buf.put_u16(NETCO_ETHERTYPE);

@@ -328,6 +328,9 @@ impl<D: DeviceStore> GenericWorld<D> {
                 };
                 let mut sched = Scheduler::new();
                 sched.attach_telemetry(&sink);
+                // The cloned link directions remember the parent's stage
+                // ordinals for the frames they are serialising.
+                sched.skip_stages_to(self.core.sched.stage());
                 let core = WorldCore {
                     devices: (0..n).map(|_| None).collect(),
                     sub: Substrate {
@@ -403,12 +406,6 @@ impl<D: DeviceStore> GenericWorld<D> {
                             Event::LinkAdmin { link, enabled },
                         );
                     }
-                }
-                Event::LinkTxDone { link, dir, .. } => {
-                    // Owned by the sending endpoint's region.
-                    let owner = self.core.links[*link as usize].ends[*dir as usize].0;
-                    let dst = map.assignment[owner.index()] as usize;
-                    runners[dst].core.sched.schedule_at_keyed(at, key, event);
                 }
                 _ => {
                     let owner = event.owner_node().expect("event kinds above have an owner");
@@ -499,6 +496,8 @@ impl<D: DeviceStore> GenericWorld<D> {
             let runner = cell.into_inner().expect("region lock");
             let mut core = runner.core;
             total_events += runner.events;
+            // ...and the directions merged back below remember the shard's.
+            self.core.sub.sched.skip_stages_to(core.sched.stage());
             for (at, key, event) in core.sched.drain_all_ordered() {
                 // Drop the non-owner's replica of a leftover LinkAdmin.
                 if let Event::LinkAdmin { link, .. } = &event {

@@ -1,6 +1,6 @@
 //! The [`World`]: nodes, links, control channels and the event loop.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -175,11 +175,6 @@ pub(crate) enum Event {
     Start {
         node: NodeId,
     },
-    LinkTxDone {
-        link: u32,
-        dir: u8,
-        len: usize,
-    },
     FrameArrival {
         node: NodeId,
         port: PortId,
@@ -214,19 +209,19 @@ pub(crate) enum Event {
 
 /// Deterministic ordering keys: same-instant events deliver in key order
 /// (see `netco_sim::Scheduler::schedule_at_keyed`). A key names the
-/// *stream* an event belongs to — a node, a link direction, a control
-/// pair — with the event kind in the top byte so distinct kinds never
-/// collide. Every stream is owned by exactly one region, and the key is
-/// computable from the event alone, so sequential and region-parallel
-/// executions sort identical same-instant sets identically.
+/// *stream* an event belongs to — a node, a control pair, a link — with
+/// the event kind in the top byte so distinct kinds never collide. Every
+/// stream is owned by exactly one region, and the key is computable from
+/// the event alone, so sequential and region-parallel executions sort
+/// identical same-instant sets identically. Kind 2 is not in use: it
+/// belonged to the per-frame end-of-serialisation event that
+/// `LinkDirState::release_finished` replaced, and it sorted ahead of
+/// every kind whose handler can transmit except `Start`.
 impl Event {
     pub(crate) const KEY_PIN: u64 = u64::MAX;
 
     pub(crate) fn key_start(node: NodeId) -> u64 {
         (1 << 56) | node.index() as u64
-    }
-    pub(crate) fn key_tx_done(link: u32, dir: u8) -> u64 {
-        (2 << 56) | ((link as u64) << 1) | dir as u64
     }
     pub(crate) fn key_frame_arrival(node: NodeId, port: PortId) -> u64 {
         (3 << 56) | ((node.index() as u64) << 16) | port.0 as u64
@@ -258,7 +253,6 @@ impl Event {
             | Event::FrameProcessed { node, .. }
             | Event::Timer { node, .. } => Some(*node),
             Event::ControlArrival { to, .. } | Event::ControlProcessed { to, .. } => Some(*to),
-            Event::LinkTxDone { .. } => None,
         }
     }
 }
@@ -275,10 +269,53 @@ pub(crate) struct CpuState {
     dropping: bool,
 }
 
+/// A frame that is in, or waiting for, serialisation on a link direction.
 #[derive(Clone)]
+struct InFlight {
+    /// When its last bit leaves the sender.
+    done: SimTime,
+    /// [`Scheduler::stage`] at the time it was enqueued.
+    stage: u64,
+    len: usize,
+}
+
+/// One direction of a link. No event marks the end of a serialisation:
+/// the direction remembers what it is sending and, the next time somebody
+/// transmits on it, first forgets what has left since
+/// ([`release_finished`](LinkDirState::release_finished)).
+#[derive(Clone, Default)]
 pub(crate) struct LinkDirState {
     busy_until: SimTime,
+    /// Sum of `len` over `in_flight`.
     queued_bytes: usize,
+    /// In enqueue order, which is also `done` order: each serialisation
+    /// starts when the previous one ends.
+    in_flight: VecDeque<InFlight>,
+}
+
+impl LinkDirState {
+    /// Stops counting every frame whose serialisation is over against the
+    /// queue, as seen by an event handler running at `now` in scheduler
+    /// stage `stage`.
+    ///
+    /// "Over" is defined by the event this replaces: one per frame, due at
+    /// `done`, sorting ahead of every same-stage event whose handler can
+    /// transmit on this direction. (`Start` sorts lower still, but a
+    /// node's start handler runs before the node has sent anything, so the
+    /// directions it can transmit on are empty.) That event would have
+    /// been delivered by now iff `done` is in the past, or `done` is this
+    /// very instant and the frame was enqueued in an earlier stage — had
+    /// it been enqueued in the current one, its event would be waiting for
+    /// the next stage, however short the serialisation.
+    fn release_finished(&mut self, now: SimTime, stage: u64) {
+        while let Some(f) = self.in_flight.front() {
+            if f.done > now || (f.done == now && f.stage == stage) {
+                break;
+            }
+            self.queued_bytes -= f.len;
+            self.in_flight.pop_front();
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -698,7 +735,9 @@ impl Substrate {
             .fault
             .as_mut()
             .map_or(SimDuration::ZERO, |f| f.extra_roll(now, dir as usize));
+        let stage = self.sched.stage();
         let d = &mut link.dirs[dir as usize];
+        d.release_finished(now, stage);
         if d.queued_bytes.saturating_add(len) > link.spec.queue_bytes {
             link.dropped[dir as usize] += 1;
             self.counters[node.index()].port_mut(port).tx_dropped += 1;
@@ -711,17 +750,9 @@ impl Substrate {
         let start = d.busy_until.max(now);
         let done = start + link.spec.tx_time(len);
         d.busy_until = done;
+        d.in_flight.push_back(InFlight { done, stage, len });
         let (peer, peer_port) = link.ends[1 - dir as usize];
         let arrival = done + link.spec.latency + extra;
-        self.sched.schedule_at_keyed(
-            done,
-            Event::key_tx_done(link_idx, dir),
-            Event::LinkTxDone {
-                link: link_idx,
-                dir,
-                len,
-            },
-        );
         // The arrival belongs to the receiver's stream — possibly across a
         // region cut, in which case it rides the outbox channel.
         self.route_to_node(
@@ -865,10 +896,6 @@ impl<D: DeviceStore> WorldCore<D> {
             Event::Start { node } => {
                 let (d, mut ctx) = self.device_ctx(node);
                 d.dispatch_start(&mut ctx);
-            }
-            Event::LinkTxDone { link, dir, len } => {
-                let d = &mut self.sub.links[link as usize].dirs[dir as usize];
-                d.queued_bytes = d.queued_bytes.saturating_sub(len);
             }
             Event::FrameArrival { node, port, frame } => {
                 let sub = &mut self.sub;
@@ -1139,16 +1166,7 @@ impl<D: DeviceStore> GenericWorld<D> {
         self.core.links.push(LinkState {
             spec,
             ends: [(a, pa), (b, pb)],
-            dirs: [
-                LinkDirState {
-                    busy_until: SimTime::ZERO,
-                    queued_bytes: 0,
-                },
-                LinkDirState {
-                    busy_until: SimTime::ZERO,
-                    queued_bytes: 0,
-                },
-            ],
+            dirs: Default::default(),
             dropped: [0, 0],
             fault_dropped: [0, 0],
             enabled: true,

@@ -37,6 +37,9 @@
 //! same `at`). Per-event [`Scheduler::pop`] and batched
 //! [`Scheduler::pop_tick_until`] therefore yield byte-identical sequences,
 //! and a region executor can mirror the stage boundaries deterministically.
+//! [`Scheduler::stage`] numbers the staged ticks, so a caller can tell
+//! whether something it recorded earlier happened in the stage now being
+//! drained or in an earlier one.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -216,6 +219,8 @@ pub struct Scheduler<E> {
     ready: VecDeque<Entry<E>>,
     /// Reusable cascade buffer so window advances do not reallocate.
     scratch: Vec<Entry<E>>,
+    /// Ordinal of the tick most recently staged into `ready`.
+    stage: u64,
     /// Telemetry handles (inert by default; see [`Scheduler::attach_telemetry`]).
     tel_scheduled: netco_telemetry::Counter,
     tel_pops: netco_telemetry::Counter,
@@ -234,6 +239,7 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             ready: VecDeque::new(),
             scratch: Vec::new(),
+            stage: 0,
             tel_scheduled: netco_telemetry::Counter::disabled(),
             tel_pops: netco_telemetry::Counter::disabled(),
             tel_depth: netco_telemetry::Gauge::disabled(),
@@ -254,6 +260,22 @@ impl<E> Scheduler<E> {
     /// The current simulated time (timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.now)
+    }
+
+    /// Ordinal of the stage being drained: bumped every time a tick is
+    /// staged, never reset. Two calls return the same value iff no stage
+    /// boundary lies between them, so an event scheduled for `now()` under
+    /// ordinal `s` is delivered under an ordinal greater than `s`.
+    pub fn stage(&self) -> u64 {
+        self.stage
+    }
+
+    /// Makes every later stage ordinal exceed `stage`. State that carries
+    /// ordinals from one scheduler into another (a region shard and its
+    /// parent world) calls this on the receiving side, so that a carried
+    /// ordinal can never equal a stage the receiver is yet to drain.
+    pub fn skip_stages_to(&mut self, stage: u64) {
+        self.stage = self.stage.max(stage);
     }
 
     /// Number of pending events.
@@ -506,6 +528,7 @@ impl<E> Scheduler<E> {
                 self.ready.extend(level.slots[slot].drain(..));
                 level.mark_drained(slot);
                 self.sort_ready();
+                self.stage += 1;
                 return true;
             }
             // Cascade the first occupied slot of the shallowest non-empty
@@ -908,6 +931,37 @@ mod tests {
             .collect();
         // Stage 1 finishes (key 5), then stage 2 sorted by key (0 then 9).
         assert_eq!(rest, vec![(10, 1), (10, 4), (10, 3)]);
+    }
+
+    #[test]
+    fn stage_ordinal_changes_exactly_at_stage_boundaries() {
+        // Per-event pops inside one tick share an ordinal; a same-instant
+        // arrival surfaces under a later one; `skip_stages_to` only ever
+        // moves the numbering forward.
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(10), 1);
+        s.schedule_at(SimTime::from_nanos(10), 2);
+        s.pop();
+        let first = s.stage();
+        s.schedule_at(SimTime::from_nanos(10), 3);
+        s.pop();
+        assert_eq!(s.stage(), first, "still draining the same tick");
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(10), 3)));
+        assert!(s.stage() > first, "same instant, next stage");
+
+        let mut tick = Tick::new();
+        s.schedule_at(SimTime::from_nanos(10), 4);
+        let before = s.stage();
+        assert_eq!(s.pop_tick_until(SimTime::MAX, &mut tick), 1);
+        assert!(s.stage() > before, "a batched tick is a stage too");
+
+        s.skip_stages_to(1_000);
+        assert_eq!(s.stage(), 1_000);
+        s.skip_stages_to(5);
+        assert_eq!(s.stage(), 1_000, "never backwards");
+        s.schedule_at(SimTime::from_nanos(20), 5);
+        s.pop();
+        assert_eq!(s.stage(), 1_001);
     }
 
     #[test]

@@ -164,6 +164,20 @@ impl TopoGraph {
         used
     }
 
+    /// Whether `port` of `node` already carries a link or a host: one pass,
+    /// nothing allocated. The wiring asserts run this for every port a
+    /// generator or `netcoize` wires; going through `used_ports` there
+    /// cost a `Vec` and a sort per endpoint.
+    fn port_wired(&self, node: usize, port: u16) -> bool {
+        self.links
+            .iter()
+            .any(|l| (l.a == node && l.a_port == port) || (l.b == node && l.b_port == port))
+            || self
+                .hosts
+                .iter()
+                .any(|h| h.attach == node && h.attach_port == port)
+    }
+
     /// The smallest port of `node` not yet wired. Equal to
     /// [`TopoGraph::port_count`] for densely numbered nodes, but also
     /// correct after an edit (e.g. Watts-Strogatz rewiring) leaves a
@@ -202,7 +216,7 @@ impl TopoGraph {
         assert!(a < self.nodes.len() && b < self.nodes.len(), "unknown node");
         assert!(a != b, "self-loops are not topologies");
         assert!(
-            !self.used_ports(a).contains(&a_port) && !self.used_ports(b).contains(&b_port),
+            !self.port_wired(a, a_port) && !self.port_wired(b, b_port),
             "port already wired"
         );
         self.links.push(TopoLink {
@@ -247,7 +261,7 @@ impl TopoGraph {
         latency: SimDuration,
     ) -> usize {
         assert!(node < self.nodes.len(), "unknown node");
-        assert!(!self.used_ports(node).contains(&port), "port already wired");
+        assert!(!self.port_wired(node, port), "port already wired");
         self.hosts.push(TopoHost {
             attach: node,
             attach_port: port,
@@ -574,6 +588,23 @@ mod tests {
         // b: link0 port 0, link1 port 1.
         assert_eq!(g.links[0].b_port, 0);
         assert_eq!(g.links[1].a_port, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "port already wired")]
+    fn linking_onto_a_host_port_panics() {
+        let mut g = triangle();
+        // Port 2 of `a` holds host 0; port 2 of `b` is free.
+        g.link_with_ports(0, 2, 1, 2, 1_000_000_000, SimDuration::from_micros(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "port already wired")]
+    fn attaching_onto_a_link_port_panics() {
+        let mut g = triangle();
+        // Port 1 of `b` is the far end of link 1.
+        let (mac, ip) = (MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
+        g.attach_host_at(1, 1, mac, ip, 1_000_000_000, SimDuration::from_micros(5));
     }
 
     #[test]
