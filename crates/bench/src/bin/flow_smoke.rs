@@ -7,30 +7,17 @@
 //! regression that blows the wall-clock budget fails the job even though
 //! the run itself would eventually succeed.
 //!
-//! Usage: `flow_smoke [flows] [--dispatch=fast|dyn]`
-//!
-//! `--dispatch=dyn` runs boxed dyn dispatch with modeled CPU admission
-//! instead of the default fast path — handy for ad-hoc A/B probes outside
-//! `perf_report`.
+//! Usage: `flow_smoke [flows]`
 
-use netco_bench::flows::{peak_rss_mb, run_flow_world_mode, DispatchMode};
+use netco_bench::flows::{peak_rss_mb, run_flow_world};
 
 fn main() {
-    let mut flows: usize = 100_000;
-    let mut mode = DispatchMode::Fast;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--dispatch=dyn" => mode = DispatchMode::DynModeled,
-            "--dispatch=fast" => mode = DispatchMode::Fast,
-            other => {
-                if let Ok(n) = other.parse() {
-                    flows = n;
-                }
-            }
-        }
-    }
-    let first = run_flow_world_mode(flows, 7, mode);
-    let second = run_flow_world_mode(flows, 7, mode);
+    let flows: usize = std::env::args()
+        .nth(1)
+        .and_then(|arg| arg.parse().ok())
+        .unwrap_or(100_000);
+    let first = run_flow_world(flows, 7);
+    let second = run_flow_world(flows, 7);
     let identical = first.digest == second.digest && first.events == second.events;
     let complete = second.completed == second.spawned && second.spawned == flows as u64;
     println!(

@@ -1,7 +1,7 @@
 //! `perf_report`: one-shot hot-path performance snapshot, printed as a
 //! single JSON object on stdout.
 //!
-//! Seven measurements:
+//! Nine measurements:
 //!
 //! 1. Scheduler churn — a steady-state pop-one/push-one loop over the
 //!    timing-wheel [`netco_sim::Scheduler`], with the retired binary-heap
@@ -19,32 +19,27 @@
 //! 5. Flow-table classification — lookup ns/op over tables of 16/256/4096
 //!    wildcard-free entries, the indexed [`FlowTable`] against the
 //!    retired linear scan ([`netco_openflow::baseline::LinearFlowTable`]).
-//! 6. Dispatch microbench — interleaved A/B pairs (dyn dispatch with the
-//!    CPU bypass off vs `DeviceKind` enum dispatch with the bypass on) on
-//!    the FlowSet engine and a small NetCo grid: wall clock, events/sec,
-//!    median per-pair speedup, and a tapped digest bit-identity check.
-//! 7. Flow-scale sweep — a [`netco_traffic::FlowSet`] world at 1 k / 100 k
-//!    / 1 M concurrent flows, interleaved A/B per count (same axes as the
-//!    dispatch section): fast-path and baseline events/sec, median
-//!    speedup, peak RSS (`VmHWM`), and a bit-identity check on the sink
-//!    digest across every leg of every pair.
-//! 8. Parallel figure sweeps — Fig. 4 (TCP) and Fig. 7 (RTT) fanned over
+//! 6. Flow-scale sweep — a [`netco_traffic::FlowSet`] world at 1 k / 100 k
+//!    / 1 M concurrent flows, each count run several times: events/sec,
+//!    peak RSS (`VmHWM`), and a bit-identity check on the sink digest
+//!    across the repeats.
+//! 7. Parallel figure sweeps — Fig. 4 (TCP) and Fig. 7 (RTT) fanned over
 //!    the [`netco_harness::Pool`] at several worker counts, reporting
 //!    wall-clock, aggregate simulator events/sec and whether the rows
 //!    stayed bit-identical across thread counts (they must).
-//! 9. Region scale — one 16 × 5 NetCo grid (400 switches), enum-dispatch,
-//!    run space-parallel (`run_until_parallel`, 4 regions) at 1/2/4
+//! 8. Region scale — one 16 × 5 NetCo grid (400 switches), run
+//!    space-parallel (`run_until_parallel`, 4 regions) at 1/2/4
 //!    workers against the sequential oracle, interleaved A/B per worker
 //!    count; reports events/sec and speedup over sequential. Timed runs
 //!    carry no taps (observation cost is not executor cost, and both
 //!    sides of every pair run with identical zero observers); a separate
 //!    untimed tapped pair per worker count checks that the
 //!    order-sensitive tap digest stays bit-identical (it must).
-//! 10. Topology campaign — the [`netco_topogen::campaign`] smoke sweep
-//!     (2 generated classes × k ∈ {2, 3} × 2 adversary fractions, ~100
-//!     routed ping tests per cell), run twice; reports per-cell
-//!     availability, stretch and the tap digest, plus the rerun and
-//!     region-count bit-identity verdicts (the BENCH_PR9 record).
+//! 9. Topology campaign — the [`netco_topogen::campaign`] smoke sweep
+//!    (2 generated classes × k ∈ {2, 3} × 2 adversary fractions, ~100
+//!    routed ping tests per cell), run twice; reports per-cell
+//!    availability, stretch and the tap digest, plus the rerun and
+//!    region-count bit-identity verdicts (the BENCH_PR9 record).
 //!
 //! Everything simulated is deterministic; wall-clock rates vary with the
 //! host. Run with `cargo run --release -p netco-bench --bin perf_report`.
@@ -60,14 +55,13 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use netco_bench::experiments::{fig4_tcp_on, fig7_rtt_on, Sweep, TcpRow};
-use netco_bench::flows::{peak_rss_mb, run_flow_world_mode, DispatchMode};
+use netco_bench::flows::{peak_rss_mb, run_flow_world};
 use netco_bench::grid::build_grid;
 use netco_bench::ExperimentScale;
 use netco_core::{Compare, CompareConfig, CompareCore, LaneInfo};
-use netco_fastpath::accelerate;
 use netco_harness::Pool;
 use netco_net::packet::builder;
-use netco_net::{DeviceStore, Frame, GenericWorld, MacAddr, TapDirection};
+use netco_net::{Frame, MacAddr, TapDirection};
 use netco_openflow::{Action, FlowEntry, FlowMatch, FlowTable, OfPort, PacketFields};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
@@ -471,27 +465,12 @@ fn sweep_points(thread_counts: &[usize], scale: ExperimentScale) -> (Vec<SweepPo
 
 /// Concurrent-flow counts for the traffic-engine scale sweep.
 const FLOW_SCALE_COUNTS: [usize; 3] = [1_000, 100_000, 1_000_000];
-/// Interleaved A/B pairs per flow count (and per dispatch-microbench
-/// world): the dyn-modeled baseline and the enum fast path alternate back
-/// to back so both see the same machine windows.
-const DISPATCH_PAIRS: usize = 3;
-
-/// Median of a non-empty sample.
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
+/// Same-seed repeats per flow count; the best wall is reported.
+const FLOW_SCALE_REPEATS: usize = 3;
 
 struct FlowScalePoint {
     flows: usize,
     events_per_sec: f64,
-    baseline_events_per_sec: f64,
-    speedup_median: f64,
     events: u64,
     packets_delivered: u64,
     peak_flows_active: u64,
@@ -499,13 +478,10 @@ struct FlowScalePoint {
     digest_identical: bool,
 }
 
-/// Million-flow scale sweep over
-/// [`netco_bench::flows::run_flow_world_mode`], interleaved A/B per flow
-/// count: the A leg is dyn dispatch with the CPU bypass off, the B leg
-/// the PR-10 fast path (`DeviceKind` enum + bypass).
-/// `events_per_sec` reports the fast leg's best wall, `speedup_median`
-/// the median per-pair wall ratio, and `digest_identical` asserts every
-/// leg of every pair produced the same sink digest and event count.
+/// Million-flow scale sweep over [`netco_bench::flows::run_flow_world`].
+/// `events_per_sec` reports the best wall of [`FLOW_SCALE_REPEATS`]
+/// same-seed runs, and `digest_identical` asserts every repeat produced
+/// the same sink digest and event count.
 /// `peak_rss_mb` is a process-lifetime high-water mark (`VmHWM`), so the
 /// sweep runs in ascending flow count and each row reports the mark
 /// *after* its run — the 1M row is the honest number, smaller rows are
@@ -514,172 +490,25 @@ fn flow_scale_points() -> Vec<FlowScalePoint> {
     FLOW_SCALE_COUNTS
         .iter()
         .map(|&flows| {
-            let mut a_best = f64::INFINITY;
-            let mut b_best = f64::INFINITY;
-            let mut speedups = Vec::new();
+            let first = run_flow_world(flows, 7);
+            let mut best = first.wall_nanos;
             let mut identical = true;
-            let mut reference: Option<(u64, u64)> = None;
-            let mut last = None;
-            for _ in 0..DISPATCH_PAIRS {
-                let a = run_flow_world_mode(flows, 7, DispatchMode::DynModeled);
-                let b = run_flow_world_mode(flows, 7, DispatchMode::Fast);
-                for r in [&a, &b] {
-                    let key = (r.digest, r.events);
-                    match reference {
-                        None => reference = Some(key),
-                        Some(k) => identical &= k == key,
-                    }
-                }
-                a_best = a_best.min(a.wall_nanos as f64 / 1e9);
-                b_best = b_best.min(b.wall_nanos as f64 / 1e9);
-                speedups.push(a.wall_nanos as f64 / b.wall_nanos as f64);
-                last = Some(b);
+            for _ in 1..FLOW_SCALE_REPEATS {
+                let r = run_flow_world(flows, 7);
+                identical &= (r.digest, r.events) == (first.digest, first.events);
+                best = best.min(r.wall_nanos);
             }
-            let b = last.expect("at least one pair");
             FlowScalePoint {
                 flows,
-                events_per_sec: b.events as f64 / b_best,
-                baseline_events_per_sec: b.events as f64 / a_best,
-                speedup_median: median(speedups),
-                events: b.events,
-                packets_delivered: b.packets,
-                peak_flows_active: b.spawned, // pre-spawned → peak = spawned
+                events_per_sec: first.events as f64 / (best as f64 / 1e9),
+                events: first.events,
+                packets_delivered: first.packets,
+                peak_flows_active: first.spawned, // pre-spawned → peak = spawned
                 peak_rss_mb: peak_rss_mb(),
                 digest_identical: identical,
             }
         })
         .collect()
-}
-
-/// Flow count for the dispatch microbench's FlowSet row.
-const DISPATCH_FLOWS: usize = 100_000;
-/// Simulated milliseconds for the dispatch microbench's grid row.
-const DISPATCH_GRID_MS: u64 = 100;
-
-struct DispatchPoint {
-    world: &'static str,
-    events: u64,
-    baseline_wall_s: f64,
-    fast_wall_s: f64,
-    baseline_events_per_sec: f64,
-    fast_events_per_sec: f64,
-    speedup_median: f64,
-    digest_identical: bool,
-}
-
-/// Runs a world to `deadline`, optionally under an order-sensitive tap
-/// digest, returning `(wall_s, events, digest, taps)`. Generic over the
-/// device storage so the dyn baseline and the enum fast path share the
-/// identical measurement code.
-fn timed_run<D: DeviceStore>(
-    mut world: GenericWorld<D>,
-    deadline: SimTime,
-    tapped: bool,
-) -> (f64, u64, u64, u64) {
-    let acc = Rc::new(RefCell::new((0u64, 0u64)));
-    if tapped {
-        let tap_acc = Rc::clone(&acc);
-        world.add_tap(move |ev| {
-            let mut g = tap_acc.borrow_mut();
-            let mut d = g.0;
-            d = splitmix(d ^ ev.at.as_nanos());
-            d = splitmix(d ^ ev.node.index() as u64);
-            d = splitmix(d ^ ev.port.0 as u64);
-            d = splitmix(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-            d = splitmix(d ^ netco_net::fnv1a(ev.frame));
-            g.0 = d;
-            g.1 += 1;
-        });
-    }
-    let start = Instant::now();
-    world.run_until(deadline);
-    let wall = start.elapsed().as_secs_f64();
-    let (digest, taps) = *acc.borrow();
-    (wall, world.events_processed(), digest, taps)
-}
-
-/// One small NetCo grid run under the chosen hot path (`fast` selects
-/// enum dispatch + CPU bypass over the dyn-modeled baseline).
-fn dispatch_grid_observe(fast: bool, tapped: bool) -> (f64, u64, u64, u64) {
-    let grid = build_grid(4, 3, 7);
-    let deadline = grid.world.now() + SimDuration::from_millis(DISPATCH_GRID_MS);
-    if fast {
-        timed_run(accelerate(grid.world), deadline, tapped)
-    } else {
-        let mut w = grid.world;
-        w.set_cpu_bypass(false);
-        timed_run(w, deadline, tapped)
-    }
-}
-
-/// The dispatch microbench: interleaved A/B pairs (dyn-modeled baseline
-/// vs `DeviceKind` enum + CPU bypass) on two dispatch-bound worlds — the
-/// FlowSet traffic engine and a switch-heavy NetCo grid. Timed runs are
-/// untapped (observation cost is not dispatch cost, and both legs of a
-/// pair run with identical zero observers); one untimed tapped pair per
-/// world checks the order-sensitive digest bit for bit.
-fn dispatch_points() -> Vec<DispatchPoint> {
-    let mut points = Vec::new();
-    {
-        let mut a_best = f64::INFINITY;
-        let mut b_best = f64::INFINITY;
-        let mut speedups = Vec::new();
-        let mut identical = true;
-        let mut reference: Option<(u64, u64)> = None;
-        let mut events = 0;
-        for _ in 0..DISPATCH_PAIRS {
-            let a = run_flow_world_mode(DISPATCH_FLOWS, 7, DispatchMode::DynModeled);
-            let b = run_flow_world_mode(DISPATCH_FLOWS, 7, DispatchMode::Fast);
-            for r in [&a, &b] {
-                let key = (r.digest, r.events);
-                match reference {
-                    None => reference = Some(key),
-                    Some(k) => identical &= k == key,
-                }
-            }
-            a_best = a_best.min(a.wall_nanos as f64 / 1e9);
-            b_best = b_best.min(b.wall_nanos as f64 / 1e9);
-            speedups.push(a.wall_nanos as f64 / b.wall_nanos as f64);
-            events = b.events;
-        }
-        points.push(DispatchPoint {
-            world: "flowset_100k",
-            events,
-            baseline_wall_s: a_best,
-            fast_wall_s: b_best,
-            baseline_events_per_sec: events as f64 / a_best,
-            fast_events_per_sec: events as f64 / b_best,
-            speedup_median: median(speedups),
-            digest_identical: identical,
-        });
-    }
-    {
-        let (_, ae, ad, at) = dispatch_grid_observe(false, true);
-        let (_, be, bd, bt) = dispatch_grid_observe(true, true);
-        let mut identical = at > 0 && (ae, ad, at) == (be, bd, bt);
-        let mut a_best = f64::INFINITY;
-        let mut b_best = f64::INFINITY;
-        let mut speedups = Vec::new();
-        for _ in 0..DISPATCH_PAIRS {
-            let (aw, ev_a, ..) = dispatch_grid_observe(false, false);
-            let (bw, ev_b, ..) = dispatch_grid_observe(true, false);
-            identical &= ev_a == ae && ev_b == ae;
-            a_best = a_best.min(aw);
-            b_best = b_best.min(bw);
-            speedups.push(aw / bw);
-        }
-        points.push(DispatchPoint {
-            world: "grid_4x3",
-            events: ae,
-            baseline_wall_s: a_best,
-            fast_wall_s: b_best,
-            baseline_events_per_sec: ae as f64 / a_best,
-            fast_events_per_sec: ae as f64 / b_best,
-            speedup_median: median(speedups),
-            digest_identical: identical,
-        });
-    }
-    points
 }
 
 /// Grid for the region-scale sweep: 16 rows × 5 inband NetCo cells =
@@ -705,12 +534,7 @@ const REGION_WORKERS: [usize; 3] = [1, 2, 4];
 /// symmetry (zero observers on both sides of every pair) keeps the
 /// comparison honest.
 fn region_observe(workers: Option<usize>, tapped: bool) -> (f64, u64, u64, u64) {
-    let grid = build_grid(REGION_GRID_ROWS, REGION_GRID_CELLS, 7);
-    // PR 10: the region sweep measures the production hot path — enum
-    // dispatch (`DeviceKind` storage + CPU bypass). Dyn-vs-enum
-    // bit-identity is the `dispatch` section's check (and the
-    // region/grid determinism tests').
-    let mut world = accelerate(grid.world);
+    let mut world = build_grid(REGION_GRID_ROWS, REGION_GRID_CELLS, 7).world;
     let acc = Rc::new(RefCell::new((0u64, 0u64)));
     if tapped {
         let tap_acc = Rc::clone(&acc);
@@ -890,8 +714,6 @@ fn main() {
     section_boundary();
     let flow = flow_table_points();
     section_boundary();
-    let dispatch = dispatch_points();
-    section_boundary();
     let flow_scale = flow_scale_points();
     section_boundary();
     let counts = thread_counts();
@@ -946,31 +768,13 @@ fn main() {
         );
     }
     println!("  ],");
-    println!("  \"dispatch\": [");
-    for (i, p) in dispatch.iter().enumerate() {
-        let comma = if i + 1 < dispatch.len() { "," } else { "" };
-        println!(
-            "    {{\"world\": \"{}\", \"events\": {}, \"baseline_wall_s\": {:.3}, \"fast_wall_s\": {:.3}, \"baseline_events_per_sec\": {:.0}, \"fast_events_per_sec\": {:.0}, \"speedup_median\": {:.3}, \"digest_identical\": {}}}{comma}",
-            p.world,
-            p.events,
-            p.baseline_wall_s,
-            p.fast_wall_s,
-            p.baseline_events_per_sec,
-            p.fast_events_per_sec,
-            p.speedup_median,
-            p.digest_identical
-        );
-    }
-    println!("  ],");
     println!("  \"flow_scale\": [");
     for (i, p) in flow_scale.iter().enumerate() {
         let comma = if i + 1 < flow_scale.len() { "," } else { "" };
         println!(
-            "    {{\"flows\": {}, \"events_per_sec\": {:.0}, \"baseline_events_per_sec\": {:.0}, \"speedup_median\": {:.3}, \"events\": {}, \"packets_delivered\": {}, \"peak_flows_active\": {}, \"peak_rss_mb\": {:.1}, \"digest_identical\": {}}}{comma}",
+            "    {{\"flows\": {}, \"events_per_sec\": {:.0}, \"events\": {}, \"packets_delivered\": {}, \"peak_flows_active\": {}, \"peak_rss_mb\": {:.1}, \"digest_identical\": {}}}{comma}",
             p.flows,
             p.events_per_sec,
-            p.baseline_events_per_sec,
-            p.speedup_median,
             p.events,
             p.packets_delivered,
             p.peak_flows_active,
@@ -990,7 +794,7 @@ fn main() {
     }
     println!("  ],");
     println!(
-        "  \"region_grid\": {{\"rows\": {}, \"cells\": {}, \"switches\": {}, \"regions\": {}, \"sim_ms\": {}, \"ab_pairs\": {}, \"dispatch\": \"enum\"}},",
+        "  \"region_grid\": {{\"rows\": {}, \"cells\": {}, \"switches\": {}, \"regions\": {}, \"sim_ms\": {}, \"ab_pairs\": {}}},",
         REGION_GRID_ROWS,
         REGION_GRID_CELLS,
         REGION_GRID_ROWS * REGION_GRID_CELLS * 5,

@@ -7,24 +7,9 @@
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use netco_fastpath::accelerate;
-use netco_net::{
-    CpuModel, DeviceStore, GenericWorld, HostNic, LinkSpec, MacAddr, NeighborTable, NodeId, PortId,
-    World,
-};
+use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, World};
 use netco_sim::SimDuration;
 use netco_traffic::{FlowSet, FlowSetConfig, FlowSink, SizeDist};
-
-/// Which hot path drives a flow-scale run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Boxed dyn dispatch with the CPU fast path forced off — every
-    /// admission through the modeled `cpu_admit`.
-    DynModeled,
-    /// The PR-10 fast path: `DeviceKind` enum dispatch with the CPU
-    /// bypass on (both defaults of an accelerated world).
-    Fast,
-}
 
 /// What one seeded flow-scale run produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +40,6 @@ impl FlowRunOutcome {
 /// staggered over 800 ms, simulated for 2 s — enough for every flow to
 /// finish. Deterministic for a given `(flows, seed)`.
 pub fn run_flow_world(flows: usize, seed: u64) -> FlowRunOutcome {
-    run_flow_world_mode(flows, seed, DispatchMode::Fast)
-}
-
-/// [`run_flow_world`] with the hot path chosen explicitly — the A/B axis
-/// of the perf report's `dispatch` and `flow_scale` sections. Both modes
-/// produce the identical sink digest and event count; only the wall clock
-/// may differ.
-pub fn run_flow_world_mode(flows: usize, seed: u64, mode: DispatchMode) -> FlowRunOutcome {
     let src_ip = Ipv4Addr::new(10, 9, 0, 1);
     let dst_ip = Ipv4Addr::new(10, 9, 0, 2);
     let table: NeighborTable = [(src_ip, MacAddr::local(1)), (dst_ip, MacAddr::local(2))]
@@ -91,22 +68,6 @@ pub fn run_flow_world_mode(flows: usize, seed: u64, mode: DispatchMode) -> FlowR
         // targets engine + scheduler cost, not congestion.
         LinkSpec::new(400_000_000_000, SimDuration::from_micros(5)),
     );
-    match mode {
-        DispatchMode::DynModeled => {
-            w.set_cpu_bypass(false);
-            finish_flow_run(w, src, dst)
-        }
-        DispatchMode::Fast => finish_flow_run(accelerate(w), src, dst),
-    }
-}
-
-/// Times the 2-second run and extracts the outcome, generic over the
-/// device storage so both A/B legs share the identical code path.
-fn finish_flow_run<D: DeviceStore>(
-    mut w: GenericWorld<D>,
-    src: NodeId,
-    dst: NodeId,
-) -> FlowRunOutcome {
     let start = Instant::now();
     w.run_for(SimDuration::from_secs(2));
     let wall_nanos = start.elapsed().as_nanos() as u64;
@@ -148,15 +109,5 @@ mod tests {
         let b = run_flow_world(2_000, 7);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn dispatch_modes_agree_on_everything_but_the_clock() {
-        let a = run_flow_world_mode(2_000, 7, DispatchMode::DynModeled);
-        let b = run_flow_world_mode(2_000, 7, DispatchMode::Fast);
-        assert_eq!(
-            (a.events, a.spawned, a.completed, a.packets, a.digest),
-            (b.events, b.spawned, b.completed, b.packets, b.digest)
-        );
     }
 }

@@ -11,12 +11,8 @@ use std::rc::Rc;
 
 use netco_bench::experiments::fig4_tcp_on;
 use netco_bench::ExperimentScale;
-use netco_fastpath::accelerate;
 use netco_harness::Pool;
-use netco_net::{
-    CpuModel, DeviceStore, GenericWorld, HostNic, LinkSpec, MacAddr, NeighborTable, PortId,
-    TapDirection, World,
-};
+use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{
@@ -31,7 +27,7 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// Folds every tap observation — time, node, port, direction and the
 /// frame's own bytes (length + FNV) — into one order-sensitive digest.
-fn install_digest_tap<D: DeviceStore>(world: &mut GenericWorld<D>) -> Rc<RefCell<(u64, u64)>> {
+fn install_digest_tap(world: &mut World) -> Rc<RefCell<(u64, u64)>> {
     let acc = Rc::new(RefCell::new((0u64, 0u64)));
     let tap_acc = Rc::clone(&acc);
     world.add_tap(move |ev| {
@@ -49,8 +45,9 @@ fn install_digest_tap<D: DeviceStore>(world: &mut GenericWorld<D>) -> Rc<RefCell
 }
 
 /// One (digest, taps, events, final clock, goodput bits) observation of
-/// the Central3 TCP scenario, run batched or per-event.
-fn central3_observation(per_event: bool) -> (u64, u64, u64, u64, u64) {
+/// the Central3 TCP scenario, run batched or per-event, with the CPU
+/// bypass left on (the default) or forced off.
+fn central3_observation(per_event: bool, bypass: bool) -> (u64, u64, u64, u64, u64) {
     let scale = ExperimentScale::smoke();
     let scenario = Scenario::build(ScenarioKind::Central3, Profile::default(), 7);
     let cfg = TcpConfig::new(H2_IP).with_duration(scale.duration);
@@ -60,6 +57,9 @@ fn central3_observation(per_event: bool) -> (u64, u64, u64, u64, u64) {
         |nic| TcpSender::new(nic, cfg),
         |nic| TcpReceiver::new(nic, cfg2),
     );
+    if !bypass {
+        built.world.set_cpu_bypass(false);
+    }
     let acc = install_digest_tap(&mut built.world);
     let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
     if per_event {
@@ -84,8 +84,8 @@ fn central3_observation(per_event: bool) -> (u64, u64, u64, u64, u64) {
 
 #[test]
 fn central3_tcp_batched_matches_per_event_bit_for_bit() {
-    let batched = central3_observation(false);
-    let per_event = central3_observation(true);
+    let batched = central3_observation(false, true);
+    let per_event = central3_observation(true, true);
     assert_eq!(batched, per_event);
     assert!(batched.1 > 0, "tap saw no frames");
     assert!(batched.2 > 0, "no events processed");
@@ -155,14 +155,12 @@ fn flowset_batched_matches_per_event_bit_for_bit() {
     assert!(batched.4 > 0, "sink saw nothing");
 }
 
-/// The enum-dispatch fast path (`DeviceKind` storage + CPU bypass, both
-/// defaults of an accelerated world) must be bit-identical to the dyn
-/// oracle with the bypass forced off — the strongest A/B the perf harness
-/// relies on.
+/// The CPU bypass (on by default) must be bit-identical to the same world
+/// with every admission forced through the modeled `cpu_admit`.
 #[test]
-fn flowset_enum_dispatch_and_cpu_bypass_match_dyn_oracle() {
+fn flowset_cpu_bypass_matches_modeled_oracle() {
     let deadline = SimTime::ZERO + SimDuration::from_secs(2);
-    let observe_dyn = |bypass: bool| {
+    let observe = |bypass: bool| {
         let (mut w, src, dst) = flowset_world();
         w.set_cpu_bypass(bypass);
         let acc = install_digest_tap(&mut w);
@@ -179,81 +177,19 @@ fn flowset_enum_dispatch_and_cpu_bypass_match_dyn_oracle() {
             sink.digest(),
         )
     };
-    let observe_enum = || {
-        let (w, src, dst) = flowset_world();
-        let mut w = accelerate(w);
-        let acc = install_digest_tap(&mut w);
-        w.run_until(deadline);
-        let stats = w.device::<FlowSet>(src).expect("flowset").stats();
-        let sink = w.device::<FlowSink>(dst).expect("sink");
-        let (digest, taps) = *acc.borrow();
-        (
-            digest,
-            taps,
-            w.events_processed(),
-            stats,
-            sink.packets(),
-            sink.digest(),
-        )
-    };
-    let oracle = observe_dyn(false);
-    let dyn_bypassed = observe_dyn(true);
-    let enum_bypassed = observe_enum();
-    assert_eq!(oracle, dyn_bypassed, "CPU bypass changed the dyn world");
-    assert_eq!(
-        oracle, enum_bypassed,
-        "enum dispatch diverged from the dyn oracle"
-    );
+    let oracle = observe(false);
+    let bypassed = observe(true);
+    assert_eq!(oracle, bypassed, "CPU bypass changed the world");
     assert!(oracle.4 > 0, "sink saw nothing");
 }
 
-/// Central3 exercises the Custom variant heavily (TCP sender/receiver are
-/// not inlined into `DeviceKind`) alongside inlined OpenFlow switches and
-/// NetCo elements: the mixed world must still match the dyn oracle.
+/// The same comparison on Central3 (OpenFlow switches, control channels,
+/// TCP endpoints): the default run must match the run with the bypass
+/// forced off.
 #[test]
-fn central3_enum_dispatch_matches_dyn_oracle() {
-    let observe = |enum_dispatch: bool| {
-        let scale = ExperimentScale::smoke();
-        let scenario = Scenario::build(ScenarioKind::Central3, Profile::default(), 7);
-        let cfg = TcpConfig::new(H2_IP).with_duration(scale.duration);
-        let cfg2 = cfg.clone();
-        let built = scenario.build_world(
-            0,
-            |nic| TcpSender::new(nic, cfg),
-            |nic| TcpReceiver::new(nic, cfg2),
-        );
-        let h2 = built.h2;
-        let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
-        if enum_dispatch {
-            let mut w = accelerate(built.world);
-            let acc = install_digest_tap(&mut w);
-            w.run_until(deadline);
-            let report = w.device::<TcpReceiver>(h2).expect("receiver").report();
-            let (digest, taps) = *acc.borrow();
-            (
-                digest,
-                taps,
-                w.events_processed(),
-                report.goodput_bps.to_bits(),
-            )
-        } else {
-            let mut w = built.world;
-            w.set_cpu_bypass(false);
-            let acc = install_digest_tap(&mut w);
-            w.run_until(deadline);
-            let report = w.device::<TcpReceiver>(h2).expect("receiver").report();
-            let (digest, taps) = *acc.borrow();
-            (
-                digest,
-                taps,
-                w.events_processed(),
-                report.goodput_bps.to_bits(),
-            )
-        }
-    };
-    let oracle = observe(false);
-    let fast = observe(true);
-    assert_eq!(oracle, fast);
+fn central3_cpu_bypass_matches_modeled_oracle() {
+    let oracle = central3_observation(false, false);
+    assert_eq!(oracle, central3_observation(false, true));
     assert!(oracle.1 > 0, "tap saw no frames");
 }
 

@@ -7,18 +7,12 @@
 //! single lattice builder the campaign grid generator shares); these
 //! digests, computed from the pre-refactor builder, prove the move did
 //! not perturb the world bit for bit.
-//!
-//! PR 10 added enum dispatch (`DeviceKind` storage) and the CPU bypass;
-//! each pinned digest is asserted for the dyn oracle *and* the
-//! [`accelerate`]d world, so the fast path must reproduce the exact
-//! pre-refactor event stream.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use netco_bench::grid::build_grid;
-use netco_fastpath::accelerate;
-use netco_net::{DeviceStore, GenericWorld, TapDirection};
+use netco_net::TapDirection;
 use netco_sim::SimDuration;
 
 /// SplitMix64 — the digest mixer shared with the determinism tests.
@@ -28,9 +22,10 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs a world for `ms` simulated milliseconds under an order-sensitive
-/// tap digest; returns `(digest, taps)`.
-fn run_digest<D: DeviceStore>(mut world: GenericWorld<D>, ms: u64) -> (u64, u64) {
+/// Order-sensitive tap digest of a `rows × cells` grid run for `ms`
+/// simulated milliseconds, plus the tap count.
+fn grid_digest(rows: usize, cells: usize, seed: u64, ms: u64) -> (u64, u64) {
+    let mut world = build_grid(rows, cells, seed).world;
     let acc = Rc::new(RefCell::new((0u64, 0u64)));
     let tap_acc = Rc::clone(&acc);
     world.add_tap(move |ev| {
@@ -49,35 +44,15 @@ fn run_digest<D: DeviceStore>(mut world: GenericWorld<D>, ms: u64) -> (u64, u64)
     out
 }
 
-/// Order-sensitive tap digest of a `rows × cells` grid run for `ms`
-/// simulated milliseconds, plus the tap count. `enum_dispatch` selects
-/// the `DeviceKind` fast path over the boxed dyn oracle.
-fn grid_digest(rows: usize, cells: usize, seed: u64, ms: u64, enum_dispatch: bool) -> (u64, u64) {
-    let grid = build_grid(rows, cells, seed);
-    if enum_dispatch {
-        run_digest(accelerate(grid.world), ms)
-    } else {
-        run_digest(grid.world, ms)
-    }
-}
-
 #[test]
 fn small_grid_digest_is_pinned() {
-    assert_eq!(grid_digest(4, 3, 7, 20, false), (0x0d7f16367a10ce0b, 19379));
-    assert_eq!(grid_digest(4, 3, 7, 20, true), (0x0d7f16367a10ce0b, 19379));
+    assert_eq!(grid_digest(4, 3, 7, 20), (0x0d7f16367a10ce0b, 19379));
 }
 
 #[test]
 fn region_scale_grid_digest_is_pinned() {
     // The BENCH_PR7 `region_scale` world: 16 × 5 = 400 switches.
-    assert_eq!(
-        grid_digest(16, 5, 7, 50, false),
-        (0x1b7764d9889f67ab, 185953)
-    );
-    assert_eq!(
-        grid_digest(16, 5, 7, 50, true),
-        (0x1b7764d9889f67ab, 185953)
-    );
+    assert_eq!(grid_digest(16, 5, 7, 50), (0x1b7764d9889f67ab, 185953));
 }
 
 #[test]

@@ -17,11 +17,6 @@
 //! past the safe horizon, outboxes drained out of order, a region RNG
 //! shared where the sequential path derives per-node streams — shows up
 //! as a digest mismatch here.
-//!
-//! Every (threads, regions) cell additionally runs a second leg with the
-//! world [`accelerate`]d into enum dispatch (`DeviceKind` storage + CPU
-//! bypass): the shard executor must produce the same digest no matter how
-//! device handlers are reached.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,9 +24,8 @@ use std::rc::Rc;
 use netco_bench::chaos::flapping_scenario;
 use netco_bench::grid::build_grid;
 use netco_bench::ExperimentScale;
-use netco_fastpath::accelerate;
 use netco_harness::Pool;
-use netco_net::{DeviceStore, GenericWorld, TapDirection, World};
+use netco_net::{TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger, TcpConfig, TcpReceiver, TcpSender};
@@ -44,7 +38,7 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// Folds every tap observation — time, node, port, direction and the
 /// frame's own bytes — into one order-sensitive digest.
-fn install_digest_tap<D: DeviceStore>(world: &mut GenericWorld<D>) -> Rc<RefCell<(u64, u64)>> {
+fn install_digest_tap(world: &mut World) -> Rc<RefCell<(u64, u64)>> {
     let acc = Rc::new(RefCell::new((0u64, 0u64)));
     let tap_acc = Rc::clone(&acc);
     world.add_tap(move |ev| {
@@ -68,42 +62,23 @@ enum Mode {
     Parallel { threads: usize, regions: usize },
 }
 
-/// Which device storage the world runs under: the boxed dyn oracle or the
-/// enum fast path ([`accelerate`]).
-#[derive(Clone, Copy)]
-enum Dispatch {
-    Dyn,
-    Enum,
-}
-
-fn run<D: DeviceStore>(world: &mut GenericWorld<D>, deadline: SimTime, mode: Mode) {
+/// Drives a freshly built world to `deadline` under `mode` and returns
+/// the standard observation tuple.
+fn drive(world: &mut World, deadline: SimTime, mode: Mode) -> (u64, u64, u64, u64) {
+    let acc = install_digest_tap(world);
     match mode {
         Mode::Sequential => world.run_until(deadline),
         Mode::Parallel { threads, regions } => {
             world.run_until_parallel(deadline, &Pool::new(threads), regions)
         }
     }
-}
-
-/// Drives a freshly built dyn world to `deadline` under (`mode`,
-/// `dispatch`) and returns the standard observation tuple.
-fn drive(world: World, deadline: SimTime, mode: Mode, dispatch: Dispatch) -> (u64, u64, u64, u64) {
-    match dispatch {
-        Dispatch::Dyn => {
-            let mut w = world;
-            let acc = install_digest_tap(&mut w);
-            run(&mut w, deadline, mode);
-            let (digest, taps) = *acc.borrow();
-            (digest, taps, w.events_processed(), w.now().as_nanos())
-        }
-        Dispatch::Enum => {
-            let mut w = accelerate(world);
-            let acc = install_digest_tap(&mut w);
-            run(&mut w, deadline, mode);
-            let (digest, taps) = *acc.borrow();
-            (digest, taps, w.events_processed(), w.now().as_nanos())
-        }
-    }
+    let (digest, taps) = *acc.borrow();
+    (
+        digest,
+        taps,
+        world.events_processed(),
+        world.now().as_nanos(),
+    )
 }
 
 /// The thread-count axis: `NETCO_THREADS` as a comma list, default 1/2/4.
@@ -122,55 +97,47 @@ fn thread_counts() -> Vec<usize> {
 
 const REGION_COUNTS: [usize; 3] = [2, 3, 4];
 
-/// Runs `build` under every (threads, regions) combination — in both dyn
-/// and enum dispatch — and asserts each observation equals the sequential
-/// dyn oracle bit for bit.
+/// Runs `build` under every (threads, regions) combination and asserts
+/// each observation equals the sequential oracle bit for bit.
 fn assert_parallel_matches_sequential<F>(what: &str, build: F)
 where
-    F: Fn(Mode, Dispatch) -> (u64, u64, u64, u64),
+    F: Fn(Mode) -> (u64, u64, u64, u64),
 {
-    let oracle = build(Mode::Sequential, Dispatch::Dyn);
+    let oracle = build(Mode::Sequential);
     assert!(oracle.1 > 0, "{what}: tap saw no frames");
     assert!(oracle.2 > 0, "{what}: no events processed");
-    let enum_seq = build(Mode::Sequential, Dispatch::Enum);
-    assert_eq!(
-        enum_seq, oracle,
-        "{what}: sequential enum dispatch diverged from the dyn oracle"
-    );
     for threads in thread_counts() {
         for regions in REGION_COUNTS {
-            for (dispatch, label) in [(Dispatch::Dyn, "dyn"), (Dispatch::Enum, "enum")] {
-                let got = build(Mode::Parallel { threads, regions }, dispatch);
-                assert_eq!(
-                    got, oracle,
-                    "{what} ({label}) diverged at {threads} workers / {regions} regions"
-                );
-            }
+            let got = build(Mode::Parallel { threads, regions });
+            assert_eq!(
+                got, oracle,
+                "{what} diverged at {threads} workers / {regions} regions"
+            );
         }
     }
 }
 
 #[test]
 fn central3_tcp_region_parallel_matches_sequential() {
-    assert_parallel_matches_sequential("central3", |mode, dispatch| {
+    assert_parallel_matches_sequential("central3", |mode| {
         let scale = ExperimentScale::smoke();
         let scenario = Scenario::build(ScenarioKind::Central3, Profile::default(), 7);
         let cfg = TcpConfig::new(H2_IP).with_duration(scale.duration);
         let cfg2 = cfg.clone();
-        let built = scenario.build_world(
+        let mut built = scenario.build_world(
             0,
             |nic| TcpSender::new(nic, cfg),
             |nic| TcpReceiver::new(nic, cfg2),
         );
         let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
-        drive(built.world, deadline, mode, dispatch)
+        drive(&mut built.world, deadline, mode)
     });
 }
 
 #[test]
 fn chaos_supervisor_region_parallel_matches_sequential() {
-    assert_parallel_matches_sequential("chaos", |mode, dispatch| {
-        let built = flapping_scenario().build_world(
+    assert_parallel_matches_sequential("chaos", |mode| {
+        let mut built = flapping_scenario().build_world(
             0,
             |nic| {
                 Pinger::new(
@@ -183,31 +150,17 @@ fn chaos_supervisor_region_parallel_matches_sequential() {
             IcmpEchoResponder::new,
         );
         let deadline = built.world.now() + SimDuration::from_secs(2);
-        drive(built.world, deadline, mode, dispatch)
+        drive(&mut built.world, deadline, mode)
     });
 }
 
 #[test]
 fn grid_region_parallel_matches_sequential() {
-    assert_parallel_matches_sequential("grid", |mode, dispatch| {
+    assert_parallel_matches_sequential("grid", |mode| {
         let mut grid = build_grid(4, 3, 11);
         let deadline = grid.world.now() + SimDuration::from_millis(30);
-        match dispatch {
-            Dispatch::Dyn => {
-                // Keep the GridWorld intact on the dyn leg so delivery
-                // counts can vouch the world actually carried traffic.
-                let acc = install_digest_tap(&mut grid.world);
-                run(&mut grid.world, deadline, mode);
-                let (digest, taps) = *acc.borrow();
-                assert!(grid.deliveries() > 0, "grid carried no traffic");
-                (
-                    digest,
-                    taps,
-                    grid.world.events_processed(),
-                    grid.world.now().as_nanos(),
-                )
-            }
-            Dispatch::Enum => drive(grid.world, deadline, mode, Dispatch::Enum),
-        }
+        let out = drive(&mut grid.world, deadline, mode);
+        assert!(grid.deliveries() > 0, "grid carried no traffic");
+        out
     });
 }

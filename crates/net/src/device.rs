@@ -55,117 +55,11 @@ impl Device for Box<dyn Device> {
     }
 }
 
-/// How a world stores and invokes its devices — the axis the
-/// [`GenericWorld`](crate::GenericWorld) event loop is generic over.
-///
-/// Two strategies exist:
-///
-/// * `Box<dyn Device>` (the [`World`](crate::World) alias): one vtable
-///   dispatch + heap-pointer chase per event. Fully general, and the
-///   differential oracle for every fast path.
-/// * `netco-fastpath`'s `DeviceKind` enum: the half-dozen hottest built-in
-///   devices inlined as enum variants, so a dispatched event is a jump
-///   table into monomorphized (inlinable) handler code; everything else
-///   rides the `Custom(Box<dyn Device>)` variant.
-///
-/// `from_dyn`/`into_dyn` round-trip through the boxed interchange form, so
-/// a world can be converted between strategies at any quiescent point
-/// ([`GenericWorld::map_devices`](crate::GenericWorld::map_devices)) and a
-/// region shard can hand devices across threads without knowing the
-/// concrete types inside.
-///
-/// The dispatch hooks are deliberately *not* named like the [`Device`]
-/// methods: `Box<dyn Device>` implements both traits, and identical names
-/// would make every call site ambiguous.
-pub trait DeviceStore: Send + 'static {
-    /// Wraps a boxed device in this storage form (classifying it into an
-    /// enum variant, for the fast path).
-    fn from_dyn(device: Box<dyn Device>) -> Self;
-
-    /// Unwraps back to the boxed interchange form, preserving all device
-    /// state.
-    fn into_dyn(self) -> Box<dyn Device>;
-
-    /// Dispatches [`Device::on_start`].
-    fn dispatch_start(&mut self, ctx: &mut Ctx<'_>);
-
-    /// Dispatches [`Device::on_frame`].
-    fn dispatch_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame);
-
-    /// Dispatches [`Device::on_timer`].
-    fn dispatch_timer(&mut self, ctx: &mut Ctx<'_>, token: u64);
-
-    /// Dispatches [`Device::on_control`].
-    fn dispatch_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes);
-
-    /// The stored device as `Any`, for concrete-type downcasts
-    /// ([`crate::World::device`]). Implementations unwrap their own
-    /// storage layers (enum variant, double boxing) so the returned `Any`
-    /// is the user's concrete device type.
-    fn inner_any(&self) -> &dyn Any;
-
-    /// Mutable counterpart of [`inner_any`](DeviceStore::inner_any).
-    fn inner_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl DeviceStore for Box<dyn Device> {
-    fn from_dyn(device: Box<dyn Device>) -> Self {
-        device
-    }
-
-    fn into_dyn(self) -> Box<dyn Device> {
-        self
-    }
-
-    #[inline]
-    fn dispatch_start(&mut self, ctx: &mut Ctx<'_>) {
-        (**self).on_start(ctx);
-    }
-
-    #[inline]
-    fn dispatch_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
-        (**self).on_frame(ctx, port, frame);
-    }
-
-    #[inline]
-    fn dispatch_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        (**self).on_timer(ctx, token);
-    }
-
-    #[inline]
-    fn dispatch_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-        (**self).on_control(ctx, from, msg);
-    }
-
-    fn inner_any(&self) -> &dyn Any {
-        let any: &dyn Any = self.as_ref();
-        // Nodes added as a pre-boxed `Box<dyn Device>` carry one extra
-        // level of boxing (`add_node` re-boxes); unwrap it so downcasts
-        // reach the concrete device.
-        match any.downcast_ref::<Box<dyn Device>>() {
-            Some(inner) => inner.as_ref(),
-            None => any,
-        }
-    }
-
-    fn inner_any_mut(&mut self) -> &mut dyn Any {
-        if (self.as_ref() as &dyn Any).is::<Box<dyn Device>>() {
-            let outer: &mut dyn Any = self.as_mut();
-            return outer
-                .downcast_mut::<Box<dyn Device>>()
-                .expect("checked double box")
-                .as_mut();
-        }
-        self.as_mut()
-    }
-}
-
 /// The capabilities a [`Device`] has while handling an event.
 ///
 /// `Ctx` borrows the world's device-free substrate (scheduler, links,
 /// counters, RNG) while the device itself is borrowed separately from the
-/// device table, so a device can never re-enter itself — and the context
-/// stays non-generic no matter how the world stores its devices.
+/// device table, so a device can never re-enter itself.
 pub struct Ctx<'a> {
     pub(crate) core: &'a mut Substrate,
     pub(crate) node: NodeId,

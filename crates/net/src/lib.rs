@@ -51,7 +51,7 @@ mod trace;
 mod world;
 
 pub use cpu::CpuModel;
-pub use device::{Ctx, Device, DeviceStore};
+pub use device::{Ctx, Device};
 pub use fault::{ControlFaultSpec, FaultKind, FaultPlan, FaultSpec};
 pub use frame::{
     fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, reset_memo_stats_merged, Frame,
@@ -63,6 +63,5 @@ pub use link::LinkSpec;
 pub use region::{safe_horizons, RegionMap};
 pub use trace::{TraceEntry, TraceRecorder};
 pub use world::{
-    ControlChannelSpec, DropReason, GenericWorld, NodeCounters, PortCounters, TapDirection,
-    TapEvent, World,
+    ControlChannelSpec, DropReason, NodeCounters, PortCounters, TapDirection, TapEvent, World,
 };

@@ -54,8 +54,7 @@ use netco_harness::Pool;
 use netco_sim::{Scheduler, SimTime, Tick};
 use netco_telemetry::TelemetrySink;
 
-use crate::device::DeviceStore;
-use crate::world::{Event, GenericWorld, RegionCtx, Substrate, TapRecorder, WorldCore};
+use crate::world::{Event, RegionCtx, Substrate, TapRecorder, World, WorldCore};
 use crate::DropReason;
 
 /// A deterministic partition of a world's nodes into regions, plus the
@@ -233,14 +232,14 @@ pub fn safe_horizons(earliest: &[u64], lookahead: &[Vec<u64>]) -> (Vec<u64>, Vec
 /// One region's execution state: a full [`WorldCore`] shard (owning the
 /// region's devices; replicated read-mostly state for the rest) plus the
 /// bookkeeping the round loop needs.
-struct RegionRunner<D> {
-    core: WorldCore<D>,
+struct RegionRunner {
+    core: WorldCore,
     tick: Tick<Event>,
     last_at: u64,
     events: u64,
 }
 
-impl<D: DeviceStore> RegionRunner<D> {
+impl RegionRunner {
     /// Processes every pending event with `t <= deadline && t < horizon`.
     /// The bound is strict below the horizon: a tick exactly at the
     /// horizon could still gain same-timestamp cross-region arrivals that
@@ -288,7 +287,7 @@ impl<D: DeviceStore> RegionRunner<D> {
     }
 }
 
-impl<D: DeviceStore> GenericWorld<D> {
+impl World {
     /// Region-parallel [`run_until`](crate::World::run_until): partitions the
     /// world into (at most) `regions` regions and executes them on `pool`
     /// workers under the conservative lookahead protocol described in the
@@ -319,7 +318,7 @@ impl<D: DeviceStore> GenericWorld<D> {
         // owning shard; everything else is replicated (links and per-node
         // state merge back by ownership afterwards).
         let pending = self.core.sched.drain_all_ordered();
-        let mut runners: Vec<RegionRunner<D>> = (0..r)
+        let mut runners: Vec<RegionRunner> = (0..r)
             .map(|region| {
                 let sink = if parent_enabled {
                     TelemetrySink::enabled()
@@ -422,7 +421,7 @@ impl<D: DeviceStore> GenericWorld<D> {
         // so no thread can ever claim two). Regions are claimed per round
         // through an atomic counter for dynamic load balance.
         let w = pool.threads().min(r);
-        let runners: Vec<Mutex<RegionRunner<D>>> = runners.into_iter().map(Mutex::new).collect();
+        let runners: Vec<Mutex<RegionRunner>> = runners.into_iter().map(Mutex::new).collect();
         let horizons: Vec<AtomicU64> = {
             let earliest: Vec<u64> = runners
                 .iter()

@@ -1,5 +1,6 @@
 //! The [`World`]: nodes, links, control channels and the event loop.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use netco_sim::{ActivationWindow, Scheduler, SimDuration, SimRng, SimTime, Tick}
 use netco_telemetry::{Counter, Histogram, TelemetrySink};
 
 use crate::cpu::CpuModel;
-use crate::device::{Ctx, Device, DeviceStore};
+use crate::device::{Ctx, Device};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::frame::Frame;
 use crate::id::{LinkId, NodeId, PortId};
@@ -511,8 +512,7 @@ impl Default for ControlChannelSpec {
 /// Devices live in the sibling [`WorldCore`] field so that a [`Ctx`] can
 /// borrow the whole substrate mutably while the device being dispatched is
 /// borrowed from the device table — two disjoint borrows, no take/put
-/// dance on the per-event hot path, and `Ctx` stays non-generic (which
-/// keeps the [`Device`] trait object-safe).
+/// dance on the per-event hot path.
 pub(crate) struct Substrate {
     pub(crate) sched: Scheduler<Event>,
     pub(crate) seed: u64,
@@ -534,8 +534,8 @@ pub(crate) struct Substrate {
     /// [`World::set_telemetry`], [`World::set_cpu_bypass`], region-shard
     /// construction (which clones it).
     pub(crate) cpu_bypass: Vec<u64>,
-    /// Master switch for the bypass (on by default); the perf harness
-    /// turns it off to measure the fully-modeled baseline.
+    /// Master switch for the bypass (on by default); tests turn it off
+    /// to get the fully-modeled reference run.
     pub(crate) bypass_enabled: bool,
     pub(crate) counters: Vec<NodeCounters>,
     pub(crate) links: Vec<LinkState>,
@@ -557,27 +557,24 @@ pub(crate) struct Substrate {
     pub(crate) tel_control_latency: Histogram,
 }
 
-/// The substrate plus the device table, generic over the device storage
-/// strategy `D` (see [`DeviceStore`]): `Box<dyn Device>` for the classic
-/// vtable-dispatched world, an inlined enum for the monomorphic fast
-/// path.
-pub(crate) struct WorldCore<D> {
+/// The substrate plus the device table.
+pub(crate) struct WorldCore {
     /// `None` only transiently, while a region shard owns the device.
-    pub(crate) devices: Vec<Option<D>>,
+    pub(crate) devices: Vec<Option<Box<dyn Device>>>,
     pub(crate) sub: Substrate,
 }
 
 // The substrate fields used to live directly on `WorldCore`; deref keeps
 // the dozens of `core.sched` / `core.links` accesses (and the region
 // executor) reading naturally after the device split.
-impl<D> std::ops::Deref for WorldCore<D> {
+impl std::ops::Deref for WorldCore {
     type Target = Substrate;
     fn deref(&self) -> &Substrate {
         &self.sub
     }
 }
 
-impl<D> std::ops::DerefMut for WorldCore<D> {
+impl std::ops::DerefMut for WorldCore {
     fn deref_mut(&mut self) -> &mut Substrate {
         &mut self.sub
     }
@@ -872,16 +869,16 @@ impl Substrate {
     }
 }
 
-impl<D: DeviceStore> WorldCore<D> {
+impl WorldCore {
     /// Borrows `node`'s device and a [`Ctx`] over the substrate — two
     /// disjoint field borrows, replacing the old take/put dance (which cost
     /// an `Option` write pair per event and made re-entry a runtime panic;
     /// re-entry is now structurally impossible because `Ctx` has no device
     /// access).
     #[inline(always)]
-    fn device_ctx(&mut self, node: NodeId) -> (&mut D, Ctx<'_>) {
+    fn device_ctx(&mut self, node: NodeId) -> (&mut dyn Device, Ctx<'_>) {
         let device = self.devices[node.index()]
-            .as_mut()
+            .as_deref_mut()
             .expect("device absent (owned by a region shard)");
         let ctx = Ctx {
             core: &mut self.sub,
@@ -895,7 +892,7 @@ impl<D: DeviceStore> WorldCore<D> {
             Event::Pin => {}
             Event::Start { node } => {
                 let (d, mut ctx) = self.device_ctx(node);
-                d.dispatch_start(&mut ctx);
+                d.on_start(&mut ctx);
             }
             Event::FrameArrival { node, port, frame } => {
                 let sub = &mut self.sub;
@@ -943,7 +940,7 @@ impl<D: DeviceStore> WorldCore<D> {
                 c.rx_frames += 1;
                 c.rx_bytes += frame.len() as u64;
                 let (d, mut ctx) = self.device_ctx(node);
-                d.dispatch_frame(&mut ctx, port, frame);
+                d.on_frame(&mut ctx, port, frame);
             }
             Event::ControlArrival { to, from, msg } => {
                 let sub = &mut self.sub;
@@ -975,11 +972,11 @@ impl<D: DeviceStore> WorldCore<D> {
                     s.pending = s.pending.saturating_sub(1);
                 }
                 let (d, mut ctx) = self.device_ctx(to);
-                d.dispatch_control(&mut ctx, from, msg);
+                d.on_control(&mut ctx, from, msg);
             }
             Event::Timer { node, token } => {
                 let (d, mut ctx) = self.device_ctx(node);
-                d.dispatch_timer(&mut ctx, token);
+                d.on_timer(&mut ctx, token);
             }
             Event::LinkAdmin { link, enabled } => {
                 self.sub.links[link as usize].enabled = enabled;
@@ -989,15 +986,11 @@ impl<D: DeviceStore> WorldCore<D> {
 }
 
 /// The complete simulated network: devices, links, control channels and the
-/// discrete-event loop tying them together, generic over the device storage
-/// strategy `D` (see [`DeviceStore`]).
+/// discrete-event loop tying them together.
 ///
-/// Use the [`World`] alias (`D = Box<dyn Device>`) unless you are opting a
-/// world into a monomorphic device enum (e.g. `netco-fastpath`'s
-/// `FastWorld`); see the [crate documentation](crate) for an end-to-end
-/// example.
-pub struct GenericWorld<D: DeviceStore> {
-    pub(crate) core: WorldCore<D>,
+/// See the [crate documentation](crate) for an end-to-end example.
+pub struct World {
+    pub(crate) core: WorldCore,
     /// The (possibly `!Send`) tap closures. The substrate never calls them
     /// directly: the core records observations and the world replays them
     /// here on the main thread (see [`TapRecord`]).
@@ -1012,15 +1005,10 @@ pub struct GenericWorld<D: DeviceStore> {
     batch: Tick<Event>,
 }
 
-/// The classic vtable-dispatched world: every device is a `Box<dyn Device>`.
-/// This is the differential oracle for enum-dispatch worlds and the type
-/// every builder produces.
-pub type World = GenericWorld<Box<dyn Device>>;
-
-impl<D: DeviceStore> GenericWorld<D> {
+impl World {
     /// Creates an empty world with a deterministic RNG seed.
-    pub fn new(seed: u64) -> GenericWorld<D> {
-        GenericWorld {
+    pub fn new(seed: u64) -> World {
+        World {
             core: WorldCore {
                 devices: Vec::new(),
                 sub: Substrate {
@@ -1053,33 +1041,12 @@ impl<D: DeviceStore> GenericWorld<D> {
         }
     }
 
-    /// Converts this world's device table to another storage strategy `E`
-    /// (through the `Box<dyn Device>` interchange form), carrying all
-    /// substrate state — clocks, RNG streams, links, pending events —
-    /// unchanged. `fastpath::accelerate` uses this to turn a freshly built
-    /// dyn world into an enum-dispatch world.
-    pub fn map_devices<E: DeviceStore>(self) -> GenericWorld<E> {
-        GenericWorld {
-            core: WorldCore {
-                devices: self
-                    .core
-                    .devices
-                    .into_iter()
-                    .map(|slot| slot.map(|d| E::from_dyn(d.into_dyn())))
-                    .collect(),
-                sub: self.core.sub,
-            },
-            taps: self.taps,
-            events_processed: self.events_processed,
-            batch: self.batch,
-        }
-    }
-
     /// Master switch for the zero-cost CPU fast path (on by default).
     /// Turning it off forces every admission through the fully modeled
-    /// `cpu_admit` path — the A-leg of the perf harness's A/B pairs. The
-    /// observable simulation is identical either way (that is the point of
-    /// the bypass); only the wall-clock cost differs.
+    /// `cpu_admit` path — the reference the determinism tests compare the
+    /// default run against. The observable simulation is identical either
+    /// way (that is the point of the bypass); only the wall-clock cost
+    /// differs.
     pub fn set_cpu_bypass(&mut self, enabled: bool) {
         self.core.sub.bypass_enabled = enabled;
         self.core.sub.recompute_bypass();
@@ -1118,7 +1085,16 @@ impl<D: DeviceStore> GenericWorld<D> {
         cpu: CpuModel,
     ) -> NodeId {
         let id = NodeId(self.core.devices.len() as u32);
-        self.core.devices.push(Some(D::from_dyn(Box::new(device))));
+        // Builders hand over devices that are already a `Box<dyn Device>`:
+        // store that box itself, not a box around it, so an event costs
+        // one vtable hop and `device::<T>()` sees the concrete type.
+        let mut slot = Some(device);
+        let device: Box<dyn Device> =
+            match (&mut slot as &mut dyn Any).downcast_mut::<Option<Box<dyn Device>>>() {
+                Some(pre_boxed) => pre_boxed.take().expect("just stored"),
+                None => Box::new(slot.expect("just stored")),
+            };
+        self.core.devices.push(Some(device));
         let seed = self.core.seed;
         self.core
             .node_rngs
@@ -1370,14 +1346,14 @@ impl<D: DeviceStore> GenericWorld<D> {
     /// Returns `None` for a wrong type or while the device is handling an
     /// event (never observable from outside the run loop).
     pub fn device<T: Device>(&self, node: NodeId) -> Option<&T> {
-        let d = self.core.devices[node.index()].as_ref()?;
-        d.inner_any().downcast_ref::<T>()
+        let d: &dyn Any = self.core.devices[node.index()].as_deref()?;
+        d.downcast_ref::<T>()
     }
 
     /// Mutable access to a device, downcast to its concrete type.
     pub fn device_mut<T: Device>(&mut self, node: NodeId) -> Option<&mut T> {
-        let d = self.core.devices[node.index()].as_mut()?;
-        d.inner_any_mut().downcast_mut::<T>()
+        let d: &mut dyn Any = self.core.devices[node.index()].as_deref_mut()?;
+        d.downcast_mut::<T>()
     }
 
     /// Name a node was registered with.
@@ -1536,7 +1512,7 @@ impl<D: DeviceStore> GenericWorld<D> {
     }
 }
 
-impl<D: DeviceStore> std::fmt::Debug for GenericWorld<D> {
+impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
             .field("now", &self.now())
@@ -1576,6 +1552,20 @@ mod tests {
         assert_eq!(col.frames[0].0, SimTime::from_nanos(13_000));
         assert_eq!(w.counters(b).port(0.into()).rx_frames, 1);
         assert_eq!(w.counters(a).port(0.into()).tx_frames, 1);
+    }
+
+    #[test]
+    fn pre_boxed_device_is_stored_unwrapped() {
+        // Builders like `topogen::build_world` hand `add_node` a
+        // `Box<dyn Device>`; the slot must hold the concrete device.
+        let mut w = World::new(1);
+        let boxed: Box<dyn Device> = Box::new(EchoDevice::default());
+        let e = w.add_node("e", boxed, CpuModel::default());
+        assert!(w.device::<EchoDevice>(e).is_some());
+        assert!(w.device_mut::<EchoDevice>(e).is_some());
+        assert!(w.device::<CollectorDevice>(e).is_none());
+        let slot: &dyn Any = w.core.devices[e.index()].as_deref().unwrap();
+        assert!(slot.is::<EchoDevice>());
     }
 
     #[test]

@@ -282,11 +282,8 @@ pub struct FlowSet {
     /// flow's next-packet deadline. Equal deadlines pop in push order, so
     /// they fire in spawn order. The wheel's own clock trails the world's
     /// (it only moves on pop) and is never read. Deliberately not attached
-    /// to telemetry: `sim.sched.*` counts world events only. Boxed because
-    /// an accelerated world stores this struct inline in every device slot
-    /// (`DeviceKind`), and the wheel's few hundred bytes of slot tables
-    /// would make it the largest variant.
-    pacing: Box<Scheduler<u32>>,
+    /// to telemetry: `sim.sched.*` counts world events only.
+    pacing: Scheduler<u32>,
     /// The deadline the earliest outstanding service timer targets.
     armed_for: Option<SimTime>,
     arrivals_until: SimTime,
@@ -307,7 +304,7 @@ impl FlowSet {
             arrival_rng: FlowRng(0),
             flows: Vec::new(),
             free: Vec::new(),
-            pacing: Box::default(),
+            pacing: Scheduler::default(),
             armed_for: None,
             arrivals_until: SimTime::ZERO,
             tmpl: None,

@@ -12,9 +12,7 @@ use std::fmt::Write as _;
 
 use netco_bench::control_chaos::{self, LIAR};
 use netco_core::{ControlVoter, ControlVoterStats, SecurityEvent};
-use netco_fastpath::accelerate;
 use netco_harness::Pool;
-use netco_net::{DeviceStore, GenericWorld, NodeId};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{
     BuiltScenario, ControlReplication, FaultKind, Profile, Scenario, ScenarioKind, H2_IP,
@@ -37,18 +35,10 @@ struct ChaosOutcome {
 }
 
 fn outcome(built: &BuiltScenario) -> ChaosOutcome {
-    outcome_of(&built.world, built.h1, &built.voters)
-}
-
-/// Extracts the observable outcome from any finished world — the dyn
-/// oracle or a `DeviceKind` enum-dispatch world.
-fn outcome_of<D: DeviceStore>(
-    world: &GenericWorld<D>,
-    h1: NodeId,
-    voter_ids: &[NodeId],
-) -> ChaosOutcome {
-    let report = world.device::<Pinger>(h1).unwrap().report();
-    let voters = voter_ids
+    let world = &built.world;
+    let report = world.device::<Pinger>(built.h1).unwrap().report();
+    let voters = built
+        .voters
         .iter()
         .map(|&v| {
             let voter = world.device::<ControlVoter>(v).unwrap();
@@ -230,41 +220,32 @@ fn byzantine_chaos_is_bit_identical_across_reruns() {
     assert!(!a.voters[0].log.is_empty());
 }
 
-/// PR-10 differential: the byzantine world — replicated controllers,
-/// per-guard voters, an equivocating liar — run under enum dispatch
-/// (`DeviceKind` storage + CPU bypass) must match the dyn oracle with the
-/// bypass forced off, bit for bit.
+/// The byzantine world — replicated controllers, per-guard voters, an
+/// equivocating liar — with the CPU bypass forced off must match the
+/// default run (`control_chaos::run`), bit for bit.
 #[test]
-fn byzantine_chaos_is_identical_under_enum_dispatch() {
-    let build = || {
-        control_chaos::equivocating_scenario().build_world(
-            0,
-            |nic| {
-                Pinger::new(
-                    nic,
-                    PingConfig::new(H2_IP)
-                        .with_count(100)
-                        .with_interval(SimDuration::from_millis(10)),
-                )
-            },
-            IcmpEchoResponder::new,
-        )
-    };
-    let mut seq = build();
+fn byzantine_chaos_is_identical_with_cpu_bypass_off() {
+    let mut seq = control_chaos::equivocating_scenario().build_world(
+        0,
+        |nic| {
+            Pinger::new(
+                nic,
+                PingConfig::new(H2_IP)
+                    .with_count(100)
+                    .with_interval(SimDuration::from_millis(10)),
+            )
+        },
+        IcmpEchoResponder::new,
+    );
     seq.world.set_cpu_bypass(false);
     seq.world.run_for(SimDuration::from_secs(2));
     let oracle = outcome(&seq);
     assert_eq!(oracle.report.received, 100);
     assert!(!oracle.voters[0].log.is_empty());
-
-    let built = build();
-    let (h1, voter_ids) = (built.h1, built.voters.clone());
-    let mut fast = accelerate(built.world);
-    fast.run_for(SimDuration::from_secs(2));
     assert_eq!(
-        outcome_of(&fast, h1, &voter_ids),
         oracle,
-        "enum dispatch diverged from the dyn oracle"
+        run_chaos(),
+        "CPU bypass diverged from the modeled oracle"
     );
 }
 
