@@ -61,7 +61,7 @@ use netco_bench::ExperimentScale;
 use netco_core::{Compare, CompareConfig, CompareCore, LaneInfo};
 use netco_harness::Pool;
 use netco_net::packet::builder;
-use netco_net::{Frame, MacAddr, TapDirection};
+use netco_net::{Frame, MacAddr, RegionRunStats, TapDirection};
 use netco_openflow::{Action, FlowEntry, FlowMatch, FlowTable, OfPort, PacketFields};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
@@ -525,7 +525,7 @@ const REGION_PAIRS: usize = 3;
 /// Worker counts for the region-scale sweep.
 const REGION_WORKERS: [usize; 3] = [1, 2, 4];
 
-/// One grid run: `(wall seconds, events, digest, taps)`. `workers ==
+/// One grid run: `(wall seconds, events, digest, taps, rounds)`. `workers ==
 /// None` is the sequential oracle; `Some(w)` shards the grid into
 /// [`REGION_COUNT`] regions on a `w`-thread pool. When `tapped`, an
 /// order-sensitive digest tap observes every frame — used by the
@@ -533,7 +533,7 @@ const REGION_WORKERS: [usize; 3] = [1, 2, 4];
 /// record buffering/replay is observation cost, not executor cost, and
 /// symmetry (zero observers on both sides of every pair) keeps the
 /// comparison honest.
-fn region_observe(workers: Option<usize>, tapped: bool) -> (f64, u64, u64, u64) {
+fn region_observe(workers: Option<usize>, tapped: bool) -> (f64, u64, u64, u64, RegionRunStats) {
     let mut world = build_grid(REGION_GRID_ROWS, REGION_GRID_CELLS, 7).world;
     let acc = Rc::new(RefCell::new((0u64, 0u64)));
     if tapped {
@@ -558,7 +558,13 @@ fn region_observe(workers: Option<usize>, tapped: bool) -> (f64, u64, u64, u64) 
     }
     let wall = start.elapsed().as_secs_f64();
     let (digest, taps) = *acc.borrow();
-    (wall, world.events_processed(), digest, taps)
+    (
+        wall,
+        world.events_processed(),
+        digest,
+        taps,
+        world.region_stats(),
+    )
 }
 
 /// SplitMix64 — the digest mixer shared with the determinism tests.
@@ -576,6 +582,11 @@ struct RegionScalePoint {
     seq_events_per_sec: f64,
     par_events_per_sec: f64,
     speedup: f64,
+    /// Rounds the region-parallel run took, and how many of them had a
+    /// single runnable region: the grid's four regions share no link, so
+    /// this reads one round — the speedup says nothing about round cost.
+    rounds: u64,
+    solo_rounds: u64,
     digest_identical: bool,
 }
 
@@ -589,8 +600,8 @@ fn region_scale_points() -> Vec<RegionScalePoint> {
     REGION_WORKERS
         .iter()
         .map(|&workers| {
-            let (_, se, sd, st) = region_observe(None, true);
-            let (_, pe, pd, pt) = region_observe(Some(workers), true);
+            let (_, se, sd, st, _) = region_observe(None, true);
+            let (_, pe, pd, pt, stats) = region_observe(Some(workers), true);
             let mut identical = st > 0 && (se, sd, st) == (pe, pd, pt);
             let mut seq_best = f64::INFINITY;
             let mut par_best = f64::INFINITY;
@@ -611,6 +622,8 @@ fn region_scale_points() -> Vec<RegionScalePoint> {
                 seq_events_per_sec: events as f64 / seq_best,
                 par_events_per_sec: events as f64 / par_best,
                 speedup: seq_best / par_best,
+                rounds: stats.rounds,
+                solo_rounds: stats.solo_rounds,
                 digest_identical: identical,
             }
         })
@@ -806,7 +819,7 @@ fn main() {
     for (i, p) in region.iter().enumerate() {
         let comma = if i + 1 < region.len() { "," } else { "" };
         println!(
-            "    {{\"workers\": {}, \"events\": {}, \"seq_wall_s\": {:.3}, \"par_wall_s\": {:.3}, \"seq_events_per_sec\": {:.0}, \"par_events_per_sec\": {:.0}, \"speedup\": {:.3}, \"digest_identical\": {}}}{comma}",
+            "    {{\"workers\": {}, \"events\": {}, \"seq_wall_s\": {:.3}, \"par_wall_s\": {:.3}, \"seq_events_per_sec\": {:.0}, \"par_events_per_sec\": {:.0}, \"speedup\": {:.3}, \"rounds\": {}, \"solo_rounds\": {}, \"digest_identical\": {}}}{comma}",
             p.workers,
             p.events,
             p.seq_wall_s,
@@ -814,6 +827,8 @@ fn main() {
             p.seq_events_per_sec,
             p.par_events_per_sec,
             p.speedup,
+            p.rounds,
+            p.solo_rounds,
             p.digest_identical
         );
     }

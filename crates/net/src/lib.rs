@@ -60,7 +60,7 @@ pub use frame::{
 pub use host::{HostNic, NeighborTable};
 pub use id::{LinkId, MacAddr, NodeId, PortId};
 pub use link::LinkSpec;
-pub use region::{safe_horizons, RegionMap};
+pub use region::{safe_horizons, RegionMap, RegionRunStats};
 pub use trace::{TraceEntry, TraceRecorder};
 pub use world::{
     ControlChannelSpec, DropReason, NodeCounters, PortCounters, TapDirection, TapEvent, World,

@@ -46,15 +46,49 @@
 //! region, so this drain order reproduces the sequential scheduler's
 //! per-key FIFO exactly — the foundation of the bit-identical tap-digest
 //! guarantee that `region_determinism` tests enforce.
+//!
+//! # Rounds
+//!
+//! A *round* runs every region up to its horizon, then drains the
+//! outboxes and recomputes the horizons. A region is *runnable* when its
+//! earliest event is within the deadline and strictly below its horizon;
+//! the progress argument above makes at least one region runnable until
+//! the run is done. A round costs what its parallelism is worth:
+//!
+//! * **Solo rounds.** While exactly one region is runnable, the
+//!   coordinating thread runs that region's round itself, drains,
+//!   recomputes and looks again; the workers are woken only for a round
+//!   with two or more runnable regions. A region that is not runnable
+//!   pops nothing, so a solo round is the same round a full one would have
+//!   been — same events, same drain, same order — and the choice reads
+//!   the world (earliest events, lookahead), never the host. Sparse
+//!   connected worlds (a few frames in flight, microsecond cut latencies)
+//!   spend most of their rounds here: the first cell of the full campaign
+//!   runs 7,086 of its 9,706 rounds solo at 2 regions.
+//! * **One rendezvous per round.** Workers meet once per parallel round
+//!   in a private `Rendezvous`: the last to arrive runs the coordination
+//!   (and any solo rounds that follow) *before* releasing the others, so
+//!   a round costs one sleep/wake pair per waiting worker, not two.
+//! * **Spinning is gated on the host.** A waiter polls the rendezvous'
+//!   generation for a short bounded time before parking, but only when
+//!   [`std::thread::available_parallelism`] is at least the worker count.
+//!   On an oversubscribed host a spinning waiter burns the time slice of
+//!   the very thread it is waiting for (DESIGN.md §16 has the measured
+//!   frontier), so there waiters park at once.
+//!
+//! A worker that panics poisons the rendezvous on unwind; the others
+//! leave at their next arrival, and [`Pool::map`] re-raises the panic on
+//! the caller instead of leaving them parked forever.
+//! [`World::region_stats`] reports how many rounds of each kind a run took.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use netco_harness::Pool;
 use netco_sim::{Scheduler, SimTime, Tick};
 use netco_telemetry::TelemetrySink;
 
-use crate::world::{Event, RegionCtx, Substrate, TapRecorder, World, WorldCore};
+use crate::world::{Event, OutMsg, RegionCtx, Substrate, TapRecorder, World, WorldCore};
 use crate::DropReason;
 
 /// A deterministic partition of a world's nodes into regions, plus the
@@ -195,8 +229,22 @@ impl RegionMap {
 ///
 /// Pure so the property tests can drive it directly.
 pub fn safe_horizons(earliest: &[u64], lookahead: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
+    let (mut bound, mut horizon) = (Vec::new(), Vec::new());
+    safe_horizons_into(earliest, lookahead, &mut bound, &mut horizon);
+    (bound, horizon)
+}
+
+/// [`safe_horizons`] into caller-owned vectors, which the round loop
+/// reuses across its (often ~10 k) coordinations.
+fn safe_horizons_into(
+    earliest: &[u64],
+    lookahead: &[Vec<u64>],
+    bound: &mut Vec<u64>,
+    horizon: &mut Vec<u64>,
+) {
     let r = earliest.len();
-    let mut bound: Vec<u64> = earliest.to_vec();
+    bound.clear();
+    bound.extend_from_slice(earliest);
     // Bellman-Ford-style relaxation; positive edge weights guarantee the
     // fixpoint is reached in at most `r` sweeps.
     loop {
@@ -217,7 +265,8 @@ pub fn safe_horizons(earliest: &[u64], lookahead: &[Vec<u64>]) -> (Vec<u64>, Vec
             break;
         }
     }
-    let mut horizon = vec![u64::MAX; r];
+    horizon.clear();
+    horizon.resize(r, u64::MAX);
     for d in 0..r {
         for s in 0..r {
             if s == d || lookahead[s][d] == u64::MAX {
@@ -226,7 +275,6 @@ pub fn safe_horizons(earliest: &[u64], lookahead: &[Vec<u64>]) -> (Vec<u64>, Vec
             horizon[d] = horizon[d].min(bound[s].saturating_add(lookahead[s][d]));
         }
     }
-    (bound, horizon)
 }
 
 /// One region's execution state: a full [`WorldCore`] shard (owning the
@@ -244,17 +292,13 @@ impl RegionRunner {
     /// The bound is strict below the horizon: a tick exactly at the
     /// horizon could still gain same-timestamp cross-region arrivals that
     /// must merge into it in key order.
-    fn run_round(&mut self, horizon: u64, deadline_ns: u64) {
+    fn run_round(&mut self, my_region: u32, assignment: &[u32], horizon: u64, deadline_ns: u64) {
         let RegionRunner {
             core,
             tick,
             last_at,
             events,
         } = self;
-        let (my_region, assignment) = {
-            let rt = core.region.as_ref().expect("region ctx installed");
-            (rt.my_region, rt.assignment.clone())
-        };
         while let Some(t) = core.sched.peek_time() {
             let tn = t.as_nanos();
             if tn > deadline_ns || tn >= horizon {
@@ -287,7 +331,232 @@ impl RegionRunner {
     }
 }
 
+/// What one [`World::run_until_parallel`] call did, round by round.
+///
+/// A plain value outside the telemetry registry, so sequential and
+/// region-parallel runs keep equal metrics. Every field but `workers` is
+/// a pure function of the world and the region count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionRunStats {
+    /// Regions the partition formed (1 when the run fell back to the
+    /// sequential loop).
+    pub regions: usize,
+    /// Threads that hosted the round loop: `min(pool threads, regions)`.
+    pub workers: usize,
+    /// Rounds run: `solo_rounds + parallel_rounds`.
+    pub rounds: u64,
+    /// Rounds in which exactly one region was runnable, executed by the
+    /// coordinating thread without waking the workers.
+    pub solo_rounds: u64,
+    /// Rounds in which two or more regions were runnable.
+    pub parallel_rounds: u64,
+    /// Events that crossed a region cut through an outbox.
+    pub cross_region_events: u64,
+}
+
+/// Polls of the generation a waiter makes before parking, on a host with a
+/// CPU for every worker: long enough to cover a round of a few events,
+/// short enough that a long run of solo rounds is waited out asleep.
+const SPIN_POLLS: u32 = 2_000;
+
+/// Where the round loop's workers meet, once per parallel round. The last
+/// party to arrive runs the coordination closure, then releases the rest.
+struct Rendezvous {
+    parties: usize,
+    /// Polls before parking; zero on a host with fewer CPUs than parties.
+    spin: u32,
+    state: Mutex<Arrivals>,
+    released: Condvar,
+    /// Completed meetings. Written under `state`'s lock, so a parked waiter
+    /// cannot miss a release; read without it by spinning waiters, whose
+    /// `Acquire` pairs with the leader's `Release`.
+    generation: AtomicU64,
+}
+
+#[derive(Default)]
+struct Arrivals {
+    arrived: usize,
+    poisoned: bool,
+}
+
+impl Rendezvous {
+    fn new(parties: usize, spin: u32) -> Rendezvous {
+        Rendezvous {
+            parties,
+            spin,
+            state: Mutex::new(Arrivals::default()),
+            released: Condvar::new(),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    /// No code panics while holding this lock and each update is a single
+    /// field store, so a poisoned lock still guards valid state — and
+    /// [`poison`](Self::poison) runs during unwinding, where it must not
+    /// panic again.
+    fn lock(&self) -> MutexGuard<'_, Arrivals> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until all parties have arrived. The last arriver runs `lead`
+    /// while the others wait — it has exclusive use of whatever the parties
+    /// share — and everything it wrote is visible to them on return.
+    /// Returns `false`, without having met, once a party has panicked.
+    #[must_use]
+    fn arrive(&self, lead: impl FnOnce()) -> bool {
+        let mut state = self.lock();
+        if state.poisoned {
+            return false;
+        }
+        state.arrived += 1;
+        if state.arrived == self.parties {
+            state.arrived = 0;
+            drop(state);
+            lead();
+            {
+                let _state = self.lock();
+                self.generation.fetch_add(1, Ordering::Release);
+            }
+            self.released.notify_all();
+            return true;
+        }
+        let generation = self.generation.load(Ordering::Relaxed);
+        drop(state);
+        for _ in 0..self.spin {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        let mut state = self.lock();
+        while self.generation.load(Ordering::Relaxed) == generation {
+            if state.poisoned {
+                return false;
+            }
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        true
+    }
+
+    /// Marks the meeting as never to complete and wakes every waiter.
+    fn poison(&self) {
+        self.lock().poisoned = true;
+        self.released.notify_all();
+    }
+}
+
+/// Poisons the rendezvous when the worker holding it unwinds, so that the
+/// other workers leave instead of waiting for a party that will not come.
+struct PoisonOnUnwind<'a>(&'a Rendezvous);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// The coordination phase and its per-run state: runs between rounds on
+/// whichever thread arrived last, with every region at rest.
+struct Coordinator<'a> {
+    runners: &'a [Mutex<RegionRunner>],
+    map: &'a RegionMap,
+    deadline_ns: u64,
+    earliest: Vec<u64>,
+    bound: Vec<u64>,
+    horizon: Vec<u64>,
+    /// `inbox[d]`: the messages for region `d` out of the source being
+    /// drained; swapped with the source's outbox, so capacity circulates.
+    inbox: Vec<Vec<OutMsg>>,
+    stats: RegionRunStats,
+}
+
+impl Coordinator<'_> {
+    /// Drains the outboxes, recomputes the horizons and runs solo rounds
+    /// for as long as exactly one region is runnable. Returns `true` when
+    /// the run is done; on `false`, `horizon` holds the next parallel
+    /// round's.
+    fn advance(&mut self) -> bool {
+        loop {
+            self.drain();
+            safe_horizons_into(
+                &self.earliest,
+                &self.map.lookahead,
+                &mut self.bound,
+                &mut self.horizon,
+            );
+            let mut runnable = (0..self.earliest.len()).filter(|&i| {
+                self.earliest[i] <= self.deadline_ns && self.earliest[i] < self.horizon[i]
+            });
+            match (runnable.next(), runnable.next()) {
+                (None, _) => {
+                    debug_assert!(
+                        self.earliest.iter().all(|&e| e > self.deadline_ns),
+                        "an event within the deadline but no region runnable"
+                    );
+                    return true;
+                }
+                (Some(solo), None) => {
+                    self.stats.rounds += 1;
+                    self.stats.solo_rounds += 1;
+                    self.runners[solo].lock().expect("region lock").run_round(
+                        solo as u32,
+                        &self.map.assignment,
+                        self.horizon[solo],
+                        self.deadline_ns,
+                    );
+                }
+                _ => {
+                    self.stats.rounds += 1;
+                    self.stats.parallel_rounds += 1;
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Moves every outbox into its destination scheduler, sources in
+    /// ascending order and each outbox in send order (see the module docs),
+    /// then reads every region's earliest pending event.
+    fn drain(&mut self) {
+        for src in self.runners {
+            {
+                let mut src = src.lock().expect("region lock");
+                let outboxes = &mut src.core.region.as_mut().expect("region ctx").outboxes;
+                for (outbox, inbox) in outboxes.iter_mut().zip(&mut self.inbox) {
+                    std::mem::swap(outbox, inbox);
+                }
+            }
+            for (dst, inbox) in self.runners.iter().zip(&mut self.inbox) {
+                if inbox.is_empty() {
+                    continue;
+                }
+                self.stats.cross_region_events += inbox.len() as u64;
+                let mut dst = dst.lock().expect("region lock");
+                for (at, key, event) in inbox.drain(..) {
+                    dst.core
+                        .sched
+                        .schedule_at_keyed(SimTime::from_nanos(at), key, event);
+                }
+            }
+        }
+        for (earliest, runner) in self.earliest.iter_mut().zip(self.runners) {
+            *earliest = peek_ns(&runner.lock().expect("region lock").core);
+        }
+    }
+}
+
 impl World {
+    /// What the most recent [`run_until_parallel`](World::run_until_parallel)
+    /// call did (all zero before the first).
+    pub fn region_stats(&self) -> RegionRunStats {
+        self.region_stats
+    }
+
     /// Region-parallel [`run_until`](crate::World::run_until): partitions the
     /// world into (at most) `regions` regions and executes them on `pool`
     /// workers under the conservative lookahead protocol described in the
@@ -306,6 +575,11 @@ impl World {
     pub fn run_until_parallel(&mut self, deadline: SimTime, pool: &Pool, regions: usize) {
         let map = RegionMap::partition(&self.core, regions);
         if map.regions <= 1 {
+            self.region_stats = RegionRunStats {
+                regions: 1,
+                workers: 1,
+                ..RegionRunStats::default()
+            };
             self.run_until(deadline);
             return;
         }
@@ -414,78 +688,77 @@ impl World {
             }
         }
 
-        // --- Round loop: one `pool.map` call hosts the whole run. Jobs
-        // are worker indices; every job enters the same barrier-paced
-        // loop, so each of the `w` map workers executes exactly one job
-        // (a job blocks on its first barrier until all `w` are running,
-        // so no thread can ever claim two). Regions are claimed per round
+        // --- Round loop (module docs, "Rounds"). The coordinator opens the
+        // run on this thread; only if a round with two or more runnable
+        // regions turns up does one `pool.map` call host the rest. Jobs are
+        // worker indices; every job enters the same rendezvous-paced loop,
+        // so each of the `w` map workers executes exactly one job (a job
+        // blocks at its first rendezvous until all `w` are running, so no
+        // thread can ever claim two). Regions are claimed per round
         // through an atomic counter for dynamic load balance.
         let w = pool.threads().min(r);
         let runners: Vec<Mutex<RegionRunner>> = runners.into_iter().map(Mutex::new).collect();
-        let horizons: Vec<AtomicU64> = {
-            let earliest: Vec<u64> = runners
-                .iter()
-                .map(|m| peek_ns(&m.lock().expect("region lock").core))
-                .collect();
-            let (_, t) = safe_horizons(&earliest, &map.lookahead);
-            t.into_iter().map(AtomicU64::new).collect()
+        let mut coordinator = Coordinator {
+            runners: &runners,
+            map: &map,
+            deadline_ns,
+            earliest: vec![u64::MAX; r],
+            bound: Vec::with_capacity(r),
+            horizon: Vec::with_capacity(r),
+            inbox: (0..r).map(|_| Vec::new()).collect(),
+            stats: RegionRunStats {
+                regions: r,
+                workers: w,
+                ..RegionRunStats::default()
+            },
         };
-        let claim = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let barrier = Barrier::new(w);
-        let jobs: Vec<usize> = (0..w).collect();
-        // All cross-thread state is ordered by the barrier; the atomics
-        // need no ordering of their own.
-        pool.map(&jobs, |_| {
-            loop {
+        if !coordinator.advance() {
+            let horizons: Vec<AtomicU64> = coordinator
+                .horizon
+                .iter()
+                .map(|&h| AtomicU64::new(h))
+                .collect();
+            let coordinator = Mutex::new(&mut coordinator);
+            let claim = AtomicUsize::new(0);
+            let done = AtomicBool::new(false);
+            let has_cpu_each = std::thread::available_parallelism().is_ok_and(|n| n.get() >= w);
+            let rendezvous = Rendezvous::new(w, if has_cpu_each { SPIN_POLLS } else { 0 });
+            let jobs: Vec<usize> = (0..w).collect();
+            // All cross-thread state is ordered by the rendezvous; the
+            // atomics need no ordering of their own.
+            pool.map(&jobs, |_| {
+                let _poison = PoisonOnUnwind(&rendezvous);
                 loop {
-                    let i = claim.fetch_add(1, Ordering::Relaxed);
-                    if i >= r {
-                        break;
-                    }
-                    let mut runner = runners[i].lock().expect("region lock");
-                    let horizon = horizons[i].load(Ordering::Relaxed);
-                    runner.run_round(horizon, deadline_ns);
-                }
-                let round_end = barrier.wait();
-                if round_end.is_leader() {
-                    // Coordination phase: every other worker is parked on
-                    // the next barrier, so the leader has exclusive access.
-                    // 1. Drain outboxes in ascending (src, dst) order.
-                    let mut out: Vec<Vec<Vec<(u64, u64, Event)>>> = Vec::with_capacity(r);
-                    for src in runners.iter() {
-                        let mut src = src.lock().expect("region lock");
-                        let boxes = &mut src.core.region.as_mut().expect("region ctx").outboxes;
-                        out.push(boxes.iter_mut().map(std::mem::take).collect());
-                    }
-                    let mut earliest = vec![u64::MAX; r];
-                    for (d, dst) in runners.iter().enumerate() {
-                        let mut dst = dst.lock().expect("region lock");
-                        for src_boxes in out.iter_mut() {
-                            for (at, key, event) in src_boxes[d].drain(..) {
-                                dst.core.sched.schedule_at_keyed(
-                                    SimTime::from_nanos(at),
-                                    key,
-                                    event,
-                                );
-                            }
+                    loop {
+                        let i = claim.fetch_add(1, Ordering::Relaxed);
+                        if i >= r {
+                            break;
                         }
-                        earliest[d] = peek_ns(&dst.core);
+                        let horizon = horizons[i].load(Ordering::Relaxed);
+                        runners[i].lock().expect("region lock").run_round(
+                            i as u32,
+                            &map.assignment,
+                            horizon,
+                            deadline_ns,
+                        );
                     }
-                    // 2. Recompute horizons and test for termination.
-                    let (_, t) = safe_horizons(&earliest, &map.lookahead);
-                    for (h, t) in horizons.iter().zip(t) {
-                        h.store(t, Ordering::Relaxed);
+                    let met = rendezvous.arrive(|| {
+                        let mut coordinator = coordinator.lock().expect("coordinator lock");
+                        done.store(coordinator.advance(), Ordering::Relaxed);
+                        for (shared, &h) in horizons.iter().zip(&coordinator.horizon) {
+                            shared.store(h, Ordering::Relaxed);
+                        }
+                        claim.store(0, Ordering::Relaxed);
+                    });
+                    // A panicked worker never arrives: leave, and let
+                    // `Pool::map` re-raise its panic on the caller.
+                    if !met || done.load(Ordering::Relaxed) {
+                        return;
                     }
-                    done.store(earliest.iter().all(|&e| e > deadline_ns), Ordering::Relaxed);
-                    claim.store(0, Ordering::Relaxed);
                 }
-                barrier.wait();
-                if done.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-        });
+            });
+        }
+        self.region_stats = coordinator.stats;
 
         // --- Merge shards back, in ascending region order throughout.
         let mut total_events = 0u64;
@@ -580,11 +853,13 @@ fn peek_ns(core: &Substrate) -> u64 {
 mod tests {
     use super::*;
     use crate::testutil::EchoDevice;
-    use crate::{fnv1a, LinkSpec, NodeId, TapDirection, World};
+    use crate::{fnv1a, Ctx, Device, Frame, LinkSpec, NodeId, PortId, TapDirection, World};
     use bytes::Bytes;
     use netco_sim::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     type TapLog = Rc<RefCell<Vec<(u64, u32, u16, bool, u64)>>>;
 
@@ -606,6 +881,11 @@ mod tests {
         for i in (0..nodes).step_by(2) {
             w.inject_frame(ids[i], 1.into(), Bytes::from(format!("frame-{i}")));
         }
+        let log = tap_log(&mut w);
+        (w, log)
+    }
+
+    fn tap_log(w: &mut World) -> TapLog {
         let log: TapLog = Rc::new(RefCell::new(Vec::new()));
         let sink = log.clone();
         w.add_tap(move |e| {
@@ -617,7 +897,65 @@ mod tests {
                 fnv1a(e.frame),
             ));
         });
-        (w, log)
+        log
+    }
+
+    /// Passes each frame on round the ring (in at port 0, out at port 1),
+    /// one byte shorter, until it is used up: a token of `n` bytes lives
+    /// `n - 1` hops. The `fuse`-th frame panics instead (0: never).
+    #[derive(Default)]
+    struct Relay {
+        seen: u32,
+        fuse: u32,
+    }
+
+    impl Device for Relay {
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
+            self.seen += 1;
+            assert!(self.seen != self.fuse, "relay fuse blew");
+            if frame.len() > 1 {
+                ctx.send_frame(1.into(), frame.slice(1..));
+            }
+        }
+    }
+
+    const SPARSE_NODES: usize = 12;
+
+    /// A *sparse connected* world: a ring of relays with 2–5 µs link
+    /// latencies. Every node starts with a short token, so the run opens
+    /// dense (the first round has every region runnable); within 19 hops
+    /// they are used up and only the `long` tokens keep circling, one event
+    /// each in the whole world, crossing every cut once a lap — rounds in
+    /// which one region at most has anything to do.
+    fn sparse_world(seed: u64, long: &[usize], fuse: Option<(usize, u32)>) -> World {
+        let mut w = World::new(seed);
+        let ids: Vec<NodeId> = (0..SPARSE_NODES)
+            .map(|i| {
+                let fuse = fuse.map_or(0, |(node, nth)| if node == i { nth } else { 0 });
+                let relay = Relay { seen: 0, fuse };
+                w.add_node(format!("n{i}"), relay, Default::default())
+            })
+            .collect();
+        for i in 0..SPARSE_NODES {
+            let spec = LinkSpec {
+                latency: SimDuration::from_micros(2 + i as u64 % 4),
+                ..LinkSpec::default()
+            };
+            w.connect(
+                ids[i],
+                1.into(),
+                ids[(i + 1) % SPARSE_NODES],
+                0.into(),
+                spec,
+            );
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            w.inject_frame(id, 0.into(), vec![i as u8; 8 + i]);
+        }
+        for &i in long {
+            w.inject_frame(ids[i], 0.into(), vec![0xEE; 1_400]);
+        }
+        w
     }
 
     fn observe(w: &World) -> (u64, u64, Vec<u64>) {
@@ -658,24 +996,215 @@ mod tests {
     }
 
     #[test]
+    fn sparse_world_matches_sequential_with_both_kinds_of_round() {
+        let deadline = SimTime::from_nanos(1_500_000);
+        let mut seq = sparse_world(5, &[0, 7], None);
+        let seq_log = tap_log(&mut seq);
+        seq.run_until(deadline);
+        let seq_obs = observe(&seq);
+        for regions in [2, 3, 4, 8] {
+            let mut by_workers = Vec::new();
+            // 8 workers is more than any CI host has CPUs for.
+            for threads in [1, 2, 4, 8] {
+                let mut par = sparse_world(5, &[0, 7], None);
+                let par_log = tap_log(&mut par);
+                par.run_until_parallel(deadline, &Pool::new(threads), regions);
+                assert_eq!(
+                    *par_log.borrow(),
+                    *seq_log.borrow(),
+                    "tap order diverged at regions={regions} threads={threads}"
+                );
+                assert_eq!(
+                    observe(&par),
+                    seq_obs,
+                    "world state diverged at regions={regions} threads={threads}"
+                );
+                let stats = par.region_stats();
+                assert_eq!(
+                    (stats.regions, stats.workers),
+                    (regions, threads.min(regions))
+                );
+                assert_eq!(stats.rounds, stats.solo_rounds + stats.parallel_rounds);
+                // Neither path may silently go unexercised.
+                assert!(
+                    stats.solo_rounds > 0 && stats.parallel_rounds > 0,
+                    "regions={regions} threads={threads}: {stats:?}"
+                );
+                assert!(stats.cross_region_events > 0);
+                by_workers.push(RegionRunStats {
+                    workers: 0,
+                    ..stats
+                });
+            }
+            // Who runs a round depends on the host; which rounds there are
+            // does not.
+            assert!(
+                by_workers.iter().all(|s| *s == by_workers[0]),
+                "round counts moved with the worker count: {by_workers:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parallel_then_sequential_resumes_identically() {
         // Leftover events and per-node RNG state must merge back exactly:
         // continuing a parallel run sequentially matches a pure
-        // sequential run of the whole window.
-        let (mut seq, seq_log) = ring_world(11, 6);
-        seq.run_until(SimTime::from_nanos(150_000));
-        seq.run_until(SimTime::from_nanos(300_000));
-        let (mut par, par_log) = ring_world(11, 6);
-        par.run_until_parallel(SimTime::from_nanos(150_000), &Pool::new(2), 3);
-        par.run_until(SimTime::from_nanos(300_000));
-        assert_eq!(*par_log.borrow(), *seq_log.borrow());
-        assert_eq!(observe(&par), observe(&seq));
+        // sequential run of the whole window — whether the split falls in
+        // a dense world or between the solo rounds of a sparse one.
+        let dense = || ring_world(11, 6);
+        let sparse = || {
+            let mut w = sparse_world(11, &[3], None);
+            let log = tap_log(&mut w);
+            (w, log)
+        };
+        let worlds: [&dyn Fn() -> (World, TapLog); 2] = [&dense, &sparse];
+        for build in worlds {
+            let (mut seq, seq_log) = build();
+            seq.run_until(SimTime::from_nanos(150_000));
+            seq.run_until(SimTime::from_nanos(300_000));
+            let (mut par, par_log) = build();
+            par.run_until_parallel(SimTime::from_nanos(150_000), &Pool::new(2), 3);
+            par.run_until(SimTime::from_nanos(300_000));
+            assert_eq!(*par_log.borrow(), *seq_log.borrow());
+            assert_eq!(observe(&par), observe(&seq));
+        }
+    }
+
+    /// Runs `build()`'s world region-parallel on a helper thread and
+    /// returns the panic message the call ended with. Fails if the call
+    /// is still going after 10 s — the hang this guards against — or
+    /// returns normally.
+    fn panic_of_parallel_run(
+        build: impl FnOnce() -> World + Send + 'static,
+        threads: usize,
+        regions: usize,
+    ) -> String {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| {
+                build().run_until_parallel(
+                    SimTime::from_nanos(20_000_000),
+                    &Pool::new(threads),
+                    regions,
+                )
+            });
+            let _ = tx.send(std::panic::catch_unwind(run));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_until_parallel still running 10 s after a worker panicked");
+        helper.join().expect("helper thread");
+        let payload = outcome.expect_err("the run finished without the device's panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("panic message")
+    }
+
+    /// The first node of region 1 (regions are id-contiguous blocks).
+    fn first_node_of_region_1(regions: usize) -> usize {
+        let w = sparse_world(1, &[], None);
+        let map = RegionMap::partition(&w.core, regions);
+        assert_eq!(map.regions() as usize, regions);
+        (0..SPARSE_NODES)
+            .find(|&i| map.region_of(NodeId(i as u32)) == 1)
+            .expect("region 1 has a node")
+    }
+
+    #[test]
+    fn worker_panic_in_a_parallel_round_reaches_the_caller() {
+        for (threads, regions) in [(2, 2), (4, 4)] {
+            let node = first_node_of_region_1(regions);
+            // Every node holds a token at t = 0, so the first round has
+            // every region runnable and the first frame at `node` is
+            // dispatched in it, with the other workers at the rendezvous.
+            let message = panic_of_parallel_run(
+                move || sparse_world(1, &[0], Some((node, 1))),
+                threads,
+                regions,
+            );
+            assert_eq!(message, "relay fuse blew", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn worker_panic_in_a_solo_round_reaches_the_caller() {
+        for (threads, regions) in [(2, 2), (4, 4)] {
+            let node = first_node_of_region_1(regions);
+            // The 12 short tokens (18 hops at most, 12 nodes a lap) pass a
+            // node twice each at most and are gone within 0.2 ms; the
+            // 40th frame is therefore the one long token's, at a time
+            // when it is the only event in the world: a solo round, run
+            // inside the rendezvous with the other workers parked — which
+            // the run's first, parallel round put there.
+            let message = panic_of_parallel_run(
+                move || sparse_world(1, &[0], Some((node, 40))),
+                threads,
+                regions,
+            );
+            assert_eq!(message, "relay fuse blew", "threads={threads}");
+        }
+    }
+
+    /// `parties` threads meet `generations` times; the leader bumps a
+    /// shared counter with a plain load-then-store, and every party must
+    /// read exactly the generation count after each meeting.
+    fn rendezvous_counts_exactly(parties: usize, spin: u32, generations: u64) {
+        let rendezvous = Rendezvous::new(parties, spin);
+        let counter = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..parties {
+                scope.spawn(|| {
+                    for generation in 1..=generations {
+                        let met = rendezvous.arrive(|| {
+                            let seen = counter.load(Ordering::Relaxed);
+                            counter.store(seen + 1, Ordering::Relaxed);
+                        });
+                        assert!(met);
+                        assert_eq!(counter.load(Ordering::Relaxed), generation);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), generations);
+    }
+
+    #[test]
+    fn rendezvous_leader_runs_alone_and_releases_everyone() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Park path only.
+        rendezvous_counts_exactly(4, 0, 20_000);
+        // Spin path only: never parks, so it needs a CPU per party (the
+        // gate `run_until_parallel` applies).
+        rendezvous_counts_exactly(cpus.min(4), u32::MAX, 20_000);
+        // Spin, then park: the hand-over between the two.
+        rendezvous_counts_exactly(4, SPIN_POLLS, 20_000);
+    }
+
+    #[test]
+    fn poisoned_rendezvous_turns_waiters_away() {
+        let rendezvous = Rendezvous::new(2, 0);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| rendezvous.arrive(|| unreachable!("never met")));
+            // Whether the waiter is parked yet or not, it must see this.
+            rendezvous.poison();
+            assert!(!waiter.join().expect("waiter thread"));
+        });
+        assert!(!rendezvous.arrive(|| unreachable!("poisoned")));
     }
 
     #[test]
     fn single_region_falls_back_to_sequential() {
         let (mut w, log) = ring_world(3, 4);
+        assert_eq!(w.region_stats(), RegionRunStats::default());
         w.run_until_parallel(SimTime::from_nanos(50_000), &Pool::new(4), 1);
+        let fallback = RegionRunStats {
+            regions: 1,
+            workers: 1,
+            ..RegionRunStats::default()
+        };
+        assert_eq!(w.region_stats(), fallback);
         let (mut seq, seq_log) = ring_world(3, 4);
         seq.run_until(SimTime::from_nanos(50_000));
         assert_eq!(*log.borrow(), *seq_log.borrow());

@@ -14,6 +14,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::frame::Frame;
 use crate::id::{LinkId, NodeId, PortId};
 use crate::link::LinkSpec;
+use crate::region::RegionRunStats;
 
 /// Why a frame was dropped by the substrate (not by a device's own logic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1003,6 +1004,8 @@ pub struct World {
     /// [`run_until`](World::run_until) calls so steady-state runs never
     /// reallocate it.
     batch: Tick<Event>,
+    /// What the last [`run_until_parallel`](World::run_until_parallel) did.
+    pub(crate) region_stats: RegionRunStats,
 }
 
 impl World {
@@ -1038,6 +1041,7 @@ impl World {
             taps: Vec::new(),
             events_processed: Counter::detached(),
             batch: Tick::new(),
+            region_stats: RegionRunStats::default(),
         }
     }
 

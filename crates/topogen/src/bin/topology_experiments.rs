@@ -3,7 +3,9 @@
 //! Fans a size × topology-class × adversarial-replica-fraction × k
 //! sweep of NetCo-ized generated topologies across the harness pool and
 //! prints the campaign as deterministic JSON on stdout — bit-identical
-//! across reruns, `NETCO_THREADS` values and region counts.
+//! across reruns, `NETCO_THREADS` values and region counts. What the
+//! region-parallel witness runs did (regions, workers, rounds) goes to
+//! stderr.
 //!
 //! ```text
 //! topology_experiments [--mode full|smoke] [--seed N]
@@ -13,7 +15,7 @@
 //! parallelism).
 
 use netco_harness::Pool;
-use netco_topogen::campaign::{render_json, run_campaign, CampaignConfig};
+use netco_topogen::campaign::{render_json, run_campaign_with_stats, CampaignConfig};
 
 fn main() {
     let mut mode = String::from("full");
@@ -44,6 +46,11 @@ fn main() {
         other => panic!("unknown mode: {other} (expected full|smoke)"),
     };
     let pool = Pool::from_env();
-    let result = run_campaign(&cfg, &pool);
+    let (result, witness) = run_campaign_with_stats(&cfg, &pool);
     print!("{}", render_json(&cfg, &result));
+    // The witness's round counts go to stderr: stdout is the campaign and
+    // must not vary with the worker count.
+    for stats in witness {
+        eprintln!("region witness: {stats:?}");
+    }
 }

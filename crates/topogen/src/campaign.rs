@@ -2,10 +2,11 @@
 //! adversarial-replica-fraction × k sweeps over NetCo-ized generated
 //! topologies, reported as deterministic JSON.
 //!
-//! Every cell of the sweep generates its class's base graph, NetCo-izes
-//! *every* router ([`NetcoizeSpec::full`]), corrupts a seeded fraction
-//! of the replica switches ([`AdversarySpec`]) and drives hundreds of
-//! routed ping tests through the built world. Cells fan out across the
+//! Each class's base graph is generated once and NetCo-ized once per k
+//! — *every* router ([`NetcoizeSpec::full`]); every cell of the sweep
+//! borrows its pair, corrupts a seeded fraction of the replica switches
+//! ([`AdversarySpec`]) and drives hundreds of routed ping tests through
+//! the built world. Cells fan out across the
 //! [`Pool`] (each cell's world runs sequentially, so the report is
 //! bit-identical at every `NETCO_THREADS`); one cell is additionally
 //! re-run under the space-parallel executor at two region counts and
@@ -14,9 +15,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use netco_harness::Pool;
-use netco_net::{TapDirection, World};
+use netco_net::{RegionRunStats, TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::Profile;
 use netco_traffic::{
@@ -288,19 +290,34 @@ fn install_digest_tap(world: &mut World) -> Rc<RefCell<u64>> {
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     class_idx: usize,
+    /// Index of the cell's `(class, k)` among the sweep's.
+    group: usize,
     k: usize,
     frac_idx: usize,
 }
 
-/// The two graphs a cell runs on: the base class graph (stretch
-/// denominator) and its fully NetCo-ized form.
-fn cell_graphs(cfg: &CampaignConfig, cell: Cell) -> (TopoGraph, TopoGraph) {
-    let class = &cfg.classes[cell.class_idx];
-    // Base graph depends on class only, so stretch and availability are
-    // comparable across k and fraction within a class.
-    let base = class.graph(cfg.hosts, cfg.seed.wrapping_add(cell.class_idx as u64));
-    let netco = netcoize(&base, &NetcoizeSpec::full(cell.k, cfg.seed));
-    (base, netco)
+/// The NetCo-ized graph of one `(class, k)`, shared by the cells that run
+/// on it: built by the first to ask and let go with the last, so it is
+/// alive only while its cells are — building every graph up front would
+/// hold all of them (2.4 MB on the full sweep) through the largest worlds.
+struct SharedGraph {
+    /// Checkouts still to come.
+    users_left: usize,
+    graph: Option<Arc<TopoGraph>>,
+}
+
+impl SharedGraph {
+    fn checkout(slot: &Mutex<SharedGraph>, build: impl FnOnce() -> TopoGraph) -> Arc<TopoGraph> {
+        // Built under the lock: a cell that needs the graph meanwhile
+        // would otherwise have to build its own.
+        let mut slot = slot.lock().expect("graph slot lock");
+        let graph = Arc::clone(slot.graph.get_or_insert_with(|| Arc::new(build())));
+        slot.users_left -= 1;
+        if slot.users_left == 0 {
+            slot.graph = None;
+        }
+        graph
+    }
 }
 
 fn cell_adversary(cfg: &CampaignConfig, cell: Cell) -> AdversarySpec {
@@ -344,9 +361,8 @@ fn cell_world(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> (BuiltTopo
     (built, pairs)
 }
 
-fn run_cell(cfg: &CampaignConfig, cell: Cell) -> CellOutcome {
-    let (base, netco) = cell_graphs(cfg, cell);
-    let (mut built, pairs) = cell_world(cfg, cell, &netco);
+fn run_cell(cfg: &CampaignConfig, cell: Cell, base: &TopoGraph, netco: &TopoGraph) -> CellOutcome {
+    let (mut built, pairs) = cell_world(cfg, cell, netco);
     let digest = install_digest_tap(&mut built.world);
     built
         .world
@@ -417,12 +433,11 @@ fn run_cell(cfg: &CampaignConfig, cell: Cell) -> CellOutcome {
 /// topology, with the even host of each pair running a [`FlowSet`]
 /// (fixed-size two-packet flows toward its partner) and every other
 /// host a [`FlowSink`].
-fn run_offered_load(cfg: &CampaignConfig, cell: Cell) -> OfferedLoadOutcome {
-    let (_, netco) = cell_graphs(cfg, cell);
+fn run_offered_load(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> OfferedLoadOutcome {
     let pairs = cfg.pairs.min(netco.hosts.len() / 2);
     let world_seed = splitmix(cfg.seed ^ 0x6f66_6665_7265_6421); // "offered!"
     let mut built = build_world(
-        &netco,
+        netco,
         &Profile::default(),
         world_seed,
         |h, nic| {
@@ -488,52 +503,100 @@ fn run_offered_load(cfg: &CampaignConfig, cell: Cell) -> OfferedLoadOutcome {
 }
 
 /// Re-runs the first sweep cell under the space-parallel executor at
-/// the given region count and returns its tap digest.
-fn region_digest(cfg: &CampaignConfig, cell: Cell, pool: &Pool, regions: usize) -> u64 {
-    let (_, netco) = cell_graphs(cfg, cell);
-    let (mut built, _) = cell_world(cfg, cell, &netco);
+/// the given region count and returns its tap digest and round counts.
+fn region_witness(
+    cfg: &CampaignConfig,
+    cell: Cell,
+    netco: &TopoGraph,
+    pool: &Pool,
+    regions: usize,
+) -> (u64, RegionRunStats) {
+    let (mut built, _) = cell_world(cfg, cell, netco);
     let digest = install_digest_tap(&mut built.world);
     built
         .world
         .run_until_parallel(SimTime::from_nanos(cfg.run_ms * 1_000_000), pool, regions);
     let d = *digest.borrow();
-    d
+    (d, built.world.region_stats())
 }
 
 /// Runs the whole sweep, fanning cells across `pool`.
 pub fn run_campaign(cfg: &CampaignConfig, pool: &Pool) -> CampaignResult {
+    run_campaign_with_stats(cfg, pool).0
+}
+
+/// [`run_campaign`], plus what the region-parallel witness runs did (one
+/// entry per region count). Kept out of [`CampaignResult`]: the worker
+/// count in it is the one thing here that depends on `pool`.
+pub fn run_campaign_with_stats(
+    cfg: &CampaignConfig,
+    pool: &Pool,
+) -> (CampaignResult, Vec<RegionRunStats>) {
     let mut sweep = Vec::new();
     for class_idx in 0..cfg.classes.len() {
-        for &k in &cfg.ks {
+        for (k_idx, &k) in cfg.ks.iter().enumerate() {
             for frac_idx in 0..cfg.adversary_fractions.len() {
                 sweep.push(Cell {
                     class_idx,
+                    group: class_idx * cfg.ks.len() + k_idx,
                     k,
                     frac_idx,
                 });
             }
         }
     }
-    let cells = pool.map(&sweep, |&cell| run_cell(cfg, cell));
+    let first = sweep[0];
+    // Every graph is built once: the base graphs here — they depend on the
+    // class only, so stretch and availability are comparable across k and
+    // fraction within a class — and each NetCo-ized form by the first of
+    // its users, which are its cells and, for the first, the witness.
+    let base: Vec<TopoGraph> = cfg
+        .classes
+        .iter()
+        .zip(0u64..)
+        .map(|(class, class_idx)| class.graph(cfg.hosts, cfg.seed.wrapping_add(class_idx)))
+        .collect();
+    let netco: Vec<Mutex<SharedGraph>> = (0..cfg.classes.len() * cfg.ks.len())
+        .map(|group| {
+            Mutex::new(SharedGraph {
+                users_left: cfg.adversary_fractions.len() + usize::from(group == first.group),
+                graph: None,
+            })
+        })
+        .collect();
+    let checkout = |cell: Cell| {
+        SharedGraph::checkout(&netco[cell.group], || {
+            netcoize(&base[cell.class_idx], &NetcoizeSpec::full(cell.k, cfg.seed))
+        })
+    };
+    let cells = pool.map(&sweep, |&cell| {
+        run_cell(cfg, cell, &base[cell.class_idx], &checkout(cell))
+    });
+    let first_netco = checkout(first);
     // Region-count independence witness: the first cell, re-run under
     // the space-parallel executor, must reproduce its sequential digest.
-    let first = sweep[0];
     let sequential = cells[0].digest;
-    let region_parallel_identical = [2, 4]
-        .into_iter()
-        .all(|regions| region_digest(cfg, first, pool, regions) == sequential);
+    let mut witness_stats = Vec::new();
+    let region_parallel_identical = [2, 4].into_iter().all(|regions| {
+        let (digest, stats) = region_witness(cfg, first, &first_netco, pool, regions);
+        witness_stats.push(stats);
+        digest == sequential
+    });
     let zero_fraction_availability_pct = cells
         .iter()
         .filter(|c| c.adversary_fraction == 0.0)
         .map(|c| c.availability_pct)
         .fold(f64::INFINITY, f64::min);
-    let offered_load = cfg.offered_load.then(|| run_offered_load(cfg, first));
-    CampaignResult {
+    let offered_load = cfg
+        .offered_load
+        .then(|| run_offered_load(cfg, first, &first_netco));
+    let result = CampaignResult {
         cells,
         region_parallel_identical,
         zero_fraction_availability_pct,
         offered_load,
-    }
+    };
+    (result, witness_stats)
 }
 
 /// Renders the campaign as deterministic JSON (stable key order, fixed
