@@ -1,12 +1,13 @@
 //! The canonical chaos scenario: replica `r2` flaps three times during a
 //! 100-ping Central3 run with the self-healing supervisor attached.
 //!
-//! Shared between the chaos acceptance test (`tests/chaos_supervisor.rs`)
-//! and the `perf_report --telemetry <dir>` artifact dump, so both always
-//! exercise the identical world: the supervisor must heal every episode
-//! without costing a single ping, and with a telemetry sink installed the
-//! run yields a metrics snapshot plus a chrome://tracing document showing
-//! the quarantine → probation → re-admit episodes as spans.
+//! Shared between the chaos acceptance test (`tests/chaos_supervisor.rs`,
+//! which writes the telemetry artifacts to `target/chaos/`) and the
+//! determinism tests, so all exercise the identical world: the supervisor
+//! must heal every episode without costing a single ping, and with a
+//! telemetry sink installed the run yields a metrics snapshot plus a
+//! chrome://tracing document showing the quarantine → probation →
+//! re-admit episodes as spans.
 
 use netco_core::SupervisorConfig;
 use netco_sim::{SimDuration, SimTime};

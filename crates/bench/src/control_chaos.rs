@@ -30,10 +30,14 @@ pub fn byzantine_window() -> ActivationWindow {
 /// The 0-based index of the equivocating controller replica.
 pub const LIAR: usize = 1;
 
-/// The chaos run's voter tunables, shared by both vote encodings (the
-/// default fingerprint vote and the full-copy baseline).
-pub fn voter_config() -> ControlVoterConfig {
-    ControlVoterConfig::default()
+/// The control-chaos scenario: POX3, functional profile, seed 41, three
+/// controller replicas behind voters with the supervisor attached, and
+/// controller 1 corrupting every votable output inside
+/// [`byzantine_window`].
+pub fn equivocating_scenario() -> Scenario {
+    let mut profile = Profile::functional();
+    profile.seed = 41;
+    let voter = ControlVoterConfig::default()
         .with_miss_alarm_threshold(8)
         .with_supervisor(
             SupervisorConfig::default()
@@ -41,23 +45,7 @@ pub fn voter_config() -> ControlVoterConfig {
                 .with_probation_delay(SimDuration::from_millis(50))
                 .with_readmit_streak(4)
                 .with_escalation_cap(2),
-        )
-}
-
-/// The control-chaos scenario: POX3, functional profile, seed 41, three
-/// controller replicas behind voters with the supervisor attached, and
-/// controller 1 corrupting every votable output inside
-/// [`byzantine_window`].
-pub fn equivocating_scenario() -> Scenario {
-    equivocating_scenario_with(voter_config())
-}
-
-/// The same chaos world with a caller-chosen voter configuration — the
-/// hook `tests/byzantine_controller.rs` uses to run the fingerprint vote
-/// against the full-copy baseline on identical inputs.
-pub fn equivocating_scenario_with(voter: ControlVoterConfig) -> Scenario {
-    let mut profile = Profile::functional();
-    profile.seed = 41;
+        );
     Scenario::build(ScenarioKind::Pox3, profile, 41).with_control_replication(
         ControlReplication::new(3).with_voter(voter).with_byzantine(
             LIAR,

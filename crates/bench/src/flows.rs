@@ -1,8 +1,7 @@
 //! The flow-scale benchmark world: a [`FlowSet`] engine draining
 //! pre-spawned two-packet flows through a fat link into a [`FlowSink`].
 //!
-//! Shared by the perf report's `flow_scale` sweep and the CI timed smoke
-//! bin (`flow_smoke`) so both measure exactly the same scenario.
+//! The scenario of the CI timed smoke bin (`flow_smoke`).
 
 use std::net::Ipv4Addr;
 use std::time::Instant;

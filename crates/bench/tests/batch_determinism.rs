@@ -14,6 +14,7 @@ use netco_bench::ExperimentScale;
 use netco_harness::Pool;
 use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
+use netco_telemetry::TelemetrySink;
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{
     FlowSet, FlowSetConfig, FlowSink, SizeDist, TcpConfig, TcpReceiver, TcpSender,
@@ -46,8 +47,9 @@ fn install_digest_tap(world: &mut World) -> Rc<RefCell<(u64, u64)>> {
 
 /// One (digest, taps, events, final clock, goodput bits) observation of
 /// the Central3 TCP scenario, run batched or per-event, with the CPU
-/// bypass left on (the default) or forced off.
-fn central3_observation(per_event: bool, bypass: bool) -> (u64, u64, u64, u64, u64) {
+/// bypass left on (the default) or every CPU modeled (an enabled
+/// telemetry sink clears every bypass bit).
+fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, u64) {
     let scale = ExperimentScale::smoke();
     let scenario = Scenario::build(ScenarioKind::Central3, Profile::default(), 7);
     let cfg = TcpConfig::new(H2_IP).with_duration(scale.duration);
@@ -57,8 +59,8 @@ fn central3_observation(per_event: bool, bypass: bool) -> (u64, u64, u64, u64, u
         |nic| TcpSender::new(nic, cfg),
         |nic| TcpReceiver::new(nic, cfg2),
     );
-    if !bypass {
-        built.world.set_cpu_bypass(false);
+    if modeled {
+        built.world.set_telemetry(TelemetrySink::enabled());
     }
     let acc = install_digest_tap(&mut built.world);
     let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
@@ -84,8 +86,8 @@ fn central3_observation(per_event: bool, bypass: bool) -> (u64, u64, u64, u64, u
 
 #[test]
 fn central3_tcp_batched_matches_per_event_bit_for_bit() {
-    let batched = central3_observation(false, true);
-    let per_event = central3_observation(true, true);
+    let batched = central3_observation(false, false);
+    let per_event = central3_observation(true, false);
     assert_eq!(batched, per_event);
     assert!(batched.1 > 0, "tap saw no frames");
     assert!(batched.2 > 0, "no events processed");
@@ -156,13 +158,16 @@ fn flowset_batched_matches_per_event_bit_for_bit() {
 }
 
 /// The CPU bypass (on by default) must be bit-identical to the same world
-/// with every admission forced through the modeled `cpu_admit`.
+/// with every admission forced through the modeled `cpu_admit`, which an
+/// enabled telemetry sink does.
 #[test]
-fn flowset_cpu_bypass_matches_modeled_oracle() {
+fn flowset_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
     let deadline = SimTime::ZERO + SimDuration::from_secs(2);
-    let observe = |bypass: bool| {
+    let observe = |modeled: bool| {
         let (mut w, src, dst) = flowset_world();
-        w.set_cpu_bypass(bypass);
+        if modeled {
+            w.set_telemetry(TelemetrySink::enabled());
+        }
         let acc = install_digest_tap(&mut w);
         w.run_until(deadline);
         let stats = w.device::<FlowSet>(src).expect("flowset").stats();
@@ -177,19 +182,18 @@ fn flowset_cpu_bypass_matches_modeled_oracle() {
             sink.digest(),
         )
     };
-    let oracle = observe(false);
-    let bypassed = observe(true);
+    let oracle = observe(true);
+    let bypassed = observe(false);
     assert_eq!(oracle, bypassed, "CPU bypass changed the world");
     assert!(oracle.4 > 0, "sink saw nothing");
 }
 
 /// The same comparison on Central3 (OpenFlow switches, control channels,
-/// TCP endpoints): the default run must match the run with the bypass
-/// forced off.
+/// TCP endpoints): the default run must match the run with telemetry on.
 #[test]
-fn central3_cpu_bypass_matches_modeled_oracle() {
-    let oracle = central3_observation(false, false);
-    assert_eq!(oracle, central3_observation(false, true));
+fn central3_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
+    let oracle = central3_observation(false, true);
+    assert_eq!(oracle, central3_observation(false, false));
     assert!(oracle.1 > 0, "tap saw no frames");
 }
 

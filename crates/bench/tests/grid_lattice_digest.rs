@@ -1,6 +1,6 @@
 //! Pins the `netco_bench::grid` world to its PR-7 geometry.
 //!
-//! `build_grid` is the BENCH_PR7 `region_scale` world; its shape —
+//! `build_grid` is the PR-7 `region_scale` world; its shape —
 //! staggered latencies, host MAC scheme, payload sizes, replica datapath
 //! ids — is load-bearing because the recorded benchmark digests depend on
 //! it. PR 9 moved those constants into `netco_topogen::lattice` (the
@@ -51,7 +51,7 @@ fn small_grid_digest_is_pinned() {
 
 #[test]
 fn region_scale_grid_digest_is_pinned() {
-    // The BENCH_PR7 `region_scale` world: 16 × 5 = 400 switches.
+    // The PR-7 `region_scale` world: 16 × 5 = 400 switches.
     assert_eq!(grid_digest(16, 5, 7, 50), (0x1b7764d9889f67ab, 185953));
 }
 

@@ -20,14 +20,12 @@
 //! the canonical bytes keeps equivocation detectable and re-admission
 //! reachable.
 //!
-//! By default the vote circulates only the **128-bit fingerprint** of
-//! each canonical encoding: the voter retains one full copy per vote key
+//! The vote circulates only the **128-bit fingerprint** of each
+//! canonical encoding: the voter retains one full copy per vote key
 //! (first-seen) and feeds 16-byte fingerprint frames into the compare
-//! core, so memory and byte-compares no longer scale with `k` full
-//! OpenFlow outputs per in-flight vote. The released artifact is the
-//! retained canonical copy, byte-identical to what full-copy voting
-//! releases; [`ControlVoterConfig::vote_full_copies`] keeps the original
-//! full-copy path available as a differential baseline.
+//! core, so memory and byte-compares do not scale with `k` full OpenFlow
+//! outputs per in-flight vote. The released artifact is the retained
+//! canonical copy.
 //!
 //! Degradation mirrors the data plane: with a
 //! [`SupervisorConfig`](crate::SupervisorConfig) attached, a disagreeing
@@ -68,12 +66,6 @@ pub struct ControlVoterConfig {
     pub supervisor: Option<SupervisorConfig>,
     /// Vote-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Vote full canonical encodings through the compare core instead of
-    /// their 128-bit fingerprints. The fingerprint vote (default) retains
-    /// exactly one full copy per vote key and must release byte-identical
-    /// artifacts; this flag keeps the original full-copy path as the
-    /// differential baseline (`tests/byzantine_controller.rs`).
-    pub vote_full_copies: bool,
 }
 
 impl Default for ControlVoterConfig {
@@ -83,7 +75,6 @@ impl Default for ControlVoterConfig {
             miss_alarm_threshold: 64,
             supervisor: None,
             cache_capacity: 4096,
-            vote_full_copies: false,
         }
     }
 }
@@ -106,12 +97,6 @@ impl ControlVoterConfig {
         self.supervisor = Some(supervisor);
         self
     }
-
-    /// Builder: votes full canonical copies (the pre-fingerprint baseline).
-    pub fn with_full_copy_votes(mut self) -> ControlVoterConfig {
-        self.vote_full_copies = true;
-        self
-    }
 }
 
 /// Vote-plane counters (a façade over the live telemetry cells).
@@ -130,12 +115,11 @@ pub struct ControlVoterStats {
     /// Controller messages that did not decode as OpenFlow.
     pub invalid: u64,
     /// High-water mark of full canonical bytes retained for in-flight
-    /// votes. Zero when voting full copies — the copies then live in the
-    /// compare cache instead, one per vote entry.
+    /// votes.
     pub retained_bytes_peak: u64,
     /// Order-sensitive digest over `(time, bytes)` of every artifact
-    /// released to the guard — the byte-identity witness the fingerprint
-    /// vote is checked against the full-copy baseline with.
+    /// released to the guard — the byte-identity witness the pinned
+    /// constants in `tests/byzantine_controller.rs` check.
     pub release_digest: u64,
 }
 
@@ -153,10 +137,9 @@ pub struct ControlVoter {
     disagreements: Vec<Counter>,
     vote_latency: Histogram,
     /// Per-vote-key bookkeeping, pruned on sweeps: the first-seen time
-    /// (vote-latency histogram) and — when voting fingerprints — the one
-    /// retained full canonical copy, released on majority.
-    pending: HashMap<u128, (SimTime, Option<Bytes>)>,
-    vote_full_copies: bool,
+    /// (vote-latency histogram) and the one retained full canonical copy,
+    /// released on majority.
+    pending: HashMap<u128, (SimTime, Bytes)>,
     /// Full canonical bytes currently retained in `pending`, and its
     /// high-water mark (the memory the fingerprint vote pays instead of
     /// `k` full copies in the compare cache).
@@ -190,7 +173,6 @@ impl ControlVoter {
             .with_cache_capacity(cfg.cache_capacity);
         compare_cfg.miss_alarm_threshold = cfg.miss_alarm_threshold;
         compare_cfg.supervisor = cfg.supervisor;
-        let vote_full_copies = cfg.vote_full_copies;
         let mut core = CompareCore::new(compare_cfg);
         core.attach_lane(
             VOTE_LANE,
@@ -214,7 +196,6 @@ impl ControlVoter {
             invalid: Counter::detached(),
             vote_latency: Histogram::detached(),
             pending: HashMap::new(),
-            vote_full_copies,
             retained_bytes: 0,
             retained_bytes_peak: 0,
             release_digest: 0,
@@ -284,17 +265,12 @@ impl ControlVoter {
         self.controllers.iter().position(|&c| c == node)
     }
 
-    /// The vote key of a frame circulating in the embedded core: its own
-    /// fingerprint when voting full copies, the decoded 16-byte payload
-    /// when voting fingerprints.
-    fn vote_key(&self, frame: &Frame) -> u128 {
-        if self.vote_full_copies {
-            frame.fp128()
-        } else {
-            let mut fp = [0u8; 16];
-            fp.copy_from_slice(&frame.bytes()[..16]);
-            u128::from_be_bytes(fp)
-        }
+    /// The vote key of a frame circulating in the embedded core: the
+    /// fingerprint its 16-byte payload encodes.
+    fn vote_key(frame: &Frame) -> u128 {
+        let mut fp = [0u8; 16];
+        fp.copy_from_slice(&frame.bytes()[..16]);
+        u128::from_be_bytes(fp)
     }
 
     fn apply_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
@@ -303,25 +279,17 @@ impl ControlVoter {
             match action {
                 CompareAction::Release { frame, .. } => {
                     self.voted.inc();
-                    let key = self.vote_key(&frame);
-                    let mut retained = None;
-                    if let Some((t0, copy)) = self.pending.remove(&key) {
-                        self.vote_latency
-                            .record(now.saturating_since(t0).as_nanos());
-                        if let Some(bytes) = copy {
-                            self.retained_bytes -= bytes.len() as u64;
-                            retained = Some(bytes);
-                        }
-                    }
-                    // A fingerprint release always finds its retained copy:
-                    // every observe inserts the pending entry before the
-                    // core can reach quorum, and the prune horizon outlives
-                    // the cache's.
-                    debug_assert!(
-                        self.vote_full_copies || retained.is_some(),
-                        "fingerprint vote released without its retained copy"
-                    );
-                    let artifact = retained.unwrap_or_else(|| frame.into_bytes());
+                    // A release always finds its retained copy: every
+                    // observe inserts the pending entry before the core can
+                    // reach quorum, and the prune horizon outlives the
+                    // cache's.
+                    let (t0, artifact) = self
+                        .pending
+                        .remove(&Self::vote_key(&frame))
+                        .expect("vote released without its retained copy");
+                    self.vote_latency
+                        .record(now.saturating_since(t0).as_nanos());
+                    self.retained_bytes -= artifact.len() as u64;
                     self.release_digest = splitmix(self.release_digest ^ now.as_nanos());
                     self.release_digest =
                         splitmix(self.release_digest ^ netco_net::fnv1a(&artifact));
@@ -368,18 +336,12 @@ impl ControlVoter {
                 self.sent.inc();
                 let frame = Frame::from(canon);
                 let key = frame.fp128();
-                let vote = if self.vote_full_copies {
-                    self.pending.entry(key).or_insert((now, None));
-                    frame
-                } else {
-                    if !self.pending.contains_key(&key) {
-                        self.retained_bytes += frame.bytes().len() as u64;
-                        self.retained_bytes_peak =
-                            self.retained_bytes_peak.max(self.retained_bytes);
-                        self.pending.insert(key, (now, Some(frame.bytes().clone())));
-                    }
-                    Frame::from(Bytes::copy_from_slice(&key.to_be_bytes()))
-                };
+                if !self.pending.contains_key(&key) {
+                    self.retained_bytes += frame.bytes().len() as u64;
+                    self.retained_bytes_peak = self.retained_bytes_peak.max(self.retained_bytes);
+                    self.pending.insert(key, (now, frame.bytes().clone()));
+                }
+                let vote = Frame::from(Bytes::copy_from_slice(&key.to_be_bytes()));
                 let actions = self.core.observe(VOTE_LANE, index as u16 + 1, vote, now);
                 self.apply_actions(ctx, actions);
             }
@@ -450,9 +412,7 @@ impl Device for ControlVoter {
             if now.saturating_since(*t0) < horizon {
                 return true;
             }
-            if let Some(bytes) = retained {
-                freed += bytes.len() as u64;
-            }
+            freed += retained.len() as u64;
             false
         });
         self.retained_bytes -= freed;
@@ -686,13 +646,14 @@ mod tests {
         assert_eq!(w.device::<ControlVoter>(v).unwrap().stats().relayed, 3);
     }
 
-    /// The fingerprint vote against the full-copy baseline: identical
-    /// released bytes at identical times, identical semantic counters —
-    /// only the memory profile differs.
+    /// Two decisions, one equivocation on the first: the released bytes,
+    /// times and counters are pinned to what the retired full-copy vote
+    /// (every canonical encoding through the compare core) released on
+    /// commit 009b717 — recorded there, never re-recorded from this code.
     #[test]
-    fn fingerprint_vote_matches_full_copy_vote_byte_for_byte() {
+    fn fingerprint_vote_releases_the_pinned_canonical_bytes() {
         let t = SimDuration::from_millis(1);
-        let scripts = || {
+        let (mut w, guard, v, _) = world_with(
             [
                 vec![
                     (t, packet_out(b"decision", 10)),
@@ -706,32 +667,37 @@ mod tests {
                     (t, packet_out(b"EVIL!!!!", 3)),
                     (t + t, packet_out(b"second", 2)),
                 ],
-            ]
+            ],
+            ControlVoterConfig::default(),
+        );
+        w.run_for(SimDuration::from_millis(100));
+        // ofp_header (v1, PACKET_OUT, length, xid 0), buffer_id none,
+        // in_port none, one 8-byte output action, then the payload.
+        const HEAD: [u8; 24] = [
+            0x01, 0x0d, 0x00, 0x00, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x08,
+            0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0xff, 0xff,
+        ];
+        let pinned = |at_ms: u64, payload: &[u8]| {
+            let mut bytes = HEAD.to_vec();
+            bytes[3] = (HEAD.len() + payload.len()) as u8;
+            bytes.extend_from_slice(payload);
+            (
+                SimTime::ZERO + SimDuration::from_millis(at_ms),
+                v,
+                Bytes::from(bytes),
+            )
         };
-        let run = |cfg: ControlVoterConfig| {
-            let (mut w, guard, v, _) = world_with(scripts(), cfg);
-            w.run_for(SimDuration::from_millis(100));
-            let msgs = w.device::<ControlCollector>(guard).unwrap().msgs.clone();
-            let stats = w.device::<ControlVoter>(v).unwrap().stats();
-            (msgs, stats)
-        };
-        let (fp_msgs, fp) = run(ControlVoterConfig::default());
-        let (full_msgs, full) = run(ControlVoterConfig::default().with_full_copy_votes());
         assert_eq!(
-            fp_msgs, full_msgs,
-            "released artifacts must be byte-identical, times included"
+            w.device::<ControlCollector>(guard).unwrap().msgs,
+            vec![pinned(2, b"decision"), pinned(3, b"second")],
+            "each decision released exactly once, byte for byte"
         );
-        assert_eq!(fp_msgs.len(), 2, "both decisions released exactly once");
-        assert_eq!(fp.release_digest, full.release_digest);
-        assert!(
-            fp.retained_bytes_peak > 0,
-            "fingerprint vote retains a copy"
-        );
-        assert_eq!(full.retained_bytes_peak, 0, "baseline retains in the cache");
-        assert_eq!(
-            (fp.sent, fp.voted, fp.rejected, &fp.disagreements),
-            (full.sent, full.voted, full.rejected, &full.disagreements)
-        );
+        let stats = w.device::<ControlVoter>(v).unwrap().stats();
+        assert_eq!(stats.release_digest, 6282946802178625419);
+        assert_eq!((stats.sent, stats.voted, stats.rejected), (6, 2, 1));
+        assert_eq!(stats.disagreements, vec![0, 0, 1]);
+        // "decision" and "second" overlap in flight: 32 + 30 bytes.
+        assert_eq!(stats.retained_bytes_peak, 62);
     }
 
     #[test]

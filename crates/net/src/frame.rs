@@ -150,22 +150,12 @@ pub fn memo_stats_merged() -> MemoStats {
 /// Zeroes this thread's [`MemoStats`] counters.
 ///
 /// Long-lived processes that run several measured sections back to back
-/// (the perf report, test harnesses) call this between sections so each
-/// section's hit ratios stand on their own instead of being diluted by
-/// everything that ran before. Never call it *inside* a measured section —
+/// (test harnesses) call this between sections so each section's hit
+/// ratios stand on their own instead of being diluted by everything that
+/// ran before. Never call it *inside* a measured section —
 /// `since` deltas spanning a reset go backwards and would underflow.
 pub fn reset_memo_stats() {
     MEMO_STATS.with(|s| s.reset());
-}
-
-/// Zeroes every registered thread's counters (the merged-snapshot
-/// equivalent of [`reset_memo_stats`]). Only call between measured
-/// sections, while no worker is actively deriving.
-pub fn reset_memo_stats_merged() {
-    let registry = stats_registry().lock().expect("memo stats registry lock");
-    for cell in registry.iter() {
-        cell.reset();
-    }
 }
 
 fn bump(f: impl Fn(&MemoStatsCell)) {

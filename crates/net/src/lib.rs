@@ -53,10 +53,7 @@ mod world;
 pub use cpu::CpuModel;
 pub use device::{Ctx, Device};
 pub use fault::{ControlFaultSpec, FaultKind, FaultPlan, FaultSpec};
-pub use frame::{
-    fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, reset_memo_stats_merged, Frame,
-    MemoStats,
-};
+pub use frame::{fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, Frame, MemoStats};
 pub use host::{HostNic, NeighborTable};
 pub use id::{LinkId, MacAddr, NodeId, PortId};
 pub use link::LinkSpec;

@@ -617,7 +617,6 @@ impl World {
                         // parent, so the parent's bypass bits stay valid
                         // verbatim on every shard.
                         cpu_bypass: self.core.cpu_bypass.clone(),
-                        bypass_enabled: self.core.bypass_enabled,
                         counters: self.core.counters.clone(),
                         links: self.core.links.clone(),
                         adjacency: self.core.adjacency.clone(),

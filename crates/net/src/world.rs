@@ -532,12 +532,9 @@ pub(crate) struct Substrate {
     /// scheduled completion (`now + 0`) and the event stream are
     /// byte-for-byte what the modeled path would produce. Recomputed by
     /// everything that could invalidate a bit: node insertion,
-    /// [`World::set_telemetry`], [`World::set_cpu_bypass`], region-shard
-    /// construction (which clones it).
+    /// [`World::set_telemetry`], region-shard construction (which clones
+    /// it).
     pub(crate) cpu_bypass: Vec<u64>,
-    /// Master switch for the bypass (on by default); tests turn it off
-    /// to get the fully-modeled reference run.
-    pub(crate) bypass_enabled: bool,
     pub(crate) counters: Vec<NodeCounters>,
     pub(crate) links: Vec<LinkState>,
     // Dense adjacency indexed `[node][port]`: the link lookup runs once
@@ -831,8 +828,7 @@ impl Substrate {
     /// mutates only `pending`/`busy_until` in ways no later admission can
     /// distinguish, so dispatch may skip it wholesale.
     fn bypass_eligible(&self, node: usize) -> bool {
-        self.bypass_enabled
-            && self.cpu_models[node].is_ideal()
+        self.cpu_models[node].is_ideal()
             && self.cpu_models[node].queue_limit == usize::MAX
             && !self.telemetry.is_enabled()
     }
@@ -843,9 +839,8 @@ impl Substrate {
         (self.cpu_bypass[node >> 6] >> (node & 63)) & 1 != 0
     }
 
-    /// Recomputes the whole bypass bitset. Called by every mutation that
-    /// could flip a bit: telemetry installation, the master switch, region
-    /// merge-back.
+    /// Recomputes the whole bypass bitset. Called by the one mutation
+    /// that can flip a bit after insertion: telemetry installation.
     pub(crate) fn recompute_bypass(&mut self) {
         let n = self.cpu_models.len();
         self.cpu_bypass.clear();
@@ -931,8 +926,8 @@ impl WorldCore {
             Event::FrameProcessed { node, port, frame } => {
                 // A bypassed admission never incremented `pending`; the
                 // saturating decrement also absorbs admissions that were
-                // modeled before a later `set_telemetry`/`set_cpu_bypass`
-                // flipped the node's bit mid-flight.
+                // modeled before a later `set_telemetry` flipped the
+                // node's bit mid-flight.
                 if !self.sub.bypassed(node.index()) {
                     let s = &mut self.sub.cpu_states[node.index()];
                     s.pending = s.pending.saturating_sub(1);
@@ -1022,7 +1017,6 @@ impl World {
                     cpu_models: Vec::new(),
                     cpu_states: Vec::new(),
                     cpu_bypass: Vec::new(),
-                    bypass_enabled: true,
                     counters: Vec::new(),
                     links: Vec::new(),
                     adjacency: Vec::new(),
@@ -1043,17 +1037,6 @@ impl World {
             batch: Tick::new(),
             region_stats: RegionRunStats::default(),
         }
-    }
-
-    /// Master switch for the zero-cost CPU fast path (on by default).
-    /// Turning it off forces every admission through the fully modeled
-    /// `cpu_admit` path — the reference the determinism tests compare the
-    /// default run against. The observable simulation is identical either
-    /// way (that is the point of the bypass); only the wall-clock cost
-    /// differs.
-    pub fn set_cpu_bypass(&mut self, enabled: bool) {
-        self.core.sub.bypass_enabled = enabled;
-        self.core.sub.recompute_bypass();
     }
 
     /// Installs a telemetry sink on this world: substrate instrumentation
@@ -1921,5 +1904,65 @@ mod tests {
                 .collect()
         }
         assert_eq!(run(), run());
+    }
+
+    /// Records the bypass bitset of whichever substrate starts it — the
+    /// world's own, or a region shard's under `run_until_parallel`.
+    #[derive(Default)]
+    struct BypassProbe {
+        seen: Vec<u64>,
+    }
+
+    impl Device for BypassProbe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.seen = ctx.core.cpu_bypass.clone();
+        }
+        fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: Frame) {}
+    }
+
+    /// The differential tests take an enabled sink as their modeled-CPU
+    /// leg; that is only a differential if the sink really clears every
+    /// bypass bit, on the world and on every region shard.
+    #[test]
+    fn bypass_bits_follow_eligibility() {
+        let build = || {
+            let mut w = World::new(1);
+            let models = [
+                CpuModel::default(),
+                CpuModel::default().with_queue_limit(8),
+                CpuModel::per_packet(SimDuration::from_micros(1)).with_queue_limit(usize::MAX),
+                CpuModel::default().with_per_byte(SimDuration::from_nanos(1)),
+            ];
+            let ids = models.map(|m| w.add_node("n", BypassProbe::default(), m));
+            for pair in ids.windows(2) {
+                let spec = LinkSpec::new(1_000_000_000, SimDuration::from_micros(5));
+                w.connect(pair[0], 1.into(), pair[1], 0.into(), spec);
+            }
+            (w, ids)
+        };
+        let bits = |w: &World| [0, 1, 2, 3].map(|i| w.core.sub.bypassed(i));
+        let eligible = [true, false, false, false];
+
+        let (mut w, _) = build();
+        assert_eq!(bits(&w), eligible, "only the ideal, unbounded node");
+        w.set_telemetry(TelemetrySink::enabled());
+        assert_eq!(bits(&w), [false; 4], "an enabled sink models every CPU");
+        w.set_telemetry(TelemetrySink::disabled());
+        assert_eq!(bits(&w), eligible, "a disabled sink restores the bits");
+
+        for (telemetry, expected) in [(false, eligible), (true, [false; 4])] {
+            let (mut w, ids) = build();
+            if telemetry {
+                w.set_telemetry(TelemetrySink::enabled());
+            }
+            let deadline = SimTime::ZERO + SimDuration::from_micros(1);
+            w.run_until_parallel(deadline, &netco_harness::Pool::new(2), 2);
+            assert_eq!(w.region_stats().regions, 2, "must have run on shards");
+            assert_eq!(bits(&w), expected);
+            for id in ids {
+                let seen = &w.device::<BypassProbe>(id).unwrap().seen;
+                assert_eq!(seen, &w.core.sub.cpu_bypass, "shard of {id:?}");
+            }
+        }
     }
 }

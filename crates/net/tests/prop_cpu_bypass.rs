@@ -1,20 +1,22 @@
 //! Differential property test: the zero-cost CPU fast path is observably
 //! identical to the fully modeled path.
 //!
-//! `World::set_cpu_bypass(false)` forces every admission through
-//! `cpu_admit` (modeled bookkeeping, hysteresis, telemetry hooks);
-//! `set_cpu_bypass(true)` — the default — lets nodes whose `CpuModel`
-//! provably cannot delay, drop or record anything skip that entirely. The
-//! two legs must agree on *everything observable*: the order-sensitive tap
-//! digest, the event count, the final clock, every per-node counter, and
-//! every substrate drop counter — for arbitrary mixes of ideal and
-//! constrained CPU models and arbitrary arrival patterns (same style as
-//! `prop_flow_table.rs`).
+//! An enabled `TelemetrySink` must see every admission, so it forces them
+//! all through `cpu_admit` (modeled bookkeeping, hysteresis, telemetry
+//! hooks; `bypass_bits_follow_eligibility` in `src/world.rs` checks that
+//! it does); the default world lets nodes whose `CpuModel` provably cannot
+//! delay, drop or record anything skip that entirely. The two legs must
+//! agree on *everything observable*: the order-sensitive tap digest, the
+//! event count, the final clock, every per-node counter, and every
+//! substrate drop counter — for arbitrary mixes of ideal and constrained
+//! CPU models and arbitrary arrival patterns (same style as the
+//! flow-table differential in `netco-openflow`).
 
 use bytes::Bytes;
 use netco_net::testutil::EchoDevice;
 use netco_net::{fnv1a, CpuModel, DropReason, LinkSpec, NodeId, TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
+use netco_telemetry::TelemetrySink;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -64,16 +66,19 @@ fn arb_arrival(nodes: usize) -> impl Strategy<Value = Arrival> {
 
 /// Builds an echo ring (port 1 of node i → port 0 of node i+1) whose
 /// injected frames ping-pong until a CPU or link drops them, with an
-/// order-sensitive tap digest installed.
+/// order-sensitive tap digest installed. `modeled` installs an enabled
+/// telemetry sink, which takes every node off the bypass.
 fn build_world(
     seed: u64,
     models: &[CpuModel],
     arrivals: &[Arrival],
-    bypass: bool,
+    modeled: bool,
 ) -> (World, Rc<RefCell<(u64, u64)>>) {
     let n = models.len();
     let mut w = World::new(seed);
-    w.set_cpu_bypass(bypass);
+    if modeled {
+        w.set_telemetry(TelemetrySink::enabled());
+    }
     let ids: Vec<NodeId> = models
         .iter()
         .enumerate()
@@ -163,9 +168,9 @@ proptest! {
             .collect();
         let deadline = SimTime::from_nanos(run_us * 1000);
 
-        let (mut modeled, modeled_digest) = build_world(seed, &models, &arrivals, false);
+        let (mut modeled, modeled_digest) = build_world(seed, &models, &arrivals, true);
         modeled.run_until(deadline);
-        let (mut fast, fast_digest) = build_world(seed, &models, &arrivals, true);
+        let (mut fast, fast_digest) = build_world(seed, &models, &arrivals, false);
         fast.run_until(deadline);
 
         prop_assert_eq!(*modeled_digest.borrow(), *fast_digest.borrow(),
@@ -193,9 +198,9 @@ proptest! {
         // scheduling content.
         let arrivals = [Arrival { node: 0, port: 1, copies: 3, len: 700 }];
         let deadline = SimTime::from_nanos(run_us * 1000);
-        let (mut batched, batched_digest) = build_world(seed, &models, &arrivals, true);
+        let (mut batched, batched_digest) = build_world(seed, &models, &arrivals, false);
         batched.run_until(deadline);
-        let (mut per_event, per_event_digest) = build_world(seed, &models, &arrivals, true);
+        let (mut per_event, per_event_digest) = build_world(seed, &models, &arrivals, false);
         per_event.run_until_per_event(deadline);
         prop_assert_eq!(*batched_digest.borrow(), *per_event_digest.borrow());
         prop_assert_eq!(observe(&batched), observe(&per_event));

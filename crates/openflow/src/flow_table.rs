@@ -163,10 +163,10 @@ impl FlowEntry {
 /// common lookup O(1): hash the packet's 12-tuple, then consult only the
 /// (usually empty) list of *wildcard* entries that precede the exact hit
 /// in scan order. The linear scan remains as the general path — and as
-/// the semantics reference: [`baseline::LinearFlowTable`] is the
-/// scan-only implementation, and a differential proptest drives both
-/// through random add/delete/lookup/expire interleavings to prove the
-/// index changes nothing observable.
+/// the semantics reference: a differential proptest at the bottom of this
+/// file drives this table and a scan-only implementation through random
+/// add/delete/lookup/expire interleavings to prove the index changes
+/// nothing observable.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     // Sorted by descending priority; stable within a priority. This order
@@ -411,13 +411,13 @@ impl FlowTable {
 /// indexed [`FlowTable`].
 ///
 /// Every operation is the pre-index implementation verbatim: one
-/// priority-ordered linear scan, no auxiliary structures. The workspace
-/// differential proptest (`prop_flow_table.rs`) drives this and the
+/// priority-ordered linear scan, no auxiliary structures. The
+/// differential proptest below (`prop_flow_table`) drives this and the
 /// indexed table through identical random interleavings of
 /// add/modify/delete/lookup/expire and asserts step-for-step equality of
 /// results, counters and table contents.
-#[doc(hidden)]
-pub mod baseline {
+#[cfg(test)]
+mod baseline {
     use super::*;
 
     /// Scan-only reference implementation of [`FlowTable`].
@@ -437,11 +437,6 @@ pub mod baseline {
         /// Number of installed entries.
         pub fn len(&self) -> usize {
             self.entries.len()
-        }
-
-        /// `true` when the table has no entries.
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
         }
 
         /// Total lookups performed.
@@ -520,11 +515,6 @@ pub mod baseline {
             removed
         }
 
-        /// See [`FlowTable::lookup`].
-        pub fn lookup(&mut self, fields: &PacketFields, now: SimTime) -> Option<&FlowEntry> {
-            self.lookup_counted(fields, 0, now)
-        }
-
         /// See [`FlowTable::lookup_counted`].
         pub fn lookup_counted(
             &mut self,
@@ -563,6 +553,240 @@ pub mod baseline {
                 None => true,
             });
             removed
+        }
+    }
+}
+
+/// Differential property test: the indexed [`FlowTable`] is observably
+/// identical to the retired scan-only [`baseline::LinearFlowTable`].
+///
+/// Both tables are driven through the same random interleaving of
+/// add/modify/delete/lookup/expire with advancing time, over small value
+/// domains (so exact keys collide, wildcards overlap exact entries at
+/// every priority, and timeouts actually fire). After every step the
+/// observable result *and* the complete table state — entry order,
+/// per-entry counters and timestamps, lookup/miss totals — must agree.
+#[cfg(test)]
+mod prop_flow_table {
+    use super::baseline::LinearFlowTable;
+    use super::*;
+    use crate::ports::OfPort;
+    use netco_net::MacAddr;
+    use netco_sim::SimDuration;
+    use proptest::prelude::*;
+    use std::net::Ipv4Addr;
+
+    /// One scripted operation against both tables.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add {
+            matcher: FlowMatch,
+            priority: u16,
+            out_port: u16,
+            idle_ms: Option<u64>,
+            hard_ms: Option<u64>,
+        },
+        Delete {
+            matcher: FlowMatch,
+            priority: Option<u16>,
+            strict: bool,
+        },
+        Modify {
+            matcher: FlowMatch,
+            priority: Option<u16>,
+            out_port: u16,
+        },
+        Lookup {
+            fields: PacketFields,
+            bytes: usize,
+        },
+        Expire,
+    }
+
+    /// Small domains so keys collide and wildcards overlap exact entries.
+    fn arb_fields() -> impl Strategy<Value = PacketFields> {
+        (
+            0u16..3, // in_port
+            0u32..3, // dl_src index
+            0u32..4, // dl_dst index
+            0u8..3,  // nw_proto selector
+            0u8..3,  // ip low octet selector
+            0u16..2, // tp_dst selector
+        )
+            .prop_map(|(in_port, src, dst, proto, ip, tp)| PacketFields {
+                in_port,
+                dl_src: MacAddr::local(src),
+                dl_dst: MacAddr::local(dst),
+                dl_type: 0x0800,
+                nw_proto: [1, 6, 17][proto as usize],
+                nw_src: Ipv4Addr::new(10, 0, 0, ip + 1),
+                nw_dst: Ipv4Addr::new(10, 0, 0, 3 - ip),
+                tp_src: 5000,
+                tp_dst: 6000 + tp,
+                ..PacketFields::default()
+            })
+    }
+
+    /// Either the wildcard-free match for a generated tuple (exercising the
+    /// exact index) or a random wildcard subset of it (exercising the scan
+    /// path and the exact/wildcard precedence interplay).
+    fn arb_matcher() -> impl Strategy<Value = FlowMatch> {
+        (
+            arb_fields(),
+            0u16..=0x0fff,
+            proptest::arbitrary::any::<bool>(),
+        )
+            .prop_map(|(fields, mask, exact)| {
+                let full = FlowMatch::exact(&fields);
+                if exact {
+                    return full;
+                }
+                // Keep each concrete field iff its mask bit is set; bit 12
+                // cleared means mask 0 is possible → FlowMatch::any().
+                FlowMatch {
+                    in_port: full.in_port.filter(|_| mask & 0x001 != 0),
+                    dl_src: full.dl_src.filter(|_| mask & 0x002 != 0),
+                    dl_dst: full.dl_dst.filter(|_| mask & 0x004 != 0),
+                    dl_vlan: full.dl_vlan.filter(|_| mask & 0x008 != 0),
+                    dl_vlan_pcp: full.dl_vlan_pcp.filter(|_| mask & 0x010 != 0),
+                    dl_type: full.dl_type.filter(|_| mask & 0x020 != 0),
+                    nw_tos: full.nw_tos.filter(|_| mask & 0x040 != 0),
+                    nw_proto: full.nw_proto.filter(|_| mask & 0x080 != 0),
+                    nw_src: full.nw_src.filter(|_| mask & 0x100 != 0),
+                    nw_dst: full.nw_dst.filter(|_| mask & 0x200 != 0),
+                    tp_src: full.tp_src.filter(|_| mask & 0x400 != 0),
+                    tp_dst: full.tp_dst.filter(|_| mask & 0x800 != 0),
+                }
+            })
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (
+                arb_matcher(),
+                0u16..4,
+                1u16..4,
+                proptest::option::of(1u64..5),
+                proptest::option::of(1u64..5),
+            )
+                .prop_map(|(matcher, priority, out_port, idle_ms, hard_ms)| Op::Add {
+                    matcher,
+                    priority,
+                    out_port,
+                    idle_ms,
+                    hard_ms,
+                }),
+            (
+                arb_matcher(),
+                proptest::option::of(0u16..4),
+                proptest::arbitrary::any::<bool>()
+            )
+                .prop_map(|(matcher, priority, strict)| Op::Delete {
+                    matcher,
+                    priority,
+                    strict,
+                }),
+            (arb_matcher(), proptest::option::of(0u16..4), 5u16..8).prop_map(
+                |(matcher, priority, out_port)| Op::Modify {
+                    matcher,
+                    priority,
+                    out_port,
+                }
+            ),
+            (arb_fields(), 0usize..2000).prop_map(|(fields, bytes)| Op::Lookup { fields, bytes }),
+            (arb_fields(), 0usize..2000).prop_map(|(fields, bytes)| Op::Lookup { fields, bytes }),
+            (arb_fields(), 0usize..2000).prop_map(|(fields, bytes)| Op::Lookup { fields, bytes }),
+            Just(Op::Expire),
+        ]
+    }
+
+    fn out(p: u16) -> Vec<Action> {
+        vec![Action::Output(OfPort::Physical(p))]
+    }
+
+    fn entry(
+        priority: u16,
+        matcher: FlowMatch,
+        p: u16,
+        idle: Option<u64>,
+        hard: Option<u64>,
+    ) -> FlowEntry {
+        let mut e = FlowEntry::new(priority, matcher, out(p));
+        if let Some(ms) = idle {
+            e = e.with_idle_timeout(SimDuration::from_millis(ms));
+        }
+        if let Some(ms) = hard {
+            e = e.with_hard_timeout(SimDuration::from_millis(ms));
+        }
+        e
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn indexed_table_matches_linear_baseline(
+            ops in proptest::collection::vec((arb_op(), 0u64..1500), 1..60),
+        ) {
+            let mut indexed = FlowTable::new();
+            let mut linear = LinearFlowTable::new();
+            let mut now = SimTime::ZERO;
+            for (step, (op, advance_us)) in ops.into_iter().enumerate() {
+                now += SimDuration::from_micros(advance_us);
+                match op {
+                    Op::Add { matcher, priority, out_port, idle_ms, hard_ms } => {
+                        let e = entry(priority, matcher, out_port, idle_ms, hard_ms);
+                        indexed.add(e.clone(), now);
+                        linear.add(e, now);
+                    }
+                    Op::Delete { matcher, priority, strict } => {
+                        let a = indexed.delete(&matcher, priority, strict);
+                        let b = linear.delete(&matcher, priority, strict);
+                        prop_assert_eq!(a, b, "delete diverged at step {}", step);
+                    }
+                    Op::Modify { matcher, priority, out_port } => {
+                        let a = indexed.modify(&matcher, priority, &out(out_port));
+                        let b = linear.modify(&matcher, priority, &out(out_port));
+                        prop_assert_eq!(a, b, "modify count diverged at step {}", step);
+                    }
+                    Op::Lookup { fields, bytes } => {
+                        let a = indexed.lookup_counted(&fields, bytes, now).cloned();
+                        let b = linear.lookup_counted(&fields, bytes, now).cloned();
+                        prop_assert_eq!(a, b, "lookup diverged at step {}", step);
+                    }
+                    Op::Expire => {
+                        let a = indexed.expire(now);
+                        let b = linear.expire(now);
+                        prop_assert_eq!(a, b, "expiry order diverged at step {}", step);
+                    }
+                }
+                // Full-state equality after every step: entry order, actions,
+                // counters, timestamps, and the aggregate statistics.
+                let a: Vec<FlowEntry> = indexed.iter().cloned().collect();
+                let b: Vec<FlowEntry> = linear.iter().cloned().collect();
+                prop_assert_eq!(a, b, "table contents diverged at step {}", step);
+                prop_assert_eq!(indexed.len(), linear.len());
+                prop_assert_eq!(indexed.lookup_count(), linear.lookup_count());
+                prop_assert_eq!(indexed.miss_count(), linear.miss_count());
+            }
+        }
+
+        #[test]
+        fn lookup_without_wildcards_hits_index(
+            fields in arb_fields(),
+            bytes in 0usize..5000,
+        ) {
+            // A purely exact-match table: the indexed and baseline tables must
+            // agree on the hit and its charged counters.
+            let mut indexed = FlowTable::new();
+            let mut linear = LinearFlowTable::new();
+            let e = entry(100, FlowMatch::exact(&fields), 2, None, None);
+            indexed.add(e.clone(), SimTime::ZERO);
+            linear.add(e, SimTime::ZERO);
+            let a = indexed.lookup_counted(&fields, bytes, SimTime::ZERO).cloned();
+            let b = linear.lookup_counted(&fields, bytes, SimTime::ZERO).cloned();
+            prop_assert_eq!(a.as_ref(), b.as_ref());
+            prop_assert_eq!(a.expect("exact hit").byte_count(), bytes as u64);
         }
     }
 }

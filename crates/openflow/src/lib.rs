@@ -53,8 +53,6 @@ pub use action::{apply_actions, apply_rewrites, Action};
 // Header-field extraction moved next to the `Frame` memo in `netco_net`;
 // re-exported here so OpenFlow callers keep their import paths.
 pub use flow_match::FlowMatch;
-#[doc(hidden)]
-pub use flow_table::baseline;
 pub use flow_table::{FlowEntry, FlowRemovedReason, FlowTable};
 pub use messages::{FlowModCommand, FlowStats, OfMessage, PacketInReason, PortDesc};
 pub use netco_net::packet::{PacketFields, OFP_VLAN_NONE};

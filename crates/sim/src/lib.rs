@@ -41,8 +41,6 @@ mod window;
 
 pub use log::{EventLog, Timestamped};
 pub use rng::SimRng;
-#[doc(hidden)]
-pub use scheduler::baseline;
 pub use scheduler::{Scheduler, Tick};
 pub use time::{SimDuration, SimTime};
 pub use window::ActivationWindow;

@@ -5,9 +5,8 @@
 //! binary-heap overflow for events beyond the horizon. Near-term events —
 //! the overwhelming majority in a packet-level simulation, where delays are
 //! link latencies and queue drains — insert and pop in O(1) instead of the
-//! O(log n) of the previous single [`BinaryHeap`] implementation, which is
-//! kept as [`baseline::HeapScheduler`] and doubles as the oracle for the
-//! differential property test below.
+//! O(log n) of the previous single [`BinaryHeap`] implementation, which
+//! survives only as the oracle of the differential property test below.
 //!
 //! Determinism is the binding constraint: the wheel must pop the *exact*
 //! same `(time, seq)` sequence as the heap, because downstream experiment
@@ -590,12 +589,11 @@ impl<E> std::fmt::Debug for Scheduler<E> {
     }
 }
 
-/// The previous `BinaryHeap`-backed scheduler, kept verbatim as the
-/// reference implementation: the differential property test asserts the
-/// timing wheel pops the identical `(time, seq)` sequence, and
-/// `benches/micro.rs` measures the wheel against it.
-#[doc(hidden)]
-pub mod baseline {
+/// The previous `BinaryHeap`-backed scheduler, kept as the reference
+/// implementation: the differential property test asserts the timing
+/// wheel pops the identical `(time, seq)` sequence.
+#[cfg(test)]
+mod baseline {
     use std::collections::BinaryHeap;
 
     use crate::{SimDuration, SimTime};
@@ -636,11 +634,6 @@ pub mod baseline {
             self.heap.len()
         }
 
-        /// `true` when no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
         /// Schedules `event` at the absolute instant `at` (past clamps to now).
         pub fn schedule_at(&mut self, at: SimTime, event: E) {
             let at = at.max(self.now);
@@ -671,11 +664,6 @@ pub mod baseline {
         /// Timestamp of the earliest pending event, if any.
         pub fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|e| SimTime::from_nanos(e.at))
-        }
-
-        /// Discards all pending events (the clock is unaffected).
-        pub fn clear(&mut self) {
-            self.heap.clear();
         }
     }
 }

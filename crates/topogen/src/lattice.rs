@@ -1,6 +1,6 @@
 //! The one lattice builder: row/column grid geometry shared between the
 //! campaign grid generator and `netco_bench::grid` (the 400-switch
-//! BENCH_PR7 `region_scale` world).
+//! PR-7 `region_scale` world).
 //!
 //! Before this module existed, `netco_bench::grid` carried its own copy
 //! of the staggered-latency formula, host MAC scheme and replica
@@ -25,7 +25,7 @@ pub fn stagger_latency(row: usize, cell: usize) -> SimDuration {
 
 /// The `rows × cells` east–west row lattice: per row, a path of `cells`
 /// routers between a west and an east host. This is the geometry of the
-/// BENCH_PR7 `region_scale` world (where every router is then a full
+/// PR-7 `region_scale` world (where every router is then a full
 /// inband NetCo cell) and of the campaign engine's `row_grid` class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowGrid {
@@ -149,7 +149,7 @@ mod tests {
         assert!(g.is_connected() || g.components().len() == 4);
         // Each row's west->east path crosses all 3 routers.
         assert_eq!(g.route_hops(0, 1), Some(3));
-        // MAC/payload schemes are the BENCH_PR7 constants.
+        // MAC/payload schemes are the PR-7 constants.
         assert_eq!(RowGrid::west_mac(3), MacAddr::local(0x1000 + 6));
         assert_eq!(RowGrid::payload_len(2), 90);
         assert_eq!(

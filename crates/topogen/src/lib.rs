@@ -28,7 +28,7 @@
 //!    region counts).
 //!
 //! The [`lattice`] module is the single source of truth for the
-//! row-lattice geometry shared with `netco_bench::grid` (the BENCH_PR7
+//! row-lattice geometry shared with `netco_bench::grid` (the PR-7
 //! `region_scale` world), so there is exactly one lattice builder in the
 //! workspace.
 

@@ -250,7 +250,7 @@ fn quarantine_timeline() {
         );
     }
     println!(
-        "  (run with --json for the full canonical snapshot; a chrome-trace\n   of the same scenario comes from `perf_report --telemetry <dir>`)"
+        "  (run with --json for the full canonical snapshot; a chrome-trace\n   of the same scenario is written to target/chaos/chaos_trace.json by\n   `cargo test --test chaos_supervisor`)"
     );
 }
 

@@ -10,8 +10,8 @@ use std::fmt::Write as _;
 use netco_bench::chaos;
 use netco_core::{Compare, EventCounts, SecurityEvent};
 use netco_net::{NodeId, World};
-use netco_sim::{SimDuration, SimTime};
-use netco_traffic::{IcmpEchoResponder, PingConfig, PingReport, Pinger};
+use netco_sim::SimTime;
+use netco_traffic::{PingReport, Pinger};
 
 /// One run's observable outcome: ping report, the compare's full security
 /// event log (timestamped), and the per-kind counters.
@@ -127,39 +127,12 @@ fn chaos_run_is_bit_identical_across_reruns() {
     assert!(!a.log.is_empty());
 }
 
-/// The chaos world with the CPU bypass forced off (every admission through
-/// the modeled `cpu_admit`) must produce the identical outcome as the
-/// default run (`chaos::run`) — the fault-injection, supervisor and compare
-/// machinery all ride the bypass unchanged.
-#[test]
-fn chaos_run_is_bit_identical_with_cpu_bypass_off() {
-    let mut seq = chaos::flapping_scenario().build_world(
-        0,
-        |nic| {
-            Pinger::new(
-                nic,
-                PingConfig::new(netco_topo::H2_IP)
-                    .with_count(100)
-                    .with_interval(SimDuration::from_millis(10)),
-            )
-        },
-        IcmpEchoResponder::new,
-    );
-    seq.world.set_cpu_bypass(false);
-    seq.world.run_for(SimDuration::from_secs(2));
-    let oracle = outcome_of(&seq.world, seq.h1, seq.compare.unwrap());
-    assert_eq!(oracle.report.received, 100);
-
-    assert_eq!(
-        oracle,
-        run_chaos(),
-        "CPU bypass diverged from the modeled oracle"
-    );
-}
-
 /// The telemetry acceptance criteria in one run: installing the sink must
-/// not perturb the simulation, both rendered artifacts must be
-/// byte-identical across reruns, the chrome trace must show every
+/// not perturb the simulation — an enabled sink also clears every CPU
+/// bypass bit (`bypass_bits_follow_eligibility` in `crates/net`), so the
+/// fault-injection, supervisor and compare machinery riding the bypass is
+/// checked against the fully modeled `cpu_admit` — both rendered artifacts
+/// must be byte-identical across reruns, the chrome trace must show every
 /// quarantine episode as a begin/end span pair with probation markers in
 /// between, and the per-stage packet-lifecycle histograms must have data.
 /// The artifacts are persisted under `target/chaos/` for the CI job.
@@ -171,7 +144,10 @@ fn telemetry_artifacts_deterministic_and_structurally_valid() {
     let (metrics_a, trace_a) = art_a.unwrap();
     let (metrics_b, trace_b) = art_b.unwrap();
 
-    assert_eq!(out_a, plain, "telemetry must not perturb the simulation");
+    assert_eq!(
+        out_a, plain,
+        "telemetry (and with it the modeled CPU) must not perturb the simulation"
+    );
     assert_eq!(out_a, out_b);
     assert_eq!(
         metrics_a, metrics_b,
