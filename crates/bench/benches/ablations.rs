@@ -1,13 +1,14 @@
 //! Ablations beyond the paper: detect vs prevent cost, compare strategies'
 //! security under payload corruption.
 use netco_bench::{experiments, ExperimentScale};
+use netco_harness::Pool;
 use netco_topo::Profile;
 
 fn main() {
     let profile = Profile::default();
     let scale = ExperimentScale::from_env();
     println!("Ablation A — protection mode (TCP goodput)");
-    for row in experiments::ablation_modes(&profile, scale) {
+    for row in experiments::ablation_modes(&Pool::from_env(), &profile, scale) {
         println!("  {:<11} {:>8.1} Mbit/s", row.kind.name(), row.mbps);
     }
     println!("Ablation B — compare strategy vs payload-corrupting replica (50 pings)");

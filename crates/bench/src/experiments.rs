@@ -1,13 +1,14 @@
 //! One function per table/figure.
 //!
-//! Each figure sweep comes in two forms: a pooled `*_on(&Pool, ..)`
-//! variant that fans the independent simulation worlds across a
-//! [`netco_harness::Pool`] and reports wall-clock plus aggregate event
-//! throughput in a [`Sweep`], and the original signature which now wraps
-//! the pooled variant with [`Pool::from_env`] (honouring
-//! `NETCO_THREADS`). Worlds share nothing, jobs are joined in a fixed
-//! canonical order and folded with the exact arithmetic-order of the old
-//! serial loops, so every row is bit-identical at any thread count.
+//! Every measurement has one form: a job enumeration fanned across a
+//! [`netco_harness::Pool`] (one job per simulation world, or per iperf
+//! rate search) and one fold over the results. `tcp_rows` / `udp_rows` /
+//! `rtt_rows` hold the three the paper's evaluation is built from;
+//! Figs. 4, 5 and 7 are those over [`ScenarioKind::PAPER`], Table I zips
+//! them over its five scenarios, the mode ablation is `tcp_rows` over its
+//! four. Worlds share nothing, jobs are joined in a fixed canonical order
+//! (scenario-major, then run, then direction / sequence) and folded in
+//! that order, so every row is bit-identical at any thread count.
 
 use netco_harness::Pool;
 use netco_sim::SimDuration;
@@ -15,32 +16,6 @@ use netco_topo::{case_study, virtual_netco, Direction, Profile, Scenario, Scenar
 use netco_traffic::{IperfConfig, PingConfig};
 
 use crate::ExperimentScale;
-
-/// A figure sweep's rows plus execution metadata from the pooled run.
-#[derive(Debug, Clone)]
-pub struct Sweep<T> {
-    /// The figure's rows, identical at every thread count.
-    pub rows: T,
-    /// Wall-clock seconds for the whole fan-out (including joins).
-    pub wall_seconds: f64,
-    /// Independent simulation jobs the sweep was split into.
-    pub jobs: usize,
-    /// Worker threads the pool ran with.
-    pub threads: usize,
-    /// Total simulator events processed across all jobs.
-    pub events: u64,
-}
-
-impl<T> Sweep<T> {
-    /// Aggregate simulator events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
 
 /// The two transfer directions, in the canonical job-enumeration order.
 const DIRECTIONS: [Direction; 2] = [Direction::H1ToH2, Direction::H2ToH1];
@@ -59,32 +34,32 @@ pub struct TcpRow {
 }
 
 /// Fig. 4: TCP throughput for all six scenarios.
-pub fn fig4_tcp(profile: &Profile, scale: ExperimentScale) -> Vec<TcpRow> {
-    fig4_tcp_on(&Pool::from_env(), profile, scale).rows
+pub fn fig4_tcp(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<TcpRow> {
+    tcp_rows(pool, &ScenarioKind::PAPER, profile, scale)
 }
 
-/// Fig. 4 on an explicit pool: one job per (scenario, run, direction).
-pub fn fig4_tcp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sweep<Vec<TcpRow>> {
-    let jobs: Vec<(ScenarioKind, u64, Direction)> = ScenarioKind::PAPER
+/// The TCP measurement (Fig. 4, Table I, the mode ablation): one job per
+/// (scenario, run, direction).
+fn tcp_rows(
+    pool: &Pool,
+    kinds: &[ScenarioKind],
+    profile: &Profile,
+    scale: ExperimentScale,
+) -> Vec<TcpRow> {
+    let jobs: Vec<(ScenarioKind, u64, Direction)> = kinds
         .iter()
         .flat_map(|&kind| {
             (0..scale.runs)
                 .flat_map(move |run| DIRECTIONS.into_iter().map(move |dir| (kind, run, dir)))
         })
         .collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&(kind, run, dir)| {
+    let outs = pool.map(&jobs, |&(kind, run, dir)| {
         let scenario = Scenario::build(kind, profile.clone(), profile.seed);
         let out = scenario.run_tcp(dir, scale.duration, run);
-        (
-            out.mbps,
-            out.sender.fast_retransmits,
-            out.sender.timeouts,
-            out.events,
-        )
+        (out.mbps, out.sender.fast_retransmits, out.sender.timeouts)
     });
-    let per_kind = jobs.len() / ScenarioKind::PAPER.len();
-    let mut events = 0u64;
-    let rows = ScenarioKind::PAPER
+    let per_kind = scale.runs as usize * DIRECTIONS.len();
+    kinds
         .iter()
         .enumerate()
         .map(|(i, &kind)| {
@@ -92,12 +67,11 @@ pub fn fig4_tcp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
             let mut fr = 0.0;
             let mut to = 0.0;
             let mut n = 0.0;
-            for &(m, f, t, e) in &outs[i * per_kind..(i + 1) * per_kind] {
+            for &(m, f, t) in &outs[i * per_kind..(i + 1) * per_kind] {
                 mbps += m;
                 fr += f as f64 / scale.duration.as_secs_f64();
                 to += t as f64 / scale.duration.as_secs_f64();
                 n += 1.0;
-                events += e;
             }
             TcpRow {
                 kind,
@@ -106,52 +80,7 @@ pub fn fig4_tcp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
                 timeouts_per_s: to / n,
             }
         })
-        .collect();
-    Sweep {
-        rows,
-        wall_seconds,
-        jobs: jobs.len(),
-        threads: pool.threads(),
-        events,
-    }
-}
-
-/// Measures one scenario's TCP goodput (used by Fig. 4 and Table I).
-pub fn tcp_row(kind: ScenarioKind, profile: &Profile, scale: ExperimentScale) -> TcpRow {
-    tcp_row_counted(kind, profile, scale).0
-}
-
-/// [`tcp_row`] plus the simulator events it processed.
-pub fn tcp_row_counted(
-    kind: ScenarioKind,
-    profile: &Profile,
-    scale: ExperimentScale,
-) -> (TcpRow, u64) {
-    let scenario = Scenario::build(kind, profile.clone(), profile.seed);
-    let mut mbps = 0.0;
-    let mut fr = 0.0;
-    let mut to = 0.0;
-    let mut n = 0.0;
-    let mut events = 0u64;
-    for run in 0..scale.runs {
-        for dir in DIRECTIONS {
-            let out = scenario.run_tcp(dir, scale.duration, run);
-            mbps += out.mbps;
-            fr += out.sender.fast_retransmits as f64 / scale.duration.as_secs_f64();
-            to += out.sender.timeouts as f64 / scale.duration.as_secs_f64();
-            n += 1.0;
-            events += out.events;
-        }
-    }
-    (
-        TcpRow {
-            kind,
-            mbps: mbps / n,
-            fast_retransmits_per_s: fr / n,
-            timeouts_per_s: to / n,
-        },
-        events,
-    )
+        .collect()
 }
 
 /// One scenario's UDP measurement (Fig. 5).
@@ -167,49 +96,42 @@ pub struct UdpRow {
     pub jitter_us: f64,
 }
 
-/// The Fig. 5 / Table I iperf rate-search bracket. POX is orders of
-/// magnitude slower; the search starts low so the bracket is meaningful.
-fn fig5_iperf() -> IperfConfig {
-    IperfConfig {
+/// Fig. 5: maximum UDP throughput at < 0.5 % loss for all six scenarios.
+pub fn fig5_udp(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<UdpRow> {
+    udp_rows(pool, &ScenarioKind::PAPER, profile, scale)
+}
+
+/// The max-rate UDP measurement (Fig. 5, Table I): one job per (scenario,
+/// direction) — each job is a whole iperf rate search, the unit that
+/// cannot be split further (later trials depend on earlier loss
+/// measurements).
+fn udp_rows(
+    pool: &Pool,
+    kinds: &[ScenarioKind],
+    profile: &Profile,
+    scale: ExperimentScale,
+) -> Vec<UdpRow> {
+    // POX is orders of magnitude slower; the search starts low so the
+    // bracket is meaningful.
+    let iperf = IperfConfig {
         min_rate_bps: 500_000,
         max_rate_bps: 1_000_000_000,
         loss_threshold: 0.005,
         resolution_bps: 8_000_000,
-    }
-}
-
-/// Fig. 5: maximum UDP throughput at < 0.5 % loss for all six scenarios.
-pub fn fig5_udp(profile: &Profile, scale: ExperimentScale) -> Vec<UdpRow> {
-    fig5_udp_on(&Pool::from_env(), profile, scale).rows
-}
-
-/// Fig. 5 on an explicit pool: one job per (scenario, direction) — each
-/// job is a whole iperf rate search, the unit that cannot be split
-/// further (later trials depend on earlier loss measurements).
-pub fn fig5_udp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sweep<Vec<UdpRow>> {
-    let iperf = fig5_iperf();
+    };
     let trial = scale.duration.min(SimDuration::from_secs(1));
-    let jobs: Vec<(ScenarioKind, Direction)> = ScenarioKind::PAPER
+    let jobs: Vec<(ScenarioKind, Direction)> = kinds
         .iter()
         .flat_map(|&kind| DIRECTIONS.into_iter().map(move |dir| (kind, dir)))
         .collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&(kind, dir)| {
+    let outs = pool.map(&jobs, |&(kind, dir)| {
         let scenario = Scenario::build(kind, profile.clone(), profile.seed);
-        let (best, events) =
-            scenario.run_udp_max_rate_counted(dir, &iperf, 1470, trial, scale.duration);
-        (
-            best.map(|(_rate, report)| {
-                (
-                    report.goodput_bps,
-                    report.loss_fraction,
-                    report.jitter.as_nanos() as f64,
-                )
-            }),
-            events,
-        )
+        scenario
+            .run_udp_max_rate(dir, &iperf, 1470, trial, scale.duration)
+            .map(|(_rate, report)| report)
     });
-    let mut events = 0u64;
-    let rows = ScenarioKind::PAPER
+    let per_kind = DIRECTIONS.len();
+    kinds
         .iter()
         .enumerate()
         .map(|(i, &kind)| {
@@ -217,17 +139,14 @@ pub fn fig5_udp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
             let mut loss = 0.0;
             let mut jitter = 0.0;
             let mut n = 0.0;
-            for (found, e) in &outs[i * 2..i * 2 + 2] {
-                events += e;
-                if let Some((goodput_bps, loss_fraction, jitter_nanos)) = found {
-                    // Report the measured goodput at the found rate, like
-                    // iperf's server-side report (the `-b` setting itself
-                    // may exceed what the sender can physically emit).
-                    mbps += goodput_bps / 1e6;
-                    loss += loss_fraction;
-                    jitter += jitter_nanos / 1e3;
-                    n += 1.0;
-                }
+            for report in outs[i * per_kind..(i + 1) * per_kind].iter().flatten() {
+                // Report the measured goodput at the found rate, like
+                // iperf's server-side report (the `-b` setting itself
+                // may exceed what the sender can physically emit).
+                mbps += report.goodput_bps / 1e6;
+                loss += report.loss_fraction;
+                jitter += report.jitter.as_nanos() as f64 / 1e3;
+                n += 1.0;
             }
             UdpRow {
                 kind,
@@ -236,56 +155,7 @@ pub fn fig5_udp_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
                 jitter_us: if n > 0.0 { jitter / n } else { 0.0 },
             }
         })
-        .collect();
-    Sweep {
-        rows,
-        wall_seconds,
-        jobs: jobs.len(),
-        threads: pool.threads(),
-        events,
-    }
-}
-
-/// Measures one scenario's max-rate UDP (used by Fig. 5 and Table I).
-pub fn udp_row(kind: ScenarioKind, profile: &Profile, scale: ExperimentScale) -> UdpRow {
-    udp_row_counted(kind, profile, scale).0
-}
-
-/// [`udp_row`] plus the simulator events it processed.
-pub fn udp_row_counted(
-    kind: ScenarioKind,
-    profile: &Profile,
-    scale: ExperimentScale,
-) -> (UdpRow, u64) {
-    let scenario = Scenario::build(kind, profile.clone(), profile.seed);
-    let iperf = fig5_iperf();
-    let trial = scale.duration.min(SimDuration::from_secs(1));
-    let mut mbps = 0.0;
-    let mut loss = 0.0;
-    let mut jitter = 0.0;
-    let mut n = 0.0;
-    let mut events = 0u64;
-    for dir in DIRECTIONS {
-        let (found, e) =
-            scenario.run_udp_max_rate_counted(dir, &iperf, 1470, trial, scale.duration);
-        events += e;
-        if let Some((_rate, report)) = found {
-            // See `fig5_udp_on` on why goodput, not the `-b` setting.
-            mbps += report.goodput_bps / 1e6;
-            loss += report.loss_fraction;
-            jitter += report.jitter.as_nanos() as f64 / 1e3;
-            n += 1.0;
-        }
-    }
-    (
-        UdpRow {
-            kind,
-            mbps: if n > 0.0 { mbps / n } else { 0.0 },
-            loss: if n > 0.0 { loss / n } else { 1.0 },
-            jitter_us: if n > 0.0 { jitter / n } else { 0.0 },
-        },
-        events,
-    )
+        .collect()
 }
 
 /// One point of Fig. 6 (Central3 offered-rate sweep).
@@ -299,49 +169,26 @@ pub struct LossPoint {
     pub loss: f64,
 }
 
-/// Fig. 6: UDP throughput vs. loss rate in Central3. The sweep brackets
-/// the scenario's capacity knee (~245 Mbit/s under the default profile),
-/// so the loss-throughput correlation is visible on both sides.
-pub fn fig6_loss_correlation(profile: &Profile, scale: ExperimentScale) -> Vec<LossPoint> {
-    fig6_loss_correlation_on(&Pool::from_env(), profile, scale).rows
-}
-
-/// Fig. 6 on an explicit pool: one job per offered-rate step.
-pub fn fig6_loss_correlation_on(
+/// Fig. 6: UDP throughput vs. loss rate in Central3, one job per
+/// offered-rate step. The sweep brackets the scenario's capacity knee
+/// (~245 Mbit/s under the default profile), so the loss-throughput
+/// correlation is visible on both sides.
+pub fn fig6_loss_correlation(
     pool: &Pool,
     profile: &Profile,
     scale: ExperimentScale,
-) -> Sweep<Vec<LossPoint>> {
+) -> Vec<LossPoint> {
     let jobs: Vec<u64> = (0..=15u64).collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&step| {
+    pool.map(&jobs, |&step| {
         let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), profile.seed);
         let offered = 150_000_000 + step * 10_000_000; // 150..300 Mbit/s
         let out = scenario.run_udp(Direction::H1ToH2, offered, 1470, scale.duration, step);
-        (
-            LossPoint {
-                offered_mbps: offered as f64 / 1e6,
-                goodput_mbps: out.report.goodput_bps / 1e6,
-                loss: out.report.loss_fraction,
-            },
-            out.events,
-        )
-    });
-    let jobs_len = jobs.len();
-    let mut events = 0u64;
-    let rows = outs
-        .into_iter()
-        .map(|(point, e)| {
-            events += e;
-            point
-        })
-        .collect();
-    Sweep {
-        rows,
-        wall_seconds,
-        jobs: jobs_len,
-        threads: pool.threads(),
-        events,
-    }
+        LossPoint {
+            offered_mbps: offered as f64 / 1e6,
+            goodput_mbps: out.report.goodput_bps / 1e6,
+            loss: out.report.loss_fraction,
+        }
+    })
 }
 
 /// One scenario's ping measurement (Fig. 7).
@@ -364,27 +211,32 @@ pub struct RttRow {
 /// Fig. 7: ping RTT. The paper plots 3 sequences of 50 ICMP cycles per
 /// scenario (it omits Linespeed from the figure but we include it — it is
 /// the Table I RTT baseline).
-pub fn fig7_rtt(profile: &Profile, scale: ExperimentScale) -> Vec<RttRow> {
-    fig7_rtt_on(&Pool::from_env(), profile, scale).rows
+pub fn fig7_rtt(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<RttRow> {
+    rtt_rows(pool, &ScenarioKind::PAPER, profile, scale)
 }
 
-/// Fig. 7 on an explicit pool: one job per (scenario, sequence).
-pub fn fig7_rtt_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sweep<Vec<RttRow>> {
+/// The ping measurement (Fig. 7, Table I): one job per (scenario,
+/// sequence).
+fn rtt_rows(
+    pool: &Pool,
+    kinds: &[ScenarioKind],
+    profile: &Profile,
+    scale: ExperimentScale,
+) -> Vec<RttRow> {
     let sequences = scale.runs.clamp(1, 3);
-    let jobs: Vec<(ScenarioKind, u64)> = ScenarioKind::PAPER
+    let jobs: Vec<(ScenarioKind, u64)> = kinds
         .iter()
         .flat_map(|&kind| (0..sequences).map(move |seq| (kind, seq)))
         .collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&(kind, seq)| {
+    let outs = pool.map(&jobs, |&(kind, seq)| {
         let scenario = Scenario::build(kind, profile.clone(), profile.seed);
         let cfg = PingConfig::default()
             .with_count(50)
             .with_interval(SimDuration::from_millis(10));
-        scenario.run_ping_trial_counted(cfg, Direction::H1ToH2, seq)
+        scenario.run_ping_trial(cfg, Direction::H1ToH2, seq)
     });
     let per_kind = sequences as usize;
-    let mut events = 0u64;
-    let rows = ScenarioKind::PAPER
+    kinds
         .iter()
         .enumerate()
         .map(|(i, &kind)| {
@@ -393,8 +245,7 @@ pub fn fig7_rtt_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
             let mut max: f64 = 0.0;
             let mut received = 0;
             let mut transmitted = 0;
-            for (report, e) in &outs[i * per_kind..(i + 1) * per_kind] {
-                events += e;
+            for report in &outs[i * per_kind..(i + 1) * per_kind] {
                 transmitted += report.transmitted;
                 received += report.received;
                 if let (Some(a), Some(mn), Some(mx)) = (report.avg, report.min, report.max) {
@@ -412,60 +263,7 @@ pub fn fig7_rtt_on(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Sw
                 transmitted,
             }
         })
-        .collect();
-    Sweep {
-        rows,
-        wall_seconds,
-        jobs: jobs.len(),
-        threads: pool.threads(),
-        events,
-    }
-}
-
-/// Measures one scenario's RTT (used by Fig. 7 and Table I).
-pub fn rtt_row(kind: ScenarioKind, profile: &Profile, scale: ExperimentScale) -> RttRow {
-    rtt_row_counted(kind, profile, scale).0
-}
-
-/// [`rtt_row`] plus the simulator events it processed.
-pub fn rtt_row_counted(
-    kind: ScenarioKind,
-    profile: &Profile,
-    scale: ExperimentScale,
-) -> (RttRow, u64) {
-    let scenario = Scenario::build(kind, profile.clone(), profile.seed);
-    let sequences = scale.runs.clamp(1, 3);
-    let mut avg = 0.0;
-    let mut min = f64::MAX;
-    let mut max: f64 = 0.0;
-    let mut received = 0;
-    let mut transmitted = 0;
-    let mut events = 0u64;
-    for seq in 0..sequences {
-        let cfg = PingConfig::default()
-            .with_count(50)
-            .with_interval(SimDuration::from_millis(10));
-        let (report, e) = scenario.run_ping_trial_counted(cfg, Direction::H1ToH2, seq);
-        events += e;
-        transmitted += report.transmitted;
-        received += report.received;
-        if let (Some(a), Some(mn), Some(mx)) = (report.avg, report.min, report.max) {
-            avg += a.as_nanos() as f64 / 1e3;
-            min = min.min(mn.as_nanos() as f64 / 1e3);
-            max = max.max(mx.as_nanos() as f64 / 1e3);
-        }
-    }
-    (
-        RttRow {
-            kind,
-            avg_us: avg / sequences as f64,
-            min_us: min,
-            max_us: max,
-            received,
-            transmitted,
-        },
-        events,
-    )
+        .collect()
 }
 
 /// One bar of Fig. 8: jitter for a scenario and UDP payload size.
@@ -480,17 +278,9 @@ pub struct JitterCell {
 }
 
 /// Fig. 8: jitter for varying packet sizes (fixed offered bit-rate, so
-/// smaller packets mean proportionally more packets per second).
-pub fn fig8_jitter(profile: &Profile, scale: ExperimentScale) -> Vec<JitterCell> {
-    fig8_jitter_on(&Pool::from_env(), profile, scale).rows
-}
-
-/// Fig. 8 on an explicit pool: one job per (scenario, payload, run).
-pub fn fig8_jitter_on(
-    pool: &Pool,
-    profile: &Profile,
-    scale: ExperimentScale,
-) -> Sweep<Vec<JitterCell>> {
+/// smaller packets mean proportionally more packets per second), one job
+/// per (scenario, payload, run).
+pub fn fig8_jitter(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<JitterCell> {
     let sizes = [64usize, 256, 512, 1024, 1470];
     let rate = 60_000_000; // comfortably below every scenario's UDP maximum
     let runs = scale.runs.clamp(1, 5);
@@ -502,7 +292,7 @@ pub fn fig8_jitter_on(
                 .flat_map(move |payload| (0..runs).map(move |run| (kind, payload, run)))
         })
         .collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&(kind, payload, run)| {
+    let outs = pool.map(&jobs, |&(kind, payload, run)| {
         let scenario = Scenario::build(kind, profile.clone(), profile.seed);
         // POX cannot carry 60 Mbit/s; cap its offered rate so the jitter
         // measurement reflects delivery, not pure loss.
@@ -512,30 +302,24 @@ pub fn fig8_jitter_on(
             rate
         };
         let out = scenario.run_udp(Direction::H1ToH2, offered, payload, scale.duration, run);
-        (out.report.jitter.as_nanos() as f64, out.events)
+        out.report.jitter.as_nanos() as f64
     });
     let per_cell = runs as usize;
-    let mut events = 0u64;
-    let mut cells = Vec::new();
-    for (c, &(kind, payload, _)) in jobs.iter().step_by(per_cell).enumerate() {
-        let mut jitter = 0.0;
-        for &(jitter_nanos, e) in &outs[c * per_cell..(c + 1) * per_cell] {
-            jitter += jitter_nanos / 1e3;
-            events += e;
-        }
-        cells.push(JitterCell {
-            kind,
-            payload,
-            jitter_us: jitter / runs as f64,
-        });
-    }
-    Sweep {
-        rows: cells,
-        wall_seconds,
-        jobs: jobs.len(),
-        threads: pool.threads(),
-        events,
-    }
+    jobs.iter()
+        .step_by(per_cell)
+        .zip(outs.chunks(per_cell))
+        .map(|(&(kind, payload, _), cell)| {
+            let mut jitter = 0.0;
+            for jitter_nanos in cell {
+                jitter += jitter_nanos / 1e3;
+            }
+            JitterCell {
+                kind,
+                payload,
+                jitter_us: jitter / runs as f64,
+            }
+        })
+        .collect()
 }
 
 /// One Table I column.
@@ -560,70 +344,22 @@ const TABLE1_KINDS: [ScenarioKind; 5] = [
     ScenarioKind::Central5,
 ];
 
-/// The three Table I measurements, in column order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Table1Measure {
-    Tcp,
-    Udp,
-    Rtt,
-}
-
 /// Table I: average TCP bandwidth, UDP bandwidth and RTT for the five
-/// non-POX scenarios.
-pub fn table1(profile: &Profile, scale: ExperimentScale) -> Vec<Table1Column> {
-    table1_on(&Pool::from_env(), profile, scale).rows
-}
-
-/// Table I on an explicit pool: one job per (scenario, measurement).
-pub fn table1_on(
-    pool: &Pool,
-    profile: &Profile,
-    scale: ExperimentScale,
-) -> Sweep<Vec<Table1Column>> {
-    let jobs: Vec<(ScenarioKind, Table1Measure)> = TABLE1_KINDS
-        .iter()
-        .flat_map(|&kind| {
-            [Table1Measure::Tcp, Table1Measure::Udp, Table1Measure::Rtt]
-                .into_iter()
-                .map(move |m| (kind, m))
+/// non-POX scenarios — the averages of Figs. 4, 5 and 7.
+pub fn table1(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<Table1Column> {
+    let tcp = tcp_rows(pool, &TABLE1_KINDS, profile, scale);
+    let udp = udp_rows(pool, &TABLE1_KINDS, profile, scale);
+    let rtt = rtt_rows(pool, &TABLE1_KINDS, profile, scale);
+    tcp.iter()
+        .zip(&udp)
+        .zip(&rtt)
+        .map(|((tcp, udp), rtt)| Table1Column {
+            kind: tcp.kind,
+            tcp_mbps: tcp.mbps,
+            udp_mbps: udp.mbps,
+            rtt_ms: rtt.avg_us / 1e3,
         })
-        .collect();
-    let (outs, wall_seconds) = pool.map_timed(&jobs, |&(kind, measure)| match measure {
-        Table1Measure::Tcp => {
-            let (row, e) = tcp_row_counted(kind, profile, scale);
-            (row.mbps, e)
-        }
-        Table1Measure::Udp => {
-            let (row, e) = udp_row_counted(kind, profile, scale);
-            (row.mbps, e)
-        }
-        Table1Measure::Rtt => {
-            let (row, e) = rtt_row_counted(kind, profile, scale);
-            (row.avg_us / 1e3, e)
-        }
-    });
-    let mut events = 0u64;
-    let rows = TABLE1_KINDS
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| {
-            let cell = &outs[i * 3..i * 3 + 3];
-            events += cell[0].1 + cell[1].1 + cell[2].1;
-            Table1Column {
-                kind,
-                tcp_mbps: cell[0].0,
-                udp_mbps: cell[1].0,
-                rtt_ms: cell[2].0,
-            }
-        })
-        .collect();
-    Sweep {
-        rows,
-        wall_seconds,
-        jobs: jobs.len(),
-        threads: pool.threads(),
-        events,
-    }
+        .collect()
 }
 
 /// §VI: the three case-study phases with 10 echo cycles each.
@@ -667,16 +403,14 @@ pub fn virtualized(
 
 /// Ablation: detection (k = 2) vs prevention (k = 3) cost, plus the §IX
 /// inband placement.
-pub fn ablation_modes(profile: &Profile, scale: ExperimentScale) -> Vec<TcpRow> {
-    [
+pub fn ablation_modes(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Vec<TcpRow> {
+    let kinds = [
         ScenarioKind::Linespeed,
         ScenarioKind::Detect2,
         ScenarioKind::Central3,
         ScenarioKind::Inband3,
-    ]
-    .iter()
-    .map(|&kind| tcp_row(kind, profile, scale))
-    .collect()
+    ];
+    tcp_rows(pool, &kinds, profile, scale)
 }
 
 /// One row of the §IX sampling ablation.

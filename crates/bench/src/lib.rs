@@ -15,7 +15,6 @@
 pub mod chaos;
 pub mod control_chaos;
 pub mod experiments;
-pub mod flows;
 pub mod grid;
 pub mod render;
 

@@ -9,9 +9,7 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use netco_bench::experiments::fig4_tcp_on;
 use netco_bench::ExperimentScale;
-use netco_harness::Pool;
 use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, TapDirection, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_telemetry::TelemetrySink;
@@ -195,51 +193,4 @@ fn central3_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
     let oracle = central3_observation(false, true);
     assert_eq!(oracle, central3_observation(false, false));
     assert!(oracle.1 > 0, "tap saw no frames");
-}
-
-/// Sweep rows must stay bit-identical at every worker count now that the
-/// batched loop runs under the pool. Honors `NETCO_THREADS` (the CI axis),
-/// defaulting to 1/2/4.
-#[test]
-fn fig4_sweep_rows_identical_at_every_thread_count() {
-    let counts: Vec<usize> = std::env::var(netco_harness::THREADS_ENV)
-        .ok()
-        .map(|list| {
-            list.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4]);
-    let profile = Profile::default();
-    let scale = ExperimentScale::smoke();
-    let reference = fig4_tcp_on(&Pool::serial(), &profile, scale);
-    let ref_bits: Vec<(u64, u64, u64)> = reference
-        .rows
-        .iter()
-        .map(|r| {
-            (
-                r.mbps.to_bits(),
-                r.fast_retransmits_per_s.to_bits(),
-                r.timeouts_per_s.to_bits(),
-            )
-        })
-        .collect();
-    for threads in counts {
-        let sweep = fig4_tcp_on(&Pool::new(threads), &profile, scale);
-        let bits: Vec<(u64, u64, u64)> = sweep
-            .rows
-            .iter()
-            .map(|r| {
-                (
-                    r.mbps.to_bits(),
-                    r.fast_retransmits_per_s.to_bits(),
-                    r.timeouts_per_s.to_bits(),
-                )
-            })
-            .collect();
-        assert_eq!(bits, ref_bits, "rows diverged at {threads} workers");
-        assert_eq!(sweep.events, reference.events);
-    }
 }

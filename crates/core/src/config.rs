@@ -29,23 +29,6 @@ impl Mode {
     }
 }
 
-/// Where the compare element runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComparePlacement {
-    /// A dedicated trusted host on the data plane, reached via OpenFlow
-    /// packet-in/packet-out wire messages (the paper's C prototype,
-    /// scenarios *Central3* / *Central5*).
-    CentralHost,
-    /// An application on the SDN controller (the paper's *POX3* baseline).
-    ControllerApp,
-    /// Embedded in the egress guard (inband / NFV variant, used by the
-    /// virtualized NetCo).
-    Inband,
-    /// No compare at all — packets are only split, never combined
-    /// (*Dup3* / *Dup5* baselines).
-    None,
-}
-
 /// Tunable parameters of a compare element.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareConfig {
@@ -164,42 +147,6 @@ impl CompareConfig {
     }
 }
 
-/// Full description of one robust combiner deployment (used by topology
-/// builders to assemble guards, replicas and a compare).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CombinerConfig {
-    /// Compare parameters (including `k` and the mode).
-    pub compare: CompareConfig,
-    /// Where the compare runs.
-    pub placement: ComparePlacement,
-}
-
-impl CombinerConfig {
-    /// The paper's *Central-k* deployment.
-    pub fn central(k: usize) -> CombinerConfig {
-        CombinerConfig {
-            compare: CompareConfig::prevent(k),
-            placement: ComparePlacement::CentralHost,
-        }
-    }
-
-    /// The paper's *POX-k* deployment.
-    pub fn pox(k: usize) -> CombinerConfig {
-        CombinerConfig {
-            compare: CompareConfig::prevent(k),
-            placement: ComparePlacement::ControllerApp,
-        }
-    }
-
-    /// The paper's *Dup-k* baseline (split only, no combining).
-    pub fn dup(k: usize) -> CombinerConfig {
-        CombinerConfig {
-            compare: CompareConfig::prevent(k),
-            placement: ComparePlacement::None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,19 +184,5 @@ mod tests {
             .with_cache_capacity(128);
         assert_eq!(c.hold_time, SimDuration::from_millis(5));
         assert_eq!(c.cache_capacity, 128);
-    }
-
-    #[test]
-    fn combiner_presets() {
-        assert_eq!(
-            CombinerConfig::central(3).placement,
-            ComparePlacement::CentralHost
-        );
-        assert_eq!(
-            CombinerConfig::pox(3).placement,
-            ComparePlacement::ControllerApp
-        );
-        assert_eq!(CombinerConfig::dup(5).placement, ComparePlacement::None);
-        assert_eq!(CombinerConfig::dup(5).compare.k, 5);
     }
 }

@@ -57,7 +57,7 @@ pub use compare::{
     fp128, CacheEntry, Compare, CompareAction, CompareCore, CompareKey, CompareStats,
     CompareStrategy, LaneInfo, Observed, PacketCache,
 };
-pub use config::{CombinerConfig, CompareConfig, ComparePlacement, Mode};
+pub use config::{CompareConfig, Mode};
 pub use encap::{of_unwrap, of_unwrap_shared, of_wrap, NETCO_ETHERTYPE};
 pub use events::{trace_security_event, EventCounts, SecurityEvent};
 pub use guard::{CompareAttachment, GuardConfig, GuardStats, GuardSwitch};

@@ -16,7 +16,7 @@
 //!   order regardless of thread count or OS scheduling.
 //! * Aggregation stays with the caller, who folds the returned `Vec` in
 //!   index order — floating-point sums therefore associate identically
-//!   at `--threads 1` and `--threads N`, making parallel sweeps
+//!   at one worker and at N, making parallel sweeps
 //!   bit-identical to serial ones (enforced by the workspace
 //!   `harness_determinism` test).
 //!
@@ -143,18 +143,6 @@ impl Pool {
             .map(|s| s.expect("every claimed job produced a result"))
             .collect()
     }
-
-    /// [`Pool::map`] plus the sweep's wall-clock duration in seconds.
-    pub fn map_timed<I, T, F>(&self, jobs: &[I], f: F) -> (Vec<T>, f64)
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        let start = std::time::Instant::now();
-        let out = self.map(jobs, f);
-        (out, start.elapsed().as_secs_f64())
-    }
 }
 
 impl Default for Pool {
@@ -207,13 +195,6 @@ mod tests {
         let jobs: Vec<&String> = data.iter().collect();
         let lens = Pool::new(2).map(&jobs, |s| s.len());
         assert_eq!(lens, vec![1, 2]);
-    }
-
-    #[test]
-    fn map_timed_reports_positive_wall() {
-        let (out, wall) = Pool::new(2).map_timed(&[1u32, 2, 3], |&x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
-        assert!(wall >= 0.0);
     }
 
     #[test]

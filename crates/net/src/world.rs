@@ -336,15 +336,87 @@ pub(crate) struct LinkState {
     pub(crate) fault: Option<LinkFault>,
 }
 
-/// Probabilistic per-frame impairments installed by a
-/// [`FaultPlan`](crate::FaultPlan), with dedicated RNGs so fault rolls
-/// never perturb the world's CPU-jitter/workload streams.
-#[derive(Clone)]
-pub(crate) struct LinkFault {
+/// The per-admission impairments a [`FaultPlan`](crate::FaultPlan) can
+/// install — loss, corruption, added delay, reordering — as links and
+/// control channels share them. Holds no RNG: each roll draws from the
+/// stream its owner passes in, a dedicated one so fault rolls never
+/// perturb the world's CPU-jitter/workload streams.
+#[derive(Clone, Default)]
+pub(crate) struct Impairments {
     loss: Vec<(f64, ActivationWindow)>,
     corrupt: Vec<(f64, ActivationWindow)>,
     delay: Vec<(SimDuration, ActivationWindow)>,
     reorder: Vec<(f64, SimDuration, ActivationWindow)>,
+}
+
+impl Impairments {
+    /// Files one of the four per-admission kinds. Outages and flaps change
+    /// up/down state instead and stay with the caller.
+    fn push(&mut self, kind: &FaultKind) {
+        match *kind {
+            FaultKind::Loss {
+                probability,
+                window,
+            } => self.loss.push((probability, window)),
+            FaultKind::Corrupt {
+                probability,
+                window,
+            } => self.corrupt.push((probability, window)),
+            FaultKind::Delay { extra, window } => self.delay.push((extra, window)),
+            FaultKind::Reorder {
+                probability,
+                hold,
+                window,
+            } => self.reorder.push((probability, hold, window)),
+            FaultKind::Outage(_) | FaultKind::Flaps { .. } => {
+                unreachable!("outages and flaps are not per-admission rolls")
+            }
+        }
+    }
+
+    fn drop_roll(&self, now: SimTime, rng: &mut SimRng) -> bool {
+        self.loss
+            .iter()
+            .any(|&(p, w)| w.contains(now) && rng.chance(p))
+    }
+
+    /// Returns the byte index to corrupt, if a corruption fault fires.
+    fn corrupt_roll(&self, now: SimTime, len: usize, rng: &mut SimRng) -> Option<usize> {
+        if len == 0 {
+            return None;
+        }
+        for &(p, w) in &self.corrupt {
+            if w.contains(now) && rng.chance(p) {
+                return Some(rng.next_below(len as u64) as usize);
+            }
+        }
+        None
+    }
+
+    /// Extra latency this admission suffers: deterministic `Delay` windows
+    /// plus probabilistic `Reorder` hold-backs. Only ever *adds* latency,
+    /// so the region executor's minimum-link-latency lookahead stays a
+    /// valid lower bound.
+    fn extra_roll(&self, now: SimTime, rng: &mut SimRng) -> SimDuration {
+        let mut extra = SimDuration::ZERO;
+        for &(d, w) in &self.delay {
+            if w.contains(now) {
+                extra += d;
+            }
+        }
+        for &(p, hold, w) in &self.reorder {
+            if w.contains(now) && rng.chance(p) {
+                extra += hold;
+            }
+        }
+        extra
+    }
+}
+
+/// Scripted [`Impairments`] on one link.
+#[derive(Clone)]
+pub(crate) struct LinkFault {
+    imp: Impairments,
     /// One independent stream per direction: each half-link is owned by
     /// the region holding its sending endpoint, so the two directions must
     /// never share RNG state. Direction 0 keeps the pre-split derivation.
@@ -357,71 +429,19 @@ impl LinkFault {
         // impaired links draw independent sequences.
         let seed = plan_seed ^ (link_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         LinkFault {
-            loss: Vec::new(),
-            corrupt: Vec::new(),
-            delay: Vec::new(),
-            reorder: Vec::new(),
+            imp: Impairments::default(),
             rngs: [SimRng::new(seed), SimRng::new(seed ^ 0xD6E8_FEB8_6659_FD93)],
         }
     }
-
-    fn loss_roll(&mut self, now: SimTime, dir: usize) -> bool {
-        for i in 0..self.loss.len() {
-            let (p, w) = self.loss[i];
-            if w.contains(now) && self.rngs[dir].chance(p) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Returns the byte index to corrupt, if a corruption fault fires.
-    fn corrupt_roll(&mut self, now: SimTime, len: usize, dir: usize) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        for i in 0..self.corrupt.len() {
-            let (p, w) = self.corrupt[i];
-            if w.contains(now) && self.rngs[dir].chance(p) {
-                return Some(self.rngs[dir].next_below(len as u64) as usize);
-            }
-        }
-        None
-    }
-
-    /// Extra latency this admission suffers: deterministic `Delay` windows
-    /// plus probabilistic `Reorder` hold-backs. Only ever *adds* latency,
-    /// so the region executor's minimum-link-latency lookahead stays a
-    /// valid lower bound.
-    fn extra_roll(&mut self, now: SimTime, dir: usize) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        for i in 0..self.delay.len() {
-            let (d, w) = self.delay[i];
-            if w.contains(now) {
-                extra += d;
-            }
-        }
-        for i in 0..self.reorder.len() {
-            let (p, hold, w) = self.reorder[i];
-            if w.contains(now) && self.rngs[dir].chance(p) {
-                extra += hold;
-            }
-        }
-        extra
-    }
 }
 
-/// Scripted impairments on one *direction* of a control channel
-/// (see [`crate::ControlFaultSpec`]): the control-plane counterpart of
-/// [`LinkFault`], with outage windows folded in (control channels have no
-/// up/down admin state to schedule).
+/// Scripted [`Impairments`] on one *direction* of a control channel
+/// (see [`crate::ControlFaultSpec`]), with outage windows folded in
+/// (control channels have no up/down admin state to schedule).
 #[derive(Clone)]
 pub(crate) struct ControlFault {
+    imp: Impairments,
     outage: Vec<ActivationWindow>,
-    loss: Vec<(f64, ActivationWindow)>,
-    corrupt: Vec<(f64, ActivationWindow)>,
-    delay: Vec<(SimDuration, ActivationWindow)>,
-    reorder: Vec<(f64, SimDuration, ActivationWindow)>,
     /// Per-directed-pair stream derived from the plan seed; consumed only
     /// when `from` sends, which always runs on the region owning the pair
     /// (control peers are contracted into one region).
@@ -434,56 +454,10 @@ impl ControlFault {
             ^ (from.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (to.index() as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
         ControlFault {
+            imp: Impairments::default(),
             outage: Vec::new(),
-            loss: Vec::new(),
-            corrupt: Vec::new(),
-            delay: Vec::new(),
-            reorder: Vec::new(),
             rng: SimRng::new(seed),
         }
-    }
-
-    fn drop_roll(&mut self, now: SimTime) -> bool {
-        if self.outage.iter().any(|w| w.contains(now)) {
-            return true;
-        }
-        for i in 0..self.loss.len() {
-            let (p, w) = self.loss[i];
-            if w.contains(now) && self.rng.chance(p) {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn corrupt_roll(&mut self, now: SimTime, len: usize) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        for i in 0..self.corrupt.len() {
-            let (p, w) = self.corrupt[i];
-            if w.contains(now) && self.rng.chance(p) {
-                return Some(self.rng.next_below(len as u64) as usize);
-            }
-        }
-        None
-    }
-
-    fn extra_roll(&mut self, now: SimTime) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        for i in 0..self.delay.len() {
-            let (d, w) = self.delay[i];
-            if w.contains(now) {
-                extra += d;
-            }
-        }
-        for i in 0..self.reorder.len() {
-            let (p, hold, w) = self.reorder[i];
-            if w.contains(now) && self.rng.chance(p) {
-                extra += hold;
-            }
-        }
-        extra
     }
 }
 
@@ -701,7 +675,7 @@ impl Substrate {
         let lost = link
             .fault
             .as_mut()
-            .is_some_and(|f| f.loss_roll(now, dir as usize));
+            .is_some_and(|f| f.imp.drop_roll(now, &mut f.rngs[dir as usize]));
         if lost {
             link.dropped[dir as usize] += 1;
             link.fault_dropped[dir as usize] += 1;
@@ -710,10 +684,10 @@ impl Substrate {
             return;
         }
         let link = &mut self.links[link_idx as usize];
-        let corrupt_at = link
-            .fault
-            .as_mut()
-            .and_then(|f| f.corrupt_roll(now, frame.len(), dir as usize));
+        let corrupt_at = link.fault.as_mut().and_then(|f| {
+            f.imp
+                .corrupt_roll(now, frame.len(), &mut f.rngs[dir as usize])
+        });
         let frame = match corrupt_at {
             Some(idx) => {
                 // New content: the corrupted copy starts a fresh memo.
@@ -726,10 +700,9 @@ impl Substrate {
         // Extra latency (Delay windows / Reorder hold-backs) only ever adds
         // to the substrate latency, so the region executor's lookahead
         // bound stays valid.
-        let extra = link
-            .fault
-            .as_mut()
-            .map_or(SimDuration::ZERO, |f| f.extra_roll(now, dir as usize));
+        let extra = link.fault.as_mut().map_or(SimDuration::ZERO, |f| {
+            f.imp.extra_roll(now, &mut f.rngs[dir as usize])
+        });
         let stage = self.sched.stage();
         let d = &mut link.dirs[dir as usize];
         d.release_finished(now, stage);
@@ -775,16 +748,18 @@ impl Substrate {
         let mut msg = msg;
         let mut extra = SimDuration::ZERO;
         if let Some(fault) = self.control_faults.get_mut(&(from, to)) {
-            if fault.drop_roll(now) {
+            if fault.outage.iter().any(|w| w.contains(now))
+                || fault.imp.drop_roll(now, &mut fault.rng)
+            {
                 self.drop_frame(DropReason::FaultInjected);
                 return;
             }
-            if let Some(idx) = fault.corrupt_roll(now, msg.len()) {
+            if let Some(idx) = fault.imp.corrupt_roll(now, msg.len(), &mut fault.rng) {
                 let mut bytes = msg.to_vec();
                 bytes[idx] ^= 0x01;
                 msg = Bytes::from(bytes);
             }
-            extra = fault.extra_roll(now);
+            extra = fault.imp.extra_roll(now, &mut fault.rng);
         }
         self.tel_control_latency.record(latency.as_nanos());
         let at = now + latency + extra;
@@ -991,8 +966,8 @@ pub struct World {
     /// directly: the core records observations and the world replays them
     /// here on the main thread (see [`TapRecord`]).
     taps: Vec<Tap>,
-    /// Detached telemetry counter: always live (the perf harness reads it
-    /// with telemetry off) and adopted into the registry as
+    /// Detached telemetry counter: always live (the benchmark and tests read
+    /// it with telemetry off) and adopted into the registry as
     /// `sim.events_processed` by [`set_telemetry`](World::set_telemetry).
     pub(crate) events_processed: Counter,
     /// Reusable tick buffer for batched dispatch, kept across
@@ -1240,38 +1215,7 @@ impl World {
                         t = t + down_for + up_for;
                     }
                 }
-                FaultKind::Loss {
-                    probability,
-                    window,
-                } => {
-                    self.link_fault_mut(plan.seed, spec.link)
-                        .loss
-                        .push((probability, window));
-                }
-                FaultKind::Corrupt {
-                    probability,
-                    window,
-                } => {
-                    self.link_fault_mut(plan.seed, spec.link)
-                        .corrupt
-                        .push((probability, window));
-                }
-                FaultKind::Delay { extra, window } => {
-                    self.link_fault_mut(plan.seed, spec.link)
-                        .delay
-                        .push((extra, window));
-                }
-                FaultKind::Reorder {
-                    probability,
-                    hold,
-                    window,
-                } => {
-                    self.link_fault_mut(plan.seed, spec.link).reorder.push((
-                        probability,
-                        hold,
-                        window,
-                    ));
-                }
+                ref kind => self.link_fault_mut(plan.seed, spec.link).imp.push(kind),
             }
         }
         for spec in &plan.control_faults {
@@ -1298,20 +1242,7 @@ impl World {
                         t = t + down_for + up_for;
                     }
                 }
-                FaultKind::Loss {
-                    probability,
-                    window,
-                } => fault.loss.push((probability, window)),
-                FaultKind::Corrupt {
-                    probability,
-                    window,
-                } => fault.corrupt.push((probability, window)),
-                FaultKind::Delay { extra, window } => fault.delay.push((extra, window)),
-                FaultKind::Reorder {
-                    probability,
-                    hold,
-                    window,
-                } => fault.reorder.push((probability, hold, window)),
+                ref kind => fault.imp.push(kind),
             }
         }
     }
@@ -1353,8 +1284,9 @@ impl World {
         self.core.devices.len()
     }
 
-    /// Total events executed by [`step`](World::step) since creation.
-    /// Throughput metric for the perf harness (events / wall-second).
+    /// Total events executed since creation, by any of the run loops
+    /// (the `sim.events_processed` counter). Deterministic per seed: the
+    /// benchmark divides it by wall time, tests compare it across runs.
     pub fn events_processed(&self) -> u64 {
         self.events_processed.get()
     }

@@ -353,53 +353,27 @@ impl<E> Scheduler<E> {
     }
 
     /// Removes the entire next due tick — every pending event sharing the
-    /// earliest `(time)` instant — appending the events to `out` in `seq`
-    /// order and advancing the clock to that instant. Returns the number
-    /// of events drained (0 when nothing is pending).
+    /// earliest instant — provided it is due at or before `deadline`, and
+    /// advances the clock to that instant. Returns the number of events
+    /// drained; 0 when nothing is due by `deadline` (the tick stays pending
+    /// and the clock does not move).
     ///
     /// This is the batched hot path: one wheel refill (bitmap scan,
     /// cascade, heap pull) is amortized over the whole slot instead of
-    /// being paid per [`pop`](Scheduler::pop). The delivery order is
-    /// bit-identical to repeated `pop` calls: both yield events in global
-    /// `(time, seq)` order. Events scheduled *between* batches for the
-    /// instant just drained re-enter the wheel and surface as the next
-    /// tick — still at the same timestamp, still in `seq` order — exactly
-    /// where per-event popping would have delivered them.
-    pub fn pop_batch(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        self.pop_batch_until(SimTime::MAX, out)
-    }
-
-    /// Like [`pop_batch`](Scheduler::pop_batch), but refuses to start a
-    /// tick due after `deadline` (the tick stays pending and the clock
-    /// does not move). Returns 0 when nothing is due at or before
-    /// `deadline`.
-    pub fn pop_batch_until(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(at) = self.stage_tick_until(deadline) else {
-            return 0;
-        };
-        let n = self.ready.len();
-        let t = SimTime::from_nanos(at);
-        out.reserve(n);
-        for entry in self.ready.drain(..) {
-            debug_assert_eq!(entry.at, at, "ready holds exactly one tick");
-            out.push((t, entry.event));
-        }
-        self.len -= n;
-        self.tel_pops.add(n as u64);
-        n
-    }
-
-    /// Like [`pop_batch_until`](Scheduler::pop_batch_until), but hands the
-    /// drained tick over by buffer swap instead of copying every entry into
-    /// a caller `Vec`: `tick` (which must be empty) swaps places with the
-    /// internal ready queue. One event traverses the scheduler with exactly
-    /// one move — wheel slot to ready — instead of two. Delivery order is
-    /// identical to [`pop`](Scheduler::pop) / `pop_batch_until`.
+    /// being paid per [`pop`](Scheduler::pop), and the tick is handed over
+    /// by buffer swap — `tick` (which must be empty) swaps places with the
+    /// internal ready queue — so an event traverses the scheduler with
+    /// exactly one move, wheel slot to ready. The delivery order is
+    /// bit-identical to repeated `pop` calls. Events scheduled *between*
+    /// ticks for the instant just drained re-enter the wheel and surface
+    /// as the next tick — still at the same timestamp, still in `(key,
+    /// seq)` order — exactly where per-event popping would have delivered
+    /// them.
     pub fn pop_tick_until(&mut self, deadline: SimTime, tick: &mut Tick<E>) -> usize {
         debug_assert!(tick.entries.is_empty(), "tick buffer handed back dirty");
-        let Some(_) = self.stage_tick_until(deadline) else {
+        if !self.stage_tick_until(deadline) {
             return 0;
-        };
+        }
         std::mem::swap(&mut self.ready, &mut tick.entries);
         let n = tick.entries.len();
         self.len -= n;
@@ -408,9 +382,9 @@ impl<E> Scheduler<E> {
     }
 
     /// Stages the next tick due at or before `deadline` into `ready` and
-    /// advances the clock to it. Returns the tick's timestamp, or `None`
-    /// when nothing is due by `deadline`.
-    fn stage_tick_until(&mut self, deadline: SimTime) -> Option<u64> {
+    /// advances the clock to it. Returns `false` when nothing is due by
+    /// `deadline`.
+    fn stage_tick_until(&mut self, deadline: SimTime) -> bool {
         if self.ready.is_empty() {
             // Decide from the wheel before staging anything: a tick past
             // the deadline must stay unstaged (the clock must not move and
@@ -420,18 +394,18 @@ impl<E> Scheduler<E> {
                     let staged = self.refill_ready();
                     debug_assert!(staged, "peek_time saw a pending event");
                 }
-                _ => return None,
+                _ => return false,
             }
         }
         let at = self.ready.front().expect("tick is staged").at;
         if at > deadline.as_nanos() {
             // Only reachable when a tick was already part-drained by
             // per-event `pop` calls; never abandon it mid-tick.
-            return None;
+            return false;
         }
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        Some(at)
+        true
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -808,15 +782,26 @@ mod tests {
         assert_eq!(rest, vec![(10, 2), (10, 3), (10, 4)]);
     }
 
+    /// Drains the next tick due by `deadline` the way `World::run_until`
+    /// does: swap it out, read its instant off the clock.
+    fn pop_tick<E>(s: &mut Scheduler<E>, deadline: SimTime) -> Vec<(SimTime, E)> {
+        let mut tick = Tick::new();
+        let n = s.pop_tick_until(deadline, &mut tick);
+        let at = s.now();
+        let out: Vec<_> = tick.drain().map(|e| (at, e)).collect();
+        assert_eq!(out.len(), n);
+        out
+    }
+
     #[test]
-    fn pop_batch_drains_whole_tick() {
+    fn pop_tick_drains_whole_tick() {
         let mut s: Scheduler<u32> = Scheduler::new();
         for i in 0..10 {
             s.schedule_at(SimTime::from_nanos(5), i);
         }
         s.schedule_at(SimTime::from_nanos(6), 99);
-        let mut out = Vec::new();
-        assert_eq!(s.pop_batch(&mut out), 10);
+        let out = pop_tick(&mut s, SimTime::MAX);
+        assert_eq!(out.len(), 10);
         assert_eq!(s.now(), SimTime::from_nanos(5));
         assert_eq!(s.len(), 1);
         let events: Vec<u32> = out
@@ -827,59 +812,53 @@ mod tests {
             })
             .collect();
         assert_eq!(events, (0..10).collect::<Vec<_>>());
-        out.clear();
-        assert_eq!(s.pop_batch(&mut out), 1);
-        assert_eq!(out[0], (SimTime::from_nanos(6), 99));
-        assert_eq!(s.pop_batch(&mut out), 0);
+        let out = pop_tick(&mut s, SimTime::MAX);
+        assert_eq!(out, vec![(SimTime::from_nanos(6), 99)]);
+        assert_eq!(pop_tick(&mut s, SimTime::MAX), vec![]);
     }
 
     #[test]
-    fn pop_batch_until_respects_deadline() {
+    fn pop_tick_until_respects_deadline() {
         let mut s: Scheduler<u8> = Scheduler::new();
         s.schedule_at(SimTime::from_nanos(10), 1);
         s.schedule_at(SimTime::from_nanos(20), 2);
-        let mut out = Vec::new();
-        assert_eq!(s.pop_batch_until(SimTime::from_nanos(5), &mut out), 0);
+        assert_eq!(pop_tick(&mut s, SimTime::from_nanos(5)), vec![]);
         assert_eq!(s.now(), SimTime::ZERO, "deadline miss leaves the clock");
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(10)));
-        assert_eq!(s.pop_batch_until(SimTime::from_nanos(10), &mut out), 1);
+        assert_eq!(pop_tick(&mut s, SimTime::from_nanos(10)).len(), 1);
         assert_eq!(s.now(), SimTime::from_nanos(10));
         // The staged-but-refused tick still pops normally.
         assert_eq!(s.pop(), Some((SimTime::from_nanos(20), 2)));
     }
 
     #[test]
-    fn same_instant_schedule_between_batches_lands_next_batch() {
-        // Between-batch arrivals for the instant just drained come out in
-        // the next batch at the *same timestamp* — global (time, seq)
+    fn same_instant_schedule_between_ticks_lands_next_tick() {
+        // Between-tick arrivals for the instant just drained come out in
+        // the next tick at the *same timestamp* — global (time, seq)
         // order is preserved, which is what makes batched dispatch
         // bit-identical to per-event dispatch.
         let mut s: Scheduler<u8> = Scheduler::new();
         s.schedule_at(SimTime::from_nanos(10), 1);
         s.schedule_at(SimTime::from_nanos(10), 2);
-        let mut out = Vec::new();
-        assert_eq!(s.pop_batch(&mut out), 2);
+        assert_eq!(pop_tick(&mut s, SimTime::MAX).len(), 2);
         s.schedule_at(SimTime::from_nanos(10), 3); // "handler" reschedule
         s.schedule_at(SimTime::from_nanos(5), 4); // past: clamps to now
-        out.clear();
-        assert_eq!(s.pop_batch(&mut out), 2);
         assert_eq!(
-            out,
+            pop_tick(&mut s, SimTime::MAX),
             vec![(SimTime::from_nanos(10), 3), (SimTime::from_nanos(10), 4)]
         );
     }
 
     #[test]
-    fn pop_batch_finishes_partially_popped_tick() {
-        // Mixing pop() and pop_batch(): the batch completes the tick the
-        // per-event pop started.
+    fn pop_tick_finishes_partially_popped_tick() {
+        // Mixing pop() and pop_tick_until(): the tick completes the one
+        // the per-event pop started.
         let mut s: Scheduler<u8> = Scheduler::new();
         for i in 0..4 {
             s.schedule_at(SimTime::from_nanos(7), i);
         }
         assert_eq!(s.pop(), Some((SimTime::from_nanos(7), 0)));
-        let mut out = Vec::new();
-        assert_eq!(s.pop_batch(&mut out), 3);
+        assert_eq!(pop_tick(&mut s, SimTime::MAX).len(), 3);
         assert_eq!(s.len(), 0);
     }
 
@@ -988,7 +967,7 @@ mod tests {
         let mut wheel: Scheduler<u32> = Scheduler::new();
         let mut heap: HeapScheduler<u32> = HeapScheduler::new();
         let mut next_id = 0u32;
-        let mut batch = Vec::new();
+        let mut tick = Tick::new();
         for &(kind, bits) in ops {
             match kind {
                 0 => {
@@ -999,13 +978,14 @@ mod tests {
                     next_id += 1;
                 }
                 6 => {
-                    // Batched slot drain: the wheel pops a whole tick at
-                    // once; the heap pops the same count one by one. The
-                    // sequences must agree element for element.
-                    batch.clear();
-                    let n = wheel.pop_batch(&mut batch);
-                    for got in &batch {
-                        assert_eq!(Some(*got), heap.pop());
+                    // Batched slot drain, as `World::run_until` takes it:
+                    // the wheel swaps out a whole tick and the clock names
+                    // its instant; the heap pops the same count one by
+                    // one. The sequences must agree element for element.
+                    let n = wheel.pop_tick_until(SimTime::MAX, &mut tick);
+                    let at = wheel.now();
+                    for event in tick.drain() {
+                        assert_eq!(Some((at, event)), heap.pop());
                     }
                     if n == 0 {
                         assert_eq!(heap.pop(), None);

@@ -145,8 +145,8 @@ pub struct TcpRunOutcome {
     pub sender: TcpSenderStats,
     /// Goodput in Mbit/s (convenience).
     pub mbps: f64,
-    /// Simulator events processed by this run's world (deterministic;
-    /// feeds the harness's aggregate events/sec reporting).
+    /// Simulator events processed by this run's world (deterministic: a
+    /// cheap witness that two runs took the same path).
     pub events: u64,
 }
 
@@ -159,8 +159,8 @@ pub struct UdpRunOutcome {
     pub sent: u64,
     /// The offered rate (bits/s).
     pub offered_bps: u64,
-    /// Simulator events processed by this run's world (deterministic;
-    /// feeds the harness's aggregate events/sec reporting).
+    /// Simulator events processed by this run's world (deterministic: a
+    /// cheap witness that two runs took the same path).
     pub events: u64,
 }
 
@@ -914,19 +914,7 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run_ping`] with explicit direction and trial id.
-    pub fn run_ping_trial(&self, cfg: PingConfig, dir: Direction, trial: u64) -> PingReport {
-        self.run_ping_trial_counted(cfg, dir, trial).0
-    }
-
-    /// Like [`Scenario::run_ping_trial`], additionally returning the
-    /// number of simulator events the world processed (for the harness's
-    /// aggregate events/sec reporting).
-    pub fn run_ping_trial_counted(
-        &self,
-        mut cfg: PingConfig,
-        dir: Direction,
-        trial: u64,
-    ) -> (PingReport, u64) {
+    pub fn run_ping_trial(&self, mut cfg: PingConfig, dir: Direction, trial: u64) -> PingReport {
         let total = cfg.start_after + cfg.interval * cfg.count as u64 + SimDuration::from_secs(1);
         match dir {
             Direction::H1ToH2 => {
@@ -934,24 +922,22 @@ impl Scenario {
                 let mut built =
                     self.build_world(trial, |nic| Pinger::new(nic, cfg), IcmpEchoResponder::new);
                 built.world.run_for(total);
-                let report = built
+                built
                     .world
                     .device::<Pinger>(built.h1)
                     .expect("pinger at h1")
-                    .report();
-                (report, built.world.events_processed())
+                    .report()
             }
             Direction::H2ToH1 => {
                 cfg.dst_ip = H1_IP;
                 let mut built =
                     self.build_world(trial, IcmpEchoResponder::new, |nic| Pinger::new(nic, cfg));
                 built.world.run_for(total);
-                let report = built
+                built
                     .world
                     .device::<Pinger>(built.h2)
                     .expect("pinger at h2")
-                    .report();
-                (report, built.world.events_processed())
+                    .report()
             }
         }
     }
@@ -1068,33 +1054,13 @@ impl Scenario {
         trial_duration: SimDuration,
         final_duration: SimDuration,
     ) -> Option<(u64, UdpReport)> {
-        self.run_udp_max_rate_counted(dir, iperf, payload_len, trial_duration, final_duration)
-            .0
-    }
-
-    /// Like [`Scenario::run_udp_max_rate`], additionally returning the
-    /// total simulator events processed across the ramp trials and the
-    /// final measurement (for the harness's events/sec reporting).
-    pub fn run_udp_max_rate_counted(
-        &self,
-        dir: Direction,
-        iperf: &IperfConfig,
-        payload_len: usize,
-        trial_duration: SimDuration,
-        final_duration: SimDuration,
-    ) -> (Option<(u64, UdpReport)>, u64) {
-        let mut events = 0u64;
         let best = max_rate_search(iperf, |rate| {
-            let out = self.run_udp(dir, rate, payload_len, trial_duration, rate);
-            events += out.events;
-            out.report.loss_fraction
-        });
-        let Some(best) = best else {
-            return (None, events);
-        };
+            self.run_udp(dir, rate, payload_len, trial_duration, rate)
+                .report
+                .loss_fraction
+        })?;
         let outcome = self.run_udp(dir, best, payload_len, final_duration, 0xF1A7);
-        events += outcome.events;
-        (Some((best, outcome.report)), events)
+        Some((best, outcome.report))
     }
 }
 

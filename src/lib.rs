@@ -28,7 +28,7 @@ pub use netco_traffic as traffic;
 
 /// Convenient re-exports for examples and tests.
 pub mod prelude {
-    pub use netco_core::{CombinerConfig, CompareStrategy, Mode};
+    pub use netco_core::{CompareStrategy, Mode};
     pub use netco_sim::{SimDuration, SimTime};
     pub use netco_topo::{Profile, Scenario, ScenarioKind};
     pub use netco_traffic::{IperfConfig, PingConfig, TcpConfig, UdpConfig};
