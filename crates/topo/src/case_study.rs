@@ -18,7 +18,7 @@
 
 use netco_adversary::{ActivationWindow, Behavior, MaliciousSwitch};
 use netco_core::{Compare, CompareConfig, GuardConfig, GuardSwitch, LaneInfo, SecurityEvent};
-use netco_net::{HostNic, MacAddr, NeighborTable, PortId, World};
+use netco_net::{HostNic, MacAddr, NeighborTable, NodeId, PortId, World};
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
 use netco_sim::SimDuration;
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger};
@@ -177,6 +177,29 @@ fn run_flat(phase: Phase, profile: &Profile, seed: u64, requests: u32) -> Outcom
 /// and a compare). Replica ports: 1 = toward guard-e1 (fw side),
 /// 2 = toward guard-e2 (vm side).
 fn run_netco(profile: &Profile, seed: u64, requests: u32) -> Outcome {
+    let (mut world, vm1, fw1, cmp) = build_netco(profile, seed, requests);
+    world.run_for(SimDuration::from_secs(2));
+
+    let report = world.device::<Pinger>(vm1).unwrap().report();
+    let compare = world.device::<Compare>(cmp).unwrap();
+    let single_path_alarms = compare
+        .events()
+        .iter()
+        .filter(|e| matches!(e.record, SecurityEvent::SinglePathPacket { .. }))
+        .count();
+    Outcome {
+        requests_sent: report.transmitted,
+        requests_at_fw1: world.device::<IcmpEchoResponder>(fw1).unwrap().replied(),
+        responses_at_vm1: report.received,
+        frames_at_core: 0, // no core inside the combiner
+        compare_suppressed: compare.stats().expired_unreleased,
+        single_path_alarms,
+    }
+}
+
+/// Wires the protected pod; returns the world with `vm1`, `fw1` and the
+/// compare host.
+fn build_netco(profile: &Profile, seed: u64, requests: u32) -> (World, NodeId, NodeId, NodeId) {
     let k = 3usize;
     let mut world = World::new(seed);
     let ping_cfg = PingConfig::new(FW1_IP)
@@ -265,24 +288,7 @@ fn run_netco(profile: &Profile, seed: u64, requests: u32) -> Outcome {
     world.connect(edge2, PortId(1), guard_vm, PortId(0), profile.link.clone());
     world.connect(guard_fw, compare_port, cmp, PortId(0), profile.link.clone());
     world.connect(guard_vm, compare_port, cmp, PortId(1), profile.link.clone());
-
-    world.run_for(SimDuration::from_secs(2));
-
-    let report = world.device::<Pinger>(vm1).unwrap().report();
-    let compare = world.device::<Compare>(cmp).unwrap();
-    let single_path_alarms = compare
-        .events()
-        .iter()
-        .filter(|e| matches!(e.record, SecurityEvent::SinglePathPacket { .. }))
-        .count();
-    Outcome {
-        requests_sent: report.transmitted,
-        requests_at_fw1: world.device::<IcmpEchoResponder>(fw1).unwrap().replied(),
-        responses_at_vm1: report.received,
-        frames_at_core: 0, // no core inside the combiner
-        compare_suppressed: compare.stats().expired_unreleased,
-        single_path_alarms,
-    }
+    (world, vm1, fw1, cmp)
 }
 
 #[cfg(test)]
@@ -325,6 +331,57 @@ mod tests {
             "mirrored copies must be suppressed: {out:?}"
         );
         assert!(out.single_path_alarms >= 10);
+    }
+
+    /// The construction-order pin of `tests/world_shape.rs`, for the one
+    /// paper world that hands out no `World`: node names in id order, the
+    /// three handles, and the order-sensitive tap digest of a five-ping
+    /// run. Recorded on commit 11cbfcb (EXPERIMENTS.md "PR 21"); never
+    /// re-record it from a change to the wiring.
+    #[test]
+    fn netco_world_shape_is_pinned() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        fn fold(mut d: u64, bytes: &[u8]) -> u64 {
+            for &b in bytes {
+                d ^= b as u64;
+                d = d.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            d
+        }
+        let fold_u64 = |d: u64, v: u64| fold(d, &v.to_le_bytes());
+
+        let (mut world, vm1, fw1, cmp) = build_netco(&Profile::functional(), 5, 5);
+        let mut d = fold_u64(0xcbf2_9ce4_8422_2325, world.node_count() as u64);
+        for i in 0..world.node_count() {
+            d = fold(d, world.node_name(NodeId::from_index(i)).as_bytes());
+            d = fold(d, &[0xff]);
+        }
+        for handle in [vm1, fw1, cmp] {
+            d = fold_u64(d, handle.index() as u64);
+        }
+        let acc = Rc::new(RefCell::new(d));
+        let tap_acc = Rc::clone(&acc);
+        world.add_tap(move |ev| {
+            let mut d = tap_acc.borrow_mut();
+            for v in [
+                ev.at.as_nanos(),
+                ev.node.index() as u64,
+                ev.port.0 as u64,
+                matches!(ev.direction, netco_net::TapDirection::Tx) as u64,
+                netco_net::fnv1a(ev.frame),
+            ] {
+                *d = fold_u64(*d, v);
+            }
+        });
+        world.run_for(SimDuration::from_secs(2));
+        assert_eq!(world.device::<Pinger>(vm1).unwrap().report().received, 5);
+        assert_eq!(
+            *acc.borrow(),
+            0x6fda_c405_46d0_4001,
+            "case-study NetCo world shape moved"
+        );
     }
 
     #[test]

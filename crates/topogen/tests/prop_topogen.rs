@@ -3,10 +3,16 @@
 //! restored (or islands reported) for every draw, Barabási-Albert obeys
 //! its degree-sum arithmetic, Watts-Strogatz preserves node and edge
 //! counts through rewiring, and `netcoize` at fraction 0 is the identity.
+//! Since PR 21 also: the per-node port table answers every port question
+//! the way a scan of the edge list does, and the campaign's graphs are the
+//! bytes they were before the table existed.
 
-use netco_topogen::generate::{barabasi_albert, erdos_renyi, grid2d, watts_strogatz};
+use netco_topogen::campaign::CampaignConfig;
+use netco_topogen::generate::{barabasi_albert, erdos_renyi, fat_tree, grid2d, watts_strogatz};
+use netco_topogen::graph::Attachment;
 use netco_topogen::{netcoize, NetcoizeSpec, NodeKind, TopoGraph};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 
 /// Degree of `node` counted from the link list (host attachments are
 /// tracked separately and deliberately excluded).
@@ -17,7 +23,135 @@ fn degree(g: &TopoGraph, node: usize) -> usize {
         .count()
 }
 
+/// What sits on each port of `node`, sorted by port: the edge-list scan
+/// `TopoGraph::attachments` was before the port table (PR 21), kept here
+/// as the table's reference.
+fn scan_attachments(g: &TopoGraph, node: usize) -> Vec<(u16, Attachment)> {
+    let mut out: Vec<(u16, Attachment)> = Vec::new();
+    for (i, l) in g.links.iter().enumerate() {
+        if l.a == node {
+            out.push((l.a_port, Attachment::Link(i)));
+        }
+        if l.b == node {
+            out.push((l.b_port, Attachment::Link(i)));
+        }
+    }
+    for (i, h) in g.hosts.iter().enumerate() {
+        if h.attach == node {
+            out.push((h.attach_port, Attachment::Host(i)));
+        }
+    }
+    out.sort_by_key(|&(p, _)| p);
+    out
+}
+
+/// The smallest unwired port, from the scan (the retired `used_ports`
+/// walk).
+fn scan_free_port(g: &TopoGraph, node: usize) -> u16 {
+    let mut next = 0;
+    for (p, _) in scan_attachments(g, node) {
+        if p == next {
+            next += 1;
+        } else if p > next {
+            break;
+        }
+    }
+    next
+}
+
+/// Every node's `attachments` / `free_port` / `port_count` against the
+/// scan, and `linked` against the link list (every link, plus each node's
+/// three id-successors as likely non-links).
+fn ports_match_the_scan(g: &TopoGraph) -> TestCaseResult {
+    for n in 0..g.nodes.len() {
+        let scan = scan_attachments(g, n);
+        prop_assert_eq!(g.attachments(n), scan.clone(), "{} node {}", g.class, n);
+        prop_assert_eq!(
+            g.free_port(n),
+            scan_free_port(g, n),
+            "{} node {}",
+            g.class,
+            n
+        );
+        prop_assert_eq!(
+            g.port_count(n) as usize,
+            scan.len(),
+            "{} node {}",
+            g.class,
+            n
+        );
+    }
+    let scan_linked = |a: usize, b: usize| {
+        g.links
+            .iter()
+            .any(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
+    };
+    for l in &g.links {
+        prop_assert!(g.linked(l.a, l.b) && g.linked(l.b, l.a));
+    }
+    for a in 0..g.nodes.len() {
+        for b in (1..=3).map(|d| (a + d) % g.nodes.len()) {
+            prop_assert_eq!(g.linked(a, b), scan_linked(a, b), "{} {}-{}", g.class, a, b);
+        }
+    }
+    Ok(())
+}
+
+/// The five `CampaignConfig::full(7)` base graphs and their k = 3
+/// NetCo-ized forms, byte for byte: `digest()` constants recorded on
+/// commit 11cbfcb, where every port question was an edge-list scan
+/// (EXPERIMENTS.md "PR 21"). The properties below compare a graph only
+/// with itself; this compares it with the parent.
+#[test]
+fn campaign_graph_digests_are_pinned() {
+    const PINNED: [(&str, u64, u64); 5] = [
+        ("grid", 0x800df6ff3e37beaf, 0xf16b3405543c7874),
+        ("erdos_renyi", 0xf42bc1843d550167, 0x6cb9d7b816077242),
+        ("barabasi_albert", 0x196d80253ce90288, 0xd24d3cdba4dfabe6),
+        ("watts_strogatz", 0x24f6aa4018ac9be1, 0x8723b339a8542475),
+        ("fat_tree", 0xe78b3850f8b72e65, 0xb6c8b9c1885e8d64),
+    ];
+    let cfg = CampaignConfig::full(7);
+    let got: Vec<(&str, u64, u64)> = cfg
+        .classes
+        .iter()
+        .zip(0u64..)
+        .map(|(class, class_idx)| {
+            let base = class.graph(cfg.hosts, cfg.seed.wrapping_add(class_idx));
+            let netco = netcoize(&base, &NetcoizeSpec::full(3, cfg.seed));
+            (class.label(), base.digest(), netco.digest())
+        })
+        .collect();
+    assert!(got == PINNED, "campaign graphs moved: {got:#018x?}");
+}
+
 proptest! {
+    /// After any generator and after `netcoize`, the port table and a
+    /// scan of the edge list give the same answer for every node —
+    /// including Watts-Strogatz draws, whose rewiring moves link ends and
+    /// leaves holes in the port numbering.
+    #[test]
+    fn port_table_agrees_with_the_edge_list(
+        n in 8usize..28,
+        k in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        let graphs = [
+            erdos_renyi(n, 3.0, 6, seed),
+            barabasi_albert(n, 2, 6, seed),
+            watts_strogatz(n, 4, 0.0, 6, seed),
+            watts_strogatz(n, 4, 0.3, 6, seed),
+            watts_strogatz(n, 4, 1.0, 6, seed),
+            grid2d(3, n.div_ceil(3), n % 2 == 0, 6, seed),
+            fat_tree(4, seed),
+        ];
+        for base in &graphs {
+            ports_match_the_scan(base)?;
+            ports_match_the_scan(&netcoize(base, &NetcoizeSpec { fraction: 0.5, k, seed }))?;
+            ports_match_the_scan(&netcoize(base, &NetcoizeSpec::full(k, seed)))?;
+        }
+    }
+
     /// Same parameters, same seed → byte-identical graphs, across every
     /// generator family; a different seed must perturb the randomized
     /// families.
