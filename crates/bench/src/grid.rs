@@ -3,10 +3,10 @@
 //! The paper's reference scenarios are a handful of switches — far too
 //! small to demonstrate space-parallel speedup. This builder lays out
 //! `rows × cells` independent east–west paths, where every hop is a full
-//! inband NetCo cell (the paper's §IX middlebox placement): two trusted
-//! [`GuardSwitch`]es sandwiching three untrusted replica [`OfSwitch`]es,
-//! compare embedded in the downstream guard. A `8 × 5` grid is therefore
-//! `8 · 5 · 5 = 200` switches plus 16 hosts.
+//! inband NetCo cell (the paper's §IX middlebox placement, wired by
+//! [`netco_topo::cell`]): two trusted guards sandwiching three untrusted
+//! replica switches, compare embedded in the downstream guard. A `8 × 5`
+//! grid is therefore `8 · 5 · 5 = 200` switches plus 16 hosts.
 //!
 //! Each row carries an endless Ethernet ping-pong: the west host sends a
 //! sequence-stamped frame to the east host's MAC, the east host replies
@@ -26,11 +26,11 @@
 //! pre-topogen builder.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netco_core::{CompareConfig, GuardConfig, GuardSwitch};
+use netco_core::{CompareConfig, GuardConfig};
 use netco_net::packet::{EtherType, EthernetFrame};
 use netco_net::{Ctx, Device, Frame, LinkSpec, MacAddr, NodeId, PortId, World};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
-use netco_topo::Profile;
+use netco_topo::cell::{Cell, CellSpec, REPLICA_PORT};
+use netco_topo::{routed_switch, Profile};
 use netco_topogen::lattice::RowGrid;
 
 /// Replicas per NetCo cell (the paper's k = 3 prevent configuration).
@@ -154,50 +154,34 @@ pub fn build_grid(rows: usize, cells: usize, seed: u64) -> GridWorld {
             profile.host_cpu.clone(),
         );
 
-        // Port 0 of each cell's west guard faces west, port 0 of the east
-        // guard faces east; replica ports are 1..=REPLICAS on both guards.
+        // Port 0 of each cell's west guard (guard 0) faces west, port 0 of
+        // the east guard faces east.
         let mut west_edge = (west, PortId(0));
         for cell in 0..cells {
-            let replica_ports: Vec<PortId> = (1..=REPLICAS).map(PortId).collect();
-            let ga = world.add_node(
-                format!("g{row}.{cell}w"),
-                GuardSwitch::new(GuardConfig::inband(
-                    PortId(0),
-                    replica_ports.clone(),
-                    CompareConfig::prevent(REPLICAS as usize),
-                )),
-                profile.guard_cpu.clone(),
-            );
-            let gb = world.add_node(
-                format!("g{row}.{cell}e"),
-                GuardSwitch::new(GuardConfig::inband(
-                    PortId(0),
-                    replica_ports,
-                    CompareConfig::prevent(REPLICAS as usize),
-                )),
-                profile.guard_cpu.clone(),
-            );
             let spec = LinkSpec::new(1_000_000_000, lattice.latency(row as usize, cell));
-            for i in 1..=REPLICAS {
-                let mut r = OfSwitch::new(SwitchConfig::with_datapath_id(
-                    RowGrid::replica_datapath_id(row as usize, cell, i),
-                ));
-                // Port 1 faces the west guard, port 2 the east guard.
-                r.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(em),
-                    vec![Action::Output(OfPort::Physical(2))],
-                ));
-                r.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(wm),
-                    vec![Action::Output(OfPort::Physical(1))],
-                ));
-                let rid =
-                    world.add_node(format!("r{row}.{cell}.{i}"), r, profile.switch_cpu.clone());
-                world.connect(ga, PortId(i), rid, PortId(1), spec.clone());
-                world.connect(rid, PortId(2), gb, PortId(i), spec.clone());
-            }
+            let [west_port, east_port] = REPLICA_PORT;
+            let netco = Cell::wire(
+                &mut world,
+                CellSpec {
+                    k: REPLICAS as usize,
+                    guard_names: [format!("g{row}.{cell}w"), format!("g{row}.{cell}e")],
+                    compare: None,
+                    profile: &profile,
+                    link: &spec,
+                },
+                |_, ports| {
+                    let compare = CompareConfig::prevent(REPLICAS as usize);
+                    GuardConfig::inband(ports.out, ports.replicas, compare)
+                },
+                |i| {
+                    let dpid = RowGrid::replica_datapath_id(row as usize, cell, i);
+                    let routes = [(em, east_port), (wm, west_port)];
+                    let name = format!("r{row}.{cell}.{i}");
+                    (name, routed_switch(dpid, routes, [], None))
+                },
+                |_, _, _| {},
+            );
+            let [ga, gb] = netco.guards;
             let (wn, wp) = west_edge;
             world.connect(wn, wp, ga, PortId(0), spec.clone());
             west_edge = (gb, PortId(0));

@@ -55,39 +55,42 @@ pub struct GuardConfig {
 }
 
 impl GuardConfig {
-    /// A central-compare guard forwarding every copy.
-    pub fn central(host_port: PortId, replica_ports: Vec<PortId>, compare_port: PortId) -> Self {
+    /// A guard forwarding every copy to `compare`, nothing embedded.
+    fn attached(host_port: PortId, replica_ports: Vec<PortId>, compare: CompareAttachment) -> Self {
         GuardConfig {
             host_port,
             replica_ports,
-            compare: CompareAttachment::DataPort(compare_port),
+            compare,
             sample_probability: 1.0,
             embedded_compare: None,
             primary_forward: false,
         }
     }
 
+    /// A central-compare guard forwarding every copy.
+    pub fn central(host_port: PortId, replica_ports: Vec<PortId>, compare_port: PortId) -> Self {
+        let compare = CompareAttachment::DataPort(compare_port);
+        Self::attached(host_port, replica_ports, compare)
+    }
+
+    /// A guard whose compare runs as an app on `controller` (or behind a
+    /// control voter standing in for it): every copy travels the control
+    /// channel as a packet-in (*POX-k*).
+    pub fn controller(host_port: PortId, replica_ports: Vec<PortId>, controller: NodeId) -> Self {
+        let compare = CompareAttachment::Controller(controller);
+        Self::attached(host_port, replica_ports, compare)
+    }
+
     /// A duplicate-only guard (no combining).
     pub fn dup(host_port: PortId, replica_ports: Vec<PortId>) -> Self {
-        GuardConfig {
-            host_port,
-            replica_ports,
-            compare: CompareAttachment::None,
-            sample_probability: 1.0,
-            embedded_compare: None,
-            primary_forward: false,
-        }
+        Self::attached(host_port, replica_ports, CompareAttachment::None)
     }
 
     /// An inband guard: the compare lives inside the guard itself (§IX).
     pub fn inband(host_port: PortId, replica_ports: Vec<PortId>, compare: CompareConfig) -> Self {
         GuardConfig {
-            host_port,
-            replica_ports,
-            compare: CompareAttachment::Embedded,
-            sample_probability: 1.0,
             embedded_compare: Some(compare),
-            primary_forward: false,
+            ..Self::attached(host_port, replica_ports, CompareAttachment::Embedded)
         }
     }
 }

@@ -16,14 +16,16 @@
 //!    combiner containing the same malicious switch: 10/10 cycles succeed
 //!    again; the mirrored copies reach the compare but never leave it.
 
-use netco_adversary::{ActivationWindow, Behavior, MaliciousSwitch};
-use netco_core::{Compare, CompareConfig, GuardConfig, GuardSwitch, LaneInfo, SecurityEvent};
-use netco_net::{HostNic, MacAddr, NeighborTable, NodeId, PortId, World};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
+use netco_adversary::{ActivationWindow, Behavior};
+use netco_core::{Compare, CompareConfig, GuardConfig, SecurityEvent};
+use netco_net::{Device, HostNic, MacAddr, NeighborTable, NodeId, PortId, World};
+use netco_openflow::FlowMatch;
 use netco_sim::SimDuration;
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger};
 
+use crate::cell::{Cell, CellSpec, REPLICA_PORT};
 use crate::profile::Profile;
+use crate::routed::routed_switch;
 
 use std::net::Ipv4Addr;
 
@@ -73,43 +75,81 @@ fn nic(mac: MacAddr, ip: Ipv4Addr) -> HostNic {
     n
 }
 
-/// Static MAC rules for a 3-port benign switch: `fw1` via `fw_port`,
-/// `vm1` via `vm_port`.
-fn mac_rules(fw_port: u16, vm_port: u16) -> Vec<FlowEntry> {
-    vec![
-        FlowEntry::new(
-            100,
-            FlowMatch::any().with_dl_dst(FW1_MAC),
-            vec![Action::Output(OfPort::Physical(fw_port))],
-        ),
-        FlowEntry::new(
-            100,
-            FlowMatch::any().with_dl_dst(VM1_MAC),
-            vec![Action::Output(OfPort::Physical(vm_port))],
-        ),
-    ]
+/// A benign pod switch: `fw1` via `fw_port`, `vm1` via `vm_port`.
+fn pod_switch(dpid: u64, fw_port: u16, vm_port: u16) -> Box<dyn Device> {
+    routed_switch(dpid, pod_routes(fw_port, vm_port), [], None)
 }
 
-fn of_switch(dpid: u64, fw_port: u16, vm_port: u16) -> OfSwitch {
-    let mut sw = OfSwitch::new(SwitchConfig::with_datapath_id(dpid));
-    for rule in mac_rules(fw_port, vm_port) {
-        sw.preinstall(rule);
-    }
-    sw
+fn pod_routes(fw_port: u16, vm_port: u16) -> [(MacAddr, u16); 2] {
+    [(FW1_MAC, fw_port), (VM1_MAC, vm_port)]
+}
+
+/// The attack of the case study: mirror `fw1`-bound traffic matching
+/// `mirror` out of `to_port`, drop everything addressed to `vm1`.
+fn attack(mirror: FlowMatch, to_port: u16) -> [(Behavior, ActivationWindow); 2] {
+    [
+        (
+            Behavior::Mirror {
+                select: mirror.with_dl_dst(FW1_MAC),
+                to_port: PortId(to_port),
+            },
+            ActivationWindow::always(),
+        ),
+        (
+            Behavior::Drop {
+                select: FlowMatch::any().with_dl_dst(VM1_MAC),
+            },
+            ActivationWindow::always(),
+        ),
+    ]
 }
 
 /// Runs one phase with `requests` echo cycles; see the module docs for the
 /// expected outcomes.
 pub fn run(phase: Phase, profile: &Profile, seed: u64, requests: u32) -> Outcome {
-    match phase {
-        Phase::Baseline | Phase::Attack => run_flat(phase, profile, seed, requests),
-        Phase::NetCo => run_netco(profile, seed, requests),
+    let Pod {
+        mut world,
+        vm1,
+        fw1,
+        core,
+        compare,
+    } = build(phase, profile, seed, requests);
+    world.run_for(SimDuration::from_secs(2));
+
+    let report = world.device::<Pinger>(vm1).unwrap().report();
+    let compare = compare.map(|c| world.device::<Compare>(c).unwrap());
+    let single_path = |c: &Compare| {
+        let is_alarm = |e: &_| matches!(e, SecurityEvent::SinglePathPacket { .. });
+        c.events().iter().filter(|e| is_alarm(&e.record)).count()
+    };
+    Outcome {
+        requests_sent: report.transmitted,
+        requests_at_fw1: world.device::<IcmpEchoResponder>(fw1).unwrap().replied(),
+        responses_at_vm1: report.received,
+        // No core inside the combiner.
+        frames_at_core: core.map_or(0, |c| world.counters(c).total().rx_frames),
+        compare_suppressed: compare.map_or(0, |c| c.stats().expired_unreleased),
+        single_path_alarms: compare.map_or(0, single_path),
     }
 }
 
-/// The unprotected pod: `vm1 – edge2 – agg – edge1 – fw1`, with the agg
-/// also uplinked to a core switch (`agg` port 2 ↔ `core` port 0).
-fn run_flat(phase: Phase, profile: &Profile, seed: u64, requests: u32) -> Outcome {
+/// The pod, wired but not run.
+struct Pod {
+    world: World,
+    vm1: NodeId,
+    fw1: NodeId,
+    /// The core switch above the aggregation switch (unprotected phases).
+    core: Option<NodeId>,
+    /// The combiner's compare host (NetCo phase).
+    compare: Option<NodeId>,
+}
+
+/// Wires `vm1 – edge2 – [aggregation] – edge1 – fw1`. Unprotected, the
+/// aggregation position is one switch, also uplinked to a core switch
+/// (`agg` port 2 ↔ `core` port 0). Protected, it is a k = 3 combiner: two
+/// guards, three replicas — one of them the same malicious switch — and a
+/// compare.
+fn build(phase: Phase, profile: &Profile, seed: u64, requests: u32) -> Pod {
     let mut world = World::new(seed);
     let ping_cfg = PingConfig::new(FW1_IP)
         .with_count(requests)
@@ -124,171 +164,81 @@ fn run_flat(phase: Phase, profile: &Profile, seed: u64, requests: u32) -> Outcom
         IcmpEchoResponder::new(nic(FW1_MAC, FW1_IP)),
         profile.host_cpu.clone(),
     );
-    // Edge switches: port 0 = host, port 1 = agg.
-    let edge1 = world.add_node("edge1", of_switch(1, 0, 1), profile.switch_cpu.clone());
-    let edge2 = world.add_node("edge2", of_switch(2, 1, 0), profile.switch_cpu.clone());
-    // Aggregation: port 0 = edge1 (fw side), port 1 = edge2 (vm side),
-    // port 2 = core.
-    let mut agg = MaliciousSwitch::new();
-    agg.route(FW1_MAC, PortId(0));
-    agg.route(VM1_MAC, PortId(1));
-    if phase == Phase::Attack {
-        // Mirror only traffic entering from the VM side (in_port 1), so
-        // the copy returning from the core is forwarded, not re-mirrored.
-        agg.add_behavior(
-            Behavior::Mirror {
-                select: FlowMatch::any().with_in_port(1).with_dl_dst(FW1_MAC),
-                to_port: PortId(2),
+    // Edge switches: port 0 = host, port 1 = aggregation.
+    let edge1 = world.add_node("edge1", pod_switch(1, 0, 1), profile.switch_cpu.clone());
+    let edge2 = world.add_node("edge2", pod_switch(2, 1, 0), profile.switch_cpu.clone());
+
+    let (cell, core, fw_side, vm_side) = if phase == Phase::NetCo {
+        // Guard 0 faces edge1 (fw side), guard 1 edge2 (vm side). Replica
+        // 2 is the malicious aggregation switch. Inside the combiner it
+        // has no core uplink — its mirror targets the only other port it
+        // has, exactly as observed in the paper ("we saw the mirrored
+        // packets arriving, yet none of them left the compare").
+        let k = 3;
+        let [fw_port, vm_port] = REPLICA_PORT;
+        let attack = attack(FlowMatch::any(), vm_port);
+        let netco = Cell::wire(
+            &mut world,
+            CellSpec {
+                k,
+                guard_names: ["guard-e1".into(), "guard-e2".into()],
+                compare: Some(("h3-compare", CompareConfig::prevent(k))),
+                profile,
+                link: &profile.link,
             },
-            ActivationWindow::always(),
-        );
-        agg.add_behavior(
-            Behavior::Drop {
-                select: FlowMatch::any().with_dl_dst(VM1_MAC),
+            |_, ports| GuardConfig::central(ports.out, ports.replicas, ports.compare),
+            |i| {
+                let (name, behaviors) = match i {
+                    2 => ("agg-evil".into(), Some(&attack[..])),
+                    _ => (format!("agg-r{i}"), None),
+                };
+                let routes = pod_routes(fw_port, vm_port);
+                (name, routed_switch(20 + i as u64, routes, [], behaviors))
             },
-            ActivationWindow::always(),
+            |_, _, _| {},
         );
-    }
-    let agg = world.add_node("agg", agg, profile.switch_cpu.clone());
-    // Core: port 0 = agg; routes everything back down through the agg.
-    let core = world.add_node("core", of_switch(9, 0, 0), profile.switch_cpu.clone());
-
-    world.connect(vm1, PortId(0), edge2, PortId(0), profile.link.clone());
-    world.connect(fw1, PortId(0), edge1, PortId(0), profile.link.clone());
-    world.connect(edge1, PortId(1), agg, PortId(0), profile.link.clone());
-    world.connect(edge2, PortId(1), agg, PortId(1), profile.link.clone());
-    world.connect(agg, PortId(2), core, PortId(0), profile.link.clone());
-
-    world.run_for(SimDuration::from_secs(2));
-
-    let report = world.device::<Pinger>(vm1).unwrap().report();
-    Outcome {
-        requests_sent: report.transmitted,
-        requests_at_fw1: world.device::<IcmpEchoResponder>(fw1).unwrap().replied(),
-        responses_at_vm1: report.received,
-        frames_at_core: world.counters(core).total().rx_frames,
-        compare_suppressed: 0,
-        single_path_alarms: 0,
-    }
-}
-
-/// The protected pod: the aggregation position becomes a k = 3 combiner
-/// (two guards, three replicas — one of them the same malicious switch —
-/// and a compare). Replica ports: 1 = toward guard-e1 (fw side),
-/// 2 = toward guard-e2 (vm side).
-fn run_netco(profile: &Profile, seed: u64, requests: u32) -> Outcome {
-    let (mut world, vm1, fw1, cmp) = build_netco(profile, seed, requests);
-    world.run_for(SimDuration::from_secs(2));
-
-    let report = world.device::<Pinger>(vm1).unwrap().report();
-    let compare = world.device::<Compare>(cmp).unwrap();
-    let single_path_alarms = compare
-        .events()
-        .iter()
-        .filter(|e| matches!(e.record, SecurityEvent::SinglePathPacket { .. }))
-        .count();
-    Outcome {
-        requests_sent: report.transmitted,
-        requests_at_fw1: world.device::<IcmpEchoResponder>(fw1).unwrap().replied(),
-        responses_at_vm1: report.received,
-        frames_at_core: 0, // no core inside the combiner
-        compare_suppressed: compare.stats().expired_unreleased,
-        single_path_alarms,
-    }
-}
-
-/// Wires the protected pod; returns the world with `vm1`, `fw1` and the
-/// compare host.
-fn build_netco(profile: &Profile, seed: u64, requests: u32) -> (World, NodeId, NodeId, NodeId) {
-    let k = 3usize;
-    let mut world = World::new(seed);
-    let ping_cfg = PingConfig::new(FW1_IP)
-        .with_count(requests)
-        .with_interval(SimDuration::from_millis(10));
-    let vm1 = world.add_node(
-        "vm1",
-        Pinger::new(nic(VM1_MAC, VM1_IP), ping_cfg),
-        profile.host_cpu.clone(),
-    );
-    let fw1 = world.add_node(
-        "fw1",
-        IcmpEchoResponder::new(nic(FW1_MAC, FW1_IP)),
-        profile.host_cpu.clone(),
-    );
-    let edge1 = world.add_node("edge1", of_switch(1, 0, 1), profile.switch_cpu.clone());
-    let edge2 = world.add_node("edge2", of_switch(2, 1, 0), profile.switch_cpu.clone());
-
-    let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
-    let compare_port = PortId(k as u16 + 1);
-    let guard_fw = world.add_node(
-        "guard-e1",
-        GuardSwitch::new(GuardConfig::central(
-            PortId(0),
-            replica_ports.clone(),
-            compare_port,
-        )),
-        profile.guard_cpu.clone(),
-    );
-    let guard_vm = world.add_node(
-        "guard-e2",
-        GuardSwitch::new(GuardConfig::central(PortId(0), replica_ports, compare_port)),
-        profile.guard_cpu.clone(),
-    );
-    let mut compare = Compare::new(CompareConfig::prevent(k));
-    for port in [0u16, 1] {
-        compare.attach_guard(
-            PortId(port),
-            LaneInfo {
-                replica_ports: (1..=k as u16).collect(),
-                host_port: 0,
-            },
-        );
-    }
-    let cmp = world.add_node("h3-compare", compare, profile.compare_cpu.clone());
-
-    // Replicas: r2 (index 1) is the malicious aggregation switch. Inside
-    // the combiner it has no core uplink — its mirror targets the only
-    // other port it has, exactly as observed in the paper ("we saw the
-    // mirrored packets arriving, yet none of them left the compare").
-    let mut replicas = Vec::new();
-    for i in 1..=k as u16 {
-        let id = if i == 2 {
-            let mut m = MaliciousSwitch::new();
-            m.route(FW1_MAC, PortId(1));
-            m.route(VM1_MAC, PortId(2));
-            m.add_behavior(
-                Behavior::Mirror {
-                    select: FlowMatch::any().with_dl_dst(FW1_MAC),
-                    to_port: PortId(2),
-                },
-                ActivationWindow::always(),
-            );
-            m.add_behavior(
-                Behavior::Drop {
-                    select: FlowMatch::any().with_dl_dst(VM1_MAC),
-                },
-                ActivationWindow::always(),
-            );
-            world.add_node("agg-evil", m, profile.switch_cpu.clone())
-        } else {
-            let mut sw = OfSwitch::new(SwitchConfig::with_datapath_id(20 + i as u64));
-            for rule in mac_rules(1, 2) {
-                sw.preinstall(rule);
-            }
-            world.add_node(format!("agg-r{i}"), sw, profile.switch_cpu.clone())
+        let [guard_fw, guard_vm] = netco.guards;
+        (
+            Some(netco),
+            None,
+            (guard_fw, PortId(0)),
+            (guard_vm, PortId(0)),
+        )
+    } else {
+        // Aggregation: port 0 = edge1 (fw side), port 1 = edge2 (vm side),
+        // port 2 = core. Mirror only traffic entering from the VM side
+        // (in_port 1), so the copy returning from the core is forwarded,
+        // not re-mirrored.
+        let attack = attack(FlowMatch::any().with_in_port(1), 2);
+        let behaviors = match phase {
+            Phase::Attack => &attack[..],
+            _ => &[],
         };
-        world.connect(guard_fw, PortId(i), id, PortId(1), profile.link.clone());
-        world.connect(id, PortId(2), guard_vm, PortId(i), profile.link.clone());
-        replicas.push(id);
-    }
+        let agg = routed_switch(0, pod_routes(0, 1), [], Some(behaviors));
+        let agg = world.add_node("agg", agg, profile.switch_cpu.clone());
+        // Core: port 0 = agg; routes everything back down through the agg.
+        let core = world.add_node("core", pod_switch(9, 0, 0), profile.switch_cpu.clone());
+        (None, Some(core), (agg, PortId(0)), (agg, PortId(1)))
+    };
 
     world.connect(vm1, PortId(0), edge2, PortId(0), profile.link.clone());
     world.connect(fw1, PortId(0), edge1, PortId(0), profile.link.clone());
-    world.connect(edge1, PortId(1), guard_fw, PortId(0), profile.link.clone());
-    world.connect(edge2, PortId(1), guard_vm, PortId(0), profile.link.clone());
-    world.connect(guard_fw, compare_port, cmp, PortId(0), profile.link.clone());
-    world.connect(guard_vm, compare_port, cmp, PortId(1), profile.link.clone());
-    (world, vm1, fw1, cmp)
+    world.connect(edge1, PortId(1), fw_side.0, fw_side.1, profile.link.clone());
+    world.connect(edge2, PortId(1), vm_side.0, vm_side.1, profile.link.clone());
+    if let Some(core) = core {
+        // Unprotected, both sides are the one aggregation switch.
+        world.connect(fw_side.0, PortId(2), core, PortId(0), profile.link.clone());
+    }
+    if let Some(cell) = &cell {
+        cell.wire_compare(&mut world, &profile.link);
+    }
+    Pod {
+        world,
+        vm1,
+        fw1,
+        core,
+        compare: cell.and_then(|cell| cell.compare),
+    }
 }
 
 #[cfg(test)]
@@ -352,7 +302,8 @@ mod tests {
         }
         let fold_u64 = |d: u64, v: u64| fold(d, &v.to_le_bytes());
 
-        let (mut world, vm1, fw1, cmp) = build_netco(&Profile::functional(), 5, 5);
+        let pod = build(Phase::NetCo, &Profile::functional(), 5, 5);
+        let (mut world, vm1, fw1, cmp) = (pod.world, pod.vm1, pod.fw1, pod.compare.unwrap());
         let mut d = fold_u64(0xcbf2_9ce4_8422_2325, world.node_count() as u64);
         for i in 0..world.node_count() {
             d = fold(d, world.node_name(NodeId::from_index(i)).as_bytes());

@@ -9,12 +9,13 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use netco_adversary::{ActivationWindow, Behavior, MaliciousSwitch};
+use netco_adversary::{ActivationWindow, Behavior};
 use netco_core::virtualized::{PathGraph, VendorId, VirtualGuard, VirtualGuardConfig};
 use netco_net::{Device, HostNic, MacAddr, NeighborTable, NodeId, PortId, World};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
+use netco_openflow::FlowEntry;
 
 use crate::profile::Profile;
+use crate::routed::routed_switch;
 
 /// The role of a switch in the fat-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,26 +117,30 @@ impl FatTreeIndex {
     /// The uplink/downlink port wiring between two adjacent switches, as
     /// `(port on a, port on b)`. Returns `None` for non-adjacent switches.
     pub fn ports_between(&self, a: usize, b: usize) -> Option<(u16, u16)> {
-        let half = self.half() as u16;
-        match (self.role(a), self.role(b)) {
+        let half = self.half();
+        // `(uplink on lower, downlink on upper)`, lower tier first.
+        let up = |lower, upper| match (self.role(lower), self.role(upper)) {
             (SwitchRole::Edge(pe, e), SwitchRole::Agg(pa, ag)) if pe == pa => {
-                Some((half + ag as u16, e as u16))
+                Some(((half + ag) as u16, e as u16))
             }
-            (SwitchRole::Agg(pa, ag), SwitchRole::Edge(pe, e)) if pe == pa => {
-                Some((e as u16, half + ag as u16))
-            }
-            (SwitchRole::Agg(pa, ag), SwitchRole::Core(c)) => {
-                let j = c / self.half();
-                let i = c % self.half();
-                (j == ag).then_some((half + i as u16, pa as u16))
-            }
-            (SwitchRole::Core(c), SwitchRole::Agg(pa, ag)) => {
-                let j = c / self.half();
-                let i = c % self.half();
-                (j == ag).then_some((pa as u16, half + i as u16))
+            (SwitchRole::Agg(pa, ag), SwitchRole::Core(c)) if c / half == ag => {
+                Some(((half + c % half) as u16, pa as u16))
             }
             _ => None,
-        }
+        };
+        up(a, b).or_else(|| up(b, a).map(|(pb, pa)| (pa, pb)))
+    }
+
+    /// Adjacent switch pairs `(lower, upper)`, pod by pod: every edge–agg
+    /// pair, then every agg–core pair.
+    fn links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let half = self.half();
+        let pairs = move || (0..half).flat_map(move |x| (0..half).map(move |y| (x, y)));
+        (0..self.k).flat_map(move |pod| {
+            let edge_agg = pairs().map(move |(e, a)| (self.edge(pod, e), self.agg(pod, a)));
+            let agg_core = pairs().map(move |(a, i)| (self.agg(pod, a), self.core(a * half + i)));
+            edge_agg.chain(agg_core)
+        })
     }
 
     /// The edge-switch port a host attaches to.
@@ -177,17 +182,8 @@ impl FatTreeIndex {
     pub fn graph(&self) -> PathGraph {
         let half = self.half();
         let mut g = PathGraph::new(self.switch_count());
-        for pod in 0..self.k {
-            for e in 0..half {
-                for a in 0..half {
-                    g.add_edge(self.edge(pod, e), self.agg(pod, a));
-                }
-            }
-            for a in 0..half {
-                for i in 0..half {
-                    g.add_edge(self.agg(pod, a), self.core(a * half + i));
-                }
-            }
+        for (lower, upper) in self.links() {
+            g.add_edge(lower, upper);
         }
         for idx in 0..self.switch_count() {
             let vendor = match self.role(idx) {
@@ -217,9 +213,9 @@ pub type ExtraRules = HashMap<usize, Vec<FlowEntry>>;
 /// Optional modifications to a fat-tree build.
 #[derive(Default)]
 pub struct FatTreeOptions {
-    /// Switches (by graph index) to replace with [`MaliciousSwitch`]es
-    /// carrying the given behaviours (they keep the honest routes for
-    /// everything else).
+    /// Switches (by graph index) to replace with
+    /// [`netco_adversary::MaliciousSwitch`]es carrying the given behaviours
+    /// (they keep the honest routes for everything else).
     pub malicious: HashMap<usize, Vec<(Behavior, ActivationWindow)>>,
     /// Additional flow entries per switch (only honest switches — a
     /// malicious router ignores its rules, which is the point).
@@ -242,7 +238,6 @@ pub struct FatTree {
     pub hosts: Vec<NodeId>,
     /// Virtual guards by host index (guarded hosts only).
     pub guards: HashMap<usize, NodeId>,
-    host_nics: Vec<HostNic>,
 }
 
 impl FatTree {
@@ -266,73 +261,27 @@ impl FatTree {
         let mut switches = Vec::with_capacity(index.switch_count());
         for gidx in 0..index.switch_count() {
             let name = index.switch_name(gidx);
-            let device: Box<dyn Device> = match malicious.get(&gidx) {
-                Some(behaviors) => {
-                    let mut m = MaliciousSwitch::new();
-                    for h in 0..index.host_count() {
-                        m.route(index.host_mac(h), PortId(index.route_port(gidx, h)));
-                    }
-                    for (b, w) in behaviors.clone() {
-                        m.add_behavior(b, w);
-                    }
-                    Box::new(m)
-                }
-                None => {
-                    let mut sw = OfSwitch::new(SwitchConfig::with_datapath_id(gidx as u64));
-                    for h in 0..index.host_count() {
-                        sw.preinstall(FlowEntry::new(
-                            100,
-                            FlowMatch::any().with_dl_dst(index.host_mac(h)),
-                            vec![Action::Output(OfPort::Physical(index.route_port(gidx, h)))],
-                        ));
-                    }
-                    for rule in extra_rules.get(&gidx).cloned().unwrap_or_default() {
-                        sw.preinstall(rule);
-                    }
-                    Box::new(sw)
-                }
-            };
+            let routes =
+                (0..index.host_count()).map(|h| (index.host_mac(h), index.route_port(gidx, h)));
+            let extra = extra_rules.get(&gidx).cloned().unwrap_or_default();
+            let behaviors = malicious.get(&gidx).map(Vec::as_slice);
+            let device = routed_switch(gidx as u64, routes, extra, behaviors);
             switches.push(world.add_node(name, device, profile.switch_cpu.clone()));
         }
 
         // Inter-switch links.
-        for pod in 0..index.k {
-            for e in 0..index.k / 2 {
-                for a in 0..index.k / 2 {
-                    let (ea, ag) = (index.edge(pod, e), index.agg(pod, a));
-                    let (pe, pa) = index.ports_between(ea, ag).expect("adjacent");
-                    world.connect(
-                        switches[ea],
-                        PortId(pe),
-                        switches[ag],
-                        PortId(pa),
-                        profile.link.clone(),
-                    );
-                }
-            }
-            for a in 0..index.k / 2 {
-                for i in 0..index.k / 2 {
-                    let (ag, co) = (index.agg(pod, a), index.core(a * index.k / 2 + i));
-                    let (pa, pc) = index.ports_between(ag, co).expect("adjacent");
-                    world.connect(
-                        switches[ag],
-                        PortId(pa),
-                        switches[co],
-                        PortId(pc),
-                        profile.link.clone(),
-                    );
-                }
-            }
+        for (lower, upper) in index.links() {
+            let (pl, pu) = index.ports_between(lower, upper).expect("adjacent");
+            let (lower, upper) = (switches[lower], switches[upper]);
+            world.connect(lower, PortId(pl), upper, PortId(pu), profile.link.clone());
         }
 
         // Hosts (optionally behind a virtual guard).
         let mut hosts = Vec::with_capacity(index.host_count());
-        let mut host_nics = Vec::with_capacity(index.host_count());
         let mut guards = HashMap::new();
         for h in 0..index.host_count() {
             let mut nic = HostNic::new(index.host_mac(h), index.host_ip(h));
             nic.neighbors = neighbor_table.clone();
-            host_nics.push(nic.clone());
             let device = host_factory(h, nic);
             let id = world.add_node(format!("host{h}"), device, profile.host_cpu.clone());
             let (pod, edge, _) = index.host_position(h);
@@ -368,13 +317,7 @@ impl FatTree {
             switches,
             hosts,
             guards,
-            host_nics,
         }
-    }
-
-    /// The NIC template of a host (MAC/IP/neighbors).
-    pub fn host_nic(&self, host: usize) -> &HostNic {
-        &self.host_nics[host]
     }
 }
 

@@ -7,6 +7,14 @@
 //!   topology in all six evaluation variants (*Linespeed*, *Dup3*, *Dup5*,
 //!   *Central3*, *Central5*, *POX3*) plus the detection-mode extension,
 //!   with one-call runners for TCP, UDP, max-rate search and ping.
+//! * [`cell`] — the NetCo cell itself: two guards around `k` replicas,
+//!   optionally a central compare. The one statement of its port scheme
+//!   and wiring order; every scenario above, the case study and
+//!   `netco_bench::grid` wire their cells through it.
+//! * [`routed_switch`] — the one "switch with MAC-destination routes",
+//!   honest ([`netco_openflow::OfSwitch`]) or scripted to misbehave
+//!   ([`netco_adversary::MaliciousSwitch`]); every builder's routers,
+//!   `netco_topogen::build_world`'s included, come from it.
 //! * [`FatTree`] — a k-ary fat-tree datacenter with static MAC routing
 //!   (Fig. 1's environment).
 //! * [`case_study`] — the §VI datacenter routing attack in its three
@@ -18,9 +26,11 @@
 #![warn(missing_docs)]
 
 pub mod case_study;
+pub mod cell;
 mod fattree;
 mod profile;
 mod reference;
+mod routed;
 pub mod virtual_netco;
 
 pub use fattree::{ExtraRules, FatTree, FatTreeIndex, FatTreeOptions, InertHost, SwitchRole};
@@ -30,3 +40,4 @@ pub use reference::{
     AdversarySpec, BuiltScenario, ByzantineControllerSpec, ControlReplication, Direction, Scenario,
     ScenarioKind, TcpRunOutcome, UdpRunOutcome, H1_IP, H1_MAC, H2_IP, H2_MAC,
 };
+pub use routed::routed_switch;

@@ -90,12 +90,6 @@ impl Profile {
             seed: 1,
         }
     }
-
-    /// Builder: sets the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Profile {
-        self.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]

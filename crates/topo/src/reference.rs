@@ -3,24 +3,25 @@
 
 use std::net::Ipv4Addr;
 
-use netco_adversary::MaliciousSwitch;
 use netco_controller::apps::{ByzantineApp, ByzantineBehavior};
 use netco_controller::Controller;
 use netco_core::{
-    Compare, CompareAttachment, CompareConfig, CompareStrategy, ControlVoter, ControlVoterConfig,
-    GuardConfig, GuardSwitch, LaneInfo, PoxCompareApp, SupervisorConfig,
+    CompareConfig, CompareStrategy, ControlVoter, ControlVoterConfig, GuardConfig, PoxCompareApp,
+    SupervisorConfig,
 };
 use netco_net::{
     Device, FaultKind, FaultPlan, HostNic, LinkId, MacAddr, NeighborTable, NodeId, PortId, World,
 };
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
+use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort};
 use netco_sim::{ActivationWindow, SimDuration, SimTime};
 use netco_traffic::{
     max_rate_search, IcmpEchoResponder, IperfConfig, PingConfig, PingReport, Pinger, TcpConfig,
     TcpReceiver, TcpReport, TcpSender, TcpSenderStats, UdpConfig, UdpReport, UdpSink, UdpSource,
 };
 
+use crate::cell::{self, Cell, CellSpec, REPLICA_PORT};
 use crate::profile::Profile;
+use crate::routed::routed_switch;
 
 /// `h1`'s IPv4 address.
 pub const H1_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -107,6 +108,16 @@ pub enum Direction {
     H2ToH1,
 }
 
+impl Direction {
+    /// The receiving host's address.
+    fn dst_ip(self) -> Ipv4Addr {
+        match self {
+            Direction::H1ToH2 => H2_IP,
+            Direction::H2ToH1 => H1_IP,
+        }
+    }
+}
+
 /// A fully wired world plus the ids of its interesting nodes.
 pub struct BuiltScenario {
     /// The simulated network, ready to run.
@@ -122,9 +133,6 @@ pub struct BuiltScenario {
     pub routers: Vec<NodeId>,
     /// The compare host (Central scenarios only).
     pub compare: Option<NodeId>,
-    /// The controller (POX scenario only). With control replication this
-    /// is the first replica, for backwards compatibility.
-    pub controller: Option<NodeId>,
     /// All controller replicas (Pox3 with [`ControlReplication`]; one
     /// entry for plain Pox3, empty otherwise).
     pub controllers: Vec<NodeId>,
@@ -188,7 +196,6 @@ pub struct Scenario {
     supervisor: Option<SupervisorConfig>,
     miss_alarm_threshold: Option<u32>,
     replica_faults: Vec<(usize, FaultKind)>,
-    fault_seed: Option<u64>,
     control_replication: Option<ControlReplication>,
 }
 
@@ -326,7 +333,6 @@ impl Scenario {
             supervisor: None,
             miss_alarm_threshold: None,
             replica_faults: Vec::new(),
-            fault_seed: None,
             control_replication: None,
         }
     }
@@ -397,14 +403,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the seed feeding probabilistic faults (loss/corruption).
-    /// Defaults to the world seed of each trial; setting it decouples the
-    /// fault dice from the scenario seed.
-    pub fn with_fault_seed(mut self, seed: u64) -> Scenario {
-        self.fault_seed = Some(seed);
-        self
-    }
-
     /// Replicates the POX compare controller behind per-guard control
     /// voters (see [`ControlReplication`]).
     ///
@@ -457,36 +455,31 @@ impl Scenario {
         cfg
     }
 
-    /// MAC-destination forwarding rules for a 2-port replica router:
-    /// toward `h2` on `up_port`, toward `h1` on `down_port`.
-    fn router_rules(down_port: u16, up_port: u16) -> Vec<FlowEntry> {
-        vec![
-            FlowEntry::new(
-                100,
-                FlowMatch::any().with_dl_dst(H2_MAC),
-                vec![Action::Output(OfPort::Physical(up_port))],
-            ),
-            FlowEntry::new(
-                100,
-                FlowMatch::any().with_dl_dst(H1_MAC),
-                vec![Action::Output(OfPort::Physical(down_port))],
-            ),
-            // Broadcast (e.g. ARP who-has) crosses to the other side.
+    /// A 2-port replica router: MAC-destination routes toward `h1` on
+    /// [`REPLICA_PORT`]`[0]` and `h2` on `[1]`, broadcast (e.g. ARP
+    /// who-has) crossing to the other side. Replica `replica_index` is the
+    /// malicious one if an [`AdversarySpec`] names it.
+    fn replica_router(&self, dpid: u64, replica_index: usize) -> Box<dyn Device> {
+        let [down, up] = REPLICA_PORT;
+        let crossing = |from: u16, to: u16| {
             FlowEntry::new(
                 90,
                 FlowMatch::any()
-                    .with_in_port(down_port)
+                    .with_in_port(from)
                     .with_dl_dst(MacAddr::BROADCAST),
-                vec![Action::Output(OfPort::Physical(up_port))],
-            ),
-            FlowEntry::new(
-                90,
-                FlowMatch::any()
-                    .with_in_port(up_port)
-                    .with_dl_dst(MacAddr::BROADCAST),
-                vec![Action::Output(OfPort::Physical(down_port))],
-            ),
-        ]
+                vec![Action::Output(OfPort::Physical(to))],
+            )
+        };
+        let corrupt = self
+            .adversary
+            .as_ref()
+            .filter(|a| a.replica_index == replica_index);
+        routed_switch(
+            dpid,
+            [(H2_MAC, up), (H1_MAC, down)],
+            [crossing(down, up), crossing(up, down)],
+            corrupt.map(|spec| spec.behaviors.as_slice()),
+        )
     }
 
     fn nics() -> (HostNic, HostNic) {
@@ -519,333 +512,34 @@ impl Scenario {
         let h1 = world.add_node("h1", make1(n1), p.host_cpu.clone());
         let h2 = world.add_node("h2", make2(n2), p.host_cpu.clone());
 
-        let k = self.kind.k();
-        let mut built = match self.kind {
-            ScenarioKind::Linespeed => {
-                let mut s1 = OfSwitch::new(SwitchConfig::with_datapath_id(1));
-                s1.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(H2_MAC),
-                    vec![Action::Output(OfPort::Physical(1))],
-                ));
-                s1.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(H1_MAC),
-                    vec![Action::Output(OfPort::Physical(0))],
-                ));
-                let mut s2 = OfSwitch::new(SwitchConfig::with_datapath_id(2));
-                s2.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(H1_MAC),
-                    vec![Action::Output(OfPort::Physical(1))],
-                ));
-                s2.preinstall(FlowEntry::new(
-                    100,
-                    FlowMatch::any().with_dl_dst(H2_MAC),
-                    vec![Action::Output(OfPort::Physical(0))],
-                ));
-                for sw in [&mut s1, &mut s2] {
-                    sw.preinstall(FlowEntry::new(
-                        90,
-                        FlowMatch::any().with_dl_dst(MacAddr::BROADCAST),
-                        vec![Action::Output(OfPort::Flood)],
-                    ));
-                }
-                let mut r = OfSwitch::new(SwitchConfig::with_datapath_id(3));
-                for rule in Scenario::router_rules(1, 2) {
-                    r.preinstall(rule);
-                }
-                let s1 = world.add_node("s1", s1, p.guard_cpu.clone());
-                let s2 = world.add_node("s2", s2, p.guard_cpu.clone());
-                let r = world.add_node("r", r, p.switch_cpu.clone());
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                let l1 = world.connect(s1, PortId(1), r, PortId(1), p.link.clone());
-                let l2 = world.connect(r, PortId(2), s2, PortId(1), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers: vec![r],
-                    compare: None,
-                    controller: None,
-                    controllers: vec![],
-                    voters: vec![],
-                    replica_links: vec![(l1, l2)],
-                }
-            }
-            ScenarioKind::Inband3 => {
-                // Only the downstream-facing compare exists in each guard;
-                // both directions are combined inband at the receiving
-                // guard, with no extra host or detour.
-                let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
-                let g1 = GuardSwitch::new(GuardConfig::inband(
-                    PortId(0),
-                    replica_ports.clone(),
-                    self.compare_config(),
-                ));
-                let g2 = GuardSwitch::new(GuardConfig::inband(
-                    PortId(0),
-                    replica_ports,
-                    self.compare_config(),
-                ));
-                let s1 = world.add_node("s1", g1, p.guard_cpu.clone());
-                let s2 = world.add_node("s2", g2, p.guard_cpu.clone());
-                let (routers, replica_links) = self.wire_replicas(&mut world, s1, s2, k);
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers,
-                    compare: None,
-                    controller: None,
-                    controllers: vec![],
-                    voters: vec![],
-                    replica_links,
-                }
-            }
-            ScenarioKind::Dup3 | ScenarioKind::Dup5 => {
-                let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
-                let g1 = GuardSwitch::new(GuardConfig::dup(PortId(0), replica_ports.clone()));
-                let g2 = GuardSwitch::new(GuardConfig::dup(PortId(0), replica_ports));
-                let s1 = world.add_node("s1", g1, p.guard_cpu.clone());
-                let s2 = world.add_node("s2", g2, p.guard_cpu.clone());
-                let (routers, replica_links) = self.wire_replicas(&mut world, s1, s2, k);
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers,
-                    compare: None,
-                    controller: None,
-                    controllers: vec![],
-                    voters: vec![],
-                    replica_links,
-                }
-            }
-            ScenarioKind::Central3 | ScenarioKind::Central5 | ScenarioKind::Detect2 => {
-                let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
-                let compare_port = PortId(k as u16 + 1);
-                let mut gc1 = GuardConfig::central(PortId(0), replica_ports.clone(), compare_port);
-                let mut gc2 = GuardConfig::central(PortId(0), replica_ports, compare_port);
-                if let Some(p_sample) = self.sampling {
-                    gc1.sample_probability = p_sample;
-                    gc1.primary_forward = true;
-                    gc2.sample_probability = p_sample;
-                    gc2.primary_forward = true;
-                }
-                let g1 = GuardSwitch::new(gc1);
-                let g2 = GuardSwitch::new(gc2);
-                let mut compare = Compare::new(self.compare_config());
-                let lane = |_: u16| LaneInfo {
-                    replica_ports: (1..=k as u16).collect(),
-                    host_port: 0,
-                };
-                compare.attach_guard(PortId(0), lane(0));
-                compare.attach_guard(PortId(1), lane(1));
-
-                let s1 = world.add_node("s1", g1, p.guard_cpu.clone());
-                let s2 = world.add_node("s2", g2, p.guard_cpu.clone());
-                let cmp = world.add_node("h3-compare", compare, p.compare_cpu.clone());
-                let (routers, replica_links) = self.wire_replicas(&mut world, s1, s2, k);
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                world.connect(s1, compare_port, cmp, PortId(0), p.link.clone());
-                world.connect(s2, compare_port, cmp, PortId(1), p.link.clone());
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers,
-                    compare: Some(cmp),
-                    controller: None,
-                    controllers: vec![],
-                    voters: vec![],
-                    replica_links,
-                }
-            }
-            ScenarioKind::Pox3 if self.control_replication.is_some() => {
-                // Replicated control plane: the guards talk to per-guard
-                // voters, which fan every packet-in out to all controller
-                // replicas and release only majority-voted flow-mods /
-                // packet-outs. Construction order matters — controllers
-                // first (the voters need their ids at construction), then
-                // voters, then guards; the remaining cross-references are
-                // wired up post-add via `device_mut`.
-                let cr = self.control_replication.clone().expect("checked above");
-                let cfg = self.compare_config();
-                let tick = (cfg.hold_time / 4).max(SimDuration::from_micros(100));
-                let mut ctls = Vec::with_capacity(cr.controllers);
-                for j in 0..cr.controllers {
-                    let app = PoxCompareApp::new(cfg.clone());
-                    let device: Box<dyn Device> = match &cr.byzantine {
-                        Some(b) if b.controller_index == j => Box::new(
-                            Controller::new(ByzantineApp::new(app, b.behavior, b.window))
-                                .with_tick(tick),
-                        ),
-                        _ => Box::new(Controller::new(app).with_tick(tick)),
-                    };
-                    ctls.push(world.add_node(format!("pox{j}"), device, p.controller_cpu.clone()));
-                }
-                let voters: Vec<NodeId> = (1..=2u16)
-                    .map(|j| {
-                        world.add_node(
-                            format!("voter{j}"),
-                            ControlVoter::new(cr.voter.clone(), ctls.clone()),
-                            p.controller_cpu.clone(),
-                        )
-                    })
-                    .collect();
-                let mk_guard = |voter: NodeId| {
-                    GuardSwitch::new(GuardConfig {
-                        host_port: PortId(0),
-                        replica_ports: (1..=k as u16).map(PortId).collect(),
-                        compare: CompareAttachment::Controller(voter),
-                        sample_probability: 1.0,
-                        embedded_compare: None,
-                        primary_forward: false,
-                    })
-                };
-                let s1 = world.add_node("s1", mk_guard(voters[0]), p.guard_cpu.clone());
-                let s2 = world.add_node("s2", mk_guard(voters[1]), p.guard_cpu.clone());
-                let (routers, replica_links) = self.wire_replicas(&mut world, s1, s2, k);
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                world.connect_control(s1, voters[0], p.control_channel.clone());
-                world.connect_control(s2, voters[1], p.control_channel.clone());
-                for &v in &voters {
-                    for &c in &ctls {
-                        world.connect_control(v, c, p.control_channel.clone());
-                    }
-                }
-                for (&v, &guard) in voters.iter().zip([s1, s2].iter()) {
-                    world
-                        .device_mut::<ControlVoter>(v)
-                        .expect("voter exists")
-                        .set_guard(guard);
-                }
-                let lane = || LaneInfo {
-                    replica_ports: (1..=k as u16).collect(),
-                    host_port: 0,
-                };
-                for (j, &c) in ctls.iter().enumerate() {
-                    let ctl = world
-                        .device_mut::<Controller>(c)
-                        .expect("controller exists");
-                    ctl.manage(voters[0]);
-                    ctl.manage(voters[1]);
-                    let is_byzantine = cr
-                        .byzantine
-                        .as_ref()
-                        .is_some_and(|b| b.controller_index == j);
-                    if is_byzantine {
-                        let app = ctl
-                            .app_mut::<ByzantineApp<PoxCompareApp>>()
-                            .expect("byzantine pox app");
-                        for &v in &voters {
-                            app.inner_mut().attach_guard(v, lane());
-                        }
-                    } else {
-                        let app = ctl.app_mut::<PoxCompareApp>().expect("pox app");
-                        for &v in &voters {
-                            app.attach_guard(v, lane());
-                        }
-                    }
-                }
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers,
-                    compare: None,
-                    controller: ctls.first().copied(),
-                    controllers: ctls,
-                    voters,
-                    replica_links,
-                }
-            }
-            ScenarioKind::Pox3 => {
-                // Controller id is known only after add_node; add the
-                // controller first, then the guards pointing at it.
-                let cfg = self.compare_config();
-                let app = PoxCompareApp::new(cfg.clone());
-                let tick = (cfg.hold_time / 4).max(SimDuration::from_micros(100));
-                let ctl = world.add_node(
-                    "pox",
-                    Controller::new(app).with_tick(tick),
-                    p.controller_cpu.clone(),
-                );
-                let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
-                let mk_guard = || {
-                    GuardSwitch::new(GuardConfig {
-                        host_port: PortId(0),
-                        replica_ports: (1..=k as u16).map(PortId).collect(),
-                        compare: CompareAttachment::Controller(ctl),
-                        sample_probability: 1.0,
-                        embedded_compare: None,
-                        primary_forward: false,
-                    })
-                };
-                let _ = replica_ports;
-                let s1 = world.add_node("s1", mk_guard(), p.guard_cpu.clone());
-                let s2 = world.add_node("s2", mk_guard(), p.guard_cpu.clone());
-                let (routers, replica_links) = self.wire_replicas(&mut world, s1, s2, k);
-                world.connect(h1, PortId(0), s1, PortId(0), p.link.clone());
-                world.connect(s2, PortId(0), h2, PortId(0), p.link.clone());
-                world.connect_control(s1, ctl, p.control_channel.clone());
-                world.connect_control(s2, ctl, p.control_channel.clone());
-                {
-                    let c = world
-                        .device_mut::<Controller>(ctl)
-                        .expect("controller exists");
-                    c.manage(s1);
-                    c.manage(s2);
-                    let app = c.app_mut::<PoxCompareApp>().expect("pox app");
-                    for guard in [s1, s2] {
-                        app.attach_guard(
-                            guard,
-                            LaneInfo {
-                                replica_ports: (1..=k as u16).collect(),
-                                host_port: 0,
-                            },
-                        );
-                    }
-                }
-                BuiltScenario {
-                    world,
-                    h1,
-                    h2,
-                    guards: vec![s1, s2],
-                    routers,
-                    compare: None,
-                    controller: Some(ctl),
-                    controllers: vec![ctl],
-                    voters: vec![],
-                    replica_links,
-                }
-            }
+        let mut built = BuiltScenario {
+            world,
+            h1,
+            h2,
+            guards: vec![],
+            routers: vec![],
+            compare: None,
+            controllers: vec![],
+            voters: vec![],
+            replica_links: vec![],
         };
+        if self.kind == ScenarioKind::Linespeed {
+            self.wire_linespeed(&mut built);
+        } else {
+            self.wire_combiner(&mut built);
+        }
         let control_faults = self
             .control_replication
             .as_ref()
-            .map(|cr| cr.controller_faults.clone())
+            .map(|cr| cr.controller_faults.as_slice())
             .unwrap_or_default();
         if !self.replica_faults.is_empty() || !control_faults.is_empty() {
-            let mut plan = FaultPlan::new(self.fault_seed.unwrap_or(seed));
+            let mut plan = FaultPlan::new(seed);
             for (idx, kind) in &self.replica_faults {
                 let (l1, l2) = built.replica_links[*idx];
                 plan = plan.with(l1, kind.clone()).with(l2, kind.clone());
             }
-            for (idx, kind) in &control_faults {
+            for (idx, kind) in control_faults {
                 let c = built.controllers[*idx];
                 for &v in &built.voters {
                     plan = plan.control_fault_bidir(v, c, kind.clone());
@@ -856,51 +550,173 @@ impl Scenario {
         built
     }
 
-    /// Adds the `k` replica routers and wires them between `s1` and `s2`
-    /// (guard replica port `i` ↔ router, both sides). Honors the
-    /// configured [`AdversarySpec`], if any.
-    fn wire_replicas(
-        &self,
-        world: &mut World,
-        s1: NodeId,
-        s2: NodeId,
-        k: usize,
-    ) -> (Vec<NodeId>, Vec<(LinkId, LinkId)>) {
-        let p = &self.profile;
-        let mut routers = Vec::with_capacity(k);
-        let mut links = Vec::with_capacity(k);
-        for i in 1..=k as u16 {
-            let corrupt = self
-                .adversary
-                .as_ref()
-                .filter(|a| a.replica_index == (i - 1) as usize);
-            let device: Box<dyn Device> = match corrupt {
-                Some(spec) => {
-                    let mut m = MaliciousSwitch::new();
-                    // The honest routes the controller believes are
-                    // installed.
-                    m.route(H1_MAC, PortId(1));
-                    m.route(H2_MAC, PortId(2));
-                    for (b, w) in spec.behaviors.clone() {
-                        m.add_behavior(b, w);
-                    }
-                    Box::new(m)
-                }
-                None => {
-                    let mut r = OfSwitch::new(SwitchConfig::with_datapath_id(10 + i as u64));
-                    for rule in Scenario::router_rules(1, 2) {
-                        r.preinstall(rule);
-                    }
-                    Box::new(r)
-                }
-            };
-            let rid = world.add_node(format!("r{i}"), device, p.switch_cpu.clone());
-            let l1 = world.connect(s1, PortId(i), rid, PortId(1), p.link.clone());
-            let l2 = world.connect(rid, PortId(2), s2, PortId(i), p.link.clone());
-            routers.push(rid);
-            links.push((l1, l2));
+    /// No combiner: `h1 – s1 – r – s2 – h2`, three plain switches.
+    fn wire_linespeed(&self, built: &mut BuiltScenario) {
+        let (p, world) = (&self.profile, &mut built.world);
+        let edge = |dpid: u64, near: MacAddr, far: MacAddr| {
+            let flood = FlowEntry::new(
+                90,
+                FlowMatch::any().with_dl_dst(MacAddr::BROADCAST),
+                vec![Action::Output(OfPort::Flood)],
+            );
+            routed_switch(dpid, [(far, 1), (near, 0)], [flood], None)
+        };
+        let s1 = world.add_node("s1", edge(1, H1_MAC, H2_MAC), p.guard_cpu.clone());
+        let s2 = world.add_node("s2", edge(2, H2_MAC, H1_MAC), p.guard_cpu.clone());
+        let r = world.add_node("r", self.replica_router(3, 0), p.switch_cpu.clone());
+        let [down, up] = REPLICA_PORT.map(PortId);
+        world.connect(built.h1, PortId(0), s1, PortId(0), p.link.clone());
+        let l1 = world.connect(s1, PortId(1), r, down, p.link.clone());
+        let l2 = world.connect(r, up, s2, PortId(1), p.link.clone());
+        world.connect(s2, PortId(0), built.h2, PortId(0), p.link.clone());
+        built.guards = vec![s1, s2];
+        built.routers = vec![r];
+        built.replica_links = vec![(l1, l2)];
+    }
+
+    /// Every combiner scenario is one [`Cell`] between `h1` and `h2`; the
+    /// kind picks where the guards send replica copies. Order: control
+    /// plane if any (the guards need its ids at construction), the cell,
+    /// host links, compare links, control channels.
+    fn wire_combiner(&self, built: &mut BuiltScenario) {
+        let (p, k, world) = (&self.profile, self.kind.k(), &mut built.world);
+        built.routers.reserve_exact(k);
+        built.replica_links.reserve_exact(k);
+        if self.kind == ScenarioKind::Pox3 {
+            (built.controllers, built.voters) = self.add_control_plane(world);
         }
-        (routers, links)
+        // What guard `j` talks to on the control channel: its voter, or
+        // the one controller.
+        let (controllers, voters) = (&built.controllers, &built.voters);
+        let upstream = [0, 1].map(|j| voters.get(j).or(controllers.first()).copied());
+        let central = matches!(
+            self.kind,
+            ScenarioKind::Central3 | ScenarioKind::Central5 | ScenarioKind::Detect2
+        );
+        let cell = Cell::wire(
+            world,
+            CellSpec {
+                k,
+                guard_names: ["s1".into(), "s2".into()],
+                compare: central.then(|| ("h3-compare", self.compare_config())),
+                profile: p,
+                link: &p.link,
+            },
+            |j, ports| match self.kind {
+                ScenarioKind::Dup3 | ScenarioKind::Dup5 => {
+                    GuardConfig::dup(ports.out, ports.replicas)
+                }
+                // Only the downstream-facing compare exists in each guard;
+                // both directions are combined inband at the receiving
+                // guard, with no extra host or detour.
+                ScenarioKind::Inband3 => {
+                    GuardConfig::inband(ports.out, ports.replicas, self.compare_config())
+                }
+                ScenarioKind::Pox3 => {
+                    let node = upstream[j].expect("Pox3 has a control plane");
+                    GuardConfig::controller(ports.out, ports.replicas, node)
+                }
+                // Central3, Central5, Detect2.
+                _ => {
+                    let mut guard = GuardConfig::central(ports.out, ports.replicas, ports.compare);
+                    if let Some(p_sample) = self.sampling {
+                        guard.sample_probability = p_sample;
+                        guard.primary_forward = true;
+                    }
+                    guard
+                }
+            },
+            |i| {
+                let index = (i - 1) as usize;
+                (format!("r{i}"), self.replica_router(10 + i as u64, index))
+            },
+            |router, l1, l2| {
+                built.routers.push(router);
+                built.replica_links.push((l1, l2));
+            },
+        );
+        let [s1, s2] = cell.guards;
+        world.connect(built.h1, PortId(0), s1, PortId(0), p.link.clone());
+        world.connect(s2, PortId(0), built.h2, PortId(0), p.link.clone());
+        cell.wire_compare(world, &p.link);
+        built.guards = vec![s1, s2];
+        built.compare = cell.compare;
+        if let [Some(up1), Some(up2)] = upstream {
+            self.connect_control_plane(built, [up1, up2]);
+        }
+    }
+
+    /// Adds the POX compare controller — or, under
+    /// [`ControlReplication`], its replicas (one of them possibly
+    /// Byzantine) and one [`ControlVoter`] per guard. Returns
+    /// `(controllers, voters)`.
+    fn add_control_plane(&self, world: &mut World) -> (Vec<NodeId>, Vec<NodeId>) {
+        let (cpu, cfg) = (&self.profile.controller_cpu, self.compare_config());
+        let cr = self.control_replication.as_ref();
+        let tick = (cfg.hold_time / 4).max(SimDuration::from_micros(100));
+        let controllers: Vec<NodeId> = (0..cr.map_or(1, |cr| cr.controllers))
+            .map(|j| {
+                let app = PoxCompareApp::new(cfg.clone());
+                let controller = match cr.and_then(|cr| cr.byzantine.as_ref()) {
+                    Some(b) if b.controller_index == j => {
+                        Controller::new(ByzantineApp::new(app, b.behavior, b.window))
+                    }
+                    _ => Controller::new(app),
+                };
+                let name = cr.map_or("pox".into(), |_| format!("pox{j}"));
+                world.add_node(name, controller.with_tick(tick), cpu.clone())
+            })
+            .collect();
+        let mut voters = vec![];
+        if let Some(cr) = cr {
+            for j in 1..=2 {
+                let voter = ControlVoter::new(cr.voter.clone(), controllers.clone());
+                voters.push(world.add_node(format!("voter{j}"), voter, cpu.clone()));
+            }
+        }
+        (controllers, voters)
+    }
+
+    /// Control channels and the cross-references only known once every
+    /// node has an id. Guard `j` talks to `upstream[j]` — its voter, or
+    /// the one controller; each controller manages, and its compare app
+    /// keeps a lane for, whatever sits directly below it: the voters, or
+    /// the guards themselves.
+    fn connect_control_plane(&self, built: &mut BuiltScenario, upstream: [NodeId; 2]) {
+        let (world, guards) = (&mut built.world, &built.guards);
+        let (controllers, voters) = (&built.controllers, &built.voters);
+        let channel = &self.profile.control_channel;
+        for (&guard, up) in guards.iter().zip(upstream) {
+            world.connect_control(guard, up, channel.clone());
+        }
+        for &v in voters.iter() {
+            for &c in controllers.iter() {
+                world.connect_control(v, c, channel.clone());
+            }
+        }
+        for (&v, &guard) in voters.iter().zip(guards.iter()) {
+            let voter = world.device_mut::<ControlVoter>(v).expect("voter exists");
+            voter.set_guard(guard);
+        }
+        let datapaths = if voters.is_empty() { guards } else { voters };
+        let cr = self.control_replication.as_ref();
+        let byzantine = cr.and_then(|cr| Some(cr.byzantine.as_ref()?.controller_index));
+        for (j, &c) in controllers.iter().enumerate() {
+            let ctl = world.device_mut::<Controller>(c).expect("controller");
+            for &dp in datapaths.iter() {
+                ctl.manage(dp);
+            }
+            let app = if byzantine == Some(j) {
+                ctl.app_mut::<ByzantineApp<PoxCompareApp>>()
+                    .expect("byzantine pox app")
+                    .inner_mut()
+            } else {
+                ctl.app_mut::<PoxCompareApp>().expect("pox app")
+            };
+            for &dp in datapaths.iter() {
+                app.attach_guard(dp, cell::lane(self.kind.k()));
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -913,62 +729,59 @@ impl Scenario {
         self.run_ping_trial(cfg, Direction::H1ToH2, 0)
     }
 
+    /// Builds the trial's world with `src` on the sending host of `dir` and
+    /// `dst` on the receiving one; returns their node ids after the world.
+    fn build_directed<S: Device, D: Device>(
+        &self,
+        trial: u64,
+        dir: Direction,
+        src: impl FnOnce(HostNic) -> S,
+        dst: impl FnOnce(HostNic) -> D,
+    ) -> (BuiltScenario, NodeId, NodeId) {
+        match dir {
+            Direction::H1ToH2 => {
+                let built = self.build_world(trial, src, dst);
+                let (s, d) = (built.h1, built.h2);
+                (built, s, d)
+            }
+            Direction::H2ToH1 => {
+                let built = self.build_world(trial, dst, src);
+                let (s, d) = (built.h2, built.h1);
+                (built, s, d)
+            }
+        }
+    }
+
     /// Like [`Scenario::run_ping`] with explicit direction and trial id.
     pub fn run_ping_trial(&self, mut cfg: PingConfig, dir: Direction, trial: u64) -> PingReport {
         let total = cfg.start_after + cfg.interval * cfg.count as u64 + SimDuration::from_secs(1);
-        match dir {
-            Direction::H1ToH2 => {
-                cfg.dst_ip = H2_IP;
-                let mut built =
-                    self.build_world(trial, |nic| Pinger::new(nic, cfg), IcmpEchoResponder::new);
-                built.world.run_for(total);
-                built
-                    .world
-                    .device::<Pinger>(built.h1)
-                    .expect("pinger at h1")
-                    .report()
-            }
-            Direction::H2ToH1 => {
-                cfg.dst_ip = H1_IP;
-                let mut built =
-                    self.build_world(trial, IcmpEchoResponder::new, |nic| Pinger::new(nic, cfg));
-                built.world.run_for(total);
-                built
-                    .world
-                    .device::<Pinger>(built.h2)
-                    .expect("pinger at h2")
-                    .report()
-            }
-        }
+        cfg.dst_ip = dir.dst_ip();
+        let (mut built, pinger, _) = self.build_directed(
+            trial,
+            dir,
+            |nic| Pinger::new(nic, cfg),
+            IcmpEchoResponder::new,
+        );
+        built.world.run_for(total);
+        built
+            .world
+            .device::<Pinger>(pinger)
+            .expect("pinger")
+            .report()
     }
 
     /// Runs a bulk TCP transfer for `duration` and returns goodput and
     /// congestion-control counters.
     pub fn run_tcp(&self, dir: Direction, duration: SimDuration, trial: u64) -> TcpRunOutcome {
         let grace = SimDuration::from_millis(500);
-        let (dst_ip, swap) = match dir {
-            Direction::H1ToH2 => (H2_IP, false),
-            Direction::H2ToH1 => (H1_IP, true),
-        };
-        let cfg = TcpConfig::new(dst_ip).with_duration(duration);
+        let cfg = TcpConfig::new(dir.dst_ip()).with_duration(duration);
         let cfg2 = cfg.clone();
-        let (mut built, snd_id, rcv_id) = if !swap {
-            let b = self.build_world(
-                trial,
-                |nic| TcpSender::new(nic, cfg),
-                |nic| TcpReceiver::new(nic, cfg2),
-            );
-            let (s, r) = (b.h1, b.h2);
-            (b, s, r)
-        } else {
-            let b = self.build_world(
-                trial,
-                |nic| TcpReceiver::new(nic, cfg2),
-                |nic| TcpSender::new(nic, cfg),
-            );
-            let (s, r) = (b.h2, b.h1);
-            (b, s, r)
-        };
+        let (mut built, snd_id, rcv_id) = self.build_directed(
+            trial,
+            dir,
+            |nic| TcpSender::new(nic, cfg),
+            |nic| TcpReceiver::new(nic, cfg2),
+        );
         built.world.run_for(duration + grace);
         let report = built
             .world
@@ -998,31 +811,16 @@ impl Scenario {
         trial: u64,
     ) -> UdpRunOutcome {
         let grace = SimDuration::from_millis(500);
-        let (dst_ip, swap) = match dir {
-            Direction::H1ToH2 => (H2_IP, false),
-            Direction::H2ToH1 => (H1_IP, true),
-        };
-        let cfg = UdpConfig::new(dst_ip)
+        let cfg = UdpConfig::new(dir.dst_ip())
             .with_rate(rate_bps)
             .with_payload_len(payload_len)
             .with_duration(duration);
-        let (mut built, src_id, sink_id) = if !swap {
-            let b = self.build_world(
-                trial,
-                |nic| UdpSource::new(nic, cfg),
-                |nic| UdpSink::new(nic, 5001),
-            );
-            let (s, k) = (b.h1, b.h2);
-            (b, s, k)
-        } else {
-            let b = self.build_world(
-                trial,
-                |nic| UdpSink::new(nic, 5001),
-                |nic| UdpSource::new(nic, cfg),
-            );
-            let (s, k) = (b.h2, b.h1);
-            (b, s, k)
-        };
+        let (mut built, src_id, sink_id) = self.build_directed(
+            trial,
+            dir,
+            |nic| UdpSource::new(nic, cfg),
+            |nic| UdpSink::new(nic, 5001),
+        );
         built.world.run_for(duration + grace);
         let report = built
             .world
@@ -1068,7 +866,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use netco_adversary::{ActivationWindow, Behavior};
-    use netco_core::SecurityEvent;
+    use netco_core::{Compare, SecurityEvent};
 
     fn functional(kind: ScenarioKind) -> Scenario {
         Scenario::build(kind, Profile::functional(), 5)

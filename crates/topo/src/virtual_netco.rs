@@ -13,7 +13,9 @@ use netco_core::virtualized::{
     paths_are_vendor_diverse, vendor_diverse_paths, VirtualGuard, VirtualGuardConfig,
 };
 use netco_core::CompareConfig;
-use netco_net::PortId;
+use std::net::Ipv4Addr;
+
+use netco_net::{Device, HostNic, PortId};
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort};
 use netco_sim::SimDuration;
 use netco_traffic::{
@@ -165,38 +167,64 @@ fn plan(cfg: &VirtualNetcoConfig) -> (FatTreeIndex, Vec<Vec<usize>>, bool, FatTr
     (index, paths, diverse, options)
 }
 
-/// Runs a ping measurement across the virtualized combiner.
-pub fn run_ping(cfg: &VirtualNetcoConfig, profile: &Profile, seed: u64) -> VirtualNetcoOutcome {
+/// The destination host's address.
+fn dst_ip(cfg: &VirtualNetcoConfig) -> Ipv4Addr {
+    FatTreeIndex::new(cfg.fattree_k).host_ip(cfg.dst_host)
+}
+
+/// Builds the planned fat-tree with `src` on the source host, `dst` on the
+/// destination and [`InertHost`]s elsewhere, and runs it for `run_for`.
+/// Returns the run world with the tunnel paths and whether they are
+/// vendor-diverse.
+fn run_pair(
+    cfg: &VirtualNetcoConfig,
+    profile: &Profile,
+    seed: u64,
+    run_for: SimDuration,
+    src: impl FnOnce(HostNic) -> Box<dyn Device>,
+    dst: impl FnOnce(HostNic) -> Box<dyn Device>,
+) -> (FatTree, Vec<Vec<usize>>, bool) {
     let (index, paths, vendor_diverse, options) = plan(cfg);
-    let dst_ip = index.host_ip(cfg.dst_host);
-    let ping_cfg = PingConfig::new(dst_ip)
-        .with_count(cfg.requests)
-        .with_interval(SimDuration::from_millis(10));
-    let (src_host, dst_host) = (cfg.src_host, cfg.dst_host);
+    let (mut src, mut dst) = (Some(src), Some(dst));
     let mut ft = FatTree::build(
         index,
         profile,
         seed,
         |h, nic| {
-            if h == src_host {
-                Box::new(Pinger::new(nic, ping_cfg.clone()))
-            } else if h == dst_host {
-                Box::new(IcmpEchoResponder::new(nic))
+            if h == cfg.src_host {
+                src.take().expect("one source host")(nic)
+            } else if h == cfg.dst_host {
+                dst.take().expect("one destination host")(nic)
             } else {
                 Box::new(InertHost)
             }
         },
         &options,
     );
-    ft.world
-        .run_for(SimDuration::from_millis(10) * cfg.requests as u64 + SimDuration::from_secs(1));
+    ft.world.run_for(run_for);
+    (ft, paths, vendor_diverse)
+}
 
+/// Runs a ping measurement across the virtualized combiner.
+pub fn run_ping(cfg: &VirtualNetcoConfig, profile: &Profile, seed: u64) -> VirtualNetcoOutcome {
+    let interval = SimDuration::from_millis(10);
+    let ping = PingConfig::new(dst_ip(cfg))
+        .with_count(cfg.requests)
+        .with_interval(interval);
+    let (ft, paths, vendor_diverse) = run_pair(
+        cfg,
+        profile,
+        seed,
+        interval * cfg.requests as u64 + SimDuration::from_secs(1),
+        |nic| Box::new(Pinger::new(nic, ping)),
+        |nic| Box::new(IcmpEchoResponder::new(nic)),
+    );
     let ping = ft
         .world
-        .device::<Pinger>(ft.hosts[src_host])
+        .device::<Pinger>(ft.hosts[cfg.src_host])
         .unwrap()
         .report();
-    let dst_guard = ft.guards[&dst_host];
+    let dst_guard = ft.guards[&cfg.dst_host];
     let g = ft.world.device::<VirtualGuard>(dst_guard).unwrap();
     VirtualNetcoOutcome {
         tunnel_paths: paths
@@ -221,31 +249,20 @@ pub fn run_udp(
     payload_len: usize,
     duration: SimDuration,
 ) -> UdpReport {
-    let (index, _paths, _diverse, options) = plan(cfg);
-    let dst_ip = index.host_ip(cfg.dst_host);
-    let udp_cfg = UdpConfig::new(dst_ip)
+    let udp = UdpConfig::new(dst_ip(cfg))
         .with_rate(rate_bps)
         .with_payload_len(payload_len)
         .with_duration(duration);
-    let (src_host, dst_host) = (cfg.src_host, cfg.dst_host);
-    let mut ft = FatTree::build(
-        index,
+    let (ft, ..) = run_pair(
+        cfg,
         profile,
         seed,
-        |h, nic| {
-            if h == src_host {
-                Box::new(UdpSource::new(nic, udp_cfg.clone()))
-            } else if h == dst_host {
-                Box::new(UdpSink::new(nic, 5001))
-            } else {
-                Box::new(InertHost)
-            }
-        },
-        &options,
+        duration + SimDuration::from_millis(500),
+        |nic| Box::new(UdpSource::new(nic, udp)),
+        |nic| Box::new(UdpSink::new(nic, 5001)),
     );
-    ft.world.run_for(duration + SimDuration::from_millis(500));
     ft.world
-        .device::<UdpSink>(ft.hosts[dst_host])
+        .device::<UdpSink>(ft.hosts[cfg.dst_host])
         .unwrap()
         .report()
 }
@@ -258,29 +275,18 @@ pub fn run_tcp(
     seed: u64,
     duration: SimDuration,
 ) -> TcpReport {
-    let (index, _paths, _diverse, options) = plan(cfg);
-    let dst_ip = index.host_ip(cfg.dst_host);
-    let tcp_cfg = TcpConfig::new(dst_ip).with_duration(duration);
-    let tcp_cfg2 = tcp_cfg.clone();
-    let (src_host, dst_host) = (cfg.src_host, cfg.dst_host);
-    let mut ft = FatTree::build(
-        index,
+    let tcp = TcpConfig::new(dst_ip(cfg)).with_duration(duration);
+    let tcp2 = tcp.clone();
+    let (ft, ..) = run_pair(
+        cfg,
         profile,
         seed,
-        |h, nic| {
-            if h == src_host {
-                Box::new(TcpSender::new(nic, tcp_cfg.clone()))
-            } else if h == dst_host {
-                Box::new(TcpReceiver::new(nic, tcp_cfg2.clone()))
-            } else {
-                Box::new(InertHost)
-            }
-        },
-        &options,
+        duration + SimDuration::from_millis(500),
+        |nic| Box::new(TcpSender::new(nic, tcp)),
+        |nic| Box::new(TcpReceiver::new(nic, tcp2)),
     );
-    ft.world.run_for(duration + SimDuration::from_millis(500));
     ft.world
-        .device::<TcpReceiver>(ft.hosts[dst_host])
+        .device::<TcpReceiver>(ft.hosts[cfg.dst_host])
         .unwrap()
         .report()
 }

@@ -2,22 +2,21 @@
 //! [`netco_net::World`] with one call.
 //!
 //! Node-for-node translation of the graph: routers and honest replicas
-//! become [`OfSwitch`]es with the graph's route table preinstalled as
+//! become [`routed_switch`]es carrying the graph's route table as
 //! MAC-destination flows, guards become inband [`GuardSwitch`]es
 //! (compare embedded, Detect or Prevent per the node's
 //! [`NodeKind::Guard`] label), hosts get [`HostNic`]s with a full
 //! neighbor table and whatever device the caller's factory supplies
 //! (pinger, responder, traffic source). An optional [`AdversarySpec`]
 //! turns a seeded fraction of the replica switches into
-//! payload-corrupting [`MaliciousSwitch`]es — the campaign's
+//! payload-corrupting malicious ones — the campaign's
 //! adversarial-replica axis.
 
-use netco_adversary::{ActivationWindow, Behavior, MaliciousSwitch};
+use netco_adversary::{ActivationWindow, Behavior};
 use netco_core::{CompareConfig, GuardConfig, GuardSwitch};
 use netco_net::{Device, HostNic, LinkSpec, NeighborTable, NodeId, PortId, World};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
-use netco_sim::SimRng;
-use netco_topo::Profile;
+use netco_openflow::FlowMatch;
+use netco_topo::{routed_switch, Profile};
 
 use crate::graph::{NodeKind, TopoGraph, NO_ROUTE};
 
@@ -43,15 +42,8 @@ impl AdversarySpec {
     /// corrupts: a seeded shuffle over the replica nodes, truncated to
     /// the rounded fraction.
     pub fn sites(&self, graph: &TopoGraph) -> Vec<usize> {
-        let mut replicas: Vec<usize> = (0..graph.nodes.len())
-            .filter(|&n| matches!(graph.nodes[n].kind, NodeKind::Replica { .. }))
-            .collect();
-        let count = (self.fraction.clamp(0.0, 1.0) * replicas.len() as f64).round() as usize;
-        let mut rng = SimRng::new(self.seed).fork(0x6164); // "ad"
-        rng.shuffle(&mut replicas);
-        replicas.truncate(count);
-        replicas.sort_unstable();
-        replicas
+        let replicas = |kind| matches!(kind, NodeKind::Replica { .. });
+        graph.seeded_sites(replicas, self.fraction, self.seed, 0x6164) // "ad"
     }
 }
 
@@ -86,7 +78,13 @@ pub fn build_world(
         "install routes before building"
     );
     let adversarial = adversary.map(|a| a.sites(graph)).unwrap_or_default();
-    let every_nth = adversary.map(|a| a.every_nth.max(1)).unwrap_or(1);
+    let corrupt = [(
+        Behavior::CorruptPayload {
+            select: FlowMatch::any(),
+            every_nth: adversary.map(|a| a.every_nth.max(1)).unwrap_or(1),
+        },
+        ActivationWindow::always(),
+    )];
     let mut world = World::new(seed);
     let neighbor_table: NeighborTable = graph.hosts.iter().map(|h| (h.ip, h.mac)).collect();
 
@@ -107,41 +105,22 @@ pub fn build_world(
                     compare,
                 )))
             }
-            NodeKind::Replica { .. } if adversarial.binary_search(&n).is_ok() => {
-                let mut m = MaliciousSwitch::new();
-                for (h, host) in graph.hosts.iter().enumerate() {
-                    let port = graph.routes[n][h];
-                    if port != NO_ROUTE {
-                        m.route(host.mac, PortId(port));
-                    }
-                }
-                m.add_behavior(
-                    Behavior::CorruptPayload {
-                        select: FlowMatch::any(),
-                        every_nth,
-                    },
-                    ActivationWindow::always(),
-                );
-                Box::new(m)
-            }
             NodeKind::Router | NodeKind::Replica { .. } => {
                 let base = if node.kind == NodeKind::Router {
                     ROUTER_DPID_BASE
                 } else {
                     REPLICA_DPID_BASE
                 };
-                let mut sw = OfSwitch::new(SwitchConfig::with_datapath_id(base | n as u64));
-                for (h, host) in graph.hosts.iter().enumerate() {
+                let routes = graph.hosts.iter().enumerate().filter_map(|(h, host)| {
                     let port = graph.routes[n][h];
-                    if port != NO_ROUTE {
-                        sw.preinstall(FlowEntry::new(
-                            100,
-                            FlowMatch::any().with_dl_dst(host.mac),
-                            vec![Action::Output(OfPort::Physical(port))],
-                        ));
-                    }
-                }
-                Box::new(sw)
+                    (port != NO_ROUTE).then_some((host.mac, port))
+                });
+                // Only replicas are ever adversarial (`AdversarySpec::sites`).
+                let corrupt = adversarial
+                    .binary_search(&n)
+                    .is_ok()
+                    .then_some(&corrupt[..]);
+                routed_switch(base | n as u64, routes, [], corrupt)
             }
         };
         let cpu = match node.kind {

@@ -187,12 +187,10 @@ pub fn watts_strogatz(
             let candidate = wire.next_below(n as u64) as usize;
             if candidate != a && candidate != g.links[li].b && !g.linked(a, candidate) {
                 // Rewire in place: the far endpoint moves to the
-                // candidate's smallest free port (`free_port`, not
-                // `port_count` — earlier rewires leave holes in the old
-                // endpoint's numbering); `a`'s port is unchanged.
-                let port = g.free_port(candidate);
-                g.links[li].b = candidate;
-                g.links[li].b_port = port;
+                // candidate's smallest free port (earlier rewires leave
+                // holes in the old endpoint's numbering); `a`'s port is
+                // unchanged.
+                g.rewire_far(li, candidate);
                 break;
             }
         }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use netco_net::MacAddr;
-use netco_sim::SimDuration;
+use netco_sim::{SimDuration, SimRng};
 
 /// Route-table sentinel: this node has no egress for that host.
 pub const NO_ROUTE: u16 = u16::MAX;
@@ -110,6 +110,11 @@ pub struct TopoGraph {
     /// until [`TopoGraph::install_shortest_path_routes`] (or
     /// [`crate::netcoize`]) fills it.
     pub routes: Vec<Vec<u16>>,
+    /// The port table: `ports[node][port]` is what that port carries. A
+    /// second index over `links` and `hosts`, kept by every method that
+    /// wires a port, so port questions cost the node's degree rather
+    /// than a scan of the edge list.
+    ports: Vec<Vec<Option<Attachment>>>,
 }
 
 impl TopoGraph {
@@ -121,6 +126,7 @@ impl TopoGraph {
             links: Vec::new(),
             hosts: Vec::new(),
             routes: Vec::new(),
+            ports: Vec::new(),
         }
     }
 
@@ -130,52 +136,13 @@ impl TopoGraph {
             name: name.into(),
             kind,
         });
+        self.ports.push(Vec::new());
         self.nodes.len() - 1
     }
 
     /// How many ports of `node` are already wired (links + hosts).
     pub fn port_count(&self, node: usize) -> u16 {
-        let links = self
-            .links
-            .iter()
-            .filter(|l| l.a == node || l.b == node)
-            .count();
-        let hosts = self.hosts.iter().filter(|h| h.attach == node).count();
-        (links + hosts) as u16
-    }
-
-    /// The ports of `node` already in use, sorted.
-    fn used_ports(&self, node: usize) -> Vec<u16> {
-        let mut used: Vec<u16> = Vec::new();
-        for l in &self.links {
-            if l.a == node {
-                used.push(l.a_port);
-            }
-            if l.b == node {
-                used.push(l.b_port);
-            }
-        }
-        for h in &self.hosts {
-            if h.attach == node {
-                used.push(h.attach_port);
-            }
-        }
-        used.sort_unstable();
-        used
-    }
-
-    /// Whether `port` of `node` already carries a link or a host: one pass,
-    /// nothing allocated. The wiring asserts run this for every port a
-    /// generator or `netcoize` wires; going through `used_ports` there
-    /// cost a `Vec` and a sort per endpoint.
-    fn port_wired(&self, node: usize, port: u16) -> bool {
-        self.links
-            .iter()
-            .any(|l| (l.a == node && l.a_port == port) || (l.b == node && l.b_port == port))
-            || self
-                .hosts
-                .iter()
-                .any(|h| h.attach == node && h.attach_port == port)
+        self.ports[node].iter().flatten().count() as u16
     }
 
     /// The smallest port of `node` not yet wired. Equal to
@@ -183,15 +150,27 @@ impl TopoGraph {
     /// correct after an edit (e.g. Watts-Strogatz rewiring) leaves a
     /// hole in the numbering.
     pub fn free_port(&self, node: usize) -> u16 {
-        let mut next = 0;
-        for p in self.used_ports(node) {
-            if p == next {
-                next += 1;
-            } else if p > next {
-                break;
-            }
+        let ports = &self.ports[node];
+        ports
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(ports.len()) as u16
+    }
+
+    /// Records `what` on `port` of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown node or a port that already carries a link
+    /// or a host.
+    fn wire(&mut self, node: usize, port: u16, what: Attachment) {
+        assert!(node < self.nodes.len(), "unknown node");
+        let ports = &mut self.ports[node];
+        if ports.len() <= port as usize {
+            ports.resize(port as usize + 1, None);
         }
-        next
+        assert!(ports[port as usize].is_none(), "port already wired");
+        ports[port as usize] = Some(what);
     }
 
     /// Links `a` and `b` on the next free port of each (ports are
@@ -213,12 +192,10 @@ impl TopoGraph {
         rate_bps: u64,
         latency: SimDuration,
     ) -> usize {
-        assert!(a < self.nodes.len() && b < self.nodes.len(), "unknown node");
         assert!(a != b, "self-loops are not topologies");
-        assert!(
-            !self.port_wired(a, a_port) && !self.port_wired(b, b_port),
-            "port already wired"
-        );
+        let link = Attachment::Link(self.links.len());
+        self.wire(a, a_port, link);
+        self.wire(b, b_port, link);
         self.links.push(TopoLink {
             a,
             a_port,
@@ -230,11 +207,38 @@ impl TopoGraph {
         self.links.len() - 1
     }
 
+    /// Moves the far (`b`) end of `link` to the smallest free port of
+    /// `node`, leaving the `a` end where it is — the Watts-Strogatz
+    /// rewiring step. The vacated port becomes a hole in the old far
+    /// node's numbering.
+    pub fn rewire_far(&mut self, link: usize, node: usize) {
+        let TopoLink { a, b, b_port, .. } = self.links[link];
+        assert!(a != node, "self-loops are not topologies");
+        self.ports[b][b_port as usize] = None;
+        let port = self.free_port(node);
+        self.wire(node, port, Attachment::Link(link));
+        self.links[link].b = node;
+        self.links[link].b_port = port;
+    }
+
+    /// The `(node, port)` at the other end of the link on `port` of
+    /// `node`; `None` for an unwired port or a host port.
+    pub fn far_end(&self, node: usize, port: u16) -> Option<(usize, u16)> {
+        let Some(Attachment::Link(i)) = self.ports[node].get(port as usize).copied().flatten()
+        else {
+            return None;
+        };
+        let l = &self.links[i];
+        Some(if (l.a, l.a_port) == (node, port) {
+            (l.b, l.b_port)
+        } else {
+            (l.a, l.a_port)
+        })
+    }
+
     /// Whether `a` and `b` are directly linked.
     pub fn linked(&self, a: usize, b: usize) -> bool {
-        self.links
-            .iter()
-            .any(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
+        (0..self.ports[a].len() as u16).any(|p| self.far_end(a, p).is_some_and(|(n, _)| n == b))
     }
 
     /// Attaches a host to `node` on its next free port.
@@ -260,8 +264,7 @@ impl TopoGraph {
         rate_bps: u64,
         latency: SimDuration,
     ) -> usize {
-        assert!(node < self.nodes.len(), "unknown node");
-        assert!(!self.port_wired(node, port), "port already wired");
+        self.wire(node, port, Attachment::Host(self.hosts.len()));
         self.hosts.push(TopoHost {
             attach: node,
             attach_port: port,
@@ -277,22 +280,8 @@ impl TopoGraph {
     /// The *rank* of an attachment in this list is the port index the
     /// NetCo-ization transform keys guard and replica wiring on.
     pub fn attachments(&self, node: usize) -> Vec<(u16, Attachment)> {
-        let mut out: Vec<(u16, Attachment)> = Vec::new();
-        for (i, l) in self.links.iter().enumerate() {
-            if l.a == node {
-                out.push((l.a_port, Attachment::Link(i)));
-            }
-            if l.b == node {
-                out.push((l.b_port, Attachment::Link(i)));
-            }
-        }
-        for (i, h) in self.hosts.iter().enumerate() {
-            if h.attach == node {
-                out.push((h.attach_port, Attachment::Host(i)));
-            }
-        }
-        out.sort_by_key(|&(p, _)| p);
-        out
+        let wired = self.ports[node].iter().zip(0u16..);
+        wired.filter_map(|(what, p)| Some((p, (*what)?))).collect()
     }
 
     /// Node adjacency in link-insertion order: `(link index, peer node,
@@ -361,33 +350,15 @@ impl TopoGraph {
                 let mut queue = VecDeque::from([attach]);
                 seen[attach] = true;
                 while let Some(v) = queue.pop_front() {
-                    for &(_, peer, _) in &adj[v] {
+                    for &(li, peer, _) in &adj[v] {
                         if !seen[peer] {
                             seen[peer] = true;
                             // peer's egress toward attach is its port on
-                            // the v link.
-                            let my_port = adj[peer]
-                                .iter()
-                                .find(|&&(li, p, _)| {
-                                    p == v && {
-                                        let l = &self.links[li];
-                                        (l.a == peer && l.b == v) || (l.b == peer && l.a == v)
-                                    }
-                                })
-                                .map(|&(li, _, _)| {
-                                    let l = &self.links[li];
-                                    if l.a == peer {
-                                        l.a_port
-                                    } else {
-                                        l.b_port
-                                    }
-                                })
-                                .expect("adjacency is symmetric");
-                            // First-found parent wins: BFS order is the
-                            // deterministic tie-break.
-                            if ports[peer] == NO_ROUTE {
-                                ports[peer] = my_port;
-                            }
+                            // the link being traversed. First-found
+                            // parent wins: BFS order is the deterministic
+                            // tie-break.
+                            let l = &self.links[li];
+                            ports[peer] = if l.a == peer { l.a_port } else { l.b_port };
                             queue.push_back(peer);
                         }
                     }
@@ -416,18 +387,6 @@ impl TopoGraph {
         if src == dst {
             return Some(0);
         }
-        // port -> (peer node, peer port) lookup per node.
-        let find_far = |node: usize, port: u16| -> Option<(usize, u16)> {
-            self.links.iter().find_map(|l| {
-                if l.a == node && l.a_port == port {
-                    Some((l.b, l.b_port))
-                } else if l.b == node && l.b_port == port {
-                    Some((l.a, l.a_port))
-                } else {
-                    None
-                }
-            })
-        };
         let dst_attach = (self.hosts[dst].attach, self.hosts[dst].attach_port);
         let mut node = self.hosts[src].attach;
         let mut in_port = self.hosts[src].attach_port;
@@ -458,11 +417,31 @@ impl TopoGraph {
             if (node, out) == dst_attach {
                 return Some(hops);
             }
-            let (peer, peer_port) = find_far(node, out)?;
+            let (peer, peer_port) = self.far_end(node, out)?;
             node = peer;
             in_port = peer_port;
         }
         None
+    }
+
+    /// A seeded `fraction` (count rounded to nearest) of the nodes `pick`
+    /// accepts, sorted: a shuffle of the candidates on `seed`'s fork
+    /// `label`, truncated. How `netcoize` and the adversary choose sites.
+    pub(crate) fn seeded_sites(
+        &self,
+        pick: impl Fn(NodeKind) -> bool,
+        fraction: f64,
+        seed: u64,
+        label: u64,
+    ) -> Vec<usize> {
+        let mut sites: Vec<usize> = (0..self.nodes.len())
+            .filter(|&n| pick(self.nodes[n].kind))
+            .collect();
+        let count = (fraction.clamp(0.0, 1.0) * sites.len() as f64).round() as usize;
+        SimRng::new(seed).fork(label).shuffle(&mut sites);
+        sites.truncate(count);
+        sites.sort_unstable();
+        sites
     }
 
     /// Total switch count (`nodes.len()`, named for report readability).

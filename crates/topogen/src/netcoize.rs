@@ -14,7 +14,7 @@
 //! stretch and switch inflation can be measured on the output graph
 //! before a single simulator event fires.
 
-use netco_sim::{SimDuration, SimRng};
+use netco_sim::SimDuration;
 
 use crate::graph::{Attachment, NodeKind, TopoGraph, NO_ROUTE};
 
@@ -63,15 +63,8 @@ impl NetcoizeSpec {
 /// rounded fraction, returned sorted. Exposed so campaigns can place
 /// adversarial replicas at known sites.
 pub fn replacement_sites(base: &TopoGraph, spec: &NetcoizeSpec) -> Vec<usize> {
-    let mut routers: Vec<usize> = (0..base.nodes.len())
-        .filter(|&n| base.nodes[n].kind == NodeKind::Router)
-        .collect();
-    let count = (spec.fraction.clamp(0.0, 1.0) * routers.len() as f64).round() as usize;
-    let mut rng = SimRng::new(spec.seed).fork(0x6e63); // "nc"
-    rng.shuffle(&mut routers);
-    routers.truncate(count);
-    routers.sort_unstable();
-    routers
+    let routers = |kind| kind == NodeKind::Router;
+    base.seeded_sites(routers, spec.fraction, spec.seed, 0x6e63) // "nc"
 }
 
 /// Replaces the selected fraction of `base`'s routers with guard +
@@ -119,9 +112,19 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
         guards: Vec<usize>,
         replicas: Vec<usize>,
     }
+    impl Cell {
+        fn rank(&self, port: u16) -> usize {
+            self.atts
+                .binary_search_by_key(&port, |&(p, _)| p)
+                .expect("port is an attachment")
+        }
+    }
     let detect = spec.detect();
     let mut cells: Vec<Cell> = Vec::with_capacity(sites.len());
+    // `cell_of[n]` indexes `cells` for a replaced base node `n`.
+    let mut cell_of: Vec<usize> = vec![usize::MAX; base.nodes.len()];
     for &n in &sites {
+        cell_of[n] = cells.len();
         let atts = base.attachments(n);
         assert!(!atts.is_empty(), "cannot netcoize an isolated router");
         let name = &base.nodes[n].name;
@@ -143,7 +146,6 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
             replicas,
         });
     }
-    let cell_of = |node: usize| cells.iter().find(|c| c.base_node == node);
     // An endpoint `(node, port)` of a base link/host maps to the node's
     // survivor (same port) or to the guard fronting that attachment
     // rank (port 0).
@@ -151,13 +153,8 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
         match survivor[node] {
             Some(s) => (s, port),
             None => {
-                let cell = cell_of(node).expect("replaced node has a cell");
-                let rank = cell
-                    .atts
-                    .iter()
-                    .position(|&(p, _)| p == port)
-                    .expect("port is an attachment");
-                (cell.guards[rank], 0)
+                let cell = &cells[cell_of[node]];
+                (cell.guards[cell.rank(port)], 0)
             }
         }
     };
@@ -204,11 +201,7 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
             if port == NO_ROUTE {
                 continue;
             }
-            let rank = cell
-                .atts
-                .iter()
-                .position(|&(p, _)| p == port)
-                .expect("route egress is an attachment") as u16;
+            let rank = cell.rank(port) as u16;
             for &replica in &cell.replicas {
                 out.routes[replica][h] = rank + 1;
             }

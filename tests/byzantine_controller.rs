@@ -274,7 +274,6 @@ fn voting_disabled_by_default_keeps_the_single_controller_topology() {
     );
     assert!(built.voters.is_empty(), "no voters unless opted in");
     assert_eq!(built.controllers.len(), 1, "single controller by default");
-    assert_eq!(built.controller, Some(built.controllers[0]));
     built.world.run_for(SimDuration::from_secs(1));
     let report = built.world.device::<Pinger>(built.h1).unwrap().report();
     assert_eq!(report.received, 20);

@@ -33,7 +33,7 @@ fn run_attacked(behaviors: Vec<(Behavior, ActivationWindow)>) -> (u32, u32, u64,
     let report = built.world.device::<Pinger>(built.h1).unwrap().report();
     let controller = built
         .world
-        .device::<Controller>(built.controller.expect("pox"))
+        .device::<Controller>(built.controllers[0])
         .unwrap();
     let app = controller.app::<PoxCompareApp>().expect("pox app");
     let alarms = app
@@ -97,7 +97,7 @@ fn pox_every_copy_crosses_the_controller() {
     built.world.run_for(SimDuration::from_secs(3));
     let controller = built
         .world
-        .device::<Controller>(built.controller.unwrap())
+        .device::<Controller>(built.controllers[0])
         .unwrap();
     // 10 requests + 10 replies, 3 copies each = 60 packet-ins.
     assert_eq!(
