@@ -5,43 +5,16 @@
 //! divergence in `(time, seq)` delivery order shows up here as a frame
 //! appearing at a different tap timestamp or in a different order.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use netco_bench::ExperimentScale;
-use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, TapDirection, World};
+use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NeighborTable, PortId, TapDigest, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_telemetry::TelemetrySink;
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{
     FlowSet, FlowSetConfig, FlowSink, SizeDist, TcpConfig, TcpReceiver, TcpSender,
 };
-
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Folds every tap observation — time, node, port, direction and the
-/// frame's own bytes (length + FNV) — into one order-sensitive digest.
-fn install_digest_tap(world: &mut World) -> Rc<RefCell<(u64, u64)>> {
-    let acc = Rc::new(RefCell::new((0u64, 0u64)));
-    let tap_acc = Rc::clone(&acc);
-    world.add_tap(move |ev| {
-        let mut g = tap_acc.borrow_mut();
-        let mut d = g.0;
-        d = splitmix(d ^ ev.at.as_nanos());
-        d = splitmix(d ^ ev.node.index() as u64);
-        d = splitmix(d ^ ev.port.0 as u64);
-        d = splitmix(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-        d = splitmix(d ^ netco_net::fnv1a(ev.frame));
-        g.0 = d;
-        g.1 += 1;
-    });
-    acc
-}
 
 /// One (digest, taps, events, final clock, goodput bits) observation of
 /// the Central3 TCP scenario, run batched or per-event, with the CPU
@@ -60,7 +33,7 @@ fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, 
     if modeled {
         built.world.set_telemetry(TelemetrySink::enabled());
     }
-    let acc = install_digest_tap(&mut built.world);
+    let acc = TapDigest::attach(&mut built.world);
     let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
     if per_event {
         built.world.run_until_per_event(deadline);
@@ -72,7 +45,7 @@ fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, 
         .device::<TcpReceiver>(built.h2)
         .expect("receiver")
         .report();
-    let (digest, taps) = *acc.borrow();
+    let (digest, taps) = (acc.value(), acc.taps());
     (
         digest,
         taps,
@@ -130,7 +103,7 @@ fn flowset_batched_matches_per_event_bit_for_bit() {
     let deadline = SimTime::ZERO + SimDuration::from_secs(2);
     let observe = |per_event: bool| {
         let (mut w, src, dst) = flowset_world();
-        let acc = install_digest_tap(&mut w);
+        let acc = TapDigest::attach(&mut w);
         if per_event {
             w.run_until_per_event(deadline);
         } else {
@@ -138,7 +111,7 @@ fn flowset_batched_matches_per_event_bit_for_bit() {
         }
         let stats = w.device::<FlowSet>(src).expect("flowset").stats();
         let sink = w.device::<FlowSink>(dst).expect("sink");
-        let (digest, taps) = *acc.borrow();
+        let (digest, taps) = (acc.value(), acc.taps());
         (
             digest,
             taps,
@@ -166,11 +139,11 @@ fn flowset_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
         if modeled {
             w.set_telemetry(TelemetrySink::enabled());
         }
-        let acc = install_digest_tap(&mut w);
+        let acc = TapDigest::attach(&mut w);
         w.run_until(deadline);
         let stats = w.device::<FlowSet>(src).expect("flowset").stats();
         let sink = w.device::<FlowSink>(dst).expect("sink");
-        let (digest, taps) = *acc.borrow();
+        let (digest, taps) = (acc.value(), acc.taps());
         (
             digest,
             taps,

@@ -8,40 +8,17 @@
 //! digests, computed from the pre-refactor builder, prove the move did
 //! not perturb the world bit for bit.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use netco_bench::grid::build_grid;
-use netco_net::TapDirection;
+use netco_net::TapDigest;
 use netco_sim::SimDuration;
-
-/// SplitMix64 — the digest mixer shared with the determinism tests.
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Order-sensitive tap digest of a `rows × cells` grid run for `ms`
 /// simulated milliseconds, plus the tap count.
 fn grid_digest(rows: usize, cells: usize, seed: u64, ms: u64) -> (u64, u64) {
     let mut world = build_grid(rows, cells, seed).world;
-    let acc = Rc::new(RefCell::new((0u64, 0u64)));
-    let tap_acc = Rc::clone(&acc);
-    world.add_tap(move |ev| {
-        let mut g = tap_acc.borrow_mut();
-        let mut d = g.0;
-        d = splitmix(d ^ ev.at.as_nanos());
-        d = splitmix(d ^ ev.node.index() as u64);
-        d = splitmix(d ^ ev.port.0 as u64);
-        d = splitmix(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-        d = splitmix(d ^ netco_net::fnv1a(ev.frame));
-        g.0 = d;
-        g.1 += 1;
-    });
+    let digest = TapDigest::attach(&mut world);
     world.run_for(SimDuration::from_millis(ms));
-    let out = *acc.borrow();
-    out
+    (digest.value(), digest.taps())
 }
 
 #[test]

@@ -18,42 +18,14 @@
 //! shared where the sequential path derives per-node streams — shows up
 //! as a digest mismatch here.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use netco_bench::chaos::flapping_scenario;
 use netco_bench::grid::build_grid;
 use netco_bench::ExperimentScale;
 use netco_harness::Pool;
-use netco_net::{TapDirection, World};
+use netco_net::{TapDigest, World};
 use netco_sim::{SimDuration, SimTime};
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger, TcpConfig, TcpReceiver, TcpSender};
-
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Folds every tap observation — time, node, port, direction and the
-/// frame's own bytes — into one order-sensitive digest.
-fn install_digest_tap(world: &mut World) -> Rc<RefCell<(u64, u64)>> {
-    let acc = Rc::new(RefCell::new((0u64, 0u64)));
-    let tap_acc = Rc::clone(&acc);
-    world.add_tap(move |ev| {
-        let mut g = tap_acc.borrow_mut();
-        let mut d = g.0;
-        d = splitmix(d ^ ev.at.as_nanos());
-        d = splitmix(d ^ ev.node.index() as u64);
-        d = splitmix(d ^ ev.port.0 as u64);
-        d = splitmix(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-        d = splitmix(d ^ netco_net::fnv1a(ev.frame));
-        g.0 = d;
-        g.1 += 1;
-    });
-    acc
-}
 
 /// How to drive a world to its deadline.
 #[derive(Clone, Copy)]
@@ -65,14 +37,14 @@ enum Mode {
 /// Drives a freshly built world to `deadline` under `mode` and returns
 /// the standard observation tuple.
 fn drive(world: &mut World, deadline: SimTime, mode: Mode) -> (u64, u64, u64, u64) {
-    let acc = install_digest_tap(world);
+    let acc = TapDigest::attach(world);
     match mode {
         Mode::Sequential => world.run_until(deadline),
         Mode::Parallel { threads, regions } => {
             world.run_until_parallel(deadline, &Pool::new(threads), regions)
         }
     }
-    let (digest, taps) = *acc.borrow();
+    let (digest, taps) = (acc.value(), acc.taps());
     (
         digest,
         taps,

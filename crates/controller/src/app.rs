@@ -33,6 +33,12 @@ impl<'a, 'b> ControllerCtx<'a, 'b> {
         self.ctx.now()
     }
 
+    /// The hosting controller node's device context (node name,
+    /// telemetry sink).
+    pub fn device(&self) -> &Ctx<'b> {
+        self.ctx
+    }
+
     /// The world's deterministic random stream.
     pub fn rng(&mut self) -> &mut SimRng {
         self.ctx.rng()
@@ -118,6 +124,9 @@ impl<'a, 'b> ControllerCtx<'a, 'b> {
 /// [`crate::Controller::app`].
 #[allow(unused_variables)]
 pub trait ControllerApp: Any + Send {
+    /// The run is starting on the hosting [`crate::Controller`] node.
+    fn on_start(&mut self, cx: &mut ControllerCtx<'_, '_>) {}
+
     /// A switch completed the handshake (features reply received).
     fn on_switch_up(&mut self, cx: &mut ControllerCtx<'_, '_>, switch: NodeId) {}
 

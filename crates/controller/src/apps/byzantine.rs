@@ -203,6 +203,10 @@ fn corrupt(bytes: &Bytes) -> Bytes {
 }
 
 impl<A: ControllerApp> ControllerApp for ByzantineApp<A> {
+    fn on_start(&mut self, cx: &mut ControllerCtx<'_, '_>) {
+        self.drive(cx, |app, cx| app.on_start(cx));
+    }
+
     fn on_switch_up(&mut self, cx: &mut ControllerCtx<'_, '_>, switch: NodeId) {
         self.drive(cx, |app, cx| app.on_switch_up(cx, switch));
     }

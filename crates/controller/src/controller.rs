@@ -132,6 +132,8 @@ impl Device for Controller {
         if let Some(l) = &self.liveness {
             ctx.schedule_timer(l.interval, LIVENESS_TIMER);
         }
+        self.app
+            .on_start(&mut ControllerCtx::new(ctx, &mut self.next_xid));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -4,12 +4,13 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, PortId};
-use netco_openflow::{Action, FlowMatch, FlowModCommand, OfMessage, OfPort};
-use netco_sim::{EventLog, SimDuration, SimTime};
+use netco_openflow::{OfMessage, OfPort};
+use netco_sim::{EventLog, SimTime};
 
 use super::core::{CompareAction, CompareCore, CompareStats, LaneInfo};
+use super::host::CompareHost;
 use crate::config::CompareConfig;
-use crate::encap::{of_unwrap_shared, of_wrap};
+use crate::encap::{block_advice, of_unwrap_shared, of_wrap};
 use crate::events::SecurityEvent;
 
 const SWEEP_TIMER: u64 = 1;
@@ -26,8 +27,7 @@ const DRAIN_TIMER: u64 = 2;
 /// Cache-cleanup stalls delay subsequent releases, reproducing the
 /// packet-size-dependent jitter of Fig. 8.
 pub struct Compare {
-    core: CompareCore,
-    events: EventLog<SecurityEvent>,
+    host: CompareHost,
     stall_until: SimTime,
     pending: VecDeque<(PortId, Bytes)>,
     next_xid: u32,
@@ -37,8 +37,7 @@ impl Compare {
     /// Creates a compare server; attach lanes before the run starts.
     pub fn new(cfg: CompareConfig) -> Compare {
         Compare {
-            core: CompareCore::new(cfg),
-            events: EventLog::unbounded(),
+            host: CompareHost::new(cfg),
             stall_until: SimTime::ZERO,
             pending: VecDeque::new(),
             next_xid: 1,
@@ -48,26 +47,28 @@ impl Compare {
     /// Registers the guard attached on `port` (see
     /// [`CompareCore::attach_lane`]).
     pub fn attach_guard(&mut self, port: PortId, info: LaneInfo) {
-        self.core.attach_lane(port.number(), info);
+        self.host.attach_lane(port.number(), info);
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> CompareStats {
-        self.core.stats()
+        self.host.core().stats()
     }
 
     /// The security event log.
     pub fn events(&self) -> &EventLog<SecurityEvent> {
-        &self.events
+        self.host.events()
     }
 
     /// The underlying voting core (for fine-grained inspection).
     pub fn core(&self) -> &CompareCore {
-        &self.core
+        self.host.core()
     }
 
-    fn sweep_interval(&self) -> SimDuration {
-        (self.core.config().hold_time / 4).max(SimDuration::from_micros(100))
+    fn send_msg(&mut self, ctx: &mut Ctx<'_>, lane: u16, msg: &OfMessage) {
+        let xid = self.next_xid;
+        self.next_xid = self.next_xid.wrapping_add(1);
+        self.send_or_queue(ctx, PortId(lane), of_wrap(msg, xid));
     }
 
     fn send_or_queue(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Bytes) {
@@ -90,51 +91,19 @@ impl Compare {
                     host_port,
                     frame,
                 } => {
-                    let msg = OfMessage::PacketOut {
-                        buffer_id: None,
-                        in_port: OfPort::None.to_u16(),
-                        actions: vec![Action::Output(OfPort::Physical(host_port))],
-                        data: frame.into_bytes(),
-                    };
-                    let xid = self.next_xid;
-                    self.next_xid = self.next_xid.wrapping_add(1);
-                    let out = of_wrap(&msg, xid);
-                    self.send_or_queue(ctx, PortId(lane), out);
+                    let port = OfPort::Physical(host_port);
+                    self.send_msg(ctx, lane, &OfMessage::packet_out(frame.into_bytes(), port));
                 }
                 CompareAction::BlockReplicaPort {
                     lane,
                     port,
                     duration,
-                } => {
-                    let secs = (duration.as_millis() / 1000).max(1) as u16;
-                    let msg = OfMessage::FlowMod {
-                        command: FlowModCommand::Add,
-                        matcher: FlowMatch::any().with_in_port(port),
-                        priority: u16::MAX,
-                        idle_timeout_s: 0,
-                        hard_timeout_s: secs,
-                        cookie: 0,
-                        notify_when_removed: false,
-                        actions: vec![], // empty action list = drop
-                        buffer_id: None,
-                    };
-                    let xid = self.next_xid;
-                    self.next_xid = self.next_xid.wrapping_add(1);
-                    let out = of_wrap(&msg, xid);
-                    self.send_or_queue(ctx, PortId(lane), out);
-                }
+                } => self.send_msg(ctx, lane, &block_advice(port, duration)),
                 CompareAction::Stall { duration, .. } => {
                     self.stall_until = self.stall_until.max(now) + duration;
                 }
-                CompareAction::Event(e) => {
-                    crate::events::trace_security_event(
-                        ctx.telemetry(),
-                        ctx.node_name(ctx.node()),
-                        &e,
-                        now.as_nanos(),
-                    );
-                    self.events.push(now, e);
-                }
+                // Already in the host's log.
+                CompareAction::Event(_) => {}
             }
         }
     }
@@ -142,10 +111,8 @@ impl Compare {
 
 impl Device for Compare {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let sink = ctx.telemetry().clone();
-        let scope = ctx.node_name(ctx.node()).to_string();
-        self.core.set_telemetry(&sink, &scope);
-        ctx.schedule_timer(self.sweep_interval(), SWEEP_TIMER);
+        self.host.start(ctx);
+        ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
@@ -154,7 +121,7 @@ impl Device for Compare {
         };
         if let OfMessage::PacketIn { in_port, data, .. } = msg {
             let now = ctx.now();
-            let actions = self.core.observe(port.number(), in_port, data, now);
+            let actions = self.host.observe(port.number(), in_port, data, now);
             self.apply_actions(ctx, actions);
         }
     }
@@ -163,9 +130,9 @@ impl Device for Compare {
         match token {
             SWEEP_TIMER => {
                 let now = ctx.now();
-                let actions = self.core.sweep(now);
+                let actions = self.host.sweep(now);
                 self.apply_actions(ctx, actions);
-                ctx.schedule_timer(self.sweep_interval(), SWEEP_TIMER);
+                ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
             }
             DRAIN_TIMER => {
                 let now = ctx.now();
@@ -186,7 +153,7 @@ impl Device for Compare {
 impl std::fmt::Debug for Compare {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Compare")
-            .field("stats", &self.core.stats())
+            .field("stats", &self.host.core().stats())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -198,7 +165,8 @@ mod tests {
     use crate::encap::of_unwrap;
     use netco_net::testutil::CollectorDevice;
     use netco_net::{CpuModel, LinkSpec, NodeId, World};
-    use netco_openflow::PacketInReason;
+    use netco_openflow::{Action, PacketInReason};
+    use netco_sim::SimDuration;
 
     fn packet_in(in_port: u16, payload: &'static [u8]) -> Bytes {
         of_wrap(

@@ -1,0 +1,109 @@
+//! What every placement of the compare shares around [`CompareCore`].
+
+use netco_net::{Ctx, Frame};
+use netco_sim::{EventLog, SimDuration, SimTime};
+use netco_telemetry::TelemetrySink;
+
+use super::core::{CompareAction, CompareCore, LaneInfo};
+use crate::config::CompareConfig;
+use crate::events::{trace_security_event, SecurityEvent};
+
+/// A [`CompareCore`] plus the verdict record around it: the security event
+/// log, its chrome-trace markers, the telemetry scope and the sweep
+/// cadence. This is what a placement embeds — the central server
+/// ([`Compare`](crate::Compare)), the controller app
+/// ([`PoxCompareApp`](crate::PoxCompareApp)), the inband guard, the control
+/// voter and the virtual guard each hold one and keep only their transport
+/// of `Release` / `BlockReplicaPort` / `Stall`.
+///
+/// The core itself stays log-free and I/O-free (timing loops drive it
+/// directly); the host is the one writer of the event log.
+#[derive(Debug)]
+pub struct CompareHost {
+    core: CompareCore,
+    events: EventLog<SecurityEvent>,
+    sink: TelemetrySink,
+    /// The hosting node's name: metric scope and trace process.
+    scope: String,
+}
+
+impl CompareHost {
+    /// Creates a host with no lanes attached.
+    pub fn new(cfg: CompareConfig) -> CompareHost {
+        CompareHost {
+            core: CompareCore::new(cfg),
+            events: EventLog::unbounded(),
+            sink: TelemetrySink::disabled(),
+            scope: String::new(),
+        }
+    }
+
+    /// Registers (or replaces) a lane (see [`CompareCore::attach_lane`]).
+    pub fn attach_lane(&mut self, lane: u16, info: LaneInfo) {
+        self.core.attach_lane(lane, info);
+    }
+
+    /// The voting core, for inspection (statistics, supervisor state).
+    pub fn core(&self) -> &CompareCore {
+        &self.core
+    }
+
+    /// Every security event the core raised, in emission order.
+    pub fn events(&self) -> &EventLog<SecurityEvent> {
+        &self.events
+    }
+
+    /// Installs the world's telemetry under the hosting node's name: the
+    /// core's cells become `compare.<node>.*` rows, verdicts feed the
+    /// packet lifecycle, events mark the node's trace timeline. Call from
+    /// the hosting device's `on_start`; a disabled sink installs nothing.
+    pub fn start(&mut self, ctx: &Ctx<'_>) {
+        if ctx.telemetry().is_enabled() {
+            self.sink = ctx.telemetry().clone();
+            self.scope = ctx.node_name(ctx.node()).to_string();
+            self.core.set_telemetry(&self.sink, &self.scope);
+        }
+    }
+
+    /// How often the hosting device must call [`CompareHost::sweep`].
+    pub fn sweep_interval(&self) -> SimDuration {
+        self.core.config().sweep_interval()
+    }
+
+    /// [`CompareCore::observe`], with the events it raised moved into the
+    /// log: what comes back needs transport, nothing else.
+    pub fn observe(
+        &mut self,
+        lane: u16,
+        in_port: u16,
+        frame: impl Into<Frame>,
+        now: SimTime,
+    ) -> Vec<CompareAction> {
+        let actions = self.core.observe(lane, in_port, frame, now);
+        self.log_events(actions, now)
+    }
+
+    /// [`CompareCore::sweep`], events logged as in
+    /// [`observe`](CompareHost::observe).
+    pub fn sweep(&mut self, now: SimTime) -> Vec<CompareAction> {
+        let actions = self.core.sweep(now);
+        self.log_events(actions, now)
+    }
+
+    fn log_events(&mut self, actions: Vec<CompareAction>, now: SimTime) -> Vec<CompareAction> {
+        if !actions.iter().any(|a| matches!(a, CompareAction::Event(_))) {
+            return actions;
+        }
+        let mut transport = Vec::new();
+        for action in actions {
+            match action {
+                CompareAction::Event(e) => {
+                    trace_security_event(&self.sink, &self.scope, &e, now.as_nanos());
+                    self.events.push(now, e);
+                }
+                other => transport.push(other),
+            }
+        }
+        transport
+    }
+}

@@ -3,6 +3,7 @@
 mod cache;
 mod core;
 mod device;
+mod host;
 mod strategy;
 
 pub(crate) use strategy::fnv1a;
@@ -10,4 +11,5 @@ pub(crate) use strategy::fnv1a;
 pub use cache::{CacheEntry, Observed, PacketCache};
 pub use core::{CompareAction, CompareCore, CompareStats, LaneInfo};
 pub use device::Compare;
+pub use host::CompareHost;
 pub use strategy::{fp128, CompareKey, CompareStrategy};

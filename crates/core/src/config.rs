@@ -138,6 +138,12 @@ impl CompareConfig {
         self
     }
 
+    /// How often whoever hosts the compare must sweep its cache so expiry
+    /// lags `hold_time` by at most a quarter (floored at 100 µs).
+    pub fn sweep_interval(&self) -> SimDuration {
+        (self.hold_time / 4).max(SimDuration::from_micros(100))
+    }
+
     /// The number of identical copies required before release.
     pub fn release_threshold(&self) -> usize {
         match self.mode {

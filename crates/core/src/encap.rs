@@ -9,7 +9,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use netco_net::packet::ETHERNET_HEADER_LEN;
 use netco_net::MacAddr;
-use netco_openflow::{wire, OfMessage};
+use netco_openflow::{wire, FlowMatch, FlowModCommand, OfMessage};
+use netco_sim::SimDuration;
 
 /// The experimental EtherType used for OpenFlow-over-Ethernet framing
 /// (`0x88B5`, IEEE 802 local experimental 1).
@@ -41,6 +42,23 @@ pub fn of_wrap(msg: &OfMessage, xid: u32) -> Bytes {
     buf.put_u16(NETCO_ETHERTYPE);
     wire::encode_into(msg, xid, &mut buf);
     buf.freeze()
+}
+
+/// The port-block advice a compare sends its guard (paper §IV case 2): a
+/// top-priority rule on `port` with an empty action list — "drop" — that
+/// times out after `duration`, in whole seconds and at least one.
+pub(crate) fn block_advice(port: u16, duration: SimDuration) -> OfMessage {
+    OfMessage::FlowMod {
+        command: FlowModCommand::Add,
+        matcher: FlowMatch::any().with_in_port(port),
+        priority: u16::MAX,
+        idle_timeout_s: 0,
+        hard_timeout_s: (duration.as_millis() / 1000).max(1) as u16,
+        cookie: 0,
+        notify_when_removed: false,
+        actions: vec![],
+        buffer_id: None,
+    }
 }
 
 /// Offset of the OpenFlow payload in a NetCo-framed Ethernet frame, or

@@ -178,7 +178,7 @@ impl EventCounts {
 /// track that `ReplicaReadmitted` closes, `ModeDegraded`/`ModeRestored`
 /// bracket a `degraded` span on the lane's mode track — and every other
 /// event is an instant marker. No-op on a disabled sink.
-pub fn trace_security_event(
+pub(crate) fn trace_security_event(
     sink: &netco_telemetry::TelemetrySink,
     process: &str,
     event: &SecurityEvent,

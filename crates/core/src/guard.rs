@@ -5,15 +5,14 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_openflow::{wire, Action, OfMessage, OfPort, PacketInReason};
-use netco_sim::SimTime;
+use netco_sim::{SimDuration, SimTime};
 
-use crate::compare::{fnv1a, CompareAction, CompareCore, CompareStats, LaneInfo};
+use crate::compare::{fnv1a, CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
 use crate::encap::{of_unwrap_shared, of_wrap};
-use crate::events::SecurityEvent;
 
 /// Where this guard sends replica copies for combining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompareAttachment {
     /// A compare host reachable over a data port; copies are wrapped as
     /// OpenFlow `PacketIn` frames (the paper's C prototype, *Central-k*).
@@ -23,15 +22,15 @@ pub enum CompareAttachment {
     Controller(NodeId),
     /// The compare runs *inside this guard* — the paper's §IX inband /
     /// middlebox / NFV placement ("the compare could also be implemented
-    /// inband, e.g., as a middlebox"). Requires
-    /// [`GuardConfig::embedded_compare`].
-    Embedded,
+    /// inband, e.g., as a middlebox"), with these parameters.
+    Embedded(CompareConfig),
     /// No combining: replica copies are forwarded straight to the host
     /// side, duplicates and all (*Dup-k*).
     None,
 }
 
-/// Static configuration of a [`GuardSwitch`].
+/// Static configuration of a [`GuardSwitch`]: its ports, and the two
+/// knobs — where copies are combined, and whether only a sample is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
     /// The port toward the protected host / rest of the network.
@@ -40,18 +39,14 @@ pub struct GuardConfig {
     pub replica_ports: Vec<PortId>,
     /// Where copies are combined.
     pub compare: CompareAttachment,
-    /// Probability that a replica copy is forwarded to the compare
-    /// (`1.0` = all copies; the paper's §IX *sampling* extension uses
-    /// `< 1.0` together with primary-path forwarding).
-    pub sample_probability: f64,
-    /// Compare parameters for the [`CompareAttachment::Embedded`]
-    /// placement; ignored otherwise.
-    pub embedded_compare: Option<CompareConfig>,
-    /// Sampled-deployment mode (§IX): the primary replica's copies are
-    /// forwarded directly to the host side and only the sampled subset
-    /// (per `sample_probability`) goes to the compare, which should then
-    /// be passive. When `false`, every copy goes to the compare.
-    pub primary_forward: bool,
+    /// `None`: every copy goes to the compare. `Some(p)`: the §IX sampled
+    /// deployment — the primary replica's copies are forwarded directly to
+    /// the host side and the fraction `p` of packets (all copies of a
+    /// packet, or none) additionally goes to the compare, which should
+    /// then be passive. `Some(1.0)` screens everything and still forwards
+    /// directly. Needs a [`DataPort`](CompareAttachment::DataPort) or
+    /// [`Controller`](CompareAttachment::Controller) compare.
+    pub sampling: Option<f64>,
 }
 
 impl GuardConfig {
@@ -61,9 +56,7 @@ impl GuardConfig {
             host_port,
             replica_ports,
             compare,
-            sample_probability: 1.0,
-            embedded_compare: None,
-            primary_forward: false,
+            sampling: None,
         }
     }
 
@@ -88,10 +81,8 @@ impl GuardConfig {
 
     /// An inband guard: the compare lives inside the guard itself (§IX).
     pub fn inband(host_port: PortId, replica_ports: Vec<PortId>, compare: CompareConfig) -> Self {
-        GuardConfig {
-            embedded_compare: Some(compare),
-            ..Self::attached(host_port, replica_ports, CompareAttachment::Embedded)
-        }
+        let compare = CompareAttachment::Embedded(compare);
+        Self::attached(host_port, replica_ports, compare)
     }
 }
 
@@ -128,8 +119,7 @@ pub struct GuardSwitch {
     blocked: HashMap<u16, SimTime>,
     stats: GuardStats,
     next_xid: u32,
-    embedded: Option<CompareCore>,
-    events: netco_sim::EventLog<SecurityEvent>,
+    embedded: Option<CompareHost>,
 }
 
 const EMBEDDED_SWEEP_TIMER: u64 = 0xE0;
@@ -139,11 +129,12 @@ impl GuardSwitch {
     ///
     /// # Panics
     ///
-    /// Panics when `sample_probability` is outside `[0, 1]`, when the
-    /// replica list is empty, or when ports overlap.
+    /// Panics when the sampling probability is outside `[0, 1]` or set
+    /// without an out-of-band compare, when the replica list is empty, or
+    /// when ports overlap.
     pub fn new(cfg: GuardConfig) -> GuardSwitch {
         assert!(
-            (0.0..=1.0).contains(&cfg.sample_probability),
+            cfg.sampling.is_none_or(|p| (0.0..=1.0).contains(&p)),
             "sample probability must be within [0, 1]"
         );
         assert!(!cfg.replica_ports.is_empty(), "need at least one replica");
@@ -162,24 +153,24 @@ impl GuardSwitch {
             );
         }
         assert!(
-            !(cfg.compare == CompareAttachment::Embedded && cfg.sample_probability < 1.0),
-            "sampling is not supported with the embedded compare"
+            cfg.sampling.is_none()
+                || matches!(
+                    cfg.compare,
+                    CompareAttachment::DataPort(_) | CompareAttachment::Controller(_)
+                ),
+            "sampling needs an out-of-band compare"
         );
-        let embedded = match cfg.compare {
-            CompareAttachment::Embedded => {
-                let compare_cfg = cfg
-                    .embedded_compare
-                    .clone()
-                    .expect("Embedded attachment requires embedded_compare");
-                let mut core = CompareCore::new(compare_cfg);
-                core.attach_lane(
+        let embedded = match &cfg.compare {
+            CompareAttachment::Embedded(compare_cfg) => {
+                let mut host = CompareHost::new(compare_cfg.clone());
+                host.attach_lane(
                     0,
                     LaneInfo {
                         replica_ports: cfg.replica_ports.iter().map(|p| p.number()).collect(),
                         host_port: cfg.host_port.number(),
                     },
                 );
-                Some(core)
+                Some(host)
             }
             _ => None,
         };
@@ -189,18 +180,12 @@ impl GuardSwitch {
             stats: GuardStats::default(),
             next_xid: 1,
             embedded,
-            events: netco_sim::EventLog::unbounded(),
         }
     }
 
     /// Compare statistics of the embedded (inband) compare, if any.
     pub fn embedded_compare_stats(&self) -> Option<CompareStats> {
-        self.embedded.as_ref().map(|c| c.stats())
-    }
-
-    /// Security events raised by the embedded compare.
-    pub fn events(&self) -> &netco_sim::EventLog<SecurityEvent> {
-        &self.events
+        self.embedded.as_ref().map(|c| c.core().stats())
     }
 
     /// Applies the embedded compare's decisions.
@@ -215,16 +200,7 @@ impl GuardSwitch {
                 CompareAction::BlockReplicaPort { port, duration, .. } => {
                     self.blocked.insert(port, now + duration);
                 }
-                CompareAction::Stall { .. } => {}
-                CompareAction::Event(e) => {
-                    crate::events::trace_security_event(
-                        ctx.telemetry(),
-                        ctx.node_name(ctx.node()),
-                        &e,
-                        now.as_nanos(),
-                    );
-                    self.events.push(now, e);
-                }
+                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
             }
         }
     }
@@ -247,14 +223,13 @@ impl GuardSwitch {
         x
     }
 
-    /// Deterministic, content-based sampling so the *same* packet is
-    /// sampled (or not) consistently across all replicas.
+    /// Whether the compare screens `frame`. Content-based, so every copy
+    /// of a packet — at either guard — gets the same answer.
     fn sampled(&self, frame: &Frame) -> bool {
-        if self.cfg.sample_probability >= 1.0 {
-            return true;
+        match self.cfg.sampling {
+            Some(p) if p < 1.0 => (fnv1a(frame) as f64 / u64::MAX as f64) < p,
+            _ => true,
         }
-        let h = fnv1a(frame);
-        (h as f64 / u64::MAX as f64) < self.cfg.sample_probability
     }
 
     fn forward_to_compare(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, frame: Frame) {
@@ -274,7 +249,7 @@ impl GuardSwitch {
                 self.stats.to_compare += 1;
                 ctx.send_control(c, wire::encode(&msg, xid));
             }
-            CompareAttachment::None | CompareAttachment::Embedded => {
+            CompareAttachment::None | CompareAttachment::Embedded(_) => {
                 unreachable!("handled by the caller")
             }
         }
@@ -324,8 +299,7 @@ impl GuardSwitch {
             } if actions.is_empty() => {
                 // Port-block advice: an empty-action rule on in_port.
                 if let Some(port) = matcher.in_port {
-                    let until =
-                        ctx.now() + netco_sim::SimDuration::from_secs(hard_timeout_s.max(1) as u64);
+                    let until = ctx.now() + SimDuration::from_secs(hard_timeout_s.max(1) as u64);
                     self.blocked.insert(port, until);
                 } else {
                     self.stats.invalid_msgs += 1;
@@ -367,13 +341,9 @@ impl GuardSwitch {
 
 impl Device for GuardSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(core) = &mut self.embedded {
-            let sink = ctx.telemetry().clone();
-            let scope = ctx.node_name(ctx.node()).to_string();
-            core.set_telemetry(&sink, &scope);
-            let interval =
-                (core.config().hold_time / 4).max(netco_sim::SimDuration::from_micros(100));
-            ctx.schedule_timer(interval, EMBEDDED_SWEEP_TIMER);
+        if let Some(host) = &mut self.embedded {
+            host.start(ctx);
+            ctx.schedule_timer(host.sweep_interval(), EMBEDDED_SWEEP_TIMER);
         }
     }
 
@@ -381,11 +351,8 @@ impl Device for GuardSwitch {
         if token != EMBEDDED_SWEEP_TIMER {
             return;
         }
-        if let Some(mut core) = self.embedded.take() {
-            let actions = core.sweep(ctx.now());
-            let interval =
-                (core.config().hold_time / 4).max(netco_sim::SimDuration::from_micros(100));
-            self.embedded = Some(core);
+        if let Some(host) = &mut self.embedded {
+            let (actions, interval) = (host.sweep(ctx.now()), host.sweep_interval());
             self.apply_embedded(ctx, actions);
             ctx.schedule_timer(interval, EMBEDDED_SWEEP_TIMER);
         }
@@ -394,7 +361,13 @@ impl Device for GuardSwitch {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
         let now = ctx.now();
         if port == self.cfg.host_port {
-            if ctx.telemetry().is_enabled() {
+            // Lifecycle: a flight is tagged only if a compare will judge
+            // it — never in Dup mode, and only the screened packets of a
+            // sampled deployment.
+            if ctx.telemetry().is_enabled()
+                && self.cfg.compare != CompareAttachment::None
+                && self.sampled(&frame)
+            {
                 ctx.telemetry()
                     .lifecycle_hub_ingress(frame.fp128(), now.as_nanos());
             }
@@ -436,15 +409,14 @@ impl Device for GuardSwitch {
                     self.stats.direct += 1;
                     ctx.send_frame(self.cfg.host_port, frame);
                 }
-                CompareAttachment::Embedded => {
+                CompareAttachment::Embedded(_) => {
                     self.stats.to_compare += 1;
-                    if let Some(mut core) = self.embedded.take() {
-                        let actions = core.observe(0, port.number(), frame, now);
-                        self.embedded = Some(core);
+                    if let Some(host) = &mut self.embedded {
+                        let actions = host.observe(0, port.number(), frame, now);
                         self.apply_embedded(ctx, actions);
                     }
                 }
-                _ if self.cfg.primary_forward => {
+                _ if self.cfg.sampling.is_some() => {
                     // Sampling extension: the primary replica's copy is
                     // delivered directly; a consistent subset of copies
                     // additionally goes to the compare for detection.

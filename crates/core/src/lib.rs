@@ -38,6 +38,27 @@
 //! assert!(matches!(actions[0], CompareAction::Release { .. }));
 //! assert!(core.observe(0, 3, pkt, t).is_empty());          // late copy ignored
 //! ```
+//!
+//! # Placing the compare somewhere new
+//!
+//! Embed a [`CompareHost`], not the bare core: it owns the core, the
+//! security event log and its trace markers, the telemetry scope (`start`
+//! in `on_start`) and the sweep cadence (`sweep` every `sweep_interval()`).
+//! The placement only carries out what `observe` / `sweep` hand back:
+//!
+//! ```
+//! # use netco_core::{CompareAction, CompareConfig, CompareHost, LaneInfo};
+//! # let mut host = CompareHost::new(CompareConfig::prevent(3));
+//! # host.attach_lane(0, LaneInfo { replica_ports: vec![1, 2, 3], host_port: 4 });
+//! for action in host.observe(0, 1, &b"frame"[..], netco_sim::SimTime::ZERO) {
+//!     match action {
+//!         CompareAction::Release { .. } => { /* emit `frame` on `host_port` */ }
+//!         CompareAction::BlockReplicaPort { .. } => { /* tell the guard */ }
+//!         CompareAction::Stall { .. } => { /* delay later output */ }
+//!         CompareAction::Event(_) => { /* never: already in `host.events()` */ }
+//!     }
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,12 +75,12 @@ pub mod virtualized;
 mod voter;
 
 pub use compare::{
-    fp128, CacheEntry, Compare, CompareAction, CompareCore, CompareKey, CompareStats,
+    fp128, CacheEntry, Compare, CompareAction, CompareCore, CompareHost, CompareKey, CompareStats,
     CompareStrategy, LaneInfo, Observed, PacketCache,
 };
 pub use config::{CompareConfig, Mode};
 pub use encap::{of_unwrap, of_unwrap_shared, of_wrap, NETCO_ETHERTYPE};
-pub use events::{trace_security_event, EventCounts, SecurityEvent};
+pub use events::{EventCounts, SecurityEvent};
 pub use guard::{CompareAttachment, GuardConfig, GuardStats, GuardSwitch};
 pub use hub::Hub;
 pub use pox::PoxCompareApp;

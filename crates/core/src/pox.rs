@@ -1,15 +1,14 @@
 //! The compare as an SDN controller application (the paper's POX baseline).
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use netco_controller::{ControllerApp, ControllerCtx};
 use netco_net::NodeId;
-use netco_openflow::{FlowMatch, FlowModCommand, OfMessage, OfPort, PacketInReason};
+use netco_openflow::{OfPort, PacketInReason};
 use netco_sim::EventLog;
 
-use crate::compare::{CompareAction, CompareCore, CompareStats, LaneInfo};
+use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
+use crate::encap::block_advice;
 use crate::events::SecurityEvent;
 
 /// A [`ControllerApp`] running the NetCo compare logic — the paper's
@@ -24,95 +23,78 @@ use crate::events::SecurityEvent;
 /// Host it with `Controller::new(PoxCompareApp::new(..)).with_tick(..)` so
 /// cache sweeps run.
 pub struct PoxCompareApp {
-    core: CompareCore,
-    guards: HashMap<NodeId, u16>,
-    events: EventLog<SecurityEvent>,
+    host: CompareHost,
+    /// The lane table: guard `guards[lane]` votes on lane `lane`.
+    guards: Vec<NodeId>,
 }
 
 impl PoxCompareApp {
     /// Creates the app; attach guards before the run starts.
     pub fn new(cfg: CompareConfig) -> PoxCompareApp {
         PoxCompareApp {
-            core: CompareCore::new(cfg),
-            guards: HashMap::new(),
-            events: EventLog::unbounded(),
+            host: CompareHost::new(cfg),
+            guards: Vec::new(),
         }
     }
 
-    /// Registers a guard switch and its lane layout. The lane id is derived
-    /// from the guard's node id.
+    /// Registers a guard switch and its lane layout; lanes are numbered in
+    /// attach order.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65,536 guards (lane ids are 16-bit).
     pub fn attach_guard(&mut self, guard: NodeId, info: LaneInfo) {
-        let lane = guard.index() as u16;
-        self.guards.insert(guard, lane);
-        self.core.attach_lane(lane, info);
+        let lane = u16::try_from(self.guards.len()).expect("at most 65,536 lanes");
+        self.guards.push(guard);
+        self.host.attach_lane(lane, info);
     }
 
     /// Aggregate compare statistics.
     pub fn stats(&self) -> CompareStats {
-        self.core.stats()
+        self.host.core().stats()
     }
 
     /// The security event log.
     pub fn events(&self) -> &EventLog<SecurityEvent> {
-        &self.events
+        self.host.events()
     }
 
-    fn apply(
-        &mut self,
-        cx: &mut ControllerCtx<'_, '_>,
-        guard: NodeId,
-        actions: Vec<CompareAction>,
-    ) {
-        let now = cx.now();
+    fn lane_of(&self, guard: NodeId) -> Option<u16> {
+        let lane = self.guards.iter().position(|&g| g == guard)?;
+        Some(lane as u16)
+    }
+
+    /// Sends each decision to the guard of its lane.
+    fn apply(&self, cx: &mut ControllerCtx<'_, '_>, actions: Vec<CompareAction>) {
         for action in actions {
             match action {
                 CompareAction::Release {
-                    host_port, frame, ..
+                    lane,
+                    host_port,
+                    frame,
                 } => {
-                    cx.packet_out(
-                        guard,
-                        None,
-                        0,
-                        OfPort::Physical(host_port),
-                        frame.into_bytes(),
-                    );
+                    let guard = self.guards[lane as usize];
+                    let port = OfPort::Physical(host_port);
+                    cx.packet_out(guard, None, 0, port, frame.into_bytes());
                 }
-                CompareAction::BlockReplicaPort { port, duration, .. } => {
-                    let secs = (duration.as_millis() / 1000).max(1) as u16;
-                    cx.send(
-                        guard,
-                        &OfMessage::FlowMod {
-                            command: FlowModCommand::Add,
-                            matcher: FlowMatch::any().with_in_port(port),
-                            priority: u16::MAX,
-                            idle_timeout_s: 0,
-                            hard_timeout_s: secs,
-                            cookie: 0,
-                            notify_when_removed: false,
-                            actions: vec![],
-                            buffer_id: None,
-                        },
-                    );
-                }
-                CompareAction::Stall { .. } => {
-                    // Controller processing cost is modeled by the node's
-                    // CPU model; nothing extra to do here.
-                }
-                CompareAction::Event(e) => {
-                    self.events.push(now, e);
-                }
+                CompareAction::BlockReplicaPort {
+                    lane,
+                    port,
+                    duration,
+                } => cx.send(self.guards[lane as usize], &block_advice(port, duration)),
+                // Controller processing cost is modeled by the node's CPU
+                // model; events are already in the host's log.
+                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
             }
         }
-    }
-
-    fn guard_of(&self, lane: u16) -> Option<NodeId> {
-        self.guards
-            .iter()
-            .find_map(|(&g, &l)| (l == lane).then_some(g))
     }
 }
 
 impl ControllerApp for PoxCompareApp {
+    fn on_start(&mut self, cx: &mut ControllerCtx<'_, '_>) {
+        self.host.start(cx.device());
+    }
+
     fn on_packet_in(
         &mut self,
         cx: &mut ControllerCtx<'_, '_>,
@@ -122,34 +104,16 @@ impl ControllerApp for PoxCompareApp {
         _reason: PacketInReason,
         data: Bytes,
     ) {
-        let Some(&lane) = self.guards.get(&switch) else {
+        let Some(lane) = self.lane_of(switch) else {
             return;
         };
-        let now = cx.now();
-        let actions = self.core.observe(lane, in_port, data, now);
-        self.apply(cx, switch, actions);
+        let actions = self.host.observe(lane, in_port, data, cx.now());
+        self.apply(cx, actions);
     }
 
     fn tick(&mut self, cx: &mut ControllerCtx<'_, '_>) {
-        let now = cx.now();
-        let actions = self.core.sweep(now);
-        // Group actions by lane so they reach the right guard.
-        for action in actions {
-            let lane = match &action {
-                CompareAction::Release { lane, .. }
-                | CompareAction::BlockReplicaPort { lane, .. }
-                | CompareAction::Stall { lane, .. } => Some(*lane),
-                CompareAction::Event(_) => None,
-            };
-            match lane.and_then(|l| self.guard_of(l)) {
-                Some(guard) => self.apply(cx, guard, vec![action]),
-                None => {
-                    if let CompareAction::Event(e) = action {
-                        self.events.push(now, e);
-                    }
-                }
-            }
-        }
+        let actions = self.host.sweep(cx.now());
+        self.apply(cx, actions);
     }
 }
 
@@ -157,7 +121,34 @@ impl std::fmt::Debug for PoxCompareApp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoxCompareApp")
             .field("guards", &self.guards.len())
-            .field("stats", &self.core.stats())
+            .field("stats", &self.host.core().stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netco_sim::SimTime;
+
+    #[test]
+    fn guards_whose_indices_agree_mod_65536_get_their_own_lanes() {
+        let mut app = PoxCompareApp::new(CompareConfig::prevent(3));
+        let (a, b) = (NodeId::from_index(7), NodeId::from_index(65_543));
+        for guard in [a, b] {
+            let info = LaneInfo {
+                replica_ports: vec![1, 2, 3],
+                host_port: 0,
+            };
+            app.attach_guard(guard, info);
+        }
+        let (la, lb) = (app.lane_of(a).unwrap(), app.lane_of(b).unwrap());
+        assert_ne!(la, lb);
+        // One copy at each guard is one copy on each lane, not a majority.
+        let (pkt, t) = (Bytes::from_static(b"same bytes"), SimTime::ZERO);
+        assert!(app.host.observe(la, 1, pkt.clone(), t).is_empty());
+        assert!(app.host.observe(lb, 2, pkt, t).is_empty());
+        assert_eq!(app.host.core().cache_len(la), 1);
+        assert_eq!(app.host.core().cache_len(lb), 1);
     }
 }

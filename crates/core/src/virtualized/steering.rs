@@ -3,9 +3,9 @@
 
 use netco_net::packet::{EthernetFrame, VlanTag};
 use netco_net::{Ctx, Device, Frame, PortId};
-use netco_sim::{EventLog, SimDuration, SimTime};
+use netco_sim::EventLog;
 
-use crate::compare::{CompareAction, CompareCore, CompareStats, LaneInfo};
+use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
 use crate::events::SecurityEvent;
 
@@ -50,12 +50,11 @@ pub struct VirtualGuardStats {
 ///
 /// *Network → host*: tagged copies are stripped back to the original frame
 /// (so all copies become bit-identical) and fed to an embedded
-/// [`CompareCore`]; a majority releases exactly one untagged copy to the
+/// [`CompareHost`]; a majority releases exactly one untagged copy to the
 /// host.
 pub struct VirtualGuard {
     cfg: VirtualGuardConfig,
-    core: CompareCore,
-    events: EventLog<SecurityEvent>,
+    host: CompareHost,
     stats: VirtualGuardStats,
 }
 
@@ -80,8 +79,8 @@ impl VirtualGuard {
             cfg.tunnel_tags.len(),
             "tunnel tags must be unique"
         );
-        let mut core = CompareCore::new(cfg.compare.clone());
-        core.attach_lane(
+        let mut host = CompareHost::new(cfg.compare.clone());
+        host.attach_lane(
             0,
             LaneInfo {
                 replica_ports: cfg.tunnel_tags.clone(),
@@ -90,8 +89,7 @@ impl VirtualGuard {
         );
         VirtualGuard {
             cfg,
-            core,
-            events: EventLog::unbounded(),
+            host,
             stats: VirtualGuardStats::default(),
         }
     }
@@ -103,29 +101,21 @@ impl VirtualGuard {
 
     /// Compare statistics of the embedded core.
     pub fn compare_stats(&self) -> CompareStats {
-        self.core.stats()
+        self.host.core().stats()
     }
 
     /// The security event log.
     pub fn events(&self) -> &EventLog<SecurityEvent> {
-        &self.events
+        self.host.events()
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>, now: SimTime) {
+    /// Releases go to the host; tunnels have no local port to block (the
+    /// event accompanying the advice is in the host's log).
+    fn apply(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
         for action in actions {
-            match action {
-                CompareAction::Release { frame, .. } => {
-                    self.stats.released += 1;
-                    ctx.send_frame(self.cfg.host_port, frame);
-                }
-                CompareAction::BlockReplicaPort { .. } => {
-                    // Tunnels have no local port to block; the event that
-                    // accompanies the advice is logged below.
-                }
-                CompareAction::Stall { .. } => {}
-                CompareAction::Event(e) => {
-                    self.events.push(now, e);
-                }
+            if let CompareAction::Release { frame, .. } = action {
+                self.stats.released += 1;
+                ctx.send_frame(self.cfg.host_port, frame);
             }
         }
     }
@@ -133,8 +123,8 @@ impl VirtualGuard {
 
 impl Device for VirtualGuard {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let interval = (self.cfg.compare.hold_time / 4).max(SimDuration::from_micros(100));
-        ctx.schedule_timer(interval, SWEEP_TIMER);
+        self.host.start(ctx);
+        ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
@@ -166,9 +156,8 @@ impl Device for VirtualGuard {
             eth.vlan = None;
             let untagged = eth.encode();
             self.stats.collected += 1;
-            let now = ctx.now();
-            let actions = self.core.observe(0, tag, untagged, now);
-            self.apply(ctx, actions, now);
+            let actions = self.host.observe(0, tag, untagged, ctx.now());
+            self.apply(ctx, actions);
         }
     }
 
@@ -176,11 +165,9 @@ impl Device for VirtualGuard {
         if token != SWEEP_TIMER {
             return;
         }
-        let now = ctx.now();
-        let actions = self.core.sweep(now);
-        self.apply(ctx, actions, now);
-        let interval = (self.cfg.compare.hold_time / 4).max(SimDuration::from_micros(100));
-        ctx.schedule_timer(interval, SWEEP_TIMER);
+        let actions = self.host.sweep(ctx.now());
+        self.apply(ctx, actions);
+        ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 }
 
@@ -197,6 +184,7 @@ impl std::fmt::Debug for VirtualGuard {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use netco_sim::SimDuration;
 
     /// Is this frame tagged with `tag`?
     fn has_tag(frame: &[u8], tag: u16) -> bool {
@@ -281,6 +269,7 @@ mod tests {
     #[test]
     fn single_tunnel_copy_is_dropped_with_alarm() {
         let (mut w, vg, host, _net) = world();
+        w.set_telemetry(netco_telemetry::TelemetrySink::enabled());
         let eth = {
             let mut e = EthernetFrame::decode(&payload_frame()).unwrap();
             e.vlan = Some(VlanTag::new(103));
@@ -291,6 +280,8 @@ mod tests {
         assert!(w.device::<CollectorDevice>(host).unwrap().frames.is_empty());
         let g = w.device::<VirtualGuard>(vg).unwrap();
         assert_eq!(g.compare_stats().expired_unreleased, 1);
+        let row = w.telemetry().counter("compare.vguard.expired_unreleased");
+        assert_eq!(row.get(), 1, "the virtual guard installs its telemetry");
         assert!(g
             .events()
             .iter()

@@ -10,7 +10,7 @@
 //! world — emit bit-identical decisions. The flow-mods and packet-outs
 //! they emit are projected onto canonical wire form
 //! ([`netco_openflow::canonical`]) and majority-voted through an embedded
-//! [`CompareCore`]: the control plane reuses the data plane's combiner
+//! [`CompareHost`]: the control plane reuses the data plane's combiner
 //! wholesale, one lane, with controller `i` as "replica port" `i + 1`.
 //!
 //! Canonicalization is what makes the vote well-defined: transaction ids
@@ -40,10 +40,10 @@ use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_openflow::canonical::{canonicalize, Canonical};
 use netco_openflow::{wire, OfMessage};
-use netco_sim::{EventLog, SimDuration, SimTime};
+use netco_sim::{mix64, EventLog, SimDuration, SimTime};
 use netco_telemetry::{Counter, Histogram};
 
-use crate::compare::{CompareAction, CompareCore, CompareStats, LaneInfo};
+use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
 use crate::events::SecurityEvent;
 use crate::supervisor::{ReplicaStatus, SupervisorConfig};
@@ -125,10 +125,9 @@ pub struct ControlVoterStats {
 
 /// The replicated-control-plane voter device. See the module docs.
 pub struct ControlVoter {
-    core: CompareCore,
+    host: CompareHost,
     controllers: Vec<NodeId>,
     guard: Option<NodeId>,
-    events: EventLog<SecurityEvent>,
     sent: Counter,
     voted: Counter,
     rejected: Counter,
@@ -146,13 +145,6 @@ pub struct ControlVoter {
     retained_bytes: u64,
     retained_bytes_peak: u64,
     release_digest: u64,
-}
-
-/// SplitMix64 — the workspace's standard digest mixer.
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl ControlVoter {
@@ -173,8 +165,8 @@ impl ControlVoter {
             .with_cache_capacity(cfg.cache_capacity);
         compare_cfg.miss_alarm_threshold = cfg.miss_alarm_threshold;
         compare_cfg.supervisor = cfg.supervisor;
-        let mut core = CompareCore::new(compare_cfg);
-        core.attach_lane(
+        let mut host = CompareHost::new(compare_cfg);
+        host.attach_lane(
             VOTE_LANE,
             LaneInfo {
                 replica_ports: (1..=k as u16).collect(),
@@ -184,11 +176,10 @@ impl ControlVoter {
             },
         );
         ControlVoter {
-            core,
+            host,
             disagreements: (0..k).map(|_| Counter::detached()).collect(),
             controllers,
             guard: None,
-            events: EventLog::unbounded(),
             sent: Counter::detached(),
             voted: Counter::detached(),
             rejected: Counter::detached(),
@@ -223,17 +214,18 @@ impl ControlVoter {
 
     /// The embedded compare's statistics (cache, quorum, event counts).
     pub fn compare_stats(&self) -> CompareStats {
-        self.core.stats()
+        self.host.core().stats()
     }
 
     /// The security event log (quarantine lifecycle, disagreements).
     pub fn events(&self) -> &EventLog<SecurityEvent> {
-        &self.events
+        self.host.events()
     }
 
     /// Indices of currently quarantined controllers.
     pub fn quarantined_controllers(&self) -> Vec<usize> {
-        self.core
+        self.host
+            .core()
             .quarantined_ports(VOTE_LANE)
             .into_iter()
             .map(|p| p as usize - 1)
@@ -243,22 +235,18 @@ impl ControlVoter {
     /// Supervisor status of controller `index` (`None` without a
     /// supervisor).
     pub fn controller_status(&self, index: usize) -> Option<ReplicaStatus> {
-        self.core.replica_status(VOTE_LANE, index as u16 + 1)
+        self.host.core().replica_status(VOTE_LANE, index as u16 + 1)
     }
 
     /// Whether the vote currently runs degraded (Detect semantics because
     /// fewer than 3 controllers are healthy).
     pub fn degraded(&self) -> bool {
-        self.core.lane_degraded(VOTE_LANE)
+        self.host.core().lane_degraded(VOTE_LANE)
     }
 
     /// The number of agreeing controllers currently required to release.
     pub fn active_release_threshold(&self) -> usize {
-        self.core.active_release_threshold(VOTE_LANE)
-    }
-
-    fn sweep_interval(&self) -> SimDuration {
-        (self.core.config().hold_time / 4).max(SimDuration::from_micros(100))
+        self.host.core().active_release_threshold(VOTE_LANE)
     }
 
     fn controller_index(&self, node: NodeId) -> Option<usize> {
@@ -273,8 +261,27 @@ impl ControlVoter {
         u128::from_be_bytes(fp)
     }
 
-    fn apply_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
+    /// Runs one `observe` / `sweep` call on the host and carries out its
+    /// decisions. The log tail the call appended is what it raised: each
+    /// expired entry there is a lost vote.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        call: impl FnOnce(&mut CompareHost, SimTime) -> Vec<CompareAction>,
+    ) {
         let now = ctx.now();
+        let logged = self.host.events().len();
+        let actions = call(&mut self.host, now);
+        for e in self.host.events().iter().skip(logged) {
+            if let SecurityEvent::SinglePathPacket { suspect_ports, .. } = &e.record {
+                self.rejected.inc();
+                for &port in suspect_ports {
+                    if let Some(cell) = self.disagreements.get(port as usize - 1) {
+                        cell.inc();
+                    }
+                }
+            }
+        }
         for action in actions {
             match action {
                 CompareAction::Release { frame, .. } => {
@@ -290,9 +297,8 @@ impl ControlVoter {
                     self.vote_latency
                         .record(now.saturating_since(t0).as_nanos());
                     self.retained_bytes -= artifact.len() as u64;
-                    self.release_digest = splitmix(self.release_digest ^ now.as_nanos());
-                    self.release_digest =
-                        splitmix(self.release_digest ^ netco_net::fnv1a(&artifact));
+                    self.release_digest = mix64(self.release_digest ^ now.as_nanos());
+                    self.release_digest = mix64(self.release_digest ^ netco_net::fnv1a(&artifact));
                     if let Some(guard) = self.guard {
                         ctx.send_control(guard, artifact);
                     }
@@ -302,27 +308,9 @@ impl ControlVoter {
                     // durable remediation is the supervisor's quarantine,
                     // which the DoS strike already feeds.
                 }
-                CompareAction::Stall { .. } => {
-                    // Vote bookkeeping cost is covered by the voter node's
-                    // CPU model.
-                }
-                CompareAction::Event(e) => {
-                    if let SecurityEvent::SinglePathPacket { suspect_ports, .. } = &e {
-                        self.rejected.inc();
-                        for &port in suspect_ports {
-                            if let Some(cell) = self.disagreements.get(port as usize - 1) {
-                                cell.inc();
-                            }
-                        }
-                    }
-                    crate::events::trace_security_event(
-                        ctx.telemetry(),
-                        ctx.node_name(ctx.node()),
-                        &e,
-                        now.as_nanos(),
-                    );
-                    self.events.push(now, e);
-                }
+                // Vote bookkeeping cost is covered by the voter node's CPU
+                // model; events were counted from the log above.
+                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
             }
         }
     }
@@ -342,8 +330,9 @@ impl ControlVoter {
                     self.pending.insert(key, (now, frame.bytes().clone()));
                 }
                 let vote = Frame::from(Bytes::copy_from_slice(&key.to_be_bytes()));
-                let actions = self.core.observe(VOTE_LANE, index as u16 + 1, vote, now);
-                self.apply_actions(ctx, actions);
+                self.drive(ctx, |host, now| {
+                    host.observe(VOTE_LANE, index as u16 + 1, vote, now)
+                });
             }
             Canonical::Opaque(message, xid) => match *message {
                 OfMessage::Hello => {}
@@ -375,9 +364,9 @@ impl ControlVoter {
 
 impl Device for ControlVoter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.host.start(ctx);
         let sink = ctx.telemetry().clone();
         let scope = ctx.node_name(ctx.node()).to_string();
-        self.core.set_telemetry(&sink, &scope);
         sink.adopt_counter(&format!("ctlvote.{scope}.sent"), &mut self.sent);
         sink.adopt_counter(&format!("ctlvote.{scope}.voted"), &mut self.voted);
         sink.adopt_counter(&format!("ctlvote.{scope}.rejected"), &mut self.rejected);
@@ -390,7 +379,7 @@ impl Device for ControlVoter {
             &format!("ctlvote.{scope}.vote_latency_ns"),
             &mut self.vote_latency,
         );
-        ctx.schedule_timer(self.sweep_interval(), SWEEP_TIMER);
+        ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
     fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _frame: Frame) {
@@ -402,11 +391,10 @@ impl Device for ControlVoter {
             return;
         }
         let now = ctx.now();
-        let actions = self.core.sweep(now);
-        self.apply_actions(ctx, actions);
+        self.drive(ctx, CompareHost::sweep);
         // Entries that expired unreleased never hit the latency histogram;
         // drop their stamps (and retained copies) once safely past expiry.
-        let horizon = self.core.config().hold_time * 2;
+        let horizon = self.host.core().config().hold_time * 2;
         let mut freed = 0;
         self.pending.retain(|_, (t0, retained)| {
             if now.saturating_since(*t0) < horizon {
@@ -416,7 +404,7 @@ impl Device for ControlVoter {
             false
         });
         self.retained_bytes -= freed;
-        ctx.schedule_timer(self.sweep_interval(), SWEEP_TIMER);
+        ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {

@@ -49,10 +49,8 @@ fn build_world() -> (World, netco_net::NodeId, netco_net::NodeId) {
         GuardSwitch::new(GuardConfig {
             host_port: PortId(0),
             replica_ports: (1..=K).map(PortId).collect(),
-            compare: CompareAttachment::Embedded,
-            sample_probability: 1.0,
-            embedded_compare: Some(CompareConfig::prevent(K as usize)),
-            primary_forward: false,
+            compare: CompareAttachment::Embedded(CompareConfig::prevent(K as usize)),
+            sampling: None,
         }),
         CpuModel::default(),
     );

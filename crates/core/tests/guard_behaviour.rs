@@ -47,9 +47,7 @@ fn rig(k: u16, sample_probability: f64) -> Rig {
             host_port: PortId(0),
             replica_ports: (1..=k).map(PortId).collect(),
             compare: CompareAttachment::DataPort(compare_port),
-            sample_probability,
-            embedded_compare: None,
-            primary_forward: sample_probability < 1.0,
+            sampling: (sample_probability < 1.0).then_some(sample_probability),
         }),
         CpuModel::default(),
     );

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::Bytes;
+use netco_sim::mix64;
 
 use crate::packet::{FrameView, L4View, PacketFields};
 
@@ -438,17 +439,11 @@ pub fn fp128(data: &[u8]) -> u128 {
     }
     // Fold the wide lanes in (avalanched, so every input bit reaches both
     // output lanes), then make length part of the digest.
-    h1 = (h1.rotate_left(5) ^ splitmix(h3)).wrapping_mul(K1);
-    h2 = (h2.rotate_left(7) ^ splitmix(h4)).wrapping_mul(K2);
+    h1 = (h1.rotate_left(5) ^ mix64(h3)).wrapping_mul(K1);
+    h2 = (h2.rotate_left(7) ^ mix64(h4)).wrapping_mul(K2);
     h1 = (h1.rotate_left(5) ^ data.len() as u64).wrapping_mul(K1);
     h2 = (h2.rotate_left(7) ^ data.len() as u64).wrapping_mul(K2);
-    ((splitmix(h1) as u128) << 64) | splitmix(h2) as u128
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    ((mix64(h1) as u128) << 64) | mix64(h2) as u128
 }
 
 #[cfg(test)]

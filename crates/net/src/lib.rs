@@ -58,7 +58,7 @@ pub use host::{HostNic, NeighborTable};
 pub use id::{LinkId, MacAddr, NodeId, PortId};
 pub use link::LinkSpec;
 pub use region::{safe_horizons, RegionMap, RegionRunStats};
-pub use trace::{TraceEntry, TraceRecorder};
+pub use trace::{TapDigest, TraceEntry, TraceRecorder};
 pub use world::{
     ControlChannelSpec, DropReason, NodeCounters, PortCounters, TapDirection, TapEvent, World,
 };

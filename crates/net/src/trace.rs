@@ -6,12 +6,12 @@
 //! a reusable tool: attach it to a world, run, then query or print what
 //! was seen where.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use netco_sim::SimTime;
+use netco_sim::{mix64, SimTime};
 use netco_telemetry::FlightRing;
 
 use crate::packet::{FrameView, L4View};
@@ -46,6 +46,44 @@ pub struct TraceEntry {
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     inner: Rc<RefCell<FlightRing<TraceEntry>>>,
+}
+
+/// The order-sensitive witness every bit-identity claim rests on: each
+/// tapped observation's time, node, port, direction and frame bytes
+/// ([`crate::fnv1a`]) folded through [`mix64`], plus the tap count. Two
+/// runs tapped the same frames at the same places in the same order iff
+/// `(value, taps)` agree.
+#[derive(Debug, Clone)]
+pub struct TapDigest {
+    acc: Rc<Cell<(u64, u64)>>,
+}
+
+impl TapDigest {
+    /// Starts folding everything `world`'s taps see; call before running.
+    pub fn attach(world: &mut World) -> TapDigest {
+        let acc = Rc::new(Cell::new((0u64, 0u64)));
+        let tap_acc = Rc::clone(&acc);
+        world.add_tap(move |ev: &TapEvent<'_>| {
+            let (mut d, taps) = tap_acc.get();
+            d = mix64(d ^ ev.at.as_nanos());
+            d = mix64(d ^ ev.node.index() as u64);
+            d = mix64(d ^ ev.port.0 as u64);
+            d = mix64(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
+            d = mix64(d ^ crate::fnv1a(ev.frame));
+            tap_acc.set((d, taps + 1));
+        });
+        TapDigest { acc }
+    }
+
+    /// The digest of everything tapped so far.
+    pub fn value(&self) -> u64 {
+        self.acc.get().0
+    }
+
+    /// Observations folded so far.
+    pub fn taps(&self) -> u64 {
+        self.acc.get().1
+    }
 }
 
 impl Default for TraceRecorder {

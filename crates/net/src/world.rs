@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use netco_sim::{ActivationWindow, Scheduler, SimDuration, SimRng, SimTime, Tick};
+use netco_sim::{mix64, ActivationWindow, Scheduler, SimDuration, SimRng, SimTime, Tick};
 use netco_telemetry::{Counter, Histogram, TelemetrySink};
 
 use crate::cpu::CpuModel;
@@ -571,10 +571,9 @@ impl Substrate {
 
     /// The per-node RNG stream derivation: splitmix64 over `(seed, node)`.
     pub(crate) fn derive_node_rng(seed: u64, node: u32) -> SimRng {
-        let mut z = seed ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        SimRng::new(z ^ (z >> 31))
+        SimRng::new(mix64(
+            seed ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ))
     }
 
     /// Schedules an event owned by `owner`'s stream: locally in sequential

@@ -40,7 +40,7 @@ mod time;
 mod window;
 
 pub use log::{EventLog, Timestamped};
-pub use rng::SimRng;
+pub use rng::{mix64, SimRng};
 pub use scheduler::{Scheduler, Tick};
 pub use time::{SimDuration, SimTime};
 pub use window::ActivationWindow;

@@ -25,12 +25,18 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 finalizer — the workspace's one digest mixer: fold a
+/// value into a running digest as `mix64(digest ^ value)`.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix64(*state)
 }
 
 impl SimRng {

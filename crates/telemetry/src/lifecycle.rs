@@ -15,6 +15,16 @@
 //! twice at the compare, but only the first copy's timing is recorded,
 //! which mirrors how the compare's release decision works.
 //!
+//! A flight is tagged only where a compare will judge it (the guard tags
+//! nothing in Dup mode and only the screened packets of a sampled
+//! deployment), so every tagged flight is closed by a verdict. Where
+//! several compares judge the same packet — one per replicated POX
+//! controller — the first verdict closes the flight and the others count
+//! under `lifecycle.untracked_verdicts`, as do verdicts on frames nobody
+//! tagged (the control voter's fingerprint votes). What can stay open is a
+//! packet whose every copy is lost before any compare sees one; nothing
+//! bounds `inflight` for that case yet.
+//!
 //! The in-flight map is keyed by fingerprint and is never iterated, so
 //! hash-map ordering cannot leak into any output.
 

@@ -619,10 +619,7 @@ impl Scenario {
                 // Central3, Central5, Detect2.
                 _ => {
                     let mut guard = GuardConfig::central(ports.out, ports.replicas, ports.compare);
-                    if let Some(p_sample) = self.sampling {
-                        guard.sample_probability = p_sample;
-                        guard.primary_forward = true;
-                    }
+                    guard.sampling = self.sampling;
                     guard
                 }
             },
@@ -653,7 +650,7 @@ impl Scenario {
     fn add_control_plane(&self, world: &mut World) -> (Vec<NodeId>, Vec<NodeId>) {
         let (cpu, cfg) = (&self.profile.controller_cpu, self.compare_config());
         let cr = self.control_replication.as_ref();
-        let tick = (cfg.hold_time / 4).max(SimDuration::from_micros(100));
+        let tick = cfg.sweep_interval();
         let controllers: Vec<NodeId> = (0..cr.map_or(1, |cr| cr.controllers))
             .map(|j| {
                 let app = PoxCompareApp::new(cfg.clone());

@@ -13,13 +13,11 @@
 //! its tap digest compared, witnessing that region count does not move
 //! the report either. No wall-clock value enters the JSON.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use netco_harness::Pool;
-use netco_net::{RegionRunStats, TapDirection, World};
-use netco_sim::{SimDuration, SimTime};
+use netco_net::{RegionRunStats, TapDigest};
+use netco_sim::{mix64, SimDuration, SimTime};
 use netco_topo::Profile;
 use netco_traffic::{
     FlowSet, FlowSetConfig, FlowSink, IcmpEchoResponder, PingConfig, Pinger, SizeDist,
@@ -262,30 +260,6 @@ pub struct CampaignResult {
     pub offered_load: Option<OfferedLoadOutcome>,
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Folds every tap observation into one order-sensitive digest (the
-/// `region_determinism` witness, reused as the campaign's bit-identity
-/// evidence).
-fn install_digest_tap(world: &mut World) -> Rc<RefCell<u64>> {
-    let acc = Rc::new(RefCell::new(0u64));
-    let tap_acc = Rc::clone(&acc);
-    world.add_tap(move |ev| {
-        let mut d = *tap_acc.borrow();
-        d = splitmix(d ^ ev.at.as_nanos());
-        d = splitmix(d ^ ev.node.index() as u64);
-        d = splitmix(d ^ ev.port.0 as u64);
-        d = splitmix(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-        d = splitmix(d ^ netco_net::fnv1a(ev.frame));
-        *tap_acc.borrow_mut() = d;
-    });
-    acc
-}
-
 /// One sweep coordinate.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
@@ -323,7 +297,7 @@ impl SharedGraph {
 fn cell_adversary(cfg: &CampaignConfig, cell: Cell) -> AdversarySpec {
     AdversarySpec {
         fraction: cfg.adversary_fractions[cell.frac_idx],
-        seed: splitmix(cfg.seed ^ ((cell.k as u64) << 32) ^ cell.frac_idx as u64),
+        seed: mix64(cfg.seed ^ ((cell.k as u64) << 32) ^ cell.frac_idx as u64),
         every_nth: 1,
     }
 }
@@ -333,7 +307,7 @@ fn cell_adversary(cfg: &CampaignConfig, cell: Cell) -> AdversarySpec {
 fn cell_world(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> (BuiltTopo, usize) {
     let pairs = cfg.pairs.min(netco.hosts.len() / 2);
     let adversary = cell_adversary(cfg, cell);
-    let world_seed = splitmix(
+    let world_seed = mix64(
         cfg.seed ^ ((cell.class_idx as u64) << 48) ^ ((cell.k as u64) << 24) ^ cell.frac_idx as u64,
     );
     let built = build_world(
@@ -363,7 +337,7 @@ fn cell_world(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> (BuiltTopo
 
 fn run_cell(cfg: &CampaignConfig, cell: Cell, base: &TopoGraph, netco: &TopoGraph) -> CellOutcome {
     let (mut built, pairs) = cell_world(cfg, cell, netco);
-    let digest = install_digest_tap(&mut built.world);
+    let digest = TapDigest::attach(&mut built.world);
     built
         .world
         .run_until(SimTime::from_nanos(cfg.run_ms * 1_000_000));
@@ -422,10 +396,7 @@ fn run_cell(cfg: &CampaignConfig, cell: Cell, base: &TopoGraph, netco: &TopoGrap
             (rtt_weighted_ns / received as u128) as u64
         },
         events: built.world.events_processed(),
-        digest: {
-            let d = *digest.borrow();
-            d
-        },
+        digest: digest.value(),
     }
 }
 
@@ -435,7 +406,7 @@ fn run_cell(cfg: &CampaignConfig, cell: Cell, base: &TopoGraph, netco: &TopoGrap
 /// host a [`FlowSink`].
 fn run_offered_load(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> OfferedLoadOutcome {
     let pairs = cfg.pairs.min(netco.hosts.len() / 2);
-    let world_seed = splitmix(cfg.seed ^ 0x6f66_6665_7265_6421); // "offered!"
+    let world_seed = mix64(cfg.seed ^ 0x6f66_6665_7265_6421); // "offered!"
     let mut built = build_world(
         netco,
         &Profile::default(),
@@ -485,7 +456,7 @@ fn run_offered_load(cfg: &CampaignConfig, cell: Cell, netco: &TopoGraph) -> Offe
         } else if let Some(sink) = built.world.device::<FlowSink>(id) {
             packets += sink.packets();
             goodput_bytes += sink.bytes();
-            digest = splitmix(digest ^ sink.digest());
+            digest = mix64(digest ^ sink.digest());
         }
     }
     let run_s = cfg.run_ms as f64 / 1_000.0;
@@ -512,12 +483,11 @@ fn region_witness(
     regions: usize,
 ) -> (u64, RegionRunStats) {
     let (mut built, _) = cell_world(cfg, cell, netco);
-    let digest = install_digest_tap(&mut built.world);
+    let digest = TapDigest::attach(&mut built.world);
     built
         .world
         .run_until_parallel(SimTime::from_nanos(cfg.run_ms * 1_000_000), pool, regions);
-    let d = *digest.borrow();
-    (d, built.world.region_stats())
+    (digest.value(), built.world.region_stats())
 }
 
 /// Runs the whole sweep, fanning cells across `pool`.

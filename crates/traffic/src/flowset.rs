@@ -21,7 +21,7 @@ use bytes::Bytes;
 use netco_net::packet::builder;
 use netco_net::packet::L4View;
 use netco_net::{Ctx, Device, Frame, HostNic, MacAddr, PortId};
-use netco_sim::{Scheduler, SimDuration, SimTime};
+use netco_sim::{mix64, Scheduler, SimDuration, SimTime};
 
 use crate::common::NIC_PORT;
 
@@ -218,12 +218,12 @@ struct FlowRng(u64);
 impl FlowRng {
     fn new(base: u64, flow_id: u64) -> FlowRng {
         // Decorrelate adjacent flow ids before the stream starts.
-        FlowRng(splitmix(base ^ splitmix(flow_id)))
+        FlowRng(mix64(base ^ mix64(flow_id)))
     }
 
     fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        splitmix(self.0)
+        mix64(self.0)
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
@@ -232,14 +232,8 @@ impl FlowRng {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn digest_fold(digest: u64, value: u64) -> u64 {
-    splitmix(digest ^ value)
+    mix64(digest ^ value)
 }
 
 const ARRIVAL_TIMER: u64 = 1;
