@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, PortId};
 use netco_openflow::{OfMessage, OfPort};
 use netco_sim::{EventLog, SimTime};
@@ -29,7 +28,7 @@ const DRAIN_TIMER: u64 = 2;
 pub struct Compare {
     host: CompareHost,
     stall_until: SimTime,
-    pending: VecDeque<(PortId, Bytes)>,
+    pending: VecDeque<(PortId, Frame)>,
     next_xid: u32,
 }
 
@@ -65,13 +64,20 @@ impl Compare {
         self.host.core()
     }
 
-    fn send_msg(&mut self, ctx: &mut Ctx<'_>, lane: u16, msg: &OfMessage) {
+    /// Sends `msg` down `lane`; `payload` is the frame a packet-out
+    /// releases, whose memo crosses the link with it.
+    fn send_msg(&mut self, ctx: &mut Ctx<'_>, lane: u16, msg: &OfMessage, payload: Option<&Frame>) {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
-        self.send_or_queue(ctx, PortId(lane), of_wrap(msg, xid));
+        let wrapped = of_wrap(msg, xid);
+        let frame = match payload {
+            Some(inner) => Frame::encapsulating(wrapped, inner),
+            None => Frame::new(wrapped),
+        };
+        self.send_or_queue(ctx, PortId(lane), frame);
     }
 
-    fn send_or_queue(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Bytes) {
+    fn send_or_queue(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
         let now = ctx.now();
         if now >= self.stall_until && self.pending.is_empty() {
             ctx.send_frame(port, frame);
@@ -92,13 +98,14 @@ impl Compare {
                     frame,
                 } => {
                     let port = OfPort::Physical(host_port);
-                    self.send_msg(ctx, lane, &OfMessage::packet_out(frame.into_bytes(), port));
+                    let msg = OfMessage::packet_out(frame.bytes().clone(), port);
+                    self.send_msg(ctx, lane, &msg, Some(&frame));
                 }
                 CompareAction::BlockReplicaPort {
                     lane,
                     port,
                     duration,
-                } => self.send_msg(ctx, lane, &block_advice(port, duration)),
+                } => self.send_msg(ctx, lane, &block_advice(port, duration), None),
                 CompareAction::Stall { duration, .. } => {
                     self.stall_until = self.stall_until.max(now) + duration;
                 }
@@ -121,7 +128,9 @@ impl Device for Compare {
         };
         if let OfMessage::PacketIn { in_port, data, .. } = msg {
             let now = ctx.now();
-            let actions = self.host.observe(port.number(), in_port, data, now);
+            // The replica's copy is the frame's tail, memo included.
+            let copy = frame.slice(frame.len() - data.len()..);
+            let actions = self.host.observe(port.number(), in_port, copy, now);
             self.apply_actions(ctx, actions);
         }
     }
@@ -163,6 +172,7 @@ impl std::fmt::Debug for Compare {
 mod tests {
     use super::*;
     use crate::encap::of_unwrap;
+    use bytes::Bytes;
     use netco_net::testutil::CollectorDevice;
     use netco_net::{CpuModel, LinkSpec, NodeId, World};
     use netco_openflow::{Action, PacketInReason};

@@ -212,9 +212,12 @@ impl GuardSwitch {
 
     /// `true` when `port` is currently blocked by compare advice.
     pub fn is_port_blocked(&self, port: PortId, now: SimTime) -> bool {
-        self.blocked
-            .get(&port.number())
-            .is_some_and(|&until| now < until)
+        // Asked for every replica copy; empty unless a compare sent advice.
+        !self.blocked.is_empty()
+            && self
+                .blocked
+                .get(&port.number())
+                .is_some_and(|&until| now < until)
     }
 
     fn fresh_xid(&mut self) -> u32 {
@@ -237,13 +240,14 @@ impl GuardSwitch {
             buffer_id: None,
             in_port: in_port.number(),
             reason: PacketInReason::NoMatch,
-            data: frame.into_bytes(),
+            data: frame.bytes().clone(),
         };
         let xid = self.fresh_xid();
         match self.cfg.compare {
             CompareAttachment::DataPort(p) => {
                 self.stats.to_compare += 1;
-                ctx.send_frame(p, of_wrap(&msg, xid));
+                // The copy's memo rides along: the compare unwraps it.
+                ctx.send_frame(p, Frame::encapsulating(of_wrap(&msg, xid), &frame));
             }
             CompareAttachment::Controller(c) => {
                 self.stats.to_compare += 1;
@@ -255,17 +259,24 @@ impl GuardSwitch {
         }
     }
 
-    /// Handles a decision message from the compare (data-port or
-    /// controller path).
+    /// Handles a decision message from the compare: `carrier` is the
+    /// compare-link frame it arrived in (data-port path), `reply_control`
+    /// the controller it came from (controller path).
     fn handle_compare_msg(
         &mut self,
         ctx: &mut Ctx<'_>,
         msg: OfMessage,
         xid: u32,
+        carrier: Option<&Frame>,
         reply_control: Option<NodeId>,
     ) {
         match msg {
             OfMessage::PacketOut { actions, data, .. } => {
+                // The released packet is the carrier's tail, memo included.
+                let data = match carrier {
+                    Some(frame) => frame.slice(frame.len() - data.len()..),
+                    None => Frame::new(data),
+                };
                 let outputs = actions
                     .iter()
                     .filter_map(|a| match a {
@@ -385,7 +396,7 @@ impl Device for GuardSwitch {
         if let CompareAttachment::DataPort(cp) = self.cfg.compare {
             if port == cp {
                 match of_unwrap_shared(frame.bytes()) {
-                    Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, None),
+                    Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, Some(&frame), None),
                     None => self.stats.invalid_msgs += 1,
                 }
                 return;
@@ -453,7 +464,7 @@ impl Device for GuardSwitch {
             return;
         }
         match wire::decode(&msg) {
-            Ok((message, xid)) => self.handle_compare_msg(ctx, message, xid, Some(from)),
+            Ok((message, xid)) => self.handle_compare_msg(ctx, message, xid, None, Some(from)),
             Err(_) => self.stats.invalid_msgs += 1,
         }
     }

@@ -3,23 +3,28 @@
 //! and the header sniff) run **at most once per unique frame content**,
 //! no matter how many hops, clones and replicas the frame crosses.
 //!
-//! The rig is the paper's Central-shaped combiner with the compare placed
-//! inband (`CompareAttachment::Embedded`, §IX) so the replica copies reach
-//! the voting core as in-world [`netco_net::Frame`]s — the memo survives
-//! every hop. (The wire-encapsulated Central-3 deployment re-frames each
-//! copy inside an OpenFlow `PacketIn`, which is genuinely new byte content
-//! and therefore, by design, a fresh memo.)
+//! Two rigs, the same claim. The first is the paper's Central-shaped
+//! combiner with the compare placed inband (`CompareAttachment::Embedded`,
+//! §IX), so the replica copies reach the voting core as in-world
+//! [`netco_net::Frame`]s and the memo survives every hop. The second is
+//! the wire-encapsulated Central-3 deployment itself: each copy crosses
+//! the compare link inside an OpenFlow `PacketIn`, the release comes back
+//! inside a `PacketOut`, and the memo crosses with them
+//! (`Frame::encapsulating`) — unless the link corrupts the wrapper, which
+//! is new content and starts cold.
 //!
 //! Memo counters are thread-local and each test runs on its own thread,
 //! so the deltas observed here belong to this world alone.
 
 use bytes::Bytes;
-use netco_core::{CompareAttachment, CompareConfig, GuardConfig, GuardSwitch, Hub};
+use netco_core::{
+    Compare, CompareAttachment, CompareConfig, GuardConfig, GuardSwitch, Hub, LaneInfo,
+};
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
-use netco_net::{memo_stats, CpuModel, LinkSpec, MacAddr, PortId, World};
+use netco_net::{memo_stats, CpuModel, FaultPlan, LinkId, LinkSpec, MacAddr, PortId, World};
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
-use netco_sim::SimDuration;
+use netco_sim::{ActivationWindow, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 const K: u16 = 3;
@@ -35,6 +40,18 @@ fn unique_frame(tag: u16) -> Bytes {
         Bytes::from(vec![(tag % 251) as u8; 64]),
         None,
     )
+}
+
+/// An OpenFlow switch with the honest routing the controller installed:
+/// everything out p1.
+fn forward_all(datapath_id: u64) -> OfSwitch {
+    let mut switch = OfSwitch::new(SwitchConfig::with_datapath_id(datapath_id));
+    switch.preinstall(FlowEntry::new(
+        1,
+        FlowMatch::any(),
+        vec![Action::Output(OfPort::Physical(1))],
+    ));
+    switch
 }
 
 /// host → hub → k OpenFlow replicas → guard (embedded compare) → sink.
@@ -56,14 +73,7 @@ fn build_world() -> (World, netco_net::NodeId, netco_net::NodeId) {
     );
     w.connect(guard, PortId(0), sink, PortId(0), LinkSpec::ideal());
     for i in 1..=K {
-        let mut replica = OfSwitch::new(SwitchConfig::with_datapath_id(i as u64));
-        // The honest routing the controller installed: everything out p1.
-        replica.preinstall(FlowEntry::new(
-            1,
-            FlowMatch::any(),
-            vec![Action::Output(OfPort::Physical(1))],
-        ));
-        let r = w.add_node(format!("r{i}"), replica, CpuModel::default());
+        let r = w.add_node(format!("r{i}"), forward_all(i as u64), CpuModel::default());
         w.connect(hub, PortId(i), r, PortId(0), LinkSpec::ideal());
         w.connect(r, PortId(1), guard, PortId(i), LinkSpec::ideal());
     }
@@ -121,3 +131,115 @@ fn reinjected_bytes_start_a_fresh_memo() {
     assert_eq!(d.parse_misses, 3, "each injection re-parses once");
     assert_eq!(d.fp_misses, 3, "each injection re-fingerprints once");
 }
+
+/// The Central-3 deployment on the wire: host → hub → k OpenFlow replicas →
+/// guard ⇄ compare server over a data link → edge switch → sink. Replica `i`'s link to
+/// the guard is `i × 10 µs` long and the compare link 2 µs, so the copies
+/// enter the compare link 10, 20 and 30 µs after injection and nothing
+/// comes back within 2 µs of one. Returns the compare link as well.
+fn build_central_world() -> (World, [netco_net::NodeId; 3], LinkId) {
+    let mut w = World::new(11);
+    let hub = w.add_node("hub", Hub::new(), CpuModel::default());
+    let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
+    let replica_ports: Vec<PortId> = (1..=K).map(PortId).collect();
+    let compare_port = PortId(K + 1);
+    let guard = w.add_node(
+        "guard",
+        GuardSwitch::new(GuardConfig::central(
+            PortId(0),
+            replica_ports.clone(),
+            compare_port,
+        )),
+        CpuModel::default(),
+    );
+    let mut compare = Compare::new(
+        CompareConfig::prevent(K as usize).with_hold_time(SimDuration::from_millis(5)),
+    );
+    compare.attach_guard(
+        PortId(0),
+        LaneInfo {
+            replica_ports: replica_ports.iter().map(|p| p.number()).collect(),
+            host_port: 0,
+        },
+    );
+    let cmp = w.add_node("compare", compare, CpuModel::default());
+    let edge = w.add_node("edge", forward_all(0), CpuModel::default());
+    w.connect(guard, PortId(0), edge, PortId(0), LinkSpec::ideal());
+    w.connect(edge, PortId(1), sink, PortId(0), LinkSpec::ideal());
+    let two_us = LinkSpec {
+        latency: SimDuration::from_micros(2),
+        ..LinkSpec::ideal()
+    };
+    let compare_link = w.connect(guard, compare_port, cmp, PortId(0), two_us);
+    for i in 1..=K {
+        let r = w.add_node(format!("r{i}"), forward_all(i as u64), CpuModel::default());
+        w.connect(hub, PortId(i), r, PortId(0), LinkSpec::ideal());
+        let skewed = LinkSpec {
+            latency: SimDuration::from_micros(10 * i as u64),
+            ..LinkSpec::ideal()
+        };
+        w.connect(r, PortId(1), guard, PortId(i), skewed);
+    }
+    (w, [hub, sink, cmp], compare_link)
+}
+
+/// Across the compare link and back the count is still one derivation per
+/// unique frame — `N`, where re-framing every unwrapped copy made it `3 N`
+/// fingerprints — and the released frame reaches the sink with the memo it
+/// left the hub with.
+#[test]
+fn wire_encapsulated_central3_misses_once_per_unique_frame() {
+    let (mut w, [hub, sink, cmp], _) = build_central_world();
+    let before = memo_stats();
+    const N: u64 = 25;
+    for tag in 0..N {
+        w.inject_frame(hub, PortId(0), unique_frame(tag as u16));
+    }
+    w.run_for(SimDuration::from_millis(10));
+    let d = memo_stats().since(before);
+
+    let delivered = &w.device::<CollectorDevice>(sink).unwrap().frames;
+    assert_eq!(delivered.len(), N as usize);
+    let stats = w.device::<Compare>(cmp).unwrap().stats();
+    assert_eq!((stats.received, stats.released), (K as u64 * N, N));
+    // The edge switch classifies each release from the parse the first
+    // replica made: the memo came back inside the packet-out.
+    assert_eq!(d.parse_misses, N, "one parse per unique frame");
+    assert_eq!(d.parse_hits, K as u64 * N, "k-1 replicas and the edge");
+    assert_eq!(d.fp_misses, N, "one fingerprint per unique frame, not k");
+    assert!(d.fp_hits >= (K as u64 - 1) * N, "got {}", d.fp_hits);
+    for (tag, (_, frame)) in delivered.iter().enumerate() {
+        assert_eq!(frame, &unique_frame(tag as u16));
+    }
+}
+
+/// A compare link that flips a bit in the second replica's copy: the
+/// wrapper the compare receives is a new frame, so that copy is
+/// fingerprinted afresh (it *is* other content), loses the vote to the two
+/// clean copies that still share one fingerprint, and expires unreleased.
+#[test]
+fn corrupted_compare_link_copy_is_refingerprinted_and_outvoted() {
+    let (mut w, [hub, sink, cmp], compare_link) = build_central_world();
+    let second_copy =
+        ActivationWindow::between(SimTime::from_nanos(19_000), SimTime::from_nanos(21_000));
+    w.apply_fault_plan(&FaultPlan::new(CORRUPTING_SEED).corrupt(compare_link, 1.0, second_copy));
+    let before = memo_stats();
+    let sent = unique_frame(3);
+    w.inject_frame(hub, PortId(0), sent.clone());
+    w.run_for(SimDuration::from_millis(20));
+    let d = memo_stats().since(before);
+
+    let delivered = &w.device::<CollectorDevice>(sink).unwrap().frames;
+    assert_eq!(delivered.len(), 1);
+    assert_eq!(delivered[0].1, sent, "the clean majority's bytes");
+    let stats = w.device::<Compare>(cmp).unwrap().stats();
+    assert_eq!(stats.received, 3, "the flipped bit is in the payload");
+    assert_eq!(stats.released, 1);
+    assert_eq!(stats.expired_unreleased, 1, "the corrupted singleton");
+    assert_eq!(d.fp_misses, 2, "clean copies share one; the corrupted pays");
+    assert_eq!(d.parse_misses, 1, "the release is a clean copy's content");
+}
+
+/// A fault-plan seed whose one flip lands in the carried frame rather than
+/// in the OpenFlow header around it (asserted by `received == 3`).
+const CORRUPTING_SEED: u64 = 2;

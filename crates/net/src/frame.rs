@@ -19,6 +19,14 @@
 //! **new** `Frame` with a fresh, empty memo. Cloning shares the memo;
 //! changing content never does.
 //!
+//! Encapsulation is the one place two contents are related:
+//! [`Frame::encapsulating`] wraps a frame in a longer one that ends with
+//! its bytes (checked) and records where they start, so the tail
+//! [`slice`](Frame::slice) of the wrapper — after any number of clones and
+//! hops — is the inner content with the inner memo. A wrapper that was
+//! corrupted, truncated or re-injected on the way is a new `Frame` and
+//! carries nothing. There is still no way to *set* a memo.
+//!
 //! # Facades
 //!
 //! Entry points that used to accept [`Bytes`] (`World::inject_frame`,
@@ -174,6 +182,9 @@ struct Memo {
     fp: OnceLock<u128>,
     fields: OnceLock<PacketFields>,
     views: OnceLock<Option<(FrameView, Option<L4View>)>>,
+    /// For a frame built by [`Frame::encapsulating`]: where the inner
+    /// frame's bytes start, and the inner frame's memo.
+    inner: Option<(usize, Arc<Memo>)>,
 }
 
 /// A data-plane frame: immutable wire bytes plus lazily-memoized derived
@@ -195,6 +206,30 @@ impl Frame {
         Frame {
             bytes,
             memo: Arc::new(Memo::default()),
+        }
+    }
+
+    /// A frame over `outer`, which carries `inner`'s bytes as its tail — an
+    /// encapsulation such as an OpenFlow packet-in around a data frame.
+    /// The new frame starts with an empty memo of its own and remembers
+    /// `inner`'s: [`slice`](Frame::slice)`(outer.len() - inner.len()..)` on
+    /// it, or on any clone, is `inner`'s content *with* `inner`'s memo, so
+    /// what was derived before the wrap is not derived again after the
+    /// unwrap.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `outer` ends with `inner`'s bytes: a memo is only ever
+    /// attached to the content it was derived from.
+    pub fn encapsulating(outer: Bytes, inner: &Frame) -> Frame {
+        assert!(outer.ends_with(inner), "outer must end with inner's bytes");
+        let offset = outer.len() - inner.len();
+        Frame {
+            bytes: outer,
+            memo: Arc::new(Memo {
+                inner: Some((offset, Arc::clone(&inner.memo))),
+                ..Memo::default()
+            }),
         }
     }
 
@@ -296,7 +331,9 @@ impl Frame {
     /// Returns a frame over a sub-range of the bytes. O(1): shares the
     /// underlying buffer.
     ///
-    /// A full-range slice keeps the memo (content is unchanged); a proper
+    /// A full-range slice keeps the memo (content is unchanged), and the
+    /// tail of an [`encapsulating`](Frame::encapsulating) frame that is the
+    /// inner frame's content gets the inner frame's memo; any other proper
     /// sub-slice is different content and starts a fresh memo.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Frame {
         let begin = match range.start_bound() {
@@ -309,10 +346,14 @@ impl Frame {
             Bound::Excluded(&n) => n,
             Bound::Unbounded => self.bytes.len(),
         };
-        if begin == 0 && end == self.bytes.len() {
-            return self.clone();
+        match &self.memo.inner {
+            Some((offset, memo)) if begin == *offset && end == self.bytes.len() => Frame {
+                bytes: self.bytes.slice(begin..end),
+                memo: Arc::clone(memo),
+            },
+            _ if begin == 0 && end == self.bytes.len() => self.clone(),
+            _ => Frame::new(self.bytes.slice(begin..end)),
         }
-        Frame::new(self.bytes.slice(begin..end))
     }
 }
 
@@ -559,6 +600,27 @@ mod tests {
             "sub-slice is new content: fresh memo"
         );
         assert_ne!(head.fp128(), fp);
+    }
+
+    #[test]
+    fn encapsulated_tail_slice_returns_the_inner_memo() {
+        let inner = Frame::from(vec![0x55u8; 48]);
+        let fp = inner.fp128();
+        let wire = [&[0xEEu8; 10][..], &inner[..]].concat();
+        let outer = Frame::encapsulating(Bytes::from(wire), &inner).clone();
+        let before = memo_stats();
+        assert_eq!(outer.slice(10..).fp128(), fp);
+        assert_eq!(memo_stats().since(before).fp_misses, 0);
+        assert_eq!(outer.slice(11..).fp128(), fp128(&inner[1..]));
+        assert_ne!(outer.fp128(), fp, "the wrapper is other content");
+        assert_eq!(memo_stats().since(before).fp_misses, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outer must end with inner's bytes")]
+    fn encapsulating_other_bytes_is_refused() {
+        let inner = Frame::from(vec![1u8, 2, 3]);
+        Frame::encapsulating(Bytes::from(vec![9u8, 1, 2, 4]), &inner);
     }
 
     #[test]

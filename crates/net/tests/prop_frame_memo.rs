@@ -1,7 +1,8 @@
 //! Differential property tests for the memoized frame path: for arbitrary
 //! byte content, every memoized derivation on [`Frame`] is bit-identical
 //! to the stateless computation on the raw bytes, and stays identical
-//! across clones and slices (which share or fork the memo).
+//! across clones and slices (which share or fork the memo) and across an
+//! encapsulation (whose tail slice gets the inner frame's memo back).
 
 use bytes::Bytes;
 use netco_net::packet::PacketFields;
@@ -77,6 +78,54 @@ proptest! {
         );
         // Zero-copy: the sub-slice views the original frame's buffer.
         prop_assert_eq!(sub.bytes().as_ptr(), frame.bytes()[lo..].as_ptr());
+    }
+
+    /// The tail of an encapsulating frame — taken from the frame or from a
+    /// clone of it — is the inner content with the inner memo: every
+    /// derivation the inner frame already made is answered without
+    /// touching the bytes. Any other sub-range, and the same wire bytes
+    /// framed afresh, start cold.
+    #[test]
+    fn encapsulated_tail_carries_the_inner_memo(
+        head in arb_bytes(),
+        data in arb_bytes(),
+        a in any::<u16>(),
+        b in any::<u16>(),
+    ) {
+        let inner = Frame::from(data.clone());
+        let (fp, fields, views) = (inner.fp128(), inner.fields().clone(), inner.views().cloned());
+        let wire = [&head[..], &data[..]].concat();
+        let outer = Frame::encapsulating(Bytes::from(wire.clone()), &inner);
+        prop_assert_eq!(&outer, &Bytes::from(wire.clone()));
+
+        for carrier in [outer.clone(), outer.clone().slice(..)] {
+            let tail = carrier.slice(head.len()..);
+            let before = memo_stats();
+            prop_assert_eq!(tail.fp128(), fp);
+            prop_assert_eq!(tail.fields(), &fields);
+            prop_assert_eq!(tail.views().cloned(), views.clone());
+            prop_assert_eq!(memo_stats().since(before).misses(), 0);
+            prop_assert_eq!(&tail, &inner);
+            prop_assert_eq!(tail.bytes().as_ptr(), outer.bytes()[head.len()..].as_ptr());
+        }
+        // The wrapper's own derivations are of the wrapper's bytes.
+        prop_assert_eq!(outer.fp128(), fp128(&wire));
+
+        let (mut lo, mut hi) = (a as usize % (wire.len() + 1), b as usize % (wire.len() + 1));
+        if lo > hi {
+            std::mem::swap(&mut lo, &mut hi);
+        }
+        if (lo, hi) != (head.len(), wire.len()) && (lo, hi) != (0, wire.len()) {
+            let sub = outer.slice(lo..hi);
+            let before = memo_stats();
+            prop_assert_eq!(sub.fp128(), fp128(&wire[lo..hi]));
+            prop_assert_eq!(memo_stats().since(before).fp_misses, 1);
+        }
+        let rebuilt = Frame::from(wire.clone()).slice(head.len()..);
+        let before = memo_stats();
+        prop_assert_eq!(rebuilt.fp128(), fp);
+        prop_assert_eq!(rebuilt.fields(), &fields);
+        prop_assert_eq!(memo_stats().since(before).misses(), 2);
     }
 
     /// Round-tripping through `Bytes` (the facade every legacy call site

@@ -13,12 +13,23 @@
 //! traces are compared bit-for-bit across runs. The wheel guarantees this
 //! structurally:
 //!
-//! * slot lists only ever append, and every append source (direct insert,
-//!   cascade from a higher level, heap drain) visits entries in `(at, seq)`
-//!   order, so entries with equal `at` always sit in a slot in `seq` order;
-//! * cascades are stable drains, preserving that relative order;
-//! * level-0 slots hold exactly one 1 ns tick, so draining a slot yields a
-//!   FIFO run of simultaneous events.
+//! * an event is written once, at insert, into the slot of the shallowest
+//!   level whose window contains it, and moved once, at staging, from that
+//!   slot to the ready queue — whichever level the slot is on. There is no
+//!   level-by-level cascade: when level 0 is empty, the first occupied slot
+//!   of the shallowest non-empty level already holds the next tick (its
+//!   entries due at the slot's minimum), and only the *later* entries of
+//!   such a shared deep slot are re-filed, against a base advanced to the
+//!   staged instant's 256 ns window;
+//! * one base decides every placement, and advancing it that way changes
+//!   no other entry's placement (the argument is on `refill_ready`), so
+//!   entries due at the same instant always share one slot: a staged tick
+//!   is complete;
+//! * slot lists only ever append and re-filing walks a slot front to back,
+//!   so entries with equal `at` sit in `seq` order unless the overflow heap
+//!   returned them key-first; either way the staged tick is sorted by
+//!   `(key, seq)` before it is handed out (a single scan when it already
+//!   is).
 //!
 //! # Keys and stages
 //!
@@ -216,7 +227,7 @@ pub struct Scheduler<E> {
     /// The single 1 ns tick currently being drained; every entry here has
     /// `at == ready tick`, and once the first one has popped, `at == now`.
     ready: VecDeque<Entry<E>>,
-    /// Reusable cascade buffer so window advances do not reallocate.
+    /// Reusable buffer for the later entries of a deep slot being staged.
     scratch: Vec<Entry<E>>,
     /// Ordinal of the tick most recently staged into `ready`.
     stage: u64,
@@ -341,7 +352,7 @@ impl<E> Scheduler<E> {
     /// key (callers that stamp observations with the key of the event
     /// being dispatched need it; everyone else uses `pop`).
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.ready.is_empty() && !self.refill_ready() {
+        if self.ready.is_empty() && !self.refill_ready(u64::MAX) {
             return None;
         }
         let entry = self.ready.pop_front().expect("refill_ready staged a tick");
@@ -358,17 +369,19 @@ impl<E> Scheduler<E> {
     /// drained; 0 when nothing is due by `deadline` (the tick stays pending
     /// and the clock does not move).
     ///
-    /// This is the batched hot path: one wheel refill (bitmap scan,
-    /// cascade, heap pull) is amortized over the whole slot instead of
-    /// being paid per [`pop`](Scheduler::pop), and the tick is handed over
-    /// by buffer swap — `tick` (which must be empty) swaps places with the
-    /// internal ready queue — so an event traverses the scheduler with
-    /// exactly one move, wheel slot to ready. The delivery order is
-    /// bit-identical to repeated `pop` calls. Events scheduled *between*
-    /// ticks for the instant just drained re-enter the wheel and surface
-    /// as the next tick — still at the same timestamp, still in `(key,
-    /// seq)` order — exactly where per-event popping would have delivered
-    /// them.
+    /// This is the batched hot path: one wheel refill (one bitmap scan that
+    /// also answers the deadline question, a heap pull when the wheels are
+    /// empty) is amortized over the whole tick instead of being paid per
+    /// [`pop`](Scheduler::pop), and the tick is handed over by buffer swap
+    /// — `tick` (which must be empty) swaps places with the internal ready
+    /// queue. An event is written once at insert and moved once at
+    /// staging, from whichever wheel level holds it; only entries that
+    /// share a deep slot with an earlier instant are re-filed, once per
+    /// level they descend. The delivery order is bit-identical to repeated
+    /// `pop` calls. Events scheduled *between* ticks for the instant just
+    /// drained re-enter the wheel and surface as the next tick — still at
+    /// the same timestamp, still in `(key, seq)` order — exactly where
+    /// per-event popping would have delivered them.
     pub fn pop_tick_until(&mut self, deadline: SimTime, tick: &mut Tick<E>) -> usize {
         debug_assert!(tick.entries.is_empty(), "tick buffer handed back dirty");
         if !self.stage_tick_until(deadline) {
@@ -385,17 +398,10 @@ impl<E> Scheduler<E> {
     /// advances the clock to it. Returns `false` when nothing is due by
     /// `deadline`.
     fn stage_tick_until(&mut self, deadline: SimTime) -> bool {
-        if self.ready.is_empty() {
-            // Decide from the wheel before staging anything: a tick past
-            // the deadline must stay unstaged (the clock must not move and
-            // `peek_time` must keep seeing it in the wheel).
-            match self.peek_time() {
-                Some(t) if t <= deadline => {
-                    let staged = self.refill_ready();
-                    debug_assert!(staged, "peek_time saw a pending event");
-                }
-                _ => return false,
-            }
+        // A tick past the deadline stays unstaged: the clock must not move
+        // and `peek_time` must keep seeing it in the wheel.
+        if self.ready.is_empty() && !self.refill_ready(deadline.as_nanos()) {
+            return false;
         }
         let at = self.ready.front().expect("tick is staged").at;
         if at > deadline.as_nanos() {
@@ -474,7 +480,7 @@ impl<E> Scheduler<E> {
     pub fn drain_all_ordered(&mut self) -> Vec<(SimTime, u64, E)> {
         let mut out = Vec::with_capacity(self.len);
         loop {
-            if self.ready.is_empty() && !self.refill_ready() {
+            if self.ready.is_empty() && !self.refill_ready(u64::MAX) {
                 break;
             }
             while let Some(entry) = self.ready.pop_front() {
@@ -482,54 +488,71 @@ impl<E> Scheduler<E> {
             }
         }
         self.len = 0;
-        // Draining cascaded the wheel forward; re-anchor the now-empty
+        // Draining advanced the base past `now`; re-anchor the now-empty
         // wheel so future inserts at `now` stay in range.
         self.wheel_base = self.now & !(SLOTS as u64 - 1);
         self.tel_depth.set(0);
         out
     }
 
-    /// Stages the next due tick into `ready`, cascading higher wheel levels
-    /// down and pulling the heap's next block in as needed. Returns `false`
-    /// when nothing is pending.
-    fn refill_ready(&mut self) -> bool {
+    /// Stages the next due tick into `ready` if it is due at or before
+    /// `deadline`, pulling the heap's next block into the wheels as needed.
+    /// Returns `false`, with nothing moved, when nothing is pending or the
+    /// next tick is due later.
+    ///
+    /// Wheel levels cover strictly increasing, disjoint windows, so the
+    /// first occupied slot of the shallowest non-empty level holds the
+    /// next tick: every entry of that slot due at `mins[slot]`, and (same
+    /// instant ⇒ same level and slot under one base) no entry anywhere
+    /// else. Those are staged straight from the level that holds them. A
+    /// level-0 slot *is* one tick. A deeper slot may also hold strictly
+    /// later instants; the base advances to the staged instant's 256 ns
+    /// window and only those later entries are re-filed — they share the
+    /// slot's bits with the new base, so they land at least one level
+    /// down, and entries in every other slot still disagree with the new
+    /// base exactly where they did with the old one, so they stay put.
+    fn refill_ready(&mut self, deadline: u64) -> bool {
         debug_assert!(self.ready.is_empty());
         loop {
-            // Fast path: a level-0 slot is a single tick; drain it whole.
-            if let Some(slot) = self.levels[0].first_occupied() {
-                let level = &mut self.levels[0];
-                self.ready.extend(level.slots[slot].drain(..));
-                level.mark_drained(slot);
+            if let Some((lvl, slot)) =
+                (0..LEVELS).find_map(|l| self.levels[l].first_occupied().map(|s| (l, s)))
+            {
+                let level = &mut self.levels[lvl];
+                let at = level.mins[slot];
+                if at > deadline {
+                    return false;
+                }
+                if lvl == 0 {
+                    self.ready.extend(level.slots[slot].drain(..));
+                    level.mark_drained(slot);
+                } else {
+                    debug_assert!(at & !(SLOTS as u64 - 1) > self.wheel_base);
+                    self.wheel_base = at & !(SLOTS as u64 - 1);
+                    let mut later = std::mem::take(&mut self.scratch);
+                    for entry in level.slots[slot].drain(..) {
+                        if entry.at == at {
+                            self.ready.push_back(entry);
+                        } else {
+                            later.push(entry);
+                        }
+                    }
+                    level.mark_drained(slot);
+                    for entry in later.drain(..) {
+                        self.insert(entry);
+                    }
+                    self.scratch = later;
+                }
                 self.sort_ready();
                 self.stage += 1;
                 return true;
             }
-            // Cascade the first occupied slot of the shallowest non-empty
-            // level: advance the base to that slot's absolute window start
-            // and redistribute its entries one level down (stable, so
-            // equal-time entries keep their seq order).
-            if let Some((lvl, slot)) =
-                (1..LEVELS).find_map(|l| self.levels[l].first_occupied().map(|s| (l, s)))
-            {
-                let shift = SLOT_BITS * lvl as u32;
-                let above = shift + SLOT_BITS;
-                let slot_start = (self.wheel_base >> above << above) | ((slot as u64) << shift);
-                debug_assert!(slot_start > self.wheel_base);
-                self.wheel_base = slot_start;
-                let mut moved = std::mem::take(&mut self.scratch);
-                #[allow(clippy::extend_with_drain)] // `append` pessimizes codegen here
-                moved.extend(self.levels[lvl].slots[slot].drain(..));
-                self.levels[lvl].mark_drained(slot);
-                for entry in moved.drain(..) {
-                    self.insert(entry);
-                }
-                self.scratch = moved;
-                continue;
-            }
             // Wheels empty: pull the heap's next 2^32 ns block into the
-            // wheels. Heap pops are (at, seq)-ordered, so equal-time
-            // entries land in their slot in seq order.
+            // wheels; its head lands at level 0. Not past the deadline: the
+            // base must stay at or before `now`.
             if let Some(head) = self.heap.peek() {
+                if head.at > deadline {
+                    return false;
+                }
                 let block_base = self.wheel_base.max(head.at & !(SLOTS as u64 - 1));
                 self.wheel_base = block_base;
                 let horizon = SLOT_BITS * LEVELS as u32;
@@ -961,6 +984,111 @@ mod tests {
         assert_eq!(s.pop(), Some((SimTime::from_nanos(120), 7)));
     }
 
+    /// One delay per residence: level 0, levels 1–3 and the overflow heap.
+    const DEEP: [u64; 5] = [3, 3 << 8, 3 << 16, 3 << 24, 3 << 32];
+
+    #[test]
+    fn two_instants_in_one_deep_slot_stage_as_two_ticks() {
+        // 2^16 + 5 and 2^16 + 300 share level 2's slot 1. Staging the
+        // first must leave the second pending (re-filed one or more levels
+        // down), visible to `peek_time`, and staged as a tick of its own.
+        let (first, second) = ((1u64 << 16) + 5, (1u64 << 16) + 300);
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(second), 2);
+        s.schedule_at(SimTime::from_nanos(first), 1);
+        s.schedule_at(SimTime::from_nanos(first), 3);
+        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(first)));
+        assert_eq!(
+            pop_tick(&mut s, SimTime::MAX),
+            vec![
+                (SimTime::from_nanos(first), 1),
+                (SimTime::from_nanos(first), 3)
+            ]
+        );
+        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(second)));
+        assert_eq!(s.len(), 1);
+        assert_eq!(pop_tick(&mut s, SimTime::from_nanos(second - 1)), vec![]);
+        assert_eq!(s.now(), SimTime::from_nanos(first), "refused: clock stays");
+        assert_eq!(
+            pop_tick(&mut s, SimTime::MAX),
+            vec![(SimTime::from_nanos(second), 2)]
+        );
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn same_instant_arrival_while_deep_staged_tick_drains_is_next_stage() {
+        let at = SimTime::from_nanos(DEEP[2] + 9);
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.schedule_at(at, 1);
+        s.schedule_at(at, 2);
+        assert_eq!(s.pop(), Some((at, 1)), "staged straight from level 2");
+        let staged = s.stage();
+        s.schedule_at(s.now(), 3);
+        assert_eq!(s.pop(), Some((at, 2)));
+        assert_eq!(s.stage(), staged, "the arrival did not join the live tick");
+        assert_eq!(s.pop(), Some((at, 3)));
+        assert!(s.stage() > staged);
+    }
+
+    #[test]
+    fn drain_all_ordered_spans_every_level_and_the_heap() {
+        let mut s: Scheduler<usize> = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(40), 0);
+        s.pop();
+        let mut model = Vec::new();
+        for (i, &d) in DEEP.iter().enumerate() {
+            for (j, key) in [(0, 2u64), (1, 0), (2, 2)] {
+                // The first and third share an instant and a key (FIFO);
+                // the second is 1 ns later in the same deep slot.
+                let at = 40 + d + (j == 1) as u64;
+                s.schedule_at_keyed(SimTime::from_nanos(at), key, 3 * i + j);
+                model.push((at, key, 3 * i + j));
+            }
+        }
+        model.sort();
+        let drained: Vec<_> = s
+            .drain_all_ordered()
+            .into_iter()
+            .map(|(t, k, e)| (t.as_nanos(), k, e))
+            .collect();
+        assert_eq!(drained, model);
+        assert!(s.is_empty());
+        assert_eq!(s.now(), SimTime::from_nanos(40));
+        s.schedule_at(s.now(), 99);
+        s.schedule_after(SimDuration::from_nanos(DEEP[1]), 100);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(40), 99)));
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(40 + DEEP[1]), 100)));
+    }
+
+    #[test]
+    fn pop_and_pop_tick_agree_on_deep_ticks() {
+        fn fill(s: &mut Scheduler<u32>) {
+            let mut id = 0;
+            for &d in &DEEP {
+                for (extra, key) in [(0, 1), (0, 0), (1, 0), (0, 1), (700, 3)] {
+                    s.schedule_at_keyed(SimTime::from_nanos(d + extra), key, id);
+                    id += 1;
+                }
+            }
+        }
+        let (mut a, mut b) = (Scheduler::new(), Scheduler::new());
+        fill(&mut a);
+        fill(&mut b);
+        let per_event: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
+        let mut batched = Vec::new();
+        loop {
+            let tick = pop_tick(&mut b, SimTime::MAX);
+            if tick.is_empty() {
+                break;
+            }
+            batched.extend(tick);
+        }
+        assert_eq!(per_event.len(), 25);
+        assert_eq!(per_event, batched);
+        assert_eq!(a.stage(), b.stage(), "same ticks, same stage boundaries");
+    }
+
     /// Replays one generated op sequence against both schedulers, asserting
     /// identical `(time, seq)` pops, peeks and lengths at every step.
     fn assert_wheel_matches_heap(ops: &[(u8, u64)]) {
@@ -1025,12 +1153,112 @@ mod tests {
         }
     }
 
+    /// Quantised delays: a handful of instants per wheel level and beyond
+    /// the horizon, so that entries collide on an instant at levels 1–3 and
+    /// in the heap (the 64-bit delays of the differential test almost
+    /// never do, and its keys are all 0).
+    fn quantised(pick: u64) -> u64 {
+        const BASES: [u64; 10] = [
+            0,
+            1,
+            256,
+            512,
+            1 << 16,
+            3 << 16,
+            1 << 24,
+            5 << 24,
+            1 << 32,
+            3 << 32,
+        ];
+        BASES[(pick % 10) as usize] * (pick / 10 % 3) + 7 * (pick / 30 % 2)
+    }
+
+    /// Replays keyed schedules, whole-tick drains (with and without a
+    /// deadline) and per-event pops against a sorted `(at, key, seq)` list,
+    /// comparing `peek_time`, `len` and `now` after every op.
+    fn assert_wheel_matches_sorted_model(ops: &[(u8, u64)]) {
+        let mut wheel: Scheduler<u64> = Scheduler::new();
+        let mut tick = Tick::new();
+        // Pending entries not yet staged, the staged remainder, the clock.
+        let mut pending: Vec<(u64, u64, u64)> = Vec::new();
+        let mut staged: VecDeque<(u64, u64, u64)> = VecDeque::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        fn stage(pending: &mut Vec<(u64, u64, u64)>, staged: &mut VecDeque<(u64, u64, u64)>) {
+            pending.sort();
+            if let Some(&(at, ..)) = pending.first() {
+                let n = pending.iter().take_while(|e| e.0 == at).count();
+                staged.extend(pending.drain(..n));
+            }
+        }
+        for &(kind, bits) in ops {
+            match kind {
+                0..=4 => {
+                    let at = now + quantised(bits);
+                    let key = bits >> 32 & 3;
+                    wheel.schedule_after_keyed(SimDuration::from_nanos(at - now), key, seq);
+                    pending.push((at, key, seq));
+                    seq += 1;
+                }
+                5 | 6 => {
+                    let deadline = match kind {
+                        5 => u64::MAX,
+                        _ => now + quantised(bits),
+                    };
+                    if staged.is_empty() {
+                        stage(&mut pending, &mut staged);
+                    }
+                    let due = staged.front().is_some_and(|e| e.0 <= deadline);
+                    if !due {
+                        // Refused: the model's tick goes back unstaged.
+                        pending.extend(staged.drain(..));
+                    }
+                    let n = wheel.pop_tick_until(SimTime::from_nanos(deadline), &mut tick);
+                    assert_eq!(n, staged.len());
+                    for (key, id) in tick.drain_keyed() {
+                        let (at, k, s) = staged.pop_front().expect("model tick");
+                        assert_eq!((wheel.now().as_nanos(), key, id), (at, k, s));
+                        now = at;
+                    }
+                }
+                _ => {
+                    if staged.is_empty() {
+                        stage(&mut pending, &mut staged);
+                    }
+                    let expect = staged.pop_front();
+                    let got = wheel.pop_keyed().map(|(t, k, e)| (t.as_nanos(), k, e));
+                    assert_eq!(got, expect);
+                    now = expect.map_or(now, |e| e.0);
+                }
+            }
+            let next = staged.front().or_else(|| pending.iter().min()).map(|e| e.0);
+            assert_eq!(wheel.peek_time(), next.map(SimTime::from_nanos));
+            assert_eq!(wheel.len(), pending.len() + staged.len());
+            assert_eq!(wheel.now().as_nanos(), now);
+        }
+        // Delivery order: what is left of a part-popped tick, then the rest.
+        pending.sort();
+        let expect: Vec<_> = staged.into_iter().chain(pending).collect();
+        let rest: Vec<_> = wheel
+            .drain_all_ordered()
+            .into_iter()
+            .map(|(t, k, e)| (t.as_nanos(), k, e))
+            .collect();
+        assert_eq!(rest, expect);
+    }
+
     proptest! {
         #[test]
         fn differential_wheel_equals_heap(
             ops in proptest::collection::vec((0u8..9, proptest::arbitrary::any::<u64>()), 0..300)
         ) {
             assert_wheel_matches_heap(&ops);
+        }
+
+        #[test]
+        fn keyed_quantised_wheel_equals_sorted_model(
+            ops in proptest::collection::vec((0u8..9, proptest::arbitrary::any::<u64>()), 0..300)
+        ) {
+            assert_wheel_matches_sorted_model(&ops);
         }
     }
 }
