@@ -1,9 +1,10 @@
-//! Differential regression: the batched dispatch loop (`World::run_until`,
-//! which drains whole timing-wheel ticks per scheduler call) must be
-//! observationally bit-identical to the retired per-event loop
-//! (`World::run_until_per_event`, one wheel scan per event). Any
-//! divergence in `(time, seq)` delivery order shows up here as a frame
-//! appearing at a different tap timestamp or in a different order.
+//! Pinned regression for the batched dispatch loop (`World::run_until`,
+//! which drains whole timing-wheel ticks per scheduler call). The
+//! constants below were recorded on commit 51e66b7 from the per-event loop
+//! this crate used to keep as the batch drain's oracle (one wheel scan per
+//! event) and are never re-recorded from a change: any divergence in
+//! `(time, key, seq)` delivery order shows up as a frame appearing at a
+//! different tap timestamp or in a different order.
 
 use std::net::Ipv4Addr;
 
@@ -13,14 +14,23 @@ use netco_sim::{SimDuration, SimTime};
 use netco_telemetry::TelemetrySink;
 use netco_topo::{Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{
-    FlowSet, FlowSetConfig, FlowSink, SizeDist, TcpConfig, TcpReceiver, TcpSender,
+    FlowSet, FlowSetConfig, FlowSetStats, FlowSink, SizeDist, TcpConfig, TcpReceiver, TcpSender,
 };
 
+/// `(digest, taps, events, final clock, goodput bits)` of the Central3 TCP
+/// scenario below, from the per-event loop on commit 51e66b7 (goodput
+/// 210,535,908.92 bit/s).
+const CENTRAL3_PER_EVENT: (u64, u64, u64, u64, u64) = (
+    17_057_757_076_419_855_108,
+    198_240,
+    206_339,
+    800_000_000,
+    4_731_340_421_951_164_436,
+);
+
 /// One (digest, taps, events, final clock, goodput bits) observation of
-/// the Central3 TCP scenario, run batched or per-event, with the CPU
-/// bypass left on (the default) or every CPU modeled (an enabled
-/// telemetry sink clears every bypass bit).
-fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, u64) {
+/// the Central3 TCP scenario, with or without an enabled telemetry sink.
+fn central3_observation(telemetry: bool) -> (u64, u64, u64, u64, u64) {
     let scale = ExperimentScale::smoke();
     let scenario = Scenario::build(ScenarioKind::Central3, Profile::default(), 7);
     let cfg = TcpConfig::new(H2_IP).with_duration(scale.duration);
@@ -30,16 +40,12 @@ fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, 
         |nic| TcpSender::new(nic, cfg),
         |nic| TcpReceiver::new(nic, cfg2),
     );
-    if modeled {
+    if telemetry {
         built.world.set_telemetry(TelemetrySink::enabled());
     }
     let acc = TapDigest::attach(&mut built.world);
     let deadline = built.world.now() + scale.duration + SimDuration::from_millis(500);
-    if per_event {
-        built.world.run_until_per_event(deadline);
-    } else {
-        built.world.run_until(deadline);
-    }
+    built.world.run_until(deadline);
     let report = built
         .world
         .device::<TcpReceiver>(built.h2)
@@ -57,11 +63,7 @@ fn central3_observation(per_event: bool, modeled: bool) -> (u64, u64, u64, u64, 
 
 #[test]
 fn central3_tcp_batched_matches_per_event_bit_for_bit() {
-    let batched = central3_observation(false, false);
-    let per_event = central3_observation(true, false);
-    assert_eq!(batched, per_event);
-    assert!(batched.1 > 0, "tap saw no frames");
-    assert!(batched.2 > 0, "no events processed");
+    assert_eq!(central3_observation(false), CENTRAL3_PER_EVENT);
 }
 
 fn flowset_world() -> (World, netco_net::NodeId, netco_net::NodeId) {
@@ -98,72 +100,72 @@ fn flowset_world() -> (World, netco_net::NodeId, netco_net::NodeId) {
     (w, src, dst)
 }
 
-#[test]
-fn flowset_batched_matches_per_event_bit_for_bit() {
+/// `(tap digest, taps, events, flow stats, sink packets, sink digest)` of
+/// the flow-set world run for 2 s.
+type FlowsetObservation = (u64, u64, u64, FlowSetStats, u64, u64);
+
+/// The flow-set world's observation from the per-event loop on commit
+/// 51e66b7.
+const FLOWSET_PER_EVENT: FlowsetObservation = (
+    181_898_412_666_450_298,
+    96_678,
+    146_940,
+    FlowSetStats {
+        spawned: 5_965,
+        completed: 5_965,
+        active: 0,
+        packets_sent: 48_339,
+        bytes_sent: 45_064_392,
+        digest: 225_777_680_829_623_282,
+    },
+    48_339,
+    3_717_508_764_808_475_342,
+);
+
+fn flowset_observation(telemetry: bool) -> FlowsetObservation {
     let deadline = SimTime::ZERO + SimDuration::from_secs(2);
-    let observe = |per_event: bool| {
-        let (mut w, src, dst) = flowset_world();
-        let acc = TapDigest::attach(&mut w);
-        if per_event {
-            w.run_until_per_event(deadline);
-        } else {
-            w.run_until(deadline);
-        }
-        let stats = w.device::<FlowSet>(src).expect("flowset").stats();
-        let sink = w.device::<FlowSink>(dst).expect("sink");
-        let (digest, taps) = (acc.value(), acc.taps());
-        (
-            digest,
-            taps,
-            w.events_processed(),
-            stats,
-            sink.packets(),
-            sink.digest(),
-        )
-    };
-    let batched = observe(false);
-    let per_event = observe(true);
-    assert_eq!(batched, per_event);
-    assert!(batched.3.spawned > 5_000, "arrivals never fired");
-    assert!(batched.4 > 0, "sink saw nothing");
+    let (mut w, src, dst) = flowset_world();
+    if telemetry {
+        w.set_telemetry(TelemetrySink::enabled());
+    }
+    let acc = TapDigest::attach(&mut w);
+    w.run_until(deadline);
+    let stats = w.device::<FlowSet>(src).expect("flowset").stats();
+    let sink = w.device::<FlowSink>(dst).expect("sink");
+    let (digest, taps) = (acc.value(), acc.taps());
+    (
+        digest,
+        taps,
+        w.events_processed(),
+        stats,
+        sink.packets(),
+        sink.digest(),
+    )
 }
 
-/// The CPU bypass (on by default) must be bit-identical to the same world
-/// with every admission forced through the modeled `cpu_admit`, which an
-/// enabled telemetry sink does.
 #[test]
-fn flowset_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
-    let deadline = SimTime::ZERO + SimDuration::from_secs(2);
-    let observe = |modeled: bool| {
-        let (mut w, src, dst) = flowset_world();
-        if modeled {
-            w.set_telemetry(TelemetrySink::enabled());
-        }
-        let acc = TapDigest::attach(&mut w);
-        w.run_until(deadline);
-        let stats = w.device::<FlowSet>(src).expect("flowset").stats();
-        let sink = w.device::<FlowSink>(dst).expect("sink");
-        let (digest, taps) = (acc.value(), acc.taps());
-        (
-            digest,
-            taps,
-            w.events_processed(),
-            stats,
-            sink.packets(),
-            sink.digest(),
-        )
-    };
-    let oracle = observe(true);
-    let bypassed = observe(false);
-    assert_eq!(oracle, bypassed, "CPU bypass changed the world");
-    assert!(oracle.4 > 0, "sink saw nothing");
+fn flowset_batched_matches_per_event_bit_for_bit() {
+    assert_eq!(flowset_observation(false), FLOWSET_PER_EVENT);
+}
+
+/// An enabled telemetry sink records every CPU admission and link sample
+/// but must not perturb the world it observes.
+#[test]
+fn flowset_telemetry_on_matches_telemetry_off() {
+    let on = flowset_observation(true);
+    assert_eq!(
+        on,
+        flowset_observation(false),
+        "telemetry changed the world"
+    );
+    assert!(on.4 > 0, "sink saw nothing");
 }
 
 /// The same comparison on Central3 (OpenFlow switches, control channels,
-/// TCP endpoints): the default run must match the run with telemetry on.
+/// TCP endpoints).
 #[test]
-fn central3_cpu_bypass_matches_modeled_cpu_with_telemetry_on() {
-    let oracle = central3_observation(false, true);
-    assert_eq!(oracle, central3_observation(false, false));
-    assert!(oracle.1 > 0, "tap saw no frames");
+fn central3_telemetry_on_matches_telemetry_off() {
+    let on = central3_observation(true);
+    assert_eq!(on, central3_observation(false));
+    assert!(on.1 > 0, "tap saw no frames");
 }

@@ -50,10 +50,13 @@
 //! # Rounds
 //!
 //! A *round* runs every region up to its horizon, then drains the
-//! outboxes and recomputes the horizons. A region is *runnable* when its
-//! earliest event is within the deadline and strictly below its horizon;
-//! the progress argument above makes at least one region runnable until
-//! the run is done. A round costs what its parallelism is worth:
+//! outboxes and recomputes the horizons. A region's part of a round is the
+//! sequential event loop itself (`WorldCore::run_ticks`) on the region's
+//! shard, bounded by `min(deadline, horizon − 1)`. A region is *runnable*
+//! when its earliest event is within the deadline and strictly below its
+//! horizon; the progress argument above makes at least one region
+//! runnable until the run is done. A round costs what its parallelism is
+//! worth:
 //!
 //! * **Solo rounds.** While exactly one region is runnable, the
 //!   coordinating thread runs that region's round itself, drains,
@@ -278,56 +281,23 @@ fn safe_horizons_into(
 }
 
 /// One region's execution state: a full [`WorldCore`] shard (owning the
-/// region's devices; replicated read-mostly state for the rest) plus the
-/// bookkeeping the round loop needs.
+/// region's devices; replicated read-mostly state for the rest) and the
+/// events it has counted.
 struct RegionRunner {
     core: WorldCore,
-    tick: Tick<Event>,
-    last_at: u64,
     events: u64,
 }
 
 impl RegionRunner {
-    /// Processes every pending event with `t <= deadline && t < horizon`.
-    /// The bound is strict below the horizon: a tick exactly at the
-    /// horizon could still gain same-timestamp cross-region arrivals that
-    /// must merge into it in key order.
-    fn run_round(&mut self, my_region: u32, assignment: &[u32], horizon: u64, deadline_ns: u64) {
-        let RegionRunner {
-            core,
-            tick,
-            last_at,
-            events,
-        } = self;
-        while let Some(t) = core.sched.peek_time() {
-            let tn = t.as_nanos();
-            if tn > deadline_ns || tn >= horizon {
-                break;
-            }
-            let n = core.sched.pop_tick_until(t, tick);
-            debug_assert!(n > 0, "peeked tick must pop");
-            core.tap_rec.stage = if tn == *last_at {
-                core.tap_rec.stage + 1
-            } else {
-                0
-            };
-            *last_at = tn;
-            for (key, event) in tick.drain_keyed() {
-                // `LinkAdmin` is replicated to both endpoint regions so
-                // link state stays consistent; only the owner (region of
-                // endpoint 0) counts it, keeping `events_processed` equal
-                // to a sequential run's.
-                let counted = match &event {
-                    Event::LinkAdmin { link, .. } => {
-                        assignment[core.links[*link as usize].ends[0].0.index()] == my_region
-                    }
-                    _ => true,
-                };
-                *events += counted as u64;
-                core.tap_rec.key = key;
-                core.dispatch(event);
-            }
-        }
+    /// Processes every pending event with `t <= deadline && t < horizon`
+    /// through the world's own tick loop. The bound is strict below the
+    /// horizon: a tick exactly at the horizon could still gain
+    /// same-timestamp cross-region arrivals that must merge into it in key
+    /// order. Horizons are at least 1 ns because cut latencies are
+    /// positive.
+    fn run_round(&mut self, horizon: u64, deadline_ns: u64) {
+        let until = SimTime::from_nanos(deadline_ns.min(horizon - 1));
+        self.events += self.core.run_ticks(until, |_| {});
     }
 }
 
@@ -503,12 +473,10 @@ impl Coordinator<'_> {
                 (Some(solo), None) => {
                     self.stats.rounds += 1;
                     self.stats.solo_rounds += 1;
-                    self.runners[solo].lock().expect("region lock").run_round(
-                        solo as u32,
-                        &self.map.assignment,
-                        self.horizon[solo],
-                        self.deadline_ns,
-                    );
+                    self.runners[solo]
+                        .lock()
+                        .expect("region lock")
+                        .run_round(self.horizon[solo], self.deadline_ns);
                 }
                 _ => {
                     self.stats.rounds += 1;
@@ -613,10 +581,6 @@ impl World {
                         names: self.core.names.clone(),
                         cpu_models: self.core.cpu_models.clone(),
                         cpu_states: self.core.cpu_states.clone(),
-                        // Shard sinks have the same enabledness as the
-                        // parent, so the parent's bypass bits stay valid
-                        // verbatim on every shard.
-                        cpu_bypass: self.core.cpu_bypass.clone(),
                         counters: self.core.counters.clone(),
                         links: self.core.links.clone(),
                         adjacency: self.core.adjacency.clone(),
@@ -638,13 +602,9 @@ impl World {
                         tel_control_latency: sink.histogram("net.control_latency_ns"),
                         telemetry: sink,
                     },
-                };
-                RegionRunner {
-                    core,
                     tick: Tick::new(),
-                    last_at: u64::MAX,
-                    events: 0,
-                }
+                };
+                RegionRunner { core, events: 0 }
             })
             .collect();
         for node in 0..n {
@@ -734,12 +694,10 @@ impl World {
                             break;
                         }
                         let horizon = horizons[i].load(Ordering::Relaxed);
-                        runners[i].lock().expect("region lock").run_round(
-                            i as u32,
-                            &map.assignment,
-                            horizon,
-                            deadline_ns,
-                        );
+                        runners[i]
+                            .lock()
+                            .expect("region lock")
+                            .run_round(horizon, deadline_ns);
                     }
                     let met = rendezvous.arrive(|| {
                         let mut coordinator = coordinator.lock().expect("coordinator lock");
@@ -769,15 +727,12 @@ impl World {
             total_events += runner.events;
             // ...and the directions merged back below remember the shard's.
             self.core.sub.sched.skip_stages_to(core.sched.stage());
+            let ctx = core.region.take().expect("region ctx");
             for (at, key, event) in core.sched.drain_all_ordered() {
                 // Drop the non-owner's replica of a leftover LinkAdmin.
-                if let Event::LinkAdmin { link, .. } = &event {
-                    let owner = core.links[*link as usize].ends[0].0;
-                    if map.assignment[owner.index()] as usize != region {
-                        continue;
-                    }
+                if ctx.owns(&event, &core.links) {
+                    leftovers.push((at, key, event));
                 }
-                leftovers.push((at, key, event));
             }
             for node in 0..n {
                 if map.assignment[node] as usize != region {

@@ -147,16 +147,33 @@ pub(crate) struct TapRecord {
     pub(crate) frame: Bytes,
 }
 
+impl TapRecord {
+    /// Hands this observation to every tap closure.
+    fn deliver(&self, taps: &mut [Tap]) {
+        let event = TapEvent {
+            at: SimTime::from_nanos(self.at),
+            node: self.node,
+            port: self.port,
+            direction: self.direction,
+            frame: &self.frame,
+        };
+        for tap in taps {
+            tap(&event);
+        }
+    }
+}
+
 /// Substrate-side tap capture state. `record` is false when no taps are
 /// installed (recording then costs one branch); `stage`/`key` are the
 /// coordinates of the event currently being dispatched, stamped onto every
 /// record so a parallel run can be merged into sequential observation
-/// order.
+/// order. `stage` counts the consecutive ticks at instant `last_at`.
 #[derive(Default)]
 pub(crate) struct TapRecorder {
     pub(crate) record: bool,
     pub(crate) stage: u32,
     pub(crate) key: u64,
+    pub(crate) last_at: Option<u64>,
     pub(crate) records: Vec<TapRecord>,
 }
 
@@ -170,6 +187,21 @@ pub(crate) struct RegionCtx {
     pub(crate) my_region: u32,
     pub(crate) assignment: Arc<Vec<u32>>,
     pub(crate) outboxes: Vec<Vec<OutMsg>>,
+}
+
+impl RegionCtx {
+    /// Whether this region owns `event`. A `LinkAdmin` is replicated to
+    /// both endpoint regions so link state stays consistent; only the
+    /// region of endpoint 0 owns it — counts it in `events_processed` and
+    /// hands a leftover one back — so the totals equal a sequential run's.
+    pub(crate) fn owns(&self, event: &Event, links: &[LinkState]) -> bool {
+        match event {
+            Event::LinkAdmin { link, .. } => {
+                self.assignment[links[*link as usize].ends[0].0.index()] == self.my_region
+            }
+            _ => true,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -499,16 +531,6 @@ pub(crate) struct Substrate {
     pub(crate) names: Vec<String>,
     pub(crate) cpu_models: Vec<CpuModel>,
     pub(crate) cpu_states: Vec<CpuState>,
-    /// One bit per node: set when the node's CPU model provably cannot
-    /// delay, drop, jitter or record anything — [`CpuModel::is_ideal`],
-    /// unbounded queue, telemetry disabled. Dispatch skips `cpu_admit`
-    /// and the `CpuState` bookkeeping entirely for such nodes; the
-    /// scheduled completion (`now + 0`) and the event stream are
-    /// byte-for-byte what the modeled path would produce. Recomputed by
-    /// everything that could invalidate a bit: node insertion,
-    /// [`World::set_telemetry`], region-shard construction (which clones
-    /// it).
-    pub(crate) cpu_bypass: Vec<u64>,
     pub(crate) counters: Vec<NodeCounters>,
     pub(crate) links: Vec<LinkState>,
     // Dense adjacency indexed `[node][port]`: the link lookup runs once
@@ -529,11 +551,15 @@ pub(crate) struct Substrate {
     pub(crate) tel_control_latency: Histogram,
 }
 
-/// The substrate plus the device table.
+/// The substrate plus the device table, and the event loop that drives
+/// them ([`run_ticks`](WorldCore::run_ticks)).
 pub(crate) struct WorldCore {
     /// `None` only transiently, while a region shard owns the device.
     pub(crate) devices: Vec<Option<Box<dyn Device>>>,
     pub(crate) sub: Substrate,
+    /// Reusable tick buffer, kept across runs so steady-state runs never
+    /// reallocate it.
+    pub(crate) tick: Tick<Event>,
 }
 
 // The substrate fields used to live directly on `WorldCore`; deref keeps
@@ -793,50 +819,6 @@ impl Substrate {
         self.tel_cpu_busy.add(service.as_nanos());
         Some(done)
     }
-
-    /// Whether `node`'s CPU admission provably cannot observe or alter
-    /// anything: ideal model (zero service time, so no RNG draw in
-    /// [`SimRng::jitter`]), unbounded queue (no tail drop, no hysteresis)
-    /// and telemetry disabled (nothing to record). Under those conditions
-    /// [`cpu_admit`](Substrate::cpu_admit) always returns `Some(now)` and
-    /// mutates only `pending`/`busy_until` in ways no later admission can
-    /// distinguish, so dispatch may skip it wholesale.
-    fn bypass_eligible(&self, node: usize) -> bool {
-        self.cpu_models[node].is_ideal()
-            && self.cpu_models[node].queue_limit == usize::MAX
-            && !self.telemetry.is_enabled()
-    }
-
-    /// Reads the precomputed bypass bit for `node`.
-    #[inline(always)]
-    pub(crate) fn bypassed(&self, node: usize) -> bool {
-        (self.cpu_bypass[node >> 6] >> (node & 63)) & 1 != 0
-    }
-
-    /// Recomputes the whole bypass bitset. Called by the one mutation
-    /// that can flip a bit after insertion: telemetry installation.
-    pub(crate) fn recompute_bypass(&mut self) {
-        let n = self.cpu_models.len();
-        self.cpu_bypass.clear();
-        self.cpu_bypass.resize(n.div_ceil(64), 0);
-        for i in 0..n {
-            if self.bypass_eligible(i) {
-                self.cpu_bypass[i >> 6] |= 1 << (i & 63);
-            }
-        }
-    }
-
-    /// Extends the bitset for a newly added node (cheaper than a full
-    /// recompute on every `add_node`).
-    pub(crate) fn push_bypass_bit(&mut self) {
-        let i = self.cpu_models.len() - 1;
-        if self.cpu_bypass.len() <= i >> 6 {
-            self.cpu_bypass.push(0);
-        }
-        if self.bypass_eligible(i) {
-            self.cpu_bypass[i >> 6] |= 1 << (i & 63);
-        }
-    }
 }
 
 impl WorldCore {
@@ -867,22 +849,6 @@ impl WorldCore {
             Event::FrameArrival { node, port, frame } => {
                 let sub = &mut self.sub;
                 sub.run_taps(node, port, TapDirection::Rx, frame.bytes());
-                // CPU fast path: an ideal, unconstrained, untelemetered CPU
-                // admits instantly — schedule the completion at `now` with
-                // the same key the modeled path would use. The completion
-                // event itself is NOT inlined: same-instant FrameArrival
-                // events (key kind 3) must all deliver before any
-                // FrameProcessed (key kind 4) at that instant, exactly as
-                // the scheduler orders them.
-                if sub.bypassed(node.index()) {
-                    let now = sub.sched.now();
-                    sub.sched.schedule_at_keyed(
-                        now,
-                        Event::key_frame_processed(node, port),
-                        Event::FrameProcessed { node, port, frame },
-                    );
-                    return;
-                }
                 match sub.cpu_admit(node, frame.len()) {
                     Some(done) => {
                         sub.sched.schedule_at_keyed(
@@ -898,14 +864,7 @@ impl WorldCore {
                 }
             }
             Event::FrameProcessed { node, port, frame } => {
-                // A bypassed admission never incremented `pending`; the
-                // saturating decrement also absorbs admissions that were
-                // modeled before a later `set_telemetry` flipped the
-                // node's bit mid-flight.
-                if !self.sub.bypassed(node.index()) {
-                    let s = &mut self.sub.cpu_states[node.index()];
-                    s.pending = s.pending.saturating_sub(1);
-                }
+                self.sub.cpu_states[node.index()].pending -= 1;
                 let c = self.sub.counters[node.index()].port_mut(port);
                 c.rx_frames += 1;
                 c.rx_bytes += frame.len() as u64;
@@ -914,15 +873,6 @@ impl WorldCore {
             }
             Event::ControlArrival { to, from, msg } => {
                 let sub = &mut self.sub;
-                if sub.bypassed(to.index()) {
-                    let now = sub.sched.now();
-                    sub.sched.schedule_at_keyed(
-                        now,
-                        Event::key_control_processed(to, from),
-                        Event::ControlProcessed { to, from, msg },
-                    );
-                    return;
-                }
                 match sub.cpu_admit(to, msg.len()) {
                     Some(done) => {
                         sub.sched.schedule_at_keyed(
@@ -937,10 +887,7 @@ impl WorldCore {
                 }
             }
             Event::ControlProcessed { to, from, msg } => {
-                if !self.sub.bypassed(to.index()) {
-                    let s = &mut self.sub.cpu_states[to.index()];
-                    s.pending = s.pending.saturating_sub(1);
-                }
+                self.sub.cpu_states[to.index()].pending -= 1;
                 let (d, mut ctx) = self.device_ctx(to);
                 d.on_control(&mut ctx, from, msg);
             }
@@ -952,6 +899,48 @@ impl WorldCore {
                 self.sub.links[link as usize].enabled = enabled;
             }
         }
+    }
+
+    /// The event loop — [`World::run_until`] and every region round run
+    /// this and nothing else. Pops each whole tick due at or before `until`
+    /// (inclusive), stamps every event's tap coordinates (the tick's
+    /// same-instant stage, the event's key), dispatches it, and hands the
+    /// tick's tap records to `after_tick`. Returns the events dispatched,
+    /// less a region shard's replicas it does not own
+    /// ([`RegionCtx::owns`]).
+    ///
+    /// Delivery is in global `(time, key, seq)` order: events a handler
+    /// schedules for the instant being drained surface as the next tick at
+    /// the same timestamp, one stage later.
+    pub(crate) fn run_ticks(
+        &mut self,
+        until: SimTime,
+        mut after_tick: impl FnMut(&mut Vec<TapRecord>),
+    ) -> u64 {
+        let mut tick = std::mem::take(&mut self.tick);
+        let mut events = 0;
+        while self.sub.sched.pop_tick_until(until, &mut tick) > 0 {
+            let at = self.sub.sched.now().as_nanos();
+            let rec = &mut self.sub.tap_rec;
+            rec.stage = if rec.last_at == Some(at) {
+                rec.stage + 1
+            } else {
+                0
+            };
+            rec.last_at = Some(at);
+            for (key, event) in tick.drain_keyed() {
+                let sub = &self.sub;
+                events += sub
+                    .region
+                    .as_ref()
+                    .is_none_or(|rt| rt.owns(&event, &sub.links)) as u64;
+                self.sub.tap_rec.key = key;
+                self.dispatch(event);
+            }
+            after_tick(&mut self.sub.tap_rec.records);
+        }
+        self.tick = tick;
+        events
     }
 }
 
@@ -969,10 +958,6 @@ pub struct World {
     /// it with telemetry off) and adopted into the registry as
     /// `sim.events_processed` by [`set_telemetry`](World::set_telemetry).
     pub(crate) events_processed: Counter,
-    /// Reusable tick buffer for batched dispatch, kept across
-    /// [`run_until`](World::run_until) calls so steady-state runs never
-    /// reallocate it.
-    batch: Tick<Event>,
     /// What the last [`run_until_parallel`](World::run_until_parallel) did.
     pub(crate) region_stats: RegionRunStats,
 }
@@ -990,7 +975,6 @@ impl World {
                     names: Vec::new(),
                     cpu_models: Vec::new(),
                     cpu_states: Vec::new(),
-                    cpu_bypass: Vec::new(),
                     counters: Vec::new(),
                     links: Vec::new(),
                     adjacency: Vec::new(),
@@ -1005,10 +989,10 @@ impl World {
                     tel_cpu_busy: Counter::disabled(),
                     tel_control_latency: Histogram::disabled(),
                 },
+                tick: Tick::new(),
             },
             taps: Vec::new(),
             events_processed: Counter::detached(),
-            batch: Tick::new(),
             region_stats: RegionRunStats::default(),
         }
     }
@@ -1027,9 +1011,6 @@ impl World {
         self.core.tel_cpu_busy = sink.counter("net.cpu_busy_ns");
         self.core.tel_control_latency = sink.histogram("net.control_latency_ns");
         self.core.telemetry = sink;
-        // An enabled sink must see every cpu_admit (net.cpu_service_ns /
-        // net.cpu_busy_ns), so telemetry flips bypass bits off.
-        self.core.sub.recompute_bypass();
     }
 
     /// The telemetry sink installed on this world (disabled by default).
@@ -1065,7 +1046,6 @@ impl World {
         self.core.cpu_states.push(CpuState::default());
         self.core.counters.push(NodeCounters::default());
         self.core.adjacency.push(Vec::new());
-        self.core.sub.push_bypass_bit();
         self.core.sched.schedule_after_keyed(
             SimDuration::ZERO,
             Event::key_start(id),
@@ -1283,110 +1263,40 @@ impl World {
         self.core.devices.len()
     }
 
-    /// Total events executed since creation, by any of the run loops
+    /// Total events executed since creation, sequentially or region-parallel
     /// (the `sim.events_processed` counter). Deterministic per seed: the
     /// benchmark divides it by wall time, tests compare it across runs.
     pub fn events_processed(&self) -> u64 {
         self.events_processed.get()
     }
 
-    /// Runs a single event. Returns `false` when no events remain.
-    pub fn step(&mut self) -> bool {
-        let Some((_, key, event)) = self.core.sched.pop_keyed() else {
-            return false;
-        };
-        self.events_processed.inc();
-        self.core.tap_rec.key = key;
-        self.core.dispatch(event);
-        self.flush_taps();
-        true
-    }
-
     /// Runs until the event queue drains or `deadline` is reached; the
     /// clock ends exactly at `deadline` if it was reached.
     ///
-    /// Dispatch is batched: each scheduler pop drains a whole timing-wheel
-    /// tick, amortizing the refill scan over every event it staged. The
-    /// delivery order is bit-identical to the per-event loop
-    /// ([`run_until_per_event`](World::run_until_per_event)) because both
-    /// deliver in global `(time, seq)` order — events a handler schedules
-    /// for the instant being drained re-enter wheel level 0 and surface as
-    /// the next tick at the same timestamp, still in sequence order.
+    /// Each scheduler pop drains a whole timing-wheel tick, delivered in
+    /// global `(time, key, seq)` order, and the tick's tap observations
+    /// reach the tap closures before the next tick starts. The loop is the
+    /// one every region round of
+    /// [`run_until_parallel`](World::run_until_parallel) runs too.
     pub fn run_until(&mut self, deadline: SimTime) {
         // Pin the clock so `now()` lands on the deadline even if the queue
         // drains early.
         self.core
             .sched
             .schedule_at_keyed(deadline, Event::KEY_PIN, Event::Pin);
-        let mut tick = std::mem::take(&mut self.batch);
-        let mut last_at = u64::MAX;
-        loop {
-            let n = self.core.sched.pop_tick_until(deadline, &mut tick);
-            if n == 0 {
-                break;
+        let taps = &mut self.taps;
+        let events = self.core.run_ticks(deadline, |records| {
+            for rec in records.drain(..) {
+                rec.deliver(taps);
             }
-            self.events_processed.add(n as u64);
-            // Stage = consecutive ticks sharing one timestamp (same-instant
-            // cascades); stamped onto tap records for the parallel merge.
-            let at = self.core.sched.now().as_nanos();
-            self.core.tap_rec.stage = if at == last_at {
-                self.core.tap_rec.stage + 1
-            } else {
-                0
-            };
-            last_at = at;
-            for (key, event) in tick.drain_keyed() {
-                self.core.tap_rec.key = key;
-                self.core.dispatch(event);
-            }
-            self.flush_taps();
-        }
-        self.batch = tick;
-    }
-
-    /// Per-event reference loop with the exact same contract as
-    /// [`run_until`](World::run_until): the differential oracle the batch
-    /// determinism tests compare against. Not for production use — it pays
-    /// a full wheel scan per event.
-    pub fn run_until_per_event(&mut self, deadline: SimTime) {
-        self.core
-            .sched
-            .schedule_at_keyed(deadline, Event::KEY_PIN, Event::Pin);
-        while let Some(t) = self.core.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if !self.step() {
-                break;
-            }
-        }
+        });
+        self.events_processed.add(events);
     }
 
     /// Runs for `duration` of simulated time from the current clock.
     pub fn run_for(&mut self, duration: SimDuration) {
         let deadline = self.now().saturating_add(duration);
         self.run_until(deadline);
-    }
-
-    /// Replays recorded tap observations to the live tap closures in
-    /// recorded order and clears the buffer (allocation retained).
-    pub(crate) fn flush_taps(&mut self) {
-        if self.core.tap_rec.records.is_empty() {
-            return;
-        }
-        for rec in &self.core.tap_rec.records {
-            let event = TapEvent {
-                at: SimTime::from_nanos(rec.at),
-                node: rec.node,
-                port: rec.port,
-                direction: rec.direction,
-                frame: &rec.frame,
-            };
-            for tap in &mut self.taps {
-                tap(&event);
-            }
-        }
-        self.core.tap_rec.records.clear();
     }
 
     /// Replays per-region tap record streams to the live tap closures in
@@ -1416,16 +1326,7 @@ impl World {
             }
             let Some(i) = best else { break };
             let rec = streams[i].next().expect("peeked record");
-            let event = TapEvent {
-                at: SimTime::from_nanos(rec.at),
-                node: rec.node,
-                port: rec.port,
-                direction: rec.direction,
-                frame: &rec.frame,
-            };
-            for tap in &mut self.taps {
-                tap(&event);
-            }
+            rec.deliver(&mut self.taps);
         }
     }
 }
@@ -1837,63 +1738,88 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Records the bypass bitset of whichever substrate starts it — the
-    /// world's own, or a region shard's under `run_until_parallel`.
-    #[derive(Default)]
-    struct BypassProbe {
-        seen: Vec<u64>,
-    }
-
-    impl Device for BypassProbe {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.seen = ctx.core.cpu_bypass.clone();
+    /// Dispatches single events up to and including the next frame
+    /// arrival: its admission has happened, its completion (due the same
+    /// instant, one stage later) has not.
+    fn admit_one(w: &mut World) {
+        while let Some((_, event)) = w.core.sched.pop() {
+            let arrival = matches!(event, Event::FrameArrival { .. });
+            w.events_processed.inc();
+            w.core.dispatch(event);
+            if arrival {
+                return;
+            }
         }
-        fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: Frame) {}
+        panic!("no frame arrival pending");
     }
 
-    /// The differential tests take an enabled sink as their modeled-CPU
-    /// leg; that is only a differential if the sink really clears every
-    /// bypass bit, on the world and on every region shard.
+    /// An admission and its completion are one path whatever the sink:
+    /// toggling telemetry while a completion is in flight leaves no
+    /// `pending` behind and changes nothing observable.
     #[test]
-    fn bypass_bits_follow_eligibility() {
+    fn telemetry_toggles_mid_admission_leave_no_pending_work() {
         let build = || {
-            let mut w = World::new(1);
-            let models = [
-                CpuModel::default(),
-                CpuModel::default().with_queue_limit(8),
-                CpuModel::per_packet(SimDuration::from_micros(1)).with_queue_limit(usize::MAX),
-                CpuModel::default().with_per_byte(SimDuration::from_nanos(1)),
-            ];
-            let ids = models.map(|m| w.add_node("n", BypassProbe::default(), m));
-            for pair in ids.windows(2) {
-                let spec = LinkSpec::new(1_000_000_000, SimDuration::from_micros(5));
-                w.connect(pair[0], 1.into(), pair[1], 0.into(), spec);
+            let mut w = World::new(5);
+            let a = w.add_node("a", EchoDevice::default(), CpuModel::default());
+            let b = w.add_node("b", EchoDevice::default(), CpuModel::default());
+            let c = w.add_node(
+                "c",
+                CollectorDevice::default(),
+                CpuModel::default().with_queue_limit(2),
+            );
+            w.connect(a, 1.into(), b, 0.into(), LinkSpec::default());
+            // No serialisation: a burst reaches `c` in one instant and
+            // overflows its queue.
+            let burst = LinkSpec {
+                bandwidth_bps: None,
+                ..LinkSpec::default()
+            };
+            w.connect(a, 2.into(), c, 0.into(), burst);
+            for i in 0..3u8 {
+                w.inject_frame(a, 1.into(), vec![i; 100 + i as usize]);
             }
-            (w, ids)
+            for i in 0..4u8 {
+                w.inject_frame(a, 2.into(), vec![0x40 | i; 64]);
+            }
+            let digest = crate::TapDigest::attach(&mut w);
+            (w, digest)
         };
-        let bits = |w: &World| [0, 1, 2, 3].map(|i| w.core.sub.bypassed(i));
-        let eligible = [true, false, false, false];
+        let mid = SimTime::from_nanos(30_000);
+        let end = SimTime::from_nanos(200_000);
+        let observe = |w: &World, digest: &crate::TapDigest| {
+            let counters: Vec<_> = (0..w.node_count())
+                .map(|i| w.counters(NodeId(i as u32)).total())
+                .collect();
+            let drops =
+                [DropReason::CpuQueueFull, DropReason::LinkQueueFull].map(|r| w.substrate_drops(r));
+            (
+                digest.value(),
+                digest.taps(),
+                w.events_processed(),
+                counters,
+                drops,
+            )
+        };
 
-        let (mut w, _) = build();
-        assert_eq!(bits(&w), eligible, "only the ideal, unbounded node");
+        let (mut plain, plain_digest) = build();
+        plain.run_until(mid);
+        plain.run_until(end);
+
+        let (mut w, digest) = build();
         w.set_telemetry(TelemetrySink::enabled());
-        assert_eq!(bits(&w), [false; 4], "an enabled sink models every CPU");
+        admit_one(&mut w);
         w.set_telemetry(TelemetrySink::disabled());
-        assert_eq!(bits(&w), eligible, "a disabled sink restores the bits");
+        w.run_until(mid);
+        admit_one(&mut w);
+        w.set_telemetry(TelemetrySink::enabled());
+        w.run_until(end);
 
-        for (telemetry, expected) in [(false, eligible), (true, [false; 4])] {
-            let (mut w, ids) = build();
-            if telemetry {
-                w.set_telemetry(TelemetrySink::enabled());
-            }
-            let deadline = SimTime::ZERO + SimDuration::from_micros(1);
-            w.run_until_parallel(deadline, &netco_harness::Pool::new(2), 2);
-            assert_eq!(w.region_stats().regions, 2, "must have run on shards");
-            assert_eq!(bits(&w), expected);
-            for id in ids {
-                let seen = &w.device::<BypassProbe>(id).unwrap().seen;
-                assert_eq!(seen, &w.core.sub.cpu_bypass, "shard of {id:?}");
-            }
-        }
+        let pending: Vec<usize> = w.core.cpu_states.iter().map(|s| s.pending).collect();
+        assert_eq!(pending, [0, 0, 0], "admissions without a completion");
+        assert!(
+            w.substrate_drops(DropReason::CpuQueueFull) > 0,
+            "the finite queue never overflowed"
+        );
+        assert_eq!(observe(&w, &digest), observe(&plain, &plain_digest));
     }
 }

@@ -28,7 +28,6 @@ const PHASES: usize = 24;
 #[derive(Clone, Copy)]
 enum Exec {
     Sequential,
-    PerEvent,
     /// Odd phases on two workers and three regions, even ones
     /// sequentially: every hand-over moves the directions' in-flight
     /// frames into the shards or back.
@@ -92,7 +91,6 @@ fn congested(exec: Exec) -> Observed {
         let until = w.now() + SimDuration::from_micros(40);
         match exec {
             Exec::Sequential => w.run_until(until),
-            Exec::PerEvent => w.run_until_per_event(until),
             Exec::Alternating if phase % 2 == 1 => w.run_until_parallel(until, &pool, 3),
             Exec::Alternating => w.run_until(until),
         }
@@ -128,11 +126,6 @@ fn pinned_congested_ring() {
     let seen = congested(Exec::Sequential);
     assert!(seen.queue_full > 0, "the world must tail-drop");
     assert_eq!(seen, recorded());
-}
-
-#[test]
-fn pinned_congested_ring_per_event() {
-    assert_eq!(congested(Exec::PerEvent), recorded());
 }
 
 #[test]

@@ -62,7 +62,6 @@ enum Fault {
 #[derive(Debug, Clone, Copy)]
 enum Exec {
     Batched,
-    PerEvent,
     /// `run_until` every 104 ns: deadlines land on and between the grid.
     Chunked,
 }
@@ -209,7 +208,6 @@ fn run_world(case: &Case) -> Outcome {
     w.apply_fault_plan(&plan);
     match case.exec {
         Exec::Batched => w.run_until(END),
-        Exec::PerEvent => w.run_until_per_event(END),
         Exec::Chunked => {
             for t in (0..6000).step_by(104) {
                 w.run_until(SimTime::from_nanos(t));
@@ -572,7 +570,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
         proptest::collection::vec(arb_timer(), 1..16),
         proptest::collection::vec(arb_fault(), 0..3),
         proptest::arbitrary::any::<bool>(),
-        0usize..3,
+        0usize..2,
     )
         .prop_map(|(links, timers, faults, quiet, exec)| Case {
             links,
@@ -580,7 +578,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
             faults,
             // Mostly on: only then is every depth sample visible.
             telemetry: !(quiet && exec == 0),
-            exec: [Exec::Batched, Exec::PerEvent, Exec::Chunked][exec],
+            exec: [Exec::Batched, Exec::Chunked][exec],
         })
 }
 
@@ -662,7 +660,7 @@ fn frame_ending_at_a_timer_instant_has_left() {
         timers: vec![one(16), one(72), one(80)],
         faults: Vec::new(),
         telemetry: true,
-        exec: Exec::PerEvent,
+        exec: Exec::Chunked,
     };
     let world = run_world(&case);
     let depths: Vec<_> = world.sent[SENDER].iter().map(|s| (s.at, s.depth)).collect();

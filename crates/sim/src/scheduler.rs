@@ -181,8 +181,8 @@ impl<E> Tick<E> {
     }
 
     /// Like [`drain`](Tick::drain), but yields each event's ordering key
-    /// alongside it (the region executor records keys so cross-region
-    /// observation order can be reconstructed canonically).
+    /// alongside it (the world's event loop stamps keys on tap records so
+    /// cross-region observation order can be reconstructed canonically).
     pub fn drain_keyed(&mut self) -> impl Iterator<Item = (u64, E)> + '_ {
         self.entries.drain(..).map(|e| (e.key, e.event))
     }
@@ -345,13 +345,6 @@ impl<E> Scheduler<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`pop`](Scheduler::pop), but also returns the event's ordering
-    /// key (callers that stamp observations with the key of the event
-    /// being dispatched need it; everyone else uses `pop`).
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         if self.ready.is_empty() && !self.refill_ready(u64::MAX) {
             return None;
         }
@@ -360,7 +353,7 @@ impl<E> Scheduler<E> {
         self.now = entry.at;
         self.len -= 1;
         self.tel_pops.inc();
-        Some((SimTime::from_nanos(entry.at), entry.key, entry.event))
+        Some((SimTime::from_nanos(entry.at), entry.event))
     }
 
     /// Removes the entire next due tick — every pending event sharing the
@@ -1224,9 +1217,10 @@ mod tests {
                     if staged.is_empty() {
                         stage(&mut pending, &mut staged);
                     }
+                    // The id names the entry, so it also pins the key.
                     let expect = staged.pop_front();
-                    let got = wheel.pop_keyed().map(|(t, k, e)| (t.as_nanos(), k, e));
-                    assert_eq!(got, expect);
+                    let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
+                    assert_eq!(got, expect.map(|(at, _, id)| (at, id)));
                     now = expect.map_or(now, |e| e.0);
                 }
             }

@@ -331,9 +331,8 @@ fn delayed_control_channel_does_not_stall_the_vote() {
 }
 
 /// The telemetry path: a sink installed on the chaos run must not perturb
-/// the simulation — an enabled sink also clears every CPU bypass bit
-/// (`bypass_bits_follow_eligibility` in `crates/net`), so this is the
-/// bypassed run against the fully modeled one — the metrics snapshot must
+/// the simulation — the run with telemetry on must equal the run with
+/// telemetry off outcome for outcome — the metrics snapshot must
 /// carry the voter's `ctlvote.*` cells with real data, and the snapshot
 /// must be byte-identical across reruns. The artifact is persisted under
 /// `target/chaos/` for CI.

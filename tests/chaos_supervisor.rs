@@ -128,10 +128,9 @@ fn chaos_run_is_bit_identical_across_reruns() {
 }
 
 /// The telemetry acceptance criteria in one run: installing the sink must
-/// not perturb the simulation — an enabled sink also clears every CPU
-/// bypass bit (`bypass_bits_follow_eligibility` in `crates/net`), so the
-/// fault-injection, supervisor and compare machinery riding the bypass is
-/// checked against the fully modeled `cpu_admit` — both rendered artifacts
+/// not perturb the simulation — the run with telemetry on, which records
+/// every CPU admission, link sample and compare verdict, must equal the
+/// run with telemetry off outcome for outcome — both rendered artifacts
 /// must be byte-identical across reruns, the chrome trace must show every
 /// quarantine episode as a begin/end span pair with probation markers in
 /// between, and the per-stage packet-lifecycle histograms must have data.
