@@ -12,7 +12,8 @@
 
 use netco_harness::Pool;
 use netco_sim::SimDuration;
-use netco_topo::{case_study, virtual_netco, Direction, Profile, Scenario, ScenarioKind};
+use netco_topo::{case_study, Direction, Profile, Scenario, ScenarioKind};
+use netco_topogen::virtual_netco;
 use netco_traffic::{IperfConfig, PingConfig};
 
 use crate::ExperimentScale;

@@ -8,14 +8,11 @@
 //! "leveraging SDN traffic engineering flexibilities ... the compare is
 //! implemented inband" (Fig. 9).
 //!
-//! * [`PathGraph`] + [`vendor_diverse_paths`] compute the tunnels,
-//! * [`VirtualGuard`] tags copies at the ingress and combines them inband
-//!   at the egress (both directions, symmetric).
+//! [`VirtualGuard`] tags copies at the ingress and combines them inband
+//! at the egress (both directions, symmetric). The vendor-diverse tunnels
+//! themselves are computed on the topology graph, and the fat-tree world
+//! built, by `netco_topogen::virtual_netco`.
 
-mod paths;
 mod steering;
 
-pub use paths::{
-    node_disjoint_paths, paths_are_vendor_diverse, vendor_diverse_paths, PathGraph, VendorId,
-};
 pub use steering::{VirtualGuard, VirtualGuardConfig, VirtualGuardStats};

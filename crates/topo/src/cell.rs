@@ -5,9 +5,11 @@
 //! [`Cell::wire`].
 //!
 //! **Ports.** Guard `j ∈ {0, 1}` faces out on port 0, replica `i ∈ 1..=k`
-//! on port `i` and a central compare on port `k + 1`. Replica `i` faces
-//! guard `j` on port `j + 1` ([`REPLICA_PORT`]); the compare faces guard
-//! `j` on port `j`.
+//! on port `i` ([`guard_replica_ports`]) and a central compare on port
+//! `k + 1`. Replica `i` faces guard `j` on port `j + 1` ([`replica_port`],
+//! [`REPLICA_PORT`]); the compare faces guard `j` on port `j`.
+//! `netco_topogen`'s degree-`d` cells and inband guards use the same
+//! helpers.
 //!
 //! **Order.** [`Cell::wire`] adds guard 0, guard 1, the compare host if
 //! any, then per replica: the node, its guard-0 link, its guard-1 link.
@@ -21,8 +23,19 @@ use netco_net::{Device, LinkId, LinkSpec, NodeId, PortId, World};
 
 use crate::profile::Profile;
 
-/// The replica port facing guard `j`.
-pub const REPLICA_PORT: [u16; 2] = [1, 2];
+/// The replica port facing guard `j`: port `j + 1`. A degree-`d` cell
+/// (`netco_topogen::netcoize`) has guards `0..d`.
+pub const fn replica_port(j: usize) -> u16 {
+    j as u16 + 1
+}
+
+/// The replica ports facing guard 0 and guard 1.
+pub const REPLICA_PORT: [u16; 2] = [replica_port(0), replica_port(1)];
+
+/// A guard's replica ports: port `i` faces replica `i ∈ 1..=k`.
+pub fn guard_replica_ports(k: usize) -> impl Iterator<Item = u16> + Clone {
+    1..=k as u16
+}
 
 /// One guard's ports, as the cell numbers them — the arguments of the
 /// [`GuardConfig`] constructors.
@@ -39,7 +52,7 @@ pub struct GuardPorts {
 /// ingresses and where released packets leave.
 pub(crate) fn lane(k: usize) -> LaneInfo {
     LaneInfo {
-        replica_ports: (1..=k as u16).collect(),
+        replica_ports: guard_replica_ports(k).collect(),
         host_port: 0,
     }
 }
@@ -86,7 +99,7 @@ impl Cell {
         let mut add_guard = |j: usize, name: String| {
             let ports = GuardPorts {
                 out: PortId(0),
-                replicas: (1..=k).map(PortId).collect(),
+                replicas: guard_replica_ports(spec.k).map(PortId).collect(),
                 compare: compare_port,
             };
             world.add_node(
@@ -104,7 +117,7 @@ impl Cell {
             world.add_node(name, compare, cpu.compare_cpu.clone())
         });
         let [p0, p1] = REPLICA_PORT.map(PortId);
-        for i in 1..=k {
+        for i in guard_replica_ports(spec.k) {
             let (name, device) = replica(i);
             let r = world.add_node(name, device, cpu.switch_cpu.clone());
             let l0 = world.connect(guards[0], PortId(i), r, p0, spec.link.clone());

@@ -10,30 +10,28 @@
 //! * [`cell`] — the NetCo cell itself: two guards around `k` replicas,
 //!   optionally a central compare. The one statement of its port scheme
 //!   and wiring order; every scenario above, the case study and
-//!   `netco_bench::grid` wire their cells through it.
+//!   `netco_bench::grid` wire their cells through it, and
+//!   `netco_topogen`'s degree-`d` cells take their port numbers from it.
 //! * [`routed_switch`] — the one "switch with MAC-destination routes",
 //!   honest ([`netco_openflow::OfSwitch`]) or scripted to misbehave
 //!   ([`netco_adversary::MaliciousSwitch`]); every builder's routers,
 //!   `netco_topogen::build_world`'s included, come from it.
-//! * [`FatTree`] — a k-ary fat-tree datacenter with static MAC routing
-//!   (Fig. 1's environment).
 //! * [`case_study`] — the §VI datacenter routing attack in its three
 //!   phases (baseline, attack, NetCo).
-//! * [`virtual_netco`] — the §VII virtualized combiner over vendor-diverse
-//!   fat-tree paths.
+//!
+//! The fat-tree and the §VII virtualized combiner over it live in
+//! `netco_topogen` (`FatTreeIndex`, `virtual_netco`), lowered by the same
+//! `build_world` as every generated topology.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod case_study;
 pub mod cell;
-mod fattree;
 mod profile;
 mod reference;
 mod routed;
-pub mod virtual_netco;
 
-pub use fattree::{ExtraRules, FatTree, FatTreeIndex, FatTreeOptions, InertHost, SwitchRole};
 pub use netco_net::{ControlFaultSpec, FaultKind, FaultPlan, FaultSpec};
 pub use profile::Profile;
 pub use reference::{

@@ -13,9 +13,11 @@
 //! adversarial-replica axis.
 
 use netco_adversary::{ActivationWindow, Behavior};
+use netco_core::virtualized::{VirtualGuard, VirtualGuardConfig};
 use netco_core::{CompareConfig, GuardConfig, GuardSwitch};
 use netco_net::{Device, HostNic, LinkSpec, NeighborTable, NodeId, PortId, World};
-use netco_openflow::FlowMatch;
+use netco_openflow::{FlowEntry, FlowMatch};
+use netco_topo::cell::guard_replica_ports;
 use netco_topo::{routed_switch, Profile};
 
 use crate::graph::{NodeKind, TopoGraph, NO_ROUTE};
@@ -70,13 +72,9 @@ pub fn build_world(
     graph: &TopoGraph,
     profile: &Profile,
     seed: u64,
-    mut host_factory: impl FnMut(usize, HostNic) -> Box<dyn Device>,
+    host_factory: impl FnMut(usize, HostNic) -> Box<dyn Device>,
     adversary: Option<&AdversarySpec>,
 ) -> BuiltTopo {
-    assert!(
-        graph.hosts.is_empty() || !graph.routes.is_empty(),
-        "install routes before building"
-    );
     let adversarial = adversary.map(|a| a.sites(graph)).unwrap_or_default();
     let corrupt = [(
         Behavior::CorruptPayload {
@@ -85,6 +83,48 @@ pub fn build_world(
         },
         ActivationWindow::always(),
     )];
+    // Only replicas are ever adversarial (`AdversarySpec::sites`).
+    let behaviors = |n: usize| {
+        adversarial
+            .binary_search(&n)
+            .is_ok()
+            .then_some(&corrupt[..])
+    };
+    let (mut built, _) = lower(
+        graph,
+        profile,
+        seed,
+        host_factory,
+        behaviors,
+        |_| Vec::new(),
+        &[],
+    );
+    built.adversarial = adversarial;
+    built
+}
+
+/// The one lowering of a [`TopoGraph`] into a [`World`]: switch-level
+/// nodes in graph order, then the links, then per host: the host, and —
+/// for a host listed in `guards` — its [`VirtualGuard`] with the
+/// host–guard and guard–switch links, else the host's own link.
+/// `behaviors(n)` makes router or replica `n` a misbehaving
+/// [`routed_switch`]; `extra_flows(n)` appends flow entries behind an
+/// honest one's routes. Returns the world (no adversarial sites
+/// recorded) and `(host index, guard id)` per spliced guard, in host
+/// order.
+pub(crate) fn lower<'b>(
+    graph: &TopoGraph,
+    profile: &Profile,
+    seed: u64,
+    mut host_factory: impl FnMut(usize, HostNic) -> Box<dyn Device>,
+    behaviors: impl Fn(usize) -> Option<&'b [(Behavior, ActivationWindow)]>,
+    mut extra_flows: impl FnMut(usize) -> Vec<FlowEntry>,
+    guards: &[(usize, VirtualGuardConfig)],
+) -> (BuiltTopo, Vec<(usize, NodeId)>) {
+    assert!(
+        graph.hosts.is_empty() || !graph.routes.is_empty(),
+        "install routes before building"
+    );
     let mut world = World::new(seed);
     let neighbor_table: NeighborTable = graph.hosts.iter().map(|h| (h.ip, h.mac)).collect();
 
@@ -93,7 +133,7 @@ pub fn build_world(
     for (n, node) in graph.nodes.iter().enumerate() {
         let device: Box<dyn Device> = match node.kind {
             NodeKind::Guard { k, detect } => {
-                let replica_ports: Vec<PortId> = (1..=k as u16).map(PortId).collect();
+                let replica_ports = guard_replica_ports(k).map(PortId).collect();
                 let compare = if detect {
                     CompareConfig::detect(k)
                 } else {
@@ -115,12 +155,7 @@ pub fn build_world(
                     let port = graph.routes[n][h];
                     (port != NO_ROUTE).then_some((host.mac, port))
                 });
-                // Only replicas are ever adversarial (`AdversarySpec::sites`).
-                let corrupt = adversarial
-                    .binary_search(&n)
-                    .is_ok()
-                    .then_some(&corrupt[..]);
-                routed_switch(base | n as u64, routes, [], corrupt)
+                routed_switch(base | n as u64, routes, extra_flows(n), behaviors(n))
             }
         };
         let cpu = match node.kind {
@@ -141,27 +176,35 @@ pub fn build_world(
     }
 
     let mut host_ids = Vec::with_capacity(graph.hosts.len());
+    let mut guard_ids = Vec::with_capacity(guards.len());
     for (h, host) in graph.hosts.iter().enumerate() {
         let mut nic = HostNic::new(host.mac, host.ip);
         nic.neighbors = neighbor_table.clone();
         let device = host_factory(h, nic);
         let id = world.add_node(format!("host{h}"), device, profile.host_cpu.clone());
-        world.connect(
-            id,
-            PortId(0),
-            switch_ids[host.attach],
-            PortId(host.attach_port),
-            LinkSpec::new(host.rate_bps, host.latency),
-        );
+        let link = LinkSpec::new(host.rate_bps, host.latency);
+        let attach = (switch_ids[host.attach], PortId(host.attach_port));
+        let uplink = match guards.iter().find(|(g, _)| *g == h) {
+            Some((_, cfg)) => {
+                let guard = VirtualGuard::new(cfg.clone());
+                let guard = world.add_node(format!("vguard{h}"), guard, profile.guard_cpu.clone());
+                world.connect(id, PortId(0), guard, cfg.host_port, link.clone());
+                guard_ids.push((h, guard));
+                (guard, cfg.uplink_port)
+            }
+            None => (id, PortId(0)),
+        };
+        world.connect(uplink.0, uplink.1, attach.0, attach.1, link);
         host_ids.push(id);
     }
 
-    BuiltTopo {
+    let built = BuiltTopo {
         world,
         switch_ids,
         host_ids,
-        adversarial,
-    }
+        adversarial: Vec::new(),
+    };
+    (built, guard_ids)
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@ use std::net::Ipv4Addr;
 
 use netco_net::MacAddr;
 use netco_sim::{SimDuration, SimRng};
-use netco_topo::FatTreeIndex;
 
+use crate::fattree::FatTreeIndex;
 use crate::graph::{NodeKind, TopoGraph};
 use crate::lattice::stagger_latency;
 
@@ -230,10 +230,9 @@ pub fn grid2d(rows: usize, cols: usize, torus: bool, hosts: usize, seed: u64) ->
     g
 }
 
-/// The existing `netco_topo::fattree` Clos fabric as a [`TopoGraph`]:
-/// same switch indices, port scheme, host MACs/IPs and deterministic
-/// ECMP-style routes as [`FatTreeIndex`], so index-form computations
-/// agree with the established fat-tree world. Host count is fixed by
+/// The [`FatTreeIndex`] Clos fabric as a [`TopoGraph`]: its switch
+/// indices, port scheme, host MACs/IPs and deterministic ECMP-style
+/// routes, links in [`FatTreeIndex`]'s pod-by-pod order. Host count is fixed by
 /// the arity (`k³/4`).
 pub fn fat_tree(k: usize, seed: u64) -> TopoGraph {
     let index = FatTreeIndex::new(k);
@@ -243,24 +242,10 @@ pub fn fat_tree(k: usize, seed: u64) -> TopoGraph {
     }
     let mut rng = SimRng::new(seed).fork(FORK_LINKS);
     let mut wire = rng.fork(FORK_WIRE);
-    let half = k / 2;
-    for pod in 0..k {
-        for e in 0..half {
-            for a in 0..half {
-                let (s, d) = (index.edge(pod, e), index.agg(pod, a));
-                let (sp, dp) = index.ports_between(s, d).expect("edge-agg adjacency");
-                let latency = next_latency(&mut wire);
-                g.link_with_ports(s, sp, d, dp, LINK_RATE_BPS, latency);
-            }
-        }
-        for a in 0..half {
-            for i in 0..half {
-                let (s, d) = (index.agg(pod, a), index.core(a * half + i));
-                let (sp, dp) = index.ports_between(s, d).expect("agg-core adjacency");
-                let latency = next_latency(&mut wire);
-                g.link_with_ports(s, sp, d, dp, LINK_RATE_BPS, latency);
-            }
-        }
+    for (s, d) in index.links() {
+        let (sp, dp) = index.ports_between(s, d).expect("adjacent tiers");
+        let latency = next_latency(&mut wire);
+        g.link_with_ports(s, sp, d, dp, LINK_RATE_BPS, latency);
     }
     for h in 0..index.host_count() {
         let (pod, e, _) = index.host_position(h);
@@ -274,8 +259,7 @@ pub fn fat_tree(k: usize, seed: u64) -> TopoGraph {
             latency,
         );
     }
-    // The fat-tree's own deterministic ECMP-style routes, not plain BFS:
-    // index-form route computations must agree with `FatTree::build`.
+    // The fat-tree's own deterministic ECMP-style routes, not plain BFS.
     g.routes = (0..g.nodes.len())
         .map(|s| (0..g.hosts.len()).map(|h| index.route_port(s, h)).collect())
         .collect();

@@ -1,7 +1,7 @@
 //! The pure topology index form: nodes, links, host attachment points
 //! and MAC-destination route tables, computable without a simulator.
 //!
-//! A [`TopoGraph`] plays the role [`netco_topo::FatTreeIndex`]
+//! A [`TopoGraph`] plays the role [`crate::FatTreeIndex`]
 //! plays for the Clos fabric, generalized to arbitrary graphs: every
 //! question the campaign engine asks — connectivity, path lengths,
 //! stretch, egress ports — is answered on this value, and

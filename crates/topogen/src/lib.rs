@@ -10,8 +10,7 @@
 //!    graph generators, all emitting one pure index form ([`TopoGraph`]):
 //!    nodes, links with rate/latency, host attachment points and
 //!    shortest-path MAC-destination routes, computable without a
-//!    simulator (the [`netco_topo::FatTreeIndex`] pattern,
-//!    generalized).
+//!    simulator (the fat-tree's own scheme is [`FatTreeIndex`]).
 //! 2. **NetCo-ization** ([`netcoize`]) — a pure
 //!    `netcoize(&TopoGraph, NetcoizeSpec) -> TopoGraph` transform that
 //!    replaces a selectable fraction of untrusted routers with the
@@ -27,6 +26,12 @@
 //!    deterministic JSON (bit-identical across reruns, thread counts and
 //!    region counts).
 //!
+//! The §VII virtualized NetCo ([`virtual_netco`]) runs on the same
+//! stack: [`generate::fat_tree`], vendor-diverse tunnels from
+//! [`vendor_diverse_paths`] over the graph, and the lowering behind
+//! [`build_world`] with the tunnels' steering rules and two
+//! `VirtualGuard`s spliced in front of the endpoints.
+//!
 //! The [`lattice`] module is the single source of truth for the
 //! row-lattice geometry shared with `netco_bench::grid` (the PR-7
 //! `region_scale` world), so there is exactly one lattice builder in the
@@ -37,11 +42,16 @@
 
 pub mod build;
 pub mod campaign;
+mod fattree;
 pub mod generate;
 pub mod graph;
 pub mod lattice;
 pub mod netcoize;
+mod paths;
+pub mod virtual_netco;
 
 pub use build::{build_world, AdversarySpec, BuiltTopo};
+pub use fattree::{FatTreeIndex, SwitchRole};
 pub use graph::{NodeKind, TopoGraph, TopoHost, TopoLink, TopoNode, NO_ROUTE};
 pub use netcoize::{netcoize, NetcoizeSpec};
+pub use paths::{node_disjoint_paths, paths_are_vendor_diverse, vendor_diverse_paths, VendorId};

@@ -15,6 +15,7 @@
 //! before a single simulator event fires.
 
 use netco_sim::SimDuration;
+use netco_topo::cell::{guard_replica_ports, replica_port};
 
 use crate::graph::{Attachment, NodeKind, TopoGraph, NO_ROUTE};
 
@@ -165,15 +166,14 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
     }
     let cell_latency = SimDuration::from_micros(CELL_LINK_LATENCY_US);
     for cell in &cells {
-        // Replica i port j+1 ↔ guard j port i — the grid cell geometry.
-        for (ri, &replica) in cell.replicas.iter().enumerate() {
-            let i = (ri + 1) as u16;
+        // Replica i port j+1 ↔ guard j port i — `netco_topo::cell`'s scheme.
+        for (&replica, i) in cell.replicas.iter().zip(guard_replica_ports(spec.k)) {
             for (j, &guard) in cell.guards.iter().enumerate() {
                 out.link_with_ports(
                     guard,
                     i,
                     replica,
-                    j as u16 + 1,
+                    replica_port(j),
                     CELL_LINK_RATE_BPS,
                     cell_latency,
                 );
@@ -201,9 +201,9 @@ pub fn netcoize(base: &TopoGraph, spec: &NetcoizeSpec) -> TopoGraph {
             if port == NO_ROUTE {
                 continue;
             }
-            let rank = cell.rank(port) as u16;
+            let toward = replica_port(cell.rank(port));
             for &replica in &cell.replicas {
-                out.routes[replica][h] = rank + 1;
+                out.routes[replica][h] = toward;
             }
         }
     }

@@ -6,8 +6,8 @@
 
 use netco_adversary::{ActivationWindow, Behavior};
 use netco_openflow::FlowMatch;
-use netco_topo::virtual_netco::{run_ping, VirtualNetcoConfig};
 use netco_topo::Profile;
+use netco_topogen::virtual_netco::{run_ping, VirtualNetcoConfig};
 
 fn main() {
     let profile = Profile::default();
