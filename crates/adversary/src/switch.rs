@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use bytes::BytesMut;
+use netco_net::packet::EthernetFrame;
 use netco_net::{Ctx, Device, Frame, MacAddr, PortId};
 use netco_openflow::{apply_rewrites, Action};
 use netco_sim::SimDuration;
@@ -80,8 +81,8 @@ impl MaliciousSwitch {
     }
 
     fn normal_route(&self, frame: &Frame) -> Option<PortId> {
-        let dst = netco_net::packet::peek_dst(frame).ok()?;
-        self.routes.get(&dst).copied()
+        let eth = EthernetFrame::decode(frame.bytes()).ok()?;
+        self.routes.get(&eth.dst).copied()
     }
 
     fn forward_normally(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {

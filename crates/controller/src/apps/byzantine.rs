@@ -309,7 +309,7 @@ mod tests {
         let original = packet_out(b"payload");
         let mutated = corrupt(&original);
         assert_ne!(original, mutated);
-        let (msg, xid) = wire::decode(&mutated).expect("corrupt output must decode");
+        let (msg, xid) = wire::decode_shared(&mutated).expect("corrupt output must decode");
         assert_eq!(xid, 7, "corruption must not disturb the xid");
         let OfMessage::PacketOut { data, .. } = msg else {
             panic!("variant must be preserved");
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn corrupt_flow_mod_flips_priority_only() {
         let original = wire::encode(&OfMessage::add_flow(40, FlowMatch::any(), vec![]), 3);
-        let (msg, _) = wire::decode(&corrupt(&original)).unwrap();
+        let (msg, _) = wire::decode_shared(&corrupt(&original)).unwrap();
         let OfMessage::FlowMod {
             priority, actions, ..
         } = msg

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use netco_net::packet::EthernetFrame;
 use netco_net::{MacAddr, NodeId};
 use netco_openflow::{Action, FlowMatch, OfPort, PacketInReason};
 
@@ -55,8 +56,7 @@ impl ControllerApp for LearningSwitchApp {
         _reason: PacketInReason,
         data: Bytes,
     ) {
-        use netco_net::packet::{peek_dst, peek_src};
-        let (Ok(dst), Ok(src)) = (peek_dst(&data), peek_src(&data)) else {
+        let Ok(EthernetFrame { dst, src, .. }) = EthernetFrame::decode(&data) else {
             return;
         };
         let table = self.tables.entry(switch).or_default();

@@ -190,7 +190,7 @@ impl Device for Controller {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-        let Ok((message, xid)) = wire::decode(&msg) else {
+        let Ok((message, xid)) = wire::decode_shared(&msg) else {
             self.errors += 1;
             return;
         };
@@ -297,7 +297,7 @@ mod tests {
                 return;
             }
             self.controller = Some(from);
-            let Ok((m, xid)) = wire::decode(&msg) else {
+            let Ok((m, xid)) = wire::decode_shared(&msg) else {
                 return;
             };
             let reply = match m {

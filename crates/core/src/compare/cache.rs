@@ -1,5 +1,6 @@
 //! The compare's packet cache: per-packet voting state.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use netco_net::Frame;
@@ -76,24 +77,17 @@ pub enum Observed {
 ///
 /// # Fingerprint keys
 ///
-/// [`CompareKey::Exact`] keys carry a 128-bit fingerprint plus a
-/// disambiguator. [`PacketCache::observe`] resolves the disambiguator by
-/// verifying the stored frame bytes whenever a fingerprint matches an
-/// existing entry, so two *different* frames that collide on the
-/// fingerprint get distinct keys and never pollute each other's vote — the
-/// bit-by-bit semantics of the old byte-keyed cache are preserved exactly.
-/// The canonical key is returned to the caller for follow-up calls
-/// ([`PacketCache::mark_released`] etc.), which therefore need no frame
-/// access and no re-verification.
+/// A [`CompareKey::Exact`] key carries its frame, and two such keys are
+/// equal only when their bytes are, so the map itself keeps two different
+/// frames that collide on the fingerprint apart — the bit-by-bit semantics
+/// of a byte-keyed cache, at one byte comparison per observed copy.
+/// [`PacketCache::observe`] returns the key the cache holds; follow-up
+/// calls ([`PacketCache::mark_released`] etc.) with it share the stored
+/// buffer and compare no bytes.
 #[derive(Debug, Default)]
 pub struct PacketCache {
     map: HashMap<CompareKey, CacheEntry, FxBuildHasher>,
     order: VecDeque<CompareKey>,
-    /// Live-entry counts per colliding fingerprint. Empty unless two
-    /// different frames actually share an `fp128` (or a test forges keys):
-    /// the happy path pays one lookup here only when the `dis = 0` slot
-    /// misses or mismatches.
-    collided: HashMap<u128, u32, FxBuildHasher>,
 }
 
 impl PacketCache {
@@ -114,8 +108,7 @@ impl PacketCache {
 
     /// Records a copy of `key` arriving on `port` (the lane's
     /// `replica_idx`-th replica). The frame is stored only for the first
-    /// copy. Returns the canonical key — for [`CompareKey::Exact`] the
-    /// disambiguator may differ from the one passed in — plus what was
+    /// copy. Returns the key the cache holds for this packet plus what was
     /// observed.
     pub fn observe(
         &mut self,
@@ -126,34 +119,35 @@ impl PacketCache {
         now: SimTime,
     ) -> (CompareKey, Observed) {
         debug_assert!(replica_idx < MAX_REPLICAS);
-        let key = self.resolve(key, frame);
         let bit = 1u32 << (replica_idx % MAX_REPLICAS);
-        if let Some(entry) = self.map.get_mut(&key) {
-            let observed = if entry.seen & bit != 0 {
-                entry.counts[replica_idx] += 1;
-                Observed::Repeat {
-                    count: entry.counts[replica_idx],
-                    released: entry.released,
-                }
-            } else {
-                entry.seen |= bit;
-                if entry.counts.len() <= replica_idx {
-                    entry.counts.resize(replica_idx + 1, 0);
-                }
-                entry.counts[replica_idx] = 1;
-                entry.ports.push(port);
-                Observed::AdditionalPort {
-                    distinct: entry.ports.len(),
-                    released: entry.released,
-                }
-            };
-            (key, observed)
-        } else {
-            let mut counts = vec![0; replica_idx + 1];
-            counts[replica_idx] = 1;
-            self.map.insert(
-                key.clone(),
-                CacheEntry {
+        match self.map.entry(key) {
+            Entry::Occupied(mut held) => {
+                let entry = held.get_mut();
+                let observed = if entry.seen & bit != 0 {
+                    entry.counts[replica_idx] += 1;
+                    Observed::Repeat {
+                        count: entry.counts[replica_idx],
+                        released: entry.released,
+                    }
+                } else {
+                    entry.seen |= bit;
+                    if entry.counts.len() <= replica_idx {
+                        entry.counts.resize(replica_idx + 1, 0);
+                    }
+                    entry.counts[replica_idx] = 1;
+                    entry.ports.push(port);
+                    Observed::AdditionalPort {
+                        distinct: entry.ports.len(),
+                        released: entry.released,
+                    }
+                };
+                (held.key().clone(), observed)
+            }
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone();
+                let mut counts = vec![0; replica_idx + 1];
+                counts[replica_idx] = 1;
+                slot.insert(CacheEntry {
                     frame: frame.clone(),
                     first_seen: now,
                     ports: vec![port],
@@ -161,62 +155,10 @@ impl PacketCache {
                     dos_advised: false,
                     counts,
                     seen: bit,
-                },
-            );
-            self.order.push_back(key.clone());
-            if let CompareKey::Exact { fp, .. } = key {
-                // Only fingerprints already in collision keep a live count.
-                if let Some(n) = self.collided.get_mut(&fp) {
-                    *n += 1;
-                }
+                });
+                self.order.push_back(key.clone());
+                (key, Observed::New)
             }
-            (key, Observed::New)
-        }
-    }
-
-    /// Resolves an [`CompareKey::Exact`] key's disambiguator against the
-    /// live entries: returns the key of the entry holding byte-identical
-    /// `frame` bytes, or the key a new entry for `frame` should use. Other
-    /// key kinds pass through untouched.
-    fn resolve(&mut self, key: CompareKey, frame: &Frame) -> CompareKey {
-        let CompareKey::Exact { fp, .. } = key else {
-            return key;
-        };
-        // Happy path: the dis = 0 slot either holds this very frame or is
-        // free with no colliding siblings to check.
-        match self.map.get(&CompareKey::Exact { fp, dis: 0 }) {
-            Some(entry) if entry.frame == *frame => return CompareKey::Exact { fp, dis: 0 },
-            Some(_) => {} // genuine fingerprint collision: probe siblings
-            None if !self.collided.contains_key(&fp) => return CompareKey::Exact { fp, dis: 0 },
-            None => {} // dis = 0 expired but collided siblings may match
-        }
-        let live = *self.collided.entry(fp).or_insert(1);
-        let mut dis = 0u32;
-        let mut found = 0u32;
-        let mut vacant = None;
-        loop {
-            match self.map.get(&CompareKey::Exact { fp, dis }) {
-                Some(entry) => {
-                    if entry.frame == *frame {
-                        return CompareKey::Exact { fp, dis };
-                    }
-                    found += 1;
-                    if found == live {
-                        // Whole chain checked, no byte match: a new entry
-                        // goes in the first gap (or right past the end).
-                        return CompareKey::Exact {
-                            fp,
-                            dis: vacant.unwrap_or(dis + 1),
-                        };
-                    }
-                }
-                None => {
-                    if vacant.is_none() {
-                        vacant = Some(dis);
-                    }
-                }
-            }
-            dis += 1;
         }
     }
 
@@ -265,7 +207,6 @@ impl PacketCache {
             }
             let key = self.order.pop_front().expect("front exists");
             if let Some(entry) = self.map.remove(&key) {
-                self.note_removed(&key);
                 out.push((key, entry));
             }
         }
@@ -281,23 +222,10 @@ impl PacketCache {
                 break;
             };
             if let Some(entry) = self.map.remove(&key) {
-                self.note_removed(&key);
                 out.push((key, entry));
             }
         }
         out
-    }
-
-    /// Keeps the collision live counts in step with entry removal.
-    fn note_removed(&mut self, key: &CompareKey) {
-        if let CompareKey::Exact { fp, .. } = key {
-            if let Some(n) = self.collided.get_mut(fp) {
-                *n -= 1;
-                if *n == 0 {
-                    self.collided.remove(fp);
-                }
-            }
-        }
     }
 }
 
@@ -437,103 +365,38 @@ mod tests {
         );
     }
 
-    // ---- Exact (fingerprint) key resolution -----------------------------
-
-    fn exact(fp: u128) -> CompareKey {
-        CompareKey::Exact { fp, dis: 0 }
-    }
-
     #[test]
-    fn exact_key_same_frame_resolves_to_same_entry() {
-        let mut c = PacketCache::new();
-        let f = Frame::from(b"copy" as &'static [u8]);
-        assert_eq!(
-            c.observe(exact(42), 1, 0, &f, SimTime::ZERO),
-            (exact(42), Observed::New)
-        );
-        let (k, o) = c.observe(exact(42), 2, 1, &f, SimTime::ZERO);
-        assert_eq!(k, exact(42));
-        assert_eq!(
-            o,
-            Observed::AdditionalPort {
-                distinct: 2,
-                released: false
-            }
-        );
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn forged_collision_splits_into_disambiguated_entries() {
-        // Two different frames with the same fingerprint (forged here; a
-        // real fp128 collision is a 2^-128 event) must vote independently.
+    fn forged_fingerprint_collision_votes_and_releases_separately() {
+        // Two different frames under one fingerprint (forged here; a real
+        // fp128 collision is a 2^-128 event) must be two packets.
         let mut c = PacketCache::new();
         let a = Frame::from(b"frame-a" as &'static [u8]);
         let b = Frame::from(b"frame-b" as &'static [u8]);
+        let exact = |f: &Frame| CompareKey::Exact {
+            fp: 7,
+            frame: f.clone(),
+        };
         assert_eq!(
-            c.observe(exact(7), 1, 0, &a, SimTime::ZERO),
-            (exact(7), Observed::New)
+            c.observe(exact(&a), 1, 0, &a, SimTime::ZERO).1,
+            Observed::New
         );
-        let (kb, ob) = c.observe(exact(7), 1, 0, &b, SimTime::ZERO);
-        assert_eq!(kb, CompareKey::Exact { fp: 7, dis: 1 });
-        assert_eq!(ob, Observed::New);
+        assert_eq!(
+            c.observe(exact(&b), 1, 0, &b, SimTime::ZERO).1,
+            Observed::New
+        );
         assert_eq!(c.len(), 2);
-        // Further copies route to the right entry by frame bytes.
-        let (ka2, oa2) = c.observe(exact(7), 2, 1, &a, SimTime::ZERO);
-        assert_eq!(ka2, exact(7));
-        assert!(matches!(oa2, Observed::AdditionalPort { distinct: 2, .. }));
-        let (kb2, ob2) = c.observe(exact(7), 2, 1, &b, SimTime::ZERO);
-        assert_eq!(kb2, CompareKey::Exact { fp: 7, dis: 1 });
-        assert!(matches!(ob2, Observed::AdditionalPort { distinct: 2, .. }));
+        // Further copies (other buffers, same bytes) find their own entry.
+        let a2 = Frame::from(b"frame-a".to_vec());
+        let (ka, oa) = c.observe(exact(&a2), 2, 1, &a2, SimTime::ZERO);
+        assert!(matches!(oa, Observed::AdditionalPort { distinct: 2, .. }));
+        let b2 = Frame::from(b"frame-b".to_vec());
+        let (kb, ob) = c.observe(exact(&b2), 2, 1, &b2, SimTime::ZERO);
+        assert!(matches!(ob, Observed::AdditionalPort { distinct: 2, .. }));
+        // The returned key is the held one: its first copy's buffer.
+        assert!(matches!(&ka, CompareKey::Exact { frame, .. } if frame.as_ptr() == a.as_ptr()));
         // Releasing one entry does not release the other.
-        assert_eq!(c.mark_released(&ka2), Some(a));
-        assert!(!c.entry(&kb2).unwrap().released);
-    }
-
-    #[test]
-    fn collision_chain_survives_gap_from_expiry() {
-        // dis = 0 expires while dis = 1 lives: a new copy of the dis = 1
-        // frame must still find it rather than open a fresh entry at
-        // dis = 0 and split the vote.
-        let mut c = PacketCache::new();
-        let a = Frame::from(b"frame-a" as &'static [u8]);
-        let b = Frame::from(b"frame-b" as &'static [u8]);
-        let t0 = SimTime::ZERO;
-        let t1 = SimTime::from_nanos(5_000_000);
-        c.observe(exact(9), 1, 0, &a, t0);
-        let (kb, _) = c.observe(exact(9), 1, 0, &b, t1);
-        assert_eq!(kb, CompareKey::Exact { fp: 9, dis: 1 });
-        let expired = c.expire(
-            SimTime::from_nanos(10_000_000),
-            SimDuration::from_millis(10),
-        );
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].0, exact(9)); // the dis = 0 entry
-        let (kb2, ob2) = c.observe(exact(9), 2, 1, &b, t1);
-        assert_eq!(kb2, CompareKey::Exact { fp: 9, dis: 1 });
-        assert!(matches!(ob2, Observed::AdditionalPort { distinct: 2, .. }));
-        // A third, new frame with the same fingerprint reuses the gap.
-        let d = Frame::from(b"frame-d" as &'static [u8]);
-        let (kd, od) = c.observe(exact(9), 1, 0, &d, t1);
-        assert_eq!(kd, exact(9));
-        assert_eq!(od, Observed::New);
-    }
-
-    #[test]
-    fn collision_bookkeeping_resets_when_chain_dies() {
-        let mut c = PacketCache::new();
-        let a = Frame::from(b"frame-a" as &'static [u8]);
-        let b = Frame::from(b"frame-b" as &'static [u8]);
-        c.observe(exact(3), 1, 0, &a, SimTime::ZERO);
-        c.observe(exact(3), 1, 0, &b, SimTime::ZERO);
-        assert_eq!(c.collided.len(), 1);
-        c.cleanup(0);
-        assert!(c.is_empty());
-        assert!(c.collided.is_empty());
-        // The fingerprint is usable again from a clean slate.
-        assert_eq!(
-            c.observe(exact(3), 1, 0, &b, SimTime::ZERO),
-            (exact(3), Observed::New)
-        );
+        assert_eq!(c.mark_released(&ka), Some(a));
+        assert!(!c.entry(&kb).unwrap().released);
+        assert_eq!(c.mark_released(&kb), Some(b));
     }
 }

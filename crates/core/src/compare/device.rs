@@ -9,7 +9,7 @@ use netco_sim::{EventLog, SimTime};
 use super::core::{CompareAction, CompareCore, CompareStats, LaneInfo};
 use super::host::CompareHost;
 use crate::config::CompareConfig;
-use crate::encap::{block_advice, of_unwrap_shared, of_wrap};
+use crate::encap::{block_advice, of_unwrap, of_wrap};
 use crate::events::SecurityEvent;
 
 const SWEEP_TIMER: u64 = 1;
@@ -123,7 +123,7 @@ impl Device for Compare {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
-        let Some((msg, _xid)) = of_unwrap_shared(frame.bytes()) else {
+        let Some((msg, _xid)) = of_unwrap(frame.bytes()) else {
             return; // not for us; trusted components ignore the unknown
         };
         if let OfMessage::PacketIn { in_port, data, .. } = msg {

@@ -1,5 +1,7 @@
 //! How the compare decides that two copies are "the same packet".
 
+use std::hash::{Hash, Hasher};
+
 use bytes::Bytes;
 use netco_net::Frame;
 
@@ -42,7 +44,7 @@ impl CompareStrategy {
         match self {
             CompareStrategy::FullPacket => CompareKey::Exact {
                 fp: frame.fp128(),
-                dis: 0,
+                frame: frame.clone(),
             },
             CompareStrategy::HeaderOnly { prefix } => {
                 CompareKey::Bytes(frame.bytes().slice(..(*prefix).min(frame.len())))
@@ -54,25 +56,47 @@ impl CompareStrategy {
 
 /// A comparison key: a verified fingerprint, the (possibly truncated) bytes
 /// themselves, or a digest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Eq)]
 pub enum CompareKey {
-    /// Bit-by-bit semantics via a precomputed 128-bit fingerprint. The
-    /// packet cache verifies the full frame bytes on any fingerprint match
-    /// against a *different* frame and bumps `dis` to separate true
-    /// collisions, so `Exact` keys identify frames exactly — unlike
-    /// [`CompareKey::U64`], whose collisions are accepted by design.
+    /// Bit-by-bit semantics: hashed by a precomputed 128-bit fingerprint,
+    /// equal only when the fingerprints *and* the frame bytes are, so two
+    /// different frames that collide on the fingerprint stay two keys —
+    /// unlike [`CompareKey::U64`], whose collisions are accepted by design.
+    /// Keys over one shared buffer are equal without a byte comparison.
     Exact {
         /// 128-bit content fingerprint ([`fp128`]).
         fp: u128,
-        /// Collision disambiguator, assigned by the cache (0 in the
-        /// overwhelmingly common case).
-        dis: u32,
+        /// The frame the fingerprint was taken of.
+        frame: Frame,
     },
     /// Raw bytes (used for header-prefix semantics; `Bytes` is cheaply
     /// clonable).
     Bytes(Bytes),
     /// A 64-bit digest.
     U64(u64),
+}
+
+impl PartialEq for CompareKey {
+    fn eq(&self, other: &CompareKey) -> bool {
+        match (self, other) {
+            (CompareKey::Exact { fp: a, frame: x }, CompareKey::Exact { fp: b, frame: y }) => {
+                a == b && ((x.as_ptr() == y.as_ptr() && x.len() == y.len()) || x == y)
+            }
+            (CompareKey::Bytes(a), CompareKey::Bytes(b)) => a == b,
+            (CompareKey::U64(a), CompareKey::U64(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Hash for CompareKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            CompareKey::Exact { fp, .. } => fp.hash(state),
+            CompareKey::Bytes(b) => b.hash(state),
+            CompareKey::U64(v) => v.hash(state),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -122,12 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn full_packet_key_is_fingerprint_with_zero_disambiguator() {
+    fn full_packet_key_is_the_fingerprint_and_the_frame() {
         let a = frame(b"wire frame bytes");
         match CompareStrategy::FullPacket.key(&a) {
-            CompareKey::Exact { fp, dis } => {
+            CompareKey::Exact { fp, frame } => {
                 assert_eq!(fp, fp128(&a));
-                assert_eq!(dis, 0);
+                assert_eq!(frame, a);
             }
             other => panic!("unexpected key {other:?}"),
         }

@@ -7,7 +7,7 @@
 //! with a dedicated EtherType and send it down the compare link.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netco_net::packet::ETHERNET_HEADER_LEN;
+use netco_net::packet::{EthernetFrame, ETHERNET_HEADER_LEN};
 use netco_net::MacAddr;
 use netco_openflow::{wire, FlowMatch, FlowModCommand, OfMessage};
 use netco_sim::SimDuration;
@@ -15,8 +15,6 @@ use netco_sim::SimDuration;
 /// The experimental EtherType used for OpenFlow-over-Ethernet framing
 /// (`0x88B5`, IEEE 802 local experimental 1).
 pub const NETCO_ETHERTYPE: u16 = 0x88b5;
-
-const TPID_8021Q: u16 = 0x8100;
 
 /// Wraps an OpenFlow message into an Ethernet frame for a point-to-point
 /// compare link.
@@ -61,45 +59,18 @@ pub(crate) fn block_advice(port: u16, duration: SimDuration) -> OfMessage {
     }
 }
 
-/// Offset of the OpenFlow payload in a NetCo-framed Ethernet frame, or
-/// `None` when the frame is not NetCo-framed OpenFlow.
-///
-/// Hand-rolled Ethernet header walk: `EthernetFrame::decode` would copy the
-/// whole OpenFlow payload just to hand it to the wire codec.
-fn of_payload_offset(frame: &[u8]) -> Option<usize> {
-    if frame.len() < ETHERNET_HEADER_LEN {
-        return None;
-    }
-    let tpid = u16::from_be_bytes([frame[12], frame[13]]);
-    if tpid == TPID_8021Q {
-        if frame.len() >= ETHERNET_HEADER_LEN + 4
-            && u16::from_be_bytes([frame[16], frame[17]]) == NETCO_ETHERTYPE
-        {
-            Some(ETHERNET_HEADER_LEN + 4)
-        } else {
-            None
-        }
-    } else if tpid == NETCO_ETHERTYPE {
-        Some(ETHERNET_HEADER_LEN)
-    } else {
-        None
-    }
-}
-
-/// Unwraps a compare-link frame back into an OpenFlow message.
+/// Unwraps a compare-link frame back into an OpenFlow message; payload
+/// fields of the message are zero-copy slices of `frame`.
 ///
 /// Returns `None` for frames that are not NetCo-framed OpenFlow (wrong
 /// EtherType or undecodable payload) — a trusted component simply ignores
 /// anything it does not understand.
-pub fn of_unwrap(frame: &[u8]) -> Option<(OfMessage, u32)> {
-    wire::decode(&frame[of_payload_offset(frame)?..]).ok()
-}
-
-/// Like [`of_unwrap`], but payload fields of the decoded message are
-/// zero-copy slices of `frame` (see [`wire::decode_shared`]).
-pub fn of_unwrap_shared(frame: &Bytes) -> Option<(OfMessage, u32)> {
-    let off = of_payload_offset(frame)?;
-    wire::decode_shared(&frame.slice(off..)).ok()
+pub fn of_unwrap(frame: &Bytes) -> Option<(OfMessage, u32)> {
+    let eth = EthernetFrame::decode(frame).ok()?;
+    if eth.ethertype.to_u16() != NETCO_ETHERTYPE {
+        return None;
+    }
+    wire::decode_shared(&eth.payload).ok()
 }
 
 #[cfg(test)]
@@ -135,7 +106,46 @@ mod tests {
             None,
         );
         assert!(of_unwrap(&ip_frame).is_none());
-        assert!(of_unwrap(b"garbage").is_none());
+        assert!(of_unwrap(&Bytes::from_static(b"garbage")).is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn of_unwrap_never_panics_on_garbage(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            let _ = of_unwrap(&Bytes::from(bytes));
+        }
+    }
+
+    /// Every compare-link frame the guard and compare send, cut at every
+    /// length and with its OpenFlow header length rewritten to every value
+    /// in `0..=len + 8`: `Some` or `None`, never a panic.
+    #[test]
+    fn of_unwrap_survives_cuts_and_length_lies() {
+        let data = Bytes::from_static(b"a replicated data frame");
+        for msg in [
+            OfMessage::PacketIn {
+                buffer_id: None,
+                in_port: 2,
+                reason: PacketInReason::NoMatch,
+                data: data.clone(),
+            },
+            OfMessage::packet_out(data, OfPort::Physical(4)),
+            block_advice(3, SimDuration::from_secs(1)),
+        ] {
+            let wrapped = of_wrap(&msg, 9);
+            for cut in 0..=wrapped.len() {
+                let _ = of_unwrap(&wrapped.slice(..cut));
+            }
+            let at = ETHERNET_HEADER_LEN + 2;
+            for claimed in 0..=wrapped.len() + 8 {
+                let mut lie = wrapped.to_vec();
+                lie[at..at + 2].copy_from_slice(&(claimed as u16).to_be_bytes());
+                let _ = of_unwrap(&Bytes::from(lie));
+            }
+            assert_eq!(of_unwrap(&wrapped), Some((msg, 9)));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use netco_sim::{SimDuration, SimTime};
 
 use crate::compare::{fnv1a, CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
-use crate::encap::{of_unwrap_shared, of_wrap};
+use crate::encap::{of_unwrap, of_wrap};
 
 /// Where this guard sends replica copies for combining.
 #[derive(Debug, Clone, PartialEq)]
@@ -395,7 +395,7 @@ impl Device for GuardSwitch {
         }
         if let CompareAttachment::DataPort(cp) = self.cfg.compare {
             if port == cp {
-                match of_unwrap_shared(frame.bytes()) {
+                match of_unwrap(frame.bytes()) {
                     Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, Some(&frame), None),
                     None => self.stats.invalid_msgs += 1,
                 }
@@ -463,7 +463,7 @@ impl Device for GuardSwitch {
         if self.cfg.compare != CompareAttachment::Controller(from) {
             return;
         }
-        match wire::decode(&msg) {
+        match wire::decode_shared(&msg) {
             Ok((message, xid)) => self.handle_compare_msg(ctx, message, xid, None, Some(from)),
             Err(_) => self.stats.invalid_msgs += 1,
         }

@@ -79,7 +79,7 @@ pub use compare::{
     CompareStrategy, LaneInfo, Observed, PacketCache,
 };
 pub use config::{CompareConfig, Mode};
-pub use encap::{of_unwrap, of_unwrap_shared, of_wrap, NETCO_ETHERTYPE};
+pub use encap::{of_unwrap, of_wrap, NETCO_ETHERTYPE};
 pub use events::{EventCounts, SecurityEvent};
 pub use guard::{CompareAttachment, GuardConfig, GuardStats, GuardSwitch};
 pub use hub::Hub;

@@ -130,7 +130,7 @@ impl Device for VirtualGuard {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
         if port == self.cfg.host_port {
             // Split: one tagged copy per tunnel.
-            let Ok(mut eth) = EthernetFrame::decode(&frame) else {
+            let Ok(mut eth) = EthernetFrame::decode(frame.bytes()) else {
                 return;
             };
             for &tag in &self.cfg.tunnel_tags.clone() {
@@ -141,7 +141,7 @@ impl Device for VirtualGuard {
             return;
         }
         if port == self.cfg.uplink_port {
-            let Ok(mut eth) = EthernetFrame::decode(&frame) else {
+            let Ok(mut eth) = EthernetFrame::decode(frame.bytes()) else {
                 return;
             };
             let Some(tag) = eth.vlan.map(|t| t.vid) else {
@@ -187,7 +187,7 @@ mod tests {
     use netco_sim::SimDuration;
 
     /// Is this frame tagged with `tag`?
-    fn has_tag(frame: &[u8], tag: u16) -> bool {
+    fn has_tag(frame: &Bytes, tag: u16) -> bool {
         EthernetFrame::decode(frame)
             .ok()
             .and_then(|e| e.vlan)

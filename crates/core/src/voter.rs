@@ -539,7 +539,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(100));
         let msgs = &w.device::<ControlCollector>(guard).unwrap().msgs;
         assert_eq!(msgs.len(), 1, "exactly one majority release");
-        let (decoded, xid) = wire::decode(&msgs[0].2).unwrap();
+        let (decoded, xid) = wire::decode_shared(&msgs[0].2).unwrap();
         assert_eq!(xid, 0, "released artifact is the canonical form");
         assert!(
             matches!(decoded, OfMessage::PacketOut { data, .. } if data == Bytes::from_static(b"decision"))
@@ -575,7 +575,7 @@ mod tests {
             .unwrap()
             .received
             .iter()
-            .map(|m| wire::decode(m).unwrap())
+            .map(|m| wire::decode_shared(m).unwrap())
             .collect();
         assert_eq!(replies.len(), 2, "Hello is absorbed, probes answered");
         assert!(

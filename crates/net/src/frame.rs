@@ -294,10 +294,10 @@ impl Frame {
     ///
     /// `None` means the bytes are not a well-formed frame; an inner `None`
     /// L4 means the L3 payload is absent, opaque, or failed to decode —
-    /// exactly the outcomes a cold [`FrameView::parse_shared`] +
-    /// [`FrameView::l4`] pair distinguishes, collapsed to what a receiver
-    /// acts on. Endpoint devices on a traffic hot path use this so that a
-    /// frame parsed (and checksum-verified) once is free for every clone.
+    /// exactly the outcomes a cold [`FrameView::parse`] + [`FrameView::l4`]
+    /// pair distinguishes, collapsed to what a receiver acts on. Hosts read
+    /// frames through this (see [`HostNic::receive`](crate::HostNic::receive)),
+    /// so a frame parsed (and checksum-verified) once is free for every clone.
     pub fn views(&self) -> Option<&(FrameView, Option<L4View>)> {
         if let Some(v) = self.memo.views.get() {
             bump(|s| {
@@ -311,7 +311,7 @@ impl Frame {
         self.memo
             .views
             .get_or_init(|| {
-                let view = FrameView::parse_shared(&self.bytes).ok()?;
+                let view = FrameView::parse(&self.bytes).ok()?;
                 let l4 = view.l4().ok().flatten();
                 Some((view, l4))
             })

@@ -11,8 +11,10 @@ use netco_sim::fxhash::FxBuildHasher;
 
 use bytes::Bytes;
 
-use crate::id::MacAddr;
-use crate::packet::{ArpOperation, ArpPacket, EtherType, EthernetFrame, FrameView};
+use crate::device::Ctx;
+use crate::frame::Frame;
+use crate::id::{MacAddr, PortId};
+use crate::packet::{ArpOperation, ArpPacket, EtherType, EthernetFrame, Ipv4Packet, L4View};
 
 /// A static IPv4 → MAC mapping.
 #[derive(Debug, Clone, Default)]
@@ -64,7 +66,7 @@ impl Extend<(Ipv4Addr, MacAddr)> for NeighborTable {
 /// The L2/L3 identity of a host interface, plus its neighbor table.
 ///
 /// Traffic applications (in `netco-traffic`) embed a `HostNic` to build
-/// outgoing frames and filter incoming ones.
+/// outgoing frames and read incoming ones through [`HostNic::receive`].
 ///
 /// # Example
 ///
@@ -101,12 +103,6 @@ impl HostNic {
         self.neighbors.lookup(ip)
     }
 
-    /// `true` when a frame is addressed to this interface (unicast match or
-    /// broadcast).
-    pub fn accepts(&self, eth: &EthernetFrame) -> bool {
-        eth.dst == self.mac || eth.dst.is_broadcast()
-    }
-
     /// Builds a broadcast ARP who-has request for `target`.
     pub fn make_arp_request(&self, target: Ipv4Addr) -> Bytes {
         EthernetFrame {
@@ -119,85 +115,95 @@ impl HostNic {
         .encode()
     }
 
-    /// Processes an ARP frame: learns the sender's mapping and, for a
-    /// request targeting this interface, returns the is-at reply frame to
-    /// transmit. Returns `None` for non-ARP frames (no learning, no reply).
-    pub fn handle_arp(&mut self, wire: &[u8]) -> Option<Bytes> {
-        // EtherType peek first: every received frame funnels through here,
-        // and a full decode copies the payload just to discard non-ARP.
-        if !ethertype_is_arp(wire) {
+    /// The host receive step: reads `frame` (arrived on `port`) through its
+    /// memoised parse, [`Frame::views`], so a content is parsed and
+    /// checksum-verified once however many clones of it arrive.
+    ///
+    /// Frames not addressed to this interface at L2 (unicast match or
+    /// broadcast) are `None`. An ARP frame teaches the sender's mapping and,
+    /// when it asks for this interface's address, is answered on `port`; it
+    /// is `None` too. Anything else is its IPv4 and L4 layers when it is
+    /// addressed to this interface at L3 as well, and `None` otherwise —
+    /// including malformed frames, which a real NIC would have discarded on
+    /// checksum grounds.
+    pub fn receive<'f>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        frame: &'f Frame,
+    ) -> Option<(&'f Ipv4Packet, &'f L4View)> {
+        let (view, l4) = frame.views()?;
+        if view.eth.dst != self.mac && !view.eth.dst.is_broadcast() {
             return None;
         }
-        let eth = EthernetFrame::decode(wire).ok()?;
-        if eth.ethertype != EtherType::Arp || !self.accepts(&eth) {
-            return None;
-        }
-        let arp = ArpPacket::decode(&eth.payload).ok()?;
-        // Learn the sender (both requests and replies carry it).
-        self.neighbors.insert(arp.sender_ip, arp.sender_mac);
-        if arp.operation == ArpOperation::Request && arp.target_ip == self.ip {
-            let reply = ArpPacket::reply_to(&arp, self.mac);
-            return Some(
-                EthernetFrame {
+        if view.eth.ethertype == EtherType::Arp {
+            let arp = ArpPacket::decode(&view.eth.payload).ok()?;
+            // Learn the sender (both requests and replies carry it).
+            self.neighbors.insert(arp.sender_ip, arp.sender_mac);
+            if arp.operation == ArpOperation::Request && arp.target_ip == self.ip {
+                let reply = EthernetFrame {
                     dst: arp.sender_mac,
                     src: self.mac,
                     vlan: None,
                     ethertype: EtherType::Arp,
-                    payload: reply.encode(),
-                }
-                .encode(),
-            );
-        }
-        None
-    }
-
-    /// Parses and filters an incoming frame: full view when it is IPv4
-    /// addressed to this interface (L2 *and* L3), `None` otherwise.
-    ///
-    /// Malformed frames are also `None` — a real NIC would have discarded
-    /// them on checksum grounds.
-    pub fn deliver(&self, wire: &[u8]) -> Option<FrameView> {
-        self.filter(FrameView::parse(wire).ok()?)
-    }
-
-    /// [`deliver`](HostNic::deliver) without the payload copies: the view's
-    /// layers alias `wire` (see [`FrameView::parse_shared`]).
-    pub fn deliver_shared(&self, wire: &Bytes) -> Option<FrameView> {
-        self.filter(FrameView::parse_shared(wire).ok()?)
-    }
-
-    fn filter(&self, view: FrameView) -> Option<FrameView> {
-        if !self.accepts(&view.eth) {
+                    payload: ArpPacket::reply_to(&arp, self.mac).encode(),
+                };
+                ctx.send_frame(port, reply.encode());
+            }
             return None;
         }
-        let ip = view.ipv4()?;
-        if ip.dst != self.ip {
-            return None;
-        }
-        Some(view)
-    }
-}
-
-/// `true` when `wire` is an ARP frame (possibly 802.1Q-tagged), judged from
-/// the EtherType field alone.
-fn ethertype_is_arp(wire: &[u8]) -> bool {
-    const TPID_8021Q: u16 = 0x8100;
-    const ETHERTYPE_ARP: u16 = 0x0806;
-    if wire.len() < 14 {
-        return false;
-    }
-    match u16::from_be_bytes([wire[12], wire[13]]) {
-        ETHERTYPE_ARP => true,
-        TPID_8021Q => wire.len() >= 18 && u16::from_be_bytes([wire[16], wire[17]]) == ETHERTYPE_ARP,
-        _ => false,
+        let ip = view.ipv4().filter(|ip| ip.dst == self.ip)?;
+        Some((ip, l4.as_ref()?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use crate::packet::builder;
-    use bytes::Bytes;
+    use crate::testutil::CollectorDevice;
+    use crate::{CpuModel, LinkSpec, World};
+    use netco_sim::SimDuration;
+
+    /// A host that keeps the L4 layer of everything `receive` hands it.
+    #[derive(Debug)]
+    struct Receiver {
+        nic: HostNic,
+        got: Vec<L4View>,
+    }
+
+    impl Device for Receiver {
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+            if let Some((_, l4)) = self.nic.receive(ctx, port, &frame) {
+                self.got.push(l4.clone());
+            }
+        }
+    }
+
+    /// Hands `frames` to a host on `nic`; returns the NIC afterwards, the L4
+    /// layers `receive` handed up and the frames the host sent.
+    fn receive_all(nic: HostNic, frames: Vec<Bytes>) -> (HostNic, Vec<L4View>, Vec<Bytes>) {
+        let mut w = World::new(1);
+        let host = w.add_node(
+            "host",
+            Receiver {
+                nic,
+                got: Vec::new(),
+            },
+            CpuModel::default(),
+        );
+        let wire = w.add_node("wire", CollectorDevice::default(), CpuModel::default());
+        w.connect(host, PortId(0), wire, PortId(0), LinkSpec::ideal());
+        for f in frames {
+            w.inject_frame(host, PortId(0), f);
+        }
+        w.run_for(SimDuration::from_millis(1));
+        let sent = w.device::<CollectorDevice>(wire).unwrap().frames.iter();
+        let sent = sent.map(|(_, f)| f.clone()).collect();
+        let host = w.device_mut::<Receiver>(host).unwrap();
+        (host.nic.clone(), std::mem::take(&mut host.got), sent)
+    }
 
     fn nic() -> HostNic {
         let mut nic = HostNic::new(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
@@ -206,7 +212,7 @@ mod tests {
         nic
     }
 
-    fn frame_to(_nic: &HostNic, dst_mac: MacAddr, dst_ip: Ipv4Addr) -> Bytes {
+    fn frame_to(dst_mac: MacAddr, dst_ip: Ipv4Addr) -> Bytes {
         builder::udp_frame(
             MacAddr::local(2),
             dst_mac,
@@ -220,67 +226,56 @@ mod tests {
     }
 
     #[test]
-    fn delivers_matching_frames() {
+    fn receives_frames_addressed_at_l2_and_l3() {
         let nic = nic();
-        let wire = frame_to(&nic, nic.mac, nic.ip);
-        assert!(nic.deliver(&wire).is_some());
+        let frames = vec![
+            frame_to(nic.mac, nic.ip),
+            frame_to(MacAddr::BROADCAST, nic.ip),
+            frame_to(MacAddr::local(9), nic.ip),
+            frame_to(nic.mac, Ipv4Addr::new(10, 0, 0, 9)),
+            Bytes::from_static(b"shrt"),
+        ];
+        let (_, got, sent) = receive_all(nic, frames);
+        assert_eq!(got.len(), 2, "unicast and broadcast only");
+        assert!(got
+            .iter()
+            .all(|l4| matches!(l4, L4View::Udp(u) if u.dst_port == 2)));
+        assert!(sent.is_empty());
     }
 
     #[test]
-    fn rejects_wrong_mac() {
+    fn corrupted_l4_is_not_received() {
         let nic = nic();
-        let wire = frame_to(&nic, MacAddr::local(9), nic.ip);
-        assert!(nic.deliver(&wire).is_none());
+        let mut wire = frame_to(nic.mac, nic.ip).to_vec();
+        let last = wire.len() - 1;
+        wire[last] ^= 0xff;
+        let (_, got, _) = receive_all(nic, vec![wire.into()]);
+        assert!(got.is_empty());
     }
 
     #[test]
-    fn rejects_wrong_ip() {
-        let nic = nic();
-        let wire = frame_to(&nic, nic.mac, Ipv4Addr::new(10, 0, 0, 9));
-        assert!(nic.deliver(&wire).is_none());
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        let nic = nic();
-        assert!(nic.deliver(b"shrt").is_none());
-    }
-
-    #[test]
-    fn accepts_broadcast_at_l2() {
-        let nic = nic();
-        let wire = frame_to(&nic, MacAddr::BROADCAST, nic.ip);
-        assert!(nic.deliver(&wire).is_some());
-    }
-
-    #[test]
-    fn arp_request_learns_and_replies() {
-        let mut a = HostNic::new(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
-        let mut b = HostNic::new(MacAddr::local(2), Ipv4Addr::new(10, 0, 0, 2));
-        assert_eq!(a.resolve(b.ip), None);
+    fn arp_request_learns_and_replies_on_the_arrival_port() {
+        let a = HostNic::new(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
+        let b = HostNic::new(MacAddr::local(2), Ipv4Addr::new(10, 0, 0, 2));
         // a asks who-has b; b learns a and replies; a learns b.
         let req = a.make_arp_request(b.ip);
-        let reply = b.handle_arp(&req).expect("b must answer");
+        let (b, got, sent) = receive_all(b, vec![req]);
+        assert!(got.is_empty(), "ARP is answered, not handed up");
         assert_eq!(b.resolve(a.ip), Some(a.mac), "b learned the requester");
-        assert!(a.handle_arp(&reply).is_none(), "replies produce no reply");
+        assert_eq!(sent.len(), 1, "b must answer");
+        let (a, _, sent) = receive_all(a, sent);
+        assert!(sent.is_empty(), "replies produce no reply");
         assert_eq!(a.resolve(b.ip), Some(b.mac), "a learned the answer");
     }
 
     #[test]
     fn arp_for_someone_else_learns_but_stays_silent() {
         let a = HostNic::new(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
-        let mut c = HostNic::new(MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
+        let c = HostNic::new(MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
         let req = a.make_arp_request(Ipv4Addr::new(10, 0, 0, 2));
-        assert!(c.handle_arp(&req).is_none());
+        let (c, _, sent) = receive_all(c, vec![req]);
+        assert!(sent.is_empty());
         assert_eq!(c.resolve(a.ip), Some(a.mac));
-    }
-
-    #[test]
-    fn handle_arp_ignores_non_arp() {
-        let mut a = HostNic::new(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
-        let udp = frame_to(&a, a.mac, a.ip);
-        assert!(a.handle_arp(&udp).is_none());
-        assert!(a.handle_arp(b"junk").is_none());
     }
 
     #[test]

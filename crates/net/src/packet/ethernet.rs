@@ -136,27 +136,14 @@ impl EthernetFrame {
         buf.freeze()
     }
 
-    /// Parses a frame from wire bytes.
+    /// Parses a frame from wire bytes. The payload is a zero-copy slice of
+    /// `data` (a refcount bump, never an allocation and copy).
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] when the buffer is shorter than the
     /// (possibly tagged) header.
-    pub fn decode(data: &[u8]) -> Result<EthernetFrame, CodecError> {
-        Self::decode_inner(data, |r| Bytes::copy_from_slice(&data[r]))
-    }
-
-    /// Like [`decode`](EthernetFrame::decode), but the payload is a
-    /// zero-copy slice of `data` (a refcount bump instead of an allocation
-    /// and copy — this runs for every frame a host receives).
-    pub fn decode_shared(data: &Bytes) -> Result<EthernetFrame, CodecError> {
-        Self::decode_inner(data, |r| data.slice(r))
-    }
-
-    fn decode_inner(
-        data: &[u8],
-        payload: impl FnOnce(std::ops::Range<usize>) -> Bytes,
-    ) -> Result<EthernetFrame, CodecError> {
+    pub fn decode(data: &Bytes) -> Result<EthernetFrame, CodecError> {
         if data.len() < ETHERNET_HEADER_LEN {
             return Err(CodecError::Truncated {
                 layer: "ethernet",
@@ -181,13 +168,12 @@ impl EthernetFrame {
             (None, 12)
         };
         let ethertype = EtherType::from_u16(u16::from_be_bytes([data[et_off], data[et_off + 1]]));
-        let payload = payload(et_off + 2..data.len());
         Ok(EthernetFrame {
             dst,
             src,
             vlan,
             ethertype,
-            payload,
+            payload: data.slice(et_off + 2..),
         })
     }
 
@@ -195,42 +181,6 @@ impl EthernetFrame {
     pub fn wire_len(&self) -> usize {
         ETHERNET_HEADER_LEN + if self.vlan.is_some() { 4 } else { 0 } + self.payload.len()
     }
-}
-
-/// Reads just the destination MAC from wire bytes without a full decode.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] for buffers shorter than 6 bytes.
-pub fn peek_dst(data: &[u8]) -> Result<MacAddr, CodecError> {
-    if data.len() < 6 {
-        return Err(CodecError::Truncated {
-            layer: "ethernet",
-            needed: 6,
-            got: data.len(),
-        });
-    }
-    Ok(MacAddr([
-        data[0], data[1], data[2], data[3], data[4], data[5],
-    ]))
-}
-
-/// Reads just the source MAC from wire bytes without a full decode.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] for buffers shorter than 12 bytes.
-pub fn peek_src(data: &[u8]) -> Result<MacAddr, CodecError> {
-    if data.len() < 12 {
-        return Err(CodecError::Truncated {
-            layer: "ethernet",
-            needed: 12,
-            got: data.len(),
-        });
-    }
-    Ok(MacAddr([
-        data[6], data[7], data[8], data[9], data[10], data[11],
-    ]))
 }
 
 #[cfg(test)]
@@ -272,15 +222,14 @@ mod tests {
     #[test]
     fn truncated_header_rejected() {
         assert!(matches!(
-            EthernetFrame::decode(&[0u8; 13]),
+            EthernetFrame::decode(&Bytes::from_static(&[0u8; 13])),
             Err(CodecError::Truncated { .. })
         ));
     }
 
     #[test]
     fn truncated_vlan_rejected() {
-        let mut wire = sample(Some(VlanTag::new(7))).encode().to_vec();
-        wire.truncate(15);
+        let wire = sample(Some(VlanTag::new(7))).encode().slice(..15);
         assert!(matches!(
             EthernetFrame::decode(&wire),
             Err(CodecError::Truncated { .. })
@@ -288,13 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_decode() {
-        let f = sample(None);
-        let wire = f.encode();
-        assert_eq!(peek_dst(&wire).unwrap(), f.dst);
-        assert_eq!(peek_src(&wire).unwrap(), f.src);
-        assert!(peek_dst(&wire[..4]).is_err());
-        assert!(peek_src(&wire[..8]).is_err());
+    fn payload_is_a_slice_of_the_wire() {
+        let wire = sample(None).encode();
+        let back = EthernetFrame::decode(&wire).unwrap();
+        assert_eq!(back.payload.as_ptr(), wire[ETHERNET_HEADER_LEN..].as_ptr());
     }
 
     #[test]

@@ -105,12 +105,13 @@ impl IcmpMessage {
         buf.freeze()
     }
 
-    /// Parses a message from L4 bytes, verifying the checksum.
+    /// Parses a message from L4 bytes, verifying the checksum. The payload
+    /// is a zero-copy slice of `data`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] or [`CodecError::BadChecksum`].
-    pub fn decode(data: &[u8]) -> Result<IcmpMessage, CodecError> {
+    pub fn decode(data: &Bytes) -> Result<IcmpMessage, CodecError> {
         if data.len() < ICMP_HEADER_LEN {
             return Err(CodecError::Truncated {
                 layer: "icmp",
@@ -126,7 +127,7 @@ impl IcmpMessage {
             code: data[1],
             identifier: u16::from_be_bytes([data[4], data[5]]),
             sequence: u16::from_be_bytes([data[6], data[7]]),
-            payload: Bytes::copy_from_slice(&data[ICMP_HEADER_LEN..]),
+            payload: data.slice(ICMP_HEADER_LEN..),
         })
     }
 
@@ -165,7 +166,7 @@ mod tests {
             .to_vec();
         wire[6] ^= 1;
         assert_eq!(
-            IcmpMessage::decode(&wire),
+            IcmpMessage::decode(&wire.into()),
             Err(CodecError::BadChecksum { layer: "icmp" })
         );
     }
@@ -173,7 +174,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(matches!(
-            IcmpMessage::decode(&[8, 0, 0]),
+            IcmpMessage::decode(&Bytes::from_static(&[8, 0, 0])),
             Err(CodecError::Truncated { .. })
         ));
     }

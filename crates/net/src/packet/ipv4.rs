@@ -120,7 +120,8 @@ impl Ipv4Packet {
         buf.freeze()
     }
 
-    /// Parses a packet from wire bytes, verifying the header checksum.
+    /// Parses a packet from wire bytes, verifying the header checksum. The
+    /// payload is a zero-copy slice of `data`.
     ///
     /// # Errors
     ///
@@ -132,20 +133,7 @@ impl Ipv4Packet {
     ///   adversarial in-flight modification without checksum fix-up).
     /// * [`CodecError::LengthMismatch`] — total-length field disagrees with
     ///   the buffer.
-    pub fn decode(data: &[u8]) -> Result<Ipv4Packet, CodecError> {
-        Self::decode_inner(data, |r| Bytes::copy_from_slice(&data[r]))
-    }
-
-    /// Like [`decode`](Ipv4Packet::decode), but the payload is a zero-copy
-    /// slice of `data` (a refcount bump instead of an allocation and copy).
-    pub fn decode_shared(data: &Bytes) -> Result<Ipv4Packet, CodecError> {
-        Self::decode_inner(data, |r| data.slice(r))
-    }
-
-    fn decode_inner(
-        data: &[u8],
-        payload: impl FnOnce(std::ops::Range<usize>) -> Bytes,
-    ) -> Result<Ipv4Packet, CodecError> {
+    pub fn decode(data: &Bytes) -> Result<Ipv4Packet, CodecError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(CodecError::Truncated {
                 layer: "ipv4",
@@ -179,7 +167,7 @@ impl Ipv4Packet {
             protocol: IpProtocol::from_u8(data[9]),
             src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
             dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
-            payload: payload(IPV4_HEADER_LEN..total_len),
+            payload: data.slice(IPV4_HEADER_LEN..total_len),
         })
     }
 
@@ -232,7 +220,7 @@ mod tests {
         let mut bad = wire.to_vec();
         bad[16] ^= 0x01; // flip a bit of the destination address
         assert_eq!(
-            Ipv4Packet::decode(&bad),
+            Ipv4Packet::decode(&bad.into()),
             Err(CodecError::BadChecksum { layer: "ipv4" })
         );
     }
@@ -241,7 +229,10 @@ mod tests {
     fn rejects_wrong_version() {
         let mut wire = sample().encode().to_vec();
         wire[0] = 0x65; // version 6
-        assert_eq!(Ipv4Packet::decode(&wire), Err(CodecError::BadVersion(6)));
+        assert_eq!(
+            Ipv4Packet::decode(&wire.into()),
+            Err(CodecError::BadVersion(6))
+        );
     }
 
     #[test]
@@ -249,7 +240,7 @@ mod tests {
         let mut wire = sample().encode().to_vec();
         wire[0] = 0x46; // IHL 6 => options present
         assert_eq!(
-            Ipv4Packet::decode(&wire),
+            Ipv4Packet::decode(&wire.into()),
             Err(CodecError::BadHeaderLength(6))
         );
     }
@@ -258,7 +249,7 @@ mod tests {
     fn rejects_truncation() {
         let wire = sample().encode();
         assert!(matches!(
-            Ipv4Packet::decode(&wire[..10]),
+            Ipv4Packet::decode(&wire.slice(..10)),
             Err(CodecError::Truncated { .. })
         ));
     }
@@ -275,7 +266,7 @@ mod tests {
         let ck = internet_checksum(&wire[..IPV4_HEADER_LEN]);
         wire[10..12].copy_from_slice(&ck.to_be_bytes());
         assert!(matches!(
-            Ipv4Packet::decode(&wire),
+            Ipv4Packet::decode(&wire.into()),
             Err(CodecError::LengthMismatch { .. })
         ));
     }
@@ -286,7 +277,7 @@ mod tests {
         let p = sample();
         let mut wire = p.encode().to_vec();
         wire.extend_from_slice(&[0u8; 7]);
-        assert_eq!(Ipv4Packet::decode(&wire).unwrap(), p);
+        assert_eq!(Ipv4Packet::decode(&wire.into()).unwrap(), p);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! checksums, so adversarial in-flight modification is detectable exactly as
 //! it would be on a wire.
 //!
-//! The [`FrameView`] helper parses a full frame into a structured view, and
-//! [`builder`] assembles common frame types in one call.
+//! Each format has one decoder, and it takes the shared buffer
+//! ([`Bytes`](bytes::Bytes)): a decoded payload is a zero-copy slice of the
+//! wire bytes, never a copy. The [`FrameView`] helper parses a full frame
+//! into a structured view, and [`builder`] assembles common frame types in
+//! one call.
 
 mod arp;
 pub mod builder;
@@ -24,7 +27,7 @@ mod view;
 
 pub use arp::{ArpOperation, ArpPacket, ARP_LEN};
 pub use checksum::internet_checksum;
-pub use ethernet::{peek_dst, peek_src, EtherType, EthernetFrame, VlanTag, ETHERNET_HEADER_LEN};
+pub use ethernet::{EtherType, EthernetFrame, VlanTag, ETHERNET_HEADER_LEN};
 pub use fields::{PacketFields, OFP_VLAN_NONE};
 pub use icmp::{IcmpMessage, IcmpType};
 pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};

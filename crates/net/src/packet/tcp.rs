@@ -153,33 +153,14 @@ impl TcpSegment {
         buf.freeze()
     }
 
-    /// Parses a segment from L4 bytes, verifying the checksum.
+    /// Parses a segment from L4 bytes, verifying the checksum. The payload
+    /// is a zero-copy slice of `data`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`], [`CodecError::BadHeaderLength`] (options
     /// unsupported) or [`CodecError::BadChecksum`].
-    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<TcpSegment, CodecError> {
-        Self::decode_inner(data, src, dst, |r| Bytes::copy_from_slice(&data[r]))
-    }
-
-    /// Like [`decode`](TcpSegment::decode), but the payload is a zero-copy
-    /// slice of `data` (a refcount bump instead of an allocation and copy —
-    /// this runs for every data segment a receiver accepts).
-    pub fn decode_shared(
-        data: &Bytes,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Result<TcpSegment, CodecError> {
-        Self::decode_inner(data, src, dst, |r| data.slice(r))
-    }
-
-    fn decode_inner(
-        data: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        payload: impl FnOnce(std::ops::Range<usize>) -> Bytes,
-    ) -> Result<TcpSegment, CodecError> {
+    pub fn decode(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<TcpSegment, CodecError> {
         if data.len() < TCP_HEADER_LEN {
             return Err(CodecError::Truncated {
                 layer: "tcp",
@@ -204,7 +185,7 @@ impl TcpSegment {
             ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
             flags: TcpFlags::from_bits(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
-            payload: payload(TCP_HEADER_LEN..data.len()),
+            payload: data.slice(TCP_HEADER_LEN..),
         })
     }
 
@@ -258,7 +239,7 @@ mod tests {
         let mut wire = sample().encode(SRC, DST).to_vec();
         wire[5] ^= 0x40; // clobber the sequence number
         assert_eq!(
-            TcpSegment::decode(&wire, SRC, DST),
+            TcpSegment::decode(&wire.into(), SRC, DST),
             Err(CodecError::BadChecksum { layer: "tcp" })
         );
     }
@@ -277,7 +258,7 @@ mod tests {
         let mut wire = sample().encode(SRC, DST).to_vec();
         wire[12] = 6 << 4;
         assert!(matches!(
-            TcpSegment::decode(&wire, SRC, DST),
+            TcpSegment::decode(&wire.into(), SRC, DST),
             Err(CodecError::BadHeaderLength(6))
         ));
     }
@@ -306,7 +287,7 @@ mod tests {
     fn truncated_rejected() {
         let wire = sample().encode(SRC, DST);
         assert!(matches!(
-            TcpSegment::decode(&wire[..10], SRC, DST),
+            TcpSegment::decode(&wire.slice(..10), SRC, DST),
             Err(CodecError::Truncated { .. })
         ));
     }

@@ -58,32 +58,14 @@ impl UdpDatagram {
         buf.freeze()
     }
 
-    /// Parses a datagram from L4 bytes, verifying length and checksum.
+    /// Parses a datagram from L4 bytes, verifying length and checksum. The
+    /// payload is a zero-copy slice of `data`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`], [`CodecError::LengthMismatch`] or
     /// [`CodecError::BadChecksum`].
-    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, CodecError> {
-        Self::decode_inner(data, src, dst, |r| Bytes::copy_from_slice(&data[r]))
-    }
-
-    /// Like [`decode`](UdpDatagram::decode), but the payload is a zero-copy
-    /// slice of `data` (a refcount bump instead of an allocation and copy).
-    pub fn decode_shared(
-        data: &Bytes,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Result<UdpDatagram, CodecError> {
-        Self::decode_inner(data, src, dst, |r| data.slice(r))
-    }
-
-    fn decode_inner(
-        data: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        payload: impl FnOnce(std::ops::Range<usize>) -> Bytes,
-    ) -> Result<UdpDatagram, CodecError> {
+    pub fn decode(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, CodecError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(CodecError::Truncated {
                 layer: "udp",
@@ -111,7 +93,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: payload(UDP_HEADER_LEN..len),
+            payload: data.slice(UDP_HEADER_LEN..len),
         })
     }
 
@@ -162,7 +144,7 @@ mod tests {
         let last = wire.len() - 1;
         wire[last] ^= 0xff;
         assert_eq!(
-            UdpDatagram::decode(&wire, SRC, DST),
+            UdpDatagram::decode(&wire.into(), SRC, DST),
             Err(CodecError::BadChecksum { layer: "udp" })
         );
     }
@@ -171,21 +153,21 @@ mod tests {
     fn zero_checksum_skips_verification() {
         let mut wire = sample().encode(SRC, DST).to_vec();
         wire[6..8].copy_from_slice(&[0, 0]);
-        assert!(UdpDatagram::decode(&wire, SRC, DST).is_ok());
+        assert!(UdpDatagram::decode(&wire.into(), SRC, DST).is_ok());
     }
 
     #[test]
     fn truncated_and_bad_length() {
         let wire = sample().encode(SRC, DST);
         assert!(matches!(
-            UdpDatagram::decode(&wire[..4], SRC, DST),
+            UdpDatagram::decode(&wire.slice(..4), SRC, DST),
             Err(CodecError::Truncated { .. })
         ));
         let mut bad = wire.to_vec();
         let bogus_len = bad.len() as u16 + 1;
         bad[4..6].copy_from_slice(&bogus_len.to_be_bytes());
         assert!(matches!(
-            UdpDatagram::decode(&bad, SRC, DST),
+            UdpDatagram::decode(&bad.into(), SRC, DST),
             Err(CodecError::LengthMismatch { .. })
         ));
     }

@@ -1,5 +1,7 @@
 //! Structured parsing of whole frames.
 
+use bytes::Bytes;
+
 use super::{
     CodecError, EtherType, EthernetFrame, IcmpMessage, IpProtocol, Ipv4Packet, TcpSegment,
     UdpDatagram,
@@ -62,28 +64,19 @@ pub enum L4View {
 }
 
 impl FrameView {
-    /// Parses Ethernet and, for IPv4 EtherTypes, the IPv4 header.
+    /// Parses Ethernet and, for IPv4 EtherTypes, the IPv4 header. Every
+    /// layer's payload is a zero-copy slice of `wire`: parsing a 1500-byte
+    /// frame costs header reads and refcount bumps, never a payload copy.
+    /// [`Frame::views`](crate::Frame::views) is the memoised form.
     ///
     /// # Errors
     ///
     /// Propagates codec errors from the Ethernet layer, and from the IPv4
     /// layer when the EtherType claims IPv4.
-    pub fn parse(wire: &[u8]) -> Result<FrameView, CodecError> {
+    pub fn parse(wire: &Bytes) -> Result<FrameView, CodecError> {
         let eth = EthernetFrame::decode(wire)?;
         let l3 = match eth.ethertype {
-            EtherType::Ipv4 => L3View::Ipv4(Ipv4Packet::decode_shared(&eth.payload)?),
-            _ => L3View::Opaque,
-        };
-        Ok(FrameView { eth, l3 })
-    }
-
-    /// Like [`parse`](FrameView::parse), but every layer's payload is a
-    /// zero-copy slice of `wire`: parsing a 1500-byte frame costs header
-    /// reads and refcount bumps, never a payload copy.
-    pub fn parse_shared(wire: &bytes::Bytes) -> Result<FrameView, CodecError> {
-        let eth = EthernetFrame::decode_shared(wire)?;
-        let l3 = match eth.ethertype {
-            EtherType::Ipv4 => L3View::Ipv4(Ipv4Packet::decode_shared(&eth.payload)?),
+            EtherType::Ipv4 => L3View::Ipv4(Ipv4Packet::decode(&eth.payload)?),
             _ => L3View::Opaque,
         };
         Ok(FrameView { eth, l3 })
@@ -110,12 +103,8 @@ impl FrameView {
             None => return Ok(None),
         };
         let v = match ip.protocol {
-            // `ip.payload` is an owned `Bytes`, so the L4 payload can always
-            // alias it instead of being copied out (checksums still verify).
-            IpProtocol::Udp => {
-                L4View::Udp(UdpDatagram::decode_shared(&ip.payload, ip.src, ip.dst)?)
-            }
-            IpProtocol::Tcp => L4View::Tcp(TcpSegment::decode_shared(&ip.payload, ip.src, ip.dst)?),
+            IpProtocol::Udp => L4View::Udp(UdpDatagram::decode(&ip.payload, ip.src, ip.dst)?),
+            IpProtocol::Tcp => L4View::Tcp(TcpSegment::decode(&ip.payload, ip.src, ip.dst)?),
             IpProtocol::Icmp => L4View::Icmp(IcmpMessage::decode(&ip.payload)?),
             IpProtocol::Other(_) => L4View::Opaque,
         };
@@ -128,7 +117,6 @@ mod tests {
     use super::super::builder;
     use super::*;
     use crate::MacAddr;
-    use bytes::Bytes;
     use std::net::Ipv4Addr;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -214,7 +202,7 @@ mod tests {
         .to_vec();
         let last = wire.len() - 1;
         wire[last] ^= 0xff;
-        let v = FrameView::parse(&wire).unwrap(); // IPv4 header still fine
+        let v = FrameView::parse(&wire.into()).unwrap(); // IPv4 header still fine
         assert!(v.l4().is_err());
     }
 }

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use netco_sim::{mix64, SimTime};
 use netco_telemetry::FlightRing;
 
@@ -200,7 +201,7 @@ impl TraceRecorder {
 }
 
 /// One-line protocol summary of a frame.
-fn summarize(wire: &[u8]) -> String {
+fn summarize(wire: &Bytes) -> String {
     let Ok(view) = FrameView::parse(wire) else {
         return "malformed".to_string();
     };
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_garbage_and_non_ip() {
-        assert_eq!(summarize(b"xx"), "malformed");
+        assert_eq!(summarize(&Bytes::from_static(b"xx")), "malformed");
         let eth = crate::packet::EthernetFrame {
             dst: MacAddr::local(1),
             src: MacAddr::local(2),

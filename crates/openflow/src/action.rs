@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 use bytes::Bytes;
 
 use netco_net::packet::{
-    EtherType, EthernetFrame, FrameView, IpProtocol, L3View, TcpSegment, UdpDatagram, VlanTag,
+    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram, VlanTag,
 };
 use netco_net::{Frame, MacAddr};
 
@@ -69,7 +69,7 @@ pub fn apply_actions(frame: &Frame, actions: &[Action]) -> Vec<(OfPort, Frame)> 
         match action {
             Action::Output(port) => out.push((*port, current.clone())),
             other => {
-                if let Some(rewritten) = rewrite(&current, other) {
+                if let Some(rewritten) = rewrite(current.bytes(), other) {
                     // Rewritten bytes are new content: fresh memo.
                     current = Frame::new(rewritten);
                 }
@@ -95,7 +95,7 @@ pub fn apply_rewrites(frame: &Bytes, actions: &[Action]) -> Bytes {
     current
 }
 
-fn rewrite(wire: &[u8], action: &Action) -> Option<Bytes> {
+fn rewrite(wire: &Bytes, action: &Action) -> Option<Bytes> {
     let mut eth = EthernetFrame::decode(wire).ok()?;
     match action {
         Action::SetDlSrc(mac) => {
@@ -122,11 +122,7 @@ fn rewrite(wire: &[u8], action: &Action) -> Option<Bytes> {
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let view = FrameView::parse(wire).ok()?;
-    let mut ip = match view.l3 {
-        L3View::Ipv4(p) => p,
-        L3View::Opaque => return None,
-    };
+    let mut ip = Ipv4Packet::decode(&eth.payload).ok()?;
     match action {
         Action::SetNwSrc(addr) | Action::SetNwDst(addr) => {
             let (new_src, new_dst) = match action {
@@ -188,7 +184,7 @@ fn reencode_l4(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netco_net::packet::{builder, L4View};
+    use netco_net::packet::{builder, FrameView, L4View};
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -231,7 +227,7 @@ mod tests {
                 Action::Output(OfPort::Physical(1)),
             ],
         );
-        let view = FrameView::parse(&out[0].1).unwrap();
+        let view = FrameView::parse(out[0].1.bytes()).unwrap();
         assert_eq!(view.eth.dst, MacAddr::local(9));
     }
 
@@ -256,7 +252,7 @@ mod tests {
             &udp(),
             &[Action::SetVlanVid(77), Action::Output(OfPort::Physical(1))],
         );
-        let v = FrameView::parse(&out[0].1).unwrap();
+        let v = FrameView::parse(out[0].1.bytes()).unwrap();
         assert_eq!(v.eth.vlan.unwrap().vid, 77);
         // And the L4 checksum still verifies (VLAN does not affect it).
         assert!(matches!(v.l4().unwrap(), Some(L4View::Udp(_))));
@@ -265,7 +261,7 @@ mod tests {
             &out[0].1,
             &[Action::StripVlan, Action::Output(OfPort::Physical(1))],
         );
-        let v2 = FrameView::parse(&out2[0].1).unwrap();
+        let v2 = FrameView::parse(out2[0].1.bytes()).unwrap();
         assert!(v2.eth.vlan.is_none());
     }
 
@@ -275,7 +271,7 @@ mod tests {
             &udp(),
             &[Action::SetNwDst(C), Action::Output(OfPort::Physical(1))],
         );
-        let v = FrameView::parse(&out[0].1).expect("ip checksum must verify");
+        let v = FrameView::parse(out[0].1.bytes()).expect("ip checksum must verify");
         assert_eq!(v.ipv4().unwrap().dst, C);
         match v.l4().expect("udp checksum must verify").unwrap() {
             L4View::Udp(u) => assert_eq!(u.payload, Bytes::from_static(b"payload")),
@@ -289,7 +285,7 @@ mod tests {
             &udp(),
             &[Action::SetTpDst(999), Action::Output(OfPort::Physical(1))],
         );
-        let v = FrameView::parse(&out[0].1).unwrap();
+        let v = FrameView::parse(out[0].1.bytes()).unwrap();
         match v.l4().unwrap().unwrap() {
             L4View::Udp(u) => assert_eq!(u.dst_port, 999),
             other => panic!("unexpected {other:?}"),
@@ -317,7 +313,7 @@ mod tests {
             &tcp_frame,
             &[Action::SetTpSrc(4242), Action::Output(OfPort::Physical(1))],
         );
-        let v = FrameView::parse(&out[0].1).unwrap();
+        let v = FrameView::parse(out[0].1.bytes()).unwrap();
         match v.l4().unwrap().unwrap() {
             L4View::Tcp(t) => assert_eq!(t.src_port, 4242),
             other => panic!("unexpected {other:?}"),

@@ -161,7 +161,7 @@ mod tests {
             panic!("canonical bytes must stay votable");
         };
         assert_eq!(c1, c2, "canonicalization must be idempotent");
-        let (decoded, xid) = wire::decode(&c1).unwrap();
+        let (decoded, xid) = wire::decode_shared(&c1).unwrap();
         assert_eq!(xid, 0);
         assert!(matches!(
             decoded,

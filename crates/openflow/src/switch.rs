@@ -398,7 +398,7 @@ impl Device for OfSwitch {
         if Some(from) != self.controller {
             return; // only the attached controller may program the switch
         }
-        let (message, xid) = match wire::decode(&msg) {
+        let (message, xid) = match wire::decode_shared(&msg) {
             Ok(m) => m,
             Err(_) => {
                 let reply = OfMessage::Error {
@@ -697,7 +697,7 @@ mod tests {
             }
         }
         fn on_control(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Bytes) {
-            if let Ok((m, _)) = wire::decode(&msg) {
+            if let Ok((m, _)) = wire::decode_shared(&msg) {
                 self.received.push(m);
             }
         }

@@ -12,7 +12,7 @@
 //! use netco_openflow::{wire, OfMessage};
 //!
 //! let wire_bytes = wire::encode(&OfMessage::Hello, 7);
-//! let (msg, xid) = wire::decode(&wire_bytes)?;
+//! let (msg, xid) = wire::decode_shared(&wire_bytes)?;
 //! assert_eq!(msg, OfMessage::Hello);
 //! assert_eq!(xid, 7);
 //! # Ok::<(), wire::WireError>(())
@@ -137,40 +137,13 @@ pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut BytesMut) {
     buf[start + 2..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-/// Parses one message; returns it with its transaction id.
+/// Parses one message; returns it with its transaction id. Payload fields
+/// (`PacketIn`/`PacketOut` data, echo/error payloads) are zero-copy slices
+/// of `data`: compare links carry every replicated copy of every data
+/// frame, so the decoder never copies one.
 ///
-/// # Errors
-///
-/// See [`WireError`].
-pub fn decode(data: &[u8]) -> Result<(OfMessage, u32), WireError> {
-    if data.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN,
-            got: data.len(),
-        });
-    }
-    if data[0] != OFP_VERSION {
-        return Err(WireError::BadVersion(data[0]));
-    }
-    let msg_type = data[1];
-    let length = u16::from_be_bytes([data[2], data[3]]) as usize;
-    if length < HEADER_LEN || length > data.len() {
-        return Err(WireError::Truncated {
-            needed: length.max(HEADER_LEN),
-            got: data.len(),
-        });
-    }
-    let xid = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-    let body = &data[HEADER_LEN..length];
-    let msg = decode_body(msg_type, body, None)?;
-    Ok((msg, xid))
-}
-
-/// Parses one message from a shared buffer, like [`decode`], but payload
-/// fields (`PacketIn`/`PacketOut` data, echo/error payloads) become
-/// zero-copy slices of `data` instead of fresh allocations. This is the hot
-/// path for compare links, which carry every replicated copy of every data
-/// frame.
+/// This is the codec's only decoder; it keeps the `_shared` suffix because
+/// the reference benchmark (`benchmark/`) calls it by that name.
 ///
 /// # Errors
 ///
@@ -194,8 +167,7 @@ pub fn decode_shared(data: &Bytes) -> Result<(OfMessage, u32), WireError> {
         });
     }
     let xid = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-    let body = &data[HEADER_LEN..length];
-    let msg = decode_body(msg_type, body, Some((data, HEADER_LEN)))?;
+    let msg = decode_body(msg_type, data, length)?;
     Ok((msg, xid))
 }
 
@@ -369,20 +341,11 @@ fn encode_body(msg: &OfMessage, b: &mut BytesMut) -> u8 {
     }
 }
 
-/// `raw` is `Some((buffer, body_offset))` when `body` is a view into a
-/// shared buffer: payload fields are then sliced (refcounted) instead of
-/// copied.
-fn decode_body(
-    msg_type: u8,
-    body: &[u8],
-    raw: Option<(&Bytes, usize)>,
-) -> Result<OfMessage, WireError> {
-    let payload = |range: std::ops::Range<usize>| -> Bytes {
-        match raw {
-            Some((buf, off)) => buf.slice(off + range.start..off + range.end),
-            None => Bytes::copy_from_slice(&body[range]),
-        }
-    };
+/// Decodes the body `data[HEADER_LEN..length]`; payload fields are slices
+/// of `data`.
+fn decode_body(msg_type: u8, data: &Bytes, length: usize) -> Result<OfMessage, WireError> {
+    let body = &data[HEADER_LEN..length];
+    let payload = |from: usize| data.slice(HEADER_LEN + from..length);
     fn need(body: &[u8], n: usize) -> Result<(), WireError> {
         if body.len() < n {
             Err(WireError::Truncated {
@@ -407,8 +370,8 @@ fn decode_body(
 
     Ok(match msg_type {
         OFPT_HELLO => OfMessage::Hello,
-        OFPT_ECHO_REQUEST => OfMessage::EchoRequest(payload(0..body.len())),
-        OFPT_ECHO_REPLY => OfMessage::EchoReply(payload(0..body.len())),
+        OFPT_ECHO_REQUEST => OfMessage::EchoRequest(payload(0)),
+        OFPT_ECHO_REPLY => OfMessage::EchoReply(payload(0)),
         OFPT_FEATURES_REQUEST => OfMessage::FeaturesRequest,
         OFPT_FEATURES_REPLY => {
             need(body, 24)?;
@@ -450,7 +413,7 @@ fn decode_body(
                 } else {
                     PacketInReason::Action
                 },
-                data: payload(10..body.len()),
+                data: payload(10),
             }
         }
         OFPT_PACKET_OUT => {
@@ -463,7 +426,7 @@ fn decode_body(
                 buffer_id: (buffer_id != NO_BUFFER).then_some(buffer_id),
                 in_port: u16_at(body, 4),
                 actions,
-                data: payload(8 + actions_len..body.len()),
+                data: payload(8 + actions_len),
             }
         }
         OFPT_FLOW_MOD => {
@@ -551,7 +514,7 @@ fn decode_body(
             OfMessage::Error {
                 err_type: u16_at(body, 0),
                 code: u16_at(body, 2),
-                data: payload(4..body.len()),
+                data: payload(4),
             }
         }
         other => return Err(WireError::UnsupportedType(other)),
@@ -757,7 +720,7 @@ mod tests {
 
     fn round_trip(msg: OfMessage) {
         let wire = encode(&msg, 0x1234_5678);
-        let (back, xid) = decode(&wire).expect("decode");
+        let (back, xid) = decode_shared(&wire).expect("decode");
         assert_eq!(back, msg);
         assert_eq!(xid, 0x1234_5678);
         // Header sanity.
@@ -921,14 +884,17 @@ mod tests {
     fn rejects_bad_version() {
         let mut wire = encode(&OfMessage::Hello, 0).to_vec();
         wire[0] = 0x04;
-        assert_eq!(decode(&wire), Err(WireError::BadVersion(0x04)));
+        assert_eq!(
+            decode_shared(&wire.into()),
+            Err(WireError::BadVersion(0x04))
+        );
     }
 
     #[test]
     fn rejects_truncation() {
         let wire = encode(&OfMessage::FeaturesRequest, 0);
         assert!(matches!(
-            decode(&wire[..4]),
+            decode_shared(&wire.slice(..4)),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -937,7 +903,10 @@ mod tests {
     fn rejects_unknown_type() {
         let mut wire = encode(&OfMessage::Hello, 0).to_vec();
         wire[1] = 9; // OFPT_SET_CONFIG, outside the subset
-        assert_eq!(decode(&wire), Err(WireError::UnsupportedType(9)));
+        assert_eq!(
+            decode_shared(&wire.into()),
+            Err(WireError::UnsupportedType(9))
+        );
     }
 
     #[test]
@@ -952,7 +921,7 @@ mod tests {
         wire[HEADER_LEN + 8] = 0xff; // corrupt the action type
         wire[HEADER_LEN + 9] = 0xff;
         assert!(matches!(
-            decode(&wire),
+            decode_shared(&wire.into()),
             Err(WireError::UnsupportedAction(0xffff))
         ));
     }

@@ -1,12 +1,14 @@
 //! Property tests: the OpenFlow 1.0 wire codec round-trips arbitrary
 //! messages, flow-match semantics are consistent, and decoding never
-//! panics.
+//! panics — on random bytes and on every cut and length lie of every
+//! message variant's encoding.
 
 use bytes::Bytes;
 use netco_net::MacAddr;
 use netco_openflow::canonical::{canonicalize, Canonical};
 use netco_openflow::{
-    wire, Action, FlowMatch, FlowModCommand, OfMessage, OfPort, PacketFields, PacketInReason,
+    wire, Action, FlowMatch, FlowModCommand, FlowRemovedReason, FlowStats, OfMessage, OfPort,
+    PacketFields, PacketInReason, PortDesc,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -143,7 +145,7 @@ proptest! {
             buffer_id: buffer,
         };
         let bytes = wire::encode(&msg, xid);
-        let (back, back_xid) = wire::decode(&bytes).unwrap();
+        let (back, back_xid) = wire::decode_shared(&bytes).unwrap();
         prop_assert_eq!(back, msg);
         prop_assert_eq!(back_xid, xid);
     }
@@ -162,7 +164,7 @@ proptest! {
             reason: PacketInReason::NoMatch,
             data: data.clone(),
         };
-        let (b1, _) = wire::decode(&wire::encode(&pi, 1)).unwrap();
+        let (b1, _) = wire::decode_shared(&wire::encode(&pi, 1)).unwrap();
         prop_assert_eq!(b1, pi);
         let po = OfMessage::PacketOut {
             buffer_id: None,
@@ -170,7 +172,7 @@ proptest! {
             actions,
             data,
         };
-        let (b2, _) = wire::decode(&wire::encode(&po, 2)).unwrap();
+        let (b2, _) = wire::decode_shared(&wire::encode(&po, 2)).unwrap();
         prop_assert_eq!(b2, po);
     }
 
@@ -267,7 +269,7 @@ proptest! {
             Canonical::Votable(canon.clone()),
             "canonicalization must be idempotent"
         );
-        let (_, xid) = wire::decode(&canon).expect("canonical bytes must decode");
+        let (_, xid) = wire::decode_shared(&canon).expect("canonical bytes must decode");
         prop_assert_eq!(xid, 0);
     }
 
@@ -323,11 +325,112 @@ proptest! {
 
     #[test]
     fn wire_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = wire::decode(&bytes);
+        let _ = wire::decode_shared(&Bytes::from(bytes));
     }
 
     #[test]
     fn sniff_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128), port in any::<u16>()) {
         let _ = PacketFields::sniff(&bytes, port);
+    }
+}
+
+/// One encoding of every [`OfMessage`] variant, with payloads and lists
+/// non-empty where the variant has them.
+fn every_variant() -> Vec<OfMessage> {
+    let matcher = FlowMatch::any()
+        .with_in_port(1)
+        .with_dl_dst(MacAddr::local(7))
+        .with_nw_dst(Ipv4Addr::new(10, 0, 0, 2));
+    let actions = vec![
+        Action::SetDlSrc(MacAddr::local(1)),
+        Action::SetNwDst(Ipv4Addr::new(4, 3, 2, 1)),
+        Action::Output(OfPort::Physical(2)),
+    ];
+    vec![
+        OfMessage::Hello,
+        OfMessage::EchoRequest(Bytes::from_static(b"ping")),
+        OfMessage::EchoReply(Bytes::from_static(b"pong")),
+        OfMessage::FeaturesRequest,
+        OfMessage::FeaturesReply {
+            datapath_id: 9,
+            n_buffers: 256,
+            n_tables: 1,
+            ports: vec![PortDesc {
+                port_no: 1,
+                hw_addr: MacAddr::local(1),
+                name: "eth1".to_string(),
+            }],
+        },
+        OfMessage::PacketIn {
+            buffer_id: Some(3),
+            in_port: 2,
+            reason: PacketInReason::NoMatch,
+            data: Bytes::from_static(b"a data frame"),
+        },
+        OfMessage::PacketOut {
+            buffer_id: None,
+            in_port: 1,
+            actions: actions.clone(),
+            data: Bytes::from_static(b"released frame"),
+        },
+        OfMessage::FlowMod {
+            command: FlowModCommand::Add,
+            matcher: matcher.clone(),
+            priority: 100,
+            idle_timeout_s: 5,
+            hard_timeout_s: 0,
+            cookie: 1,
+            notify_when_removed: true,
+            actions: actions.clone(),
+            buffer_id: None,
+        },
+        OfMessage::FlowRemoved {
+            matcher: matcher.clone(),
+            cookie: 1,
+            priority: 100,
+            reason: FlowRemovedReason::IdleTimeout,
+            packet_count: 10,
+            byte_count: 1000,
+        },
+        OfMessage::FlowStatsRequest {
+            matcher: matcher.clone(),
+        },
+        OfMessage::FlowStatsReply {
+            flows: vec![FlowStats {
+                matcher,
+                priority: 100,
+                cookie: 1,
+                packet_count: 10,
+                byte_count: 1000,
+                actions,
+            }],
+        },
+        OfMessage::BarrierRequest,
+        OfMessage::BarrierReply,
+        OfMessage::Error {
+            err_type: 1,
+            code: 2,
+            data: Bytes::from_static(b"offending message"),
+        },
+    ]
+}
+
+/// Fixed-budget hostile bytes: every variant's encoding cut at every length,
+/// and its header length field rewritten to every value in `0..=len + 8`.
+/// The decoder that ships must answer each with `Ok` or `Err`, never a
+/// panic; an uncut, unaltered encoding must still round-trip.
+#[test]
+fn wire_decode_survives_cuts_and_length_lies() {
+    for msg in every_variant() {
+        let encoded = wire::encode(&msg, 7);
+        for cut in 0..=encoded.len() {
+            let _ = wire::decode_shared(&encoded.slice(..cut));
+        }
+        for claimed in 0..=encoded.len() + 8 {
+            let mut lie = encoded.to_vec();
+            lie[2..4].copy_from_slice(&(claimed as u16).to_be_bytes());
+            let _ = wire::decode_shared(&Bytes::from(lie));
+        }
+        assert_eq!(wire::decode_shared(&encoded), Ok((msg, 7)));
     }
 }

@@ -13,11 +13,7 @@ pub struct Timestamped<T> {
 
 /// An append-only, timestamped event log.
 ///
-/// Used throughout the reproduction for packet drop traces, compare security
-/// events, and experiment bookkeeping. The log can be bounded to guard
-/// against pathological growth in DoS experiments; when full, the *oldest*
-/// entries are retained and a drop counter increments (we prefer keeping the
-/// beginning of an incident).
+/// Every placement of the compare keeps its security events in one.
 ///
 /// # Example
 ///
@@ -31,41 +27,19 @@ pub struct Timestamped<T> {
 #[derive(Debug, Clone)]
 pub struct EventLog<T> {
     entries: Vec<Timestamped<T>>,
-    capacity: Option<usize>,
-    overflowed: u64,
 }
 
 impl<T> EventLog<T> {
-    /// Creates a log with no size bound.
+    /// Creates an empty log.
     pub fn unbounded() -> Self {
         EventLog {
             entries: Vec::new(),
-            capacity: None,
-            overflowed: 0,
         }
     }
 
-    /// Creates a log that keeps at most `capacity` entries (the earliest
-    /// ones are retained on overflow).
-    pub fn bounded(capacity: usize) -> Self {
-        EventLog {
-            entries: Vec::new(),
-            capacity: Some(capacity),
-            overflowed: 0,
-        }
-    }
-
-    /// Appends a record at time `at`. Returns `true` if stored, `false`
-    /// if the log was full (the overflow counter increments).
-    pub fn push(&mut self, at: SimTime, record: T) -> bool {
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                self.overflowed += 1;
-                return false;
-            }
-        }
+    /// Appends a record at time `at`.
+    pub fn push(&mut self, at: SimTime, record: T) {
         self.entries.push(Timestamped { at, record });
-        true
     }
 
     /// Number of stored records.
@@ -78,24 +52,9 @@ impl<T> EventLog<T> {
         self.entries.is_empty()
     }
 
-    /// Number of records rejected because the log was full.
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed
-    }
-
     /// Iterates over stored records in insertion (and therefore time) order.
     pub fn iter(&self) -> std::slice::Iter<'_, Timestamped<T>> {
         self.entries.iter()
-    }
-
-    /// Consumes the log, returning its entries.
-    pub fn into_entries(self) -> Vec<Timestamped<T>> {
-        self.entries
-    }
-
-    /// Removes all entries (the overflow counter is preserved).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -121,22 +80,9 @@ mod tests {
     fn unbounded_stores_everything() {
         let mut log = EventLog::unbounded();
         for i in 0..1_000u32 {
-            assert!(log.push(SimTime::from_nanos(i as u64), i));
-        }
-        assert_eq!(log.len(), 1_000);
-        assert_eq!(log.overflowed(), 0);
-    }
-
-    #[test]
-    fn bounded_keeps_earliest() {
-        let mut log = EventLog::bounded(3);
-        for i in 0..5u32 {
             log.push(SimTime::from_nanos(i as u64), i);
         }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.overflowed(), 2);
-        let kept: Vec<_> = log.iter().map(|e| e.record).collect();
-        assert_eq!(kept, vec![0, 1, 2]);
+        assert_eq!(log.len(), 1_000);
     }
 
     #[test]
@@ -147,15 +93,5 @@ mod tests {
         let v: Vec<_> = (&log).into_iter().collect();
         assert_eq!(v[0].at, SimTime::from_nanos(5));
         assert_eq!(v[1].record, "b");
-    }
-
-    #[test]
-    fn clear_preserves_overflow_counter() {
-        let mut log = EventLog::bounded(1);
-        log.push(SimTime::ZERO, 1);
-        log.push(SimTime::ZERO, 2);
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.overflowed(), 1);
     }
 }

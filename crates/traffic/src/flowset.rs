@@ -457,11 +457,9 @@ impl Device for FlowSet {
         self.schedule_next_arrival(ctx);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
         // The engine is open-loop; it only answers ARP.
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-        }
+        self.nic.receive(ctx, port, &frame);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -543,28 +541,11 @@ impl FlowSink {
 }
 
 impl Device for FlowSink {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        // Memoized full parse: with a template-caching [`FlowSet`] upstream
-        // every packet after the first is a clone, so the parse (and UDP
-        // checksum verification) happens once per content, not per packet.
-        // The per-NIC addressing filter still runs per frame.
-        let Some((view, l4)) = frame.views() else {
-            return;
-        };
-        if !self.nic.accepts(&view.eth) {
-            return;
-        }
-        let Some(ip) = view.ipv4() else {
-            return;
-        };
-        if ip.dst != self.nic.ip {
-            return;
-        }
-        let Some(L4View::Udp(udp)) = l4 else {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        // With a template-caching [`FlowSet`] upstream every packet after
+        // the first is a clone, so the memoised parse (and UDP checksum
+        // verification) happens once per content, not per packet.
+        let Some((_, L4View::Udp(udp))) = self.nic.receive(ctx, port, &frame) else {
             return;
         };
         self.packets += 1;

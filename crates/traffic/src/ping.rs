@@ -125,19 +125,11 @@ impl Device for Pinger {
         ctx.schedule_timer(self.cfg.start_after, PING_TIMER);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        let Some(view) = self.nic.deliver_shared(frame.bytes()) else {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        let Some((ip, l4)) = self.nic.receive(ctx, port, &frame) else {
             return;
         };
-        let Some(ip) = view.ipv4().cloned() else {
-            return;
-        };
-        let Ok(Some(l4)) = view.l4() else { return };
-        match &l4 {
+        match l4 {
             L4View::Icmp(msg)
                 if msg.icmp_type == IcmpType::EchoReply
                     && msg.identifier == self.cfg.identifier =>
@@ -210,19 +202,9 @@ impl IcmpEchoResponder {
 }
 
 impl Device for IcmpEchoResponder {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        let Some(view) = self.nic.deliver_shared(frame.bytes()) else {
-            return;
-        };
-        let Some(ip) = view.ipv4().cloned() else {
-            return;
-        };
-        if let Ok(Some(l4)) = view.l4() {
-            if maybe_reply_echo(ctx, &self.nic, ip.src, &l4) {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        if let Some((ip, l4)) = self.nic.receive(ctx, port, &frame) {
+            if maybe_reply_echo(ctx, &self.nic, ip.src, l4) {
                 self.replied += 1;
             }
         }

@@ -165,19 +165,12 @@ impl TcpReceiver {
 }
 
 impl Device for TcpReceiver {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        let Some(view) = self.nic.deliver_shared(frame.bytes()) else {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        let Some((ip, l4)) = self.nic.receive(ctx, port, &frame) else {
             return;
         };
-        let Some(ip) = view.ipv4().cloned() else {
-            return;
-        };
-        match view.l4() {
-            Ok(Some(L4View::Tcp(seg))) if seg.dst_port == self.cfg.dst_port => {
+        match l4 {
+            L4View::Tcp(seg) if seg.dst_port == self.cfg.dst_port => {
                 let now = ctx.now();
                 self.first.get_or_insert(now);
                 self.last = Some(now);
@@ -204,7 +197,7 @@ impl Device for TcpReceiver {
                 self.proc_busy_until = done;
                 let before = self.rcv_nxt;
                 let had_ooo = !self.ooo.is_empty();
-                let duplicate = self.accept(&seg);
+                let duplicate = self.accept(seg);
                 let advanced = self.rcv_nxt != before;
                 // Delayed ACKs: in-order data is acknowledged every n-th
                 // segment; anything unusual (duplicate, out-of-order,
@@ -245,10 +238,9 @@ impl Device for TcpReceiver {
                     }
                 }
             }
-            Ok(Some(l4)) => {
-                crate::common::maybe_reply_echo(ctx, &self.nic, ip.src, &l4);
+            other => {
+                crate::common::maybe_reply_echo(ctx, &self.nic, ip.src, other);
             }
-            _ => {}
         }
     }
 

@@ -280,15 +280,8 @@ impl Device for TcpSender {
         ctx.schedule_timer(self.cfg.start_after, START_TIMER);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        let Some(view) = self.nic.deliver_shared(frame.bytes()) else {
-            return;
-        };
-        if let Ok(Some(L4View::Tcp(seg))) = view.l4() {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        if let Some((_, L4View::Tcp(seg))) = self.nic.receive(ctx, port, &frame) {
             if seg.dst_port == self.cfg.src_port && seg.flags.contains(TcpFlags::ACK) {
                 let duplicate_hint = seg.flags.contains(TcpFlags::URG);
                 self.on_ack(ctx, seg.ack, seg.seq, duplicate_hint);

@@ -118,16 +118,10 @@ impl Device for UdpSource {
         ctx.schedule_timer(self.cfg.start_after, SEND_TIMER);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
         // The source answers pings (hosts do) but ignores data.
-        if let Some(view) = self.nic.deliver_shared(frame.bytes()) {
-            if let (Some(ip), Ok(Some(l4))) = (view.ipv4().cloned(), view.l4()) {
-                maybe_reply_echo(ctx, &self.nic, ip.src, &l4);
-            }
+        if let Some((ip, l4)) = self.nic.receive(ctx, port, &frame) {
+            maybe_reply_echo(ctx, &self.nic, ip.src, l4);
         }
     }
 
@@ -226,19 +220,12 @@ impl UdpSink {
 }
 
 impl Device for UdpSink {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: PortId, frame: Frame) {
-        if let Some(reply) = self.nic.handle_arp(&frame) {
-            ctx.send_frame(NIC_PORT, reply);
-            return;
-        }
-        let Some(view) = self.nic.deliver_shared(frame.bytes()) else {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        let Some((ip, l4)) = self.nic.receive(ctx, port, &frame) else {
             return;
         };
-        let Some(ip) = view.ipv4().cloned() else {
-            return;
-        };
-        match view.l4() {
-            Ok(Some(L4View::Udp(udp))) if udp.dst_port == self.listen_port => {
+        match l4 {
+            L4View::Udp(udp) if udp.dst_port == self.listen_port => {
                 let now = ctx.now();
                 if let Some((seq, sent_at)) = parse_measurement(&udp.payload) {
                     if self.tracker.record(seq) {
@@ -249,10 +236,9 @@ impl Device for UdpSink {
                     }
                 }
             }
-            Ok(Some(l4)) => {
-                maybe_reply_echo(ctx, &self.nic, ip.src, &l4);
+            other => {
+                maybe_reply_echo(ctx, &self.nic, ip.src, other);
             }
-            _ => {}
         }
     }
 }
