@@ -7,7 +7,7 @@ use netco_sim::{SimDuration, SimRng, SimTime};
 
 use crate::frame::Frame;
 use crate::id::{NodeId, PortId};
-use crate::world::Substrate;
+use crate::substrate::Substrate;
 
 /// A node participating in the simulated network.
 ///

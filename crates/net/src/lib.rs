@@ -39,26 +39,28 @@
 
 mod cpu;
 mod device;
+mod event_loop;
 mod fault;
 pub mod frame;
 mod host;
 mod id;
 mod link;
 pub mod packet;
-pub mod region;
+mod region;
+mod substrate;
 pub mod testutil;
 mod trace;
 mod world;
 
 pub use cpu::CpuModel;
 pub use device::{Ctx, Device};
+pub use event_loop::{TapDirection, TapEvent};
 pub use fault::{ControlFaultSpec, FaultKind, FaultPlan, FaultSpec};
 pub use frame::{fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, Frame, MemoStats};
 pub use host::{HostNic, NeighborTable};
 pub use id::{LinkId, MacAddr, NodeId, PortId};
 pub use link::LinkSpec;
-pub use region::{safe_horizons, RegionMap, RegionRunStats};
+pub use region::{safe_horizons, RegionRunStats};
+pub use substrate::{ControlChannelSpec, DropReason, NodeCounters, PortCounters};
 pub use trace::{TapDigest, TraceEntry, TraceRecorder};
-pub use world::{
-    ControlChannelSpec, DropReason, NodeCounters, PortCounters, TapDirection, TapEvent, World,
-};
+pub use world::World;

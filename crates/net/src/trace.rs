@@ -16,8 +16,7 @@ use netco_sim::{mix64, SimTime};
 use netco_telemetry::FlightRing;
 
 use crate::packet::{FrameView, L4View};
-use crate::world::{TapDirection, TapEvent, World};
-use crate::{NodeId, PortId};
+use crate::{NodeId, PortId, TapDirection, TapEvent, World};
 
 /// One recorded observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,11 +38,10 @@ pub struct TraceEntry {
 /// Shared, cloneable handle to a recording (the tap closure holds one
 /// clone; the test/analysis code holds another).
 ///
-/// Since the telemetry refactor the storage is a
-/// [`FlightRing`] from `netco-telemetry`: unbounded by default (the
-/// historical behavior), or bounded via
-/// [`with_capacity`](TraceRecorder::with_capacity) to act as a true
-/// flight recorder that retains only the most recent observations.
+/// The storage is a [`FlightRing`] from `netco-telemetry`: unbounded by
+/// default, or bounded via [`with_capacity`](TraceRecorder::with_capacity)
+/// to act as a flight recorder that retains only the most recent
+/// observations.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     inner: Rc<RefCell<FlightRing<TraceEntry>>>,

@@ -272,7 +272,7 @@ enum Ev {
     },
 }
 
-/// The world's ordering keys (`Event::key_*` in `world.rs`), kind 2
+/// The world's ordering keys (`Event::key_*` in `event_loop.rs`), kind 2
 /// included.
 fn key(kind: u64, rest: u64) -> u64 {
     kind << 56 | rest

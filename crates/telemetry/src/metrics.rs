@@ -7,7 +7,7 @@
 //! a live cell that is not (yet) in any registry — the always-on façade
 //! statistics (`World::events_processed`, `CompareStats`) use detached
 //! handles and are *adopted* into the registry when telemetry is
-//! enabled, which is how one cell can back both the legacy accessor and
+//! enabled, which is how one cell can back both the façade accessor and
 //! the registry snapshot.
 //!
 //! Storage is `Arc` + relaxed atomics (not `Rc` + `Cell`) so metric
