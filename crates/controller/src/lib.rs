@@ -9,9 +9,10 @@
 //!   source, install an exact `dl_dst` rule once the destination is known,
 //!   flood otherwise).
 //! * [`apps::StaticRoutingApp`] — proactively pushes a precomputed rule set
-//!   to each switch as it connects; this is how the evaluation topologies
-//!   install their MAC-destination routes ("routing based on MAC
-//!   destination addresses", paper §VI).
+//!   to each switch as it connects. The evaluation topologies do not use
+//!   it: their MAC-destination routes ("routing based on MAC destination
+//!   addresses", paper §VI) are preinstalled on each switch when it is
+//!   built (`netco_topo::routed_switch`).
 //!
 //! Controller processing cost is modeled by the CPU model the controller
 //! node is added with; the POX scenario gives the controller an

@@ -9,7 +9,7 @@ use netco_sim::{SimTime, Tick};
 use crate::device::{Ctx, Device};
 use crate::frame::Frame;
 use crate::id::{NodeId, PortId};
-use crate::substrate::{DropReason, LinkState, Substrate};
+use crate::substrate::{DropReason, Substrate};
 
 /// Whether a tapped frame was entering or leaving the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ pub(crate) struct TapRecorder {
     pub(crate) records: Vec<TapRecord>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Event {
     Start {
         node: NodeId,
@@ -112,11 +112,6 @@ pub(crate) enum Event {
         node: NodeId,
         token: u64,
     },
-    /// Scheduled administrative link state change (fault injection).
-    LinkAdmin {
-        link: u32,
-        enabled: bool,
-    },
     Pin,
 }
 
@@ -129,7 +124,10 @@ pub(crate) enum Event {
 /// identical same-instant sets identically. Kind 2 is not in use: it
 /// belonged to the per-frame end-of-serialisation event that
 /// `LinkDirState::release_finished` replaced, and it sorted ahead of
-/// every kind whose handler can transmit except `Start`.
+/// every kind whose handler can transmit except `Start`. Kind 8 is not in
+/// use either: it belonged to the scheduled link up/down transition that
+/// outage windows judged at transmit replaced, and it sorted after every
+/// other kind of its instant.
 impl Event {
     pub(crate) const KEY_PIN: u64 = u64::MAX;
 
@@ -151,31 +149,21 @@ impl Event {
     pub(crate) fn key_timer(node: NodeId) -> u64 {
         (7 << 56) | node.index() as u64
     }
-    pub(crate) fn key_link_admin(link: u32) -> u64 {
-        (8 << 56) | link as u64
-    }
-
-    /// The one routing rule of a region-parallel run: the regions this
-    /// event belongs to under `assignment`, as `[owner, other]`. Both run
-    /// it; the owner alone counts it and keeps it if it is left over. That
-    /// is the region of the node whose stream it is on, twice — except for
-    /// a `LinkAdmin`, which both endpoint regions apply and endpoint 0's
-    /// owns. `None` for a `Pin`, which only the run that scheduled it sees.
-    pub(crate) fn regions(&self, links: &[LinkState], assignment: &[u32]) -> Option<[u32; 2]> {
+    /// The one routing rule of a region-parallel run: the region this
+    /// event belongs to under `assignment`, which alone runs it, counts it
+    /// and hands it back if it is left over. That is the region of the
+    /// node whose stream it is on. `None` for a `Pin`, which only the run
+    /// that scheduled it sees.
+    pub(crate) fn region(&self, assignment: &[u32]) -> Option<u32> {
         let node = match self {
             Event::Pin => return None,
-            Event::LinkAdmin { link, .. } => {
-                let [(a, _), (b, _)] = links[*link as usize].ends;
-                return Some([assignment[a.index()], assignment[b.index()]]);
-            }
             Event::Start { node }
             | Event::FrameArrival { node, .. }
             | Event::FrameProcessed { node, .. }
             | Event::Timer { node, .. } => node,
             Event::ControlArrival { to, .. } | Event::ControlProcessed { to, .. } => to,
         };
-        let region = assignment[node.index()];
-        Some([region, region])
+        Some(assignment[node.index()])
     }
 }
 
@@ -263,9 +251,6 @@ impl WorldCore {
                 let (d, mut ctx) = self.device_ctx(node);
                 d.on_timer(&mut ctx, token);
             }
-            Event::LinkAdmin { link, enabled } => {
-                self.sub.links[link as usize].enabled = enabled;
-            }
         }
     }
 
@@ -274,8 +259,7 @@ impl WorldCore {
     /// due at or before `until` (inclusive), stamps every event's tap
     /// coordinates (the tick's same-instant stage, the event's key),
     /// dispatches it, and hands the tick's tap records to `after_tick`.
-    /// Returns the events dispatched, less a region shard's replicas it
-    /// does not own ([`RegionCtx::owns`](crate::substrate::RegionCtx::owns)).
+    /// Returns the number of events dispatched.
     ///
     /// Delivery is in global `(time, key, seq)` order: events a handler
     /// schedules for the instant being drained surface as the next tick at
@@ -297,11 +281,7 @@ impl WorldCore {
             };
             rec.last_at = Some(at);
             for (key, event) in tick.drain_keyed() {
-                let sub = &self.sub;
-                events += sub
-                    .region
-                    .as_ref()
-                    .is_none_or(|rt| rt.owns(&event, &sub.links)) as u64;
+                events += 1;
                 self.sub.tap_rec.key = key;
                 self.dispatch(event);
             }

@@ -1,10 +1,7 @@
 //! Scripted, deterministic fault injection for the substrate.
 //!
-//! Availability experiments used to hand-roll timelines of
-//! [`World::set_link_enabled`](crate::World::set_link_enabled) calls
-//! interleaved with `run_until`. A [`FaultPlan`] replaces those timelines
-//! with a declarative, seedable script that a scenario attaches once before
-//! the run starts:
+//! A [`FaultPlan`] is a declarative, seedable script that a scenario
+//! attaches once before the run starts:
 //!
 //! * **Outages** — a link goes down for an [`ActivationWindow`] and (if the
 //!   window is bounded) comes back up, modelling a crash–recovery cycle.
@@ -13,15 +10,20 @@
 //!   independently with a fixed probability.
 //! * **Corruption** — each frame inside the window has one bit flipped with
 //!   a fixed probability (NetCo's compare detects the mismatch downstream).
+//! * **Delay** and **reordering** — frames admitted inside the window
+//!   arrive later, always or with a fixed probability.
 //!
-//! Probabilistic faults draw from a dedicated per-link RNG derived from
+//! Every fault is a window judged when a frame or control message is
+//! admitted, on links and control channels alike: a direction is down at
+//! `now` iff one of its outage windows `[from, until)` contains `now` (a
+//! flap schedule is its list of down windows), so overlapping outages
+//! keep it down through their union. Frames already in flight are
+//! unaffected. Probabilistic faults draw from a dedicated stream per link
+//! direction and per control channel direction derived from
 //! [`FaultPlan::seed`], **not** from the world RNG — injecting faults never
 //! perturbs CPU-jitter or workload streams, so a faulty run differs from a
-//! clean run only where the faults actually bite. Scheduled state changes
-//! ride the ordinary event queue ([`World::schedule_link_state`]), keeping
-//! runs bit-for-bit reproducible.
-//!
-//! [`World::schedule_link_state`]: crate::World::schedule_link_state
+//! clean run only where the faults actually bite, and reruns are
+//! bit-for-bit reproducible.
 
 use netco_sim::{ActivationWindow, SimDuration, SimTime};
 
@@ -30,8 +32,9 @@ use crate::id::LinkId;
 /// One scripted impairment, independent of the link it applies to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
-    /// Hard outage: the link is down for the whole window (forever when the
-    /// window is unbounded), then comes back up.
+    /// Hard outage: the link is down for the whole window `[from, until)`
+    /// (forever when the window is unbounded), then comes back up unless
+    /// another outage window still holds it down.
     Outage(ActivationWindow),
     /// Repeated down/up cycles: down at `first_down`, up `down_for` later,
     /// down again `up_for` after that, for `cycles` total cycles.

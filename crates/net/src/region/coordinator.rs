@@ -296,7 +296,7 @@ impl Coordinator<'_> {
 }
 
 /// Runs rounds on `shards` until nothing due by `deadline` is left, adding
-/// the events each region owns to `events`. The coordinator opens the run
+/// every event a region dispatches to `events`. The coordinator opens the run
 /// on this thread; only if a round with two or more runnable regions turns
 /// up does one `pool.map` call host the rest. Jobs are worker indices;
 /// every job enters the same rendezvous-paced loop, so each of the `w` map

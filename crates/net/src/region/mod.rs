@@ -15,7 +15,7 @@
 //! [`coordinator`] runs the rounds. This module splits the world into one
 //! shard per region and merges the shards back. Who owns what is stated
 //! once: `Substrate::shard` / `absorb` (the table on `Substrate`) and
-//! `Event::regions`.
+//! `Event::region`.
 
 mod coordinator;
 mod partition;
@@ -90,19 +90,13 @@ impl World {
             shards[map.assignment[node] as usize].devices[node] = device.take();
         }
         for (at, key, event) in pending {
-            let Some([owner, other]) = event.regions(&self.core.sub.links, &map.assignment) else {
+            let Some(region) = event.region(&map.assignment) else {
                 // Pins are consumed by the run that scheduled them; none
                 // should be pending between runs.
                 debug_assert!(false, "stale Pin in scheduler");
                 continue;
             };
-            if other != owner {
-                shards[other as usize]
-                    .sub
-                    .sched
-                    .schedule_at_keyed(at, key, event.clone());
-            }
-            shards[owner as usize]
+            shards[region as usize]
                 .sub
                 .sched
                 .schedule_at_keyed(at, key, event);
@@ -121,8 +115,8 @@ impl World {
                     *slot = device;
                 }
             }
-            let (owned, records) = self.core.sub.absorb(core.sub);
-            leftovers.extend(owned);
+            let (left, records) = self.core.sub.absorb(core.sub);
+            leftovers.extend(left);
             region_records.push(records);
         }
         // Leftovers (all strictly past the deadline) re-enter the parent

@@ -145,9 +145,10 @@ struct InFlight {
     len: usize,
 }
 
-/// One direction of a link. No event marks the end of a serialisation:
-/// the direction remembers what it is sending and, the next time somebody
-/// transmits on it, first forgets what has left since
+/// One direction of a link: its queue, its drop counts and its faults,
+/// all owned by the region of the sending end. No event marks the end of
+/// a serialisation: the direction remembers what it is sending and, the
+/// next time somebody transmits on it, first forgets what has left since
 /// ([`release_finished`](LinkDirState::release_finished)).
 #[derive(Clone, Default)]
 pub(crate) struct LinkDirState {
@@ -157,6 +158,15 @@ pub(crate) struct LinkDirState {
     /// In enqueue order, which is also `done` order: each serialisation
     /// starts when the previous one ends.
     in_flight: VecDeque<InFlight>,
+    pub(crate) dropped: u64,
+    /// The subset of `dropped` eaten by scripted loss faults
+    /// ([`DropReason::FaultInjected`]), kept separately so chaos
+    /// experiments can tell injected loss from congestion on the same
+    /// link.
+    pub(crate) fault_dropped: u64,
+    /// Boxed: most links carry no fault, and every link direction in a
+    /// world is allocated up front.
+    pub(crate) fault: Option<Box<ChannelFault>>,
 }
 
 impl LinkDirState {
@@ -182,31 +192,30 @@ impl LinkDirState {
             self.in_flight.pop_front();
         }
     }
+
+    /// Whether one of this direction's outage windows contains `now`.
+    pub(crate) fn down(&self, now: SimTime) -> bool {
+        self.fault.as_ref().is_some_and(|f| f.imp.down(now))
+    }
 }
 
 #[derive(Clone)]
 pub(crate) struct LinkState {
     pub(crate) spec: LinkSpec,
-    // dirs[0]: a -> b, dirs[1]: b -> a
     pub(crate) ends: [(NodeId, PortId); 2],
+    /// `dirs[0]`: `ends[0]` → `ends[1]`; `dirs[1]`: back.
     pub(crate) dirs: [LinkDirState; 2],
-    pub(crate) dropped: [u64; 2],
-    /// The subset of `dropped` eaten by scripted loss faults
-    /// ([`DropReason::FaultInjected`]), kept separately so chaos
-    /// experiments can tell injected loss from congestion on the same
-    /// link.
-    pub(crate) fault_dropped: [u64; 2],
-    pub(crate) enabled: bool,
-    pub(crate) fault: Option<LinkFault>,
 }
 
-/// The per-admission impairments a [`FaultPlan`](crate::FaultPlan) can
-/// install — loss, corruption, added delay, reordering — as links and
-/// control channels share them. Holds no RNG: each roll draws from the
+/// The impairments a [`FaultPlan`](crate::FaultPlan) can install — outage,
+/// loss, corruption, added delay, reordering — as link directions and
+/// control channels share them. Each is a list of windows judged when a
+/// frame or message is admitted. Holds no RNG: each roll draws from the
 /// stream its owner passes in, a dedicated one so fault rolls never
 /// perturb the world's CPU-jitter/workload streams.
 #[derive(Clone, Default)]
 pub(crate) struct Impairments {
+    outage: Vec<ActivationWindow>,
     loss: Vec<(f64, ActivationWindow)>,
     corrupt: Vec<(f64, ActivationWindow)>,
     delay: Vec<(SimDuration, ActivationWindow)>,
@@ -214,10 +223,22 @@ pub(crate) struct Impairments {
 }
 
 impl Impairments {
-    /// Files one of the four per-admission kinds. Outages and flaps change
-    /// up/down state instead and stay with the caller.
+    /// Files one fault. A flap schedule is its list of down windows.
     pub(crate) fn push(&mut self, kind: &FaultKind) {
         match *kind {
+            FaultKind::Outage(window) => self.outage.push(window),
+            FaultKind::Flaps {
+                first_down,
+                down_for,
+                up_for,
+                cycles,
+            } => {
+                let mut t = first_down;
+                for _ in 0..cycles {
+                    self.outage.push(ActivationWindow::between(t, t + down_for));
+                    t = t + down_for + up_for;
+                }
+            }
             FaultKind::Loss {
                 probability,
                 window,
@@ -232,10 +253,12 @@ impl Impairments {
                 hold,
                 window,
             } => self.reorder.push((probability, hold, window)),
-            FaultKind::Outage(_) | FaultKind::Flaps { .. } => {
-                unreachable!("outages and flaps are not per-admission rolls")
-            }
         }
+    }
+
+    /// Whether one of the outage windows `[from, until)` contains `now`.
+    fn down(&self, now: SimTime) -> bool {
+        self.outage.iter().any(|w| w.contains(now))
     }
 
     fn drop_roll(&self, now: SimTime, rng: &mut SimRng) -> bool {
@@ -277,48 +300,38 @@ impl Impairments {
     }
 }
 
-/// Scripted [`Impairments`] on one link.
+/// Scripted [`Impairments`] on one link direction or one direction of a
+/// control channel (see [`crate::ControlFaultSpec`]), with the stream
+/// its rolls draw from. The stream advances only when the sending end
+/// admits something, so it belongs to the sender's region.
 #[derive(Clone)]
-pub(crate) struct LinkFault {
+pub(crate) struct ChannelFault {
     pub(crate) imp: Impairments,
-    /// One independent stream per direction: each half-link is owned by
-    /// the region holding its sending endpoint, so the two directions must
-    /// never share RNG state. Direction 0 keeps the pre-split derivation.
-    rngs: [SimRng; 2],
-}
-
-impl LinkFault {
-    pub(crate) fn new(plan_seed: u64, link_idx: u32) -> LinkFault {
-        // Per-link stream: mix the plan seed with the link index so two
-        // impaired links draw independent sequences.
-        let seed = plan_seed ^ (link_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        LinkFault {
-            imp: Impairments::default(),
-            rngs: [SimRng::new(seed), SimRng::new(seed ^ 0xD6E8_FEB8_6659_FD93)],
-        }
-    }
-}
-
-/// Scripted [`Impairments`] on one *direction* of a control channel
-/// (see [`crate::ControlFaultSpec`]), with outage windows folded in
-/// (control channels have no up/down admin state to schedule).
-#[derive(Clone)]
-pub(crate) struct ControlFault {
-    pub(crate) imp: Impairments,
-    pub(crate) outage: Vec<ActivationWindow>,
-    /// Per-directed-pair stream derived from the plan seed; consumed only
-    /// when `from` sends.
     rng: SimRng,
 }
 
-impl ControlFault {
-    pub(crate) fn new(plan_seed: u64, from: NodeId, to: NodeId) -> ControlFault {
-        let seed = plan_seed
-            ^ (from.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (to.index() as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        ControlFault {
+impl ChannelFault {
+    /// Direction `dir` of link `link`. The plan seed is mixed with the
+    /// link index so two impaired links draw independent sequences, and
+    /// direction 1 with a second constant so the two directions never
+    /// share one.
+    pub(crate) fn link(plan_seed: u64, link: u32, dir: usize) -> ChannelFault {
+        let seed = plan_seed ^ (link as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ChannelFault::new(seed ^ [0, 0xD6E8_FEB8_6659_FD93][dir])
+    }
+
+    /// The `from → to` direction of a control channel.
+    pub(crate) fn control(plan_seed: u64, from: NodeId, to: NodeId) -> ChannelFault {
+        ChannelFault::new(
+            plan_seed
+                ^ (from.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (to.index() as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93),
+        )
+    }
+
+    fn new(seed: u64) -> ChannelFault {
+        ChannelFault {
             imp: Impairments::default(),
-            outage: Vec::new(),
             rng: SimRng::new(seed),
         }
     }
@@ -352,17 +365,6 @@ pub(crate) struct RegionCtx {
     pub(crate) outboxes: Vec<Vec<OutMsg>>,
 }
 
-impl RegionCtx {
-    /// Whether this region owns `event` ([`Event::regions`]): counts it in
-    /// `events_processed` and hands it back if it is left over, so the
-    /// totals equal a sequential run's.
-    pub(crate) fn owns(&self, event: &Event, links: &[LinkState]) -> bool {
-        event
-            .regions(links, &self.assignment)
-            .is_none_or(|[owner, _]| owner == self.my_region)
-    }
-}
-
 /// Everything the event loop owns *except* the devices. `Substrate` is
 /// `Send` — link state, schedulers and per-node RNG streams all cross
 /// threads — which is what lets the region-parallel executor move whole
@@ -380,15 +382,15 @@ impl RegionCtx {
 ///
 /// [`shard`](Substrate::shard) and [`absorb`](Substrate::absorb) name
 /// every field, with no `..`: a new field does not compile until it has a
-/// rule in both. Which region an event belongs to is [`Event::regions`].
+/// rule in both. Which region an event belongs to is [`Event::region`].
 ///
 /// | field | a shard starts with | merged back from |
 /// |---|---|---|
-/// | `sched` | an empty wheel, then the events `Event::regions` gives the region | leftovers the region owns, re-sorted by `(at, key)` |
+/// | `sched` | an empty wheel, then the events `Event::region` gives the region | every leftover, re-sorted by `(at, key)` |
 /// | `seed`, `names`, `cpu_models`, `adjacency`, `control` | a copy | nowhere: read-only |
 /// | `node_rngs`, `cpu_states`, `counters` | a copy | the node's region |
-/// | `links[l]`: `dirs[d]`, `dropped[d]`, `fault_dropped[d]`, `fault.rngs[d]` | a copy | the region of `ends[d]`, the sender |
-/// | `links[l].enabled` | a copy; a `LinkAdmin` reaches both endpoint regions | the region of `ends[0]` |
+/// | `links[l].spec`, `links[l].ends` | a copy | nowhere: read-only |
+/// | `links[l].dirs[d]`: queue, `dropped`, `fault_dropped`, `fault` | a copy | the region of `ends[d]`, the sender |
 /// | `control_faults[(from, to)]` | a copy | the region of `from`, the sender |
 /// | `substrate_drops` | zeros | every region, summed |
 /// | `tap_rec` | no records; the parent's `record` flag | every region's records, replayed in `(at, stage, key)` order |
@@ -416,7 +418,7 @@ pub(crate) struct Substrate {
     pub(crate) control: HashMap<(NodeId, NodeId), ControlChannelSpec>,
     /// Scripted control-channel impairments, keyed by directed pair. The
     /// RNG inside an entry advances only when `from` sends.
-    pub(crate) control_faults: HashMap<(NodeId, NodeId), ControlFault>,
+    pub(crate) control_faults: HashMap<(NodeId, NodeId), ChannelFault>,
     pub(crate) substrate_drops: [u64; DropReason::COUNT],
     pub(crate) tap_rec: TapRecorder,
     pub(crate) region: Option<RegionCtx>,
@@ -487,8 +489,8 @@ impl Substrate {
     }
 
     /// Takes back what a region's `shard` owns (the table on [`Substrate`]).
-    /// Returns its owned leftover events and its tap records, which the
-    /// caller orders across regions.
+    /// Returns its leftover events and its tap records, which the caller
+    /// orders across regions.
     pub(crate) fn absorb(
         &mut self,
         shard: Substrate,
@@ -518,11 +520,7 @@ impl Substrate {
         let here = |node: NodeId| ctx.assignment[node.index()] == ctx.my_region;
         // ...and the directions merged back below remember the shard's.
         self.sched.skip_stages_to(sched.stage());
-        let leftovers = sched
-            .drain_all_ordered()
-            .into_iter()
-            .filter(|(_, _, event)| ctx.owns(event, &self.links))
-            .collect();
+        let leftovers = sched.drain_all_ordered();
         let nodes = node_rngs.into_iter().zip(cpu_states).zip(counters);
         for (node, ((rng, cpu), counters)) in nodes.enumerate() {
             if here(NodeId(node as u32)) {
@@ -536,24 +534,11 @@ impl Substrate {
                 spec: _,
                 ends,
                 dirs,
-                dropped,
-                fault_dropped,
-                enabled,
-                fault,
             } = link;
             for (d, dir) in dirs.into_iter().enumerate() {
-                if !here(ends[d].0) {
-                    continue;
+                if here(ends[d].0) {
+                    parent.dirs[d] = dir;
                 }
-                parent.dirs[d] = dir;
-                parent.dropped[d] = dropped[d];
-                parent.fault_dropped[d] = fault_dropped[d];
-                if let (Some(pf), Some(sf)) = (&mut parent.fault, &fault) {
-                    pf.rngs[d] = sf.rngs[d].clone();
-                }
-            }
-            if here(ends[0].0) {
-                parent.enabled = enabled;
             }
         }
         for (pair, fault) in control_faults {
@@ -592,15 +577,15 @@ impl Substrate {
     }
 
     /// Schedules an event one of this region's nodes sent: locally in
-    /// sequential runs, into the cross-region outbox when its owner
-    /// ([`Event::regions`]) is another region. Cross-region arrival times
-    /// are strictly above the sender's clock (cut links have latency > 0),
-    /// so no clamping can occur.
+    /// sequential runs, into the cross-region outbox when its region
+    /// ([`Event::region`]) is another one. Cross-region arrival times are
+    /// strictly above the sender's clock (cut links have latency > 0), so
+    /// no clamping can occur.
     fn route(&mut self, at: SimTime, key: u64, event: Event) {
         if let Some(rt) = &mut self.region {
-            let [dst, _] = event
-                .regions(&self.links, &rt.assignment)
-                .expect("an arrival has an owner");
+            let dst = event
+                .region(&rt.assignment)
+                .expect("an arrival has a region");
             if dst != rt.my_region {
                 debug_assert!(
                     at > self.sched.now(),
@@ -687,30 +672,30 @@ impl Substrate {
 
         let now = self.sched.now();
         let link = &mut self.links[link_idx as usize];
-        if !link.enabled {
-            link.dropped[dir as usize] += 1;
+        let d = &mut link.dirs[dir as usize];
+        if d.down(now) {
+            d.dropped += 1;
             self.counters[node.index()].port_mut(port).tx_dropped += 1;
             self.drop_frame(DropReason::LinkDown);
             return;
         }
         // Scripted probabilistic impairments (FaultPlan): loss eats the
         // frame at link admission, corruption flips one bit in flight.
-        let lost = link
+        let lost = d
             .fault
             .as_mut()
-            .is_some_and(|f| f.imp.drop_roll(now, &mut f.rngs[dir as usize]));
+            .is_some_and(|f| f.imp.drop_roll(now, &mut f.rng));
         if lost {
-            link.dropped[dir as usize] += 1;
-            link.fault_dropped[dir as usize] += 1;
+            d.dropped += 1;
+            d.fault_dropped += 1;
             self.counters[node.index()].port_mut(port).tx_dropped += 1;
             self.drop_frame(DropReason::FaultInjected);
             return;
         }
-        let link = &mut self.links[link_idx as usize];
-        let corrupt_at = link.fault.as_mut().and_then(|f| {
-            f.imp
-                .corrupt_roll(now, frame.len(), &mut f.rngs[dir as usize])
-        });
+        let corrupt_at = d
+            .fault
+            .as_mut()
+            .and_then(|f| f.imp.corrupt_roll(now, frame.len(), &mut f.rng));
         let frame = match corrupt_at {
             Some(idx) => {
                 // New content: the corrupted copy starts a fresh memo.
@@ -723,14 +708,14 @@ impl Substrate {
         // Extra latency (Delay windows / Reorder hold-backs) only ever adds
         // to the substrate latency, so the region executor's lookahead
         // bound stays valid.
-        let extra = link.fault.as_mut().map_or(SimDuration::ZERO, |f| {
-            f.imp.extra_roll(now, &mut f.rngs[dir as usize])
-        });
+        let extra = d
+            .fault
+            .as_mut()
+            .map_or(SimDuration::ZERO, |f| f.imp.extra_roll(now, &mut f.rng));
         let stage = self.sched.stage();
-        let d = &mut link.dirs[dir as usize];
         d.release_finished(now, stage);
         if d.queued_bytes.saturating_add(len) > link.spec.queue_bytes {
-            link.dropped[dir as usize] += 1;
+            d.dropped += 1;
             self.counters[node.index()].port_mut(port).tx_dropped += 1;
             self.drop_frame(DropReason::LinkQueueFull);
             return;
@@ -770,9 +755,7 @@ impl Substrate {
         let mut msg = msg;
         let mut extra = SimDuration::ZERO;
         if let Some(fault) = self.control_faults.get_mut(&(from, to)) {
-            if fault.outage.iter().any(|w| w.contains(now))
-                || fault.imp.drop_roll(now, &mut fault.rng)
-            {
+            if fault.imp.down(now) || fault.imp.drop_roll(now, &mut fault.rng) {
                 self.drop_frame(DropReason::FaultInjected);
                 return;
             }
@@ -914,18 +897,21 @@ mod tests {
 
     #[test]
     fn disabled_link_drops_until_reenabled() {
+        use crate::fault::FaultPlan;
         let mut w = World::new(1);
         let a = w.add_node("a", EchoDevice::default(), CpuModel::default());
         let b = w.add_node("b", CollectorDevice::default(), CpuModel::default());
         let link = w.connect(a, 0.into(), b, 0.into(), LinkSpec::ideal());
         assert!(w.link_enabled(link));
-        w.set_link_enabled(link, false);
+        // Down for the first millisecond, up from then on.
+        let down = ActivationWindow::between(SimTime::ZERO, SimTime::from_nanos(1_000_000));
+        w.apply_fault_plan(&FaultPlan::new(1).outage(link, down));
         w.inject_frame(a, 0.into(), frame(10));
         w.run_for(SimDuration::from_millis(1));
         assert_eq!(w.device::<CollectorDevice>(b).unwrap().frames.len(), 0);
         assert_eq!(w.link_drops(link), [1, 0]);
         assert_eq!(w.substrate_drops(DropReason::LinkDown), 1);
-        w.set_link_enabled(link, true);
+        assert!(w.link_enabled(link));
         w.inject_frame(a, 0.into(), frame(10));
         w.run_for(SimDuration::from_millis(1));
         assert_eq!(w.device::<CollectorDevice>(b).unwrap().frames.len(), 1);

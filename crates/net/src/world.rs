@@ -4,20 +4,19 @@
 
 use std::any::Any;
 
-use netco_sim::{ActivationWindow, SimDuration, SimTime, Tick};
+use netco_sim::{SimDuration, SimTime, Tick};
 use netco_telemetry::{Counter, TelemetrySink};
 
 use crate::cpu::CpuModel;
 use crate::device::Device;
 use crate::event_loop::{Event, Tap, TapEvent, WorldCore};
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::frame::Frame;
 use crate::id::{LinkId, NodeId, PortId};
 use crate::link::LinkSpec;
 use crate::region::RegionRunStats;
 use crate::substrate::{
-    ControlChannelSpec, ControlFault, CpuState, DropReason, LinkFault, LinkState, NodeCounters,
-    Substrate,
+    ChannelFault, ControlChannelSpec, CpuState, DropReason, LinkState, NodeCounters, Substrate,
 };
 
 /// The complete simulated network: devices, links, control channels and the
@@ -136,10 +135,6 @@ impl World {
             spec,
             ends: [(a, pa), (b, pb)],
             dirs: Default::default(),
-            dropped: [0, 0],
-            fault_dropped: [0, 0],
-            enabled: true,
-            fault: None,
         });
         sub.wire(a, pa, (idx, 0));
         sub.wire(b, pb, (idx, 1));
@@ -186,104 +181,56 @@ impl World {
 
     /// Frames dropped by a link, per direction `[a→b, b→a]`.
     pub fn link_drops(&self, link: LinkId) -> [u64; 2] {
-        self.core.sub.links[link.index()].dropped
+        let [ab, ba] = &self.core.sub.links[link.index()].dirs;
+        [ab.dropped, ba.dropped]
     }
 
     /// The subset of [`link_drops`](World::link_drops) caused by scripted
     /// loss faults ([`DropReason::FaultInjected`]), per direction.
     pub fn link_fault_drops(&self, link: LinkId) -> [u64; 2] {
-        self.core.sub.links[link.index()].fault_dropped
+        let [ab, ba] = &self.core.sub.links[link.index()].dirs;
+        [ab.fault_dropped, ba.fault_dropped]
     }
 
-    /// Takes a link down (frames are dropped) or brings it back up.
-    /// Fault injection for availability experiments; in-flight frames are
-    /// unaffected.
-    pub fn set_link_enabled(&mut self, link: LinkId, enabled: bool) {
-        self.core.sub.links[link.index()].enabled = enabled;
-    }
-
-    /// Whether a link is currently up.
+    /// Whether a link is up now: no outage window of its
+    /// [`FaultPlan`] contains [`now`](World::now).
     pub fn link_enabled(&self, link: LinkId) -> bool {
-        self.core.sub.links[link.index()].enabled
+        let now = self.now();
+        !self.core.sub.links[link.index()]
+            .dirs
+            .iter()
+            .any(|d| d.down(now))
     }
 
-    /// Schedules a link up/down transition at simulated time `at`, riding
-    /// the ordinary event queue so the transition interleaves
-    /// deterministically with traffic. The building block for
-    /// [`apply_fault_plan`](World::apply_fault_plan); also usable directly.
-    pub fn schedule_link_state(&mut self, at: SimTime, link: LinkId, enabled: bool) {
-        self.core.sub.sched.schedule_at_keyed(
-            at,
-            Event::key_link_admin(link.index() as u32),
-            Event::LinkAdmin {
-                link: link.index() as u32,
-                enabled,
-            },
-        );
-    }
-
-    /// Installs a scripted [`FaultPlan`]: outages and flaps become
-    /// scheduled [`schedule_link_state`](World::schedule_link_state)
-    /// transitions; loss/corruption probabilities attach to the link with a
-    /// dedicated RNG stream derived from [`FaultPlan::seed`]. Call before
-    /// the run starts (faults scheduled in the past never fire).
+    /// Installs a scripted [`FaultPlan`]. Every fault is a set of windows
+    /// judged when a frame or message is admitted: a link direction or a
+    /// control channel direction is down at `now` iff one of its outage
+    /// windows `[from, until)` contains `now` (a flap schedule is its list
+    /// of down windows), and loss, corruption, delay and reordering act on
+    /// what is admitted inside their windows. Frames already in flight are
+    /// unaffected. A link fault applies to both directions of the link.
+    /// Probabilistic faults draw from dedicated RNG streams derived from
+    /// [`FaultPlan::seed`], one per link direction and one per control
+    /// channel direction.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for spec in &plan.faults {
-            match spec.kind {
-                FaultKind::Outage(window) => {
-                    self.schedule_link_state(window.from, spec.link, false);
-                    if let Some(up) = window.until {
-                        self.schedule_link_state(up, spec.link, true);
-                    }
-                }
-                FaultKind::Flaps {
-                    first_down,
-                    down_for,
-                    up_for,
-                    cycles,
-                } => {
-                    let mut t = first_down;
-                    for _ in 0..cycles {
-                        self.schedule_link_state(t, spec.link, false);
-                        self.schedule_link_state(t + down_for, spec.link, true);
-                        t = t + down_for + up_for;
-                    }
-                }
-                ref kind => {
-                    let idx = spec.link.index();
-                    let fault = &mut self.core.sub.links[idx].fault;
-                    let fault = fault.get_or_insert_with(|| LinkFault::new(plan.seed, idx as u32));
-                    fault.imp.push(kind);
-                }
+            let link = spec.link.index() as u32;
+            let dirs = &mut self.core.sub.links[link as usize].dirs;
+            for (d, dir) in dirs.iter_mut().enumerate() {
+                dir.fault
+                    .get_or_insert_with(|| Box::new(ChannelFault::link(plan.seed, link, d)))
+                    .imp
+                    .push(&spec.kind);
             }
         }
         for spec in &plan.control_faults {
-            let fault = self
-                .core
+            self.core
                 .sub
                 .control_faults
                 .entry((spec.from, spec.to))
-                .or_insert_with(|| ControlFault::new(plan.seed, spec.from, spec.to));
-            match spec.kind {
-                // Control channels have no admin state: outages and flaps
-                // become window-based drops evaluated at send time.
-                FaultKind::Outage(window) => fault.outage.push(window),
-                FaultKind::Flaps {
-                    first_down,
-                    down_for,
-                    up_for,
-                    cycles,
-                } => {
-                    let mut t = first_down;
-                    for _ in 0..cycles {
-                        fault
-                            .outage
-                            .push(ActivationWindow::between(t, t + down_for));
-                        t = t + down_for + up_for;
-                    }
-                }
-                ref kind => fault.imp.push(kind),
-            }
+                .or_insert_with(|| ChannelFault::control(plan.seed, spec.from, spec.to))
+                .imp
+                .push(&spec.kind);
         }
     }
 

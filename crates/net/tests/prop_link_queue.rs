@@ -20,6 +20,14 @@
 //! `LinkDirState::release_finished` were run against this file and both
 //! fail it: releasing on `done <= now` regardless of stage, and releasing
 //! on `done < now` only.
+//!
+//! The model's outages are windows judged at transmit, like its loss and
+//! delay windows: a direction is down at `now` iff one of the link's
+//! outage windows `[from, until)` contains `now`. Until the world judged
+//! outages that way, the model scheduled them as link up/down events
+//! (kind 8, sorting last in their instant), which is what the world did
+//! then; that arm was rewritten with the world's fault model, and it is
+//! the only part of the oracle that changed.
 
 use bytes::Bytes;
 use netco_net::{CpuModel, Ctx, Device, DropReason, FaultPlan, Frame, LinkSpec, PortId, World};
@@ -266,10 +274,6 @@ enum Ev {
         node: usize,
         token: u64,
     },
-    Admin {
-        link: usize,
-        enabled: bool,
-    },
 }
 
 /// The world's ordering keys (`Event::key_*` in `event_loop.rs`), kind 2
@@ -289,7 +293,7 @@ struct ModelDir {
 
 struct ModelLink {
     spec: LinkSpec,
-    enabled: bool,
+    outage: Vec<ActivationWindow>,
     loss: Vec<ActivationWindow>,
     delay: Vec<(u64, ActivationWindow)>,
     dirs: [ModelDir; 2],
@@ -315,7 +319,7 @@ impl Model {
                 .iter()
                 .map(|spec| ModelLink {
                     spec: spec.clone(),
-                    enabled: true,
+                    outage: Vec::new(),
                     loss: Vec::new(),
                     delay: Vec::new(),
                     dirs: Default::default(),
@@ -337,26 +341,15 @@ impl Model {
             m.sched
                 .schedule_at_keyed(SimTime::ZERO, key(1, node as u64), Ev::Start { node });
         }
-        // `apply_fault_plan`: outages become scheduled transitions, in
-        // plan order; windows attach to the link.
+        // `apply_fault_plan`: every window attaches to the link.
         for f in &case.faults {
             match *f {
-                Fault::Outage(link, win) => {
-                    m.admin(win.from, link, false);
-                    if let Some(up) = win.until {
-                        m.admin(up, link, true);
-                    }
-                }
+                Fault::Outage(link, win) => m.links[link].outage.push(win),
                 Fault::Loss(link, win) => m.links[link].loss.push(win),
                 Fault::Delay(link, ns, win) => m.links[link].delay.push((ns, win)),
             }
         }
         m
-    }
-
-    fn admin(&mut self, at: SimTime, link: usize, enabled: bool) {
-        self.sched
-            .schedule_at_keyed(at, key(8, link as u64), Ev::Admin { link, enabled });
     }
 
     fn timer(&mut self, node: usize, delay_ns: u64, token: u64) {
@@ -367,7 +360,8 @@ impl Model {
         );
     }
 
-    /// `Substrate::transmit` of commit 37c9f6d, minus taps and corruption.
+    /// `Substrate::transmit` of commit 37c9f6d, minus taps and corruption,
+    /// with outages judged as windows.
     fn transmit(&mut self, node: usize, port: u16, len: usize, ttl: u8) {
         let now = self.sched.now();
         // Sender port p is end 0 of link p; reflector p's port 0 is end 1.
@@ -383,7 +377,7 @@ impl Model {
         };
         self.out.tx_frames[node] += 1;
         let l = &mut self.links[link];
-        let verdict = if !l.enabled {
+        let verdict = if l.outage.iter().any(|w| w.contains(now)) {
             self.out.link_down += 1;
             None
         } else if l.loss.iter().any(|w| w.contains(now)) {
@@ -497,7 +491,6 @@ impl Model {
                     self.timer(node, 0, token(i, repeats - 1));
                 }
             }
-            Ev::Admin { link, enabled } => self.links[link].enabled = enabled,
         }
     }
 

@@ -2,11 +2,11 @@
 //! from it: after a region-parallel phase the world must carry on exactly
 //! as if that phase had run sequentially. Each piece of state a region
 //! merges back (`Substrate::absorb`) — a node's RNG stream, CPU queue and
-//! counters, a link direction's queue, drop counts and fault stream, a
-//! link's up/down state, a control channel's fault stream, a replicated
-//! link transition left over past the deadline — is read again by the
-//! sequential phase that follows, so taking any of it from the wrong
-//! region shows up in what that phase does.
+//! counters, a link direction's queue, drop counts, outage windows and
+//! fault stream, a control channel's fault stream, the events left over
+//! past the deadline — is read again by the sequential phase that
+//! follows, so taking any of it from the wrong region shows up in what
+//! that phase does.
 
 use bytes::Bytes;
 use netco_harness::Pool;
@@ -134,11 +134,18 @@ fn build() -> (World, Vec<LinkId>, TapDigest) {
             .reorder(link, 0.1, SimDuration::from_nanos(1_500), always);
     }
     // Down from 10 µs before the split to 15 µs after it, and once more
-    // later: the transition back up is pending at the split.
+    // later; an outage from 5 µs before the split to 30 µs after it
+    // overlaps the first flap and keeps the link down past its end.
     let cut = links[NODES - 1];
     let first_down = SPLIT - SimDuration::from_micros(10);
     let (down_for, up_for) = (SimDuration::from_micros(25), SimDuration::from_micros(30));
-    plan = plan.flaps(cut, first_down, down_for, up_for, 2);
+    plan = plan.flaps(cut, first_down, down_for, up_for, 2).outage(
+        cut,
+        ActivationWindow::between(
+            SPLIT - SimDuration::from_micros(5),
+            SPLIT + SimDuration::from_micros(30),
+        ),
+    );
     for i in 0..NODES {
         let (from, to) = (ids[i], ids[(i + NODES / 2) % NODES]);
         plan = plan

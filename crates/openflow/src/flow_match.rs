@@ -34,7 +34,7 @@ pub struct FlowMatch {
     pub dl_src: Option<MacAddr>,
     /// Ethernet destination.
     pub dl_dst: Option<MacAddr>,
-    /// VLAN id ([`crate::fields::OFP_VLAN_NONE`] matches untagged frames).
+    /// VLAN id ([`crate::OFP_VLAN_NONE`] matches untagged frames).
     pub dl_vlan: Option<u16>,
     /// VLAN priority.
     pub dl_vlan_pcp: Option<u8>,

@@ -387,8 +387,7 @@ impl Scenario {
     /// Schedules a substrate fault against one replica's path: `kind` is
     /// applied to **both** of the replica's links (`s1`-side and
     /// `s2`-side), so an [`FaultKind::Outage`] models a full crash and
-    /// [`FaultKind::Flaps`] a crash–recovery cycle. Replaces hand-rolled
-    /// `set_link_enabled` timelines.
+    /// [`FaultKind::Flaps`] a crash–recovery cycle.
     ///
     /// # Panics
     ///

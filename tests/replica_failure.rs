@@ -4,8 +4,7 @@
 //! come back.
 //!
 //! Faults are scripted with a declarative [`FaultKind`] attached to the
-//! scenario (applied to both of the replica's links), not hand-rolled
-//! `set_link_enabled` timelines.
+//! scenario and applied to both of the replica's links.
 
 use netco_core::{Compare, SecurityEvent};
 use netco_sim::{ActivationWindow, SimDuration, SimTime};
