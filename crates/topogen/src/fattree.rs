@@ -1,18 +1,18 @@
 //! The k-ary fat-tree (Clos) index scheme — the environment of the
-//! paper's Fig. 1 — as pure arithmetic: switch indices and roles, the
-//! port wiring between tiers, host MACs / IPs / ports, static
-//! MAC-destination routes and the vendor labels of §VII.
-//! [`crate::generate::fat_tree`] turns it into a [`crate::TopoGraph`].
+//! paper's Fig. 1 — as the arithmetic [`crate::generate::fat_tree`]
+//! needs to write it as a [`crate::TopoGraph`]: switch indices, roles
+//! and names, the links between tiers with their ports, host positions,
+//! MACs and IPs, and the static MAC-destination routes. Every later
+//! question (a hop's port, a host's port, §VII's vendor groups) is asked
+//! of the graph.
 
 use std::net::Ipv4Addr;
 
 use netco_net::MacAddr;
 
-use crate::paths::VendorId;
-
 /// The role of a switch in the fat-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SwitchRole {
+pub(crate) enum SwitchRole {
     /// Top-of-rack switch (pod, index).
     Edge(usize, usize),
     /// Aggregation switch (pod, index).
@@ -27,9 +27,9 @@ pub enum SwitchRole {
 /// * `(k/2)²` cores,
 /// * `k/2` hosts per edge switch (`k³/4` total).
 #[derive(Debug, Clone)]
-pub struct FatTreeIndex {
+pub(crate) struct FatTreeIndex {
     /// Tree arity (must be even, ≥ 2).
-    pub k: usize,
+    k: usize,
 }
 
 impl FatTreeIndex {
@@ -38,7 +38,7 @@ impl FatTreeIndex {
     /// # Panics
     ///
     /// Panics when `k` is odd or below 2.
-    pub fn new(k: usize) -> FatTreeIndex {
+    pub(crate) fn new(k: usize) -> FatTreeIndex {
         assert!(
             k >= 2 && k.is_multiple_of(2),
             "fat-tree arity must be even and ≥ 2"
@@ -51,32 +51,32 @@ impl FatTreeIndex {
     }
 
     /// Number of switches.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.k * self.k + self.half() * self.half()
     }
 
     /// Number of hosts.
-    pub fn host_count(&self) -> usize {
+    pub(crate) fn host_count(&self) -> usize {
         self.k * self.half() * self.half()
     }
 
     /// Graph index of an edge switch.
-    pub fn edge(&self, pod: usize, e: usize) -> usize {
+    pub(crate) fn edge(&self, pod: usize, e: usize) -> usize {
         pod * self.half() + e
     }
 
     /// Graph index of an aggregation switch.
-    pub fn agg(&self, pod: usize, a: usize) -> usize {
+    pub(crate) fn agg(&self, pod: usize, a: usize) -> usize {
         self.k * self.half() + pod * self.half() + a
     }
 
     /// Graph index of a core switch.
-    pub fn core(&self, c: usize) -> usize {
+    pub(crate) fn core(&self, c: usize) -> usize {
         self.k * self.k + c
     }
 
     /// The role of a graph index.
-    pub fn role(&self, gidx: usize) -> SwitchRole {
+    pub(crate) fn role(&self, gidx: usize) -> SwitchRole {
         let half = self.half();
         if gidx < self.k * half {
             SwitchRole::Edge(gidx / half, gidx % half)
@@ -89,7 +89,7 @@ impl FatTreeIndex {
     }
 
     /// `(pod, edge, slot)` of a host index.
-    pub fn host_position(&self, host: usize) -> (usize, usize, usize) {
+    pub(crate) fn host_position(&self, host: usize) -> (usize, usize, usize) {
         let per_pod = self.half() * self.half();
         let pod = host / per_pod;
         let within = host % per_pod;
@@ -97,49 +97,43 @@ impl FatTreeIndex {
     }
 
     /// Deterministic host MAC.
-    pub fn host_mac(&self, host: usize) -> MacAddr {
+    pub(crate) fn host_mac(&self, host: usize) -> MacAddr {
         MacAddr::local(1_000 + host as u32)
     }
 
     /// Deterministic host IPv4 (`10.pod.edge.slot+2`).
-    pub fn host_ip(&self, host: usize) -> Ipv4Addr {
+    pub(crate) fn host_ip(&self, host: usize) -> Ipv4Addr {
         let (pod, edge, slot) = self.host_position(host);
         Ipv4Addr::new(10, pod as u8, edge as u8, slot as u8 + 2)
     }
 
-    /// The uplink/downlink port wiring between two adjacent switches, as
-    /// `(port on a, port on b)`. Returns `None` for non-adjacent switches.
-    pub fn ports_between(&self, a: usize, b: usize) -> Option<(u16, u16)> {
-        let half = self.half();
-        // `(uplink on lower, downlink on upper)`, lower tier first.
-        let up = |lower, upper| match (self.role(lower), self.role(upper)) {
-            (SwitchRole::Edge(pe, e), SwitchRole::Agg(pa, ag)) if pe == pa => {
-                Some(((half + ag) as u16, e as u16))
-            }
-            (SwitchRole::Agg(pa, ag), SwitchRole::Core(c)) if c / half == ag => {
-                Some(((half + c % half) as u16, pa as u16))
-            }
-            _ => None,
-        };
-        up(a, b).or_else(|| up(b, a).map(|(pb, pa)| (pa, pb)))
-    }
-
-    /// Adjacent switch pairs `(lower, upper)`, pod by pod: every edge–agg
-    /// pair, then every agg–core pair.
-    pub(crate) fn links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    /// The inter-switch links as `(lower, its port, upper, its port)`,
+    /// pod by pod: every edge–agg pair, then every agg–core pair. Edge
+    /// `e` uplinks to agg `a` on port `k/2 + a`, which takes it on port
+    /// `e`; agg `a` uplinks to core `a·k/2 + i` on port `k/2 + i`, which
+    /// takes it on port `pod`.
+    pub(crate) fn links(&self) -> impl Iterator<Item = (usize, u16, usize, u16)> + '_ {
         let half = self.half();
         let pairs = move || (0..half).flat_map(move |x| (0..half).map(move |y| (x, y)));
         (0..self.k).flat_map(move |pod| {
-            let edge_agg = pairs().map(move |(e, a)| (self.edge(pod, e), self.agg(pod, a)));
-            let agg_core = pairs().map(move |(a, i)| (self.agg(pod, a), self.core(a * half + i)));
+            let edge_agg = pairs().map(move |(e, a)| {
+                (
+                    self.edge(pod, e),
+                    (half + a) as u16,
+                    self.agg(pod, a),
+                    e as u16,
+                )
+            });
+            let agg_core = pairs().map(move |(a, i)| {
+                (
+                    self.agg(pod, a),
+                    (half + i) as u16,
+                    self.core(a * half + i),
+                    pod as u16,
+                )
+            });
             edge_agg.chain(agg_core)
         })
-    }
-
-    /// The edge-switch port a host attaches to.
-    pub fn host_port(&self, host: usize) -> u16 {
-        let (_, _, slot) = self.host_position(host);
-        slot as u16
     }
 
     /// The egress port of `switch` for traffic to `dst_host` under the
@@ -147,7 +141,7 @@ impl FatTreeIndex {
     /// edge, the downlink toward the destination's pod or edge, else the
     /// uplink `k/2 + dst_host % (k/2)` (a deterministic ECMP-style
     /// spread). Every switch has a route to every host.
-    pub fn route_port(&self, switch: usize, dst_host: usize) -> u16 {
+    pub(crate) fn route_port(&self, switch: usize, dst_host: usize) -> u16 {
         let half = self.half();
         let (dpod, dedge, dslot) = self.host_position(dst_host);
         let spread = dst_host % half; // deterministic ECMP-style choice
@@ -170,19 +164,8 @@ impl FatTreeIndex {
         }
     }
 
-    /// The §VII vendor label of a switch: aggregation switch `j` of
-    /// every pod and the cores it uplinks to share `VendorId(j + 1)`;
-    /// edges are `VendorId(0)`.
-    pub fn vendor(&self, gidx: usize) -> VendorId {
-        match self.role(gidx) {
-            SwitchRole::Edge(..) => VendorId(0),
-            SwitchRole::Agg(_, a) => VendorId(a as u32 + 1),
-            SwitchRole::Core(c) => VendorId((c / self.half()) as u32 + 1),
-        }
-    }
-
     /// Human-readable switch name.
-    pub fn switch_name(&self, gidx: usize) -> String {
+    pub(crate) fn switch_name(&self, gidx: usize) -> String {
         match self.role(gidx) {
             SwitchRole::Edge(p, e) => format!("edge{p}-{e}"),
             SwitchRole::Agg(p, a) => format!("agg{p}-{a}"),
@@ -201,7 +184,7 @@ mod tests {
     use super::*;
     use crate::build::{build_world, BuiltTopo};
     use crate::generate::fat_tree;
-    use crate::paths::{node_disjoint_paths, vendor_diverse_paths};
+    use crate::paths::{node_disjoint_paths, vendor_diverse_paths, vendor_labels};
 
     #[test]
     fn index_counts() {
@@ -225,21 +208,6 @@ mod tests {
             };
             assert_eq!(back, g, "{role:?}");
         }
-    }
-
-    #[test]
-    fn ports_between_is_symmetric() {
-        let idx = FatTreeIndex::new(4);
-        let e = idx.edge(1, 0);
-        let a = idx.agg(1, 1);
-        let (pe, pa) = idx.ports_between(e, a).unwrap();
-        let (pa2, pe2) = idx.ports_between(a, e).unwrap();
-        assert_eq!((pe, pa), (pe2, pa2));
-        // Non-adjacent: edge to core.
-        assert!(idx.ports_between(idx.edge(0, 0), idx.core(0)).is_none());
-        // Agg only reaches its own core group.
-        assert!(idx.ports_between(idx.agg(0, 0), idx.core(3)).is_none());
-        assert!(idx.ports_between(idx.agg(0, 1), idx.core(3)).is_some());
     }
 
     /// `build_world` over `generate::fat_tree(4, 3)` with a pinger on
@@ -276,7 +244,7 @@ mod tests {
         assert!(node_disjoint_paths(&g4, idx4.edge(0, 0), idx4.edge(1, 0), 2).is_some());
         assert!(node_disjoint_paths(&g4, idx4.edge(0, 0), idx4.edge(1, 0), 3).is_none());
         let (idx6, g6) = (FatTreeIndex::new(6), fat_tree(6, 1));
-        let vendors: Vec<_> = (0..idx6.switch_count()).map(|n| idx6.vendor(n)).collect();
+        let vendors = vendor_labels(&g6);
         let paths =
             vendor_diverse_paths(&g6, &vendors, idx6.edge(0, 0), idx6.edge(1, 0), 3).unwrap();
         assert_eq!(paths.len(), 3);

@@ -230,10 +230,10 @@ pub fn grid2d(rows: usize, cols: usize, torus: bool, hosts: usize, seed: u64) ->
     g
 }
 
-/// The [`FatTreeIndex`] Clos fabric as a [`TopoGraph`]: its switch
-/// indices, port scheme, host MACs/IPs and deterministic ECMP-style
-/// routes, links in [`FatTreeIndex`]'s pod-by-pod order. Host count is fixed by
-/// the arity (`k³/4`).
+/// The k-ary fat-tree (Clos) fabric of Fig. 1 as a [`TopoGraph`]: its
+/// switch indices, port scheme, host MACs/IPs and deterministic
+/// ECMP-style routes, links pod by pod. Host count is fixed by the arity
+/// (`k³/4`).
 pub fn fat_tree(k: usize, seed: u64) -> TopoGraph {
     let index = FatTreeIndex::new(k);
     let mut g = TopoGraph::new("fat_tree");
@@ -242,17 +242,16 @@ pub fn fat_tree(k: usize, seed: u64) -> TopoGraph {
     }
     let mut rng = SimRng::new(seed).fork(FORK_LINKS);
     let mut wire = rng.fork(FORK_WIRE);
-    for (s, d) in index.links() {
-        let (sp, dp) = index.ports_between(s, d).expect("adjacent tiers");
+    for (s, sp, d, dp) in index.links() {
         let latency = next_latency(&mut wire);
         g.link_with_ports(s, sp, d, dp, LINK_RATE_BPS, latency);
     }
     for h in 0..index.host_count() {
-        let (pod, e, _) = index.host_position(h);
+        let (pod, e, slot) = index.host_position(h);
         let latency = next_latency(&mut wire);
         g.attach_host_at(
             index.edge(pod, e),
-            index.host_port(h),
+            slot as u16,
             index.host_mac(h),
             index.host_ip(h),
             LINK_RATE_BPS,

@@ -1,15 +1,14 @@
 //! The pure topology index form: nodes, links, host attachment points
 //! and MAC-destination route tables, computable without a simulator.
 //!
-//! A [`TopoGraph`] plays the role [`crate::FatTreeIndex`]
-//! plays for the Clos fabric, generalized to arbitrary graphs: every
-//! question the campaign engine asks — connectivity, path lengths,
-//! stretch, egress ports — is answered on this value, and
+//! Every question the crate asks of a topology — connectivity, path
+//! lengths, stretch, egress ports, the fat-tree's port wiring, §VII's
+//! vendor groups — is answered on this value, through one port table
+//! and one breadth-first walk ([`bfs`]), and
 //! [`crate::build::build_world`] translates the same indices into a
 //! wired [`netco_net::World`] so graph computations and simulated
 //! forwarding can never drift apart.
 
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use netco_net::MacAddr;
@@ -236,9 +235,15 @@ impl TopoGraph {
         })
     }
 
+    /// The smallest port of `a` whose link leads to `b`; `None` when
+    /// the two are not linked.
+    pub fn port_toward(&self, a: usize, b: usize) -> Option<u16> {
+        (0..self.ports[a].len() as u16).find(|&p| self.far_end(a, p).is_some_and(|(n, _)| n == b))
+    }
+
     /// Whether `a` and `b` are directly linked.
     pub fn linked(&self, a: usize, b: usize) -> bool {
-        (0..self.ports[a].len() as u16).any(|p| self.far_end(a, p).is_some_and(|(n, _)| n == b))
+        self.port_toward(a, b).is_some()
     }
 
     /// Attaches a host to `node` on its next free port.
@@ -299,24 +304,22 @@ impl TopoGraph {
     /// Connected components over the node graph, each listed in node
     /// order; the components themselves are ordered by smallest member.
     pub fn components(&self) -> Vec<Vec<usize>> {
+        self.components_of(|_| true)
+    }
+
+    /// [`TopoGraph::components`] of the subgraph induced by the nodes
+    /// `keep` accepts.
+    pub(crate) fn components_of(&self, keep: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
         let adj = self.adjacency();
-        let mut seen = vec![false; self.nodes.len()];
+        let mut reached = vec![false; self.nodes.len()];
         let mut comps = Vec::new();
-        for start in 0..self.nodes.len() {
-            if seen[start] {
+        for root in 0..self.nodes.len() {
+            if reached[root] || !keep(root) {
                 continue;
             }
-            let mut comp = Vec::new();
-            let mut queue = VecDeque::from([start]);
-            seen[start] = true;
-            while let Some(v) = queue.pop_front() {
-                comp.push(v);
-                for &(_, peer, _) in &adj[v] {
-                    if !seen[peer] {
-                        seen[peer] = true;
-                        queue.push_back(peer);
-                    }
-                }
+            let mut comp: Vec<usize> = bfs(&adj, root, &keep).iter().map(|s| s.0).collect();
+            for &v in &comp {
+                reached[v] = true;
             }
             comp.sort_unstable();
             comps.push(comp);
@@ -338,36 +341,21 @@ impl TopoGraph {
         let adj = self.adjacency();
         let n = self.nodes.len();
         self.routes = vec![vec![NO_ROUTE; self.hosts.len()]; n];
-        // BFS once per distinct attach node, shared by co-located hosts.
+        // One walk per distinct attach node, shared by co-located hosts;
+        // v's egress toward it is v's port on its discovery link.
         let mut toward: Vec<Option<Vec<u16>>> = vec![None; n];
         for h in 0..self.hosts.len() {
             let attach = self.hosts[h].attach;
-            if toward[attach].is_none() {
-                // ports[v] = egress port of v on its shortest path to
-                // `attach`.
+            let ports = toward[attach].get_or_insert_with(|| {
                 let mut ports = vec![NO_ROUTE; n];
-                let mut seen = vec![false; n];
-                let mut queue = VecDeque::from([attach]);
-                seen[attach] = true;
-                while let Some(v) = queue.pop_front() {
-                    for &(li, peer, _) in &adj[v] {
-                        if !seen[peer] {
-                            seen[peer] = true;
-                            // peer's egress toward attach is its port on
-                            // the link being traversed. First-found
-                            // parent wins: BFS order is the deterministic
-                            // tie-break.
-                            let l = &self.links[li];
-                            ports[peer] = if l.a == peer { l.a_port } else { l.b_port };
-                            queue.push_back(peer);
-                        }
-                    }
+                for &(v, _, link) in bfs(&adj, attach, |_| true).iter().skip(1) {
+                    let l = &self.links[link];
+                    ports[v] = if l.a == v { l.a_port } else { l.b_port };
                 }
-                toward[attach] = Some(ports);
-            }
-            let ports = toward[attach].as_ref().expect("just filled");
-            for (v, &port) in ports.iter().enumerate() {
-                self.routes[v][h] = port;
+                ports
+            });
+            for (row, &port) in self.routes.iter_mut().zip(ports.iter()) {
+                row[h] = port;
             }
             // The attach node itself delivers on the host port.
             self.routes[attach][h] = self.hosts[h].attach_port;
@@ -511,6 +499,34 @@ impl TopoGraph {
     }
 }
 
+/// The crate's one breadth-first walk: every node reachable from `root`
+/// through nodes `enter` accepts (the root always), in visit order, as
+/// `(node, parent, link)` — the node and link it was first reached
+/// from; the root is `(root, root, usize::MAX)`. Neighbours are tried in
+/// `adj` ([`TopoGraph::adjacency`]) order: the tie-break every route,
+/// component and path built on the walk inherits.
+pub(crate) fn bfs(
+    adj: &[Vec<(usize, usize, u16)>],
+    root: usize,
+    enter: impl Fn(usize) -> bool,
+) -> Vec<(usize, usize, usize)> {
+    let mut seen = vec![false; adj.len()];
+    seen[root] = true;
+    let mut order = vec![(root, root, usize::MAX)];
+    // `order` is its own queue: entries from `next` on are unexpanded.
+    let mut next = 0;
+    while let Some(&(v, ..)) = order.get(next) {
+        next += 1;
+        for &(link, peer, _) in &adj[v] {
+            if !seen[peer] && enter(peer) {
+                seen[peer] = true;
+                order.push((peer, v, link));
+            }
+        }
+    }
+    order
+}
+
 fn fnv1a_u64(mut d: u64, v: u64) -> u64 {
     for byte in v.to_le_bytes() {
         d ^= byte as u64;
@@ -584,6 +600,30 @@ mod tests {
         // Port 1 of `b` is the far end of link 1.
         let (mac, ip) = (MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
         g.attach_host_at(1, 1, mac, ip, 1_000_000_000, SimDuration::from_micros(5));
+    }
+
+    #[test]
+    fn port_toward_reads_the_port_table() {
+        let mut g = triangle();
+        let us = SimDuration::from_micros(5);
+        assert_eq!(g.port_toward(2, 0), Some(1));
+        // Parallel d–e links: the smallest port of each end, whichever
+        // link was added first.
+        let d = g.add_node("d", NodeKind::Router);
+        let e = g.add_node("e", NodeKind::Router);
+        g.link_with_ports(d, 5, e, 1, 1_000_000_000, us);
+        g.link_with_ports(d, 2, e, 4, 1_000_000_000, us);
+        assert_eq!(g.port_toward(d, e), Some(2));
+        assert_eq!(g.port_toward(e, d), Some(1));
+        // Not adjacent.
+        assert_eq!(g.port_toward(0, d), None);
+        // A host port leads to no node: c's port 2 carries host 1, yet c
+        // reaches node 1 (b) on its port 0; d's port 0 carries host 2,
+        // and d reaches no node at all.
+        assert_eq!(g.port_toward(2, 1), Some(0));
+        let (mac, ip) = (MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
+        g.attach_host_at(d, 0, mac, ip, 1_000_000_000, us);
+        assert!((0..d).all(|n| g.port_toward(d, n).is_none()));
     }
 
     #[test]

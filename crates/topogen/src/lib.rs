@@ -10,7 +10,7 @@
 //!    graph generators, all emitting one pure index form ([`TopoGraph`]):
 //!    nodes, links with rate/latency, host attachment points and
 //!    shortest-path MAC-destination routes, computable without a
-//!    simulator (the fat-tree's own scheme is [`FatTreeIndex`]).
+//!    simulator; every later question is asked of that graph.
 //! 2. **NetCo-ization** ([`netcoize`]) — a pure
 //!    `netcoize(&TopoGraph, NetcoizeSpec) -> TopoGraph` transform that
 //!    replaces a selectable fraction of untrusted routers with the
@@ -28,7 +28,8 @@
 //!
 //! The §VII virtualized NetCo ([`virtual_netco`]) runs on the same
 //! stack: [`generate::fat_tree`], vendor-diverse tunnels from
-//! [`vendor_diverse_paths`] over the graph, and the lowering behind
+//! [`vendor_diverse_paths`] over the graph's [`vendor_labels`], steering
+//! rules read from the graph's port table, and the lowering behind
 //! [`build_world`] with the tunnels' steering rules and two
 //! `VirtualGuard`s spliced in front of the endpoints.
 //!
@@ -51,7 +52,8 @@ mod paths;
 pub mod virtual_netco;
 
 pub use build::{build_world, AdversarySpec, BuiltTopo};
-pub use fattree::{FatTreeIndex, SwitchRole};
 pub use graph::{NodeKind, TopoGraph, TopoHost, TopoLink, TopoNode, NO_ROUTE};
 pub use netcoize::{netcoize, NetcoizeSpec};
-pub use paths::{node_disjoint_paths, paths_are_vendor_diverse, vendor_diverse_paths, VendorId};
+pub use paths::{
+    node_disjoint_paths, paths_are_vendor_diverse, vendor_diverse_paths, vendor_labels, VendorId,
+};

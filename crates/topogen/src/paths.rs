@@ -1,9 +1,8 @@
 //! Diverse path computation for the virtualized combiner (paper §VII),
-//! over a [`TopoGraph`]'s switch-level nodes.
+//! over a [`TopoGraph`]'s switch-level nodes, and the vendor groups it
+//! diversifies over.
 
-use std::collections::VecDeque;
-
-use crate::graph::TopoGraph;
+use crate::graph::{bfs, TopoGraph};
 
 /// A vendor (or country-of-manufacture) label; the diversity unit of the
 /// paper's non-cooperation assumption (§II).
@@ -19,33 +18,39 @@ fn shortest_path(
     dst: usize,
     banned: &[bool],
 ) -> Option<Vec<usize>> {
-    if src == dst {
-        return Some(vec![src]);
+    let mut parent = vec![usize::MAX; adj.len()];
+    for (v, p, _) in bfs(adj, src, |v| v == dst || !banned[v]) {
+        parent[v] = p;
     }
-    let mut prev = vec![usize::MAX; adj.len()];
-    let mut queue = VecDeque::new();
-    prev[src] = src;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        for &(_, v, _) in &adj[u] {
-            if prev[v] != usize::MAX || (v != dst && banned[v]) {
-                continue;
-            }
-            prev[v] = u;
-            if v == dst {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = prev[cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(v);
+    if parent[dst] == usize::MAX {
+        return None;
+    }
+    let (mut path, mut cur) = (vec![dst], dst);
+    while cur != src {
+        cur = parent[cur];
+        path.push(cur);
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// The §VII vendor groups of `graph`'s switches: a switch with a host is
+/// `VendorId(0)`, any other is `1 +` the index of its component among the
+/// switches without hosts (ordered by smallest member). On a fat-tree,
+/// aggregation switch `j` of every pod and the cores it uplinks to are
+/// `VendorId(j + 1)`.
+pub fn vendor_labels(graph: &TopoGraph) -> Vec<VendorId> {
+    let mut hosted = vec![false; graph.nodes.len()];
+    for h in &graph.hosts {
+        hosted[h.attach] = true;
+    }
+    let mut labels = vec![VendorId(0); graph.nodes.len()];
+    for (group, id) in graph.components_of(|n| !hosted[n]).iter().zip(1..) {
+        for &n in group {
+            labels[n] = VendorId(id);
         }
     }
-    None
+    labels
 }
 
 /// Greedy shortest-first: `k` times, take the shortest path around the
@@ -167,6 +172,27 @@ mod tests {
         );
         let vendors = [0, 1, 1, 2, 2, 3, 3, 0].map(VendorId).to_vec();
         (g, vendors)
+    }
+
+    #[test]
+    fn vendor_labels_group_the_hostless_switches() {
+        let (mut g, vendors) = parallel3();
+        let us = SimDuration::from_micros(5);
+        for (h, node) in [0, 7].into_iter().enumerate() {
+            let ip = std::net::Ipv4Addr::new(10, 0, 0, h as u8 + 1);
+            g.attach_host(
+                node,
+                netco_net::MacAddr::local(h as u32),
+                ip,
+                1_000_000_000,
+                us,
+            );
+        }
+        assert_eq!(vendor_labels(&g), vendors);
+        // A link between the middle two paths merges their groups.
+        g.link(2, 3, 1_000_000_000, us);
+        let merged = [0, 1, 1, 1, 1, 2, 2, 0].map(VendorId).to_vec();
+        assert_eq!(vendor_labels(&g), merged);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! hardware cost is two small trusted boxes per protected flow — no
 //! replica routers.
 
-use std::net::Ipv4Addr;
-
 use netco_adversary::{ActivationWindow, Behavior};
 use netco_core::virtualized::{VirtualGuard, VirtualGuardConfig};
 use netco_core::CompareConfig;
@@ -23,9 +21,9 @@ use netco_traffic::{
 };
 
 use crate::build::{lower, BuiltTopo};
-use crate::fattree::FatTreeIndex;
 use crate::generate::fat_tree;
-use crate::paths::{paths_are_vendor_diverse, vendor_diverse_paths};
+use crate::graph::TopoGraph;
+use crate::paths::{paths_are_vendor_diverse, vendor_diverse_paths, vendor_labels};
 
 /// Parameters of a virtualized-NetCo experiment.
 #[derive(Debug, Clone)]
@@ -85,25 +83,21 @@ impl Device for InertHost {
 
 /// Appends one direction's steering rules for one tunnel to `rules`
 /// (per switch): match `(vlan = tag, dl_dst = dst_host's MAC)` along
-/// `path`, delivering on the final edge's host port.
+/// `path`, with every port read from `graph`, delivering on the host port.
 fn steering_rules(
-    index: &FatTreeIndex,
+    graph: &TopoGraph,
     path: &[usize],
     tag: u16,
     dst_host: usize,
     rules: &mut [Vec<FlowEntry>],
 ) {
-    let select = FlowMatch::any()
-        .with_dl_vlan(tag)
-        .with_dl_dst(index.host_mac(dst_host));
-    let last = *path.last().expect("non-empty path");
+    let host = &graph.hosts[dst_host];
+    let select = FlowMatch::any().with_dl_vlan(tag).with_dl_dst(host.mac);
     let hops = path.windows(2).map(|w| {
-        let (out_port, _) = index
-            .ports_between(w[0], w[1])
-            .expect("path hops are adjacent");
-        (w[0], out_port)
+        let out_port = graph.port_toward(w[0], w[1]);
+        (w[0], out_port.expect("path hops are adjacent"))
     });
-    for (here, out_port) in hops.chain([(last, index.host_port(dst_host))]) {
+    for (here, out_port) in hops.chain([(host.attach, host.attach_port)]) {
         rules[here].push(FlowEntry::new(
             200,
             select.clone(),
@@ -122,20 +116,19 @@ struct Pair {
     vendor_diverse: bool,
 }
 
-/// Lowers `generate::fat_tree(k)` with every link at `profile.link`'s
-/// rate and latency, `src` on the source host, `dst` on the destination,
-/// [`InertHost`]s elsewhere, a [`VirtualGuard`] in front of both
-/// endpoints and the tunnels' steering rules (and the optional attack)
-/// on the switches.
+/// Lowers `graph` (`generate::fat_tree(cfg.fattree_k, seed)`) with every
+/// link at `profile.link`'s rate and latency, `src` on the source host,
+/// `dst` on the destination, [`InertHost`]s elsewhere, a [`VirtualGuard`]
+/// in front of both endpoints and the tunnels' steering rules (and the
+/// optional attack) on the switches.
 fn build_pair(
     cfg: &VirtualNetcoConfig,
+    mut graph: TopoGraph,
     profile: &Profile,
     seed: u64,
     src: impl FnOnce(HostNic) -> Box<dyn Device>,
     dst: impl FnOnce(HostNic) -> Box<dyn Device>,
 ) -> Pair {
-    let index = FatTreeIndex::new(cfg.fattree_k);
-    let mut graph = fat_tree(cfg.fattree_k, seed);
     let rate = profile
         .link
         .bandwidth_bps
@@ -150,16 +143,16 @@ fn build_pair(
     let dst_edge = graph.hosts[cfg.dst_host].attach;
     assert_ne!(src_edge, dst_edge, "endpoints must sit on different edges");
 
-    let vendors: Vec<_> = (0..graph.nodes.len()).map(|n| index.vendor(n)).collect();
+    let vendors = vendor_labels(&graph);
     let paths = vendor_diverse_paths(&graph, &vendors, src_edge, dst_edge, cfg.tunnels)
         .expect("fat-tree too small for the requested tunnel count");
     let vendor_diverse = paths_are_vendor_diverse(&vendors, &paths);
     let tags: Vec<u16> = (0..cfg.tunnels as u16).map(|i| BASE_TAG + i).collect();
     let mut extra = vec![Vec::new(); graph.nodes.len()];
     for (path, &tag) in paths.iter().zip(&tags) {
-        steering_rules(&index, path, tag, cfg.dst_host, &mut extra);
+        steering_rules(&graph, path, tag, cfg.dst_host, &mut extra);
         let reversed: Vec<usize> = path.iter().rev().copied().collect();
-        steering_rules(&index, &reversed, tag, cfg.src_host, &mut extra);
+        steering_rules(&graph, &reversed, tag, cfg.src_host, &mut extra);
     }
 
     // The attack: the first interior switch of the chosen tunnel.
@@ -211,19 +204,16 @@ fn build_pair(
     }
 }
 
-/// The destination host's address.
-fn dst_ip(cfg: &VirtualNetcoConfig) -> Ipv4Addr {
-    FatTreeIndex::new(cfg.fattree_k).host_ip(cfg.dst_host)
-}
-
 /// Runs a ping measurement across the virtualized combiner.
 pub fn run_ping(cfg: &VirtualNetcoConfig, profile: &Profile, seed: u64) -> VirtualNetcoOutcome {
+    let graph = fat_tree(cfg.fattree_k, seed);
     let interval = SimDuration::from_millis(10);
-    let ping = PingConfig::new(dst_ip(cfg))
+    let ping = PingConfig::new(graph.hosts[cfg.dst_host].ip)
         .with_count(cfg.requests)
         .with_interval(interval);
     let mut pair = build_pair(
         cfg,
+        graph,
         profile,
         seed,
         |nic| Box::new(Pinger::new(nic, ping)),
@@ -266,12 +256,14 @@ pub fn run_udp(
     payload_len: usize,
     duration: SimDuration,
 ) -> UdpReport {
-    let udp = UdpConfig::new(dst_ip(cfg))
+    let graph = fat_tree(cfg.fattree_k, seed);
+    let udp = UdpConfig::new(graph.hosts[cfg.dst_host].ip)
         .with_rate(rate_bps)
         .with_payload_len(payload_len)
         .with_duration(duration);
     let mut built = build_pair(
         cfg,
+        graph,
         profile,
         seed,
         |nic| Box::new(UdpSource::new(nic, udp)),
@@ -296,10 +288,12 @@ pub fn run_tcp(
     seed: u64,
     duration: SimDuration,
 ) -> TcpReport {
-    let tcp = TcpConfig::new(dst_ip(cfg)).with_duration(duration);
+    let graph = fat_tree(cfg.fattree_k, seed);
+    let tcp = TcpConfig::new(graph.hosts[cfg.dst_host].ip).with_duration(duration);
     let tcp2 = tcp.clone();
     let mut built = build_pair(
         cfg,
+        graph,
         profile,
         seed,
         |nic| Box::new(TcpSender::new(nic, tcp)),
@@ -484,14 +478,16 @@ mod tests {
         ];
         let mut moved = Vec::new();
         for (label, cfg, profile, pinned) in &cells {
+            let graph = fat_tree(cfg.fattree_k, 5);
             let interval = SimDuration::from_millis(10);
-            let ping = PingConfig::new(dst_ip(cfg))
+            let ping = PingConfig::new(graph.hosts[cfg.dst_host].ip)
                 .with_count(cfg.requests)
                 .with_interval(interval);
             // The world `run_ping` runs, built but not yet run.
             let (mut world, src_host, dst_guard, paths): (World, NodeId, NodeId, Vec<Vec<usize>>) = {
                 let pair = build_pair(
                     cfg,
+                    graph,
                     profile,
                     5,
                     |nic| Box::new(Pinger::new(nic, ping)),

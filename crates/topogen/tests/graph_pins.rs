@@ -7,7 +7,9 @@
 //! never re-record one from a change to those.
 
 use netco_topogen::generate::{barabasi_albert, erdos_renyi, fat_tree, grid2d, watts_strogatz};
-use netco_topogen::{node_disjoint_paths, vendor_diverse_paths, FatTreeIndex, TopoGraph, VendorId};
+use netco_topogen::{
+    node_disjoint_paths, vendor_diverse_paths, vendor_labels, TopoGraph, VendorId,
+};
 
 fn fold(mut d: u64, v: u64) -> u64 {
     for byte in v.to_le_bytes() {
@@ -17,12 +19,7 @@ fn fold(mut d: u64, v: u64) -> u64 {
     d
 }
 
-/// The §VII vendor label of every switch of `g`, one digit each.
-fn labels(g: &TopoGraph, k: usize) -> Vec<VendorId> {
-    let index = FatTreeIndex::new(k);
-    (0..g.nodes.len()).map(|n| index.vendor(n)).collect()
-}
-
+/// One digit per vendor label.
 fn digits(labels: &[VendorId]) -> String {
     labels.iter().map(|v| v.0.to_string()).collect()
 }
@@ -47,7 +44,7 @@ fn fat_tree_digests_and_vendor_labels_are_pinned() {
     let mut moved = Vec::new();
     for (k, pinned_digest, pinned_labels) in PINNED {
         let g = fat_tree(k, 3);
-        let got = (g.digest(), digits(&labels(&g, k)));
+        let got = (g.digest(), digits(&vendor_labels(&g)));
         if got != (pinned_digest, pinned_labels.to_owned()) {
             moved.push(format!("k = {k}: {:#018x}, {:?}", got.0, got.1));
         }
@@ -68,7 +65,7 @@ fn fat_tree_path_searches_are_pinned() {
     let mut moved = Vec::new();
     for (k, pinned) in PINNED {
         let g = fat_tree(k, 1);
-        let vendors = labels(&g, k);
+        let vendors = vendor_labels(&g);
         let edges = k * k / 2;
         let mut d = 0xcbf2_9ce4_8422_2325;
         for src in 0..edges {
