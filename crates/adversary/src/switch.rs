@@ -6,7 +6,7 @@ use bytes::BytesMut;
 use netco_net::packet::EthernetFrame;
 use netco_net::{Ctx, Device, Frame, MacAddr, PortId};
 use netco_openflow::{apply_rewrites, Action};
-use netco_sim::SimDuration;
+use netco_sim::{SimDuration, SimTime};
 
 use crate::behavior::{ActivationWindow, Behavior};
 
@@ -43,7 +43,9 @@ pub struct MaliciousSwitch {
     routes: HashMap<MacAddr, PortId>,
     behaviors: Vec<(Behavior, ActivationWindow)>,
     corrupt_seen: u64,
-    delayed: Vec<(PortId, Frame)>,
+    /// Frames `Delay` holds back, in the order held: `(release instant,
+    /// egress port, frame)`.
+    delayed: Vec<(SimTime, PortId, Frame)>,
     stats: AdversaryStats,
 }
 
@@ -80,13 +82,8 @@ impl MaliciousSwitch {
         self.stats
     }
 
-    fn normal_route(&self, frame: &Frame) -> Option<PortId> {
-        let eth = EthernetFrame::decode(frame.bytes()).ok()?;
-        self.routes.get(&eth.dst).copied()
-    }
-
     fn forward_normally(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
-        match self.normal_route(&frame) {
+        match normal_route(&self.routes, &frame) {
             Some(port) => {
                 self.stats.forwarded += 1;
                 ctx.send_frame(port, frame);
@@ -94,6 +91,12 @@ impl MaliciousSwitch {
             None => self.stats.unroutable += 1,
         }
     }
+}
+
+/// The port the static MAC-destination map sends `frame` to.
+fn normal_route(routes: &HashMap<MacAddr, PortId>, frame: &Frame) -> Option<PortId> {
+    let eth = EthernetFrame::decode(frame.bytes()).ok()?;
+    routes.get(&eth.dst).copied()
 }
 
 impl Default for MaliciousSwitch {
@@ -105,9 +108,7 @@ impl Default for MaliciousSwitch {
 impl Device for MaliciousSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (i, (behavior, window)) in self.behaviors.iter().enumerate() {
-            if let Behavior::InjectCbr { interval, .. } = behavior {
-                let delay = window.from.saturating_since(ctx.now()).max(*interval);
-                let _ = delay;
+            if let Behavior::InjectCbr { .. } = behavior {
                 // Fire the first injection at the window start (or now).
                 let first = window.from.saturating_since(ctx.now());
                 ctx.schedule_timer(first, INJECT_TIMER_BASE + i as u64);
@@ -121,8 +122,7 @@ impl Device for MaliciousSwitch {
         // already sniffed this exact content.
         let fields = frame.fields_on(port.number());
         let mut frame = frame;
-        let behaviors = self.behaviors.clone();
-        for (behavior, window) in &behaviors {
+        for (behavior, window) in &self.behaviors {
             if !window.contains(now) {
                 continue;
             }
@@ -173,7 +173,7 @@ impl Device for MaliciousSwitch {
                 }
                 Behavior::Replicate { select, copies } => {
                     if select.matches(&fields) {
-                        if let Some(route) = self.normal_route(&frame) {
+                        if let Some(route) = normal_route(&self.routes, &frame) {
                             for _ in 1..*copies {
                                 self.stats.replicated += 1;
                                 ctx.send_frame(route, frame.clone());
@@ -183,9 +183,9 @@ impl Device for MaliciousSwitch {
                 }
                 Behavior::Delay { select, extra } => {
                     if select.matches(&fields) {
-                        if let Some(route) = self.normal_route(&frame) {
+                        if let Some(route) = normal_route(&self.routes, &frame) {
                             self.stats.delayed += 1;
-                            self.delayed.push((route, frame));
+                            self.delayed.push((now + *extra, route, frame));
                             ctx.schedule_timer(*extra, DELAY_TIMER);
                             return;
                         }
@@ -199,8 +199,11 @@ impl Device for MaliciousSwitch {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == DELAY_TIMER {
-            if !self.delayed.is_empty() {
-                let (port, frame) = self.delayed.remove(0);
+            // Each held frame armed one timer for its own release
+            // instant, so a due frame is waiting; the earliest held goes.
+            let now = ctx.now();
+            if let Some(i) = self.delayed.iter().position(|&(at, ..)| at <= now) {
+                let (_, port, frame) = self.delayed.remove(i);
                 ctx.send_frame(port, frame);
             }
             return;
@@ -443,6 +446,37 @@ mod tests {
         let got = &w.device::<CollectorDevice>(good).unwrap().frames;
         assert_eq!(got.len(), 1);
         assert!(got[0].0 >= SimTime::ZERO + SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn overlapping_delays_release_each_frame_on_its_own_time() {
+        let (mut w, sw, good, _exfil) = world(|e| {
+            e.route(MacAddr::local(11), PortId(1));
+            for (dst, ms) in [(10, 5), (11, 1)] {
+                e.add_behavior(
+                    Behavior::Delay {
+                        select: FlowMatch::any().with_dl_dst(MacAddr::local(dst)),
+                        extra: SimDuration::from_millis(ms),
+                    },
+                    ActivationWindow::always(),
+                );
+            }
+        });
+        w.inject_frame(sw, PortId(0), frame(MacAddr::local(10))); // held 5 ms
+        w.inject_frame(sw, PortId(0), frame(MacAddr::local(11))); // held 1 ms
+        w.run_for(SimDuration::from_millis(20));
+        let got = &w.device::<CollectorDevice>(good).unwrap().frames;
+        let dst = |bytes: &Bytes| FrameView::parse(bytes).unwrap().eth.dst;
+        let ms = SimDuration::from_millis;
+        assert_eq!(got.len(), 2);
+        assert_eq!(
+            dst(&got[0].1),
+            MacAddr::local(11),
+            "the 1 ms frame leaves first"
+        );
+        assert!((SimTime::ZERO + ms(1)..SimTime::ZERO + ms(5)).contains(&got[0].0));
+        assert_eq!(dst(&got[1].1), MacAddr::local(10));
+        assert!(got[1].0 >= SimTime::ZERO + ms(5));
     }
 
     #[test]
