@@ -20,8 +20,8 @@
 //!   phases (baseline, attack, NetCo).
 //!
 //! The fat-tree and the §VII virtualized combiner over it live in
-//! `netco_topogen` (`FatTreeIndex`, `virtual_netco`), lowered by the same
-//! `build_world` as every generated topology.
+//! `netco_topogen` (`generate::fat_tree`, `virtual_netco`), lowered by the
+//! same `build_world` as every generated topology.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

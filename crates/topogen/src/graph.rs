@@ -4,7 +4,7 @@
 //! Every question the crate asks of a topology — connectivity, path
 //! lengths, stretch, egress ports, the fat-tree's port wiring, §VII's
 //! vendor groups — is answered on this value, through one port table
-//! and one breadth-first walk ([`bfs`]), and
+//! and one breadth-first walk (`bfs`), and
 //! [`crate::build::build_world`] translates the same indices into a
 //! wired [`netco_net::World`] so graph computations and simulated
 //! forwarding can never drift apart.
