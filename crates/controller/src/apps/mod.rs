@@ -1,11 +1,7 @@
 //! Bundled controller applications.
 
 mod byzantine;
-mod learning;
-mod static_routes;
 mod stats_monitor;
 
 pub use byzantine::{ByzantineApp, ByzantineBehavior};
-pub use learning::LearningSwitchApp;
-pub use static_routes::{RuleSpec, StaticRoutingApp};
 pub use stats_monitor::FlowStatsMonitor;

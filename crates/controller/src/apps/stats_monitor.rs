@@ -16,8 +16,6 @@ use crate::app::{ControllerApp, ControllerCtx};
 pub struct FlowStatsMonitor {
     switches: Vec<NodeId>,
     snapshots: HashMap<NodeId, Vec<FlowStats>>,
-    polls: u64,
-    replies: u64,
 }
 
 impl FlowStatsMonitor {
@@ -40,16 +38,6 @@ impl FlowStatsMonitor {
             .map(|v| v.iter().map(|f| f.packet_count).sum())
             .unwrap_or(0)
     }
-
-    /// Stats requests issued.
-    pub fn poll_count(&self) -> u64 {
-        self.polls
-    }
-
-    /// Stats replies received.
-    pub fn reply_count(&self) -> u64 {
-        self.replies
-    }
 }
 
 impl ControllerApp for FlowStatsMonitor {
@@ -65,7 +53,6 @@ impl ControllerApp for FlowStatsMonitor {
                     matcher: FlowMatch::any(),
                 },
             );
-            self.polls += 1;
         }
     }
 
@@ -75,7 +62,6 @@ impl ControllerApp for FlowStatsMonitor {
         switch: NodeId,
         flows: Vec<FlowStats>,
     ) {
-        self.replies += 1;
         self.snapshots.insert(switch, flows);
     }
 }
@@ -88,7 +74,7 @@ mod tests {
     use netco_net::packet::builder;
     use netco_net::testutil::CollectorDevice;
     use netco_net::{CpuModel, LinkSpec, MacAddr, PortId, World};
-    use netco_openflow::{Action, FlowEntry, OfPort, OfSwitch, SwitchConfig};
+    use netco_openflow::{Action, FlowEntry, OfPort, OfSwitch};
     use netco_sim::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -97,7 +83,7 @@ mod tests {
         let mut w = World::new(8);
         let a = w.add_node("a", CollectorDevice::default(), CpuModel::default());
         let b = w.add_node("b", CollectorDevice::default(), CpuModel::default());
-        let mut sw_dev = OfSwitch::new(SwitchConfig::with_datapath_id(1));
+        let mut sw_dev = OfSwitch::new(1);
         sw_dev.preinstall(FlowEntry::new(
             10,
             netco_openflow::FlowMatch::any().with_dl_dst(MacAddr::local(2)),
@@ -123,7 +109,7 @@ mod tests {
                 .unwrap()
                 .app::<FlowStatsMonitor>()
                 .unwrap();
-            assert!(m.reply_count() > 0);
+            assert!(m.snapshot(sw).is_some());
             assert_eq!(m.total_packets(sw), 0);
         }
         // Send 5 packets, wait a poll cycle, observe the counters.

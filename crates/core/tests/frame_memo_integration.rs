@@ -23,7 +23,7 @@ use netco_core::{
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
 use netco_net::{memo_stats, CpuModel, FaultPlan, LinkId, LinkSpec, MacAddr, PortId, World};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
+use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch};
 use netco_sim::{ActivationWindow, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -45,7 +45,7 @@ fn unique_frame(tag: u16) -> Bytes {
 /// An OpenFlow switch with the honest routing the controller installed:
 /// everything out p1.
 fn forward_all(datapath_id: u64) -> OfSwitch {
-    let mut switch = OfSwitch::new(SwitchConfig::with_datapath_id(datapath_id));
+    let mut switch = OfSwitch::new(datapath_id);
     switch.preinstall(FlowEntry::new(
         1,
         FlowMatch::any(),

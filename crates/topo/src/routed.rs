@@ -2,7 +2,7 @@
 
 use netco_adversary::{ActivationWindow, Behavior, MaliciousSwitch};
 use netco_net::{Device, MacAddr, PortId};
-use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch, SwitchConfig};
+use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch};
 
 /// A switch that forwards by destination MAC: an [`OfSwitch`] with one
 /// priority-100 `dl_dst → output` entry per route, in iteration order,
@@ -30,7 +30,7 @@ pub fn routed_switch(
             Box::new(m)
         }
         None => {
-            let mut sw = OfSwitch::new(SwitchConfig::with_datapath_id(dpid));
+            let mut sw = OfSwitch::new(dpid);
             for (mac, port) in routes {
                 sw.preinstall(FlowEntry::new(
                     100,

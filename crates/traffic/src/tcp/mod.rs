@@ -29,6 +29,31 @@ use std::net::Ipv4Addr;
 
 use netco_sim::SimDuration;
 
+/// Maximum segment payload in bytes: a 1500-byte wire frame with our
+/// 54-byte header stack.
+const MSS: u32 = 1446;
+/// Initial congestion window in segments (RFC 6928's 10).
+const INIT_CWND_SEGMENTS: u32 = 10;
+/// Initial slow-start threshold in segments — a stand-in for
+/// HyStart/route-cache behaviour; pure exponential slow start into a deep
+/// scaled window would overshoot shallow software queues by hundreds of
+/// segments and collapse into RTO.
+const INIT_SSTHRESH_SEGMENTS: u32 = 64;
+/// Receiver window advertised (bytes, the 16-bit wire field's maximum).
+const RCV_WINDOW: u16 = u16::MAX;
+/// Window-scale shift (RFC 7323), pre-negotiated on both sides: the
+/// effective window is `RCV_WINDOW << WINDOW_SCALE`. Without scaling a
+/// gigabit path with milliseconds of queueing is window-limited.
+const WINDOW_SCALE: u8 = 2;
+/// Delayed-ACK factor (RFC 1122): acknowledge every n-th in-order segment
+/// (out-of-order and duplicate data is ACKed immediately).
+const DELAYED_ACK: u8 = 2;
+/// Receive-thread backlog bound: when processing lags arrivals by more
+/// than this, further segments are dropped (socket-buffer overflow).
+const PROC_BACKLOG_LIMIT: SimDuration = SimDuration::from_millis(4);
+/// Minimum retransmission timeout (Linux default 200 ms).
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
 /// Configuration shared by a TCP sender/receiver pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
@@ -38,25 +63,6 @@ pub struct TcpConfig {
     pub dst_port: u16,
     /// Source TCP port.
     pub src_port: u16,
-    /// Maximum segment payload in bytes. The default of 1446 makes a
-    /// 1500-byte wire frame with our 54-byte header stack.
-    pub mss: usize,
-    /// Initial congestion window in segments (RFC 6928's 10).
-    pub init_cwnd_segments: u32,
-    /// Initial slow-start threshold in segments — a stand-in for
-    /// HyStart/route-cache behaviour; pure exponential slow start into a
-    /// deep scaled window would overshoot shallow software queues by
-    /// hundreds of segments and collapse into RTO.
-    pub init_ssthresh_segments: u32,
-    /// Receiver window advertised (bytes, ≤ 65535 on the wire).
-    pub rcv_window: u16,
-    /// Window-scale shift (RFC 7323), pre-negotiated on both sides: the
-    /// effective window is `rcv_window << window_scale`. Without scaling a
-    /// gigabit path with milliseconds of queueing is window-limited.
-    pub window_scale: u8,
-    /// Delayed-ACK factor (RFC 1122): acknowledge every n-th in-order
-    /// segment (out-of-order and duplicate data is ACKed immediately).
-    pub delayed_ack: u8,
     /// Per-segment TCP receive-path processing time at the destination
     /// (socket buffer handling + ACK generation — far costlier than a UDP
     /// sink). Every arriving segment, including duplicates, occupies the
@@ -66,11 +72,6 @@ pub struct TcpConfig {
     /// which is why combining wins for TCP (Fig. 4) even though it loses
     /// slightly for UDP (Fig. 5).
     pub per_segment_proc: SimDuration,
-    /// Receive-thread backlog bound: when processing lags arrivals by more
-    /// than this, further segments are dropped (socket-buffer overflow).
-    pub proc_backlog_limit: SimDuration,
-    /// Minimum retransmission timeout (Linux default 200 ms).
-    pub min_rto: SimDuration,
     /// Delay before the first segment.
     pub start_after: SimDuration,
     /// Sending duration (bulk transfer until this elapses).
@@ -84,15 +85,7 @@ impl TcpConfig {
             dst_ip,
             dst_port: 5001,
             src_port: 40000,
-            mss: 1446,
-            init_cwnd_segments: 10,
-            init_ssthresh_segments: 64,
-            rcv_window: u16::MAX,
-            window_scale: 2,
-            delayed_ack: 2,
             per_segment_proc: SimDuration::from_micros(30),
-            proc_backlog_limit: SimDuration::from_millis(4),
-            min_rto: SimDuration::from_millis(200),
             start_after: SimDuration::ZERO,
             duration: SimDuration::from_secs(10),
         }
@@ -101,13 +94,6 @@ impl TcpConfig {
     /// Builder: sets the transfer duration.
     pub fn with_duration(mut self, duration: SimDuration) -> TcpConfig {
         self.duration = duration;
-        self
-    }
-
-    /// Builder: sets the segment payload size.
-    pub fn with_mss(mut self, mss: usize) -> TcpConfig {
-        assert!(mss > 0, "mss must be positive");
-        self.mss = mss;
         self
     }
 }

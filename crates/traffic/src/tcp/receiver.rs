@@ -9,7 +9,7 @@ use netco_net::{Ctx, Device, Frame, HostNic, PortId};
 use netco_sim::{SimDuration, SimTime};
 
 use super::seq::{seq_gt, seq_le};
-use super::{TcpConfig, TcpReport};
+use super::{TcpConfig, TcpReport, DELAYED_ACK, PROC_BACKLOG_LIMIT, RCV_WINDOW};
 use crate::common::NIC_PORT;
 
 /// The `iperf` server side: acknowledges everything, measures goodput.
@@ -110,7 +110,7 @@ impl TcpReceiver {
             seq: self.ack_id,
             ack: self.rcv_nxt,
             flags,
-            window: self.cfg.rcv_window,
+            window: RCV_WINDOW,
             payload: Bytes::new(),
         };
         let frame = builder::tcp_frame(self.nic.mac, dst_mac, self.nic.ip, peer_ip, &ack, None);
@@ -179,13 +179,10 @@ impl Device for TcpReceiver {
                 // destination host"); a thread too far behind overflows
                 // the socket buffer and the segment is lost.
                 let backlog = self.proc_busy_until.saturating_since(now);
-                if backlog > self.cfg.proc_backlog_limit {
+                if backlog > PROC_BACKLOG_LIMIT {
                     self.proc_dropping = true;
                 } else if backlog
-                    <= self
-                        .cfg
-                        .proc_backlog_limit
-                        .saturating_sub(self.cfg.per_segment_proc * 8)
+                    <= PROC_BACKLOG_LIMIT.saturating_sub(self.cfg.per_segment_proc * 8)
                 {
                     self.proc_dropping = false;
                 }
@@ -205,7 +202,7 @@ impl Device for TcpReceiver {
                 // (RFC 5681 §4.2).
                 let emit = if advanced && !duplicate && !had_ooo {
                     self.unacked_segments += 1;
-                    if self.unacked_segments >= self.cfg.delayed_ack.max(1) {
+                    if self.unacked_segments >= DELAYED_ACK {
                         self.unacked_segments = 0;
                         Some(false)
                     } else {

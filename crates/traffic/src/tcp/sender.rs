@@ -6,7 +6,8 @@ use netco_net::{Ctx, Device, Frame, HostNic, PortId};
 use netco_sim::{SimDuration, SimTime};
 
 use super::seq::{seq_ge, seq_gt};
-use super::TcpConfig;
+use super::{TcpConfig, INIT_CWND_SEGMENTS, INIT_SSTHRESH_SEGMENTS, MIN_RTO, MSS};
+use super::{RCV_WINDOW, WINDOW_SCALE};
 use crate::common::NIC_PORT;
 
 const RTO_TIMER_BASE: u64 = 1_000;
@@ -68,9 +69,9 @@ pub struct TcpSender {
 impl TcpSender {
     /// Creates a sender on `nic`.
     pub fn new(nic: HostNic, cfg: TcpConfig) -> TcpSender {
-        let mss = cfg.mss as f64;
-        let cwnd = mss * cfg.init_cwnd_segments as f64;
-        let ssthresh = mss * cfg.init_ssthresh_segments.max(2) as f64;
+        let mss = MSS as f64;
+        let cwnd = mss * INIT_CWND_SEGMENTS as f64;
+        let ssthresh = mss * INIT_SSTHRESH_SEGMENTS as f64;
         TcpSender {
             nic,
             cfg,
@@ -101,16 +102,12 @@ impl TcpSender {
         s
     }
 
-    fn mss(&self) -> u32 {
-        self.cfg.mss as u32
-    }
-
     fn flight(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
 
     fn effective_window(&self) -> u32 {
-        let scaled = (self.cfg.rcv_window as u32) << self.cfg.window_scale.min(14);
+        let scaled = (RCV_WINDOW as u32) << WINDOW_SCALE;
         (self.cwnd as u32).min(scaled)
     }
 
@@ -124,7 +121,7 @@ impl TcpSender {
             seq,
             ack: 0,
             flags: TcpFlags::ACK,
-            window: self.cfg.rcv_window,
+            window: RCV_WINDOW,
             payload: zero_payload(len),
         };
         let frame = builder::tcp_frame(
@@ -145,7 +142,7 @@ impl TcpSender {
         if now >= self.stop_at {
             return;
         }
-        let mss = self.mss();
+        let mss = MSS;
         while self.flight().saturating_add(mss) <= self.effective_window() {
             let seq = self.snd_nxt;
             self.snd_nxt = self.snd_nxt.wrapping_add(mss);
@@ -185,7 +182,7 @@ impl TcpSender {
             }
         }
         let rto = self.srtt.expect("set above") + self.rttvar * 4;
-        self.rto = rto.max(self.cfg.min_rto);
+        self.rto = rto.max(MIN_RTO);
     }
 
     /// Handles an ACK. `ack_id` is the receiver's per-ACK stamp (see the
@@ -201,7 +198,7 @@ impl TcpSender {
             self.seen_ack_ids.clear(); // ids are monotonic; stale set
         }
         let now = ctx.now();
-        let mss = self.mss() as f64;
+        let mss = MSS as f64;
         if seq_gt(ack, self.snd_una) {
             let acked = ack.wrapping_sub(self.snd_una);
             self.snd_una = ack;
@@ -230,7 +227,7 @@ impl TcpSender {
                 } else {
                     // NewReno partial ACK: retransmit the next hole,
                     // deflate by the amount acked.
-                    self.send_segment(ctx, self.snd_una, self.mss() as usize);
+                    self.send_segment(ctx, self.snd_una, MSS as usize);
                     self.cwnd = (self.cwnd - acked as f64 + mss).max(mss);
                 }
             } else if self.cwnd < self.ssthresh {
@@ -258,14 +255,14 @@ impl TcpSender {
                 // retransmission itself likely died in the still-full
                 // queue; retry before falling back to a full RTO.
                 if self.dup_acks.is_multiple_of(16) {
-                    self.send_segment(ctx, self.snd_una, self.mss() as usize);
+                    self.send_segment(ctx, self.snd_una, MSS as usize);
                 }
                 self.try_send(ctx);
             } else if self.dup_acks == 3 {
                 // Fast retransmit.
                 self.stats.fast_retransmits += 1;
                 self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * mss);
-                self.send_segment(ctx, self.snd_una, self.mss() as usize);
+                self.send_segment(ctx, self.snd_una, MSS as usize);
                 self.cwnd = self.ssthresh + 3.0 * mss;
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
@@ -302,7 +299,7 @@ impl Device for TcpSender {
         if token != RTO_TIMER_BASE + self.timer_gen || self.flight() == 0 {
             return;
         }
-        let mss = self.mss() as f64;
+        let mss = MSS as f64;
         self.stats.timeouts += 1;
         self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * mss);
         self.cwnd = mss;
@@ -314,8 +311,8 @@ impl Device for TcpSender {
         // resent as the window reopens (the receiver discards what it
         // already has). Without this, multiple holes after a burst loss
         // each cost a full RTO.
-        self.send_segment(ctx, self.snd_una, self.mss() as usize);
-        self.snd_nxt = self.snd_una.wrapping_add(self.mss());
+        self.send_segment(ctx, self.snd_una, MSS as usize);
+        self.snd_nxt = self.snd_una.wrapping_add(MSS);
         self.arm_rto(ctx);
     }
 }
