@@ -20,7 +20,7 @@ use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger};
 
 /// When the equivocation window opens (well after the ping train starts,
 /// so honest majorities are observable on both sides of it).
-pub fn byzantine_window() -> ActivationWindow {
+pub(crate) fn byzantine_window() -> ActivationWindow {
     ActivationWindow::between(
         SimTime::ZERO + SimDuration::from_millis(150),
         SimTime::ZERO + SimDuration::from_millis(650),
@@ -33,7 +33,7 @@ pub const LIAR: usize = 1;
 /// The control-chaos scenario: POX3, functional profile, seed 41, three
 /// controller replicas behind voters with the supervisor attached, and
 /// controller 1 corrupting every votable output inside
-/// [`byzantine_window`].
+/// `byzantine_window`.
 pub fn equivocating_scenario() -> Scenario {
     let mut profile = Profile::functional();
     profile.seed = 41;

@@ -31,7 +31,7 @@ pub struct ExperimentScale {
 
 impl ExperimentScale {
     /// The paper's scale: 10 s × 10 runs per direction.
-    pub fn paper() -> ExperimentScale {
+    pub(crate) fn paper() -> ExperimentScale {
         ExperimentScale {
             duration: SimDuration::from_secs(10),
             runs: 10,
@@ -39,7 +39,7 @@ impl ExperimentScale {
     }
 
     /// A reduced scale for CI and quick iteration: 2 s × 3 runs.
-    pub fn quick() -> ExperimentScale {
+    pub(crate) fn quick() -> ExperimentScale {
         ExperimentScale {
             duration: SimDuration::from_secs(2),
             runs: 3,
@@ -55,7 +55,7 @@ impl ExperimentScale {
     }
 
     /// Reads `NETCO_FULL` / `NETCO_SMOKE` from the environment; defaults
-    /// to [`ExperimentScale::quick`].
+    /// to `ExperimentScale::quick`.
     pub fn from_env() -> ExperimentScale {
         if std::env::var_os("NETCO_FULL").is_some() {
             ExperimentScale::paper()

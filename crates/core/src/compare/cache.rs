@@ -37,17 +37,18 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// Number of distinct replica ports that delivered this packet.
-    pub fn distinct_ports(&self) -> usize {
+    pub(crate) fn distinct_ports(&self) -> usize {
         self.ports.len()
     }
 
     /// Observation count for a given replica index (0 if never seen).
-    pub fn count_for(&self, replica_idx: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn count_for(&self, replica_idx: usize) -> u32 {
         self.counts.get(replica_idx).copied().unwrap_or(0)
     }
 }
 
-/// What [`PacketCache::observe`] saw.
+/// What `PacketCache::observe` saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observed {
     /// First copy of a new packet.
@@ -72,8 +73,8 @@ pub enum Observed {
 ///
 /// Entries expire `hold_time` after their first copy (insertion order *is*
 /// expiry order, because `first_seen` never changes). The caller drives
-/// expiry via [`PacketCache::expire`] and capacity cleanup via
-/// [`PacketCache::cleanup`].
+/// expiry via `PacketCache::expire` and capacity cleanup via
+/// `PacketCache::cleanup`.
 ///
 /// # Fingerprint keys
 ///
@@ -81,8 +82,8 @@ pub enum Observed {
 /// equal only when their bytes are, so the map itself keeps two different
 /// frames that collide on the fingerprint apart — the bit-by-bit semantics
 /// of a byte-keyed cache, at one byte comparison per observed copy.
-/// [`PacketCache::observe`] returns the key the cache holds; follow-up
-/// calls ([`PacketCache::mark_released`] etc.) with it share the stored
+/// `PacketCache::observe` returns the key the cache holds; follow-up
+/// calls (`PacketCache::mark_released` etc.) with it share the stored
 /// buffer and compare no bytes.
 #[derive(Debug, Default)]
 pub struct PacketCache {
@@ -92,17 +93,18 @@ pub struct PacketCache {
 
 impl PacketCache {
     /// Creates an empty cache.
-    pub fn new() -> PacketCache {
+    pub(crate) fn new() -> PacketCache {
         PacketCache::default()
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// `true` when no entries are cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -110,7 +112,7 @@ impl PacketCache {
     /// `replica_idx`-th replica). The frame is stored only for the first
     /// copy. Returns the key the cache holds for this packet plus what was
     /// observed.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         key: CompareKey,
         port: u16,
@@ -164,7 +166,7 @@ impl PacketCache {
 
     /// Marks `key` released, returning the cached frame to emit.
     /// Returns `None` if the entry vanished or was already released.
-    pub fn mark_released(&mut self, key: &CompareKey) -> Option<Frame> {
+    pub(crate) fn mark_released(&mut self, key: &CompareKey) -> Option<Frame> {
         let entry = self.map.get_mut(key)?;
         if entry.released {
             return None;
@@ -175,7 +177,7 @@ impl PacketCache {
 
     /// Marks that a DoS advice was issued for `key`; returns `false` when
     /// one was issued before.
-    pub fn mark_dos_advised(&mut self, key: &CompareKey) -> bool {
+    pub(crate) fn mark_dos_advised(&mut self, key: &CompareKey) -> bool {
         match self.map.get_mut(key) {
             Some(e) if !e.dos_advised => {
                 e.dos_advised = true;
@@ -186,12 +188,12 @@ impl PacketCache {
     }
 
     /// Read access to an entry.
-    pub fn entry(&self, key: &CompareKey) -> Option<&CacheEntry> {
+    pub(crate) fn entry(&self, key: &CompareKey) -> Option<&CacheEntry> {
         self.map.get(key)
     }
 
     /// Removes and returns every entry older than `hold_time`.
-    pub fn expire(
+    pub(crate) fn expire(
         &mut self,
         now: SimTime,
         hold_time: SimDuration,
@@ -215,7 +217,7 @@ impl PacketCache {
 
     /// Evicts the oldest entries until at most `target` remain; returns the
     /// evicted entries (the "clean up procedure" of paper §V).
-    pub fn cleanup(&mut self, target: usize) -> Vec<(CompareKey, CacheEntry)> {
+    pub(crate) fn cleanup(&mut self, target: usize) -> Vec<(CompareKey, CacheEntry)> {
         let mut out = Vec::new();
         while self.map.len() > target {
             let Some(key) = self.order.pop_front() else {

@@ -44,12 +44,12 @@ impl CompareHost {
     }
 
     /// The voting core, for inspection (statistics, supervisor state).
-    pub fn core(&self) -> &CompareCore {
+    pub(crate) fn core(&self) -> &CompareCore {
         &self.core
     }
 
     /// Every security event the core raised, in emission order.
-    pub fn events(&self) -> &EventLog<SecurityEvent> {
+    pub(crate) fn events(&self) -> &EventLog<SecurityEvent> {
         &self.events
     }
 
@@ -57,7 +57,7 @@ impl CompareHost {
     /// core's cells become `compare.<node>.*` rows, verdicts feed the
     /// packet lifecycle, events mark the node's trace timeline. Call from
     /// the hosting device's `on_start`; a disabled sink installs nothing.
-    pub fn start(&mut self, ctx: &Ctx<'_>) {
+    pub(crate) fn start(&mut self, ctx: &Ctx<'_>) {
         if ctx.telemetry().is_enabled() {
             self.sink = ctx.telemetry().clone();
             self.scope = ctx.node_name(ctx.node()).to_string();
@@ -66,7 +66,7 @@ impl CompareHost {
     }
 
     /// How often the hosting device must call [`CompareHost::sweep`].
-    pub fn sweep_interval(&self) -> SimDuration {
+    pub(crate) fn sweep_interval(&self) -> SimDuration {
         self.core.config().sweep_interval()
     }
 
@@ -85,7 +85,7 @@ impl CompareHost {
 
     /// [`CompareCore::sweep`], events logged as in
     /// [`observe`](CompareHost::observe).
-    pub fn sweep(&mut self, now: SimTime) -> Vec<CompareAction> {
+    pub(crate) fn sweep(&mut self, now: SimTime) -> Vec<CompareAction> {
         let actions = self.core.sweep(now);
         self.log_events(actions, now)
     }

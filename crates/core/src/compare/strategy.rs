@@ -40,7 +40,7 @@ impl CompareStrategy {
     /// `FullPacket` reads the frame's memoized fingerprint, so the bytes
     /// are hashed at most once per content no matter how many replicas
     /// deliver copies.
-    pub fn key(&self, frame: &Frame) -> CompareKey {
+    pub(crate) fn key(&self, frame: &Frame) -> CompareKey {
         match self {
             CompareStrategy::FullPacket => CompareKey::Exact {
                 fp: frame.fp128(),

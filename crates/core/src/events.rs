@@ -145,7 +145,7 @@ pub struct EventCounts {
 
 impl EventCounts {
     /// Counts one event.
-    pub fn note(&mut self, event: &SecurityEvent) {
+    pub(crate) fn note(&mut self, event: &SecurityEvent) {
         match event {
             SecurityEvent::SinglePathPacket { .. } => self.single_path += 1,
             SecurityEvent::DetectionMismatch { .. } => self.detection_mismatch += 1,

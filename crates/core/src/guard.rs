@@ -211,7 +211,7 @@ impl GuardSwitch {
     }
 
     /// `true` when `port` is currently blocked by compare advice.
-    pub fn is_port_blocked(&self, port: PortId, now: SimTime) -> bool {
+    pub(crate) fn is_port_blocked(&self, port: PortId, now: SimTime) -> bool {
         // Asked for every replica copy; empty unless a compare sent advice.
         !self.blocked.is_empty()
             && self

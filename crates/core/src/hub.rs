@@ -20,7 +20,8 @@ impl Hub {
     }
 
     /// Total copies emitted.
-    pub fn copies(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn copies(&self) -> u64 {
         self.copies
     }
 }

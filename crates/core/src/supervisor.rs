@@ -153,7 +153,7 @@ pub struct LaneSupervisor {
 
 impl LaneSupervisor {
     /// A supervisor for a lane with `k` replicas, all healthy.
-    pub fn new(cfg: SupervisorConfig, k: usize) -> LaneSupervisor {
+    pub(crate) fn new(cfg: SupervisorConfig, k: usize) -> LaneSupervisor {
         LaneSupervisor {
             cfg,
             replicas: vec![ReplicaState::new(); k],
@@ -162,22 +162,23 @@ impl LaneSupervisor {
     }
 
     /// Number of replicas counted toward the quorum.
-    pub fn healthy_count(&self) -> usize {
+    pub(crate) fn healthy_count(&self) -> usize {
         self.replicas.iter().filter(|r| !r.quarantined).count()
     }
 
     /// Whether the replica at `idx` is excluded from the quorum.
-    pub fn is_quarantined(&self, idx: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, idx: usize) -> bool {
         self.replicas.get(idx).is_some_and(|r| r.quarantined)
     }
 
     /// Whether any replica is currently quarantined.
-    pub fn any_quarantined(&self) -> bool {
+    pub(crate) fn any_quarantined(&self) -> bool {
         self.replicas.iter().any(|r| r.quarantined)
     }
 
     /// Current status of the replica at `idx`.
-    pub fn status(&self, idx: usize) -> ReplicaStatus {
+    #[cfg(test)]
+    pub(crate) fn status(&self, idx: usize) -> ReplicaStatus {
         match self.replicas.get(idx) {
             Some(r) if r.quarantined && r.in_probation => ReplicaStatus::Probation,
             Some(r) if r.quarantined => ReplicaStatus::Quarantined,
@@ -187,7 +188,8 @@ impl LaneSupervisor {
 
     /// Whether the lane is running with degraded (detection) semantics
     /// because too few replicas are healthy for prevention.
-    pub fn degraded(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn degraded(&self) -> bool {
         self.degraded
     }
 
@@ -195,7 +197,7 @@ impl LaneSupervisor {
     /// releases on the first copy; prevention needs a majority of healthy
     /// replicas, or degrades to detection semantics when fewer than
     /// [`Mode::min_replicas`] remain healthy.
-    pub fn active_release_threshold(&self, cfg: &CompareConfig) -> usize {
+    pub(crate) fn active_release_threshold(&self, cfg: &CompareConfig) -> usize {
         let healthy = self.healthy_count();
         match cfg.mode {
             Mode::Detect => 1,
@@ -206,7 +208,7 @@ impl LaneSupervisor {
 
     /// The mode semantics currently in force (prevention lanes degrade to
     /// detection while too few replicas are healthy).
-    pub fn active_mode(&self, cfg: &CompareConfig) -> Mode {
+    pub(crate) fn active_mode(&self, cfg: &CompareConfig) -> Mode {
         if cfg.mode == Mode::Prevent && self.degraded {
             Mode::Detect
         } else {
@@ -216,7 +218,7 @@ impl LaneSupervisor {
 
     /// Records an attributable alarm against replica `idx`. May quarantine
     /// it (and degrade the lane); transition events are appended to `out`.
-    pub fn note_strike(
+    pub(crate) fn note_strike(
         &mut self,
         lane: u16,
         idx: usize,
@@ -278,7 +280,7 @@ impl LaneSupervisor {
     /// released majority. Opens probation once the cool-down elapsed and
     /// re-admits after enough consecutive agreements; transition events are
     /// appended to `out`.
-    pub fn note_shadow_agreement(
+    pub(crate) fn note_shadow_agreement(
         &mut self,
         lane: u16,
         idx: usize,
@@ -317,7 +319,7 @@ impl LaneSupervisor {
 
     /// Records that a quarantined replica's shadow copy was missing or
     /// diverged from the released majority: probation progress resets.
-    pub fn note_shadow_disagreement(&mut self, idx: usize) {
+    pub(crate) fn note_shadow_disagreement(&mut self, idx: usize) {
         if let Some(r) = self.replicas.get_mut(idx) {
             if r.quarantined {
                 r.agree_streak = 0;

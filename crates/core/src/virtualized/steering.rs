@@ -3,11 +3,9 @@
 
 use netco_net::packet::{EthernetFrame, VlanTag};
 use netco_net::{Ctx, Device, Frame, PortId};
-use netco_sim::EventLog;
 
 use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
-use crate::events::SecurityEvent;
 
 const SWEEP_TIMER: u64 = 1;
 
@@ -105,7 +103,8 @@ impl VirtualGuard {
     }
 
     /// The security event log.
-    pub fn events(&self) -> &EventLog<SecurityEvent> {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &netco_sim::EventLog<crate::events::SecurityEvent> {
         self.host.events()
     }
 
@@ -183,6 +182,7 @@ impl std::fmt::Debug for VirtualGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::SecurityEvent;
     use bytes::Bytes;
     use netco_sim::SimDuration;
 

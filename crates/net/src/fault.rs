@@ -262,9 +262,4 @@ impl FaultPlan {
         self.control_fault(a, b, kind.clone())
             .control_fault(b, a, kind)
     }
-
-    /// `true` when the plan contains no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.control_faults.is_empty()
-    }
 }

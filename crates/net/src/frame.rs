@@ -78,11 +78,6 @@ impl MemoStats {
     pub fn misses(&self) -> u64 {
         self.fp_misses + self.parse_misses
     }
-
-    /// Total derivations answered without touching the bytes.
-    pub fn hits(&self) -> u64 {
-        self.fp_hits + self.parse_hits
-    }
 }
 
 /// One thread's memo counters. Plain relaxed atomics: the owning thread is
@@ -244,13 +239,8 @@ impl Frame {
     }
 
     /// Frame length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Is the frame empty?
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// The 128-bit content fingerprint, computed on first call and shared

@@ -24,7 +24,7 @@ pub struct NeighborTable {
 
 impl NeighborTable {
     /// Creates an empty table.
-    pub fn new() -> NeighborTable {
+    pub(crate) fn new() -> NeighborTable {
         NeighborTable::default()
     }
 
@@ -34,17 +34,19 @@ impl NeighborTable {
     }
 
     /// Looks up the MAC for `ip`.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
         self.entries.get(&ip).copied()
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when the table has no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -104,24 +104,6 @@ impl MacAddr {
         self == MacAddr::BROADCAST
     }
 
-    /// `true` when the group (multicast) bit is set — includes broadcast.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// The address as a big-endian `u64` (upper 16 bits zero).
-    pub fn to_u64(self) -> u64 {
-        let mut v = [0u8; 8];
-        v[2..].copy_from_slice(&self.0);
-        u64::from_be_bytes(v)
-    }
-
-    /// Builds an address from the low 48 bits of `v`.
-    pub fn from_u64(v: u64) -> MacAddr {
-        let b = v.to_be_bytes();
-        MacAddr([b[2], b[3], b[4], b[5], b[6], b[7]])
-    }
-
     /// The raw octets.
     pub fn octets(self) -> [u8; 6] {
         self.0
@@ -193,26 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn u64_round_trip() {
-        let mac = MacAddr::local(0xabcd);
-        assert_eq!(MacAddr::from_u64(mac.to_u64()), mac);
-    }
-
-    #[test]
     fn multicast_and_broadcast_bits() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::local(3).is_multicast());
+        assert!(MacAddr::BROADCAST.is_broadcast());
+        assert!(!MacAddr::local(3).is_broadcast());
         let mcast = MacAddr([0x01, 0, 0x5e, 0, 0, 1]);
-        assert!(mcast.is_multicast());
         assert!(!mcast.is_broadcast());
     }
 
     #[test]
-    fn local_addresses_are_unique_and_unicast() {
+    fn local_addresses_are_unique() {
         let a = MacAddr::local(1);
         let b = MacAddr::local(2);
         assert_ne!(a, b);
-        assert!(!a.is_multicast());
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl ArpPacket {
     }
 
     /// Builds the is-at reply answering `request`.
-    pub fn reply_to(request: &ArpPacket, my_mac: MacAddr) -> ArpPacket {
+    pub(crate) fn reply_to(request: &ArpPacket, my_mac: MacAddr) -> ArpPacket {
         ArpPacket {
             operation: ArpOperation::Reply,
             sender_mac: my_mac,

@@ -176,11 +176,6 @@ impl EthernetFrame {
             payload: data.slice(et_off + 2..),
         })
     }
-
-    /// Total encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        ETHERNET_HEADER_LEN + if self.vlan.is_some() { 4 } else { 0 } + self.payload.len()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,6 @@ mod tests {
     fn untagged_round_trip() {
         let f = sample(None);
         let wire = f.encode();
-        assert_eq!(wire.len(), f.wire_len());
         assert_eq!(EthernetFrame::decode(&wire).unwrap(), f);
     }
 
@@ -213,7 +207,6 @@ mod tests {
             vid: 100,
         }));
         let wire = f.encode();
-        assert_eq!(wire.len(), f.wire_len());
         let back = EthernetFrame::decode(&wire).unwrap();
         assert_eq!(back, f);
         assert_eq!(back.vlan.unwrap().vid, 100);

@@ -7,7 +7,7 @@ use super::checksum::internet_checksum;
 use super::CodecError;
 
 /// Length of an ICMP echo header.
-pub const ICMP_HEADER_LEN: usize = 8;
+pub(crate) const ICMP_HEADER_LEN: usize = 8;
 
 /// The ICMP message type (echo subset plus a catch-all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +22,7 @@ pub enum IcmpType {
 
 impl IcmpType {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             IcmpType::EchoReply => 0,
             IcmpType::EchoRequest => 8,
@@ -130,11 +130,6 @@ impl IcmpMessage {
             payload: data.slice(ICMP_HEADER_LEN..),
         })
     }
-
-    /// Total encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        ICMP_HEADER_LEN + self.payload.len()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,6 @@ mod tests {
     fn round_trip() {
         let m = IcmpMessage::echo_request(0x55, 3, Bytes::from_static(&[9; 56]));
         let wire = m.encode();
-        assert_eq!(wire.len(), m.wire_len());
         assert_eq!(IcmpMessage::decode(&wire).unwrap(), m);
     }
 

@@ -25,7 +25,7 @@ pub enum IpProtocol {
 
 impl IpProtocol {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             IpProtocol::Icmp => 1,
             IpProtocol::Tcp => 6,
@@ -171,11 +171,6 @@ impl Ipv4Packet {
         })
     }
 
-    /// Total encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        IPV4_HEADER_LEN + self.payload.len()
-    }
-
     /// The 12-byte pseudo-header used by UDP/TCP checksums.
     pub(crate) fn pseudo_header(
         src: Ipv4Addr,
@@ -209,7 +204,6 @@ mod tests {
     fn round_trip() {
         let p = sample();
         let wire = p.encode();
-        assert_eq!(wire.len(), p.wire_len());
         assert_eq!(Ipv4Packet::decode(&wire).unwrap(), p);
     }
 

@@ -18,15 +18,16 @@ pub struct TcpFlags(u8);
 
 impl TcpFlags {
     /// No flags set.
-    pub const NONE: TcpFlags = TcpFlags(0);
+    #[cfg(test)]
+    pub(crate) const NONE: TcpFlags = TcpFlags(0);
     /// FIN — sender is finished.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN — synchronize sequence numbers.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST — reset the connection.
-    pub const RST: TcpFlags = TcpFlags(0x04);
+    pub(crate) const RST: TcpFlags = TcpFlags(0x04);
     /// PSH — push buffered data.
-    pub const PSH: TcpFlags = TcpFlags(0x08);
+    pub(crate) const PSH: TcpFlags = TcpFlags(0x08);
     /// ACK — acknowledgment field is valid.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// URG — urgent pointer valid. This stack never sends urgent data;
@@ -41,7 +42,7 @@ impl TcpFlags {
     }
 
     /// The raw flags byte.
-    pub fn bits(self) -> u8 {
+    pub(crate) fn bits(self) -> u8 {
         self.0
     }
 
@@ -188,23 +189,6 @@ impl TcpSegment {
             payload: data.slice(TCP_HEADER_LEN..),
         })
     }
-
-    /// Total encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        TCP_HEADER_LEN + self.payload.len()
-    }
-
-    /// Sequence space consumed by this segment (payload plus SYN/FIN).
-    pub fn seq_len(&self) -> u32 {
-        let mut len = self.payload.len() as u32;
-        if self.flags.contains(TcpFlags::SYN) {
-            len += 1;
-        }
-        if self.flags.contains(TcpFlags::FIN) {
-            len += 1;
-        }
-        len
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +214,6 @@ mod tests {
     fn round_trip() {
         let s = sample();
         let wire = s.encode(SRC, DST);
-        assert_eq!(wire.len(), s.wire_len());
         assert_eq!(TcpSegment::decode(&wire, SRC, DST).unwrap(), s);
     }
 
@@ -261,16 +244,6 @@ mod tests {
             TcpSegment::decode(&wire.into(), SRC, DST),
             Err(CodecError::BadHeaderLength(6))
         ));
-    }
-
-    #[test]
-    fn seq_len_counts_syn_fin() {
-        let mut s = sample();
-        assert_eq!(s.seq_len(), 12);
-        s.flags |= TcpFlags::SYN;
-        assert_eq!(s.seq_len(), 13);
-        s.flags |= TcpFlags::FIN;
-        assert_eq!(s.seq_len(), 14);
     }
 
     #[test]

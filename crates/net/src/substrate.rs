@@ -41,7 +41,7 @@ impl DropReason {
 
     /// Canonical lower-snake-case slug, used as the metric-name suffix in
     /// telemetry snapshots (`net.drops.<slug>`).
-    pub fn slug(self) -> &'static str {
+    pub(crate) fn slug(self) -> &'static str {
         match self {
             DropReason::LinkQueueFull => "link_queue_full",
             DropReason::CpuQueueFull => "cpu_queue_full",

@@ -1,7 +1,9 @@
 //! Tiny devices for tests and documentation examples.
 
 use bytes::Bytes;
-use netco_sim::{SimDuration, SimTime};
+#[cfg(test)]
+use netco_sim::SimDuration;
+use netco_sim::SimTime;
 
 use crate::device::{Ctx, Device};
 use crate::frame::Frame;
@@ -41,13 +43,15 @@ impl Device for CollectorDevice {
 }
 
 /// A device that sends one control message to `peer` at start-up.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct ControlEchoDevice {
+pub(crate) struct ControlEchoDevice {
     /// Destination of the start-up message.
     pub peer: Option<NodeId>,
     started: bool,
 }
 
+#[cfg(test)]
 impl Device for ControlEchoDevice {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // `peer` is usually set right after `add_node`; retry via timer so
@@ -71,12 +75,14 @@ impl Device for ControlEchoDevice {
 }
 
 /// A device that schedules three timers at start and records firing order.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct TimerRecorder {
+pub(crate) struct TimerRecorder {
     /// Tokens in firing order.
     pub fired: Vec<u64>,
 }
 
+#[cfg(test)]
 impl Device for TimerRecorder {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.schedule_timer(SimDuration::from_micros(30), 3);

@@ -8,7 +8,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -38,10 +37,7 @@ pub struct TraceEntry {
 /// Shared, cloneable handle to a recording (the tap closure holds one
 /// clone; the test/analysis code holds another).
 ///
-/// The storage is a [`FlightRing`] from `netco-telemetry`: unbounded by
-/// default, or bounded via [`with_capacity`](TraceRecorder::with_capacity)
-/// to act as a flight recorder that retains only the most recent
-/// observations.
+/// The storage is an unbounded [`FlightRing`] from `netco-telemetry`.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     inner: Rc<RefCell<FlightRing<TraceEntry>>>,
@@ -99,15 +95,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Creates a recorder that retains at most `capacity` observations,
-    /// evicting the oldest (and counting evictions — see
-    /// [`dropped`](TraceRecorder::dropped)).
-    pub fn with_capacity(capacity: usize) -> TraceRecorder {
-        TraceRecorder {
-            inner: Rc::new(RefCell::new(FlightRing::new(capacity))),
-        }
-    }
-
     /// Attaches this recorder to `world`, capturing every tapped frame.
     /// Call before running the simulation. If the world has telemetry
     /// enabled, observations are also counted under `trace.rx_frames` /
@@ -132,27 +119,6 @@ impl TraceRecorder {
         });
     }
 
-    /// Observations evicted by a bounded recorder (always 0 when
-    /// unbounded).
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped()
-    }
-
-    /// Number of recorded observations.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().is_empty()
-    }
-
-    /// A copy of all retained entries (in observation order).
-    pub fn entries(&self) -> Vec<TraceEntry> {
-        self.inner.borrow().iter().cloned().collect()
-    }
-
     /// Frames received (`Rx`) at `node`, like `tcpdump` on its interfaces.
     pub fn received_at(&self, node: NodeId) -> Vec<TraceEntry> {
         self.inner
@@ -172,29 +138,6 @@ impl TraceRecorder {
             }
         }
         h
-    }
-
-    /// Renders the trace like `tcpdump -n` output (node names resolved
-    /// through `world`).
-    pub fn render(&self, world: &World) -> String {
-        let mut out = String::new();
-        for e in self.inner.borrow().iter() {
-            let dir = match e.direction {
-                TapDirection::Rx => "<",
-                TapDirection::Tx => ">",
-            };
-            let _ = writeln!(
-                out,
-                "{} {}{} {}  len={} {}",
-                e.at,
-                world.node_name(e.node),
-                e.port,
-                dir,
-                e.len,
-                e.summary
-            );
-        }
-        out
     }
 }
 
@@ -284,32 +227,6 @@ mod tests {
         let hist = trace.rx_histogram();
         assert_eq!(hist[&a], 1);
         assert_eq!(hist[&b], 1);
-        let rendered = trace.render(&w);
-        assert!(rendered.contains("b"));
-        assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn bounded_recorder_keeps_most_recent() {
-        let mut w = World::new(1);
-        let a = w.add_node("a", EchoDevice::default(), CpuModel::default());
-        let b = w.add_node("b", CollectorDevice::default(), CpuModel::default());
-        w.connect(a, PortId(0), b, PortId(0), LinkSpec::ideal());
-        w.set_telemetry(netco_telemetry::TelemetrySink::enabled());
-        let trace = TraceRecorder::with_capacity(2);
-        trace.attach(&mut w);
-        for _ in 0..3 {
-            w.inject_frame(a, PortId(0), Bytes::from_static(b"xx"));
-        }
-        w.run_for(SimDuration::from_millis(1));
-        assert_eq!(trace.len(), 2, "ring retains only the newest entries");
-        assert!(trace.dropped() > 0);
-        let sink = w.telemetry();
-        // Counters see every observation, bounded ring or not.
-        assert_eq!(
-            sink.counter("trace.rx_frames").get() + sink.counter("trace.tx_frames").get(),
-            trace.len() as u64 + trace.dropped()
-        );
     }
 
     #[test]

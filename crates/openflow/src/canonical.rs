@@ -37,8 +37,8 @@ use crate::wire;
 pub enum Canonical {
     /// A votable output (flow-mod or packet-out) in canonical wire form.
     Votable(Bytes),
-    /// A well-formed message that is not voted on (handshake, liveness,
-    /// stats plumbing); the decoded message and original xid are returned
+    /// A well-formed message that is not voted on (handshake, echo, stats
+    /// plumbing); the decoded message and original xid are returned
     /// so the caller can answer or relay it.
     Opaque(Box<OfMessage>, u32),
     /// Bytes that do not decode as OpenFlow 1.0.
@@ -61,7 +61,7 @@ pub fn canonicalize(bytes: &Bytes) -> Canonical {
 /// Re-encodes a votable message in canonical form (xid 0, no buffer id,
 /// actions sorted by encoded bytes). Non-votable messages are encoded
 /// with xid 0 but otherwise untouched.
-pub fn canonical_bytes(msg: OfMessage) -> Bytes {
+pub(crate) fn canonical_bytes(msg: OfMessage) -> Bytes {
     let msg = match msg {
         OfMessage::FlowMod {
             command,

@@ -66,12 +66,6 @@ impl FlowMatch {
         self
     }
 
-    /// Builder: match on Ethernet source.
-    pub fn with_dl_src(mut self, mac: MacAddr) -> FlowMatch {
-        self.dl_src = Some(mac);
-        self
-    }
-
     /// Builder: match on Ethernet destination.
     pub fn with_dl_dst(mut self, mac: MacAddr) -> FlowMatch {
         self.dl_dst = Some(mac);
@@ -85,20 +79,16 @@ impl FlowMatch {
     }
 
     /// Builder: match on EtherType.
-    pub fn with_dl_type(mut self, ethertype: u16) -> FlowMatch {
+    #[cfg(test)]
+    pub(crate) fn with_dl_type(mut self, ethertype: u16) -> FlowMatch {
         self.dl_type = Some(ethertype);
         self
     }
 
     /// Builder: match on IP protocol.
-    pub fn with_nw_proto(mut self, proto: u8) -> FlowMatch {
+    #[cfg(test)]
+    pub(crate) fn with_nw_proto(mut self, proto: u8) -> FlowMatch {
         self.nw_proto = Some(proto);
-        self
-    }
-
-    /// Builder: match on IPv4 source.
-    pub fn with_nw_src(mut self, ip: Ipv4Addr) -> FlowMatch {
-        self.nw_src = Some(ip);
         self
     }
 
@@ -108,14 +98,9 @@ impl FlowMatch {
         self
     }
 
-    /// Builder: match on L4 source port.
-    pub fn with_tp_src(mut self, port: u16) -> FlowMatch {
-        self.tp_src = Some(port);
-        self
-    }
-
     /// Builder: match on L4 destination port.
-    pub fn with_tp_dst(mut self, port: u16) -> FlowMatch {
+    #[cfg(test)]
+    pub(crate) fn with_tp_dst(mut self, port: u16) -> FlowMatch {
         self.tp_dst = Some(port);
         self
     }
@@ -167,7 +152,7 @@ impl FlowMatch {
     /// When this match is wildcard-free (all 12 fields concrete), the one
     /// [`PacketFields`] value it matches — the key of the flow table's
     /// exact-match index. `None` as soon as any field is wildcarded.
-    pub fn exact_key(&self) -> Option<PacketFields> {
+    pub(crate) fn exact_key(&self) -> Option<PacketFields> {
         Some(PacketFields {
             in_port: self.in_port?,
             dl_src: self.dl_src?,
@@ -185,7 +170,7 @@ impl FlowMatch {
     }
 
     /// Builds the wildcard-free match for exactly `fields` (the inverse of
-    /// [`FlowMatch::exact_key`]) — what a microflow rule installs.
+    /// `FlowMatch::exact_key`) — what a microflow rule installs.
     pub fn exact(fields: &PacketFields) -> FlowMatch {
         FlowMatch {
             in_port: Some(fields.in_port),
@@ -201,22 +186,6 @@ impl FlowMatch {
             tp_src: Some(fields.tp_src),
             tp_dst: Some(fields.tp_dst),
         }
-    }
-
-    /// Number of concrete (non-wildcarded) fields.
-    pub fn specificity(&self) -> u32 {
-        self.in_port.is_some() as u32
-            + self.dl_src.is_some() as u32
-            + self.dl_dst.is_some() as u32
-            + self.dl_vlan.is_some() as u32
-            + self.dl_vlan_pcp.is_some() as u32
-            + self.dl_type.is_some() as u32
-            + self.nw_tos.is_some() as u32
-            + self.nw_proto.is_some() as u32
-            + self.nw_src.is_some() as u32
-            + self.nw_dst.is_some() as u32
-            + self.tp_src.is_some() as u32
-            + self.tp_dst.is_some() as u32
     }
 }
 
@@ -314,22 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn specificity_counts() {
-        assert_eq!(FlowMatch::any().specificity(), 0);
-        assert_eq!(
-            FlowMatch::any()
-                .with_in_port(1)
-                .with_tp_src(2)
-                .specificity(),
-            2
-        );
-    }
-
-    #[test]
     fn exact_key_roundtrips() {
         let f = fields();
         let m = FlowMatch::exact(&f);
-        assert_eq!(m.specificity(), 12);
         assert_eq!(m.exact_key().as_ref(), Some(&f));
         assert!(m.matches(&f));
         let mut other = f.clone();

@@ -60,41 +60,41 @@ impl FlowEntry {
     }
 
     /// Builder: sets the idle timeout.
-    pub fn with_idle_timeout(mut self, timeout: SimDuration) -> FlowEntry {
+    pub(crate) fn with_idle_timeout(mut self, timeout: SimDuration) -> FlowEntry {
         self.idle_timeout = Some(timeout);
         self
     }
 
     /// Builder: sets the hard timeout.
-    pub fn with_hard_timeout(mut self, timeout: SimDuration) -> FlowEntry {
+    pub(crate) fn with_hard_timeout(mut self, timeout: SimDuration) -> FlowEntry {
         self.hard_timeout = Some(timeout);
         self
     }
 
     /// Builder: requests a flow-removed notification on expiry/delete.
-    pub fn with_notify(mut self, notify: bool) -> FlowEntry {
+    pub(crate) fn with_notify(mut self, notify: bool) -> FlowEntry {
         self.notify_when_removed = notify;
         self
     }
 
     /// `true` when the controller asked to be told about removal.
-    pub fn notify_when_removed(&self) -> bool {
+    pub(crate) fn notify_when_removed(&self) -> bool {
         self.notify_when_removed
     }
 
     /// Builder: sets the opaque controller cookie.
-    pub fn with_cookie(mut self, cookie: u64) -> FlowEntry {
+    pub(crate) fn with_cookie(mut self, cookie: u64) -> FlowEntry {
         self.cookie = cookie;
         self
     }
 
     /// Entry priority (higher wins).
-    pub fn priority(&self) -> u16 {
+    pub(crate) fn priority(&self) -> u16 {
         self.priority
     }
 
     /// The match of this entry.
-    pub fn matcher(&self) -> &FlowMatch {
+    pub(crate) fn matcher(&self) -> &FlowMatch {
         &self.matcher
     }
 
@@ -105,33 +105,23 @@ impl FlowEntry {
 
     /// A shared handle to the action list — what the switch data path
     /// clones per matched packet (reference-count bump, not a list copy).
-    pub fn shared_actions(&self) -> Arc<[Action]> {
+    pub(crate) fn shared_actions(&self) -> Arc<[Action]> {
         Arc::clone(&self.actions)
     }
 
     /// The controller cookie.
-    pub fn cookie(&self) -> u64 {
+    pub(crate) fn cookie(&self) -> u64 {
         self.cookie
     }
 
     /// Packets matched so far.
-    pub fn packet_count(&self) -> u64 {
+    pub(crate) fn packet_count(&self) -> u64 {
         self.packets
     }
 
     /// Bytes matched so far.
-    pub fn byte_count(&self) -> u64 {
+    pub(crate) fn byte_count(&self) -> u64 {
         self.bytes
-    }
-
-    /// Idle timeout, if configured.
-    pub fn idle_timeout(&self) -> Option<SimDuration> {
-        self.idle_timeout
-    }
-
-    /// Hard timeout, if configured.
-    pub fn hard_timeout(&self) -> Option<SimDuration> {
-        self.hard_timeout
     }
 
     fn expired(&self, now: SimTime) -> Option<FlowRemovedReason> {
@@ -177,8 +167,6 @@ pub struct FlowTable {
     exact: HashMap<PacketFields, usize, FxBuildHasher>,
     // Scan-order slots of entries with at least one wildcarded field.
     wildcard_slots: Vec<usize>,
-    lookups: u64,
-    misses: u64,
 }
 
 impl FlowTable {
@@ -197,18 +185,8 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
-    /// Total lookups performed.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that matched no entry (table misses → packet-in).
-    pub fn miss_count(&self) -> u64 {
-        self.misses
-    }
-
     /// Iterates over entries in priority order.
-    pub fn iter(&self) -> std::slice::Iter<'_, FlowEntry> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, FlowEntry> {
         self.entries.iter()
     }
 
@@ -256,7 +234,7 @@ impl FlowTable {
     /// `matcher`; returns how many were updated. When none match, OF 1.0
     /// says modify behaves like add — the caller decides that (the switch
     /// does).
-    pub fn modify(
+    pub(crate) fn modify(
         &mut self,
         matcher: &FlowMatch,
         priority: Option<u16>,
@@ -277,7 +255,7 @@ impl FlowTable {
     /// Deletes entries. With `strict`, only the exact (match, priority)
     /// entry is removed; otherwise every entry subsumed by `matcher` goes.
     /// Returns the removed entries.
-    pub fn delete(
+    pub(crate) fn delete(
         &mut self,
         matcher: &FlowMatch,
         priority: Option<u16>,
@@ -311,13 +289,13 @@ impl FlowTable {
 
     /// Finds the best entry for `fields`, updating its counters and idle
     /// timestamp. Expired entries are skipped (lazily collected by
-    /// [`FlowTable::expire`]).
+    /// `FlowTable::expire`).
     pub fn lookup(&mut self, fields: &PacketFields, now: SimTime) -> Option<&FlowEntry> {
         self.lookup_inner(fields, 0, now)
     }
 
     /// Like [`FlowTable::lookup`] but also charges `bytes` to the entry.
-    pub fn lookup_counted(
+    pub(crate) fn lookup_counted(
         &mut self,
         fields: &PacketFields,
         bytes: usize,
@@ -334,21 +312,12 @@ impl FlowTable {
         bytes: u64,
         now: SimTime,
     ) -> Option<&FlowEntry> {
-        self.lookups += 1;
-        let slot = self.classify(fields, now);
-        match slot {
-            Some(i) => {
-                let e = &mut self.entries[i];
-                e.packets += 1;
-                e.bytes += bytes;
-                e.last_matched = now;
-                Some(&self.entries[i])
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let i = self.classify(fields, now)?;
+        let e = &mut self.entries[i];
+        e.packets += 1;
+        e.bytes += bytes;
+        e.last_matched = now;
+        Some(&self.entries[i])
     }
 
     /// The winning (live, matching) slot for `fields`, or `None` on a
@@ -388,7 +357,7 @@ impl FlowTable {
     }
 
     /// Removes expired entries, returning them with their removal reasons.
-    pub fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
+    pub(crate) fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
         // Steady state: nothing has expired — no allocation, no rebuild.
         if !self.entries.iter().any(|e| e.expired(now).is_some()) {
             return Vec::new();
@@ -422,40 +391,28 @@ mod baseline {
 
     /// Scan-only reference implementation of [`FlowTable`].
     #[derive(Debug, Clone, Default)]
-    pub struct LinearFlowTable {
+    pub(crate) struct LinearFlowTable {
         entries: Vec<FlowEntry>,
-        lookups: u64,
-        misses: u64,
     }
 
     impl LinearFlowTable {
         /// Creates an empty table.
-        pub fn new() -> LinearFlowTable {
+        pub(crate) fn new() -> LinearFlowTable {
             LinearFlowTable::default()
         }
 
         /// Number of installed entries.
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.entries.len()
         }
 
-        /// Total lookups performed.
-        pub fn lookup_count(&self) -> u64 {
-            self.lookups
-        }
-
-        /// Lookups that matched no entry.
-        pub fn miss_count(&self) -> u64 {
-            self.misses
-        }
-
         /// Iterates over entries in priority order.
-        pub fn iter(&self) -> std::slice::Iter<'_, FlowEntry> {
+        pub(crate) fn iter(&self) -> std::slice::Iter<'_, FlowEntry> {
             self.entries.iter()
         }
 
         /// See [`FlowTable::add`].
-        pub fn add(&mut self, mut entry: FlowEntry, now: SimTime) {
+        pub(crate) fn add(&mut self, mut entry: FlowEntry, now: SimTime) {
             entry.created_at = now;
             entry.last_matched = now;
             if let Some(existing) = self
@@ -473,7 +430,7 @@ mod baseline {
         }
 
         /// See [`FlowTable::modify`].
-        pub fn modify(
+        pub(crate) fn modify(
             &mut self,
             matcher: &FlowMatch,
             priority: Option<u16>,
@@ -492,7 +449,7 @@ mod baseline {
         }
 
         /// See [`FlowTable::delete`].
-        pub fn delete(
+        pub(crate) fn delete(
             &mut self,
             matcher: &FlowMatch,
             priority: Option<u16>,
@@ -516,34 +473,25 @@ mod baseline {
         }
 
         /// See [`FlowTable::lookup_counted`].
-        pub fn lookup_counted(
+        pub(crate) fn lookup_counted(
             &mut self,
             fields: &PacketFields,
             bytes: usize,
             now: SimTime,
         ) -> Option<&FlowEntry> {
-            self.lookups += 1;
-            let idx = self
+            let i = self
                 .entries
                 .iter()
-                .position(|e| e.expired(now).is_none() && e.matcher.matches(fields));
-            match idx {
-                Some(i) => {
-                    let e = &mut self.entries[i];
-                    e.packets += 1;
-                    e.bytes += bytes as u64;
-                    e.last_matched = now;
-                    Some(&self.entries[i])
-                }
-                None => {
-                    self.misses += 1;
-                    None
-                }
-            }
+                .position(|e| e.expired(now).is_none() && e.matcher.matches(fields))?;
+            let e = &mut self.entries[i];
+            e.packets += 1;
+            e.bytes += bytes as u64;
+            e.last_matched = now;
+            Some(&self.entries[i])
         }
 
         /// See [`FlowTable::expire`].
-        pub fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
+        pub(crate) fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
             let mut removed = Vec::new();
             self.entries.retain(|e| match e.expired(now) {
                 Some(reason) => {
@@ -766,8 +714,6 @@ mod prop_flow_table {
                 let b: Vec<FlowEntry> = linear.iter().cloned().collect();
                 prop_assert_eq!(a, b, "table contents diverged at step {}", step);
                 prop_assert_eq!(indexed.len(), linear.len());
-                prop_assert_eq!(indexed.lookup_count(), linear.lookup_count());
-                prop_assert_eq!(indexed.miss_count(), linear.miss_count());
             }
         }
 
@@ -853,18 +799,6 @@ mod tests {
             t.lookup(&f, SimTime::ZERO).unwrap().actions(),
             out(2).as_slice()
         );
-    }
-
-    #[test]
-    fn miss_counting() {
-        let mut t = FlowTable::new();
-        t.add(
-            FlowEntry::new(1, FlowMatch::any().with_in_port(9), out(1)),
-            SimTime::ZERO,
-        );
-        assert!(t.lookup(&PacketFields::default(), SimTime::ZERO).is_none());
-        assert_eq!(t.miss_count(), 1);
-        assert_eq!(t.lookup_count(), 1);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub enum OfMessage {
         in_port: u16,
         /// Why it was sent.
         reason: PacketInReason,
-        /// Packet bytes (possibly truncated to `miss_send_len`).
+        /// Packet bytes (possibly truncated by the switch).
         data: Bytes,
     },
     /// Controller tells the switch to emit a packet.

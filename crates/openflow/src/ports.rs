@@ -29,7 +29,7 @@ impl OfPort {
     const CONTROLLER: u16 = 0xfffd;
     const NONE: u16 = 0xffff;
     /// Highest valid physical port number in OF 1.0 (`OFPP_MAX`).
-    pub const MAX_PHYSICAL: u16 = 0xff00;
+    pub(crate) const MAX_PHYSICAL: u16 = 0xff00;
 
     /// The wire encoding of this port.
     pub fn to_u16(self) -> u16 {
@@ -45,7 +45,7 @@ impl OfPort {
 
     /// Interprets a wire value. Unknown reserved values map to
     /// [`OfPort::None`] (the safe, drop-everything reading).
-    pub fn from_u16(v: u16) -> OfPort {
+    pub(crate) fn from_u16(v: u16) -> OfPort {
         match v {
             OfPort::IN_PORT => OfPort::InPort,
             OfPort::FLOOD => OfPort::Flood,
@@ -54,14 +54,6 @@ impl OfPort {
             OfPort::NONE => OfPort::None,
             p if p <= OfPort::MAX_PHYSICAL => OfPort::Physical(p),
             _ => OfPort::None,
-        }
-    }
-
-    /// The physical port id, if this is a physical port.
-    pub fn physical(self) -> Option<PortId> {
-        match self {
-            OfPort::Physical(p) => Some(PortId(p)),
-            _ => None,
         }
     }
 }
@@ -111,8 +103,6 @@ mod tests {
 
     #[test]
     fn physical_conversion() {
-        assert_eq!(OfPort::Physical(7).physical(), Some(PortId(7)));
-        assert_eq!(OfPort::Flood.physical(), None);
         assert_eq!(OfPort::from(PortId(3)), OfPort::Physical(3));
     }
 

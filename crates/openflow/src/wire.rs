@@ -32,13 +32,13 @@ use crate::ports::OfPort;
 use netco_net::packet::OFP_VLAN_NONE;
 
 /// The OpenFlow version byte this codec speaks.
-pub const OFP_VERSION: u8 = 0x01;
+pub(crate) const OFP_VERSION: u8 = 0x01;
 /// Length of the fixed `ofp_header`.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 /// Length of the `ofp_match` structure.
-pub const MATCH_LEN: usize = 40;
+pub(crate) const MATCH_LEN: usize = 40;
 /// `buffer_id` wire value meaning "not buffered".
-pub const NO_BUFFER: u32 = 0xffff_ffff;
+pub(crate) const NO_BUFFER: u32 = 0xffff_ffff;
 
 const OFPT_HELLO: u8 = 0;
 const OFPT_ERROR: u8 = 1;

@@ -21,7 +21,7 @@ pub struct Timestamped<T> {
 /// use netco_sim::{EventLog, SimTime};
 /// let mut log: EventLog<&str> = EventLog::unbounded();
 /// log.push(SimTime::ZERO, "boot");
-/// assert_eq!(log.len(), 1);
+/// assert_eq!(log.iter().len(), 1);
 /// assert_eq!(log.iter().next().unwrap().record, "boot");
 /// ```
 #[derive(Debug, Clone)]
@@ -40,16 +40,6 @@ impl<T> EventLog<T> {
     /// Appends a record at time `at`.
     pub fn push(&mut self, at: SimTime, record: T) {
         self.entries.push(Timestamped { at, record });
-    }
-
-    /// Number of stored records.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates over stored records in insertion (and therefore time) order.
@@ -82,7 +72,7 @@ mod tests {
         for i in 0..1_000u32 {
             log.push(SimTime::from_nanos(i as u64), i);
         }
-        assert_eq!(log.len(), 1_000);
+        assert_eq!(log.iter().len(), 1_000);
     }
 
     #[test]

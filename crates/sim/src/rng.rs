@@ -101,7 +101,7 @@ impl SimRng {
     }
 
     /// Returns a uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -121,12 +121,6 @@ impl SimRng {
         }
         let f = 1.0 + fraction * (2.0 * self.next_f64() - 1.0);
         base.mul_f64(f.max(0.0))
-    }
-
-    /// Samples an exponential inter-arrival time with the given mean.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        mean.mul_f64(-u.ln())
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -224,18 +218,6 @@ mod tests {
         }
         assert_eq!(rng.jitter(base, 0.0), base);
         assert_eq!(rng.jitter(SimDuration::ZERO, 0.5), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut rng = SimRng::new(11);
-        let mean = SimDuration::from_micros(50);
-        let n = 50_000u64;
-        let total: u128 = (0..n)
-            .map(|_| rng.exponential(mean).as_nanos() as u128)
-            .sum();
-        let avg = (total / n as u128) as f64;
-        assert!((avg - 50_000.0).abs() < 1_500.0, "avg {avg}ns");
     }
 
     #[test]

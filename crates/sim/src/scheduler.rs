@@ -139,6 +139,7 @@ impl<E> Level<E> {
         self.mins[slot] = u64::MAX;
     }
 
+    #[cfg(test)]
     fn reset(&mut self) {
         for slot in &mut self.slots {
             slot.clear();
@@ -164,23 +165,14 @@ impl<E> Tick<E> {
         }
     }
 
-    /// Number of events in the tick.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the tick holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Removes and returns the tick's events in delivery (`key`, `seq`)
     /// order.
-    pub fn drain(&mut self) -> impl Iterator<Item = E> + '_ {
+    #[cfg(test)]
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = E> + '_ {
         self.entries.drain(..).map(|e| e.event)
     }
 
-    /// Like [`drain`](Tick::drain), but yields each event's ordering key
+    /// Like `drain`, but yields each event's ordering key
     /// alongside it (the world's event loop stamps keys on tap records so
     /// cross-region observation order can be reconstructed canonically).
     pub fn drain_keyed(&mut self) -> impl Iterator<Item = (u64, E)> + '_ {
@@ -289,13 +281,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub fn pending(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -424,7 +411,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Discards all pending events (the clock is unaffected).
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         for level in &mut self.levels {
             level.reset();
         }
@@ -592,7 +580,7 @@ mod baseline {
 
     /// Single-`BinaryHeap` scheduler with the same API and semantics as
     /// [`Scheduler`](super::Scheduler).
-    pub struct HeapScheduler<E> {
+    pub(crate) struct HeapScheduler<E> {
         now: SimTime,
         seq: u64,
         heap: BinaryHeap<Entry<E>>,
@@ -606,7 +594,7 @@ mod baseline {
 
     impl<E> HeapScheduler<E> {
         /// Creates an empty scheduler with the clock at [`SimTime::ZERO`].
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             HeapScheduler {
                 now: SimTime::ZERO,
                 seq: 0,
@@ -615,17 +603,17 @@ mod baseline {
         }
 
         /// The current simulated time.
-        pub fn now(&self) -> SimTime {
+        pub(crate) fn now(&self) -> SimTime {
             self.now
         }
 
         /// Number of pending events.
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.heap.len()
         }
 
         /// Schedules `event` at the absolute instant `at` (past clamps to now).
-        pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        pub(crate) fn schedule_at(&mut self, at: SimTime, event: E) {
             let at = at.max(self.now);
             let seq = self.seq;
             self.seq += 1;
@@ -638,12 +626,12 @@ mod baseline {
         }
 
         /// Schedules `event` after `delay` from the current time.
-        pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
+        pub(crate) fn schedule_after(&mut self, delay: SimDuration, event: E) {
             self.schedule_at(self.now.saturating_add(delay), event);
         }
 
         /// Removes and returns the earliest event, advancing the clock.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
             let entry = self.heap.pop()?;
             let at = SimTime::from_nanos(entry.at);
             debug_assert!(at >= self.now, "time went backwards");
@@ -652,7 +640,7 @@ mod baseline {
         }
 
         /// Timestamp of the earliest pending event, if any.
-        pub fn peek_time(&self) -> Option<SimTime> {
+        pub(crate) fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|e| SimTime::from_nanos(e.at))
         }
     }
@@ -718,12 +706,12 @@ mod tests {
     #[test]
     fn len_empty_clear() {
         let mut s: Scheduler<u8> = Scheduler::new();
-        assert!(s.is_empty());
+        assert_eq!(s.pending(), 0);
         s.schedule_after(SimDuration::ZERO, 1);
         s.schedule_after(SimDuration::ZERO, 2);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.pending(), 2);
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.pending(), 0);
         assert!(s.pop().is_none());
     }
 
@@ -819,7 +807,7 @@ mod tests {
         let out = pop_tick(&mut s, SimTime::MAX);
         assert_eq!(out.len(), 10);
         assert_eq!(s.now(), SimTime::from_nanos(5));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.pending(), 1);
         let events: Vec<u32> = out
             .iter()
             .map(|&(t, e)| {
@@ -875,7 +863,7 @@ mod tests {
         }
         assert_eq!(s.pop(), Some((SimTime::from_nanos(7), 0)));
         assert_eq!(pop_tick(&mut s, SimTime::MAX).len(), 3);
-        assert_eq!(s.len(), 0);
+        assert_eq!(s.pending(), 0);
     }
 
     #[test]
@@ -966,7 +954,7 @@ mod tests {
             drained,
             vec![(150, 9, 3), (200, 1, 2), (200, 3, 1), (horizon, 0, 5)]
         );
-        assert!(s.is_empty());
+        assert_eq!(s.pending(), 0);
         assert_eq!(
             s.now(),
             SimTime::from_nanos(100),
@@ -999,14 +987,14 @@ mod tests {
             ]
         );
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(second)));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.pending(), 1);
         assert_eq!(pop_tick(&mut s, SimTime::from_nanos(second - 1)), vec![]);
         assert_eq!(s.now(), SimTime::from_nanos(first), "refused: clock stays");
         assert_eq!(
             pop_tick(&mut s, SimTime::MAX),
             vec![(SimTime::from_nanos(second), 2)]
         );
-        assert!(s.is_empty());
+        assert_eq!(s.pending(), 0);
     }
 
     #[test]
@@ -1046,7 +1034,7 @@ mod tests {
             .map(|(t, k, e)| (t.as_nanos(), k, e))
             .collect();
         assert_eq!(drained, model);
-        assert!(s.is_empty());
+        assert_eq!(s.pending(), 0);
         assert_eq!(s.now(), SimTime::from_nanos(40));
         s.schedule_at(s.now(), 99);
         s.schedule_after(SimDuration::from_nanos(DEEP[1]), 100);
@@ -1134,7 +1122,7 @@ mod tests {
                 }
             }
             assert_eq!(wheel.peek_time(), heap.peek_time());
-            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.pending(), heap.len());
         }
         // Drain both to the end: the full remaining sequence must agree.
         loop {
@@ -1226,7 +1214,7 @@ mod tests {
             }
             let next = staged.front().or_else(|| pending.iter().min()).map(|e| e.0);
             assert_eq!(wheel.peek_time(), next.map(SimTime::from_nanos));
-            assert_eq!(wheel.len(), pending.len() + staged.len());
+            assert_eq!(wheel.pending(), pending.len() + staged.len());
             assert_eq!(wheel.now().as_nanos(), now);
         }
         // Delivery order: what is left of a part-popped tick, then the rest.

@@ -50,7 +50,7 @@ impl SimTime {
     }
 
     /// Seconds since the origin as a floating point value.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -58,13 +58,6 @@ impl SimTime {
     /// `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference between two instants.
-    ///
-    /// Returns `None` when `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 
     /// Adds a duration, saturating at [`SimTime::MAX`].
@@ -77,7 +70,7 @@ impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
     /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration of `nanos` nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -153,11 +146,6 @@ impl SimDuration {
         } else {
             SimDuration(v.round() as u64)
         }
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction.
@@ -288,7 +276,6 @@ mod tests {
         let t1 = SimTime::from_nanos(20);
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
         assert_eq!(t1.saturating_since(t0), SimDuration::from_nanos(10));
-        assert_eq!(t0.checked_since(t1), None);
     }
 
     #[test]

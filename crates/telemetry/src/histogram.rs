@@ -101,16 +101,6 @@ impl LogLinearHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest recorded value (exact; 0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Folds `other` into `self`. Associative and commutative: merging a
     /// set of histograms yields the same result in any grouping/order.
     pub fn merge(&mut self, other: &LogLinearHistogram) {
@@ -125,7 +115,7 @@ impl LogLinearHistogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the lower bound of the bucket
     /// holding the rank-`ceil(q · count)` value; 0 when empty. Monotone
-    /// in `q` and never exceeds [`max`](LogLinearHistogram::max).
+    /// in `q` and never exceeds `max`.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

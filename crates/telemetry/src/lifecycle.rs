@@ -55,7 +55,7 @@ pub struct PacketLifecycle {
 impl PacketLifecycle {
     /// Creates the recorder, registering its histograms and counters
     /// under the canonical `lifecycle.*` names.
-    pub fn new(registry: &mut MetricsRegistry) -> PacketLifecycle {
+    pub(crate) fn new(registry: &mut MetricsRegistry) -> PacketLifecycle {
         PacketLifecycle {
             inflight: HashMap::new(),
             tagged: registry.counter("lifecycle.tagged"),
@@ -70,7 +70,7 @@ impl PacketLifecycle {
 
     /// Tags a frame entering the guard hub. First tag wins; re-tagging an
     /// in-flight fingerprint is ignored.
-    pub fn hub_ingress(&mut self, key: u128, ts_ns: u64) {
+    pub(crate) fn hub_ingress(&mut self, key: u128, ts_ns: u64) {
         if self.inflight.contains_key(&key) {
             return;
         }
@@ -86,7 +86,7 @@ impl PacketLifecycle {
     }
 
     /// Records the frame leaving the hub toward a replica.
-    pub fn replica_egress(&mut self, key: u128, ts_ns: u64) {
+    pub(crate) fn replica_egress(&mut self, key: u128, ts_ns: u64) {
         if let Some(flight) = self.inflight.get_mut(&key) {
             if flight.replica_ns.is_none() {
                 flight.replica_ns = Some(ts_ns);
@@ -97,7 +97,7 @@ impl PacketLifecycle {
     }
 
     /// Records the compare observing a replica copy of the frame.
-    pub fn observe(&mut self, key: u128, ts_ns: u64) {
+    pub(crate) fn observe(&mut self, key: u128, ts_ns: u64) {
         if let Some(flight) = self.inflight.get_mut(&key) {
             if flight.observe_ns.is_none() {
                 flight.observe_ns = Some(ts_ns);
@@ -108,7 +108,7 @@ impl PacketLifecycle {
     }
 
     /// Closes a flight with a release verdict.
-    pub fn release(&mut self, key: u128, ts_ns: u64) {
+    pub(crate) fn release(&mut self, key: u128, ts_ns: u64) {
         match self.inflight.remove(&key) {
             Some(flight) => {
                 if let Some(observed) = flight.observe_ns {
@@ -124,7 +124,7 @@ impl PacketLifecycle {
 
     /// Closes a flight with a drop verdict; the drop is counted under
     /// `lifecycle.dropped.<reason>`.
-    pub fn drop_frame(
+    pub(crate) fn drop_frame(
         &mut self,
         registry: &mut MetricsRegistry,
         key: u128,
@@ -147,7 +147,7 @@ impl PacketLifecycle {
     }
 
     /// Frames tagged but not yet resolved to a verdict.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight.len()
     }
 }

@@ -56,14 +56,9 @@ impl Counter {
 
     /// A live handle that is not registered anywhere. It counts from
     /// zero and can later be folded into a registry with
-    /// [`MetricsRegistry::adopt_counter`].
+    /// `MetricsRegistry::adopt_counter`.
     pub fn detached() -> Counter {
         Counter(Some(Arc::new(AtomicU64::new(0))))
-    }
-
-    /// Whether operations on this handle record anything.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Adds 1.
@@ -110,11 +105,6 @@ impl Gauge {
         Gauge(Some(Arc::new(GaugeCell::default())))
     }
 
-    /// Whether operations on this handle record anything.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Sets the current value, raising the peak if needed.
     #[inline]
     pub fn set(&self, value: u64) {
@@ -125,7 +115,8 @@ impl Gauge {
     }
 
     /// Last-set value (0 for a disabled handle).
-    pub fn get(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |cell| cell.value.load(Ordering::Relaxed))
@@ -152,11 +143,6 @@ impl Histogram {
     /// A live handle that is not registered anywhere.
     pub fn detached() -> Histogram {
         Histogram(Some(Arc::new(Mutex::new(LogLinearHistogram::new()))))
-    }
-
-    /// Whether operations on this handle record anything.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Records one value.
@@ -194,25 +180,15 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
+    pub(crate) fn new() -> MetricsRegistry {
         MetricsRegistry::default()
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether no metric has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Gets or creates the counter named `name`.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric type.
-    pub fn counter(&mut self, name: &str) -> Counter {
+    pub(crate) fn counter(&mut self, name: &str) -> Counter {
         let metric = self
             .metrics
             .entry(name.to_string())
@@ -227,7 +203,7 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// If `name` is already registered as a different metric type.
-    pub fn gauge(&mut self, name: &str) -> Gauge {
+    pub(crate) fn gauge(&mut self, name: &str) -> Gauge {
         let metric = self
             .metrics
             .entry(name.to_string())
@@ -242,7 +218,7 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// If `name` is already registered as a different metric type.
-    pub fn histogram(&mut self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&mut self, name: &str) -> Histogram {
         let metric = self
             .metrics
             .entry(name.to_string())
@@ -258,7 +234,7 @@ impl MetricsRegistry {
     /// `name` already exists the carried count is folded in and the
     /// handle is repointed at the registered cell. Idempotent: adopting
     /// an already-adopted handle is a no-op.
-    pub fn adopt_counter(&mut self, name: &str, handle: &mut Counter) {
+    pub(crate) fn adopt_counter(&mut self, name: &str, handle: &mut Counter) {
         match self.metrics.entry(name.to_string()) {
             Entry::Occupied(entry) => match entry.get() {
                 Metric::Counter(cell) => {
@@ -285,7 +261,7 @@ impl MetricsRegistry {
     /// Registers a detached gauge handle under `name`; the counterpart of
     /// [`adopt_counter`](MetricsRegistry::adopt_counter). On a name
     /// collision the handle's value/peak are folded in (peak = max).
-    pub fn adopt_gauge(&mut self, name: &str, handle: &mut Gauge) {
+    pub(crate) fn adopt_gauge(&mut self, name: &str, handle: &mut Gauge) {
         match self.metrics.entry(name.to_string()) {
             Entry::Occupied(entry) => match entry.get() {
                 Metric::Gauge(cell) => {
@@ -313,7 +289,7 @@ impl MetricsRegistry {
     /// of [`adopt_counter`](MetricsRegistry::adopt_counter). On a name
     /// collision the handle's recorded values merge bucket-wise into the
     /// registered histogram and the handle is repointed at it. Idempotent.
-    pub fn adopt_histogram(&mut self, name: &str, handle: &mut Histogram) {
+    pub(crate) fn adopt_histogram(&mut self, name: &str, handle: &mut Histogram) {
         match self.metrics.entry(name.to_string()) {
             Entry::Occupied(entry) => match entry.get() {
                 Metric::Histogram(cell) => {
@@ -351,7 +327,7 @@ impl MetricsRegistry {
     ///
     /// If a name is registered with different metric types in the two
     /// registries.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
         for (name, metric) in &other.metrics {
             match metric {
                 Metric::Counter(cell) => {
@@ -380,7 +356,7 @@ impl MetricsRegistry {
     /// Renders every metric as one canonical JSON object: names in
     /// lexicographic order, integer values only, fixed field order per
     /// metric kind. Byte-identical for identical metric contents.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let mut first = true;
         for (name, metric) in &self.metrics {

@@ -16,7 +16,7 @@ pub struct FlightRing<T> {
 
 impl<T> FlightRing<T> {
     /// A ring holding at most `capacity` entries (0 is promoted to 1).
-    pub fn new(capacity: usize) -> FlightRing<T> {
+    pub(crate) fn new(capacity: usize) -> FlightRing<T> {
         FlightRing {
             buf: VecDeque::new(),
             capacity: capacity.max(1),
@@ -43,24 +43,9 @@ impl<T> FlightRing<T> {
         self.buf.iter()
     }
 
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// How many entries were evicted to make room.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Removes all entries (the dropped count is kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 }
 

@@ -245,14 +245,14 @@ impl TelemetrySink {
     /// (counters add, gauges take element-wise maxima, histograms merge
     /// bucket-wise). Call in ascending region order for deterministic
     /// output; no-op when disabled.
-    pub fn merge_registry(&self, shard: &MetricsRegistry) {
+    pub(crate) fn merge_registry(&self, shard: &MetricsRegistry) {
         if let Some(inner) = &self.inner {
             inner.registry.lock().expect("registry lock").merge(shard);
         }
     }
 
     /// Folds another sink's registry into this one (see
-    /// [`merge_registry`](TelemetrySink::merge_registry)). No-op when
+    /// `merge_registry`). No-op when
     /// either sink is disabled or when both are the same sink.
     pub fn merge_sink(&self, shard: &TelemetrySink) {
         let (Some(inner), Some(shard_inner)) = (&self.inner, &shard.inner) else {

@@ -59,7 +59,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// A tracer whose flight ring retains at most `capacity` events.
-    pub fn new(capacity: usize) -> Tracer {
+    pub(crate) fn new(capacity: usize) -> Tracer {
         Tracer {
             processes: Vec::new(),
             tracks: Vec::new(),
@@ -100,34 +100,35 @@ impl Tracer {
     }
 
     /// Opens a span on `process`/`track`.
-    pub fn span_begin(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
+    pub(crate) fn span_begin(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
         self.record(SpanPhase::Begin, process, track, name, ts_ns);
     }
 
     /// Closes the most recent open span on `process`/`track`.
-    pub fn span_end(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
+    pub(crate) fn span_end(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
         self.record(SpanPhase::End, process, track, name, ts_ns);
     }
 
     /// Records a point event on `process`/`track`.
-    pub fn instant(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
+    pub(crate) fn instant(&mut self, process: &str, track: &str, name: &str, ts_ns: u64) {
         self.record(SpanPhase::Instant, process, track, name, ts_ns);
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
 
     /// How many events the bounded ring had to evict.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.events.dropped()
     }
 
     /// Renders the chrome://tracing trace-event JSON document: metadata
     /// naming every process and track, then the retained events in
     /// recording order.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\": [\n");
         let mut first = true;
         let mut emit = |line: String, out: &mut String| {

@@ -30,13 +30,13 @@ use crate::routed::routed_switch;
 use std::net::Ipv4Addr;
 
 /// `vm1`'s address (the protected virtual machine).
-pub const VM1_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 2);
+pub(crate) const VM1_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 2);
 /// `fw1`'s address (the firewall).
-pub const FW1_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
+pub(crate) const FW1_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
 /// `vm1`'s MAC.
-pub const VM1_MAC: MacAddr = MacAddr::local(0x2001);
+pub(crate) const VM1_MAC: MacAddr = MacAddr::local(0x2001);
 /// `fw1`'s MAC.
-pub const FW1_MAC: MacAddr = MacAddr::local(0x1001);
+pub(crate) const FW1_MAC: MacAddr = MacAddr::local(0x1001);
 
 /// Which phase of the case study to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

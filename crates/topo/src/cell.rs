@@ -14,7 +14,7 @@
 //! **Order.** [`Cell::wire`] adds guard 0, guard 1, the compare host if
 //! any, then per replica: the node, its guard-0 link, its guard-1 link.
 //! The caller then connects port 0 of each guard to its surroundings and
-//! calls [`Cell::wire_compare`] for the two compare links, last. Node and
+//! calls `Cell::wire_compare` for the two compare links, last. Node and
 //! link ids follow from that order and feed RNG streams, event keys and
 //! tap digests (`tests/world_shape.rs`, `grid_lattice_digest`).
 
@@ -134,7 +134,7 @@ impl Cell {
     /// Connects each guard's compare port to the compare host — after the
     /// caller's outer links, so the compare links take the last two link
     /// ids. A cell without a central compare has nothing to connect.
-    pub fn wire_compare(&self, world: &mut World, link: &LinkSpec) {
+    pub(crate) fn wire_compare(&self, world: &mut World, link: &LinkSpec) {
         if let Some(compare) = self.compare {
             for (&guard, j) in self.guards.iter().zip(0..) {
                 world.connect(guard, self.compare_port, compare, PortId(j), link.clone());

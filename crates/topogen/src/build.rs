@@ -43,7 +43,7 @@ impl AdversarySpec {
     /// The deterministic sorted set of graph node indices this spec
     /// corrupts: a seeded shuffle over the replica nodes, truncated to
     /// the rounded fraction.
-    pub fn sites(&self, graph: &TopoGraph) -> Vec<usize> {
+    pub(crate) fn sites(&self, graph: &TopoGraph) -> Vec<usize> {
         let replicas = |kind| matches!(kind, NodeKind::Replica { .. });
         graph.seeded_sites(replicas, self.fraction, self.seed, 0x6164) // "ad"
     }

@@ -17,7 +17,7 @@ use crate::lattice::stagger_latency;
 
 /// Default link rate for generated topologies (1 Gbit/s, the paper's
 /// testbed speed).
-pub const LINK_RATE_BPS: u64 = 1_000_000_000;
+pub(crate) const LINK_RATE_BPS: u64 = 1_000_000_000;
 
 /// RNG fork labels (stable: part of the deterministic contract).
 const FORK_LINKS: u64 = 0x11;
@@ -27,12 +27,12 @@ const FORK_WIRE: u64 = 0x33;
 /// Deterministic host MAC for generated topologies (distinct from the
 /// fat-tree's `local(1000 + h)` scheme and the row lattice's `0x1000`
 /// block).
-pub fn host_mac(host: usize) -> MacAddr {
+pub(crate) fn host_mac(host: usize) -> MacAddr {
     MacAddr::local(0x2_0000 + host as u32)
 }
 
 /// Deterministic host IPv4 for generated topologies.
-pub fn host_ip(host: usize) -> Ipv4Addr {
+pub(crate) fn host_ip(host: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 100 + (host / 250) as u8, (host % 250) as u8, 2)
 }
 
@@ -201,7 +201,7 @@ pub fn watts_strogatz(
 }
 
 /// 2D grid (optionally a torus): `rows × cols` routers, lattice links
-/// with the shared [`stagger_latency`] scheme, `hosts` hosts.
+/// with the shared `stagger_latency` scheme, `hosts` hosts.
 pub fn grid2d(rows: usize, cols: usize, torus: bool, hosts: usize, seed: u64) -> TopoGraph {
     assert!(rows >= 1 && cols >= 1 && rows * cols >= 2, "grid too small");
     let mut g = TopoGraph::new(if torus { "torus" } else { "grid" });

@@ -106,7 +106,7 @@ pub struct TopoGraph {
     pub hosts: Vec<TopoHost>,
     /// MAC-destination route tables: `routes[node][host]` is the egress
     /// port of `node` for traffic to `host` ([`NO_ROUTE`] = none). Empty
-    /// until [`TopoGraph::install_shortest_path_routes`] (or
+    /// until `TopoGraph::install_shortest_path_routes` (or
     /// [`crate::netcoize`]) fills it.
     pub routes: Vec<Vec<u16>>,
     /// The port table: `ports[node][port]` is what that port carries. A
@@ -118,7 +118,7 @@ pub struct TopoGraph {
 
 impl TopoGraph {
     /// An empty graph of the given class.
-    pub fn new(class: impl Into<String>) -> TopoGraph {
+    pub(crate) fn new(class: impl Into<String>) -> TopoGraph {
         TopoGraph {
             class: class.into(),
             nodes: Vec::new(),
@@ -130,7 +130,7 @@ impl TopoGraph {
     }
 
     /// Adds a node, returning its index.
-    pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> usize {
+    pub(crate) fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> usize {
         self.nodes.push(TopoNode {
             name: name.into(),
             kind,
@@ -174,7 +174,13 @@ impl TopoGraph {
 
     /// Links `a` and `b` on the next free port of each (ports are
     /// assigned in attachment-insertion order), returning the link index.
-    pub fn link(&mut self, a: usize, b: usize, rate_bps: u64, latency: SimDuration) -> usize {
+    pub(crate) fn link(
+        &mut self,
+        a: usize,
+        b: usize,
+        rate_bps: u64,
+        latency: SimDuration,
+    ) -> usize {
         let a_port = self.free_port(a);
         let b_port = self.free_port(b);
         self.link_with_ports(a, a_port, b, b_port, rate_bps, latency)
@@ -182,7 +188,7 @@ impl TopoGraph {
 
     /// Links `a` port `a_port` to `b` port `b_port` with explicit ports
     /// (generators with structured port schemes, e.g. the fat-tree).
-    pub fn link_with_ports(
+    pub(crate) fn link_with_ports(
         &mut self,
         a: usize,
         a_port: u16,
@@ -210,7 +216,7 @@ impl TopoGraph {
     /// `node`, leaving the `a` end where it is — the Watts-Strogatz
     /// rewiring step. The vacated port becomes a hole in the old far
     /// node's numbering.
-    pub fn rewire_far(&mut self, link: usize, node: usize) {
+    pub(crate) fn rewire_far(&mut self, link: usize, node: usize) {
         let TopoLink { a, b, b_port, .. } = self.links[link];
         assert!(a != node, "self-loops are not topologies");
         self.ports[b][b_port as usize] = None;
@@ -222,7 +228,7 @@ impl TopoGraph {
 
     /// The `(node, port)` at the other end of the link on `port` of
     /// `node`; `None` for an unwired port or a host port.
-    pub fn far_end(&self, node: usize, port: u16) -> Option<(usize, u16)> {
+    pub(crate) fn far_end(&self, node: usize, port: u16) -> Option<(usize, u16)> {
         let Some(Attachment::Link(i)) = self.ports[node].get(port as usize).copied().flatten()
         else {
             return None;
@@ -237,7 +243,7 @@ impl TopoGraph {
 
     /// The smallest port of `a` whose link leads to `b`; `None` when
     /// the two are not linked.
-    pub fn port_toward(&self, a: usize, b: usize) -> Option<u16> {
+    pub(crate) fn port_toward(&self, a: usize, b: usize) -> Option<u16> {
         (0..self.ports[a].len() as u16).find(|&p| self.far_end(a, p).is_some_and(|(n, _)| n == b))
     }
 
@@ -247,7 +253,7 @@ impl TopoGraph {
     }
 
     /// Attaches a host to `node` on its next free port.
-    pub fn attach_host(
+    pub(crate) fn attach_host(
         &mut self,
         node: usize,
         mac: MacAddr,
@@ -260,7 +266,7 @@ impl TopoGraph {
     }
 
     /// Attaches a host to an explicit `(node, port)`.
-    pub fn attach_host_at(
+    pub(crate) fn attach_host_at(
         &mut self,
         node: usize,
         port: u16,
@@ -292,7 +298,7 @@ impl TopoGraph {
     /// Node adjacency in link-insertion order: `(link index, peer node,
     /// my port)` per entry. Deterministic, so BFS tie-breaks are a pure
     /// function of the graph.
-    pub fn adjacency(&self) -> Vec<Vec<(usize, usize, u16)>> {
+    pub(crate) fn adjacency(&self) -> Vec<Vec<(usize, usize, u16)>> {
         let mut adj = vec![Vec::new(); self.nodes.len()];
         for (i, l) in self.links.iter().enumerate() {
             adj[l.a].push((i, l.b, l.a_port));
@@ -337,7 +343,7 @@ impl TopoGraph {
     /// `routes[n][h]` with the egress port of `n` toward `h` (ties
     /// broken by link-insertion order, so the table is deterministic).
     /// Unreachable nodes keep [`NO_ROUTE`].
-    pub fn install_shortest_path_routes(&mut self) {
+    pub(crate) fn install_shortest_path_routes(&mut self) {
         let adj = self.adjacency();
         let n = self.nodes.len();
         self.routes = vec![vec![NO_ROUTE; self.hosts.len()]; n];

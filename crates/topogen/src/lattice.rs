@@ -19,7 +19,7 @@ use crate::graph::{NodeKind, TopoGraph};
 /// contract a lattice edge) and no two rows tick in lockstep (the
 /// space-parallel executor's horizon logic is exercised instead of
 /// degenerating into a synchronous barrier per hop).
-pub fn stagger_latency(row: usize, cell: usize) -> SimDuration {
+pub(crate) fn stagger_latency(row: usize, cell: usize) -> SimDuration {
     SimDuration::from_micros(3 + ((row * 7 + cell * 3) % 7) as u64)
 }
 

@@ -21,12 +21,12 @@ use crate::graph::{Attachment, NodeKind, TopoGraph, NO_ROUTE};
 
 /// Rate of the intra-cell guard↔replica links (1 Gbit/s, matching the
 /// fabric links the generators emit).
-pub const CELL_LINK_RATE_BPS: u64 = 1_000_000_000;
+pub(crate) const CELL_LINK_RATE_BPS: u64 = 1_000_000_000;
 
 /// One-way latency of the intra-cell guard↔replica links. Short but
 /// positive: the cell's internal edges stay visible to the region
 /// partitioner's lookahead matrix.
-pub const CELL_LINK_LATENCY_US: u64 = 2;
+pub(crate) const CELL_LINK_LATENCY_US: u64 = 2;
 
 /// What fraction of routers to NetCo-ize, and how.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +54,7 @@ impl NetcoizeSpec {
 
     /// Whether cells built from this spec run Detect (k < 3) rather
     /// than Prevent semantics.
-    pub fn detect(&self) -> bool {
+    pub(crate) fn detect(&self) -> bool {
         self.k < 3
     }
 }
@@ -63,7 +63,7 @@ impl NetcoizeSpec {
 /// this spec: a seeded shuffle of the router indices, truncated to the
 /// rounded fraction, returned sorted. Exposed so campaigns can place
 /// adversarial replicas at known sites.
-pub fn replacement_sites(base: &TopoGraph, spec: &NetcoizeSpec) -> Vec<usize> {
+pub(crate) fn replacement_sites(base: &TopoGraph, spec: &NetcoizeSpec) -> Vec<usize> {
     let routers = |kind| kind == NodeKind::Router;
     base.seeded_sites(routers, spec.fraction, spec.seed, 0x6e63) // "nc"
 }

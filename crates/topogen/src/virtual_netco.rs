@@ -15,10 +15,7 @@ use netco_net::{Ctx, Device, Frame, HostNic, NodeId, PortId};
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort};
 use netco_sim::SimDuration;
 use netco_topo::Profile;
-use netco_traffic::{
-    IcmpEchoResponder, PingConfig, PingReport, Pinger, TcpConfig, TcpReceiver, TcpReport,
-    TcpSender, UdpConfig, UdpReport, UdpSink, UdpSource,
-};
+use netco_traffic::{IcmpEchoResponder, PingConfig, PingReport, Pinger};
 
 use crate::build::{lower, BuiltTopo};
 use crate::generate::fat_tree;
@@ -245,75 +242,78 @@ pub fn run_ping(cfg: &VirtualNetcoConfig, profile: &Profile, seed: u64) -> Virtu
     }
 }
 
-/// Runs a CBR UDP measurement across the virtualized combiner and returns
-/// the sink report (used for the overhead comparison against the physical
-/// combiner).
-pub fn run_udp(
-    cfg: &VirtualNetcoConfig,
-    profile: &Profile,
-    seed: u64,
-    rate_bps: u64,
-    payload_len: usize,
-    duration: SimDuration,
-) -> UdpReport {
-    let graph = fat_tree(cfg.fattree_k, seed);
-    let udp = UdpConfig::new(graph.hosts[cfg.dst_host].ip)
-        .with_rate(rate_bps)
-        .with_payload_len(payload_len)
-        .with_duration(duration);
-    let mut built = build_pair(
-        cfg,
-        graph,
-        profile,
-        seed,
-        |nic| Box::new(UdpSource::new(nic, udp)),
-        |nic| Box::new(UdpSink::new(nic, 5001)),
-    )
-    .built;
-    built
-        .world
-        .run_for(duration + SimDuration::from_millis(500));
-    built
-        .world
-        .device::<UdpSink>(built.host_ids[cfg.dst_host])
-        .unwrap()
-        .report()
-}
-
-/// Runs a bulk TCP transfer across the virtualized combiner and returns
-/// the receiver report.
-pub fn run_tcp(
-    cfg: &VirtualNetcoConfig,
-    profile: &Profile,
-    seed: u64,
-    duration: SimDuration,
-) -> TcpReport {
-    let graph = fat_tree(cfg.fattree_k, seed);
-    let tcp = TcpConfig::new(graph.hosts[cfg.dst_host].ip).with_duration(duration);
-    let tcp2 = tcp.clone();
-    let mut built = build_pair(
-        cfg,
-        graph,
-        profile,
-        seed,
-        |nic| Box::new(TcpSender::new(nic, tcp)),
-        |nic| Box::new(TcpReceiver::new(nic, tcp2)),
-    )
-    .built;
-    built
-        .world
-        .run_for(duration + SimDuration::from_millis(500));
-    built
-        .world
-        .device::<TcpReceiver>(built.host_ids[cfg.dst_host])
-        .unwrap()
-        .report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netco_openflow::FlowMatch;
+    use netco_traffic::{
+        TcpConfig, TcpReceiver, TcpReport, TcpSender, UdpConfig, UdpReport, UdpSink, UdpSource,
+    };
+
+    /// Runs a CBR UDP measurement across the virtualized combiner and returns
+    /// the sink report (used for the overhead comparison against the physical
+    /// combiner).
+    fn run_udp(
+        cfg: &VirtualNetcoConfig,
+        profile: &Profile,
+        seed: u64,
+        rate_bps: u64,
+        payload_len: usize,
+        duration: SimDuration,
+    ) -> UdpReport {
+        let graph = fat_tree(cfg.fattree_k, seed);
+        let udp = UdpConfig::new(graph.hosts[cfg.dst_host].ip)
+            .with_rate(rate_bps)
+            .with_payload_len(payload_len)
+            .with_duration(duration);
+        let mut built = build_pair(
+            cfg,
+            graph,
+            profile,
+            seed,
+            |nic| Box::new(UdpSource::new(nic, udp)),
+            |nic| Box::new(UdpSink::new(nic, 5001)),
+        )
+        .built;
+        built
+            .world
+            .run_for(duration + SimDuration::from_millis(500));
+        built
+            .world
+            .device::<UdpSink>(built.host_ids[cfg.dst_host])
+            .unwrap()
+            .report()
+    }
+
+    /// Runs a bulk TCP transfer across the virtualized combiner and returns
+    /// the receiver report.
+    fn run_tcp(
+        cfg: &VirtualNetcoConfig,
+        profile: &Profile,
+        seed: u64,
+        duration: SimDuration,
+    ) -> TcpReport {
+        let graph = fat_tree(cfg.fattree_k, seed);
+        let tcp = TcpConfig::new(graph.hosts[cfg.dst_host].ip).with_duration(duration);
+        let tcp2 = tcp.clone();
+        let mut built = build_pair(
+            cfg,
+            graph,
+            profile,
+            seed,
+            |nic| Box::new(TcpSender::new(nic, tcp)),
+            |nic| Box::new(TcpReceiver::new(nic, tcp2)),
+        )
+        .built;
+        built
+            .world
+            .run_for(duration + SimDuration::from_millis(500));
+        built
+            .world
+            .device::<TcpReceiver>(built.host_ids[cfg.dst_host])
+            .unwrap()
+            .report()
+    }
 
     #[test]
     fn clean_run_delivers_everything_exactly_once() {

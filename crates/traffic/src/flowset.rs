@@ -281,10 +281,10 @@ struct Flow {
     id: u64,
 }
 
-/// The million-flow engine. See the [module docs](self) for the design.
+/// The million-flow engine. See the module docs for the design.
 ///
 /// A pre-spawned flow costs one 8-byte start-list entry until its first
-/// packet is sent. A live flow costs one [`Flow`] record in a slab plus
+/// packet is sent. A live flow costs one `Flow` record in a slab plus
 /// one entry in the pacing wheel; freed slots are recycled through a free
 /// list, so the slab is bounded by the *peak* number of flows between
 /// packets, not by the total spawned.
@@ -347,11 +347,6 @@ impl FlowSet {
     /// Counters and digest so far.
     pub fn stats(&self) -> FlowSetStats {
         self.stats
-    }
-
-    /// Flows spawned and not yet completed (see [`FlowSetStats::active`]).
-    pub fn active(&self) -> u64 {
-        self.stats.active
     }
 
     /// Gives flow `id` a slab slot, drawing its size from its own stream.
@@ -857,7 +852,7 @@ mod tests {
         // slot or a wheel entry yet.
         let fs = w.device::<FlowSet>(src).unwrap();
         assert_eq!(
-            (fs.starts.len(), fs.flows.len(), fs.pacing.len()),
+            (fs.starts.len(), fs.flows.len(), fs.pacing.pending()),
             (n, 0, 0)
         );
         let stats = fs.stats();

@@ -10,34 +10,27 @@ use netco_sim::{SimDuration, SimTime};
 pub struct JitterMeter {
     prev_transit: Option<i64>,
     jitter_ns: f64,
-    samples: u64,
 }
 
 impl JitterMeter {
     /// Creates an empty meter.
-    pub fn new() -> JitterMeter {
+    pub(crate) fn new() -> JitterMeter {
         JitterMeter::default()
     }
 
     /// Records one packet.
-    pub fn record(&mut self, sent: SimTime, arrived: SimTime) {
+    pub(crate) fn record(&mut self, sent: SimTime, arrived: SimTime) {
         let transit = arrived.as_nanos() as i64 - sent.as_nanos() as i64;
         if let Some(prev) = self.prev_transit {
             let d = (transit - prev).abs() as f64;
             self.jitter_ns += (d - self.jitter_ns) / 16.0;
         }
         self.prev_transit = Some(transit);
-        self.samples += 1;
     }
 
     /// The current jitter estimate.
-    pub fn jitter(&self) -> SimDuration {
+    pub(crate) fn jitter(&self) -> SimDuration {
         SimDuration::from_nanos(self.jitter_ns.max(0.0) as u64)
-    }
-
-    /// Packets recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -49,37 +42,39 @@ pub struct RttStats {
 
 impl RttStats {
     /// Creates an empty collection.
-    pub fn new() -> RttStats {
+    pub(crate) fn new() -> RttStats {
         RttStats::default()
     }
 
     /// Records one round-trip sample.
-    pub fn record(&mut self, rtt: SimDuration) {
+    pub(crate) fn record(&mut self, rtt: SimDuration) {
         self.samples.push(rtt);
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// `true` when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 
     /// Smallest sample.
-    pub fn min(&self) -> Option<SimDuration> {
+    pub(crate) fn min(&self) -> Option<SimDuration> {
         self.samples.iter().min().copied()
     }
 
     /// Largest sample.
-    pub fn max(&self) -> Option<SimDuration> {
+    pub(crate) fn max(&self) -> Option<SimDuration> {
         self.samples.iter().max().copied()
     }
 
     /// Arithmetic mean.
-    pub fn avg(&self) -> Option<SimDuration> {
+    pub(crate) fn avg(&self) -> Option<SimDuration> {
         if self.samples.is_empty() {
             return None;
         }
@@ -90,7 +85,7 @@ impl RttStats {
     }
 
     /// Mean absolute deviation (`ping`'s `mdev`).
-    pub fn mdev(&self) -> Option<SimDuration> {
+    pub(crate) fn mdev(&self) -> Option<SimDuration> {
         let avg = self.avg()?.as_nanos() as i64;
         let total: u64 = self
             .samples
@@ -98,23 +93,6 @@ impl RttStats {
             .map(|d| (d.as_nanos() as i64 - avg).unsigned_abs())
             .sum();
         Some(SimDuration::from_nanos(total / self.samples.len() as u64))
-    }
-
-    /// The `q`-quantile (nearest-rank), e.g. `0.5` for the median or
-    /// `0.99` for the tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `q` is outside `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> Option<SimDuration> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
     }
 }
 
@@ -133,13 +111,13 @@ pub struct SeqTracker {
 
 impl SeqTracker {
     /// Creates an empty tracker.
-    pub fn new() -> SeqTracker {
+    pub(crate) fn new() -> SeqTracker {
         SeqTracker::default()
     }
 
     /// Records one arriving sequence number. Returns `false` for a
     /// duplicate.
-    pub fn record(&mut self, seq: u32) -> bool {
+    pub(crate) fn record(&mut self, seq: u32) -> bool {
         if self.seen.insert(seq) {
             self.received += 1;
             self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
@@ -151,17 +129,17 @@ impl SeqTracker {
     }
 
     /// Unique packets received.
-    pub fn received(&self) -> u64 {
+    pub(crate) fn received(&self) -> u64 {
         self.received
     }
 
     /// Duplicate deliveries observed.
-    pub fn duplicates(&self) -> u64 {
+    pub(crate) fn duplicates(&self) -> u64 {
         self.duplicates
     }
 
     /// Packets presumed lost (gaps below the highest seen sequence).
-    pub fn lost(&self) -> u64 {
+    pub(crate) fn lost(&self) -> u64 {
         match self.highest {
             None => 0,
             Some(h) => (h as u64 + 1).saturating_sub(self.received),
@@ -169,7 +147,7 @@ impl SeqTracker {
     }
 
     /// Loss fraction in `[0, 1]`.
-    pub fn loss_fraction(&self) -> f64 {
+    pub(crate) fn loss_fraction(&self) -> f64 {
         let expected = match self.highest {
             None => return 0.0,
             Some(h) => h as u64 + 1,
@@ -191,7 +169,6 @@ mod tests {
             j.record(sent, arrived);
         }
         assert_eq!(j.jitter(), SimDuration::ZERO);
-        assert_eq!(j.samples(), 10);
     }
 
     #[test]
@@ -224,27 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_nearest_rank() {
-        let mut r = RttStats::new();
-        for ms in 1..=100u64 {
-            r.record(SimDuration::from_millis(ms));
-        }
-        assert_eq!(r.percentile(0.5), Some(SimDuration::from_millis(50)));
-        assert_eq!(r.percentile(0.99), Some(SimDuration::from_millis(99)));
-        assert_eq!(r.percentile(1.0), Some(SimDuration::from_millis(100)));
-        assert_eq!(r.percentile(0.0), Some(SimDuration::from_millis(1)));
-        assert_eq!(RttStats::new().percentile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn percentile_rejects_bad_quantile() {
-        let mut r = RttStats::new();
-        r.record(SimDuration::from_millis(1));
-        let _ = r.percentile(1.5);
-    }
-
-    #[test]
     fn seq_tracker_counts_losses_and_dups() {
         let mut t = SeqTracker::new();
         for s in [0u32, 1, 3, 3, 5] {
@@ -267,13 +223,11 @@ mod tests {
     fn jitter_empty_and_single_sample() {
         let j = JitterMeter::new();
         assert_eq!(j.jitter(), SimDuration::ZERO);
-        assert_eq!(j.samples(), 0);
         // One packet has no predecessor: transit difference undefined, so
         // the estimate must stay zero regardless of the transit itself.
         let mut j = JitterMeter::new();
         j.record(SimTime::ZERO, SimTime::from_nanos(5_000_000));
         assert_eq!(j.jitter(), SimDuration::ZERO);
-        assert_eq!(j.samples(), 1);
     }
 
     #[test]
@@ -297,9 +251,6 @@ mod tests {
         assert_eq!(r.min(), r.max());
         assert_eq!(r.avg(), Some(SimDuration::from_millis(7)));
         assert_eq!(r.mdev(), Some(SimDuration::ZERO));
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(r.percentile(q), Some(SimDuration::from_millis(7)));
-        }
     }
 
     #[test]
@@ -311,7 +262,6 @@ mod tests {
         assert_eq!(r.max(), None);
         assert_eq!(r.avg(), None);
         assert_eq!(r.mdev(), None);
-        assert_eq!(r.percentile(0.99), None);
     }
 
     #[test]

@@ -293,7 +293,7 @@ fn assert_wheel_matches_heap(ops: &[(u8, u64)]) {
             }
         }
         assert_eq!(wheel.peek_time(), heap.heap.peek().map(|e| e.0 .0));
-        assert_eq!(wheel.len(), heap.heap.len());
+        assert_eq!(wheel.pending(), heap.heap.len());
     }
     loop {
         let got = wheel_pop_due(&mut wheel, SimTime::MAX);

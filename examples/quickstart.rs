@@ -42,13 +42,13 @@ fn main() {
     println!(
         "compare        : {} copies suppressed, {} security events:",
         compare.stats().expired_unreleased,
-        compare.events().len()
+        compare.events().iter().len()
     );
     for e in compare.events().iter().take(4) {
         println!("  [{}] {}", e.at, e.record);
     }
-    if compare.events().len() > 4 {
-        println!("  ... and {} more", compare.events().len() - 4);
+    if compare.events().iter().len() > 4 {
+        println!("  ... and {} more", compare.events().iter().len() - 4);
     }
 }
 
