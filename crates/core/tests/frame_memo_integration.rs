@@ -22,10 +22,15 @@ use netco_core::{
 };
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
-use netco_net::{memo_stats, CpuModel, FaultPlan, LinkId, LinkSpec, MacAddr, PortId, World};
+use netco_net::{
+    fp128, memo_stats, CpuModel, FaultPlan, LinkId, LinkSpec, MacAddr, NodeId, PortId,
+    TapDirection, TapEvent, World,
+};
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch};
-use netco_sim::{ActivationWindow, SimDuration, SimTime};
+use netco_sim::{mix64, ActivationWindow, SimDuration, SimTime};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 const K: u16 = 3;
 
@@ -136,8 +141,9 @@ fn reinjected_bytes_start_a_fresh_memo() {
 /// guard ⇄ compare server over a data link → edge switch → sink. Replica `i`'s link to
 /// the guard is `i × 10 µs` long and the compare link 2 µs, so the copies
 /// enter the compare link 10, 20 and 30 µs after injection and nothing
-/// comes back within 2 µs of one. Returns the compare link as well.
-fn build_central_world() -> (World, [netco_net::NodeId; 3], LinkId) {
+/// comes back within 2 µs of one. Returns the compare link and the guard
+/// as well.
+fn build_central_world() -> (World, [NodeId; 3], LinkId, NodeId) {
     let mut w = World::new(11);
     let hub = w.add_node("hub", Hub::new(), CpuModel::default());
     let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
@@ -180,7 +186,7 @@ fn build_central_world() -> (World, [netco_net::NodeId; 3], LinkId) {
         };
         w.connect(r, PortId(1), guard, PortId(i), skewed);
     }
-    (w, [hub, sink, cmp], compare_link)
+    (w, [hub, sink, cmp], compare_link, guard)
 }
 
 /// Across the compare link and back the count is still one derivation per
@@ -189,7 +195,7 @@ fn build_central_world() -> (World, [netco_net::NodeId; 3], LinkId) {
 /// left the hub with.
 #[test]
 fn wire_encapsulated_central3_misses_once_per_unique_frame() {
-    let (mut w, [hub, sink, cmp], _) = build_central_world();
+    let (mut w, [hub, sink, cmp], _, _) = build_central_world();
     let before = memo_stats();
     const N: u64 = 25;
     for tag in 0..N {
@@ -219,7 +225,7 @@ fn wire_encapsulated_central3_misses_once_per_unique_frame() {
 /// clean copies that still share one fingerprint, and expires unreleased.
 #[test]
 fn corrupted_compare_link_copy_is_refingerprinted_and_outvoted() {
-    let (mut w, [hub, sink, cmp], compare_link) = build_central_world();
+    let (mut w, [hub, sink, cmp], compare_link, _) = build_central_world();
     let second_copy =
         ActivationWindow::between(SimTime::from_nanos(19_000), SimTime::from_nanos(21_000));
     w.apply_fault_plan(&FaultPlan::new(CORRUPTING_SEED).corrupt(compare_link, 1.0, second_copy));
@@ -239,6 +245,89 @@ fn corrupted_compare_link_copy_is_refingerprinted_and_outvoted() {
     assert_eq!(d.fp_misses, 2, "clean copies share one; the corrupted pays");
     assert_eq!(d.parse_misses, 1, "the release is a clean copy's content");
 }
+
+/// Folds every frame tapped on either end of the guard ⇄ compare link —
+/// time, node, direction and the full wire bytes — into one digest, with
+/// the number of frames folded.
+fn tap_compare_link(w: &mut World, guard: NodeId, cmp: NodeId) -> Rc<Cell<(u64, u64)>> {
+    let acc = Rc::new(Cell::new((0u64, 0u64)));
+    let tap_acc = Rc::clone(&acc);
+    let compare_port = PortId(K + 1);
+    w.add_tap(move |ev: &TapEvent<'_>| {
+        let on_link = (ev.node == guard && ev.port == compare_port)
+            || (ev.node == cmp && ev.port == PortId(0));
+        if !on_link {
+            return;
+        }
+        let (mut d, n) = tap_acc.get();
+        d = mix64(d ^ ev.at.as_nanos());
+        d = mix64(d ^ ev.node.index() as u64);
+        d = mix64(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
+        d = mix64(d ^ ev.frame.len() as u64);
+        let fp = fp128(ev.frame);
+        d = mix64(d ^ (fp as u64) ^ mix64((fp >> 64) as u64));
+        tap_acc.set((d, n + 1));
+    });
+    acc
+}
+
+/// The bytes that cross the compare link, pinned: every packet-in and
+/// packet-out the guard and the compare exchange for 25 frames, as the
+/// link's taps record them on both ends in both directions. The values
+/// were recorded when each wrap copied the carried frame into one
+/// contiguous buffer, so they hold any lazier encapsulation to the same
+/// wire bytes.
+#[test]
+fn compare_link_wire_bytes_are_pinned() {
+    let (mut w, [hub, sink, cmp], _, guard) = build_central_world();
+    let acc = tap_compare_link(&mut w, guard, cmp);
+    for tag in 0..25u16 {
+        w.inject_frame(hub, PortId(0), unique_frame(tag));
+    }
+    w.run_for(SimDuration::from_millis(10));
+    assert_eq!(w.device::<CollectorDevice>(sink).unwrap().frames.len(), 25);
+    // 75 packet-ins and 25 packet-outs, each tapped at Tx and at Rx.
+    assert_eq!(acc.get(), (PINNED_LINK_DIGEST, 200));
+}
+
+/// The corrupting compare link's run, pinned the same way: the taps see
+/// the flipped copy on the compare's side of the link, and the sink gets
+/// the clean majority's bytes at a pinned instant.
+#[test]
+fn corrupted_compare_link_run_is_pinned() {
+    let (mut w, [hub, sink, cmp], compare_link, guard) = build_central_world();
+    let second_copy =
+        ActivationWindow::between(SimTime::from_nanos(19_000), SimTime::from_nanos(21_000));
+    w.apply_fault_plan(&FaultPlan::new(CORRUPTING_SEED).corrupt(compare_link, 1.0, second_copy));
+    let acc = tap_compare_link(&mut w, guard, cmp);
+    w.inject_frame(hub, PortId(0), unique_frame(3));
+    w.run_for(SimDuration::from_millis(20));
+    let delivered = &w.device::<CollectorDevice>(sink).unwrap().frames;
+    let outcome: Vec<(u64, u128)> = delivered
+        .iter()
+        .map(|(at, f)| (at.as_nanos(), fp128(f)))
+        .collect();
+    let stats = w.device::<Compare>(cmp).unwrap().stats();
+    assert_eq!(
+        (
+            outcome,
+            stats.received,
+            stats.released,
+            stats.expired_unreleased
+        ),
+        (
+            vec![(PINNED_CORRUPTED_RELEASE_NS, fp128(&unique_frame(3)))],
+            3,
+            1,
+            1
+        )
+    );
+    assert_eq!(acc.get(), (PINNED_CORRUPTED_DIGEST, 8));
+}
+
+const PINNED_LINK_DIGEST: u64 = 1_060_690_043_514_383_934;
+const PINNED_CORRUPTED_RELEASE_NS: u64 = 34_000;
+const PINNED_CORRUPTED_DIGEST: u64 = 17_782_331_839_086_798_908;
 
 /// A fault-plan seed whose one flip lands in the carried frame rather than
 /// in the OpenFlow header around it (asserted by `received == 3`).
