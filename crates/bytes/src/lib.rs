@@ -5,11 +5,23 @@
 //! [`Bytes`] (cheaply clonable, sliceable immutable buffers), [`BytesMut`]
 //! (a growable build buffer) and the big-endian write half of [`BufMut`].
 //!
-//! Semantics match the real crate for this subset: `Bytes::clone` and
-//! `Bytes::slice` are O(1) reference-count operations, equality/hashing
-//! are by content, and `BytesMut::freeze` converts without copying: the
-//! buffer that was written is the buffer every clone and slice reads, spare
-//! capacity included, so size a `BytesMut` to its message.
+//! For this subset the semantics follow the real crate where it matters
+//! for correctness: `Bytes::clone` and `Bytes::slice` are O(1)
+//! reference-count operations, equality/hashing are by content, and
+//! `BytesMut::freeze` converts without copying: the buffer that was
+//! written is the buffer every clone and slice reads, spare capacity
+//! included, so size a `BytesMut` to its message.
+//!
+//! The costs differ in two places, so no hot path may assume they are
+//! free:
+//!
+//! - [`Bytes::from_static`] **copies** the slice into a new heap buffer
+//!   and allocates a reference count (the real crate borrows the static);
+//! - [`Bytes::new`] **allocates** (an empty `Vec` behind a new reference
+//!   count; the real crate's empty `Bytes` is a static).
+//!
+//! A path that needs a constant payload per packet builds one `Bytes`
+//! once and clones or slices it.
 
 #![forbid(unsafe_code)]
 
@@ -30,12 +42,14 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes`. Allocates a reference count (unlike the
+    /// real crate): clone one shared empty `Bytes` on a hot path instead.
     pub fn new() -> Bytes {
         Bytes::from_vec(Vec::new())
     }
 
-    /// Creates `Bytes` from a static slice.
+    /// Creates `Bytes` from a static slice. **Copies** it into a new
+    /// buffer (unlike the real crate, which borrows it).
     pub fn from_static(bytes: &'static [u8]) -> Bytes {
         Bytes::from_vec(bytes.to_vec())
     }

@@ -7,13 +7,24 @@ use netco_net::Frame;
 use netco_sim::{SimDuration, SimTime};
 
 use super::strategy::CompareKey;
+use crate::config::DOS_REPEAT_THRESHOLD;
 use netco_sim::fxhash::FxBuildHasher;
 
 /// Upper bound on replica indices a single entry can track (`k` is 3 or 5
 /// in every paper configuration; the mask is a `u32`).
 const MAX_REPLICAS: usize = 32;
 
+/// Copies per replica are counted up to here and no further: the only
+/// reader compares them with the DoS threshold, and four bits hold
+/// `count - 1`.
+const COUNT_CAP: u32 = 16;
+const _: () = assert!(DOS_REPEAT_THRESHOLD <= COUNT_CAP);
+
 /// Voting state of one cached packet.
+///
+/// Everything is inline: an entry costs no heap allocation beyond the map
+/// slot it lives in, and it is 96 bytes, so the per-copy bookkeeping packs
+/// arrival order and repeat counts into fixed arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// The first received copy (the one released on majority). Its memo
@@ -22,29 +33,82 @@ pub struct CacheEntry {
     pub frame: Frame,
     /// When the first copy arrived (expiry is measured from here).
     pub first_seen: SimTime,
-    /// Distinct replica ports that delivered a copy, in arrival order.
-    pub ports: Vec<u16>,
     /// Whether this packet was already released.
     pub released: bool,
     /// Whether a DoS advice was already issued for this entry.
     pub dos_advised: bool,
-    /// Per-replica observation counts, indexed by replica index.
-    counts: Vec<u32>,
+    /// Replica indices that delivered a copy, in arrival order; the first
+    /// `seen.count_ones()` are set.
+    arrivals: [u8; MAX_REPLICAS],
+    /// Per-replica copies minus one, four bits per replica index, capped
+    /// at [`COUNT_CAP`] copies.
+    extra_copies: [u8; MAX_REPLICAS / 2],
     /// Bitmask of replica indices that delivered a copy: membership and
-    /// count updates are O(1) instead of a per-copy port scan.
+    /// count updates are O(1) instead of a per-copy scan.
     seen: u32,
 }
 
 impl CacheEntry {
+    fn first(frame: &Frame, now: SimTime, replica_idx: usize) -> CacheEntry {
+        let mut entry = CacheEntry {
+            frame: frame.clone(),
+            first_seen: now,
+            released: false,
+            dos_advised: false,
+            arrivals: [0; MAX_REPLICAS],
+            extra_copies: [0; MAX_REPLICAS / 2],
+            seen: 0,
+        };
+        entry.note_first_copy(replica_idx);
+        entry
+    }
+
+    fn note_first_copy(&mut self, replica_idx: usize) {
+        self.arrivals[self.distinct_ports()] = replica_idx as u8;
+        self.seen |= 1 << replica_idx;
+    }
+
+    /// Copies replica `replica_idx` delivered (0 if none; capped at
+    /// [`COUNT_CAP`]).
+    fn copies(&self, replica_idx: usize) -> u32 {
+        if !self.delivered(replica_idx) {
+            return 0;
+        }
+        let nibble = self.extra_copies[replica_idx / 2] >> (4 * (replica_idx % 2));
+        u32::from(nibble & 0xf) + 1
+    }
+
+    fn note_repeat(&mut self, replica_idx: usize) -> u32 {
+        let copies = (self.copies(replica_idx) + 1).min(COUNT_CAP);
+        let shift = 4 * (replica_idx % 2);
+        let byte = &mut self.extra_copies[replica_idx / 2];
+        *byte = (*byte & !(0xf << shift)) | (((copies - 1) as u8) << shift);
+        copies
+    }
+
+    /// Whether replica `replica_idx` delivered a copy.
+    pub(crate) fn delivered(&self, replica_idx: usize) -> bool {
+        self.seen & (1 << replica_idx) != 0
+    }
+
     /// Number of distinct replica ports that delivered this packet.
     pub(crate) fn distinct_ports(&self) -> usize {
-        self.ports.len()
+        self.seen.count_ones() as usize
+    }
+
+    /// The replica ports (`replica_ports[idx]`) that delivered a copy, in
+    /// arrival order.
+    pub(crate) fn ports(&self, replica_ports: &[u16]) -> Vec<u16> {
+        self.arrivals[..self.distinct_ports()]
+            .iter()
+            .map(|&idx| replica_ports[idx as usize])
+            .collect()
     }
 
     /// Observation count for a given replica index (0 if never seen).
     #[cfg(test)]
     pub(crate) fn count_for(&self, replica_idx: usize) -> u32 {
-        self.counts.get(replica_idx).copied().unwrap_or(0)
+        self.copies(replica_idx)
     }
 }
 
@@ -62,7 +126,8 @@ pub enum Observed {
     },
     /// Another copy from a port that had already delivered it.
     Repeat {
-        /// Copies from this port so far (including this one).
+        /// Copies from this port so far (including this one), counted up
+        /// to the DoS threshold (16) and no further.
         count: u32,
         /// Whether the packet was already released.
         released: bool,
@@ -108,38 +173,30 @@ impl PacketCache {
         self.map.is_empty()
     }
 
-    /// Records a copy of `key` arriving on `port` (the lane's
-    /// `replica_idx`-th replica). The frame is stored only for the first
-    /// copy. Returns the key the cache holds for this packet plus what was
-    /// observed.
+    /// Records a copy of `key` arriving from the lane's `replica_idx`-th
+    /// replica. The frame is stored only for the first copy. Returns the
+    /// key the cache holds for this packet plus what was observed.
     pub(crate) fn observe(
         &mut self,
         key: CompareKey,
-        port: u16,
         replica_idx: usize,
         frame: &Frame,
         now: SimTime,
     ) -> (CompareKey, Observed) {
         debug_assert!(replica_idx < MAX_REPLICAS);
-        let bit = 1u32 << (replica_idx % MAX_REPLICAS);
+        let replica_idx = replica_idx % MAX_REPLICAS;
         match self.map.entry(key) {
             Entry::Occupied(mut held) => {
                 let entry = held.get_mut();
-                let observed = if entry.seen & bit != 0 {
-                    entry.counts[replica_idx] += 1;
+                let observed = if entry.delivered(replica_idx) {
                     Observed::Repeat {
-                        count: entry.counts[replica_idx],
+                        count: entry.note_repeat(replica_idx),
                         released: entry.released,
                     }
                 } else {
-                    entry.seen |= bit;
-                    if entry.counts.len() <= replica_idx {
-                        entry.counts.resize(replica_idx + 1, 0);
-                    }
-                    entry.counts[replica_idx] = 1;
-                    entry.ports.push(port);
+                    entry.note_first_copy(replica_idx);
                     Observed::AdditionalPort {
-                        distinct: entry.ports.len(),
+                        distinct: entry.distinct_ports(),
                         released: entry.released,
                     }
                 };
@@ -147,17 +204,7 @@ impl PacketCache {
             }
             Entry::Vacant(slot) => {
                 let key = slot.key().clone();
-                let mut counts = vec![0; replica_idx + 1];
-                counts[replica_idx] = 1;
-                slot.insert(CacheEntry {
-                    frame: frame.clone(),
-                    first_seen: now,
-                    ports: vec![port],
-                    released: false,
-                    dos_advised: false,
-                    counts,
-                    seen: bit,
-                });
+                slot.insert(CacheEntry::first(frame, now, replica_idx));
                 self.order.push_back(key.clone());
                 (key, Observed::New)
             }
@@ -248,7 +295,7 @@ mod tests {
     fn first_observation_is_new() {
         let mut c = PacketCache::new();
         assert_eq!(
-            c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO).1,
+            c.observe(key(b"a"), 0, &frame(), SimTime::ZERO).1,
             Observed::New
         );
         assert_eq!(c.len(), 1);
@@ -258,16 +305,16 @@ mod tests {
     #[test]
     fn additional_ports_accumulate() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
         assert_eq!(
-            c.observe(key(b"a"), 2, 1, &frame(), SimTime::ZERO).1,
+            c.observe(key(b"a"), 1, &frame(), SimTime::ZERO).1,
             Observed::AdditionalPort {
                 distinct: 2,
                 released: false
             }
         );
         assert_eq!(
-            c.observe(key(b"a"), 3, 2, &frame(), SimTime::ZERO).1,
+            c.observe(key(b"a"), 2, &frame(), SimTime::ZERO).1,
             Observed::AdditionalPort {
                 distinct: 3,
                 released: false
@@ -279,10 +326,10 @@ mod tests {
     #[test]
     fn repeats_count_per_port() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
         for i in 2..=5u32 {
             assert_eq!(
-                c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO).1,
+                c.observe(key(b"a"), 0, &frame(), SimTime::ZERO).1,
                 Observed::Repeat {
                     count: i,
                     released: false
@@ -294,9 +341,55 @@ mod tests {
     }
 
     #[test]
+    fn repeat_counts_stop_at_the_dos_threshold() {
+        let mut c = PacketCache::new();
+        c.observe(key(b"a"), 31, &frame(), SimTime::ZERO);
+        let counts: Vec<u32> = (0..20)
+            .map(
+                |_| match c.observe(key(b"a"), 31, &frame(), SimTime::ZERO).1 {
+                    Observed::Repeat { count, .. } => count,
+                    other => panic!("unexpected {other:?}"),
+                },
+            )
+            .collect();
+        let expected: Vec<u32> = (2..=21).map(|n| n.min(COUNT_CAP)).collect();
+        assert_eq!(counts, expected);
+        assert_eq!(c.entry(&key(b"a")).unwrap().count_for(30), 0);
+    }
+
+    #[test]
+    fn ports_come_back_in_arrival_order() {
+        let replica_ports: Vec<u16> = (100..132).collect();
+        let mut c = PacketCache::new();
+        let arrivals = [31usize, 0, 17, 4, 30];
+        for &idx in &arrivals {
+            c.observe(key(b"a"), idx, &frame(), SimTime::ZERO);
+            c.observe(key(b"a"), idx, &frame(), SimTime::ZERO);
+        }
+        let entry = c.entry(&key(b"a")).unwrap();
+        assert_eq!(entry.distinct_ports(), arrivals.len());
+        assert_eq!(
+            entry.ports(&replica_ports),
+            arrivals
+                .iter()
+                .map(|&i| replica_ports[i])
+                .collect::<Vec<_>>()
+        );
+        assert!(entry.delivered(17) && !entry.delivered(16));
+        assert_eq!((entry.count_for(31), entry.count_for(17)), (2, 2));
+    }
+
+    /// Voting state lives inline; a larger entry is a larger cache for
+    /// every compare.
+    #[test]
+    fn an_entry_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<CacheEntry>(), 96);
+    }
+
+    #[test]
     fn release_is_at_most_once() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
         assert_eq!(c.mark_released(&key(b"a")), Some(frame()));
         assert_eq!(c.mark_released(&key(b"a")), None);
         assert_eq!(c.mark_released(&key(b"missing")), None);
@@ -305,7 +398,7 @@ mod tests {
     #[test]
     fn dos_advice_is_at_most_once() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
         assert!(c.mark_dos_advised(&key(b"a")));
         assert!(!c.mark_dos_advised(&key(b"a")));
         assert!(!c.mark_dos_advised(&key(b"missing")));
@@ -315,10 +408,9 @@ mod tests {
     fn expiry_pops_in_insertion_order() {
         let mut c = PacketCache::new();
         let hold = SimDuration::from_millis(10);
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
         c.observe(
             key(b"b"),
-            1,
             0,
             &frame(),
             SimTime::ZERO + SimDuration::from_millis(5),
@@ -338,7 +430,6 @@ mod tests {
         for (i, k) in [b"a" as &'static [u8], b"b", b"c", b"d"].iter().enumerate() {
             c.observe(
                 CompareKey::Bytes(Bytes::from_static(k)),
-                1,
                 0,
                 &frame(),
                 SimTime::from_nanos(i as u64),
@@ -355,11 +446,11 @@ mod tests {
     #[test]
     fn late_copy_after_release_reports_released_flag() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 1, 0, &frame(), SimTime::ZERO);
-        c.observe(key(b"a"), 2, 1, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
+        c.observe(key(b"a"), 1, &frame(), SimTime::ZERO);
         c.mark_released(&key(b"a"));
         assert_eq!(
-            c.observe(key(b"a"), 3, 2, &frame(), SimTime::ZERO).1,
+            c.observe(key(b"a"), 2, &frame(), SimTime::ZERO).1,
             Observed::AdditionalPort {
                 distinct: 3,
                 released: true
@@ -378,21 +469,15 @@ mod tests {
             fp: 7,
             frame: f.clone(),
         };
-        assert_eq!(
-            c.observe(exact(&a), 1, 0, &a, SimTime::ZERO).1,
-            Observed::New
-        );
-        assert_eq!(
-            c.observe(exact(&b), 1, 0, &b, SimTime::ZERO).1,
-            Observed::New
-        );
+        assert_eq!(c.observe(exact(&a), 0, &a, SimTime::ZERO).1, Observed::New);
+        assert_eq!(c.observe(exact(&b), 0, &b, SimTime::ZERO).1, Observed::New);
         assert_eq!(c.len(), 2);
         // Further copies (other buffers, same bytes) find their own entry.
         let a2 = Frame::from(b"frame-a".to_vec());
-        let (ka, oa) = c.observe(exact(&a2), 2, 1, &a2, SimTime::ZERO);
+        let (ka, oa) = c.observe(exact(&a2), 1, &a2, SimTime::ZERO);
         assert!(matches!(oa, Observed::AdditionalPort { distinct: 2, .. }));
         let b2 = Frame::from(b"frame-b".to_vec());
-        let (kb, ob) = c.observe(exact(&b2), 2, 1, &b2, SimTime::ZERO);
+        let (kb, ob) = c.observe(exact(&b2), 1, &b2, SimTime::ZERO);
         assert!(matches!(ob, Observed::AdditionalPort { distinct: 2, .. }));
         // The returned key is the held one: its first copy's buffer.
         assert!(matches!(&ka, CompareKey::Exact { frame, .. } if frame.as_ptr() == a.as_ptr()));

@@ -389,7 +389,7 @@ impl CompareCore {
         }
 
         let key = self.cfg.strategy.key(&frame);
-        let (key, observed) = lane.cache.observe(key, in_port, replica_idx, &frame, now);
+        let (key, observed) = lane.cache.observe(key, replica_idx, &frame, now);
         self.cells.cache_entries.set(lane.cache.len() as u64);
         match observed {
             Observed::New | Observed::AdditionalPort { .. } => {
@@ -413,8 +413,8 @@ impl CompareCore {
                                 .replica_ports
                                 .iter()
                                 .enumerate()
-                                .filter(|&(idx, p)| {
-                                    !sup.is_quarantined(idx) && entry.ports.contains(p)
+                                .filter(|&(idx, _)| {
+                                    !sup.is_quarantined(idx) && entry.delivered(idx)
                                 })
                                 .count();
                             (healthy_distinct, sup.active_release_threshold(&self.cfg))
@@ -525,8 +525,8 @@ impl CompareCore {
 
     /// Miss/alarm bookkeeping when an entry leaves the cache for good.
     ///
-    /// Takes the entry by value: its port list is moved into the emitted
-    /// event instead of cloned (this runs for every expiry and eviction).
+    /// Runs for every expiry and eviction; the entry's port list is
+    /// spelled out (one `Vec`) only for an event that reports it.
     #[allow(clippy::too_many_arguments)]
     fn account_removed_entry(
         cfg: &CompareConfig,
@@ -549,7 +549,7 @@ impl CompareCore {
         // Replica indices freshly alarmed down by this entry (they strike).
         let mut fresh_down = Vec::new();
         for (idx, &port) in lane.info.replica_ports.iter().enumerate() {
-            if entry.ports.contains(&port) {
+            if entry.delivered(idx) {
                 lane.consecutive_miss[idx] = 0;
                 if lane.alarmed_down[idx] {
                     lane.alarmed_down[idx] = false;
@@ -585,7 +585,7 @@ impl CompareCore {
                 // it is a single-path suspect and strikes (for quarantined
                 // replicas the strike resets their probation streak).
                 for (idx, &port) in lane.info.replica_ports.iter().enumerate() {
-                    if entry.ports.contains(&port) {
+                    if entry.delivered(idx) {
                         sup.note_strike(lane_id, idx, port, now, cfg, &mut transitions);
                     }
                 }
@@ -602,7 +602,7 @@ impl CompareCore {
                     if !sup.is_quarantined(idx) {
                         continue;
                     }
-                    if entry.ports.contains(&port) {
+                    if entry.delivered(idx) {
                         sup.note_shadow_agreement(lane_id, idx, port, now, &mut transitions);
                     } else {
                         sup.note_shadow_disagreement(idx);
@@ -624,7 +624,7 @@ impl CompareCore {
                     .replica_ports
                     .iter()
                     .enumerate()
-                    .filter(|&(idx, p)| !sup.is_quarantined(idx) && entry.ports.contains(p))
+                    .filter(|&(idx, _)| !sup.is_quarantined(idx) && entry.delivered(idx))
                     .count(),
                 _ => entry.distinct_ports(),
             };
@@ -634,7 +634,7 @@ impl CompareCore {
                     actions,
                     SecurityEvent::DetectionMismatch {
                         lane: lane_id,
-                        delivering_ports: entry.ports,
+                        delivering_ports: entry.ports(&lane.info.replica_ports),
                     },
                 );
             }
@@ -653,7 +653,7 @@ impl CompareCore {
                 actions,
                 SecurityEvent::SinglePathPacket {
                     lane: lane_id,
-                    suspect_ports: entry.ports,
+                    suspect_ports: entry.ports(&lane.info.replica_ports),
                 },
             );
         }

@@ -3,13 +3,14 @@
 use std::collections::VecDeque;
 
 use netco_net::{Ctx, Device, Frame, PortId};
+use netco_openflow::wire::SplitHead;
 use netco_openflow::{OfMessage, OfPort};
 use netco_sim::{EventLog, SimTime};
 
 use super::core::{CompareAction, CompareCore, CompareStats, LaneInfo};
 use super::host::CompareHost;
 use crate::config::CompareConfig;
-use crate::encap::{block_advice, of_unwrap, of_wrap};
+use crate::encap::{block_advice, of_unwrap, of_wrap, unwrap_split, wrap_packet_out};
 use crate::events::SecurityEvent;
 
 const SWEEP_TIMER: u64 = 1;
@@ -64,17 +65,10 @@ impl Compare {
         self.host.core()
     }
 
-    /// Sends `msg` down `lane`; `payload` is the frame a packet-out
-    /// releases, whose memo crosses the link with it.
-    fn send_msg(&mut self, ctx: &mut Ctx<'_>, lane: u16, msg: &OfMessage, payload: Option<&Frame>) {
+    fn fresh_xid(&mut self) -> u32 {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
-        let wrapped = of_wrap(msg, xid);
-        let frame = match payload {
-            Some(inner) => Frame::encapsulating(wrapped, inner),
-            None => Frame::new(wrapped),
-        };
-        self.send_or_queue(ctx, PortId(lane), frame);
+        xid
     }
 
     fn send_or_queue(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
@@ -97,15 +91,21 @@ impl Compare {
                     host_port,
                     frame,
                 } => {
-                    let port = OfPort::Physical(host_port);
-                    let msg = OfMessage::packet_out(frame.bytes().clone(), port);
-                    self.send_msg(ctx, lane, &msg, Some(&frame));
+                    // The released frame rides in the packet-out, memo
+                    // included.
+                    let xid = self.fresh_xid();
+                    let out = wrap_packet_out(xid, OfPort::Physical(host_port), &frame);
+                    self.send_or_queue(ctx, PortId(lane), out);
                 }
                 CompareAction::BlockReplicaPort {
                     lane,
                     port,
                     duration,
-                } => self.send_msg(ctx, lane, &block_advice(port, duration), None),
+                } => {
+                    let xid = self.fresh_xid();
+                    let advice = of_wrap(&block_advice(port, duration), xid);
+                    self.send_or_queue(ctx, PortId(lane), Frame::new(advice));
+                }
                 CompareAction::Stall { duration, .. } => {
                     self.stall_until = self.stall_until.max(now) + duration;
                 }
@@ -123,16 +123,22 @@ impl Device for Compare {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
-        let Some((msg, _xid)) = of_unwrap(frame.bytes()) else {
-            return; // not for us; trusted components ignore the unknown
+        // The replica's copy is the frame a guard's packet-in carries,
+        // memo included; any other frame is decoded from its bytes.
+        let (in_port, copy) = match unwrap_split(&frame) {
+            Some((SplitHead::PacketIn { in_port, .. }, _, copy)) => (in_port, copy.clone()),
+            Some(_) => return,
+            None => match of_unwrap(frame.bytes()) {
+                Some((OfMessage::PacketIn { in_port, data, .. }, _)) => {
+                    (in_port, frame.slice(frame.len() - data.len()..))
+                }
+                // Not for us; trusted components ignore the unknown.
+                _ => return,
+            },
         };
-        if let OfMessage::PacketIn { in_port, data, .. } = msg {
-            let now = ctx.now();
-            // The replica's copy is the frame's tail, memo included.
-            let copy = frame.slice(frame.len() - data.len()..);
-            let actions = self.host.observe(port.number(), in_port, copy, now);
-            self.apply_actions(ctx, actions);
-        }
+        let now = ctx.now();
+        let actions = self.host.observe(port.number(), in_port, copy, now);
+        self.apply_actions(ctx, actions);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

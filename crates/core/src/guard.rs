@@ -4,12 +4,13 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
-use netco_openflow::{wire, Action, OfMessage, OfPort, PacketInReason};
+use netco_openflow::wire::{self, SplitHead};
+use netco_openflow::{Action, OfMessage, OfPort, PacketInReason};
 use netco_sim::{SimDuration, SimTime};
 
 use crate::compare::{fnv1a, CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
-use crate::encap::{of_unwrap, of_wrap};
+use crate::encap::{of_unwrap, unwrap_split, wrap_packet_in};
 
 /// Where this guard sends replica copies for combining.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,26 +237,64 @@ impl GuardSwitch {
     }
 
     fn forward_to_compare(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, frame: Frame) {
-        let msg = OfMessage::PacketIn {
-            buffer_id: None,
-            in_port: in_port.number(),
-            reason: PacketInReason::NoMatch,
-            data: frame.bytes().clone(),
-        };
         let xid = self.fresh_xid();
         match self.cfg.compare {
             CompareAttachment::DataPort(p) => {
                 self.stats.to_compare += 1;
-                // The copy's memo rides along: the compare unwraps it.
-                ctx.send_frame(p, Frame::encapsulating(of_wrap(&msg, xid), &frame));
+                // The copy itself rides in the packet-in, memo included:
+                // the compare unwraps it.
+                ctx.send_frame(p, wrap_packet_in(xid, in_port.number(), &frame));
             }
             CompareAttachment::Controller(c) => {
                 self.stats.to_compare += 1;
+                let msg = OfMessage::PacketIn {
+                    buffer_id: None,
+                    in_port: in_port.number(),
+                    reason: PacketInReason::NoMatch,
+                    data: frame.into_bytes(),
+                };
                 ctx.send_control(c, wire::encode(&msg, xid));
             }
             CompareAttachment::None | CompareAttachment::Embedded(_) => {
                 unreachable!("handled by the caller")
             }
+        }
+    }
+
+    /// Emits a packet the compare released out of every physical port
+    /// `actions` outputs to; a packet-out without one is invalid.
+    fn release(&mut self, ctx: &mut Ctx<'_>, actions: impl Iterator<Item = Action>, data: Frame) {
+        let mut outputs = actions.filter_map(|a| match a {
+            Action::Output(OfPort::Physical(p)) => Some(PortId(p)),
+            _ => None,
+        });
+        let Some(mut port) = outputs.next() else {
+            self.stats.invalid_msgs += 1;
+            return;
+        };
+        // Move the payload into the last output.
+        for next in outputs {
+            ctx.send_frame(port, data.clone());
+            port = next;
+        }
+        ctx.send_frame(port, data);
+        self.stats.released += 1;
+    }
+
+    /// Handles a frame from the compare link: a packet-out this crate's
+    /// wrap built is read from its head and releases the frame it carries
+    /// (memo included); anything else is decoded from its bytes.
+    fn handle_compare_frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame) {
+        match unwrap_split(frame) {
+            Some((SplitHead::PacketOut { actions, .. }, _, data)) => {
+                self.release(ctx, actions.iter(), data.clone());
+            }
+            // A packet-in is no decision.
+            Some((SplitHead::PacketIn { .. }, ..)) => self.stats.invalid_msgs += 1,
+            None => match of_unwrap(frame.bytes()) {
+                Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, Some(frame), None),
+                None => self.stats.invalid_msgs += 1,
+            },
         }
     }
 
@@ -272,35 +311,12 @@ impl GuardSwitch {
     ) {
         match msg {
             OfMessage::PacketOut { actions, data, .. } => {
-                // The released packet is the carrier's tail, memo included.
+                // The released packet is the carrier's tail.
                 let data = match carrier {
                     Some(frame) => frame.slice(frame.len() - data.len()..),
                     None => Frame::new(data),
                 };
-                let outputs = actions
-                    .iter()
-                    .filter_map(|a| match a {
-                        Action::Output(OfPort::Physical(p)) => Some(*p),
-                        _ => None,
-                    })
-                    .count();
-                if outputs == 0 {
-                    self.stats.invalid_msgs += 1;
-                } else {
-                    // Move the payload into the last output.
-                    let mut remaining = outputs;
-                    for action in &actions {
-                        if let Action::Output(OfPort::Physical(p)) = action {
-                            remaining -= 1;
-                            if remaining == 0 {
-                                ctx.send_frame(PortId(*p), data);
-                                break;
-                            }
-                            ctx.send_frame(PortId(*p), data.clone());
-                        }
-                    }
-                    self.stats.released += 1;
-                }
+                self.release(ctx, actions.into_iter(), data);
             }
             OfMessage::FlowMod {
                 matcher,
@@ -395,10 +411,7 @@ impl Device for GuardSwitch {
         }
         if let CompareAttachment::DataPort(cp) = self.cfg.compare {
             if port == cp {
-                match of_unwrap(frame.bytes()) {
-                    Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, Some(&frame), None),
-                    None => self.stats.invalid_msgs += 1,
-                }
+                self.handle_compare_frame(ctx, &frame);
                 return;
             }
         }

@@ -204,7 +204,7 @@ impl WorldCore {
             }
             Event::FrameArrival { node, port, frame } => {
                 let sub = &mut self.sub;
-                sub.run_taps(node, port, TapDirection::Rx, frame.bytes());
+                sub.run_taps(node, port, TapDirection::Rx, &frame);
                 match sub.cpu_admit(node, frame.len()) {
                     Some(done) => {
                         sub.sched.schedule_at_keyed(

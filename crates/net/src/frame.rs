@@ -19,13 +19,23 @@
 //! **new** `Frame` with a fresh, empty memo. Cloning shares the memo;
 //! changing content never does.
 //!
-//! Encapsulation is the one place two contents are related:
-//! [`Frame::encapsulating`] wraps a frame in a longer one that ends with
-//! its bytes (checked) and records where they start, so the tail
-//! [`slice`](Frame::slice) of the wrapper — after any number of clones and
-//! hops — is the inner content with the inner memo. A wrapper that was
-//! corrupted, truncated or re-injected on the way is a new `Frame` and
-//! carries nothing. There is still no way to *set* a memo.
+//! # Encapsulation
+//!
+//! Encapsulation is the one place two contents are related. A compare
+//! link carries every replica copy inside an OpenFlow packet-in and every
+//! release inside a packet-out, so [`Frame::encapsulating`] builds a
+//! wrapper that is a short header (at most [`MAX_ENCAP_HEAD`] bytes,
+//! inline in the wrapper's one allocation) plus the inner frame it
+//! carries, shared with its memo rather than copied.
+//! [`Frame::encapsulated`] hands the two parts back, and the tail
+//! [`slice`](Frame::slice) of the wrapper — after any number of clones
+//! and hops — is the inner frame itself. The wrapper's contiguous bytes
+//! (`head ++ inner`) are built once, on the first call that needs them
+//! ([`Frame::bytes`], `Deref`, a derivation of the wrapper's own
+//! content); on a compare link only a recording tap or link corruption
+//! asks. A wrapper that was corrupted, truncated or re-injected on the
+//! way is a new `Frame` and carries nothing. There is still no way to
+//! *set* a memo.
 //!
 //! # Facades
 //!
@@ -177,76 +187,158 @@ struct Memo {
     fp: OnceLock<u128>,
     fields: OnceLock<PacketFields>,
     views: OnceLock<Option<(FrameView, Option<L4View>)>>,
-    /// For a frame built by [`Frame::encapsulating`]: where the inner
-    /// frame's bytes start, and the inner frame's memo.
-    inner: Option<(usize, Arc<Memo>)>,
 }
+
+/// The longest header [`Frame::encapsulating`] keeps inline: an Ethernet
+/// header plus an OpenFlow packet-out with two output actions (a
+/// packet-in's head is 32 bytes, a one-output packet-out's 38).
+pub const MAX_ENCAP_HEAD: usize = 48;
 
 /// A data-plane frame: immutable wire bytes plus lazily-memoized derived
 /// data shared across clones.
 ///
-/// Cloning is O(1) (a `Bytes` refcount bump and an `Arc` refcount bump) and
-/// every clone shares the same memo — a fingerprint computed at the hub is
-/// reused at each replica egress, at the compare, and at release, no
-/// matter how many copies were made in between.
+/// Cloning is O(1) (one or two refcount bumps) and every clone shares the
+/// same memo — a fingerprint computed at the hub is reused at each replica
+/// egress, at the compare, and at release, no matter how many copies were
+/// made in between.
 #[derive(Clone)]
 pub struct Frame {
-    bytes: Bytes,
-    memo: Arc<Memo>,
+    repr: Repr,
+}
+
+// A `Frame` rides inside every frame event: growing it grows the
+// scheduler's slots and every queue that holds frames.
+const _: () = assert!(std::mem::size_of::<Frame>() == 32);
+
+#[derive(Clone)]
+enum Repr {
+    /// Contiguous wire bytes and their memo.
+    Contiguous { bytes: Bytes, memo: Arc<Memo> },
+    /// A header in front of a shared inner frame.
+    Encapsulated(Arc<Encapsulation>),
+}
+
+/// The one allocation behind an encapsulating frame.
+struct Encapsulation {
+    head: [u8; MAX_ENCAP_HEAD],
+    head_len: u8,
+    inner: Frame,
+    /// Derivations of the wrapper's own content (`head ++ inner`).
+    memo: Memo,
+    /// `head ++ inner`, built on first request.
+    wire: OnceLock<Bytes>,
+}
+
+impl Encapsulation {
+    fn head(&self) -> &[u8] {
+        &self.head[..self.head_len as usize]
+    }
+
+    fn wire(&self) -> &Bytes {
+        self.wire.get_or_init(|| {
+            let mut wire = Vec::with_capacity(self.head_len as usize + self.inner.len());
+            wire.extend_from_slice(self.head());
+            wire.extend_from_slice(self.inner.bytes());
+            Bytes::from(wire)
+        })
+    }
 }
 
 impl Frame {
     /// Wraps wire bytes in a frame with an empty memo.
     pub fn new(bytes: Bytes) -> Frame {
         Frame {
-            bytes,
-            memo: Arc::new(Memo::default()),
+            repr: Repr::Contiguous {
+                bytes,
+                memo: Arc::new(Memo::default()),
+            },
         }
     }
 
-    /// A frame over `outer`, which carries `inner`'s bytes as its tail — an
-    /// encapsulation such as an OpenFlow packet-in around a data frame.
-    /// The new frame starts with an empty memo of its own and remembers
-    /// `inner`'s: [`slice`](Frame::slice)`(outer.len() - inner.len()..)` on
-    /// it, or on any clone, is `inner`'s content *with* `inner`'s memo, so
-    /// what was derived before the wrap is not derived again after the
-    /// unwrap.
+    /// The frame `head ++ inner` — an encapsulation such as an OpenFlow
+    /// packet-in around a data frame — without copying `inner`.
+    ///
+    /// `head` is copied into the wrapper; `inner` is shared, memo
+    /// included, and [`encapsulated`](Frame::encapsulated) or
+    /// [`slice`](Frame::slice)`(head.len()..)` on the wrapper, or on any
+    /// clone, returns it, so what was derived before the wrap is not
+    /// derived again after the unwrap. The wrapper's own memo starts
+    /// empty, and its contiguous bytes are built only when asked for.
     ///
     /// # Panics
     ///
-    /// Panics unless `outer` ends with `inner`'s bytes: a memo is only ever
-    /// attached to the content it was derived from.
-    pub fn encapsulating(outer: Bytes, inner: &Frame) -> Frame {
-        assert!(outer.ends_with(inner), "outer must end with inner's bytes");
-        let offset = outer.len() - inner.len();
+    /// Panics when `head` is longer than [`MAX_ENCAP_HEAD`].
+    pub fn encapsulating(head: &[u8], inner: &Frame) -> Frame {
+        assert!(
+            head.len() <= MAX_ENCAP_HEAD,
+            "an encapsulation head holds at most {MAX_ENCAP_HEAD} bytes"
+        );
+        let mut inline = [0u8; MAX_ENCAP_HEAD];
+        inline[..head.len()].copy_from_slice(head);
         Frame {
-            bytes: outer,
-            memo: Arc::new(Memo {
-                inner: Some((offset, Arc::clone(&inner.memo))),
-                ..Memo::default()
-            }),
+            repr: Repr::Encapsulated(Arc::new(Encapsulation {
+                head: inline,
+                head_len: head.len() as u8,
+                inner: inner.clone(),
+                memo: Memo::default(),
+                wire: OnceLock::new(),
+            })),
         }
     }
 
-    /// The wire bytes.
+    /// The header and the inner frame of a frame built by
+    /// [`encapsulating`](Frame::encapsulating); `None` for any other frame.
+    pub fn encapsulated(&self) -> Option<(&[u8], &Frame)> {
+        match &self.repr {
+            Repr::Encapsulated(e) => Some((e.head(), &e.inner)),
+            Repr::Contiguous { .. } => None,
+        }
+    }
+
+    /// The wire bytes. On an encapsulating frame the first call builds
+    /// them (`head ++ inner`, one copy, kept for every clone).
     pub fn bytes(&self) -> &Bytes {
-        &self.bytes
+        match &self.repr {
+            Repr::Contiguous { bytes, .. } => bytes,
+            Repr::Encapsulated(e) => e.wire(),
+        }
     }
 
     /// Extracts the wire bytes, dropping this clone's memo handle.
     pub fn into_bytes(self) -> Bytes {
-        self.bytes
+        match self.repr {
+            Repr::Contiguous { bytes, .. } => bytes,
+            Repr::Encapsulated(e) => e.wire().clone(),
+        }
     }
 
-    /// Frame length in bytes.
-    pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
+    /// Frame length in bytes. Never builds an encapsulating frame's
+    /// bytes (the `[u8]` length through `Deref` would).
+    pub fn len(&self) -> usize {
+        match &self.repr {
+            Repr::Contiguous { bytes, .. } => bytes.len(),
+            Repr::Encapsulated(e) => e.head_len as usize + e.inner.len(),
+        }
+    }
+
+    /// `true` for a zero-length frame (never builds an encapsulating
+    /// frame's bytes).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn memo(&self) -> &Memo {
+        match &self.repr {
+            Repr::Contiguous { memo, .. } => memo,
+            Repr::Encapsulated(e) => &e.memo,
+        }
     }
 
     /// The 128-bit content fingerprint, computed on first call and shared
     /// by all clones of this frame.
     pub fn fp128(&self) -> u128 {
-        if let Some(&fp) = self.memo.fp.get() {
+        let memo = self.memo();
+        if let Some(&fp) = memo.fp.get() {
             bump(|s| {
                 s.fp_hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -255,7 +347,7 @@ impl Frame {
         bump(|s| {
             s.fp_misses.fetch_add(1, Ordering::Relaxed);
         });
-        *self.memo.fp.get_or_init(|| fp128(&self.bytes))
+        *memo.fp.get_or_init(|| fp128(self.bytes()))
     }
 
     /// The parsed OpenFlow 12-tuple with `in_port = 0`, computed on first
@@ -265,7 +357,8 @@ impl Frame {
     /// stores the port-independent view; use [`Frame::fields_on`] for a
     /// view stamped with a concrete ingress port.
     pub fn fields(&self) -> &PacketFields {
-        if let Some(f) = self.memo.fields.get() {
+        let memo = self.memo();
+        if let Some(f) = memo.fields.get() {
             bump(|s| {
                 s.parse_hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -274,9 +367,8 @@ impl Frame {
         bump(|s| {
             s.parse_misses.fetch_add(1, Ordering::Relaxed);
         });
-        self.memo
-            .fields
-            .get_or_init(|| PacketFields::sniff(&self.bytes, 0))
+        memo.fields
+            .get_or_init(|| PacketFields::sniff(self.bytes(), 0))
     }
 
     /// The full structural parse (Ethernet + L3 + L4), computed on first
@@ -289,7 +381,8 @@ impl Frame {
     /// frames through this (see [`HostNic::receive`](crate::HostNic::receive)),
     /// so a frame parsed (and checksum-verified) once is free for every clone.
     pub fn views(&self) -> Option<&(FrameView, Option<L4View>)> {
-        if let Some(v) = self.memo.views.get() {
+        let memo = self.memo();
+        if let Some(v) = memo.views.get() {
             bump(|s| {
                 s.parse_hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -298,10 +391,9 @@ impl Frame {
         bump(|s| {
             s.parse_misses.fetch_add(1, Ordering::Relaxed);
         });
-        self.memo
-            .views
+        memo.views
             .get_or_init(|| {
-                let view = FrameView::parse(&self.bytes).ok()?;
+                let view = FrameView::parse(self.bytes()).ok()?;
                 let l4 = view.l4().ok().flatten();
                 Some((view, l4))
             })
@@ -318,14 +410,16 @@ impl Frame {
         f
     }
 
-    /// Returns a frame over a sub-range of the bytes. O(1): shares the
-    /// underlying buffer.
+    /// Returns a frame over a sub-range of the bytes. O(1) on contiguous
+    /// bytes: shares the underlying buffer.
     ///
     /// A full-range slice keeps the memo (content is unchanged), and the
-    /// tail of an [`encapsulating`](Frame::encapsulating) frame that is the
-    /// inner frame's content gets the inner frame's memo; any other proper
-    /// sub-slice is different content and starts a fresh memo.
+    /// tail of an [`encapsulating`](Frame::encapsulating) frame after its
+    /// header is the inner frame, memo included; any other proper
+    /// sub-slice is different content and starts a fresh memo (on an
+    /// encapsulating frame it builds the wrapper's bytes first).
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Frame {
+        let len = self.len();
         let begin = match range.start_bound() {
             Bound::Included(&n) => n,
             Bound::Excluded(&n) => n + 1,
@@ -334,15 +428,12 @@ impl Frame {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.bytes.len(),
+            Bound::Unbounded => len,
         };
-        match &self.memo.inner {
-            Some((offset, memo)) if begin == *offset && end == self.bytes.len() => Frame {
-                bytes: self.bytes.slice(begin..end),
-                memo: Arc::clone(memo),
-            },
-            _ if begin == 0 && end == self.bytes.len() => self.clone(),
-            _ => Frame::new(self.bytes.slice(begin..end)),
+        match &self.repr {
+            Repr::Encapsulated(e) if begin == e.head_len as usize && end == len => e.inner.clone(),
+            _ if begin == 0 && end == len => self.clone(),
+            _ => Frame::new(self.bytes().slice(begin..end)),
         }
     }
 }
@@ -351,13 +442,13 @@ impl Deref for Frame {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.bytes
+        self.bytes()
     }
 }
 
 impl AsRef<[u8]> for Frame {
     fn as_ref(&self) -> &[u8] {
-        &self.bytes
+        self.bytes()
     }
 }
 
@@ -387,7 +478,7 @@ impl From<Frame> for Bytes {
 
 impl PartialEq for Frame {
     fn eq(&self, other: &Frame) -> bool {
-        self.bytes == other.bytes
+        self.bytes() == other.bytes()
     }
 }
 
@@ -395,22 +486,24 @@ impl Eq for Frame {}
 
 impl PartialEq<Bytes> for Frame {
     fn eq(&self, other: &Bytes) -> bool {
-        self.bytes == *other
+        self.bytes() == other
     }
 }
 
 impl PartialEq<Frame> for Bytes {
     fn eq(&self, other: &Frame) -> bool {
-        *self == other.bytes
+        self == other.bytes()
     }
 }
 
 impl std::fmt::Debug for Frame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let memo = self.memo();
         f.debug_struct("Frame")
-            .field("len", &self.bytes.len())
-            .field("fp_memoized", &self.memo.fp.get().is_some())
-            .field("fields_memoized", &self.memo.fields.get().is_some())
+            .field("len", &self.len())
+            .field("encapsulated", &self.encapsulated().is_some())
+            .field("fp_memoized", &memo.fp.get().is_some())
+            .field("fields_memoized", &memo.fields.get().is_some())
             .finish()
     }
 }
@@ -596,8 +689,7 @@ mod tests {
     fn encapsulated_tail_slice_returns_the_inner_memo() {
         let inner = Frame::from(vec![0x55u8; 48]);
         let fp = inner.fp128();
-        let wire = [&[0xEEu8; 10][..], &inner[..]].concat();
-        let outer = Frame::encapsulating(Bytes::from(wire), &inner).clone();
+        let outer = Frame::encapsulating(&[0xEE; 10], &inner).clone();
         let before = memo_stats();
         assert_eq!(outer.slice(10..).fp128(), fp);
         assert_eq!(memo_stats().since(before).fp_misses, 0);
@@ -607,10 +699,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outer must end with inner's bytes")]
-    fn encapsulating_other_bytes_is_refused() {
+    fn encapsulation_shares_the_inner_frame_and_builds_bytes_once() {
+        let inner = Frame::from(vec![0x66u8; 100]);
+        let outer = Frame::encapsulating(&[1, 2, 3], &inner);
+        let (head, carried) = outer.encapsulated().expect("an encapsulation");
+        assert_eq!(head, &[1, 2, 3]);
+        assert_eq!(carried.bytes().as_ptr(), inner.bytes().as_ptr());
+        assert_eq!(outer.len(), 103);
+        let wire = [&[1u8, 2, 3][..], &inner[..]].concat();
+        assert_eq!(outer, Bytes::from(wire.clone()));
+        assert_eq!(outer, Frame::from(wire.clone()));
+        assert_ne!(outer, Frame::encapsulating(&[1, 2, 4], &inner));
+        assert_ne!(outer, Frame::encapsulating(&[1, 2], &inner));
+        // The bytes are built once, on demand, and every clone reads the
+        // same buffer.
+        let clone = outer.clone();
+        assert_eq!(&clone[..], &wire[..]);
+        assert_eq!(clone.bytes().as_ptr(), outer.bytes().as_ptr());
+        assert_eq!(
+            outer.slice(..).encapsulated().map(|(h, _)| h),
+            Some(&[1u8, 2, 3][..])
+        );
+        assert!(inner.encapsulated().is_none());
+        assert!(outer.slice(1..).encapsulated().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "an encapsulation head holds at most 48 bytes")]
+    fn an_overlong_head_is_refused() {
         let inner = Frame::from(vec![1u8, 2, 3]);
-        Frame::encapsulating(Bytes::from(vec![9u8, 1, 2, 4]), &inner);
+        Frame::encapsulating(&[0; MAX_ENCAP_HEAD + 1], &inner);
     }
 
     #[test]

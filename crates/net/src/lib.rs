@@ -56,7 +56,9 @@ pub use cpu::CpuModel;
 pub use device::{Ctx, Device};
 pub use event_loop::{TapDirection, TapEvent};
 pub use fault::{ControlFaultSpec, FaultKind, FaultPlan, FaultSpec};
-pub use frame::{fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, Frame, MemoStats};
+pub use frame::{
+    fnv1a, fp128, memo_stats, memo_stats_merged, reset_memo_stats, Frame, MemoStats, MAX_ENCAP_HEAD,
+};
 pub use host::{HostNic, NeighborTable};
 pub use id::{LinkId, MacAddr, NodeId, PortId};
 pub use link::LinkSpec;

@@ -637,12 +637,15 @@ impl Substrate {
         }
     }
 
+    /// Records a tap observation when taps are installed. Only a
+    /// recording tap reads the frame's bytes, so an encapsulating frame
+    /// crosses an untapped world without ever being made contiguous.
     pub(crate) fn run_taps(
         &mut self,
         node: NodeId,
         port: PortId,
         direction: TapDirection,
-        frame: &Bytes,
+        frame: &Frame,
     ) {
         if !self.tap_rec.record {
             return;
@@ -654,12 +657,12 @@ impl Substrate {
             node,
             port,
             direction,
-            frame: frame.clone(),
+            frame: frame.bytes().clone(),
         });
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, port: PortId, frame: Frame) {
-        self.run_taps(node, port, TapDirection::Tx, frame.bytes());
+        self.run_taps(node, port, TapDirection::Tx, &frame);
         let len = frame.len();
         let Some((link_idx, dir)) = self.link_at(node, port) else {
             self.counters[node.index()].port_mut(port).tx_dropped += 1;

@@ -2,7 +2,7 @@
 //! byte content, every memoized derivation on [`Frame`] is bit-identical
 //! to the stateless computation on the raw bytes, and stays identical
 //! across clones and slices (which share or fork the memo) and across an
-//! encapsulation (whose tail slice gets the inner frame's memo back).
+//! encapsulation (whose tail slice is the inner frame, memo included).
 
 use bytes::Bytes;
 use netco_net::packet::PacketFields;
@@ -81,13 +81,13 @@ proptest! {
     }
 
     /// The tail of an encapsulating frame — taken from the frame or from a
-    /// clone of it — is the inner content with the inner memo: every
+    /// clone of it — is the inner frame itself, memo included: every
     /// derivation the inner frame already made is answered without
-    /// touching the bytes. Any other sub-range, and the same wire bytes
-    /// framed afresh, start cold.
+    /// touching the bytes. The wrapper's bytes are `head ++ inner`. Any
+    /// other sub-range, and the same wire bytes framed afresh, start cold.
     #[test]
     fn encapsulated_tail_carries_the_inner_memo(
-        head in arb_bytes(),
+        head in proptest::collection::vec(any::<u8>(), 0..netco_net::MAX_ENCAP_HEAD + 1),
         data in arb_bytes(),
         a in any::<u16>(),
         b in any::<u16>(),
@@ -95,7 +95,10 @@ proptest! {
         let inner = Frame::from(data.clone());
         let (fp, fields, views) = (inner.fp128(), inner.fields().clone(), inner.views().cloned());
         let wire = [&head[..], &data[..]].concat();
-        let outer = Frame::encapsulating(Bytes::from(wire.clone()), &inner);
+        let outer = Frame::encapsulating(&head, &inner);
+        prop_assert_eq!(outer.len(), wire.len());
+        prop_assert_eq!(outer.is_empty(), wire.is_empty());
+        prop_assert_eq!(outer.encapsulated().map(|(h, _)| h.to_vec()), Some(head.clone()));
         prop_assert_eq!(&outer, &Bytes::from(wire.clone()));
 
         for carrier in [outer.clone(), outer.clone().slice(..)] {
@@ -106,10 +109,11 @@ proptest! {
             prop_assert_eq!(tail.views().cloned(), views.clone());
             prop_assert_eq!(memo_stats().since(before).misses(), 0);
             prop_assert_eq!(&tail, &inner);
-            prop_assert_eq!(tail.bytes().as_ptr(), outer.bytes()[head.len()..].as_ptr());
+            prop_assert_eq!(tail.bytes().as_ptr(), inner.bytes().as_ptr());
         }
         // The wrapper's own derivations are of the wrapper's bytes.
         prop_assert_eq!(outer.fp128(), fp128(&wire));
+        prop_assert_eq!(outer.bytes(), &Bytes::from(wire.clone()));
 
         let (mut lo, mut hi) = (a as usize % (wire.len() + 1), b as usize % (wire.len() + 1));
         if lo > hi {

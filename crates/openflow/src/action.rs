@@ -54,7 +54,8 @@ impl fmt::Display for Action {
 /// Applies an action list to a frame, OF-style: rewrites take effect in
 /// order, and each `Output` emits the frame *as rewritten so far*.
 ///
-/// Returns the `(port, frame)` pairs emitted by `Output` actions. An empty
+/// Hands `emit` each `(port, frame)` an `Output` action emits, in order;
+/// nothing is collected, so a table hit allocates nothing here. An empty
 /// action list (or one without any `Output`) therefore drops the packet,
 /// exactly as in OpenFlow 1.0.
 ///
@@ -62,12 +63,11 @@ impl fmt::Display for Action {
 /// recognized layers fail to decode) are skipped — a real ASIC would have
 /// rewritten garbage; skipping keeps behaviour deterministic and
 /// observable via the unchanged bytes.
-pub fn apply_actions(frame: &Frame, actions: &[Action]) -> Vec<(OfPort, Frame)> {
+pub fn apply_actions(frame: &Frame, actions: &[Action], mut emit: impl FnMut(OfPort, Frame)) {
     let mut current = frame.clone();
-    let mut out = Vec::new();
     for action in actions {
         match action {
-            Action::Output(port) => out.push((*port, current.clone())),
+            Action::Output(port) => emit(*port, current.clone()),
             other => {
                 if let Some(rewritten) = rewrite(current.bytes(), other) {
                     // Rewritten bytes are new content: fresh memo.
@@ -76,7 +76,6 @@ pub fn apply_actions(frame: &Frame, actions: &[Action]) -> Vec<(OfPort, Frame)> 
             }
         }
     }
-    out
 }
 
 /// Applies only the rewrite (non-`Output`) actions in `actions` to a frame,
@@ -186,6 +185,13 @@ mod tests {
     use super::*;
     use netco_net::packet::{builder, FrameView, L4View};
 
+    /// The `(port, frame)` pairs `apply_actions` emits, collected.
+    fn outputs(frame: &Frame, actions: &[Action]) -> Vec<(OfPort, Frame)> {
+        let mut out = Vec::new();
+        apply_actions(frame, actions, |port, f| out.push((port, f)));
+        out
+    }
+
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
@@ -206,13 +212,13 @@ mod tests {
 
     #[test]
     fn empty_actions_drop() {
-        assert!(apply_actions(&udp(), &[]).is_empty());
+        assert!(outputs(&udp(), &[]).is_empty());
     }
 
     #[test]
     fn output_passes_frame_through_unchanged() {
         let frame = udp();
-        let out = apply_actions(&frame, &[Action::Output(OfPort::Physical(4))]);
+        let out = outputs(&frame, &[Action::Output(OfPort::Physical(4))]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, OfPort::Physical(4));
         assert_eq!(out[0].1, frame);
@@ -220,7 +226,7 @@ mod tests {
 
     #[test]
     fn rewrite_then_output_emits_rewritten() {
-        let out = apply_actions(
+        let out = outputs(
             &udp(),
             &[
                 Action::SetDlDst(MacAddr::local(9)),
@@ -234,7 +240,7 @@ mod tests {
     #[test]
     fn output_before_rewrite_emits_original() {
         let frame = udp();
-        let out = apply_actions(
+        let out = outputs(
             &frame,
             &[
                 Action::Output(OfPort::Physical(1)),
@@ -248,7 +254,7 @@ mod tests {
 
     #[test]
     fn vlan_set_and_strip() {
-        let out = apply_actions(
+        let out = outputs(
             &udp(),
             &[Action::SetVlanVid(77), Action::Output(OfPort::Physical(1))],
         );
@@ -257,7 +263,7 @@ mod tests {
         // And the L4 checksum still verifies (VLAN does not affect it).
         assert!(matches!(v.l4().unwrap(), Some(L4View::Udp(_))));
 
-        let out2 = apply_actions(
+        let out2 = outputs(
             &out[0].1,
             &[Action::StripVlan, Action::Output(OfPort::Physical(1))],
         );
@@ -267,7 +273,7 @@ mod tests {
 
     #[test]
     fn nw_rewrite_fixes_all_checksums() {
-        let out = apply_actions(
+        let out = outputs(
             &udp(),
             &[Action::SetNwDst(C), Action::Output(OfPort::Physical(1))],
         );
@@ -281,7 +287,7 @@ mod tests {
 
     #[test]
     fn tp_rewrite_udp_and_tcp() {
-        let out = apply_actions(
+        let out = outputs(
             &udp(),
             &[Action::SetTpDst(999), Action::Output(OfPort::Physical(1))],
         );
@@ -309,7 +315,7 @@ mod tests {
             &seg,
             None,
         ));
-        let out = apply_actions(
+        let out = outputs(
             &tcp_frame,
             &[Action::SetTpSrc(4242), Action::Output(OfPort::Physical(1))],
         );
@@ -332,7 +338,7 @@ mod tests {
             }
             .encode(),
         );
-        let out = apply_actions(
+        let out = outputs(
             &eth,
             &[Action::SetNwDst(C), Action::Output(OfPort::Physical(1))],
         );
@@ -341,7 +347,7 @@ mod tests {
 
     #[test]
     fn multiple_outputs_duplicate() {
-        let out = apply_actions(
+        let out = outputs(
             &udp(),
             &[
                 Action::Output(OfPort::Physical(1)),

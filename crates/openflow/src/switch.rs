@@ -116,42 +116,41 @@ impl OfSwitch {
         id
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, in_port: Option<u16>, outputs: Vec<(OfPort, Frame)>) {
-        for (port, frame) in outputs {
-            match port {
-                OfPort::Physical(p) => {
+    /// Carries out one `Output` of an action list.
+    fn emit(&mut self, ctx: &mut Ctx<'_>, in_port: Option<u16>, port: OfPort, frame: Frame) {
+        match port {
+            OfPort::Physical(p) => {
+                ctx.send_frame(PortId(p), frame);
+            }
+            OfPort::InPort => {
+                if let Some(p) = in_port {
                     ctx.send_frame(PortId(p), frame);
                 }
-                OfPort::InPort => {
-                    if let Some(p) = in_port {
-                        ctx.send_frame(PortId(p), frame);
-                    }
-                }
-                OfPort::Flood | OfPort::All => {
-                    let mut targets = ctx.ports();
-                    if port == OfPort::Flood {
-                        targets.retain(|p| Some(p.number()) != in_port);
-                    }
-                    // Move the frame into the final replica send.
-                    if let Some((&last, rest)) = targets.split_last() {
-                        for &p in rest {
-                            ctx.send_frame(p, frame.clone());
-                        }
-                        ctx.send_frame(last, frame);
-                    }
-                }
-                OfPort::Controller => {
-                    let data = truncate(frame.bytes(), MISS_SEND_LEN);
-                    let msg = OfMessage::PacketIn {
-                        buffer_id: Some(self.buffer_packet(in_port.unwrap_or(0), &frame)),
-                        in_port: in_port.unwrap_or(0),
-                        reason: PacketInReason::Action,
-                        data,
-                    };
-                    self.send_to_controller(ctx, &msg);
-                }
-                OfPort::None => {}
             }
+            OfPort::Flood | OfPort::All => {
+                let mut targets = ctx.ports();
+                if port == OfPort::Flood {
+                    targets.retain(|p| Some(p.number()) != in_port);
+                }
+                // Move the frame into the final replica send.
+                if let Some((&last, rest)) = targets.split_last() {
+                    for &p in rest {
+                        ctx.send_frame(p, frame.clone());
+                    }
+                    ctx.send_frame(last, frame);
+                }
+            }
+            OfPort::Controller => {
+                let data = truncate(frame.bytes(), MISS_SEND_LEN);
+                let msg = OfMessage::PacketIn {
+                    buffer_id: Some(self.buffer_packet(in_port.unwrap_or(0), &frame)),
+                    in_port: in_port.unwrap_or(0),
+                    reason: PacketInReason::Action,
+                    data,
+                };
+                self.send_to_controller(ctx, &msg);
+            }
+            OfPort::None => {}
         }
     }
 
@@ -217,8 +216,9 @@ impl OfSwitch {
         // Run a buffered packet through the (new) table state.
         if let Some(id) = buffer_id {
             if let Some((in_port, frame)) = self.take_buffer(id) {
-                let outputs = apply_actions(&frame, &actions);
-                self.emit(ctx, Some(in_port), outputs);
+                apply_actions(&frame, &actions, |port, out| {
+                    self.emit(ctx, Some(in_port), port, out);
+                });
             }
         }
     }
@@ -270,8 +270,9 @@ impl Device for OfSwitch {
                 // borrows the table mutably, so the actions must outlive
                 // the borrow, but a per-packet Vec copy is not the way.
                 let actions = entry.shared_actions();
-                let outputs = apply_actions(&frame, &actions);
-                self.emit(ctx, Some(port.number()), outputs);
+                apply_actions(&frame, &actions, |out_port, out| {
+                    self.emit(ctx, Some(port.number()), out_port, out);
+                });
             }
             None => {
                 self.tel.table_misses.inc();
@@ -366,9 +367,10 @@ impl Device for OfSwitch {
                     None if !data.is_empty() => Some((in_port, Frame::new(data))),
                     None => None,
                 };
-                if let Some((port, frame)) = payload {
-                    let outputs = apply_actions(&frame, &actions);
-                    self.emit(ctx, Some(port), outputs);
+                if let Some((in_port, frame)) = payload {
+                    apply_actions(&frame, &actions, |port, out| {
+                        self.emit(ctx, Some(in_port), port, out);
+                    });
                 }
             }
             OfMessage::FlowMod {

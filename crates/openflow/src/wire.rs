@@ -6,6 +6,13 @@
 //! covers exactly the [`OfMessage`] subset — an unknown message type decodes
 //! to [`WireError::UnsupportedType`] rather than being silently skipped.
 //!
+//! A packet-in or packet-out also splits at its data: [`put_packet_in_head`]
+//! and [`put_packet_out_head`] write every byte before the data (the
+//! lengths counting the data that will follow) into any buffer, and
+//! [`decode_split`] reads such a head back given only the data's length.
+//! That is how a compare link carries a replica's frame without copying
+//! it (see `netco_core`'s `encap` module).
+//!
 //! # Example
 //!
 //! ```
@@ -39,6 +46,10 @@ pub(crate) const HEADER_LEN: usize = 8;
 pub(crate) const MATCH_LEN: usize = 40;
 /// `buffer_id` wire value meaning "not buffered".
 pub(crate) const NO_BUFFER: u32 = 0xffff_ffff;
+/// Fixed part of `ofp_packet_in` after the header (before the data).
+const PACKET_IN_LEN: usize = 10;
+/// Fixed part of `ofp_packet_out` after the header (before the actions).
+const PACKET_OUT_LEN: usize = 8;
 
 const OFPT_HELLO: u8 = 0;
 const OFPT_ERROR: u8 = 1;
@@ -126,6 +137,29 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
 /// Avoids the intermediate body allocation of [`encode`]; callers that frame
 /// OpenFlow inside another protocol can write everything into one buffer.
 pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut BytesMut) {
+    match msg {
+        OfMessage::PacketIn {
+            buffer_id,
+            in_port,
+            reason,
+            data,
+        } => {
+            put_packet_in_head(buf, xid, *buffer_id, *in_port, *reason, data.len());
+            buf.put_slice(data);
+            return;
+        }
+        OfMessage::PacketOut {
+            buffer_id,
+            in_port,
+            actions,
+            data,
+        } => {
+            put_packet_out_head(buf, xid, *buffer_id, *in_port, actions, data.len());
+            buf.put_slice(data);
+            return;
+        }
+        _ => {}
+    }
     let start = buf.len();
     buf.put_u8(OFP_VERSION);
     buf.put_u8(0); // type, patched below
@@ -135,6 +169,212 @@ pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut BytesMut) {
     buf[start + 1] = msg_type;
     let len = (buf.len() - start) as u16;
     buf[start + 2..start + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Writes a packet-in's `ofp_header` and fixed part — every byte before
+/// its data — into `b`. The header's length and the packet-in's
+/// `total_len` count the `data_len` bytes of data the caller puts after
+/// it; nothing is allocated.
+pub fn put_packet_in_head(
+    b: &mut impl BufMut,
+    xid: u32,
+    buffer_id: Option<u32>,
+    in_port: u16,
+    reason: PacketInReason,
+    data_len: usize,
+) {
+    put_header(
+        b,
+        OFPT_PACKET_IN,
+        HEADER_LEN + PACKET_IN_LEN + data_len,
+        xid,
+    );
+    b.put_u32(buffer_id.unwrap_or(NO_BUFFER));
+    b.put_u16(data_len as u16);
+    b.put_u16(in_port);
+    b.put_u8(match reason {
+        PacketInReason::NoMatch => 0,
+        PacketInReason::Action => 1,
+    });
+    b.put_u8(0);
+}
+
+/// Writes a packet-out's `ofp_header`, fixed part and action list — every
+/// byte before its data — into `b`; the header's length counts the
+/// `data_len` bytes of data the caller puts after it. Nothing is
+/// allocated.
+pub fn put_packet_out_head(
+    b: &mut impl BufMut,
+    xid: u32,
+    buffer_id: Option<u32>,
+    in_port: u16,
+    actions: &[Action],
+    data_len: usize,
+) {
+    let actions_len = actions_len(actions);
+    let length = HEADER_LEN + PACKET_OUT_LEN + actions_len + data_len;
+    put_header(b, OFPT_PACKET_OUT, length, xid);
+    b.put_u32(buffer_id.unwrap_or(NO_BUFFER));
+    b.put_u16(in_port);
+    b.put_u16(actions_len as u16);
+    encode_actions(actions, b);
+}
+
+fn put_header(b: &mut impl BufMut, msg_type: u8, length: usize, xid: u32) {
+    b.put_u8(OFP_VERSION);
+    b.put_u8(msg_type);
+    b.put_u16(length as u16);
+    b.put_u32(xid);
+}
+
+/// A packet-in or packet-out read from its head alone (see
+/// [`decode_split`]); the data is whatever follows the head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SplitHead<'a> {
+    /// `OFPT_PACKET_IN`.
+    PacketIn {
+        /// Switch buffer id, `None` when unbuffered.
+        buffer_id: Option<u32>,
+        /// Ingress port.
+        in_port: u16,
+        /// Why the packet was sent.
+        reason: PacketInReason,
+    },
+    /// `OFPT_PACKET_OUT`.
+    PacketOut {
+        /// Switch buffer id, `None` when the data is carried.
+        buffer_id: Option<u32>,
+        /// Ingress port the actions see.
+        in_port: u16,
+        /// The action list, already checked.
+        actions: ActionList<'a>,
+    },
+}
+
+impl SplitHead<'_> {
+    /// The whole message this head and `data` make — what
+    /// [`decode_shared`] returns for the head's bytes followed by `data`'s.
+    pub fn with_data(&self, data: Bytes) -> OfMessage {
+        match *self {
+            SplitHead::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+            } => OfMessage::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data,
+            },
+            SplitHead::PacketOut {
+                buffer_id,
+                in_port,
+                actions,
+            } => OfMessage::PacketOut {
+                buffer_id,
+                in_port,
+                actions: actions.iter().collect(),
+                data,
+            },
+        }
+    }
+}
+
+/// A packet-out's action list on the wire, every action's type and length
+/// already checked; [`iter`](ActionList::iter) decodes it without
+/// allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActionList<'a>(&'a [u8]);
+
+impl<'a> ActionList<'a> {
+    /// The actions, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = Action> + Clone + 'a {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let (action, len) = decode_action(rest).expect("checked by decode_split");
+            rest = &rest[len..];
+            Some(action)
+        })
+    }
+}
+
+/// Reads a packet-in or packet-out from `head`, its bytes up to the data,
+/// when `tail_len` bytes of data follow; returns it with its transaction
+/// id.
+///
+/// Every check [`decode_shared`] makes on `head ++ data` is made here —
+/// the version, the header's length, a packet-in's `total_len`, a
+/// packet-out's `actions_len` and each action's type and length — so a
+/// `Some` is exactly what `decode_shared` would return. The split must be
+/// canonical as well: the header's length must be `head.len() + tail_len`
+/// and the data must start right after `head`. Anything else (another
+/// message type, an error, a split elsewhere) is `None`, and the caller
+/// decodes the contiguous bytes with `decode_shared` instead.
+pub fn decode_split(head: &[u8], tail_len: usize) -> Option<(SplitHead<'_>, u32)> {
+    if head.len() < HEADER_LEN || head[0] != OFP_VERSION {
+        return None;
+    }
+    let length = u16::from_be_bytes([head[2], head[3]]) as usize;
+    if length != head.len() + tail_len {
+        return None;
+    }
+    let xid = u32::from_be_bytes([head[4], head[5], head[6], head[7]]);
+    let split = decode_payload_head(head[1], &head[HEADER_LEN..], tail_len).ok()?;
+    Some((split, xid))
+}
+
+/// Reads the body of a packet-in or packet-out up to its data — the fixed
+/// part, and a packet-out's action list — when `data_len` bytes of data
+/// follow. The one reader of both messages: [`decode_shared`] hands it
+/// the body cut where the fields say the data starts, [`decode_split`]
+/// the head as it was split, which must end exactly there.
+fn decode_payload_head(
+    msg_type: u8,
+    body: &[u8],
+    data_len: usize,
+) -> Result<SplitHead<'_>, WireError> {
+    let u16_at = |off: usize| u16::from_be_bytes([body[off], body[off + 1]]);
+    let buffer_id = || {
+        let id = u32::from_be_bytes([body[0], body[1], body[2], body[3]]);
+        (id != NO_BUFFER).then_some(id)
+    };
+    match msg_type {
+        OFPT_PACKET_IN if body.len() == PACKET_IN_LEN => {
+            if u16_at(4) as usize != data_len {
+                return Err(WireError::Malformed("packet-in total_len"));
+            }
+            Ok(SplitHead::PacketIn {
+                buffer_id: buffer_id(),
+                in_port: u16_at(6),
+                reason: if body[8] == 0 {
+                    PacketInReason::NoMatch
+                } else {
+                    PacketInReason::Action
+                },
+            })
+        }
+        OFPT_PACKET_OUT if body.len() >= PACKET_OUT_LEN => {
+            let actions = &body[PACKET_OUT_LEN..];
+            if u16_at(6) as usize != actions.len() {
+                return Err(WireError::Malformed("packet-out split off its actions"));
+            }
+            let mut rest = actions;
+            while !rest.is_empty() {
+                let (_, len) = decode_action(rest)?;
+                rest = &rest[len..];
+            }
+            Ok(SplitHead::PacketOut {
+                buffer_id: buffer_id(),
+                in_port: u16_at(4),
+                actions: ActionList(actions),
+            })
+        }
+        OFPT_PACKET_IN | OFPT_PACKET_OUT => Err(WireError::Malformed("payload message split")),
+        other => Err(WireError::UnsupportedType(other)),
+    }
 }
 
 /// Parses one message; returns it with its transaction id. Payload fields
@@ -206,36 +446,8 @@ fn encode_body(msg: &OfMessage, b: &mut BytesMut) -> u8 {
             }
             OFPT_FEATURES_REPLY
         }
-        OfMessage::PacketIn {
-            buffer_id,
-            in_port,
-            reason,
-            data,
-        } => {
-            b.put_u32(buffer_id.unwrap_or(NO_BUFFER));
-            b.put_u16(data.len() as u16);
-            b.put_u16(*in_port);
-            b.put_u8(match reason {
-                PacketInReason::NoMatch => 0,
-                PacketInReason::Action => 1,
-            });
-            b.put_u8(0);
-            b.put_slice(data);
-            OFPT_PACKET_IN
-        }
-        OfMessage::PacketOut {
-            buffer_id,
-            in_port,
-            actions,
-            data,
-        } => {
-            let acts = encode_actions(actions);
-            b.put_u32(buffer_id.unwrap_or(NO_BUFFER));
-            b.put_u16(*in_port);
-            b.put_u16(acts.len() as u16);
-            b.put_slice(&acts);
-            b.put_slice(data);
-            OFPT_PACKET_OUT
+        OfMessage::PacketIn { .. } | OfMessage::PacketOut { .. } => {
+            unreachable!("encode_into writes payload messages through their heads")
         }
         OfMessage::FlowMod {
             command,
@@ -267,7 +479,7 @@ fn encode_body(msg: &OfMessage, b: &mut BytesMut) -> u8 {
             } else {
                 0
             });
-            b.put_slice(&encode_actions(actions));
+            encode_actions(actions, b);
             OFPT_FLOW_MOD
         }
         OfMessage::FlowRemoved {
@@ -308,8 +520,7 @@ fn encode_body(msg: &OfMessage, b: &mut BytesMut) -> u8 {
             b.put_u16(OFPST_FLOW);
             b.put_u16(0); // flags: no more replies
             for f in flows {
-                let acts = encode_actions(&f.actions);
-                b.put_u16((FLOW_STATS_LEN + acts.len()) as u16);
+                b.put_u16((FLOW_STATS_LEN + actions_len(&f.actions)) as u16);
                 b.put_u8(0); // table_id
                 b.put_u8(0); // pad
                 encode_match(&f.matcher, b);
@@ -322,7 +533,7 @@ fn encode_body(msg: &OfMessage, b: &mut BytesMut) -> u8 {
                 b.put_u64(f.cookie);
                 b.put_u64(f.packet_count);
                 b.put_u64(f.byte_count);
-                b.put_slice(&acts);
+                encode_actions(&f.actions, b);
             }
             OFPT_STATS_REPLY
         }
@@ -398,36 +609,17 @@ fn decode_body(msg_type: u8, data: &Bytes, length: usize) -> Result<OfMessage, W
             }
         }
         OFPT_PACKET_IN => {
-            need(body, 10)?;
-            let buffer_id = u32_at(body, 0);
-            let total_len = u16_at(body, 4) as usize;
-            let data = &body[10..];
-            if total_len != data.len() {
-                return Err(WireError::Malformed("packet-in total_len"));
-            }
-            OfMessage::PacketIn {
-                buffer_id: (buffer_id != NO_BUFFER).then_some(buffer_id),
-                in_port: u16_at(body, 6),
-                reason: if body[8] == 0 {
-                    PacketInReason::NoMatch
-                } else {
-                    PacketInReason::Action
-                },
-                data: payload(10),
-            }
+            need(body, PACKET_IN_LEN)?;
+            let head = &body[..PACKET_IN_LEN];
+            decode_payload_head(msg_type, head, body.len() - PACKET_IN_LEN)?
+                .with_data(payload(PACKET_IN_LEN))
         }
         OFPT_PACKET_OUT => {
-            need(body, 8)?;
-            let buffer_id = u32_at(body, 0);
-            let actions_len = u16_at(body, 6) as usize;
-            need(body, 8 + actions_len)?;
-            let actions = decode_actions(&body[8..8 + actions_len])?;
-            OfMessage::PacketOut {
-                buffer_id: (buffer_id != NO_BUFFER).then_some(buffer_id),
-                in_port: u16_at(body, 4),
-                actions,
-                data: payload(8 + actions_len),
-            }
+            need(body, PACKET_OUT_LEN)?;
+            let head_len = PACKET_OUT_LEN + u16_at(body, 6) as usize;
+            need(body, head_len)?;
+            decode_payload_head(msg_type, &body[..head_len], body.len() - head_len)?
+                .with_data(payload(head_len))
         }
         OFPT_FLOW_MOD => {
             need(body, MATCH_LEN + 24)?;
@@ -606,112 +798,132 @@ fn decode_match(b: &[u8]) -> Result<FlowMatch, WireError> {
 /// Encodes a single action to its wire bytes (the canonicalizer's sort
 /// key: a total, codec-defined order over actions).
 pub(crate) fn encode_one_action(action: &Action) -> Bytes {
-    encode_actions(std::slice::from_ref(action))
+    let mut b = BytesMut::with_capacity(action_len(action));
+    encode_actions(std::slice::from_ref(action), &mut b);
+    b.freeze()
 }
 
-fn encode_actions(actions: &[Action]) -> Bytes {
-    let mut b = BytesMut::new();
+/// Wire length of one action.
+fn action_len(action: &Action) -> usize {
+    match action {
+        Action::SetDlSrc(_) | Action::SetDlDst(_) => 16,
+        _ => 8,
+    }
+}
+
+/// Wire length of an action list.
+fn actions_len(actions: &[Action]) -> usize {
+    actions.iter().map(action_len).sum()
+}
+
+fn encode_actions(actions: &[Action], b: &mut impl BufMut) {
     for a in actions {
+        let len = action_len(a) as u16;
         match a {
             Action::Output(port) => {
                 b.put_u16(0); // OFPAT_OUTPUT
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_u16(port.to_u16());
                 b.put_u16(0xffff); // max_len for controller sends
             }
             Action::SetVlanVid(vid) => {
                 b.put_u16(1); // OFPAT_SET_VLAN_VID
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_u16(*vid);
                 b.put_slice(&[0; 2]);
             }
             Action::StripVlan => {
                 b.put_u16(3); // OFPAT_STRIP_VLAN
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_slice(&[0; 4]);
             }
             Action::SetDlSrc(mac) => {
                 b.put_u16(4); // OFPAT_SET_DL_SRC
-                b.put_u16(16);
+                b.put_u16(len);
                 b.put_slice(&mac.octets());
                 b.put_slice(&[0; 6]);
             }
             Action::SetDlDst(mac) => {
                 b.put_u16(5); // OFPAT_SET_DL_DST
-                b.put_u16(16);
+                b.put_u16(len);
                 b.put_slice(&mac.octets());
                 b.put_slice(&[0; 6]);
             }
             Action::SetNwSrc(ip) => {
                 b.put_u16(6); // OFPAT_SET_NW_SRC
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_slice(&ip.octets());
             }
             Action::SetNwDst(ip) => {
                 b.put_u16(7); // OFPAT_SET_NW_DST
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_slice(&ip.octets());
             }
             Action::SetTpSrc(port) => {
                 b.put_u16(9); // OFPAT_SET_TP_SRC
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_u16(*port);
                 b.put_slice(&[0; 2]);
             }
             Action::SetTpDst(port) => {
                 b.put_u16(10); // OFPAT_SET_TP_DST
-                b.put_u16(8);
+                b.put_u16(len);
                 b.put_u16(*port);
                 b.put_slice(&[0; 2]);
             }
         }
     }
-    b.freeze()
 }
 
 fn decode_actions(mut b: &[u8]) -> Result<Vec<Action>, WireError> {
     let mut actions = Vec::new();
     while !b.is_empty() {
-        if b.len() < 4 {
-            return Err(WireError::Malformed("action header"));
-        }
-        let t = u16::from_be_bytes([b[0], b[1]]);
-        let len = u16::from_be_bytes([b[2], b[3]]) as usize;
-        if len < 8 || !len.is_multiple_of(8) || len > b.len() {
-            return Err(WireError::Malformed("action length"));
-        }
-        let body = &b[4..len];
-        let action = match t {
-            0 => Action::Output(OfPort::from_u16(u16::from_be_bytes([body[0], body[1]]))),
-            1 => Action::SetVlanVid(u16::from_be_bytes([body[0], body[1]])),
-            3 => Action::StripVlan,
-            4 | 5 => {
-                if body.len() < 6 {
-                    return Err(WireError::Malformed("dl action length"));
-                }
-                let mac = MacAddr([body[0], body[1], body[2], body[3], body[4], body[5]]);
-                if t == 4 {
-                    Action::SetDlSrc(mac)
-                } else {
-                    Action::SetDlDst(mac)
-                }
-            }
-            6 | 7 => {
-                let ip = Ipv4Addr::new(body[0], body[1], body[2], body[3]);
-                if t == 6 {
-                    Action::SetNwSrc(ip)
-                } else {
-                    Action::SetNwDst(ip)
-                }
-            }
-            9 => Action::SetTpSrc(u16::from_be_bytes([body[0], body[1]])),
-            10 => Action::SetTpDst(u16::from_be_bytes([body[0], body[1]])),
-            other => return Err(WireError::UnsupportedAction(other)),
-        };
+        let (action, len) = decode_action(b)?;
         actions.push(action);
         b = &b[len..];
     }
     Ok(actions)
+}
+
+/// Decodes the action at the front of `b`; returns it with its wire length.
+fn decode_action(b: &[u8]) -> Result<(Action, usize), WireError> {
+    if b.len() < 4 {
+        return Err(WireError::Malformed("action header"));
+    }
+    let t = u16::from_be_bytes([b[0], b[1]]);
+    let len = u16::from_be_bytes([b[2], b[3]]) as usize;
+    if len < 8 || !len.is_multiple_of(8) || len > b.len() {
+        return Err(WireError::Malformed("action length"));
+    }
+    let body = &b[4..len];
+    let action = match t {
+        0 => Action::Output(OfPort::from_u16(u16::from_be_bytes([body[0], body[1]]))),
+        1 => Action::SetVlanVid(u16::from_be_bytes([body[0], body[1]])),
+        3 => Action::StripVlan,
+        4 | 5 => {
+            if body.len() < 6 {
+                return Err(WireError::Malformed("dl action length"));
+            }
+            let mac = MacAddr([body[0], body[1], body[2], body[3], body[4], body[5]]);
+            if t == 4 {
+                Action::SetDlSrc(mac)
+            } else {
+                Action::SetDlDst(mac)
+            }
+        }
+        6 | 7 => {
+            let ip = Ipv4Addr::new(body[0], body[1], body[2], body[3]);
+            if t == 6 {
+                Action::SetNwSrc(ip)
+            } else {
+                Action::SetNwDst(ip)
+            }
+        }
+        9 => Action::SetTpSrc(u16::from_be_bytes([body[0], body[1]])),
+        10 => Action::SetTpDst(u16::from_be_bytes([body[0], body[1]])),
+        other => return Err(WireError::UnsupportedAction(other)),
+    };
+    Ok((action, len))
 }
 
 #[cfg(test)]

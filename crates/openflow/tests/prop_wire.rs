@@ -1,10 +1,11 @@
 //! Property tests: the OpenFlow 1.0 wire codec round-trips arbitrary
 //! messages, flow-match semantics are consistent, and decoding never
 //! panics — on random bytes and on every cut and length lie of every
-//! message variant's encoding.
+//! message variant's encoding. A packet-in or packet-out split at its
+//! data decodes to what the contiguous bytes decode to.
 
 use bytes::Bytes;
-use netco_net::MacAddr;
+use netco_net::{Frame, MacAddr, MAX_ENCAP_HEAD};
 use netco_openflow::canonical::{canonicalize, Canonical};
 use netco_openflow::{
     wire, Action, FlowMatch, FlowModCommand, FlowRemovedReason, FlowStats, OfMessage, OfPort,
@@ -120,7 +121,122 @@ fn arb_fields() -> impl Strategy<Value = PacketFields> {
         })
 }
 
+/// A packet-in or packet-out with up to 1,600 bytes of data, and its xid.
+fn arb_payload_msg() -> impl Strategy<Value = (OfMessage, u32)> {
+    (
+        any::<bool>(),
+        proptest::option::of(0u32..u32::MAX - 1),
+        any::<u16>(),
+        any::<bool>(),
+        proptest::collection::vec(arb_action(), 0..5),
+        proptest::collection::vec(any::<u8>(), 0..1600),
+        any::<u32>(),
+    )
+        .prop_map(|(out, buffer_id, in_port, no_match, actions, data, xid)| {
+            let data = Bytes::from(data);
+            let msg = if out {
+                OfMessage::PacketOut {
+                    buffer_id,
+                    in_port,
+                    actions,
+                    data,
+                }
+            } else {
+                OfMessage::PacketIn {
+                    buffer_id,
+                    in_port,
+                    reason: if no_match {
+                        PacketInReason::NoMatch
+                    } else {
+                        PacketInReason::Action
+                    },
+                    data,
+                }
+            };
+            (msg, xid)
+        })
+}
+
+/// The bytes `wire::put_packet_*_head` writes for `msg`, and its data.
+fn split(msg: &OfMessage, xid: u32) -> (Vec<u8>, Bytes) {
+    let mut head = Vec::new();
+    match msg {
+        OfMessage::PacketIn {
+            buffer_id,
+            in_port,
+            reason,
+            data,
+        } => {
+            wire::put_packet_in_head(&mut head, xid, *buffer_id, *in_port, *reason, data.len());
+            (head, data.clone())
+        }
+        OfMessage::PacketOut {
+            buffer_id,
+            in_port,
+            actions,
+            data,
+        } => {
+            wire::put_packet_out_head(&mut head, xid, *buffer_id, *in_port, actions, data.len());
+            (head, data.clone())
+        }
+        other => panic!("not a payload message: {other:?}"),
+    }
+}
+
+/// What `decode_split` reads from `head` with `tail` after it.
+fn split_decode(head: &[u8], tail: &Bytes) -> Option<(OfMessage, u32)> {
+    wire::decode_split(head, tail.len()).map(|(h, xid)| (h.with_data(tail.clone()), xid))
+}
+
 proptest! {
+    /// A head written without its data, then the data, is the message's
+    /// encoding; the split decoder reads the head back to the message
+    /// `decode_shared` reads from the whole, and an encapsulating frame
+    /// over the data builds exactly those bytes.
+    #[test]
+    fn split_codec_agrees_with_the_contiguous_one((msg, xid) in arb_payload_msg()) {
+        let (head, data) = split(&msg, xid);
+        let wire_bytes = wire::encode(&msg, xid);
+        prop_assert_eq!(&[&head[..], &data[..]].concat()[..], &wire_bytes[..]);
+        prop_assert_eq!(split_decode(&head, &data), Some((msg.clone(), xid)));
+        prop_assert_eq!(wire::decode_shared(&wire_bytes), Ok((msg.clone(), xid)));
+        if let Some((wire::SplitHead::PacketOut { actions, .. }, _)) =
+            wire::decode_split(&head, data.len())
+        {
+            let OfMessage::PacketOut { actions: sent, .. } = &msg else {
+                panic!("a packet-out head from a packet-in");
+            };
+            prop_assert_eq!(&actions.iter().collect::<Vec<_>>(), sent);
+        }
+        if head.len() <= MAX_ENCAP_HEAD {
+            let framed = Frame::encapsulating(&head, &Frame::from(data.clone()));
+            prop_assert_eq!(framed.len(), wire_bytes.len());
+            prop_assert_eq!(framed.bytes(), &wire_bytes);
+        }
+        // A split anywhere else is not the canonical one.
+        if !data.is_empty() {
+            let longer = [&head[..], &data[..1]].concat();
+            prop_assert_eq!(split_decode(&longer, &data.slice(1..)), None);
+        }
+        prop_assert_eq!(split_decode(&head[..head.len() - 1], &data), None);
+    }
+
+    /// One flipped bit anywhere in the head: the split decoder either
+    /// still agrees with `decode_shared` on the whole, or declines.
+    #[test]
+    fn a_flipped_head_bit_never_makes_the_decoders_disagree(
+        (msg, xid) in arb_payload_msg(),
+        at in any::<u32>(),
+    ) {
+        let (mut head, data) = split(&msg, xid);
+        let bit = at as usize % (head.len() * 8);
+        head[bit / 8] ^= 1 << (bit % 8);
+        let whole = Bytes::from([&head[..], &data[..]].concat());
+        if let Some(decoded) = split_decode(&head, &data) {
+            prop_assert_eq!(wire::decode_shared(&whole), Ok(decoded));
+        }
+    }
+
     #[test]
     fn flow_mod_round_trip(
         matcher in arb_match(),

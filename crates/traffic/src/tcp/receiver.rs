@@ -46,6 +46,8 @@ pub struct TcpReceiver {
     ooo_count: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
+    // The payload of every ACK: one shared empty buffer, not one each.
+    empty: Bytes,
 }
 
 impl TcpReceiver {
@@ -68,6 +70,7 @@ impl TcpReceiver {
             ooo_count: 0,
             first: None,
             last: None,
+            empty: Bytes::new(),
         }
     }
 
@@ -111,7 +114,7 @@ impl TcpReceiver {
             ack: self.rcv_nxt,
             flags,
             window: RCV_WINDOW,
-            payload: Bytes::new(),
+            payload: self.empty.clone(),
         };
         let frame = builder::tcp_frame(self.nic.mac, dst_mac, self.nic.ip, peer_ip, &ack, None);
         ctx.send_frame(NIC_PORT, frame);

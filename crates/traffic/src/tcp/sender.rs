@@ -13,15 +13,6 @@ use crate::common::NIC_PORT;
 const RTO_TIMER_BASE: u64 = 1_000;
 const START_TIMER: u64 = 1;
 
-/// Shared zero block for bulk payloads: slicing this static costs no
-/// allocation or memset per segment (it lives in .bss). An MSS cannot exceed
-/// `u16::MAX`, so any segment payload fits.
-static ZERO_PAYLOAD: [u8; 65536] = [0u8; 65536];
-
-pub(crate) fn zero_payload(len: usize) -> Bytes {
-    Bytes::from_static(&ZERO_PAYLOAD[..len])
-}
-
 /// Congestion-control and reliability counters of a [`TcpSender`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TcpSenderStats {
@@ -64,6 +55,9 @@ pub struct TcpSender {
     seen_ack_ids: std::collections::HashSet<u32, netco_sim::fxhash::FxBuildHasher>,
     timer_gen: u64,
     stats: TcpSenderStats,
+    /// One zero-filled MSS every segment's payload is a slice of: a
+    /// segment costs a refcount bump, not a payload buffer.
+    zeros: Bytes,
 }
 
 impl TcpSender {
@@ -91,6 +85,7 @@ impl TcpSender {
             seen_ack_ids: std::collections::HashSet::default(),
             timer_gen: 0,
             stats: TcpSenderStats::default(),
+            zeros: Bytes::from(vec![0u8; MSS as usize]),
         }
     }
 
@@ -122,7 +117,7 @@ impl TcpSender {
             ack: 0,
             flags: TcpFlags::ACK,
             window: RCV_WINDOW,
-            payload: zero_payload(len),
+            payload: self.zeros.slice(..len),
         };
         let frame = builder::tcp_frame(
             self.nic.mac,
