@@ -552,7 +552,7 @@ pub fn ablation_strategies(profile: &Profile) -> Vec<StrategyRow> {
             built.world.add_tap(move |ev| {
                 use netco_net::packet::FrameView;
                 if ev.direction == netco_net::TapDirection::Rx && (ev.node == h1 || ev.node == h2) {
-                    if let Ok(v) = FrameView::parse(ev.frame) {
+                    if let Ok(v) = FrameView::parse(ev.frame.bytes()) {
                         if v.l4().is_err() {
                             corrupted.set(corrupted.get() + 1);
                         }

@@ -138,8 +138,10 @@ pub enum Observed {
 ///
 /// Entries expire `hold_time` after their first copy (insertion order *is*
 /// expiry order, because `first_seen` never changes). The caller drives
-/// expiry via `PacketCache::expire` and capacity cleanup via
-/// `PacketCache::cleanup`.
+/// expiry via `PacketCache::pop_expired` and capacity cleanup via
+/// `PacketCache::cleanup`. The order queue carries each entry's
+/// `first_seen` beside its key, so a sweep that finds nothing due reads
+/// the front of the queue and nothing else.
 ///
 /// # Fingerprint keys
 ///
@@ -153,7 +155,8 @@ pub enum Observed {
 #[derive(Debug, Default)]
 pub struct PacketCache {
     map: HashMap<CompareKey, CacheEntry, FxBuildHasher>,
-    order: VecDeque<CompareKey>,
+    /// Every key in `map`, oldest first, with its entry's `first_seen`.
+    order: VecDeque<(SimTime, CompareKey)>,
 }
 
 impl PacketCache {
@@ -205,7 +208,7 @@ impl PacketCache {
             Entry::Vacant(slot) => {
                 let key = slot.key().clone();
                 slot.insert(CacheEntry::first(frame, now, replica_idx));
-                self.order.push_back(key.clone());
+                self.order.push_back((now, key.clone()));
                 (key, Observed::New)
             }
         }
@@ -239,27 +242,21 @@ impl PacketCache {
         self.map.get(key)
     }
 
-    /// Removes and returns every entry older than `hold_time`.
-    pub(crate) fn expire(
+    /// Removes and returns the oldest entry if it is at least
+    /// `hold_time` old; `None` once nothing is due. Call until `None` to
+    /// expire everything overdue, oldest first.
+    pub(crate) fn pop_expired(
         &mut self,
         now: SimTime,
         hold_time: SimDuration,
-    ) -> Vec<(CompareKey, CacheEntry)> {
-        let mut out = Vec::new();
-        while let Some(front) = self.order.front() {
-            let expired = self
-                .map
-                .get(front)
-                .is_none_or(|e| now.saturating_since(e.first_seen) >= hold_time);
-            if !expired {
-                break;
-            }
-            let key = self.order.pop_front().expect("front exists");
-            if let Some(entry) = self.map.remove(&key) {
-                out.push((key, entry));
-            }
+    ) -> Option<(CompareKey, CacheEntry)> {
+        let &(first_seen, _) = self.order.front()?;
+        if now.saturating_since(first_seen) < hold_time {
+            return None;
         }
-        out
+        let (_, key) = self.order.pop_front().expect("front exists");
+        let entry = self.map.remove(&key).expect("every queued key is cached");
+        Some((key, entry))
     }
 
     /// Evicts the oldest entries until at most `target` remain; returns the
@@ -267,12 +264,11 @@ impl PacketCache {
     pub(crate) fn cleanup(&mut self, target: usize) -> Vec<(CompareKey, CacheEntry)> {
         let mut out = Vec::new();
         while self.map.len() > target {
-            let Some(key) = self.order.pop_front() else {
+            let Some((_, key)) = self.order.pop_front() else {
                 break;
             };
-            if let Some(entry) = self.map.remove(&key) {
-                out.push((key, entry));
-            }
+            let entry = self.map.remove(&key).expect("every queued key is cached");
+            out.push((key, entry));
         }
         out
     }
@@ -289,6 +285,14 @@ mod tests {
 
     fn frame() -> Frame {
         Frame::from(b"frame" as &'static [u8])
+    }
+
+    fn expire(
+        c: &mut PacketCache,
+        now: SimTime,
+        hold: SimDuration,
+    ) -> Vec<(CompareKey, CacheEntry)> {
+        std::iter::from_fn(|| c.pop_expired(now, hold)).collect()
     }
 
     #[test]
@@ -415,11 +419,11 @@ mod tests {
             &frame(),
             SimTime::ZERO + SimDuration::from_millis(5),
         );
-        let expired = c.expire(SimTime::ZERO + SimDuration::from_millis(10), hold);
+        let expired = expire(&mut c, SimTime::ZERO + SimDuration::from_millis(10), hold);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].0, key(b"a"));
         assert_eq!(c.len(), 1);
-        let expired = c.expire(SimTime::ZERO + SimDuration::from_millis(15), hold);
+        let expired = expire(&mut c, SimTime::ZERO + SimDuration::from_millis(15), hold);
         assert_eq!(expired.len(), 1);
         assert!(c.is_empty());
     }
@@ -485,5 +489,93 @@ mod tests {
         assert_eq!(c.mark_released(&ka), Some(a));
         assert!(!c.entry(&kb).unwrap().released);
         assert_eq!(c.mark_released(&kb), Some(b));
+    }
+
+    /// The expiry rule before the order queue carried `first_seen`: look
+    /// the front key up in the map and pop while its entry is due or
+    /// gone. Keys only; `first_seen` per live key.
+    #[derive(Default)]
+    struct ModelCache {
+        first_seen: HashMap<CompareKey, SimTime>,
+        order: VecDeque<CompareKey>,
+    }
+
+    impl ModelCache {
+        fn observe(&mut self, key: CompareKey, now: SimTime) {
+            if let Entry::Vacant(slot) = self.first_seen.entry(key.clone()) {
+                slot.insert(now);
+                self.order.push_back(key);
+            }
+        }
+
+        fn expire(&mut self, now: SimTime, hold: SimDuration) -> Vec<(CompareKey, SimTime)> {
+            let mut out = Vec::new();
+            while let Some(front) = self.order.front() {
+                let due = self
+                    .first_seen
+                    .get(front)
+                    .is_none_or(|&t| now.saturating_since(t) >= hold);
+                if !due {
+                    break;
+                }
+                let key = self.order.pop_front().expect("front exists");
+                if let Some(t) = self.first_seen.remove(&key) {
+                    out.push((key, t));
+                }
+            }
+            out
+        }
+
+        fn cleanup(&mut self, target: usize) -> Vec<(CompareKey, SimTime)> {
+            let mut out = Vec::new();
+            while self.first_seen.len() > target {
+                let Some(key) = self.order.pop_front() else {
+                    break;
+                };
+                if let Some(t) = self.first_seen.remove(&key) {
+                    out.push((key, t));
+                }
+            }
+            out
+        }
+    }
+
+    proptest::proptest! {
+        /// Random observe / cleanup / expire sequences remove the same
+        /// entries, in the same order, as the map-lookup rule.
+        #[test]
+        fn expiry_and_cleanup_match_the_map_lookup_rule(
+            ops in proptest::collection::vec((0u8..8, 0u8..12, 0u8..4), 0..300)
+        ) {
+            let hold = SimDuration::from_micros(10);
+            let mut cache = PacketCache::new();
+            let mut model = ModelCache::default();
+            let mut now = SimTime::ZERO;
+            let removed = |v: Vec<(CompareKey, CacheEntry)>| -> Vec<(CompareKey, SimTime)> {
+                v.into_iter().map(|(k, e)| (k, e.first_seen)).collect()
+            };
+            for (op, arg, step) in ops {
+                now += SimDuration::from_micros(step as u64 * 3);
+                match op {
+                    0..=5 => {
+                        let k = CompareKey::Bytes(Bytes::from(vec![arg]));
+                        cache.observe(k.clone(), op as usize, &frame(), now);
+                        model.observe(k, now);
+                    }
+                    6 => proptest::prop_assert_eq!(
+                        removed(expire(&mut cache, now, hold)),
+                        model.expire(now, hold)
+                    ),
+                    _ => {
+                        let target = arg as usize % 6;
+                        proptest::prop_assert_eq!(
+                            removed(cache.cleanup(target)),
+                            model.cleanup(target)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(cache.len(), model.first_seen.len());
+            }
+        }
     }
 }

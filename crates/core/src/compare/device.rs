@@ -28,6 +28,12 @@ const DRAIN_TIMER: u64 = 2;
 /// packet-size-dependent jitter of Fig. 8.
 pub struct Compare {
     host: CompareHost,
+    out: Outbox,
+}
+
+/// What the compare sends toward its guards, and when: a field of its
+/// own so the host's actions can be drained into it.
+struct Outbox {
     stall_until: SimTime,
     pending: VecDeque<(PortId, Frame)>,
     next_xid: u32,
@@ -38,9 +44,11 @@ impl Compare {
     pub fn new(cfg: CompareConfig) -> Compare {
         Compare {
             host: CompareHost::new(cfg),
-            stall_until: SimTime::ZERO,
-            pending: VecDeque::new(),
-            next_xid: 1,
+            out: Outbox {
+                stall_until: SimTime::ZERO,
+                pending: VecDeque::new(),
+                next_xid: 1,
+            },
         }
     }
 
@@ -64,7 +72,9 @@ impl Compare {
     pub fn core(&self) -> &CompareCore {
         self.host.core()
     }
+}
 
+impl Outbox {
     fn fresh_xid(&mut self) -> u32 {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
@@ -82,7 +92,7 @@ impl Compare {
         }
     }
 
-    fn apply_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
+    fn apply_actions(&mut self, ctx: &mut Ctx<'_>, actions: impl Iterator<Item = CompareAction>) {
         let now = ctx.now();
         for action in actions {
             match action {
@@ -138,7 +148,7 @@ impl Device for Compare {
         };
         let now = ctx.now();
         let actions = self.host.observe(port.number(), in_port, copy, now);
-        self.apply_actions(ctx, actions);
+        self.out.apply_actions(ctx, actions);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -146,17 +156,17 @@ impl Device for Compare {
             SWEEP_TIMER => {
                 let now = ctx.now();
                 let actions = self.host.sweep(now);
-                self.apply_actions(ctx, actions);
+                self.out.apply_actions(ctx, actions);
                 ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
             }
             DRAIN_TIMER => {
                 let now = ctx.now();
-                if now < self.stall_until {
-                    let delay = self.stall_until.saturating_since(now);
+                if now < self.out.stall_until {
+                    let delay = self.out.stall_until.saturating_since(now);
                     ctx.schedule_timer(delay, DRAIN_TIMER);
                     return;
                 }
-                while let Some((port, frame)) = self.pending.pop_front() {
+                while let Some((port, frame)) = self.out.pending.pop_front() {
                     ctx.send_frame(port, frame);
                 }
             }
@@ -169,7 +179,7 @@ impl std::fmt::Debug for Compare {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Compare")
             .field("stats", &self.host.core().stats())
-            .field("pending", &self.pending.len())
+            .field("pending", &self.out.pending.len())
             .finish()
     }
 }

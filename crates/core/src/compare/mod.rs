@@ -6,8 +6,6 @@ mod device;
 mod host;
 mod strategy;
 
-pub(crate) use strategy::fnv1a;
-
 pub use cache::{CacheEntry, Observed, PacketCache};
 pub use core::{CompareAction, CompareCore, CompareStats, LaneInfo};
 pub use device::Compare;

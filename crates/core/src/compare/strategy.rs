@@ -7,7 +7,7 @@ use netco_net::Frame;
 
 // The fingerprint/digest primitives moved next to the `Frame` memo in
 // `netco_net`; re-exported here so `netco_core::fp128` keeps working.
-pub use netco_net::frame::{fnv1a, fp128};
+pub use netco_net::frame::fp128;
 
 /// The comparison granularity (paper §III: "packets may be compared
 /// bit-by-bit, or just based on the header, or hashing can be used").
@@ -49,7 +49,7 @@ impl CompareStrategy {
             CompareStrategy::HeaderOnly { prefix } => {
                 CompareKey::Bytes(frame.bytes().slice(..(*prefix).min(frame.len())))
             }
-            CompareStrategy::Digest => CompareKey::U64(fnv1a(frame)),
+            CompareStrategy::Digest => CompareKey::U64(frame.fnv1a()),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The guard: the paper's trusted edge components `s1`/`s2`.
 
 use std::collections::HashMap;
+use std::vec::Drain;
 
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
@@ -8,7 +9,7 @@ use netco_openflow::wire::{self, SplitHead};
 use netco_openflow::{Action, OfMessage, OfPort, PacketInReason};
 use netco_sim::{SimDuration, SimTime};
 
-use crate::compare::{fnv1a, CompareAction, CompareHost, CompareStats, LaneInfo};
+use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
 use crate::encap::{of_unwrap, unwrap_split, wrap_packet_in};
 
@@ -189,17 +190,24 @@ impl GuardSwitch {
         self.embedded.as_ref().map(|c| c.core().stats())
     }
 
-    /// Applies the embedded compare's decisions.
-    fn apply_embedded(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
+    /// Applies the embedded compare's decisions. Takes the fields it
+    /// writes, not `self`: `actions` borrows the embedded host.
+    fn apply_embedded(
+        ctx: &mut Ctx<'_>,
+        actions: Drain<'_, CompareAction>,
+        host_port: PortId,
+        stats: &mut GuardStats,
+        blocked: &mut HashMap<u16, SimTime>,
+    ) {
         let now = ctx.now();
         for action in actions {
             match action {
                 CompareAction::Release { frame, .. } => {
-                    self.stats.released += 1;
-                    ctx.send_frame(self.cfg.host_port, frame);
+                    stats.released += 1;
+                    ctx.send_frame(host_port, frame);
                 }
                 CompareAction::BlockReplicaPort { port, duration, .. } => {
-                    self.blocked.insert(port, now + duration);
+                    blocked.insert(port, now + duration);
                 }
                 CompareAction::Stall { .. } | CompareAction::Event(_) => {}
             }
@@ -231,7 +239,7 @@ impl GuardSwitch {
     /// of a packet — at either guard — gets the same answer.
     fn sampled(&self, frame: &Frame) -> bool {
         match self.cfg.sampling {
-            Some(p) if p < 1.0 => (fnv1a(frame) as f64 / u64::MAX as f64) < p,
+            Some(p) if p < 1.0 => (frame.fnv1a() as f64 / u64::MAX as f64) < p,
             _ => true,
         }
     }
@@ -379,8 +387,10 @@ impl Device for GuardSwitch {
             return;
         }
         if let Some(host) = &mut self.embedded {
-            let (actions, interval) = (host.sweep(ctx.now()), host.sweep_interval());
-            self.apply_embedded(ctx, actions);
+            let interval = host.sweep_interval();
+            let actions = host.sweep(ctx.now());
+            let (stats, blocked) = (&mut self.stats, &mut self.blocked);
+            Self::apply_embedded(ctx, actions, self.cfg.host_port, stats, blocked);
             ctx.schedule_timer(interval, EMBEDDED_SWEEP_TIMER);
         }
     }
@@ -437,7 +447,8 @@ impl Device for GuardSwitch {
                     self.stats.to_compare += 1;
                     if let Some(host) = &mut self.embedded {
                         let actions = host.observe(0, port.number(), frame, now);
-                        self.apply_embedded(ctx, actions);
+                        let (stats, blocked) = (&mut self.stats, &mut self.blocked);
+                        Self::apply_embedded(ctx, actions, self.cfg.host_port, stats, blocked);
                     }
                 }
                 _ if self.cfg.sampling.is_some() => {

@@ -33,10 +33,10 @@
 //!
 //! let pkt = Bytes::from_static(b"some wire frame");
 //! let t = SimTime::ZERO;
-//! assert!(core.observe(0, 1, pkt.clone(), t).is_empty()); // 1 of 3
-//! let actions = core.observe(0, 2, pkt.clone(), t);        // majority!
+//! assert_eq!(core.observe(0, 1, pkt.clone(), t).len(), 0); // 1 of 3
+//! let actions: Vec<_> = core.observe(0, 2, pkt.clone(), t).collect(); // majority!
 //! assert!(matches!(actions[0], CompareAction::Release { .. }));
-//! assert!(core.observe(0, 3, pkt, t).is_empty());          // late copy ignored
+//! assert_eq!(core.observe(0, 3, pkt, t).len(), 0); // late copy ignored
 //! ```
 //!
 //! # Placing the compare somewhere new

@@ -1,5 +1,7 @@
 //! The compare as an SDN controller application (the paper's POX baseline).
 
+use std::vec::Drain;
+
 use bytes::Bytes;
 use netco_controller::{ControllerApp, ControllerCtx};
 use netco_net::NodeId;
@@ -64,8 +66,9 @@ impl PoxCompareApp {
         Some(lane as u16)
     }
 
-    /// Sends each decision to the guard of its lane.
-    fn apply(&self, cx: &mut ControllerCtx<'_, '_>, actions: Vec<CompareAction>) {
+    /// Sends each decision to the guard of its lane (`guards`, not
+    /// `self`: `actions` borrows the host).
+    fn apply(guards: &[NodeId], cx: &mut ControllerCtx<'_, '_>, actions: Drain<'_, CompareAction>) {
         for action in actions {
             match action {
                 CompareAction::Release {
@@ -73,7 +76,7 @@ impl PoxCompareApp {
                     host_port,
                     frame,
                 } => {
-                    let guard = self.guards[lane as usize];
+                    let guard = guards[lane as usize];
                     let port = OfPort::Physical(host_port);
                     cx.packet_out(guard, None, 0, port, frame.into_bytes());
                 }
@@ -81,7 +84,7 @@ impl PoxCompareApp {
                     lane,
                     port,
                     duration,
-                } => cx.send(self.guards[lane as usize], &block_advice(port, duration)),
+                } => cx.send(guards[lane as usize], &block_advice(port, duration)),
                 // Controller processing cost is modeled by the node's CPU
                 // model; events are already in the host's log.
                 CompareAction::Stall { .. } | CompareAction::Event(_) => {}
@@ -108,12 +111,12 @@ impl ControllerApp for PoxCompareApp {
             return;
         };
         let actions = self.host.observe(lane, in_port, data, cx.now());
-        self.apply(cx, actions);
+        Self::apply(&self.guards, cx, actions);
     }
 
     fn tick(&mut self, cx: &mut ControllerCtx<'_, '_>) {
         let actions = self.host.sweep(cx.now());
-        self.apply(cx, actions);
+        Self::apply(&self.guards, cx, actions);
     }
 }
 
@@ -146,8 +149,8 @@ mod tests {
         assert_ne!(la, lb);
         // One copy at each guard is one copy on each lane, not a majority.
         let (pkt, t) = (Bytes::from_static(b"same bytes"), SimTime::ZERO);
-        assert!(app.host.observe(la, 1, pkt.clone(), t).is_empty());
-        assert!(app.host.observe(lb, 2, pkt, t).is_empty());
+        assert_eq!(app.host.observe(la, 1, pkt.clone(), t).len(), 0);
+        assert_eq!(app.host.observe(lb, 2, pkt, t).len(), 0);
         assert_eq!(app.host.core().cache_len(la), 1);
         assert_eq!(app.host.core().cache_len(lb), 1);
     }

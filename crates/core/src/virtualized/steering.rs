@@ -1,6 +1,8 @@
 //! The virtual guard: VLAN splitting at the ingress, inband combining at
 //! the egress.
 
+use std::vec::Drain;
+
 use netco_net::packet::{EthernetFrame, VlanTag};
 use netco_net::{Ctx, Device, Frame, PortId};
 
@@ -110,11 +112,16 @@ impl VirtualGuard {
 
     /// Releases go to the host; tunnels have no local port to block (the
     /// event accompanying the advice is in the host's log).
-    fn apply(&mut self, ctx: &mut Ctx<'_>, actions: Vec<CompareAction>) {
+    fn apply(
+        ctx: &mut Ctx<'_>,
+        actions: Drain<'_, CompareAction>,
+        host_port: PortId,
+        stats: &mut VirtualGuardStats,
+    ) {
         for action in actions {
             if let CompareAction::Release { frame, .. } = action {
-                self.stats.released += 1;
-                ctx.send_frame(self.cfg.host_port, frame);
+                stats.released += 1;
+                ctx.send_frame(host_port, frame);
             }
         }
     }
@@ -156,7 +163,7 @@ impl Device for VirtualGuard {
             let untagged = eth.encode();
             self.stats.collected += 1;
             let actions = self.host.observe(0, tag, untagged, ctx.now());
-            self.apply(ctx, actions);
+            Self::apply(ctx, actions, self.cfg.host_port, &mut self.stats);
         }
     }
 
@@ -165,7 +172,7 @@ impl Device for VirtualGuard {
             return;
         }
         let actions = self.host.sweep(ctx.now());
-        self.apply(ctx, actions);
+        Self::apply(ctx, actions, self.cfg.host_port, &mut self.stats);
         ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 }

@@ -35,6 +35,7 @@
 //! shadow votes past the probation gate re-admit it.
 
 use std::collections::HashMap;
+use std::vec::Drain;
 
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
@@ -233,22 +234,11 @@ impl ControlVoter {
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
-        call: impl FnOnce(&mut CompareHost, SimTime) -> Vec<CompareAction>,
+        call: impl for<'h> FnOnce(&'h mut CompareHost, SimTime) -> Drain<'h, CompareAction>,
     ) {
         let now = ctx.now();
         let logged = self.host.events().iter().len();
-        let actions = call(&mut self.host, now);
-        for e in self.host.events().iter().skip(logged) {
-            if let SecurityEvent::SinglePathPacket { suspect_ports, .. } = &e.record {
-                self.rejected.inc();
-                for &port in suspect_ports {
-                    if let Some(cell) = self.disagreements.get(port as usize - 1) {
-                        cell.inc();
-                    }
-                }
-            }
-        }
-        for action in actions {
+        for action in call(&mut self.host, now) {
             match action {
                 CompareAction::Release { frame, .. } => {
                     self.voted.inc();
@@ -275,8 +265,19 @@ impl ControlVoter {
                     // which the DoS strike already feeds.
                 }
                 // Vote bookkeeping cost is covered by the voter node's CPU
-                // model; events were counted from the log above.
+                // model; events are counted from the log below.
                 CompareAction::Stall { .. } | CompareAction::Event(_) => {}
+            }
+        }
+
+        for e in self.host.events().iter().skip(logged) {
+            if let SecurityEvent::SinglePathPacket { suspect_ports, .. } = &e.record {
+                self.rejected.inc();
+                for &port in suspect_ports {
+                    if let Some(cell) = self.disagreements.get(port as usize - 1) {
+                        cell.inc();
+                    }
+                }
             }
         }
     }

@@ -76,7 +76,9 @@ proptest! {
         let mut released = std::collections::HashSet::new();
         for (id, replica) in deliveries {
             let first_copy = seen.insert(id);
-            let actions = c.observe(0, replica as u16 + 1, payload(id), SimTime::ZERO);
+            let actions: Vec<_> = c
+                .observe(0, replica as u16 + 1, payload(id), SimTime::ZERO)
+                .collect();
             let got_release = actions
                 .iter()
                 .any(|a| matches!(a, CompareAction::Release { .. }));

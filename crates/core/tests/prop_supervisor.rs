@@ -139,7 +139,7 @@ proptest! {
             entry.1.insert(port);
             let delivered = entry.1.clone();
 
-            let actions = c.observe(0, port, payload(id), t);
+            let actions: Vec<_> = c.observe(0, port, payload(id), t).collect();
             for a in &actions {
                 if let CompareAction::Release { frame, .. } = a {
                     prop_assert_eq!(frame[0], id);
@@ -161,7 +161,7 @@ proptest! {
 
             t += SimDuration::from_micros(advance_us as u64);
             if do_sweep {
-                let actions = c.sweep(t);
+                let actions: Vec<_> = c.sweep(t).collect();
                 if let Err(v) = drive(&mut lifecycle, &actions) {
                     prop_assert!(false, "{}", v);
                 }
@@ -171,7 +171,7 @@ proptest! {
 
         // Drain everything and reconcile the models.
         t += SimDuration::from_secs(1);
-        let actions = c.sweep(t);
+        let actions: Vec<_> = c.sweep(t).collect();
         if let Err(v) = drive(&mut lifecycle, &actions) {
             prop_assert!(false, "{}", v);
         }

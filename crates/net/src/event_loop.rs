@@ -32,8 +32,12 @@ pub struct TapEvent<'a> {
     pub port: PortId,
     /// Direction relative to the node.
     pub direction: TapDirection,
-    /// The raw frame bytes.
-    pub frame: &'a Bytes,
+    /// The frame, memo included: [`Frame::fnv1a`] is the digest a tap
+    /// folds, computed once per content however many hops observe it.
+    /// Reading its bytes ([`Frame::bytes`], `Deref`) builds an
+    /// encapsulating frame's contiguous bytes, so only a tap that records
+    /// them should.
+    pub frame: &'a Frame,
 }
 
 pub(crate) type Tap = Box<dyn FnMut(&TapEvent<'_>)>;
@@ -50,7 +54,7 @@ pub(crate) struct TapRecord {
     pub(crate) node: NodeId,
     pub(crate) port: PortId,
     pub(crate) direction: TapDirection,
-    pub(crate) frame: Bytes,
+    pub(crate) frame: Frame,
 }
 
 impl TapRecord {

@@ -3,12 +3,15 @@
 //!
 //! NetCo's robust combining sends the *same bytes* through the hub, `k`
 //! replicas and the compare element, and every hop used to re-derive the
-//! same two expensive values from them: the 128-bit content fingerprint
-//! ([`fp128`], used as the compare key and the packet-lifecycle key) and
-//! the parsed OpenFlow 12-tuple ([`PacketFields`], used for flow-table
-//! classification). A [`Frame`] computes each value lazily, at most once
-//! per unique content, and shares the result across every clone — so the
-//! cost no longer scales with `k` or with path length.
+//! same expensive values from them: the 128-bit content fingerprint
+//! ([`fp128`], used as the compare key and the packet-lifecycle key), the
+//! parsed OpenFlow 12-tuple ([`PacketFields`], used for flow-table
+//! classification), the structural parse a host reads, and the [`fnv1a`]
+//! digest a tap folds for every observation. A [`Frame`] computes each
+//! value lazily, at most once per unique content, and shares the result
+//! across every clone — so the cost no longer scales with `k` or with
+//! path length, and a tapped run hashes a frame once however many hops
+//! observe it.
 //!
 //! # Immutability invariant
 //!
@@ -178,13 +181,15 @@ fn bump(f: impl Fn(&MemoStatsCell)) {
 
 /// Derived values attached to one frame content.
 ///
-/// Both slots are `OnceLock`s so a memo can cross region-worker threads
+/// Every slot is a `OnceLock` so a memo can cross region-worker threads
 /// inside an `Arc`. A racy double-compute is harmless: both inputs are the
 /// same immutable bytes, so both candidates are identical and whichever
 /// loses the publication race is discarded.
 #[derive(Default)]
 struct Memo {
     fp: OnceLock<u128>,
+    /// FNV-1a of the bytes: what a tap digest folds per observation.
+    fnv: OnceLock<u64>,
     fields: OnceLock<PacketFields>,
     views: OnceLock<Option<(FrameView, Option<L4View>)>>,
 }
@@ -350,6 +355,23 @@ impl Frame {
         *memo.fp.get_or_init(|| fp128(self.bytes()))
     }
 
+    /// [`fnv1a`] of the wire bytes, computed on first call and shared by
+    /// all clones of this frame — what a tap digest folds at every hop
+    /// the frame crosses. On an encapsulating frame it folds the head,
+    /// then the inner frame's bytes, without building `head ++ inner`.
+    /// Not counted in [`MemoStats`].
+    pub fn fnv1a(&self) -> u64 {
+        *self.memo().fnv.get_or_init(|| self.fnv1a_from(FNV_BASIS))
+    }
+
+    /// Continues an FNV-1a fold over this frame's bytes from state `hash`.
+    fn fnv1a_from(&self, hash: u64) -> u64 {
+        match &self.repr {
+            Repr::Contiguous { bytes, .. } => fnv1a_fold(hash, bytes),
+            Repr::Encapsulated(e) => e.inner.fnv1a_from(fnv1a_fold(hash, e.head())),
+        }
+    }
+
     /// The parsed OpenFlow 12-tuple with `in_port = 0`, computed on first
     /// call and shared by all clones of this frame.
     ///
@@ -508,10 +530,16 @@ impl std::fmt::Debug for Frame {
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a digest of `data` (used by the `Digest` compare strategy
-/// and the guard's deterministic sampling).
+/// and the guard's deterministic sampling). [`Frame::fnv1a`] is the same
+/// digest, computed once per frame content.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_fold(FNV_BASIS, data)
+}
+
+fn fnv1a_fold(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

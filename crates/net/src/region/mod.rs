@@ -158,7 +158,7 @@ fn replay_tap_records(taps: &mut [Tap], region_records: Vec<Vec<TapRecord>>) {
 mod tests {
     use super::*;
     use crate::testutil::EchoDevice;
-    use crate::{fnv1a, Ctx, Device, Frame, LinkSpec, NodeId, PortId, TapDirection, World};
+    use crate::{Ctx, Device, Frame, LinkSpec, NodeId, PortId, TapDirection, World};
     use bytes::Bytes;
     use netco_sim::SimDuration;
     use std::cell::RefCell;
@@ -199,7 +199,7 @@ mod tests {
                 e.node.index() as u32,
                 e.port.0,
                 matches!(e.direction, TapDirection::Tx),
-                fnv1a(e.frame),
+                e.frame.fnv1a(),
             ));
         });
         log

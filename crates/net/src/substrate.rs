@@ -637,9 +637,10 @@ impl Substrate {
         }
     }
 
-    /// Records a tap observation when taps are installed. Only a
-    /// recording tap reads the frame's bytes, so an encapsulating frame
-    /// crosses an untapped world without ever being made contiguous.
+    /// Records a tap observation when taps are installed. The record
+    /// shares the frame (memo included) and reads none of its bytes, so
+    /// an encapsulating frame is made contiguous only by a tap that asks
+    /// for its bytes.
     pub(crate) fn run_taps(
         &mut self,
         node: NodeId,
@@ -657,7 +658,7 @@ impl Substrate {
             node,
             port,
             direction,
-            frame: frame.bytes().clone(),
+            frame: frame.clone(),
         });
     }
 

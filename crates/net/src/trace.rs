@@ -45,9 +45,12 @@ pub struct TraceRecorder {
 
 /// The order-sensitive witness every bit-identity claim rests on: each
 /// tapped observation's time, node, port, direction and frame bytes
-/// ([`crate::fnv1a`]) folded through [`mix64`], plus the tap count. Two
-/// runs tapped the same frames at the same places in the same order iff
-/// `(value, taps)` agree.
+/// ([`crate::fnv1a`], read from the frame's memo by [`Frame::fnv1a`], so a
+/// frame is hashed once however many observations fold it) folded through
+/// [`mix64`], plus the tap count. Two runs tapped the same frames at the
+/// same places in the same order iff `(value, taps)` agree.
+///
+/// [`Frame::fnv1a`]: crate::Frame::fnv1a
 #[derive(Debug, Clone)]
 pub struct TapDigest {
     acc: Rc<Cell<(u64, u64)>>,
@@ -64,7 +67,7 @@ impl TapDigest {
             d = mix64(d ^ ev.node.index() as u64);
             d = mix64(d ^ ev.port.0 as u64);
             d = mix64(d ^ matches!(ev.direction, TapDirection::Tx) as u64);
-            d = mix64(d ^ crate::fnv1a(ev.frame));
+            d = mix64(d ^ ev.frame.fnv1a());
             tap_acc.set((d, taps + 1));
         });
         TapDigest { acc }
@@ -114,7 +117,7 @@ impl TraceRecorder {
                 port: ev.port,
                 direction: ev.direction,
                 len: ev.frame.len(),
-                summary: summarize(ev.frame),
+                summary: summarize(ev.frame.bytes()),
             });
         });
     }

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use netco_net::packet::PacketFields;
-use netco_net::{fp128, memo_stats, Frame};
+use netco_net::{fnv1a, fp128, memo_stats, Frame};
 use proptest::prelude::*;
 
 fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -130,6 +130,45 @@ proptest! {
         prop_assert_eq!(rebuilt.fp128(), fp);
         prop_assert_eq!(rebuilt.fields(), &fields);
         prop_assert_eq!(memo_stats().since(before).misses(), 2);
+    }
+
+    /// `Frame::fnv1a` is the stateless FNV-1a of the frame's bytes on a
+    /// contiguous frame, a sub-slice, an encapsulation and an
+    /// encapsulation of an encapsulation, and every clone answers with the
+    /// value the first call computed, whichever clone made it. Hashing a
+    /// wrapper counts no fingerprint or parse.
+    #[test]
+    fn memoized_fnv1a_matches_fresh_on_every_shape(
+        head in proptest::collection::vec(any::<u8>(), 0..netco_net::MAX_ENCAP_HEAD + 1),
+        outer_head in proptest::collection::vec(any::<u8>(), 0..9),
+        data in arb_bytes(),
+        a in any::<u16>(),
+        b in any::<u16>(),
+    ) {
+        let frame = Frame::from(data.clone());
+        let copy = frame.clone();
+        prop_assert_eq!(copy.fnv1a(), fnv1a(&data));
+        prop_assert_eq!(frame.fnv1a(), copy.fnv1a());
+
+        let (mut lo, mut hi) = (a as usize % (data.len() + 1), b as usize % (data.len() + 1));
+        if lo > hi {
+            std::mem::swap(&mut lo, &mut hi);
+        }
+        let sub = frame.slice(lo..hi);
+        prop_assert_eq!(sub.clone().fnv1a(), fnv1a(&data[lo..hi]));
+        prop_assert_eq!(sub.fnv1a(), fnv1a(&data[lo..hi]));
+
+        let before = memo_stats();
+        let wrapped = Frame::encapsulating(&head, &frame);
+        let twice = Frame::encapsulating(&outer_head, &wrapped);
+        let wire = [&head[..], &data[..]].concat();
+        let wire_twice = [&outer_head[..], &wire[..]].concat();
+        prop_assert_eq!(twice.clone().fnv1a(), fnv1a(&wire_twice));
+        prop_assert_eq!(wrapped.clone().fnv1a(), fnv1a(&wire));
+        prop_assert_eq!(twice.fnv1a(), fnv1a(&wire_twice));
+        prop_assert_eq!(wrapped.fnv1a(), fnv1a(&wire));
+        prop_assert_eq!(memo_stats().since(before).misses(), 0);
+        prop_assert_eq!(twice.slice(outer_head.len()..).fnv1a(), fnv1a(&wire));
     }
 
     /// Round-tripping through `Bytes` (the facade every legacy call site

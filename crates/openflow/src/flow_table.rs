@@ -209,8 +209,38 @@ impl FlowTable {
         let pos = self
             .entries
             .partition_point(|e| e.priority >= entry.priority);
+        if pos == self.entries.len() {
+            // Appended last in scan order (every route a world builder
+            // installs at one priority): no slot shifts, so the new slot
+            // goes in exactly where `reindex` would put it.
+            Self::index_slot(
+                &mut self.exact,
+                &mut self.wildcard_slots,
+                pos,
+                &entry.matcher,
+            );
+            self.entries.push(entry);
+            return;
+        }
         self.entries.insert(pos, entry);
         self.reindex();
+    }
+
+    /// Adds slot `i`, holding `matcher`, to the index; slots must arrive
+    /// in scan order.
+    fn index_slot(
+        exact: &mut HashMap<PacketFields, usize, FxBuildHasher>,
+        wildcard_slots: &mut Vec<usize>,
+        i: usize,
+        matcher: &FlowMatch,
+    ) {
+        match matcher.exact_key() {
+            // First scan-order slot per key wins, mirroring the scan.
+            Some(key) => {
+                exact.entry(key).or_insert(i);
+            }
+            None => wildcard_slots.push(i),
+        }
     }
 
     /// Rebuilds the exact-match index and the wildcard slot list after a
@@ -220,13 +250,7 @@ impl FlowTable {
         self.exact.clear();
         self.wildcard_slots.clear();
         for (i, e) in self.entries.iter().enumerate() {
-            match e.matcher.exact_key() {
-                // First scan-order slot per key wins, mirroring the scan.
-                Some(key) => {
-                    self.exact.entry(key).or_insert(i);
-                }
-                None => self.wildcard_slots.push(i),
-            }
+            Self::index_slot(&mut self.exact, &mut self.wildcard_slots, i, &e.matcher);
         }
     }
 
@@ -714,6 +738,30 @@ mod prop_flow_table {
                 let b: Vec<FlowEntry> = linear.iter().cloned().collect();
                 prop_assert_eq!(a, b, "table contents diverged at step {}", step);
                 prop_assert_eq!(indexed.len(), linear.len());
+            }
+        }
+
+        /// The append path of `add` indexes the new slot in place; after
+        /// any sequence of adds (appends and mid-table inserts) the index
+        /// is the one `reindex` rebuilds, and lookups agree with it.
+        #[test]
+        fn appending_adds_index_like_a_rebuild(
+            adds in proptest::collection::vec((arb_matcher(), 0u16..4, 1u16..4), 1..80),
+            probes in proptest::collection::vec(arb_fields(), 1..16),
+        ) {
+            let mut table = FlowTable::new();
+            for (matcher, priority, out_port) in adds {
+                table.add(entry(priority, matcher, out_port, None, None), SimTime::ZERO);
+                let mut rebuilt = table.clone();
+                rebuilt.reindex();
+                prop_assert_eq!(&table.exact, &rebuilt.exact);
+                prop_assert_eq!(&table.wildcard_slots, &rebuilt.wildcard_slots);
+                for fields in &probes {
+                    prop_assert_eq!(
+                        table.classify(fields, SimTime::ZERO),
+                        rebuilt.classify(fields, SimTime::ZERO)
+                    );
+                }
             }
         }
 

@@ -321,7 +321,7 @@ mod tests {
                 ev.node.index() as u64,
                 ev.port.0 as u64,
                 matches!(ev.direction, netco_net::TapDirection::Tx) as u64,
-                netco_net::fnv1a(ev.frame),
+                ev.frame.fnv1a(),
             ] {
                 *d = fold_u64(*d, v);
             }
