@@ -2,8 +2,7 @@
 
 use std::any::Any;
 
-use bytes::Bytes;
-use netco_net::{Ctx, NodeId};
+use netco_net::{Ctx, Frame, NodeId};
 use netco_openflow::{wire, Action, FlowMatch, OfMessage, OfPort, PacketInReason};
 use netco_sim::{SimDuration, SimTime};
 
@@ -12,11 +11,11 @@ use netco_sim::{SimDuration, SimTime};
 pub struct ControllerCtx<'a, 'b> {
     pub(crate) ctx: &'a mut Ctx<'b>,
     pub(crate) next_xid: &'a mut u32,
-    /// When `Some`, [`ControllerCtx::send`] buffers `(switch, bytes)`
-    /// instead of transmitting — the interposition point wrapper apps
-    /// (e.g. the Byzantine harness) use to inspect and rewrite the inner
-    /// app's outputs before they reach the wire.
-    pub(crate) capture: Option<Vec<(NodeId, Bytes)>>,
+    /// When `Some`, every send buffers `(switch, message)` instead of
+    /// transmitting — the interposition point wrapper apps (e.g. the
+    /// Byzantine harness) use to inspect and rewrite the inner app's
+    /// outputs before they reach the wire.
+    pub(crate) capture: Option<Vec<(NodeId, Frame)>>,
 }
 
 impl<'a, 'b> ControllerCtx<'a, 'b> {
@@ -41,12 +40,21 @@ impl<'a, 'b> ControllerCtx<'a, 'b> {
 
     /// Sends an OpenFlow message to `switch` (encoded to wire bytes).
     pub fn send(&mut self, switch: NodeId, msg: &OfMessage) {
+        let xid = self.fresh_xid();
+        self.transmit(switch, wire::encode(msg, xid).into());
+    }
+
+    fn fresh_xid(&mut self) -> u32 {
         let xid = *self.next_xid;
         *self.next_xid = self.next_xid.wrapping_add(1);
-        let bytes = wire::encode(msg, xid);
+        xid
+    }
+
+    /// Sends `msg` to `switch`, or buffers it while a capture is on.
+    fn transmit(&mut self, switch: NodeId, msg: Frame) {
         match &mut self.capture {
-            Some(buf) => buf.push((switch, bytes)),
-            None => self.ctx.send_control(switch, bytes),
+            Some(buf) => buf.push((switch, msg)),
+            None => self.ctx.send_control(switch, msg),
         }
     }
 
@@ -58,16 +66,16 @@ impl<'a, 'b> ControllerCtx<'a, 'b> {
         }
     }
 
-    /// Stops capturing and returns the buffered `(switch, wire bytes)`
+    /// Stops capturing and returns the buffered `(switch, message)`
     /// sends, in emission order.
-    pub(crate) fn end_capture(&mut self) -> Vec<(NodeId, Bytes)> {
+    pub(crate) fn end_capture(&mut self) -> Vec<(NodeId, Frame)> {
         self.capture.take().unwrap_or_default()
     }
 
-    /// Sends pre-encoded wire bytes to `switch`, bypassing any active
+    /// Sends an encoded message to `switch`, bypassing any active
     /// capture — how a wrapper forwards (or rewrites) captured output.
-    pub(crate) fn send_raw(&mut self, switch: NodeId, bytes: Bytes) {
-        self.ctx.send_control(switch, bytes);
+    pub(crate) fn send_raw(&mut self, switch: NodeId, msg: Frame) {
+        self.ctx.send_control(switch, msg);
     }
 
     /// Schedules [`ControllerApp::on_app_timer`] with `token` after
@@ -89,25 +97,20 @@ impl<'a, 'b> ControllerCtx<'a, 'b> {
         self.send(switch, &OfMessage::add_flow(priority, matcher, actions));
     }
 
-    /// Convenience: a packet-out releasing `buffer_id` (or sending `data`)
-    /// out of `port`.
+    /// Convenience: a packet-out releasing `buffer_id` (or sending `data`,
+    /// which it carries without copying) out of `port`.
     pub fn packet_out(
         &mut self,
         switch: NodeId,
         buffer_id: Option<u32>,
         in_port: u16,
         port: OfPort,
-        data: Bytes,
+        data: &Frame,
     ) {
-        self.send(
-            switch,
-            &OfMessage::PacketOut {
-                buffer_id,
-                in_port,
-                actions: vec![Action::Output(port)],
-                data,
-            },
-        );
+        let xid = self.fresh_xid();
+        let actions = [Action::Output(port)];
+        let msg = wire::packet_out_frame(&[], xid, buffer_id, in_port, &actions, data);
+        self.transmit(switch, msg);
     }
 }
 
@@ -125,7 +128,8 @@ pub trait ControllerApp: Any + Send {
     /// A switch completed the handshake (features reply received).
     fn on_switch_up(&mut self, cx: &mut ControllerCtx<'_, '_>, switch: NodeId) {}
 
-    /// A packet-in arrived from `switch`.
+    /// A packet-in arrived from `switch`; `data` is the frame it carries,
+    /// memo included when the switch sent it without copying.
     fn on_packet_in(
         &mut self,
         cx: &mut ControllerCtx<'_, '_>,
@@ -133,7 +137,7 @@ pub trait ControllerApp: Any + Send {
         buffer_id: Option<u32>,
         in_port: u16,
         reason: PacketInReason,
-        data: Bytes,
+        data: Frame,
     ) {
     }
 

@@ -16,8 +16,9 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use netco_net::NodeId;
-use netco_openflow::{wire, OfMessage, PacketInReason};
+use netco_net::{Frame, NodeId};
+use netco_openflow::wire::{self, FrameMessage, SplitHead};
+use netco_openflow::{OfMessage, PacketInReason};
 use netco_sim::{ActivationWindow, SimDuration};
 
 use crate::app::{ControllerApp, ControllerCtx};
@@ -53,7 +54,7 @@ pub struct ByzantineApp<A> {
     window: ActivationWindow,
     /// Votable outputs emitted while the window was open.
     votable_seen: u64,
-    stash: HashMap<u64, (NodeId, Bytes)>,
+    stash: HashMap<u64, (NodeId, Frame)>,
     next_token: u64,
 }
 
@@ -84,18 +85,22 @@ impl<A: ControllerApp> ByzantineApp<A> {
     ) {
         cx.begin_capture();
         f(&mut self.inner, cx);
-        for (switch, bytes) in cx.end_capture() {
-            self.emit(cx, switch, bytes);
+        for (switch, msg) in cx.end_capture() {
+            self.emit(cx, switch, msg);
         }
     }
 
-    fn emit(&mut self, cx: &mut ControllerCtx<'_, '_>, switch: NodeId, bytes: Bytes) {
+    fn emit(&mut self, cx: &mut ControllerCtx<'_, '_>, switch: NodeId, msg: Frame) {
         let votable = matches!(
-            wire::decode_shared(&bytes),
-            Ok((OfMessage::FlowMod { .. } | OfMessage::PacketOut { .. }, _))
+            wire::read_frame(&[], &msg),
+            Some((
+                FrameMessage::Payload(SplitHead::PacketOut { .. }, _)
+                    | FrameMessage::Other(OfMessage::FlowMod { .. }),
+                _
+            ))
         );
         if !votable || !self.window.contains(cx.now()) {
-            cx.send_raw(switch, bytes);
+            cx.send_raw(switch, msg);
             return;
         }
         self.votable_seen += 1;
@@ -103,9 +108,9 @@ impl<A: ControllerApp> ByzantineApp<A> {
             ByzantineBehavior::Equivocate { every_nth } => {
                 let nth = every_nth.max(1);
                 if self.votable_seen.is_multiple_of(nth) {
-                    cx.send_raw(switch, corrupt(&bytes));
+                    cx.send_raw(switch, corrupt(msg.bytes()).into());
                 } else {
-                    cx.send_raw(switch, bytes);
+                    cx.send_raw(switch, msg);
                 }
             }
             // Suppressed: the output is never sent.
@@ -113,7 +118,7 @@ impl<A: ControllerApp> ByzantineApp<A> {
             ByzantineBehavior::Delay { by } => {
                 let token = STASH_TOKEN_BASE + self.next_token;
                 self.next_token += 1;
-                self.stash.insert(token, (switch, bytes));
+                self.stash.insert(token, (switch, msg));
                 cx.schedule_app_timer(by, token);
             }
         }
@@ -189,7 +194,7 @@ impl<A: ControllerApp> ControllerApp for ByzantineApp<A> {
         buffer_id: Option<u32>,
         in_port: u16,
         reason: PacketInReason,
-        data: Bytes,
+        data: Frame,
     ) {
         self.drive(cx, |app, cx| {
             app.on_packet_in(cx, switch, buffer_id, in_port, reason, data)
@@ -211,8 +216,8 @@ impl<A: ControllerApp> ControllerApp for ByzantineApp<A> {
 
     fn on_app_timer(&mut self, cx: &mut ControllerCtx<'_, '_>, token: u64) {
         if token >= STASH_TOKEN_BASE {
-            if let Some((switch, bytes)) = self.stash.remove(&token) {
-                cx.send_raw(switch, bytes);
+            if let Some((switch, msg)) = self.stash.remove(&token) {
+                cx.send_raw(switch, msg);
             }
             return;
         }

@@ -3,9 +3,10 @@
 use std::any::Any;
 use std::collections::HashSet;
 
-use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
-use netco_openflow::{wire, OfMessage};
+use netco_openflow::wire::FrameMessage::{Other, Payload};
+use netco_openflow::wire::{self, SplitHead};
+use netco_openflow::OfMessage;
 use netco_sim::SimDuration;
 
 use crate::app::{ControllerApp, ControllerCtx};
@@ -121,32 +122,34 @@ impl Device for Controller {
         // Controllers have no data-plane ports.
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-        let Ok((message, xid)) = wire::decode_shared(&msg) else {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
+        let Some((message, xid)) = wire::read_frame(&[], &msg) else {
             return;
         };
         let mut cx = ControllerCtx::new(ctx, &mut self.next_xid);
         match message {
-            OfMessage::Hello => {}
-            OfMessage::EchoRequest(data) => {
+            Other(OfMessage::Hello) => {}
+            Other(OfMessage::EchoRequest(data)) => {
                 cx.ctx
                     .send_control(from, wire::encode(&OfMessage::EchoReply(data), xid));
             }
-            OfMessage::FeaturesReply { .. } if self.up.insert(from) => {
+            Other(OfMessage::FeaturesReply { .. }) if self.up.insert(from) => {
                 self.app.on_switch_up(&mut cx, from);
             }
-            OfMessage::PacketIn {
-                buffer_id,
-                in_port,
-                reason,
+            Payload(
+                SplitHead::PacketIn {
+                    buffer_id,
+                    in_port,
+                    reason,
+                },
                 data,
-            } => {
+            ) => {
                 self.packet_ins += 1;
                 cx.ctx.telemetry().counter("controller.packet_ins").inc();
                 self.app
                     .on_packet_in(&mut cx, from, buffer_id, in_port, reason, data);
             }
-            OfMessage::FlowStatsReply { flows } => {
+            Other(OfMessage::FlowStatsReply { flows }) => {
                 self.app.on_flow_stats(&mut cx, from, flows);
             }
             // Barrier replies, flow-removed and error notices carry nothing

@@ -23,7 +23,7 @@ const _: () = assert!(DOS_REPEAT_THRESHOLD <= COUNT_CAP);
 /// Voting state of one cached packet.
 ///
 /// Everything is inline: an entry costs no heap allocation beyond the map
-/// slot it lives in, and it is 96 bytes, so the per-copy bookkeeping packs
+/// slot it lives in, and it is 80 bytes, so the per-copy bookkeeping packs
 /// arrival order and repeat counts into fixed arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
@@ -386,8 +386,8 @@ mod tests {
     /// Voting state lives inline; a larger entry is a larger cache for
     /// every compare.
     #[test]
-    fn an_entry_is_96_bytes() {
-        assert_eq!(std::mem::size_of::<CacheEntry>(), 96);
+    fn an_entry_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<CacheEntry>(), 80);
     }
 
     #[test]

@@ -1,125 +1,44 @@
-//! Framing OpenFlow messages onto point-to-point data links.
+//! Framing OpenFlow messages onto point-to-point compare links.
 //!
 //! The paper's prototype attaches the compare host to the data plane and
 //! speaks packet-in/packet-out with the guards ("the compare is connected
 //! to the data plane akin of an OpenFlow controller", §IV). We reproduce
-//! that literally: guards wrap OpenFlow 1.0 wire bytes in an Ethernet frame
-//! with a dedicated EtherType and send it down the compare link.
+//! that literally: guards put OpenFlow 1.0 messages behind an Ethernet
+//! header with a dedicated EtherType, [`COMPARE_LINK`], and send them down
+//! the compare link.
 //!
-//! Every replica copy crosses the link in a packet-in and every release in
-//! a packet-out, so those two are wrapped at the frame level:
-//! [`wrap_packet_in`] and [`wrap_packet_out`] write the Ethernet header
-//! and the OpenFlow head on the stack and put them in front of the carried
-//! frame with [`Frame::encapsulating`]: the frame is shared, not copied,
-//! and its memo rides along. [`unwrap_split`] reads such a frame back from
-//! its head and hands out the carried frame itself. Any other compare-link
-//! frame (a block advice, a frame a link corrupted, hostile bytes) is
-//! contiguous and goes through [`of_wrap`] / [`of_unwrap`], which write
-//! and read the same wire format as bytes.
+//! That header is the link prefix `netco_openflow::wire`'s frame wraps
+//! and reader take; on a control channel (§V's POX placement) the prefix
+//! is empty, and everything else is the same. Every replica copy crosses
+//! in a packet-in and every release in a packet-out, written by
+//! `wire::packet_in_frame` / `wire::packet_out_frame` in front of the
+//! carried frame, which is shared, memo included, not copied;
+//! `wire::read_frame` hands it back. Only the compare's port-block advice
+//! carries no frame: [`of_wrap`] writes it as one contiguous buffer.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use netco_net::packet::{EthernetFrame, ETHERNET_HEADER_LEN};
-use netco_net::{Frame, MacAddr, MAX_ENCAP_HEAD};
-use netco_openflow::wire::{self, SplitHead};
-use netco_openflow::{Action, FlowMatch, FlowModCommand, OfMessage, OfPort, PacketInReason};
+use bytes::Bytes;
+use netco_net::packet::ETHERNET_HEADER_LEN;
+use netco_openflow::{wire, FlowMatch, FlowModCommand, OfMessage};
 use netco_sim::SimDuration;
 
 /// The experimental EtherType used for OpenFlow-over-Ethernet framing
 /// (`0x88B5`, IEEE 802 local experimental 1).
-pub const NETCO_ETHERTYPE: u16 = 0x88b5;
+const NETCO_ETHERTYPE: u16 = 0x88b5;
 
-/// Wraps an OpenFlow message into an Ethernet frame for a point-to-point
-/// compare link, as one contiguous buffer: the compare's block advice, and
-/// any message a test builds. A packet-in or packet-out that carries a
-/// frame goes through [`wrap_packet_in`] / [`wrap_packet_out`] instead.
+/// The compare link's Ethernet header — zero addresses, NetCo's
+/// EtherType — in front of every OpenFlow message on the link.
+pub const COMPARE_LINK: [u8; ETHERNET_HEADER_LEN] = {
+    let mut header = [0; ETHERNET_HEADER_LEN];
+    let ethertype = NETCO_ETHERTYPE.to_be_bytes();
+    header[ETHERNET_HEADER_LEN - 2] = ethertype[0];
+    header[ETHERNET_HEADER_LEN - 1] = ethertype[1];
+    header
+};
+
+/// Wraps an OpenFlow message into one contiguous compare-link frame: the
+/// compare's block advice, and any message a test builds.
 pub fn of_wrap(msg: &OfMessage, xid: u32) -> Bytes {
-    // The frozen frame keeps whatever capacity is reserved here for as long
-    // as any copy of it lives, so reserve for this message: the payload it
-    // carries plus `OF_FIXED_HINT` for the OpenFlow header and the fixed
-    // part of a packet-in or packet-out with a few actions. Anything
-    // larger (a flow-mod, a features reply) is rare and grows the buffer.
-    const OF_FIXED_HINT: usize = 48;
-    let payload = match msg {
-        OfMessage::PacketIn { data, .. } | OfMessage::PacketOut { data, .. } => data.len(),
-        _ => 0,
-    };
-    let mut buf = BytesMut::with_capacity(ETHERNET_HEADER_LEN + OF_FIXED_HINT + payload);
-    put_ethernet(&mut buf);
-    wire::encode_into(msg, xid, &mut buf);
-    buf.freeze()
-}
-
-/// The compare link's Ethernet header: zero addresses, NetCo's EtherType.
-fn put_ethernet(b: &mut impl BufMut) {
-    b.put_slice(&MacAddr::ZERO.octets());
-    b.put_slice(&MacAddr::ZERO.octets());
-    b.put_u16(NETCO_ETHERTYPE);
-}
-
-/// A compare-link frame's head — Ethernet header plus OpenFlow head —
-/// written on the stack.
-struct Head {
-    buf: [u8; MAX_ENCAP_HEAD],
-    len: usize,
-}
-
-impl Head {
-    /// A head holding the link's Ethernet header.
-    fn ethernet() -> Head {
-        let mut head = Head {
-            buf: [0; MAX_ENCAP_HEAD],
-            len: 0,
-        };
-        put_ethernet(&mut head);
-        head
-    }
-
-    fn encapsulating(&self, inner: &Frame) -> Frame {
-        Frame::encapsulating(&self.buf[..self.len], inner)
-    }
-}
-
-impl BufMut for Head {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf[self.len..self.len + src.len()].copy_from_slice(src);
-        self.len += src.len();
-    }
-}
-
-/// The compare-link frame a guard sends for a replica's `copy` that
-/// arrived on `in_port`: an OpenFlow packet-in (unbuffered, no match)
-/// carrying the copy, which is shared, not copied.
-pub(crate) fn wrap_packet_in(xid: u32, in_port: u16, copy: &Frame) -> Frame {
-    let mut head = Head::ethernet();
-    let reason = PacketInReason::NoMatch;
-    wire::put_packet_in_head(&mut head, xid, None, in_port, reason, copy.len());
-    head.encapsulating(copy)
-}
-
-/// The compare-link frame a compare sends to release `data` out of the
-/// guard's `port`: what [`OfMessage::packet_out`] encodes to, carrying
-/// the frame itself.
-pub(crate) fn wrap_packet_out(xid: u32, port: OfPort, data: &Frame) -> Frame {
-    let mut head = Head::ethernet();
-    let actions = [Action::Output(port)];
-    let in_port = OfPort::None.to_u16();
-    wire::put_packet_out_head(&mut head, xid, None, in_port, &actions, data.len());
-    head.encapsulating(data)
-}
-
-/// Reads a frame built by [`wrap_packet_in`] or [`wrap_packet_out`]: its
-/// decoded head, transaction id and the carried frame (memo included).
-/// `None` for every other frame — including one whose head is not the
-/// canonical split of a packet-in or packet-out — which the caller
-/// decodes from its bytes with [`of_unwrap`].
-pub(crate) fn unwrap_split(frame: &Frame) -> Option<(SplitHead<'_>, u32, &Frame)> {
-    let (head, inner) = frame.encapsulated()?;
-    let ethertype = ETHERNET_HEADER_LEN - 2..ETHERNET_HEADER_LEN;
-    if head.len() < ETHERNET_HEADER_LEN || head[ethertype] != NETCO_ETHERTYPE.to_be_bytes() {
-        return None;
-    }
-    let (split, xid) = wire::decode_split(&head[ETHERNET_HEADER_LEN..], inner.len())?;
-    Some((split, xid, inner))
+    Bytes::from([&COMPARE_LINK[..], &wire::encode(msg, xid)].concat())
 }
 
 /// The port-block advice a compare sends its guard (paper §IV case 2): a
@@ -139,23 +58,27 @@ pub(crate) fn block_advice(port: u16, duration: SimDuration) -> OfMessage {
     }
 }
 
-/// Unwraps a compare-link frame back into an OpenFlow message; payload
-/// fields of the message are zero-copy slices of `frame`.
-///
-/// Returns `None` for frames that are not NetCo-framed OpenFlow (wrong
-/// EtherType or undecodable payload) — a trusted component simply ignores
-/// anything it does not understand.
-pub fn of_unwrap(frame: &Bytes) -> Option<(OfMessage, u32)> {
-    let eth = EthernetFrame::decode(frame).ok()?;
-    if eth.ethertype.to_u16() != NETCO_ETHERTYPE {
-        return None;
-    }
-    wire::decode_shared(&eth.payload).ok()
+/// What a guard or a compare reads from the compare-link frame `bytes`,
+/// as one whole message.
+#[cfg(test)]
+pub(crate) fn of_unwrap(bytes: &Bytes) -> Option<(OfMessage, u32)> {
+    use netco_openflow::wire::FrameMessage;
+    let frame = netco_net::Frame::new(bytes.clone());
+    let (msg, xid) = wire::read_frame(&COMPARE_LINK, &frame)?;
+    let msg = match msg {
+        FrameMessage::Payload(head, data) => head.with_data(data.into_bytes()),
+        FrameMessage::Other(msg) => msg,
+    };
+    Some((msg, xid))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netco_net::packet::{EtherType, EthernetFrame};
+    use netco_net::{Frame, MacAddr};
+    use netco_openflow::wire::FrameMessage;
+    use netco_openflow::{Action, OfPort, PacketInReason};
 
     #[test]
     fn round_trip() {
@@ -165,10 +88,16 @@ mod tests {
             reason: PacketInReason::NoMatch,
             data: Bytes::from_static(b"inner frame"),
         };
-        let wrapped = of_wrap(&msg, 9);
-        let (back, xid) = of_unwrap(&wrapped).unwrap();
+        let (back, xid) = of_unwrap(&of_wrap(&msg, 9)).unwrap();
         assert_eq!(back, msg);
         assert_eq!(xid, 9);
+    }
+
+    #[test]
+    fn the_link_header_carries_the_netco_ethertype() {
+        let eth = EthernetFrame::decode(&of_wrap(&OfMessage::Hello, 0)).unwrap();
+        assert_eq!(eth.ethertype, EtherType::Other(0x88b5));
+        assert_eq!((eth.src, eth.dst), (MacAddr::ZERO, MacAddr::ZERO));
     }
 
     #[test]
@@ -190,7 +119,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn of_unwrap_never_panics_on_garbage(
+        fn reading_never_panics_on_garbage(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
         ) {
             let _ = of_unwrap(&Bytes::from(bytes));
@@ -201,7 +130,7 @@ mod tests {
     /// length and with its OpenFlow header length rewritten to every value
     /// in `0..=len + 8`: `Some` or `None`, never a panic.
     #[test]
-    fn of_unwrap_survives_cuts_and_length_lies() {
+    fn reading_survives_cuts_and_length_lies() {
         let data = Bytes::from_static(b"a replicated data frame");
         for msg in [
             OfMessage::PacketIn {
@@ -227,15 +156,19 @@ mod tests {
         }
     }
 
-    /// The frame-level wraps are the contiguous ones' bytes, unwrap to
-    /// the message `of_unwrap` reads, and hand back the carried frame.
+    /// The frame-level wraps behind the compare link's header are the
+    /// contiguous bytes, read back to the same message, and hand back the
+    /// carried frame itself; the same bytes, contiguous, carry a slice of
+    /// themselves instead.
     #[test]
     fn frame_wraps_match_the_contiguous_wire_format() {
         let data = Frame::from(b"a replicated data frame" as &'static [u8]);
         let fp = data.fp128();
+        let link = &COMPARE_LINK[..];
+        let output = [Action::Output(OfPort::Physical(4))];
         let cases = [
             (
-                wrap_packet_in(9, 2, &data),
+                wire::packet_in_frame(link, 9, None, 2, PacketInReason::NoMatch, &data),
                 OfMessage::PacketIn {
                     buffer_id: None,
                     in_port: 2,
@@ -244,22 +177,28 @@ mod tests {
                 },
             ),
             (
-                wrap_packet_out(9, OfPort::Physical(4), &data),
+                wire::packet_out_frame(link, 9, None, OfPort::None.to_u16(), &output, &data),
                 OfMessage::packet_out(data.bytes().clone(), OfPort::Physical(4)),
             ),
         ];
         for (frame, msg) in cases {
-            let (split, xid, carried) = unwrap_split(&frame).expect("a canonical split");
-            assert_eq!(
-                (split.with_data(carried.bytes().clone()), xid),
-                (msg.clone(), 9)
-            );
+            let Some((FrameMessage::Payload(_, carried), 9)) = wire::read_frame(link, &frame)
+            else {
+                panic!("a canonical split");
+            };
             assert_eq!(carried.bytes().as_ptr(), data.bytes().as_ptr());
             assert_eq!(carried.fp128(), fp);
             assert_eq!(frame.bytes(), &of_wrap(&msg, 9));
             assert_eq!(of_unwrap(frame.bytes()), Some((msg, 9)));
-            // The same bytes, contiguous, carry no split.
-            assert!(unwrap_split(&Frame::new(frame.bytes().clone())).is_none());
+            let contiguous = Frame::new(frame.bytes().clone());
+            let Some((FrameMessage::Payload(_, sliced), 9)) = wire::read_frame(link, &contiguous)
+            else {
+                panic!("the contiguous bytes read as the same message");
+            };
+            assert_eq!(sliced, data);
+            assert!(sliced.encapsulated().is_none());
+            // Behind another prefix the wrap is not a message.
+            assert!(wire::read_frame(&[], &frame).is_none());
         }
     }
 

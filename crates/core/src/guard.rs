@@ -3,15 +3,15 @@
 use std::collections::HashMap;
 use std::vec::Drain;
 
-use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
+use netco_openflow::wire::FrameMessage::{Other, Payload};
 use netco_openflow::wire::{self, SplitHead};
 use netco_openflow::{Action, OfMessage, OfPort, PacketInReason};
 use netco_sim::{SimDuration, SimTime};
 
 use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
 use crate::config::CompareConfig;
-use crate::encap::{of_unwrap, unwrap_split, wrap_packet_in};
+use crate::encap::COMPARE_LINK;
 
 /// Where this guard sends replica copies for combining.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,25 +244,26 @@ impl GuardSwitch {
         }
     }
 
-    fn forward_to_compare(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, frame: Frame) {
-        let xid = self.fresh_xid();
+    /// What precedes an OpenFlow message to or from an out-of-band
+    /// compare: the compare link's Ethernet header, or nothing on a
+    /// control channel.
+    fn link(&self) -> &'static [u8] {
         match self.cfg.compare {
-            CompareAttachment::DataPort(p) => {
-                self.stats.to_compare += 1;
-                // The copy itself rides in the packet-in, memo included:
-                // the compare unwraps it.
-                ctx.send_frame(p, wrap_packet_in(xid, in_port.number(), &frame));
-            }
-            CompareAttachment::Controller(c) => {
-                self.stats.to_compare += 1;
-                let msg = OfMessage::PacketIn {
-                    buffer_id: None,
-                    in_port: in_port.number(),
-                    reason: PacketInReason::NoMatch,
-                    data: frame.into_bytes(),
-                };
-                ctx.send_control(c, wire::encode(&msg, xid));
-            }
+            CompareAttachment::DataPort(_) => &COMPARE_LINK,
+            _ => &[],
+        }
+    }
+
+    fn forward_to_compare(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, frame: Frame) {
+        self.stats.to_compare += 1;
+        // The copy itself rides in the packet-in, memo included: the
+        // compare unwraps it.
+        let xid = self.fresh_xid();
+        let reason = PacketInReason::NoMatch;
+        let msg = wire::packet_in_frame(self.link(), xid, None, in_port.number(), reason, &frame);
+        match self.cfg.compare {
+            CompareAttachment::DataPort(p) => ctx.send_frame(p, msg),
+            CompareAttachment::Controller(c) => ctx.send_control(c, msg),
             CompareAttachment::None | CompareAttachment::Embedded(_) => {
                 unreachable!("handled by the caller")
             }
@@ -289,49 +290,25 @@ impl GuardSwitch {
         self.stats.released += 1;
     }
 
-    /// Handles a frame from the compare link: a packet-out this crate's
-    /// wrap built is read from its head and releases the frame it carries
-    /// (memo included); anything else is decoded from its bytes.
-    fn handle_compare_frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame) {
-        match unwrap_split(frame) {
-            Some((SplitHead::PacketOut { actions, .. }, _, data)) => {
-                self.release(ctx, actions.iter(), data.clone());
+    /// Handles a message from the compare, on either attachment: `reply`
+    /// is the controller it came from (control channel), `None` on the
+    /// compare link. A packet-out releases the frame it carries, memo
+    /// included when its wrap arrived intact.
+    fn handle_compare_msg(&mut self, ctx: &mut Ctx<'_>, msg: &Frame, reply: Option<NodeId>) {
+        let Some((message, xid)) = wire::read_frame(self.link(), msg) else {
+            self.stats.invalid_msgs += 1;
+            return;
+        };
+        match message {
+            Payload(SplitHead::PacketOut { actions, .. }, data) => {
+                self.release(ctx, actions.iter(), data);
             }
-            // A packet-in is no decision.
-            Some((SplitHead::PacketIn { .. }, ..)) => self.stats.invalid_msgs += 1,
-            None => match of_unwrap(frame.bytes()) {
-                Some((msg, xid)) => self.handle_compare_msg(ctx, msg, xid, Some(frame), None),
-                None => self.stats.invalid_msgs += 1,
-            },
-        }
-    }
-
-    /// Handles a decision message from the compare: `carrier` is the
-    /// compare-link frame it arrived in (data-port path), `reply_control`
-    /// the controller it came from (controller path).
-    fn handle_compare_msg(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        msg: OfMessage,
-        xid: u32,
-        carrier: Option<&Frame>,
-        reply_control: Option<NodeId>,
-    ) {
-        match msg {
-            OfMessage::PacketOut { actions, data, .. } => {
-                // The released packet is the carrier's tail.
-                let data = match carrier {
-                    Some(frame) => frame.slice(frame.len() - data.len()..),
-                    None => Frame::new(data),
-                };
-                self.release(ctx, actions.into_iter(), data);
-            }
-            OfMessage::FlowMod {
+            Other(OfMessage::FlowMod {
                 matcher,
                 actions,
                 hard_timeout_s,
                 ..
-            } if actions.is_empty() => {
+            }) if actions.is_empty() => {
                 // Port-block advice: an empty-action rule on in_port.
                 if let Some(port) = matcher.in_port {
                     let until = ctx.now() + SimDuration::from_secs(hard_timeout_s.max(1) as u64);
@@ -342,14 +319,14 @@ impl GuardSwitch {
             }
             // Minimal OpenFlow politeness so a managing controller can
             // complete its handshake in POX mode.
-            OfMessage::Hello => {}
-            OfMessage::EchoRequest(data) => {
-                if let Some(c) = reply_control {
+            Other(OfMessage::Hello) => {}
+            Other(OfMessage::EchoRequest(data)) => {
+                if let Some(c) = reply {
                     ctx.send_control(c, wire::encode(&OfMessage::EchoReply(data), xid));
                 }
             }
-            OfMessage::FeaturesRequest => {
-                if let Some(c) = reply_control {
+            Other(OfMessage::FeaturesRequest) => {
+                if let Some(c) = reply {
                     let reply = OfMessage::FeaturesReply {
                         datapath_id: ctx.node().index() as u64,
                         n_buffers: 0,
@@ -367,9 +344,8 @@ impl GuardSwitch {
                     ctx.send_control(c, wire::encode(&reply, xid));
                 }
             }
-            _ => {
-                self.stats.invalid_msgs += 1;
-            }
+            // A packet-in is no decision.
+            _ => self.stats.invalid_msgs += 1,
         }
     }
 }
@@ -419,11 +395,9 @@ impl Device for GuardSwitch {
             }
             return;
         }
-        if let CompareAttachment::DataPort(cp) = self.cfg.compare {
-            if port == cp {
-                self.handle_compare_frame(ctx, &frame);
-                return;
-            }
+        if self.cfg.compare == CompareAttachment::DataPort(port) {
+            self.handle_compare_msg(ctx, &frame, None);
+            return;
         }
         if self.cfg.replica_ports.contains(&port) {
             if self.is_port_blocked(port, now) {
@@ -483,13 +457,9 @@ impl Device for GuardSwitch {
         self.stats.invalid_msgs += 1;
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-        if self.cfg.compare != CompareAttachment::Controller(from) {
-            return;
-        }
-        match wire::decode_shared(&msg) {
-            Ok((message, xid)) => self.handle_compare_msg(ctx, message, xid, None, Some(from)),
-            Err(_) => self.stats.invalid_msgs += 1,
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
+        if self.cfg.compare == CompareAttachment::Controller(from) {
+            self.handle_compare_msg(ctx, &msg, Some(from));
         }
     }
 }

@@ -2,9 +2,8 @@
 
 use std::vec::Drain;
 
-use bytes::Bytes;
 use netco_controller::{ControllerApp, ControllerCtx};
-use netco_net::NodeId;
+use netco_net::{Frame, NodeId};
 use netco_openflow::{OfPort, PacketInReason};
 use netco_sim::EventLog;
 
@@ -78,7 +77,7 @@ impl PoxCompareApp {
                 } => {
                     let guard = guards[lane as usize];
                     let port = OfPort::Physical(host_port);
-                    cx.packet_out(guard, None, 0, port, frame.into_bytes());
+                    cx.packet_out(guard, None, 0, port, &frame);
                 }
                 CompareAction::BlockReplicaPort {
                     lane,
@@ -105,7 +104,7 @@ impl ControllerApp for PoxCompareApp {
         _buffer_id: Option<u32>,
         in_port: u16,
         _reason: PacketInReason,
-        data: Bytes,
+        data: Frame,
     ) {
         let Some(lane) = self.lane_of(switch) else {
             return;
@@ -132,6 +131,7 @@ impl std::fmt::Debug for PoxCompareApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use netco_sim::SimTime;
 
     #[test]

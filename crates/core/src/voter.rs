@@ -40,7 +40,8 @@ use std::vec::Drain;
 use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_openflow::canonical::{canonicalize, Canonical};
-use netco_openflow::{wire, OfMessage};
+use netco_openflow::wire::{self, FrameMessage, SplitHead};
+use netco_openflow::OfMessage;
 use netco_sim::{mix64, EventLog, SimTime};
 use netco_telemetry::{Counter, Histogram};
 
@@ -284,8 +285,8 @@ impl ControlVoter {
 
     /// A controller replica spoke: answer protocol plumbing ourselves,
     /// vote everything votable.
-    fn on_controller_msg(&mut self, ctx: &mut Ctx<'_>, index: usize, msg: &Bytes) {
-        match canonicalize(msg) {
+    fn on_controller_msg(&mut self, ctx: &mut Ctx<'_>, index: usize, msg: &Frame) {
+        match canonicalize(msg.bytes()) {
             Canonical::Votable(canon) => {
                 let now = ctx.now();
                 self.sent.inc();
@@ -374,13 +375,14 @@ impl Device for ControlVoter {
         ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
         if self.guard == Some(from) {
             // Guard side: relay packet-ins verbatim so every replica sees
-            // a bit-identical input stream (same bytes, same xid).
+            // a bit-identical input stream (same bytes, same xid), each
+            // sharing the one frame the guard sent.
             if matches!(
-                wire::decode_shared(&msg),
-                Ok((OfMessage::PacketIn { .. }, _))
+                wire::read_frame(&[], &msg),
+                Some((FrameMessage::Payload(SplitHead::PacketIn { .. }, _), _))
             ) {
                 for &c in &self.controllers {
                     self.relayed.inc();
@@ -419,8 +421,8 @@ mod tests {
 
     impl Device for ControlCollector {
         fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: Frame) {}
-        fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-            self.msgs.push((ctx.now(), from, msg));
+        fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
+            self.msgs.push((ctx.now(), from, msg.into_bytes()));
         }
     }
 
@@ -452,8 +454,8 @@ mod tests {
             let msg = self.msgs[token as usize].1.clone();
             ctx.send_control(self.to, msg);
         }
-        fn on_control(&mut self, _: &mut Ctx<'_>, _: NodeId, msg: Bytes) {
-            self.received.push(msg);
+        fn on_control(&mut self, _: &mut Ctx<'_>, _: NodeId, msg: Frame) {
+            self.received.push(msg.into_bytes());
         }
     }
 

@@ -3,7 +3,7 @@
 //! and the header sniff) run **at most once per unique frame content**,
 //! no matter how many hops, clones and replicas the frame crosses.
 //!
-//! Two rigs, the same claim. The first is the paper's Central-shaped
+//! Three rigs, the same claim. The first is the paper's Central-shaped
 //! combiner with the compare placed inband (`CompareAttachment::Embedded`,
 //! §IX), so the replica copies reach the voting core as in-world
 //! [`netco_net::Frame`]s and the memo survives every hop. The second is
@@ -11,20 +11,24 @@
 //! the compare link inside an OpenFlow `PacketIn`, the release comes back
 //! inside a `PacketOut`, and the memo crosses with them
 //! (`Frame::encapsulating`) — unless the link corrupts the wrapper, which
-//! is new content and starts cold.
+//! is new content and starts cold. The third is POX3 (§V): the same
+//! packet-ins and packet-outs cross a control channel to a controller
+//! app, with the same memo and the same cold start after corruption.
 //!
 //! Memo counters are thread-local and each test runs on its own thread,
 //! so the deltas observed here belong to this world alone.
 
 use bytes::Bytes;
+use netco_controller::Controller;
 use netco_core::{
-    Compare, CompareAttachment, CompareConfig, GuardConfig, GuardSwitch, Hub, LaneInfo,
+    Compare, CompareAttachment, CompareConfig, CompareStats, GuardConfig, GuardSwitch, Hub,
+    LaneInfo, PoxCompareApp,
 };
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
 use netco_net::{
-    fp128, memo_stats, CpuModel, FaultPlan, LinkId, LinkSpec, MacAddr, NodeId, PortId,
-    TapDirection, TapEvent, World,
+    fp128, memo_stats, ControlChannelSpec, CpuModel, FaultKind, FaultPlan, LinkId, LinkSpec,
+    MacAddr, NodeId, PortId, TapDirection, TapEvent, World,
 };
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch};
 use netco_sim::{mix64, ActivationWindow, SimDuration, SimTime};
@@ -246,6 +250,115 @@ fn corrupted_compare_link_copy_is_refingerprinted_and_outvoted() {
     assert_eq!(d.parse_misses, 1, "the release is a clean copy's content");
 }
 
+/// The POX3 deployment (§V): host → hub → k OpenFlow replicas → guard ⇄
+/// control channel ⇄ controller running the compare app → edge switch →
+/// sink, with the same skewed replica links as the Central-3 rig, so the
+/// copies enter the 2 µs control channel 10, 20 and 30 µs after
+/// injection. Returns the hub, the sink, the guard and the controller.
+fn build_pox_world() -> (World, [NodeId; 4]) {
+    let mut w = World::new(11);
+    let hub = w.add_node("hub", Hub::new(), CpuModel::default());
+    let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
+    let replica_ports: Vec<PortId> = (1..=K).map(PortId).collect();
+    let cfg = CompareConfig::prevent(K as usize).with_hold_time(SimDuration::from_millis(5));
+    let tick = cfg.sweep_interval();
+    let mut app = PoxCompareApp::new(cfg);
+    let ctl = NodeId::from_index(3);
+    let guard_cfg = GuardConfig::controller(PortId(0), replica_ports.clone(), ctl);
+    let guard = w.add_node("guard", GuardSwitch::new(guard_cfg), CpuModel::default());
+    app.attach_guard(
+        guard,
+        LaneInfo {
+            replica_ports: replica_ports.iter().map(|p| p.number()).collect(),
+            host_port: 0,
+        },
+    );
+    let mut controller = Controller::new(app).with_tick(tick);
+    controller.manage(guard);
+    assert_eq!(w.add_node("pox", controller, CpuModel::default()), ctl);
+    let channel = ControlChannelSpec {
+        latency: SimDuration::from_micros(2),
+    };
+    w.connect_control(guard, ctl, channel);
+    let edge = w.add_node("edge", forward_all(0), CpuModel::default());
+    w.connect(guard, PortId(0), edge, PortId(0), LinkSpec::ideal());
+    w.connect(edge, PortId(1), sink, PortId(0), LinkSpec::ideal());
+    for i in 1..=K {
+        let r = w.add_node(format!("r{i}"), forward_all(i as u64), CpuModel::default());
+        w.connect(hub, PortId(i), r, PortId(0), LinkSpec::ideal());
+        let skewed = LinkSpec {
+            latency: SimDuration::from_micros(10 * i as u64),
+            ..LinkSpec::ideal()
+        };
+        w.connect(r, PortId(1), guard, PortId(i), skewed);
+    }
+    (w, [hub, sink, guard, ctl])
+}
+
+fn pox_stats(w: &World, ctl: NodeId) -> CompareStats {
+    let controller = w.device::<Controller>(ctl).unwrap();
+    controller.app::<PoxCompareApp>().unwrap().stats()
+}
+
+/// Across the control channel and back, POX3 derives once per unique
+/// frame too: the controller app votes on the frame each packet-in
+/// carries, and the packet-out carries the vote's winner back, memo
+/// included — where decoding every packet-in into fresh bytes made it
+/// `k N` fingerprints and a second parse at the edge.
+#[test]
+fn pox3_over_the_control_channel_misses_once_per_unique_frame() {
+    let (mut w, [hub, sink, _, ctl]) = build_pox_world();
+    let before = memo_stats();
+    const N: u64 = 25;
+    for tag in 0..N {
+        w.inject_frame(hub, PortId(0), unique_frame(tag as u16));
+    }
+    w.run_for(SimDuration::from_millis(10));
+    let d = memo_stats().since(before);
+
+    let delivered = &w.device::<CollectorDevice>(sink).unwrap().frames;
+    assert_eq!(delivered.len(), N as usize);
+    let stats = pox_stats(&w, ctl);
+    assert_eq!((stats.received, stats.released), (K as u64 * N, N));
+    assert_eq!(d.fp_misses, N, "one fingerprint per unique frame, not k");
+    assert_eq!(d.parse_misses, N, "one parse per unique frame");
+    assert_eq!(d.parse_hits, K as u64 * N, "k-1 replicas and the edge");
+    for (tag, (_, frame)) in delivered.iter().enumerate() {
+        assert_eq!(frame, &unique_frame(tag as u16));
+    }
+}
+
+/// A control channel that flips a bit in the second replica's packet-in:
+/// the message the controller receives is contiguous new content, so it
+/// is read from its bytes, its copy fingerprinted afresh, and it loses
+/// the vote to the two clean copies, which still share one fingerprint.
+#[test]
+fn corrupted_control_channel_copy_is_refingerprinted_and_outvoted() {
+    let (mut w, [hub, sink, guard, ctl]) = build_pox_world();
+    let second_copy =
+        ActivationWindow::between(SimTime::from_nanos(19_000), SimTime::from_nanos(21_000));
+    let corrupt = FaultKind::Corrupt {
+        probability: 1.0,
+        window: second_copy,
+    };
+    w.apply_fault_plan(&FaultPlan::new(CORRUPTING_SEED).control_fault(guard, ctl, corrupt));
+    let before = memo_stats();
+    let sent = unique_frame(3);
+    w.inject_frame(hub, PortId(0), sent.clone());
+    w.run_for(SimDuration::from_millis(20));
+    let d = memo_stats().since(before);
+
+    let delivered = &w.device::<CollectorDevice>(sink).unwrap().frames;
+    assert_eq!(delivered.len(), 1);
+    assert_eq!(delivered[0].1, sent, "the clean majority's bytes");
+    let stats = pox_stats(&w, ctl);
+    assert_eq!(stats.received, 3, "the flipped bit is in the payload");
+    assert_eq!(stats.released, 1);
+    assert_eq!(stats.expired_unreleased, 1, "the corrupted singleton");
+    assert_eq!(d.fp_misses, 2, "clean copies share one; the corrupted pays");
+    assert_eq!(d.parse_misses, 1, "the release is a clean copy's content");
+}
+
 /// Folds every frame tapped on either end of the guard ⇄ compare link —
 /// time, node, direction and the full wire bytes — into one digest, with
 /// the number of frames folded.
@@ -330,5 +443,6 @@ const PINNED_CORRUPTED_RELEASE_NS: u64 = 34_000;
 const PINNED_CORRUPTED_DIGEST: u64 = 17_782_331_839_086_798_908;
 
 /// A fault-plan seed whose one flip lands in the carried frame rather than
-/// in the OpenFlow header around it (asserted by `received == 3`).
+/// in the OpenFlow header around it (asserted by `received == 3` and by
+/// the corrupted copy expiring unreleased).
 const CORRUPTING_SEED: u64 = 2;

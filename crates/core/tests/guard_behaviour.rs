@@ -2,12 +2,11 @@
 //! sampling extension.
 
 use bytes::Bytes;
-use netco_core::{
-    of_unwrap, of_wrap, CompareAttachment, GuardConfig, GuardSwitch, NETCO_ETHERTYPE,
-};
+use netco_core::{of_wrap, CompareAttachment, GuardConfig, GuardSwitch, COMPARE_LINK};
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
-use netco_net::{CpuModel, LinkSpec, MacAddr, NodeId, PortId, World};
+use netco_net::{CpuModel, Frame, LinkSpec, MacAddr, NodeId, PortId, World};
+use netco_openflow::wire::{self, FrameMessage, SplitHead};
 use netco_openflow::{Action, FlowMatch, FlowModCommand, OfMessage, OfPort, PacketInReason};
 use netco_sim::SimDuration;
 use std::net::Ipv4Addr;
@@ -23,6 +22,24 @@ fn data_frame(tag: u8) -> Bytes {
         Bytes::from(vec![tag; 32]),
         None,
     )
+}
+
+/// Reads a compare-link packet-in: the replica ingress port, the reason
+/// and the copy it carries.
+fn read_packet_in(frame: &Bytes) -> Option<(u16, PacketInReason, Bytes)> {
+    let frame = Frame::new(frame.clone());
+    match wire::read_frame(&COMPARE_LINK, &frame)? {
+        (
+            FrameMessage::Payload(
+                SplitHead::PacketIn {
+                    in_port, reason, ..
+                },
+                data,
+            ),
+            _,
+        ) => Some((in_port, reason, data.into_bytes())),
+        _ => None,
+    }
 }
 
 /// host(collector) p0 ↔ guard p0; replicas r1..rk (collectors) on p1..pk;
@@ -102,20 +119,10 @@ fn replica_traffic_is_wrapped_as_packet_in() {
     r.world.run_for(SimDuration::from_millis(1));
     let got = &r.world.device::<CollectorDevice>(r.compare).unwrap().frames;
     assert_eq!(got.len(), 1);
-    let (msg, _) = of_unwrap(&got[0].1).expect("NetCo-framed OpenFlow");
-    match msg {
-        OfMessage::PacketIn {
-            in_port,
-            reason,
-            data,
-            ..
-        } => {
-            assert_eq!(in_port, 2, "replica ingress port travels with the copy");
-            assert_eq!(reason, PacketInReason::NoMatch);
-            assert_eq!(data, frame, "full frame, no truncation");
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    let (in_port, reason, data) = read_packet_in(&got[0].1).expect("NetCo-framed packet-in");
+    assert_eq!(in_port, 2, "replica ingress port travels with the copy");
+    assert_eq!(reason, PacketInReason::NoMatch);
+    assert_eq!(data, frame, "full frame, no truncation");
 }
 
 #[test]
@@ -258,10 +265,8 @@ fn sampling_is_consistent_across_replicas() {
     // Group the sampled copies by packet payload tag.
     let mut counts = std::collections::HashMap::new();
     for (_, f) in got {
-        let (msg, _) = of_unwrap(f).unwrap();
-        if let OfMessage::PacketIn { data, .. } = msg {
-            *counts.entry(data).or_insert(0u32) += 1;
-        }
+        let (_, _, data) = read_packet_in(f).unwrap();
+        *counts.entry(data).or_insert(0u32) += 1;
     }
     assert!(!counts.is_empty(), "something must be sampled at p = 0.5");
     for (pkt, n) in counts {
@@ -279,12 +284,10 @@ fn sampling_is_consistent_across_replicas() {
 }
 
 #[test]
-fn ethertype_constant_matches_wrapping() {
+fn link_header_constant_matches_wrapping() {
     let msg = OfMessage::Hello;
     let wire = of_wrap(&msg, 0);
+    assert_eq!(wire[..COMPARE_LINK.len()], COMPARE_LINK);
     let eth = netco_net::packet::EthernetFrame::decode(&wire).unwrap();
-    assert_eq!(
-        eth.ethertype,
-        netco_net::packet::EtherType::Other(NETCO_ETHERTYPE)
-    );
+    assert_eq!(eth.ethertype, netco_net::packet::EtherType::Other(0x88b5));
 }

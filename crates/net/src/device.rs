@@ -2,7 +2,6 @@
 
 use std::any::Any;
 
-use bytes::Bytes;
 use netco_sim::{SimDuration, SimRng, SimTime};
 
 use crate::frame::Frame;
@@ -37,7 +36,11 @@ pub trait Device: Any + Send {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 
     /// A control-plane message from `from` has arrived and cleared the CPU.
-    fn on_control(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Bytes) {}
+    ///
+    /// Like a data-plane frame it is a [`Frame`]: a message that carries
+    /// a frame (an OpenFlow packet-in or packet-out) shares it, memo
+    /// included, instead of copying it.
+    fn on_control(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Frame) {}
 }
 
 impl Device for Box<dyn Device> {
@@ -50,7 +53,7 @@ impl Device for Box<dyn Device> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         (**self).on_timer(ctx, token);
     }
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
         (**self).on_control(ctx, from, msg);
     }
 }
@@ -90,7 +93,7 @@ impl Ctx<'_> {
     /// Sending on a port with no attached link silently discards the frame
     /// (counted as a tx drop) — matching a cable that isn't plugged in.
     ///
-    /// Accepts anything convertible into a [`Frame`] ([`Bytes`],
+    /// Accepts anything convertible into a [`Frame`] (`Bytes`,
     /// `Vec<u8>`, or a `Frame` whose memo is preserved across the hop).
     pub fn send_frame(&mut self, port: PortId, frame: impl Into<Frame>) {
         self.core.transmit(self.node, port, frame.into());
@@ -105,9 +108,10 @@ impl Ctx<'_> {
     ///
     /// Requires a control channel registered between the two nodes
     /// ([`crate::World::connect_control`]); the message is silently dropped
-    /// (and counted) otherwise.
-    pub fn send_control(&mut self, peer: NodeId, msg: Bytes) {
-        self.core.send_control(self.node, peer, msg);
+    /// (and counted) otherwise. Accepts anything convertible into a
+    /// [`Frame`], as [`send_frame`](Ctx::send_frame) does.
+    pub fn send_control(&mut self, peer: NodeId, msg: impl Into<Frame>) {
+        self.core.send_control(self.node, peer, msg.into());
     }
 
     /// The ports of this node that have a link attached, in ascending order.

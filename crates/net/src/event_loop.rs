@@ -3,7 +3,6 @@
 //! dispatches every event to the substrate and the devices
 //! ([`WorldCore::run_ticks`]).
 
-use bytes::Bytes;
 use netco_sim::{SimTime, Tick};
 
 use crate::device::{Ctx, Device};
@@ -105,12 +104,12 @@ pub(crate) enum Event {
     ControlArrival {
         to: NodeId,
         from: NodeId,
-        msg: Bytes,
+        msg: Frame,
     },
     ControlProcessed {
         to: NodeId,
         from: NodeId,
-        msg: Bytes,
+        msg: Frame,
     },
     Timer {
         node: NodeId,
@@ -118,6 +117,10 @@ pub(crate) enum Event {
     },
     Pin,
 }
+
+// Every pending event sits in a scheduler slot: a frame or a control
+// message is a 16-byte `Frame`, so no variant outgrows 32 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() == 32);
 
 /// Deterministic ordering keys: same-instant events deliver in key order
 /// (see `netco_sim::Scheduler::schedule_at_keyed`). A key names the

@@ -6,7 +6,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use netco_sim::{mix64, ActivationWindow, Scheduler, SimDuration, SimRng, SimTime};
 use netco_telemetry::{Counter, Histogram, TelemetrySink};
 
@@ -267,17 +266,23 @@ impl Impairments {
             .any(|&(p, w)| w.contains(now) && rng.chance(p))
     }
 
-    /// Returns the byte index to corrupt, if a corruption fault fires.
-    fn corrupt_roll(&self, now: SimTime, len: usize, rng: &mut SimRng) -> Option<usize> {
-        if len == 0 {
-            return None;
+    /// `frame` with one bit flipped if a corruption fault fires, else
+    /// `frame` itself. The corrupted copy is new content, so it is a new
+    /// contiguous `Frame` with a fresh memo — on a link and on a control
+    /// channel alike.
+    fn corrupt(&self, now: SimTime, frame: Frame, rng: &mut SimRng) -> Frame {
+        if frame.is_empty() {
+            return frame;
         }
         for &(p, w) in &self.corrupt {
             if w.contains(now) && rng.chance(p) {
-                return Some(rng.next_below(len as u64) as usize);
+                let at = rng.next_below(frame.len() as u64) as usize;
+                let mut bytes = frame.to_vec();
+                bytes[at] ^= 0x01;
+                return Frame::from(bytes);
             }
         }
-        None
+        frame
     }
 
     /// Extra latency this admission suffers: deterministic `Delay` windows
@@ -696,17 +701,8 @@ impl Substrate {
             self.drop_frame(DropReason::FaultInjected);
             return;
         }
-        let corrupt_at = d
-            .fault
-            .as_mut()
-            .and_then(|f| f.imp.corrupt_roll(now, frame.len(), &mut f.rng));
-        let frame = match corrupt_at {
-            Some(idx) => {
-                // New content: the corrupted copy starts a fresh memo.
-                let mut bytes = frame.to_vec();
-                bytes[idx] ^= 0x01;
-                Frame::from(bytes)
-            }
+        let frame = match d.fault.as_mut() {
+            Some(f) => f.imp.corrupt(now, frame, &mut f.rng),
             None => frame,
         };
         // Extra latency (Delay windows / Reorder hold-backs) only ever adds
@@ -746,7 +742,7 @@ impl Substrate {
         );
     }
 
-    pub(crate) fn send_control(&mut self, from: NodeId, to: NodeId, msg: Bytes) {
+    pub(crate) fn send_control(&mut self, from: NodeId, to: NodeId, msg: Frame) {
         let Some(spec) = self.control.get(&(from, to)) else {
             self.drop_frame(DropReason::NoControlChannel);
             return;
@@ -763,11 +759,7 @@ impl Substrate {
                 self.drop_frame(DropReason::FaultInjected);
                 return;
             }
-            if let Some(idx) = fault.imp.corrupt_roll(now, msg.len(), &mut fault.rng) {
-                let mut bytes = msg.to_vec();
-                bytes[idx] ^= 0x01;
-                msg = Bytes::from(bytes);
-            }
+            msg = fault.imp.corrupt(now, msg, &mut fault.rng);
             extra = fault.imp.extra_roll(now, &mut fault.rng);
         }
         self.tel_control_latency.record(latency.as_nanos());
@@ -809,6 +801,7 @@ mod tests {
     use super::*;
     use crate::testutil::{CollectorDevice, EchoDevice};
     use crate::World;
+    use bytes::Bytes;
 
     fn frame(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])

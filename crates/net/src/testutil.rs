@@ -37,8 +37,8 @@ impl Device for CollectorDevice {
         self.frames.push((ctx.now(), frame.into_bytes()));
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
-        self.control.push((ctx.now(), from, msg));
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
+        self.control.push((ctx.now(), from, msg.into_bytes()));
     }
 }
 

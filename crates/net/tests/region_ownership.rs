@@ -59,7 +59,7 @@ impl Device for Chatter {
         }
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Bytes) {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Frame) {
         let mut bytes = msg.to_vec();
         bytes.resize(64, 0xc3);
         ctx.send_frame(1.into(), bytes);

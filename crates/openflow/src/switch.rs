@@ -11,7 +11,8 @@ use crate::action::{apply_actions, Action};
 use crate::flow_table::{FlowEntry, FlowTable};
 use crate::messages::{FlowModCommand, OfMessage, PacketInReason, PortDesc};
 use crate::ports::OfPort;
-use crate::wire;
+use crate::wire::FrameMessage::{Other, Payload};
+use crate::wire::{self, SplitHead};
 
 const EXPIRY_TIMER: u64 = 1;
 /// Period of the flow-expiry sweep.
@@ -101,6 +102,19 @@ impl OfSwitch {
         }
     }
 
+    /// A table miss (or an output to the controller): buffers `frame` and
+    /// sends the controller a packet-in carrying its buffer id and its
+    /// first 128 bytes, shared with `frame`.
+    fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: u16, reason: PacketInReason, frame: Frame) {
+        let buffer_id = Some(self.buffer_packet(in_port, &frame));
+        if let Some(controller) = self.controller {
+            let xid = self.fresh_xid();
+            let data = frame.slice(..frame.len().min(MISS_SEND_LEN));
+            let msg = wire::packet_in_frame(&[], xid, buffer_id, in_port, reason, &data);
+            ctx.send_control(controller, msg);
+        }
+    }
+
     fn buffer_packet(&mut self, in_port: u16, frame: &Frame) -> u32 {
         if self.buffers.len() >= N_BUFFERS {
             // Evict the oldest buffer (switches overwrite stale slots).
@@ -141,14 +155,7 @@ impl OfSwitch {
                 }
             }
             OfPort::Controller => {
-                let data = truncate(frame.bytes(), MISS_SEND_LEN);
-                let msg = OfMessage::PacketIn {
-                    buffer_id: Some(self.buffer_packet(in_port.unwrap_or(0), &frame)),
-                    in_port: in_port.unwrap_or(0),
-                    reason: PacketInReason::Action,
-                    data,
-                };
-                self.send_to_controller(ctx, &msg);
+                self.packet_in(ctx, in_port.unwrap_or(0), PacketInReason::Action, frame);
             }
             OfPort::None => {}
         }
@@ -277,14 +284,7 @@ impl Device for OfSwitch {
             None => {
                 self.tel.table_misses.inc();
                 if self.controller.is_some() {
-                    let data = truncate(frame.bytes(), MISS_SEND_LEN);
-                    let msg = OfMessage::PacketIn {
-                        buffer_id: Some(self.buffer_packet(port.number(), &frame)),
-                        in_port: port.number(),
-                        reason: PacketInReason::NoMatch,
-                        data,
-                    };
-                    self.send_to_controller(ctx, &msg);
+                    self.packet_in(ctx, port.number(), PacketInReason::NoMatch, frame);
                     self.tel.packet_ins.inc();
                 }
             }
@@ -311,30 +311,47 @@ impl Device for OfSwitch {
         ctx.schedule_timer(EXPIRY_INTERVAL, EXPIRY_TIMER);
     }
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Bytes) {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
         if Some(from) != self.controller {
             return; // only the attached controller may program the switch
         }
-        let (message, xid) = match wire::decode_shared(&msg) {
-            Ok(m) => m,
-            Err(_) => {
-                let reply = OfMessage::Error {
-                    err_type: 0, // OFPET_HELLO_FAILED family: generic
-                    code: 0,
-                    data: truncate(&msg, 64),
-                };
-                self.send_to_controller(ctx, &reply);
-                return;
-            }
+        let Some((message, xid)) = wire::read_frame(&[], &msg) else {
+            let reply = OfMessage::Error {
+                err_type: 0, // OFPET_HELLO_FAILED family: generic
+                code: 0,
+                data: truncate(msg.bytes(), 64),
+            };
+            self.send_to_controller(ctx, &reply);
+            return;
         };
         match message {
-            OfMessage::Hello => {}
-            OfMessage::EchoRequest(data) => {
+            Payload(
+                SplitHead::PacketOut {
+                    buffer_id,
+                    in_port,
+                    actions,
+                },
+                data,
+            ) => {
+                let payload = match buffer_id.and_then(|id| self.take_buffer(id)) {
+                    Some((buf_port, frame)) => Some((buf_port, frame)),
+                    None if !data.is_empty() => Some((in_port, data)),
+                    None => None,
+                };
+                if let Some((in_port, frame)) = payload {
+                    let actions: Vec<Action> = actions.iter().collect();
+                    apply_actions(&frame, &actions, |port, out| {
+                        self.emit(ctx, Some(in_port), port, out);
+                    });
+                }
+            }
+            Other(OfMessage::Hello) => {}
+            Other(OfMessage::EchoRequest(data)) => {
                 if let Some(controller) = self.controller {
                     ctx.send_control(controller, wire::encode(&OfMessage::EchoReply(data), xid));
                 }
             }
-            OfMessage::FeaturesRequest => {
+            Other(OfMessage::FeaturesRequest) => {
                 let ports = ctx
                     .ports()
                     .iter()
@@ -356,24 +373,7 @@ impl Device for OfSwitch {
                     ctx.send_control(controller, wire::encode(&reply, xid));
                 }
             }
-            OfMessage::PacketOut {
-                buffer_id,
-                in_port,
-                actions,
-                data,
-            } => {
-                let payload = match buffer_id.and_then(|id| self.take_buffer(id)) {
-                    Some((buf_port, frame)) => Some((buf_port, frame)),
-                    None if !data.is_empty() => Some((in_port, Frame::new(data))),
-                    None => None,
-                };
-                if let Some((in_port, frame)) = payload {
-                    apply_actions(&frame, &actions, |port, out| {
-                        self.emit(ctx, Some(in_port), port, out);
-                    });
-                }
-            }
-            OfMessage::FlowMod {
+            Other(OfMessage::FlowMod {
                 command,
                 matcher,
                 priority,
@@ -383,7 +383,7 @@ impl Device for OfSwitch {
                 notify_when_removed,
                 actions,
                 buffer_id,
-            } => {
+            }) => {
                 self.handle_flow_mod(
                     ctx,
                     command,
@@ -397,12 +397,12 @@ impl Device for OfSwitch {
                     buffer_id,
                 );
             }
-            OfMessage::BarrierRequest => {
+            Other(OfMessage::BarrierRequest) => {
                 if let Some(controller) = self.controller {
                     ctx.send_control(controller, wire::encode(&OfMessage::BarrierReply, xid));
                 }
             }
-            OfMessage::FlowStatsRequest { matcher } => {
+            Other(OfMessage::FlowStatsRequest { matcher }) => {
                 let flows = self
                     .table
                     .iter()
@@ -429,7 +429,7 @@ impl Device for OfSwitch {
                 let reply = OfMessage::Error {
                     err_type: 1, // OFPET_BAD_REQUEST
                     code: 1,     // OFPBRC_BAD_TYPE
-                    data: truncate(&msg, 64),
+                    data: truncate(msg.bytes(), 64),
                 };
                 self.send_to_controller(ctx, &reply);
             }
@@ -586,8 +586,8 @@ mod tests {
                 }
             }
         }
-        fn on_control(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Bytes) {
-            if let Ok((m, _)) = wire::decode_shared(&msg) {
+        fn on_control(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Frame) {
+            if let Ok((m, _)) = wire::decode_shared(msg.bytes()) {
                 self.received.push(m);
             }
         }

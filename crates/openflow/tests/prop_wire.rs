@@ -1,8 +1,9 @@
 //! Property tests: the OpenFlow 1.0 wire codec round-trips arbitrary
 //! messages, flow-match semantics are consistent, and decoding never
 //! panics — on random bytes and on every cut and length lie of every
-//! message variant's encoding. A packet-in or packet-out split at its
-//! data decodes to what the contiguous bytes decode to.
+//! message variant's encoding. A packet-in or packet-out wrapped around
+//! the frame it carries reads back to what the contiguous bytes decode
+//! to.
 
 use bytes::Bytes;
 use netco_net::{Frame, MacAddr, MAX_ENCAP_HEAD};
@@ -157,9 +158,13 @@ fn arb_payload_msg() -> impl Strategy<Value = (OfMessage, u32)> {
         })
 }
 
-/// The bytes `wire::put_packet_*_head` writes for `msg`, and its data.
-fn split(msg: &OfMessage, xid: u32) -> (Vec<u8>, Bytes) {
-    let mut head = Vec::new();
+/// The link prefixes the frame wraps are tried behind: a control
+/// channel's (none) and an Ethernet header's worth of bytes.
+const LINKS: [&[u8]; 2] = [&[], &[0xee; 14]];
+
+/// `msg` wrapped around its data by `wire::packet_{in,out}_frame` behind
+/// `link`, and the data.
+fn wrap(link: &[u8], msg: &OfMessage, xid: u32) -> (Frame, Bytes) {
     match msg {
         OfMessage::PacketIn {
             buffer_id,
@@ -167,8 +172,9 @@ fn split(msg: &OfMessage, xid: u32) -> (Vec<u8>, Bytes) {
             reason,
             data,
         } => {
-            wire::put_packet_in_head(&mut head, xid, *buffer_id, *in_port, *reason, data.len());
-            (head, data.clone())
+            let carried = Frame::from(data.clone());
+            let frame = wire::packet_in_frame(link, xid, *buffer_id, *in_port, *reason, &carried);
+            (frame, data.clone())
         }
         OfMessage::PacketOut {
             buffer_id,
@@ -176,64 +182,102 @@ fn split(msg: &OfMessage, xid: u32) -> (Vec<u8>, Bytes) {
             actions,
             data,
         } => {
-            wire::put_packet_out_head(&mut head, xid, *buffer_id, *in_port, actions, data.len());
-            (head, data.clone())
+            let carried = Frame::from(data.clone());
+            let frame = wire::packet_out_frame(link, xid, *buffer_id, *in_port, actions, &carried);
+            (frame, data.clone())
         }
         other => panic!("not a payload message: {other:?}"),
     }
 }
 
-/// What `decode_split` reads from `head` with `tail` after it.
-fn split_decode(head: &[u8], tail: &Bytes) -> Option<(OfMessage, u32)> {
-    wire::decode_split(head, tail.len()).map(|(h, xid)| (h.with_data(tail.clone()), xid))
+/// What `wire::read_frame` reads from `frame` behind `link`, as one whole
+/// message.
+fn read(link: &[u8], frame: &Frame) -> Option<(OfMessage, u32)> {
+    let (msg, xid) = wire::read_frame(link, frame)?;
+    let msg = match msg {
+        wire::FrameMessage::Payload(head, data) => head.with_data(data.into_bytes()),
+        wire::FrameMessage::Other(msg) => msg,
+    };
+    Some((msg, xid))
+}
+
+/// The frame `read_frame` says `frame` carries, if any.
+fn carried(link: &[u8], frame: &Frame) -> Option<Frame> {
+    match wire::read_frame(link, frame)? {
+        (wire::FrameMessage::Payload(_, data), _) => Some(data),
+        _ => None,
+    }
 }
 
 proptest! {
-    /// A head written without its data, then the data, is the message's
-    /// encoding; the split decoder reads the head back to the message
-    /// `decode_shared` reads from the whole, and an encapsulating frame
-    /// over the data builds exactly those bytes.
+    /// A wrap is the link prefix and the message's encoding; the reader
+    /// reads it back to the message `decode_shared` reads from the whole,
+    /// handing back the carried frame itself when the head fits inline,
+    /// and reads the same bytes, contiguous or split anywhere else, to
+    /// the same message.
     #[test]
-    fn split_codec_agrees_with_the_contiguous_one((msg, xid) in arb_payload_msg()) {
-        let (head, data) = split(&msg, xid);
+    fn frame_codec_agrees_with_the_contiguous_one((msg, xid) in arb_payload_msg()) {
         let wire_bytes = wire::encode(&msg, xid);
-        prop_assert_eq!(&[&head[..], &data[..]].concat()[..], &wire_bytes[..]);
-        prop_assert_eq!(split_decode(&head, &data), Some((msg.clone(), xid)));
         prop_assert_eq!(wire::decode_shared(&wire_bytes), Ok((msg.clone(), xid)));
-        if let Some((wire::SplitHead::PacketOut { actions, .. }, _)) =
-            wire::decode_split(&head, data.len())
-        {
-            let OfMessage::PacketOut { actions: sent, .. } = &msg else {
-                panic!("a packet-out head from a packet-in");
-            };
-            prop_assert_eq!(&actions.iter().collect::<Vec<_>>(), sent);
+        for link in LINKS {
+            let (framed, data) = wrap(link, &msg, xid);
+            let whole = [link, &wire_bytes[..]].concat();
+            prop_assert_eq!(framed.len(), whole.len());
+            prop_assert_eq!(&framed[..], &whole[..]);
+            prop_assert_eq!(read(link, &framed), Some((msg.clone(), xid)));
+            let head_len = whole.len() - data.len();
+            prop_assert_eq!(framed.encapsulated().is_some(), head_len <= MAX_ENCAP_HEAD);
+            if framed.encapsulated().is_some() {
+                let shared = carried(link, &framed).expect("a payload message");
+                prop_assert_eq!(shared.bytes().as_ptr(), data.as_ptr());
+            }
+            if let Some((wire::FrameMessage::Payload(wire::SplitHead::PacketOut { actions, .. }, _), _)) =
+                wire::read_frame(link, &framed)
+            {
+                let OfMessage::PacketOut { actions: sent, .. } = &msg else {
+                    panic!("a packet-out head from a packet-in");
+                };
+                prop_assert_eq!(&actions.iter().collect::<Vec<_>>(), sent);
+            }
+            prop_assert_eq!(read(link, &Frame::from(whole.clone())), Some((msg.clone(), xid)));
+            // A split anywhere else is not the canonical one: it is read
+            // from its bytes, to the same message, carrying a copy.
+            let (head, tail) = whole.split_at(head_len);
+            if !data.is_empty() && head_len < MAX_ENCAP_HEAD {
+                let longer = Frame::encapsulating(&whole[..head_len + 1], &Frame::from(tail[1..].to_vec()));
+                prop_assert_eq!(read(link, &longer), Some((msg.clone(), xid)));
+                let copy = carried(link, &longer).expect("a payload message");
+                prop_assert_ne!(copy.bytes().as_ptr(), data.as_ptr());
+            }
+            if head_len <= MAX_ENCAP_HEAD + 1 {
+                let shorter = Frame::encapsulating(&head[..head_len - 1], &Frame::from(whole[head_len - 1..].to_vec()));
+                prop_assert_eq!(read(link, &shorter), Some((msg.clone(), xid)));
+            }
+            // Behind another prefix it is not a message.
+            prop_assert_eq!(read(&[whole[0] ^ 0xff], &framed), None);
         }
-        if head.len() <= MAX_ENCAP_HEAD {
-            let framed = Frame::encapsulating(&head, &Frame::from(data.clone()));
-            prop_assert_eq!(framed.len(), wire_bytes.len());
-            prop_assert_eq!(framed.bytes(), &wire_bytes);
-        }
-        // A split anywhere else is not the canonical one.
-        if !data.is_empty() {
-            let longer = [&head[..], &data[..1]].concat();
-            prop_assert_eq!(split_decode(&longer, &data.slice(1..)), None);
-        }
-        prop_assert_eq!(split_decode(&head[..head.len() - 1], &data), None);
     }
 
-    /// One flipped bit anywhere in the head: the split decoder either
-    /// still agrees with `decode_shared` on the whole, or declines.
+    /// One flipped bit anywhere in the OpenFlow head: the reader reads
+    /// exactly what `decode_shared` reads from the message, whether the
+    /// flipped bytes are contiguous or a head in front of the data.
     #[test]
-    fn a_flipped_head_bit_never_makes_the_decoders_disagree(
+    fn a_flipped_head_bit_never_makes_the_readers_disagree(
         (msg, xid) in arb_payload_msg(),
         at in any::<u32>(),
     ) {
-        let (mut head, data) = split(&msg, xid);
-        let bit = at as usize % (head.len() * 8);
-        head[bit / 8] ^= 1 << (bit % 8);
-        let whole = Bytes::from([&head[..], &data[..]].concat());
-        if let Some(decoded) = split_decode(&head, &data) {
-            prop_assert_eq!(wire::decode_shared(&whole), Ok(decoded));
+        for link in LINKS {
+            let (framed, data) = wrap(link, &msg, xid);
+            let head_len = framed.len() - data.len();
+            let bit = at as usize % ((head_len - link.len()) * 8);
+            let mut flipped = framed.to_vec();
+            flipped[link.len() + bit / 8] ^= 1 << (bit % 8);
+            let expect = wire::decode_shared(&Bytes::from(flipped[link.len()..].to_vec())).ok();
+            prop_assert_eq!(read(link, &Frame::from(flipped.clone())), expect.clone());
+            if head_len <= MAX_ENCAP_HEAD {
+                let split = Frame::encapsulating(&flipped[..head_len], &Frame::from(data));
+                prop_assert_eq!(read(link, &split), expect);
+            }
         }
     }
 

@@ -11,7 +11,7 @@ use netco_controller::apps::FlowStatsMonitor;
 use netco_controller::{Controller, ControllerApp, ControllerCtx};
 use netco_net::packet::{builder, EthernetFrame};
 use netco_net::testutil::CollectorDevice;
-use netco_net::{CpuModel, HostNic, LinkSpec, MacAddr, NodeId, PortId, World};
+use netco_net::{CpuModel, Frame, HostNic, LinkSpec, MacAddr, NodeId, PortId, World};
 use netco_openflow::{
     Action, FlowEntry, FlowMatch, FlowModCommand, OfMessage, OfPort, OfSwitch, PacketInReason,
 };
@@ -37,9 +37,9 @@ impl ControllerApp for Learn {
         buffer_id: Option<u32>,
         in_port: u16,
         _reason: PacketInReason,
-        data: Bytes,
+        data: Frame,
     ) {
-        let Ok(EthernetFrame { dst, src, .. }) = EthernetFrame::decode(&data) else {
+        let Ok(EthernetFrame { dst, src, .. }) = EthernetFrame::decode(data.bytes()) else {
             return;
         };
         self.ports.insert((switch, src), in_port);
@@ -58,7 +58,7 @@ impl ControllerApp for Learn {
                     buffer_id,
                 },
             ),
-            None => cx.packet_out(switch, buffer_id, in_port, OfPort::Flood, data),
+            None => cx.packet_out(switch, buffer_id, in_port, OfPort::Flood, &data),
         }
     }
 }
