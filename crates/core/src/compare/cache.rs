@@ -214,15 +214,16 @@ impl PacketCache {
         }
     }
 
-    /// Marks `key` released, returning the cached frame to emit.
-    /// Returns `None` if the entry vanished or was already released.
-    pub(crate) fn mark_released(&mut self, key: &CompareKey) -> Option<Frame> {
+    /// Marks `key` released, returning the cached frame to emit and when
+    /// its first copy arrived. Returns `None` if the entry vanished or was
+    /// already released.
+    pub(crate) fn mark_released(&mut self, key: &CompareKey) -> Option<(Frame, SimTime)> {
         let entry = self.map.get_mut(key)?;
         if entry.released {
             return None;
         }
         entry.released = true;
-        Some(entry.frame.clone())
+        Some((entry.frame.clone(), entry.first_seen))
     }
 
     /// Marks that a DoS advice was issued for `key`; returns `false` when
@@ -393,8 +394,9 @@ mod tests {
     #[test]
     fn release_is_at_most_once() {
         let mut c = PacketCache::new();
-        c.observe(key(b"a"), 0, &frame(), SimTime::ZERO);
-        assert_eq!(c.mark_released(&key(b"a")), Some(frame()));
+        let at = SimTime::from_nanos(3);
+        c.observe(key(b"a"), 0, &frame(), at);
+        assert_eq!(c.mark_released(&key(b"a")), Some((frame(), at)));
         assert_eq!(c.mark_released(&key(b"a")), None);
         assert_eq!(c.mark_released(&key(b"missing")), None);
     }
@@ -486,9 +488,9 @@ mod tests {
         // The returned key is the held one: its first copy's buffer.
         assert!(matches!(&ka, CompareKey::Exact { frame, .. } if frame.as_ptr() == a.as_ptr()));
         // Releasing one entry does not release the other.
-        assert_eq!(c.mark_released(&ka), Some(a));
+        assert_eq!(c.mark_released(&ka), Some((a, SimTime::ZERO)));
         assert!(!c.entry(&kb).unwrap().released);
-        assert_eq!(c.mark_released(&kb), Some(b));
+        assert_eq!(c.mark_released(&kb), Some((b, SimTime::ZERO)));
     }
 
     /// The expiry rule before the order queue carried `first_seen`: look

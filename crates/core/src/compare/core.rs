@@ -35,6 +35,8 @@ pub enum CompareAction {
         /// The released frame (memo intact: its fingerprint was computed
         /// at most once on the way in and is reused on the way out).
         frame: Frame,
+        /// When the released frame's first copy arrived.
+        first_seen: SimTime,
     },
     /// Advise the guard to block a replica port for `duration`.
     BlockReplicaPort {
@@ -448,7 +450,7 @@ impl CompareCore {
                         _ => (distinct, release_threshold),
                     };
                     if effective_distinct >= threshold {
-                        if let Some(out) = lane.cache.mark_released(&key) {
+                        if let Some((out, first_seen)) = lane.cache.mark_released(&key) {
                             self.cells.released.inc();
                             if self.telemetry.is_enabled() {
                                 self.telemetry
@@ -459,6 +461,7 @@ impl CompareCore {
                                     lane: lane_id,
                                     host_port: lane.info.host_port,
                                     frame: out,
+                                    first_seen,
                                 });
                             } else {
                                 let _ = out;

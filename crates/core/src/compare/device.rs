@@ -100,6 +100,7 @@ impl Outbox {
                     lane,
                     host_port,
                     frame,
+                    ..
                 } => {
                     // The released frame rides in the packet-out, memo
                     // included.

@@ -74,6 +74,7 @@ impl PoxCompareApp {
                     lane,
                     host_port,
                     frame,
+                    ..
                 } => {
                     let guard = guards[lane as usize];
                     let port = OfPort::Physical(host_port);

@@ -14,11 +14,12 @@
 //!   order-insensitive in our deployments (a single output, or the empty
 //!   drop list).
 //!
-//! [`canonicalize`] projects a votable message onto a canonical wire form:
-//! xid forced to 0, `buffer_id` forced to `NO_BUFFER`, actions sorted by
-//! their encoded bytes. Two replicas agree exactly when their canonical
-//! bytes are bit-identical, so the canonical form both *keys* the vote
-//! (via `fp128` over the canonical bytes) and *is* the released artifact.
+//! [`canonicalize`] reads a message with [`wire::read_frame`] and projects
+//! a votable one onto a canonical wire form: xid forced to 0, `buffer_id`
+//! to `NO_BUFFER`, actions sorted by their encoded bytes; a packet-out is
+//! re-wrapped around the data frame it carries, shared, not copied. Two
+//! replicas agree exactly when their canonical bytes are bit-identical, so
+//! the canonical frame both *keys* the vote and *is* the released artifact.
 //!
 //! Note the deliberate trade: sorting makes the key stable under
 //! permutation, which re-admits a once-diverged-but-now-honest replica
@@ -27,16 +28,17 @@
 //! canonicalize to the same key; every controller app in this repo emits
 //! single-action or empty lists, where the projection is lossless.
 
-use bytes::Bytes;
+use netco_net::Frame;
 
 use crate::messages::OfMessage;
-use crate::wire;
+use crate::wire::{self, FrameMessage, SplitHead};
+use crate::Action;
 
 /// What [`canonicalize`] saw in a controller-emitted message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Canonical {
     /// A votable output (flow-mod or packet-out) in canonical wire form.
-    Votable(Bytes),
+    Votable(Frame),
     /// A well-formed message that is not voted on (handshake, echo, stats
     /// plumbing); the decoded message and original xid are returned
     /// so the caller can answer or relay it.
@@ -45,70 +47,44 @@ pub enum Canonical {
     Invalid,
 }
 
-/// Decodes `bytes` and, for votable messages, re-encodes them canonically.
-pub fn canonicalize(bytes: &Bytes) -> Canonical {
-    let Ok((msg, xid)) = wire::decode_shared(bytes) else {
+/// Reads `msg` and, for votable messages, writes them canonically (xid 0,
+/// no buffer id, actions sorted by encoded bytes).
+pub fn canonicalize(msg: &Frame) -> Canonical {
+    let Some((message, xid)) = wire::read_frame(&[], msg) else {
         return Canonical::Invalid;
     };
-    match msg {
-        OfMessage::FlowMod { .. } | OfMessage::PacketOut { .. } => {
-            Canonical::Votable(canonical_bytes(msg))
-        }
-        other => Canonical::Opaque(Box::new(other), xid),
-    }
-}
-
-/// Re-encodes a votable message in canonical form (xid 0, no buffer id,
-/// actions sorted by encoded bytes). Non-votable messages are encoded
-/// with xid 0 but otherwise untouched.
-pub(crate) fn canonical_bytes(msg: OfMessage) -> Bytes {
-    let msg = match msg {
-        OfMessage::FlowMod {
-            command,
-            matcher,
-            priority,
-            idle_timeout_s,
-            hard_timeout_s,
-            cookie,
-            notify_when_removed,
-            mut actions,
-            buffer_id: _,
-        } => {
-            sort_actions(&mut actions);
-            OfMessage::FlowMod {
-                command,
-                matcher,
-                priority,
-                idle_timeout_s,
-                hard_timeout_s,
-                cookie,
-                notify_when_removed,
-                actions,
-                buffer_id: None,
-            }
-        }
-        OfMessage::PacketOut {
-            buffer_id: _,
-            in_port,
-            mut actions,
+    match message {
+        FrameMessage::Payload(
+            SplitHead::PacketOut {
+                in_port, actions, ..
+            },
             data,
-        } => {
+        ) => {
+            let mut actions: Vec<Action> = actions.iter().collect();
             sort_actions(&mut actions);
-            OfMessage::PacketOut {
-                buffer_id: None,
-                in_port,
-                actions,
-                data,
-            }
+            let canon = wire::packet_out_frame(&[], 0, None, in_port, &actions, &data);
+            Canonical::Votable(canon)
         }
-        other => other,
-    };
-    wire::encode(&msg, 0)
+        FrameMessage::Payload(head, data) => {
+            Canonical::Opaque(Box::new(head.with_data(data.into_bytes())), xid)
+        }
+        FrameMessage::Other(mut message) => {
+            let OfMessage::FlowMod {
+                actions, buffer_id, ..
+            } = &mut message
+            else {
+                return Canonical::Opaque(Box::new(message), xid);
+            };
+            sort_actions(actions);
+            *buffer_id = None;
+            Canonical::Votable(Frame::new(wire::encode(&message, 0)))
+        }
+    }
 }
 
 /// Sorts an action list by each action's encoded wire bytes — a total,
 /// codec-defined order with no reliance on `Action`'s in-memory layout.
-fn sort_actions(actions: &mut [crate::Action]) {
+fn sort_actions(actions: &mut [Action]) {
     if actions.len() > 1 {
         actions.sort_by_cached_key(wire::encode_one_action);
     }
@@ -117,7 +93,13 @@ fn sort_actions(actions: &mut [crate::Action]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Action, FlowMatch, FlowModCommand, OfPort, PacketInReason};
+    use crate::{FlowMatch, FlowModCommand, OfPort, PacketInReason};
+    use bytes::Bytes;
+
+    /// `msg` encoded contiguously with `xid`, as a frame.
+    fn encoded(msg: &OfMessage, xid: u32) -> Frame {
+        Frame::new(wire::encode(msg, xid))
+    }
 
     fn flow_mod(actions: Vec<Action>, buffer_id: Option<u32>) -> OfMessage {
         OfMessage::FlowMod {
@@ -137,8 +119,8 @@ mod tests {
     fn xid_buffer_and_action_order_normalize_away() {
         let a = Action::Output(OfPort::Physical(1));
         let b = Action::SetVlanVid(9);
-        let x = wire::encode(&flow_mod(vec![a.clone(), b.clone()], Some(4)), 17);
-        let y = wire::encode(&flow_mod(vec![b, a], None), 9000);
+        let x = encoded(&flow_mod(vec![a.clone(), b.clone()], Some(4)), 17);
+        let y = encoded(&flow_mod(vec![b, a], None), 9000);
         let (cx, cy) = (canonicalize(&x), canonicalize(&y));
         assert_eq!(cx, cy);
         assert!(matches!(cx, Canonical::Votable(_)));
@@ -154,14 +136,14 @@ mod tests {
             ],
             Some(99),
         );
-        let Canonical::Votable(c1) = canonicalize(&wire::encode(&msg, 5)) else {
+        let Canonical::Votable(c1) = canonicalize(&encoded(&msg, 5)) else {
             panic!("flow-mod must be votable");
         };
         let Canonical::Votable(c2) = canonicalize(&c1) else {
             panic!("canonical bytes must stay votable");
         };
         assert_eq!(c1, c2, "canonicalization must be idempotent");
-        let (decoded, xid) = wire::decode_shared(&c1).unwrap();
+        let (decoded, xid) = wire::decode_shared(c1.bytes()).unwrap();
         assert_eq!(xid, 0);
         assert!(matches!(
             decoded,
@@ -174,26 +156,25 @@ mod tests {
 
     #[test]
     fn different_decisions_stay_distinct() {
-        let x = wire::encode(&flow_mod(vec![], None), 1);
+        let x = encoded(&flow_mod(vec![], None), 1);
         let mut other = flow_mod(vec![], None);
         if let OfMessage::FlowMod { priority, .. } = &mut other {
             *priority = 11;
         }
-        let y = wire::encode(&other, 1);
+        let y = encoded(&other, 1);
         assert_ne!(canonicalize(&x), canonicalize(&y));
     }
 
     #[test]
     fn non_votable_messages_are_opaque_with_xid() {
-        let bytes = wire::encode(&OfMessage::FeaturesRequest, 42);
-        match canonicalize(&bytes) {
+        match canonicalize(&encoded(&OfMessage::FeaturesRequest, 42)) {
             Canonical::Opaque(msg, xid) => {
                 assert_eq!(*msg, OfMessage::FeaturesRequest);
                 assert_eq!(xid, 42);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let pi = wire::encode(
+        let pi = encoded(
             &OfMessage::PacketIn {
                 buffer_id: None,
                 in_port: 1,
@@ -208,7 +189,7 @@ mod tests {
     #[test]
     fn garbage_is_invalid() {
         assert_eq!(
-            canonicalize(&Bytes::from_static(b"nonsense")),
+            canonicalize(&Frame::from(b"nonsense" as &'static [u8])),
             Canonical::Invalid
         );
     }

@@ -387,8 +387,10 @@ proptest! {
     // The control-plane vote key (the canonical wire form, see
     // `netco_openflow::canonical`) must be invariant under every field
     // honest replicas legitimately disagree on — xid, buffer id, action
-    // order — and a fixpoint, so voting on already-canonical bytes is
-    // consistent with voting on raw controller output.
+    // order — and under how the message travelled (a packet-out wrapped
+    // around its data frame or contiguous), and a fixpoint, so voting on
+    // already-canonical bytes is consistent with voting on raw controller
+    // output.
     #[test]
     fn canonical_flow_mod_key_survives_cosmetic_variation(
         matcher in arb_match(),
@@ -418,8 +420,8 @@ proptest! {
             let n = permuted.len();
             permuted.rotate_left(rot % n);
         }
-        let a = canonicalize(&wire::encode(&mk(actions, buf1), xid1));
-        let b = canonicalize(&wire::encode(&mk(permuted, buf2), xid2));
+        let a = canonicalize(&Frame::from(wire::encode(&mk(actions, buf1), xid1)));
+        let b = canonicalize(&Frame::from(wire::encode(&mk(permuted, buf2), xid2)));
         prop_assert_eq!(&a, &b, "vote key must ignore xid/buffer/action order");
         let Canonical::Votable(canon) = a else {
             return Err(TestCaseError::fail("flow-mod must be votable"));
@@ -429,7 +431,7 @@ proptest! {
             Canonical::Votable(canon.clone()),
             "canonicalization must be idempotent"
         );
-        let (_, xid) = wire::decode_shared(&canon).expect("canonical bytes must decode");
+        let (_, xid) = wire::decode_shared(canon.bytes()).expect("canonical bytes must decode");
         prop_assert_eq!(xid, 0);
     }
 
@@ -455,10 +457,45 @@ proptest! {
             let n = permuted.len();
             permuted.rotate_left(rot % n);
         }
-        let a = canonicalize(&wire::encode(&mk(actions, buf), xid1));
-        let b = canonicalize(&wire::encode(&mk(permuted, None), xid2));
+        let contiguous = |msg: &OfMessage, xid| Frame::from(wire::encode(msg, xid));
+        let original = mk(actions.clone(), buf);
+        let a = canonicalize(&contiguous(&original, xid1));
+        let b = canonicalize(&wrap(&[], &mk(permuted.clone(), None), xid2).0);
         prop_assert_eq!(&a, &b);
-        prop_assert!(matches!(a, Canonical::Votable(_)));
+        prop_assert_eq!(&a, &canonicalize(&wrap(&[], &original, xid1).0));
+        prop_assert_eq!(&a, &canonicalize(&contiguous(&mk(permuted, None), xid2)));
+        let Canonical::Votable(canon) = a else {
+            return Err(TestCaseError::fail("packet-out must be votable"));
+        };
+        prop_assert_eq!(
+            canonicalize(&canon),
+            Canonical::Votable(canon.clone()),
+            "canonicalization must be idempotent"
+        );
+        // A wrap's canonical form is a wrap around the data frame it
+        // carried (the sorted head is as long as the original).
+        let (wrapped, _) = wrap(&[], &original, xid1);
+        if let (Some((_, sent)), Canonical::Votable(rewrapped)) =
+            (wrapped.encapsulated(), canonicalize(&wrapped))
+        {
+            let (_, kept) = rewrapped.encapsulated().expect("a wrap stays a wrap");
+            prop_assert_eq!(sent.as_ptr(), kept.as_ptr(), "the data frame is shared");
+        }
+        // The canonical frame is the contiguous encoding of the message
+        // with xid 0, no buffer id and the actions in some order.
+        let (decoded, xid) = wire::decode_shared(canon.bytes()).expect("canonical bytes must decode");
+        prop_assert_eq!(xid, 0);
+        let OfMessage::PacketOut { actions: sorted, .. } = &decoded else {
+            return Err(TestCaseError::fail("canonical packet-out must stay one"));
+        };
+        let by_debug = |list: &[Action]| {
+            let mut keys: Vec<String> = list.iter().map(|a| format!("{a:?}")).collect();
+            keys.sort();
+            keys
+        };
+        prop_assert_eq!(by_debug(sorted), by_debug(&actions));
+        prop_assert_eq!(&decoded, &mk(sorted.clone(), None));
+        prop_assert_eq!(canon.bytes(), &wire::encode(&decoded, 0));
     }
 
     // ...but never under anything that carries a *decision*: two
@@ -478,8 +515,8 @@ proptest! {
             actions: vec![Action::Output(OfPort::Physical(1))],
             data: Bytes::from(data),
         };
-        let a = canonicalize(&wire::encode(&mk(data1), xid));
-        let b = canonicalize(&wire::encode(&mk(data2), xid));
+        let a = canonicalize(&Frame::from(wire::encode(&mk(data1), xid)));
+        let b = canonicalize(&wrap(&[], &mk(data2), xid).0);
         prop_assert_ne!(a, b);
     }
 

@@ -21,9 +21,9 @@
 //! several compares judge the same packet — one per replicated POX
 //! controller — the first verdict closes the flight and the others count
 //! under `lifecycle.untracked_verdicts`, as do verdicts on frames nobody
-//! tagged (the control voter's fingerprint votes). What can stay open is a
-//! packet whose every copy is lost before any compare sees one; nothing
-//! bounds `inflight` for that case yet.
+//! tagged (the control voter's canonical flow-mods and packet-outs). What
+//! can stay open is a packet whose every copy is lost before any compare
+//! sees one; nothing bounds `inflight` for that case yet.
 //!
 //! The in-flight map is keyed by fingerprint and is never iterated, so
 //! hash-map ordering cannot leak into any output.

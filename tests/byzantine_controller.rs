@@ -190,9 +190,6 @@ fn fingerprint_vote_releases_byte_identical_artifacts_as_full_copy_baseline() {
             "voter {i}: security events diverged"
         );
         assert!(voter.quarantined.is_empty());
-        // The memory the vote pays instead of `k` full copies per entry
-        // in the compare cache (the full-copy leg read 0 here).
-        assert_eq!(stats.retained_bytes_peak, 1220);
     }
 }
 
