@@ -208,4 +208,175 @@ mod tests {
         let (back, _) = of_unwrap(&of_wrap(&msg, 0)).unwrap();
         assert_eq!(back, msg);
     }
+
+    /// The FNV-1a of the wire bytes of every OpenFlow message some world
+    /// sends: the handshake, the three features replies (a switch's, a
+    /// guard's, a control voter's), the compare's block advice, a voted
+    /// flow-mod and packet-out in canonical form, flow statistics, and the
+    /// packet-in / packet-out wraps on both links.
+    #[test]
+    fn wire_bytes_of_every_message_a_world_sends_are_pinned() {
+        use netco_openflow::canonical::{canonicalize, Canonical};
+        use netco_openflow::{FlowStats, PortDesc};
+        let data = Frame::from(netco_net::packet::builder::udp_frame(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            std::net::Ipv4Addr::new(10, 0, 0, 1),
+            std::net::Ipv4Addr::new(10, 0, 0, 2),
+            1000,
+            2000,
+            Bytes::from_static(b"a replicated data frame"),
+            None,
+        ));
+        let features = |n_buffers, n_tables, ports: Vec<PortDesc>| OfMessage::FeaturesReply {
+            datapath_id: 5,
+            n_buffers,
+            n_tables,
+            ports,
+        };
+        let switch_ports = (1..=3)
+            .map(|p: u16| PortDesc {
+                port_no: p,
+                hw_addr: MacAddr::local(0xff00_0000 | (5 << 8) | p as u32),
+                name: format!("eth{p}"),
+            })
+            .collect();
+        let guard_ports = (0..4)
+            .map(|p: u16| PortDesc {
+                port_no: p,
+                hw_addr: MacAddr::ZERO,
+                name: format!("g{p}"),
+            })
+            .collect();
+        let voted = |frame: &Frame| match canonicalize(frame) {
+            Canonical::Votable(canon) => canon.bytes().clone(),
+            other => panic!("votable expected, got {other:?}"),
+        };
+        let controller_flow_mod = OfMessage::FlowMod {
+            command: FlowModCommand::Add,
+            matcher: FlowMatch::any().with_dl_dst(MacAddr::local(2)),
+            priority: 100,
+            idle_timeout_s: 10,
+            hard_timeout_s: 0,
+            cookie: 0,
+            notify_when_removed: false,
+            actions: vec![Action::Output(OfPort::Physical(2))],
+            buffer_id: Some(7),
+        };
+        let output = [Action::Output(OfPort::Physical(2))];
+        let stats = |priority, packets| FlowStats {
+            matcher: FlowMatch::any().with_dl_dst(MacAddr::local(priority as u32)),
+            priority,
+            cookie: 0,
+            packet_count: packets,
+            byte_count: packets * 98,
+            actions: output.to_vec(),
+        };
+        let in_reason = PacketInReason::NoMatch;
+        let none = OfPort::None.to_u16();
+        let rewrite = [
+            Action::SetVlanVid(7),
+            Action::StripVlan,
+            Action::Output(OfPort::Physical(3)),
+        ];
+        let messages: [(&str, Bytes); 17] = [
+            ("hello", wire::encode(&OfMessage::Hello, 1)),
+            (
+                "features-request",
+                wire::encode(&OfMessage::FeaturesRequest, 2),
+            ),
+            (
+                "switch features",
+                wire::encode(&features(256, 1, switch_ports), 2),
+            ),
+            (
+                "guard features",
+                wire::encode(&features(0, 0, guard_ports), 2),
+            ),
+            ("voter features", wire::encode(&features(0, 1, vec![]), 2)),
+            (
+                "block advice",
+                of_wrap(&block_advice(3, SimDuration::from_secs(1)), 4),
+            ),
+            (
+                "voted flow-mod",
+                voted(&Frame::new(wire::encode(&controller_flow_mod, 9))),
+            ),
+            (
+                "voted packet-out",
+                voted(&wire::packet_out_frame(&[], 9, Some(3), 1, &output, &data)),
+            ),
+            (
+                "flow-stats request",
+                wire::encode(
+                    &OfMessage::FlowStatsRequest {
+                        matcher: FlowMatch::any(),
+                    },
+                    6,
+                ),
+            ),
+            (
+                "flow-stats reply",
+                wire::encode(
+                    &OfMessage::FlowStatsReply {
+                        flows: vec![stats(10, 3), stats(20, 0)],
+                    },
+                    6,
+                ),
+            ),
+            (
+                "packet-in, compare link",
+                wire::packet_in_frame(&COMPARE_LINK, 3, None, 2, in_reason, &data).into_bytes(),
+            ),
+            (
+                "packet-in, control channel",
+                wire::packet_in_frame(&[], 3, Some(1), 2, in_reason, &data).into_bytes(),
+            ),
+            (
+                "packet-out, compare link",
+                wire::packet_out_frame(&COMPARE_LINK, 8, None, none, &output, &data).into_bytes(),
+            ),
+            (
+                "packet-out, control channel",
+                wire::packet_out_frame(&[], 8, None, 1, &output, &data).into_bytes(),
+            ),
+            (
+                "buffered packet-out",
+                wire::packet_out_frame(&[], 8, Some(4), 1, &output, &Frame::from(Bytes::new()))
+                    .into_bytes(),
+            ),
+            (
+                "rewriting packet-out",
+                wire::packet_out_frame(&[], 8, None, 1, &rewrite, &data).into_bytes(),
+            ),
+            (
+                "flow-mod, control channel",
+                wire::encode(&controller_flow_mod, 9),
+            ),
+        ];
+        let digests: Vec<(&str, u64)> = messages
+            .iter()
+            .map(|(name, bytes)| (*name, netco_net::fnv1a(bytes)))
+            .collect();
+        let pinned = [
+            ("hello", 0x2456_18d5_32af_9e3f),
+            ("features-request", 0x9f4c_d9de_122a_cd91),
+            ("switch features", 0x187d_ba4a_712b_ec32),
+            ("guard features", 0xfb59_ace5_dff5_da47),
+            ("voter features", 0x831b_7ff6_a64f_30b6),
+            ("block advice", 0x2b4d_e816_47e0_463f),
+            ("voted flow-mod", 0x03e1_a4a4_8f64_9d15),
+            ("voted packet-out", 0xb805_e1cc_b477_8a47),
+            ("flow-stats request", 0xf273_6c80_cd9a_4a8b),
+            ("flow-stats reply", 0x80ab_2106_db29_3e60),
+            ("packet-in, compare link", 0xcba8_218d_c23b_2ab6),
+            ("packet-in, control channel", 0x2229_7dba_f9ef_4d2a),
+            ("packet-out, compare link", 0x4e82_fe16_a9c6_29d9),
+            ("packet-out, control channel", 0xe65f_421a_7c20_23df),
+            ("buffered packet-out", 0x3f76_cf36_2480_26f8),
+            ("rewriting packet-out", 0x823e_e85b_c4dd_82e3),
+            ("flow-mod, control channel", 0x1e47_a44f_8802_a483),
+        ];
+        assert_eq!(digests, pinned.to_vec());
+    }
 }
