@@ -123,16 +123,12 @@ impl Device for Controller {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Frame) {
-        let Some((message, xid)) = wire::read_frame(&[], &msg) else {
+        let Some((message, _)) = wire::read_frame(&[], &msg) else {
             return;
         };
         let mut cx = ControllerCtx::new(ctx, &mut self.next_xid);
         match message {
             Other(OfMessage::Hello) => {}
-            Other(OfMessage::EchoRequest(data)) => {
-                cx.ctx
-                    .send_control(from, wire::encode(&OfMessage::EchoReply(data), xid));
-            }
             Other(OfMessage::FeaturesReply { .. }) if self.up.insert(from) => {
                 self.app.on_switch_up(&mut cx, from);
             }
@@ -152,9 +148,8 @@ impl Device for Controller {
             Other(OfMessage::FlowStatsReply { flows }) => {
                 self.app.on_flow_stats(&mut cx, from, flows);
             }
-            // Barrier replies, flow-removed and error notices carry nothing
-            // an app acts on; requests a switch would send to a controller
-            // make no sense. Ignore them.
+            // Requests a switch would send to a controller make no sense.
+            // Ignore them.
             _ => {}
         }
     }

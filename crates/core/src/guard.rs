@@ -320,11 +320,6 @@ impl GuardSwitch {
             // Minimal OpenFlow politeness so a managing controller can
             // complete its handshake in POX mode.
             Other(OfMessage::Hello) => {}
-            Other(OfMessage::EchoRequest(data)) => {
-                if let Some(c) = reply {
-                    ctx.send_control(c, wire::encode(&OfMessage::EchoReply(data), xid));
-                }
-            }
             Other(OfMessage::FeaturesRequest) => {
                 if let Some(c) = reply {
                     let reply = OfMessage::FeaturesReply {

@@ -10,17 +10,6 @@ use crate::action::Action;
 use crate::flow_match::FlowMatch;
 use netco_net::packet::PacketFields;
 
-/// Why a flow entry left the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowRemovedReason {
-    /// No packet matched within the idle timeout.
-    IdleTimeout,
-    /// The hard timeout elapsed.
-    HardTimeout,
-    /// A delete flow-mod removed it.
-    Delete,
-}
-
 /// One match-action rule with counters and timeouts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
@@ -34,7 +23,6 @@ pub struct FlowEntry {
     cookie: u64,
     idle_timeout: Option<SimDuration>,
     hard_timeout: Option<SimDuration>,
-    notify_when_removed: bool,
     created_at: SimTime,
     last_matched: SimTime,
     packets: u64,
@@ -51,7 +39,6 @@ impl FlowEntry {
             cookie: 0,
             idle_timeout: None,
             hard_timeout: None,
-            notify_when_removed: false,
             created_at: SimTime::ZERO,
             last_matched: SimTime::ZERO,
             packets: 0,
@@ -69,17 +56,6 @@ impl FlowEntry {
     pub(crate) fn with_hard_timeout(mut self, timeout: SimDuration) -> FlowEntry {
         self.hard_timeout = Some(timeout);
         self
-    }
-
-    /// Builder: requests a flow-removed notification on expiry/delete.
-    pub(crate) fn with_notify(mut self, notify: bool) -> FlowEntry {
-        self.notify_when_removed = notify;
-        self
-    }
-
-    /// `true` when the controller asked to be told about removal.
-    pub(crate) fn notify_when_removed(&self) -> bool {
-        self.notify_when_removed
     }
 
     /// Builder: sets the opaque controller cookie.
@@ -124,18 +100,13 @@ impl FlowEntry {
         self.bytes
     }
 
-    fn expired(&self, now: SimTime) -> Option<FlowRemovedReason> {
-        if let Some(hard) = self.hard_timeout {
-            if now.saturating_since(self.created_at) >= hard {
-                return Some(FlowRemovedReason::HardTimeout);
-            }
-        }
-        if let Some(idle) = self.idle_timeout {
-            if now.saturating_since(self.last_matched) >= idle {
-                return Some(FlowRemovedReason::IdleTimeout);
-            }
-        }
-        None
+    /// `true` once the hard or the idle timeout has elapsed at `now`.
+    fn expired(&self, now: SimTime) -> bool {
+        self.hard_timeout
+            .is_some_and(|hard| now.saturating_since(self.created_at) >= hard)
+            || self
+                .idle_timeout
+                .is_some_and(|idle| now.saturating_since(self.last_matched) >= idle)
     }
 }
 
@@ -278,13 +249,7 @@ impl FlowTable {
 
     /// Deletes entries. With `strict`, only the exact (match, priority)
     /// entry is removed; otherwise every entry subsumed by `matcher` goes.
-    /// Returns the removed entries.
-    pub(crate) fn delete(
-        &mut self,
-        matcher: &FlowMatch,
-        priority: Option<u16>,
-        strict: bool,
-    ) -> Vec<FlowEntry> {
+    pub(crate) fn delete(&mut self, matcher: &FlowMatch, priority: Option<u16>, strict: bool) {
         let hit = |e: &FlowEntry| {
             if strict {
                 priority.is_none_or(|p| e.priority == p) && e.matcher == *matcher
@@ -293,22 +258,11 @@ impl FlowTable {
             }
         };
         // The common flow-mod deletes nothing (or the table is clean):
-        // skip the rebuild and return without allocating.
-        if !self.entries.iter().any(hit) {
-            return Vec::new();
+        // skip the rebuild.
+        if self.entries.iter().any(hit) {
+            self.entries.retain(|e| !hit(e));
+            self.reindex();
         }
-        let old = std::mem::take(&mut self.entries);
-        let mut removed = Vec::new();
-        self.entries = Vec::with_capacity(old.len());
-        for e in old {
-            if hit(&e) {
-                removed.push(e); // moved, not cloned
-            } else {
-                self.entries.push(e);
-            }
-        }
-        self.reindex();
-        removed
     }
 
     /// Finds the best entry for `fields`, updating its counters and idle
@@ -352,14 +306,14 @@ impl FlowTable {
             // beating it sits strictly earlier in scan order, and — since
             // the index maps each key to its scan-order-first exact slot —
             // such an entry must carry a wildcard. Scan only those.
-            Some(i) if self.entries[i].expired(now).is_none() => Some(
+            Some(i) if !self.entries[i].expired(now) => Some(
                 self.wildcard_slots
                     .iter()
                     .copied()
                     .take_while(|&j| j < i)
                     .find(|&j| {
                         let e = &self.entries[j];
-                        e.expired(now).is_none() && e.matcher.matches(fields)
+                        !e.expired(now) && e.matcher.matches(fields)
                     })
                     .unwrap_or(i),
             ),
@@ -370,33 +324,23 @@ impl FlowTable {
             Some(_) => self
                 .entries
                 .iter()
-                .position(|e| e.expired(now).is_none() && e.matcher.matches(fields)),
+                .position(|e| !e.expired(now) && e.matcher.matches(fields)),
             // No exact entry carries this tuple; only wildcard entries
             // can match.
             None => self.wildcard_slots.iter().copied().find(|&j| {
                 let e = &self.entries[j];
-                e.expired(now).is_none() && e.matcher.matches(fields)
+                !e.expired(now) && e.matcher.matches(fields)
             }),
         }
     }
 
-    /// Removes expired entries, returning them with their removal reasons.
-    pub(crate) fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
-        // Steady state: nothing has expired — no allocation, no rebuild.
-        if !self.entries.iter().any(|e| e.expired(now).is_some()) {
-            return Vec::new();
+    /// Removes expired entries.
+    pub(crate) fn expire(&mut self, now: SimTime) {
+        // Steady state: nothing has expired — no rebuild.
+        if self.entries.iter().any(|e| e.expired(now)) {
+            self.entries.retain(|e| !e.expired(now));
+            self.reindex();
         }
-        let old = std::mem::take(&mut self.entries);
-        let mut removed = Vec::new();
-        self.entries = Vec::with_capacity(old.len());
-        for e in old {
-            match e.expired(now) {
-                Some(reason) => removed.push((e, reason)), // moved, not cloned
-                None => self.entries.push(e),
-            }
-        }
-        self.reindex();
-        removed
     }
 }
 
@@ -473,27 +417,14 @@ mod baseline {
         }
 
         /// See [`FlowTable::delete`].
-        pub(crate) fn delete(
-            &mut self,
-            matcher: &FlowMatch,
-            priority: Option<u16>,
-            strict: bool,
-        ) -> Vec<FlowEntry> {
-            let mut removed = Vec::new();
+        pub(crate) fn delete(&mut self, matcher: &FlowMatch, priority: Option<u16>, strict: bool) {
             self.entries.retain(|e| {
-                let hit = if strict {
+                !if strict {
                     priority.is_none_or(|p| e.priority == p) && e.matcher == *matcher
                 } else {
                     matcher.subsumes(&e.matcher)
-                };
-                if hit {
-                    removed.push(e.clone());
-                    false
-                } else {
-                    true
                 }
             });
-            removed
         }
 
         /// See [`FlowTable::lookup_counted`].
@@ -506,7 +437,7 @@ mod baseline {
             let i = self
                 .entries
                 .iter()
-                .position(|e| e.expired(now).is_none() && e.matcher.matches(fields))?;
+                .position(|e| !e.expired(now) && e.matcher.matches(fields))?;
             let e = &mut self.entries[i];
             e.packets += 1;
             e.bytes += bytes as u64;
@@ -515,16 +446,8 @@ mod baseline {
         }
 
         /// See [`FlowTable::expire`].
-        pub(crate) fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
-            let mut removed = Vec::new();
-            self.entries.retain(|e| match e.expired(now) {
-                Some(reason) => {
-                    removed.push((e.clone(), reason));
-                    false
-                }
-                None => true,
-            });
-            removed
+        pub(crate) fn expire(&mut self, now: SimTime) {
+            self.entries.retain(|e| !e.expired(now));
         }
     }
 }
@@ -712,9 +635,8 @@ mod prop_flow_table {
                         linear.add(e, now);
                     }
                     Op::Delete { matcher, priority, strict } => {
-                        let a = indexed.delete(&matcher, priority, strict);
-                        let b = linear.delete(&matcher, priority, strict);
-                        prop_assert_eq!(a, b, "delete diverged at step {}", step);
+                        indexed.delete(&matcher, priority, strict);
+                        linear.delete(&matcher, priority, strict);
                     }
                     Op::Modify { matcher, priority, out_port } => {
                         let a = indexed.modify(&matcher, priority, &out(out_port));
@@ -727,9 +649,8 @@ mod prop_flow_table {
                         prop_assert_eq!(a, b, "lookup diverged at step {}", step);
                     }
                     Op::Expire => {
-                        let a = indexed.expire(now);
-                        let b = linear.expire(now);
-                        prop_assert_eq!(a, b, "expiry order diverged at step {}", step);
+                        indexed.expire(now);
+                        linear.expire(now);
                     }
                 }
                 // Full-state equality after every step: entry order, actions,
@@ -872,9 +793,7 @@ mod tests {
         assert!(t.lookup(&PacketFields::default(), just_before).is_some());
         let after = SimTime::ZERO + SimDuration::from_secs(1);
         assert!(t.lookup(&PacketFields::default(), after).is_none());
-        let removed = t.expire(after);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].1, FlowRemovedReason::HardTimeout);
+        t.expire(after);
         assert!(t.is_empty());
     }
 
@@ -894,13 +813,13 @@ mod tests {
         assert!(t
             .lookup(&f, SimTime::ZERO + SimDuration::from_millis(1800))
             .is_some());
-        let removed = t.expire(SimTime::ZERO + SimDuration::from_millis(1700));
-        assert!(removed.is_empty());
+        t.expire(SimTime::ZERO + SimDuration::from_millis(1700));
+        assert_eq!(t.len(), 1);
         assert!(t
             .lookup(&f, SimTime::ZERO + SimDuration::from_millis(2900))
             .is_none());
-        let removed = t.expire(SimTime::ZERO + SimDuration::from_millis(2900));
-        assert_eq!(removed[0].1, FlowRemovedReason::IdleTimeout);
+        t.expire(SimTime::ZERO + SimDuration::from_millis(2900));
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -913,12 +832,11 @@ mod tests {
             SimTime::ZERO,
         );
         // Strict delete with the general match removes only the exact entry.
-        let removed = t.delete(&FlowMatch::any().with_dl_type(0x0800), Some(7), true);
-        assert_eq!(removed.len(), 1);
+        t.delete(&FlowMatch::any().with_dl_type(0x0800), Some(7), true);
         assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().next().unwrap().matcher(), &specific);
         // Loose delete with a general match removes subsumed entries.
-        let removed = t.delete(&FlowMatch::any().with_dl_type(0x0800), None, false);
-        assert_eq!(removed.len(), 1);
+        t.delete(&FlowMatch::any().with_dl_type(0x0800), None, false);
         assert!(t.is_empty());
     }
 

@@ -6,12 +6,14 @@
 //! * [`PacketFields`] — tolerant header-field extraction ("sniffing") used
 //!   for matching; switches never drop frames over bad L4 checksums.
 //! * [`FlowMatch`] — the OF 1.0 12-tuple with per-field wildcards.
-//! * [`Action`] — output/rewrite actions, applied to real wire bytes with
-//!   checksum fix-ups.
+//! * [`Action`] — the output to a physical port, `FLOOD` or `NONE`, and
+//!   the Ethernet rewrites (destination, VLAN set / strip), applied to
+//!   real wire bytes.
 //! * [`FlowTable`] / [`FlowEntry`] — priority lookup, timeouts, counters.
-//! * [`OfMessage`] + [`wire`] — byte-accurate OpenFlow 1.0 message codec
-//!   (hello, echo, features, packet-in, packet-out, flow-mod, barrier,
-//!   flow-removed, error).
+//! * [`OfMessage`] + [`wire`] — byte-accurate OpenFlow 1.0 codec for the
+//!   messages some world sends: hello, features request / reply,
+//!   packet-in, packet-out, flow-mod and flow statistics. Any other type
+//!   decodes to an error.
 //! * [`OfSwitch`] — a [`netco_net::Device`] implementing the datapath:
 //!   table lookup, action execution, packet-in buffering, and the control
 //!   channel speaking the wire format. Its only parameter is the datapath
@@ -54,7 +56,7 @@ pub use action::{apply_actions, apply_rewrites, Action};
 // Header-field extraction moved next to the `Frame` memo in `netco_net`;
 // re-exported here so OpenFlow callers keep their import paths.
 pub use flow_match::FlowMatch;
-pub use flow_table::{FlowEntry, FlowRemovedReason, FlowTable};
+pub use flow_table::{FlowEntry, FlowTable};
 pub use messages::{FlowModCommand, FlowStats, OfMessage, PacketInReason, PortDesc};
 pub use netco_net::packet::{PacketFields, OFP_VLAN_NONE};
 pub use ports::OfPort;

@@ -1,4 +1,6 @@
-//! OpenFlow 1.0 controller–switch messages (structured form).
+//! OpenFlow 1.0 controller–switch messages (structured form): the subset
+//! some world sends — the hello / features handshake, packet-in,
+//! packet-out, flow-mod and flow statistics.
 //!
 //! The byte-level encoding lives in [`crate::wire`]; these types are what
 //! switch and controller logic operate on.
@@ -8,7 +10,6 @@ use netco_net::MacAddr;
 
 use crate::action::Action;
 use crate::flow_match::FlowMatch;
-use crate::flow_table::FlowRemovedReason;
 use crate::ports::OfPort;
 
 /// Why a packet-in was sent to the controller.
@@ -63,15 +64,12 @@ pub struct PortDesc {
     pub name: String,
 }
 
-/// An OpenFlow 1.0 message (the subset used by this reproduction).
+/// An OpenFlow 1.0 message (the subset some world sends; any other type
+/// decodes to [`WireError::UnsupportedType`](crate::wire::WireError)).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OfMessage {
     /// Version negotiation greeting.
     Hello,
-    /// Liveness probe.
-    EchoRequest(Bytes),
-    /// Liveness response (echoes the request payload).
-    EchoReply(Bytes),
     /// Controller asks for datapath features.
     FeaturesRequest,
     /// Switch describes itself.
@@ -121,27 +119,13 @@ pub enum OfMessage {
         hard_timeout_s: u16,
         /// Opaque controller cookie.
         cookie: u64,
-        /// Send a flow-removed message on expiry.
+        /// The `OFPFF_SEND_FLOW_REM` flag. A vote compares it as part of
+        /// the canonical bytes; no switch here sends flow-removed.
         notify_when_removed: bool,
         /// Actions for add/modify.
         actions: Vec<Action>,
         /// Buffered packet to run through the new entry, if any.
         buffer_id: Option<u32>,
-    },
-    /// Switch notifies the controller that an entry was removed.
-    FlowRemoved {
-        /// The entry's match.
-        matcher: FlowMatch,
-        /// The entry's cookie.
-        cookie: u64,
-        /// The entry's priority.
-        priority: u16,
-        /// Why it was removed.
-        reason: FlowRemovedReason,
-        /// Packets the entry matched over its lifetime.
-        packet_count: u64,
-        /// Bytes the entry matched over its lifetime.
-        byte_count: u64,
     },
     /// Controller requests per-flow statistics (`OFPST_FLOW`) for entries
     /// subsumed by `matcher` — how the paper monitors "the flow table
@@ -154,19 +138,6 @@ pub enum OfMessage {
     FlowStatsReply {
         /// One entry per reported flow.
         flows: Vec<FlowStats>,
-    },
-    /// Barrier request (fence).
-    BarrierRequest,
-    /// Barrier reply.
-    BarrierReply,
-    /// Error report.
-    Error {
-        /// `ofp_error_type`.
-        err_type: u16,
-        /// Error code within the type.
-        code: u16,
-        /// At least 64 bytes of the offending message.
-        data: Bytes,
     },
 }
 

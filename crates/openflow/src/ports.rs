@@ -5,28 +5,19 @@ use std::fmt;
 use netco_net::PortId;
 
 /// An OpenFlow port reference: either a physical port or one of the
-/// reserved virtual ports this subset supports.
+/// reserved virtual ports some world sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfPort {
     /// A physical switch port.
     Physical(u16),
-    /// Send back out the ingress port (`OFPP_IN_PORT`, 0xfff8).
-    InPort,
     /// All physical ports except the ingress port (`OFPP_FLOOD`, 0xfffb).
     Flood,
-    /// All physical ports including the ingress port (`OFPP_ALL`, 0xfffc).
-    All,
-    /// The controller (`OFPP_CONTROLLER`, 0xfffd).
-    Controller,
     /// No port — drops the packet (`OFPP_NONE`, 0xffff).
     None,
 }
 
 impl OfPort {
-    const IN_PORT: u16 = 0xfff8;
     const FLOOD: u16 = 0xfffb;
-    const ALL: u16 = 0xfffc;
-    const CONTROLLER: u16 = 0xfffd;
     const NONE: u16 = 0xffff;
     /// Highest valid physical port number in OF 1.0 (`OFPP_MAX`).
     pub(crate) const MAX_PHYSICAL: u16 = 0xff00;
@@ -35,10 +26,7 @@ impl OfPort {
     pub fn to_u16(self) -> u16 {
         match self {
             OfPort::Physical(p) => p,
-            OfPort::InPort => OfPort::IN_PORT,
             OfPort::Flood => OfPort::FLOOD,
-            OfPort::All => OfPort::ALL,
-            OfPort::Controller => OfPort::CONTROLLER,
             OfPort::None => OfPort::NONE,
         }
     }
@@ -47,11 +35,7 @@ impl OfPort {
     /// [`OfPort::None`] (the safe, drop-everything reading).
     pub(crate) fn from_u16(v: u16) -> OfPort {
         match v {
-            OfPort::IN_PORT => OfPort::InPort,
             OfPort::FLOOD => OfPort::Flood,
-            OfPort::ALL => OfPort::All,
-            OfPort::CONTROLLER => OfPort::Controller,
-            OfPort::NONE => OfPort::None,
             p if p <= OfPort::MAX_PHYSICAL => OfPort::Physical(p),
             _ => OfPort::None,
         }
@@ -68,10 +52,7 @@ impl fmt::Display for OfPort {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OfPort::Physical(p) => write!(f, "{p}"),
-            OfPort::InPort => write!(f, "IN_PORT"),
             OfPort::Flood => write!(f, "FLOOD"),
-            OfPort::All => write!(f, "ALL"),
-            OfPort::Controller => write!(f, "CONTROLLER"),
             OfPort::None => write!(f, "NONE"),
         }
     }
@@ -86,10 +67,7 @@ mod tests {
         for p in [
             OfPort::Physical(0),
             OfPort::Physical(42),
-            OfPort::InPort,
             OfPort::Flood,
-            OfPort::All,
-            OfPort::Controller,
             OfPort::None,
         ] {
             assert_eq!(OfPort::from_u16(p.to_u16()), p);
@@ -98,7 +76,11 @@ mod tests {
 
     #[test]
     fn unknown_reserved_is_none() {
-        assert_eq!(OfPort::from_u16(0xfffa), OfPort::None); // OFPP_NORMAL unsupported
+        // OFPP_IN_PORT, OFPP_NORMAL, OFPP_ALL and OFPP_CONTROLLER: no world
+        // sends them.
+        for v in [0xfff8, 0xfffa, 0xfffc, 0xfffd] {
+            assert_eq!(OfPort::from_u16(v), OfPort::None);
+        }
     }
 
     #[test]
@@ -109,6 +91,6 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(OfPort::Physical(3).to_string(), "3");
-        assert_eq!(OfPort::Controller.to_string(), "CONTROLLER");
+        assert_eq!(OfPort::Flood.to_string(), "FLOOD");
     }
 }

@@ -1,8 +1,11 @@
-//! The OpenFlow switch datapath as a simulated [`Device`].
+//! The OpenFlow switch datapath as a simulated [`Device`]: the reactive
+//! path (table-miss packet-ins, buffers, packet-out, flow-mod add /
+//! modify / delete, timeouts) and the handshake and flow statistics a
+//! controller app reads. It answers nothing else and sends no
+//! asynchronous message but the packet-in.
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_sim::SimDuration;
 use netco_telemetry::Counter;
@@ -29,7 +32,9 @@ const MISS_SEND_LEN: usize = 128;
 /// A table miss with a controller attached buffers the frame (256 slots,
 /// the oldest overwritten first) and sends a packet-in carrying its buffer
 /// id and the frame's first 128 bytes; without a controller the frame is
-/// dropped. Timed-out entries are swept every 500 ms.
+/// dropped. Timed-out entries are swept every 500 ms. A control message
+/// that does not decode, or that no controller sends a switch, is
+/// ignored.
 ///
 /// Switch-local rules can also be pre-installed with
 /// [`OfSwitch::preinstall`] — the reproduction uses this the way the paper
@@ -95,24 +100,15 @@ impl OfSwitch {
         x
     }
 
-    fn send_to_controller(&mut self, ctx: &mut Ctx<'_>, msg: &OfMessage) {
-        if let Some(controller) = self.controller {
-            let xid = self.fresh_xid();
-            ctx.send_control(controller, wire::encode(msg, xid));
-        }
-    }
-
-    /// A table miss (or an output to the controller): buffers `frame` and
-    /// sends the controller a packet-in carrying its buffer id and its
-    /// first 128 bytes, shared with `frame`.
-    fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: u16, reason: PacketInReason, frame: Frame) {
+    /// A table miss: buffers `frame` and sends the controller a packet-in
+    /// carrying its buffer id and its first 128 bytes, shared with `frame`.
+    fn packet_in(&mut self, ctx: &mut Ctx<'_>, controller: NodeId, in_port: u16, frame: Frame) {
         let buffer_id = Some(self.buffer_packet(in_port, &frame));
-        if let Some(controller) = self.controller {
-            let xid = self.fresh_xid();
-            let data = frame.slice(..frame.len().min(MISS_SEND_LEN));
-            let msg = wire::packet_in_frame(&[], xid, buffer_id, in_port, reason, &data);
-            ctx.send_control(controller, msg);
-        }
+        let xid = self.fresh_xid();
+        let data = frame.slice(..frame.len().min(MISS_SEND_LEN));
+        let reason = PacketInReason::NoMatch;
+        let msg = wire::packet_in_frame(&[], xid, buffer_id, in_port, reason, &data);
+        ctx.send_control(controller, msg);
     }
 
     fn buffer_packet(&mut self, in_port: u16, frame: &Frame) -> u32 {
@@ -130,37 +126,6 @@ impl OfSwitch {
         id
     }
 
-    /// Carries out one `Output` of an action list.
-    fn emit(&mut self, ctx: &mut Ctx<'_>, in_port: Option<u16>, port: OfPort, frame: Frame) {
-        match port {
-            OfPort::Physical(p) => {
-                ctx.send_frame(PortId(p), frame);
-            }
-            OfPort::InPort => {
-                if let Some(p) = in_port {
-                    ctx.send_frame(PortId(p), frame);
-                }
-            }
-            OfPort::Flood | OfPort::All => {
-                let mut targets = ctx.ports();
-                if port == OfPort::Flood {
-                    targets.retain(|p| Some(p.number()) != in_port);
-                }
-                // Move the frame into the final replica send.
-                if let Some((&last, rest)) = targets.split_last() {
-                    for &p in rest {
-                        ctx.send_frame(p, frame.clone());
-                    }
-                    ctx.send_frame(last, frame);
-                }
-            }
-            OfPort::Controller => {
-                self.packet_in(ctx, in_port.unwrap_or(0), PacketInReason::Action, frame);
-            }
-            OfPort::None => {}
-        }
-    }
-
     // The parameter list mirrors the `ofp_flow_mod` wire structure 1:1.
     #[allow(clippy::too_many_arguments)]
     fn handle_flow_mod(
@@ -172,16 +137,14 @@ impl OfSwitch {
         idle_timeout_s: u16,
         hard_timeout_s: u16,
         cookie: u64,
-        notify: bool,
         actions: Vec<Action>,
         buffer_id: Option<u32>,
     ) {
         let now = ctx.now();
         match command {
             FlowModCommand::Add => {
-                let mut entry = FlowEntry::new(priority, matcher, actions.clone())
-                    .with_cookie(cookie)
-                    .with_notify(notify);
+                let mut entry =
+                    FlowEntry::new(priority, matcher, actions.clone()).with_cookie(cookie);
                 if idle_timeout_s > 0 {
                     entry = entry.with_idle_timeout(SimDuration::from_secs(idle_timeout_s as u64));
                 }
@@ -202,30 +165,14 @@ impl OfSwitch {
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let strict = matches!(command, FlowModCommand::DeleteStrict);
-                let removed = self
-                    .table
+                self.table
                     .delete(&matcher, strict.then_some(priority), strict);
-                for entry in removed {
-                    if entry.notify_when_removed() {
-                        let msg = OfMessage::FlowRemoved {
-                            matcher: entry.matcher().clone(),
-                            cookie: entry.cookie(),
-                            priority: entry.priority(),
-                            reason: crate::FlowRemovedReason::Delete,
-                            packet_count: entry.packet_count(),
-                            byte_count: entry.byte_count(),
-                        };
-                        self.send_to_controller(ctx, &msg);
-                    }
-                }
             }
         }
         // Run a buffered packet through the (new) table state.
         if let Some(id) = buffer_id {
             if let Some((in_port, frame)) = self.take_buffer(id) {
-                apply_actions(&frame, &actions, |port, out| {
-                    self.emit(ctx, Some(in_port), port, out);
-                });
+                apply_actions(&frame, &actions, |port, out| emit(ctx, in_port, port, out));
             }
         }
     }
@@ -236,13 +183,23 @@ impl OfSwitch {
     }
 }
 
-/// Zero-copy truncation: a shared sub-slice of the same buffer, never a
-/// reallocation.
-fn truncate(frame: &Bytes, len: usize) -> Bytes {
-    if frame.len() <= len {
-        frame.clone()
-    } else {
-        frame.slice(..len)
+/// Carries out one `Output` of an action list on a frame that came in on
+/// `in_port`.
+fn emit(ctx: &mut Ctx<'_>, in_port: u16, port: OfPort, frame: Frame) {
+    match port {
+        OfPort::Physical(p) => ctx.send_frame(PortId(p), frame),
+        OfPort::Flood => {
+            let mut targets = ctx.ports();
+            targets.retain(|p| p.number() != in_port);
+            // Move the frame into the final replica send.
+            if let Some((&last, rest)) = targets.split_last() {
+                for &p in rest {
+                    ctx.send_frame(p, frame.clone());
+                }
+                ctx.send_frame(last, frame);
+            }
+        }
+        OfPort::None => {}
     }
 }
 
@@ -259,8 +216,9 @@ impl Device for OfSwitch {
         for entry in std::mem::take(&mut self.preinstalled) {
             self.table.add(entry, now);
         }
-        if self.controller.is_some() {
-            self.send_to_controller(ctx, &OfMessage::Hello);
+        if let Some(controller) = self.controller {
+            let xid = self.fresh_xid();
+            ctx.send_control(controller, wire::encode(&OfMessage::Hello, xid));
         }
         ctx.schedule_timer(EXPIRY_INTERVAL, EXPIRY_TIMER);
     }
@@ -278,13 +236,13 @@ impl Device for OfSwitch {
                 // the borrow, but a per-packet Vec copy is not the way.
                 let actions = entry.shared_actions();
                 apply_actions(&frame, &actions, |out_port, out| {
-                    self.emit(ctx, Some(port.number()), out_port, out);
+                    emit(ctx, port.number(), out_port, out);
                 });
             }
             None => {
                 self.tel.table_misses.inc();
-                if self.controller.is_some() {
-                    self.packet_in(ctx, port.number(), PacketInReason::NoMatch, frame);
+                if let Some(controller) = self.controller {
+                    self.packet_in(ctx, controller, port.number(), frame);
                     self.tel.packet_ins.inc();
                 }
             }
@@ -295,19 +253,7 @@ impl Device for OfSwitch {
         if token != EXPIRY_TIMER {
             return;
         }
-        for (entry, reason) in self.table.expire(ctx.now()) {
-            if entry.notify_when_removed() {
-                let msg = OfMessage::FlowRemoved {
-                    matcher: entry.matcher().clone(),
-                    cookie: entry.cookie(),
-                    priority: entry.priority(),
-                    reason,
-                    packet_count: entry.packet_count(),
-                    byte_count: entry.byte_count(),
-                };
-                self.send_to_controller(ctx, &msg);
-            }
-        }
+        self.table.expire(ctx.now());
         ctx.schedule_timer(EXPIRY_INTERVAL, EXPIRY_TIMER);
     }
 
@@ -316,15 +262,9 @@ impl Device for OfSwitch {
             return; // only the attached controller may program the switch
         }
         let Some((message, xid)) = wire::read_frame(&[], &msg) else {
-            let reply = OfMessage::Error {
-                err_type: 0, // OFPET_HELLO_FAILED family: generic
-                code: 0,
-                data: truncate(msg.bytes(), 64),
-            };
-            self.send_to_controller(ctx, &reply);
             return;
         };
-        match message {
+        let reply = match message {
             Payload(
                 SplitHead::PacketOut {
                     buffer_id,
@@ -340,16 +280,9 @@ impl Device for OfSwitch {
                 };
                 if let Some((in_port, frame)) = payload {
                     let actions: Vec<Action> = actions.iter().collect();
-                    apply_actions(&frame, &actions, |port, out| {
-                        self.emit(ctx, Some(in_port), port, out);
-                    });
+                    apply_actions(&frame, &actions, |port, out| emit(ctx, in_port, port, out));
                 }
-            }
-            Other(OfMessage::Hello) => {}
-            Other(OfMessage::EchoRequest(data)) => {
-                if let Some(controller) = self.controller {
-                    ctx.send_control(controller, wire::encode(&OfMessage::EchoReply(data), xid));
-                }
+                return;
             }
             Other(OfMessage::FeaturesRequest) => {
                 let ports = ctx
@@ -363,14 +296,11 @@ impl Device for OfSwitch {
                         name: format!("eth{}", p.number()),
                     })
                     .collect();
-                let reply = OfMessage::FeaturesReply {
+                OfMessage::FeaturesReply {
                     datapath_id: self.datapath_id,
                     n_buffers: N_BUFFERS as u32,
                     n_tables: 1,
                     ports,
-                };
-                if let Some(controller) = self.controller {
-                    ctx.send_control(controller, wire::encode(&reply, xid));
                 }
             }
             Other(OfMessage::FlowMod {
@@ -380,9 +310,9 @@ impl Device for OfSwitch {
                 idle_timeout_s,
                 hard_timeout_s,
                 cookie,
-                notify_when_removed,
                 actions,
                 buffer_id,
+                ..
             }) => {
                 self.handle_flow_mod(
                     ctx,
@@ -392,15 +322,10 @@ impl Device for OfSwitch {
                     idle_timeout_s,
                     hard_timeout_s,
                     cookie,
-                    notify_when_removed,
                     actions,
                     buffer_id,
                 );
-            }
-            Other(OfMessage::BarrierRequest) => {
-                if let Some(controller) = self.controller {
-                    ctx.send_control(controller, wire::encode(&OfMessage::BarrierReply, xid));
-                }
+                return;
             }
             Other(OfMessage::FlowStatsRequest { matcher }) => {
                 let flows = self
@@ -416,24 +341,13 @@ impl Device for OfSwitch {
                         actions: e.actions().to_vec(),
                     })
                     .collect();
-                if let Some(controller) = self.controller {
-                    ctx.send_control(
-                        controller,
-                        wire::encode(&OfMessage::FlowStatsReply { flows }, xid),
-                    );
-                }
+                OfMessage::FlowStatsReply { flows }
             }
-            // Replies/asynchronous messages are controller-bound; a switch
-            // receiving them reports an error, per spec.
-            _ => {
-                let reply = OfMessage::Error {
-                    err_type: 1, // OFPET_BAD_REQUEST
-                    code: 1,     // OFPBRC_BAD_TYPE
-                    data: truncate(msg.bytes(), 64),
-                };
-                self.send_to_controller(ctx, &reply);
-            }
-        }
+            // The hello needs no answer; replies and packet-ins are
+            // controller-bound, so a switch receiving one ignores it.
+            _ => return,
+        };
+        ctx.send_control(from, wire::encode(&reply, xid));
     }
 }
 
@@ -450,6 +364,7 @@ impl std::fmt::Debug for OfSwitch {
 mod tests {
     use super::*;
     use crate::FlowMatch;
+    use bytes::Bytes;
     use netco_net::packet::builder;
     use netco_net::testutil::CollectorDevice;
     use netco_net::{CpuModel, LinkSpec, MacAddr, World};
@@ -525,23 +440,6 @@ mod tests {
         w.inject_frame(sw, PortId(1), frame_to(MacAddr::BROADCAST));
         w.run_for(SimDuration::from_millis(1));
         assert_eq!(w.device::<CollectorDevice>(a).unwrap().frames.len(), 0);
-        assert_eq!(w.device::<CollectorDevice>(b).unwrap().frames.len(), 1);
-        assert_eq!(w.device::<CollectorDevice>(c).unwrap().frames.len(), 1);
-    }
-
-    #[test]
-    fn all_includes_ingress() {
-        let (mut w, a, b, c, sw) = three_port_world();
-        w.device_mut::<OfSwitch>(sw)
-            .unwrap()
-            .preinstall(FlowEntry::new(
-                1,
-                FlowMatch::any(),
-                vec![Action::Output(OfPort::All)],
-            ));
-        w.inject_frame(sw, PortId(1), frame_to(MacAddr::BROADCAST));
-        w.run_for(SimDuration::from_millis(1));
-        assert_eq!(w.device::<CollectorDevice>(a).unwrap().frames.len(), 1);
         assert_eq!(w.device::<CollectorDevice>(b).unwrap().frames.len(), 1);
         assert_eq!(w.device::<CollectorDevice>(c).unwrap().frames.len(), 1);
     }
@@ -676,22 +574,32 @@ mod tests {
     }
 
     #[test]
-    fn echo_and_features_and_barrier() {
-        let (mut w, _a, _b, _sw, ctl) = controlled_world(vec![
-            OfMessage::EchoRequest(Bytes::from_static(b"abc")),
-            OfMessage::FeaturesRequest,
-            OfMessage::BarrierRequest,
-        ]);
+    fn features_reply_lists_every_port() {
+        let (mut w, _a, _b, _sw, ctl) = controlled_world(vec![OfMessage::FeaturesRequest]);
         w.run_for(SimDuration::from_millis(10));
         let c = w.device::<ScriptedController>(ctl).unwrap();
-        assert!(c
-            .received
-            .contains(&OfMessage::EchoReply(Bytes::from_static(b"abc"))));
         assert!(c.received.iter().any(|m| matches!(
             m,
             OfMessage::FeaturesReply { n_tables: 1, ports, .. } if ports.len() == 3
         )));
-        assert!(c.received.contains(&OfMessage::BarrierReply));
+    }
+
+    /// Controller-bound messages sent to a switch get no answer.
+    #[test]
+    fn unexpected_messages_are_ignored() {
+        let (mut w, _a, _b, sw, ctl) = controlled_world(vec![
+            OfMessage::FeaturesReply {
+                datapath_id: 9,
+                n_buffers: 0,
+                n_tables: 1,
+                ports: vec![],
+            },
+            OfMessage::FlowStatsReply { flows: vec![] },
+        ]);
+        w.run_for(SimDuration::from_millis(10));
+        let c = w.device::<ScriptedController>(ctl).unwrap();
+        assert_eq!(c.received, vec![OfMessage::Hello]);
+        assert!(w.device::<OfSwitch>(sw).unwrap().table().is_empty());
     }
 
     #[test]
@@ -741,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn garbage_control_message_yields_error() {
+    fn garbage_control_message_is_ignored() {
         let (mut w, _a, _b, sw, ctl) = controlled_world(vec![]);
         // Send raw garbage on the control channel.
         #[derive(Default)]
@@ -780,7 +688,7 @@ mod tests {
             r.script = vec![OfMessage::add_flow(
                 1,
                 FlowMatch::any(),
-                vec![Action::Output(OfPort::All)],
+                vec![Action::Output(OfPort::Flood)],
             )];
         }
         let _ = ctl;
@@ -905,29 +813,6 @@ mod tests {
             }
         }
         assert_eq!(gone_at, Some(1500));
-    }
-
-    /// Packet-in truncation is a shared view of the frame's buffer — the
-    /// miss path must never reallocate the (possibly jumbo) payload just
-    /// to ship the controller its first `MISS_SEND_LEN` bytes.
-    #[test]
-    fn packet_in_truncation_is_zero_copy() {
-        let wire = builder::udp_frame(
-            MacAddr::local(1),
-            MacAddr::local(2),
-            IP_A,
-            IP_B,
-            1,
-            2,
-            Bytes::from(vec![0xEEu8; 1400]),
-            None,
-        );
-        let cut = truncate(&wire, 128);
-        assert_eq!(cut.len(), 128);
-        assert_eq!(cut.as_ptr(), wire.as_ptr(), "sub-slice views the buffer");
-        let whole = truncate(&wire, usize::MAX);
-        assert_eq!(whole.len(), wire.len());
-        assert_eq!(whole.as_ptr(), wire.as_ptr(), "no-op cut stays shared");
     }
 
     /// A buffered frame comes back from `take_buffer` as the same Frame:
