@@ -62,7 +62,9 @@ pub enum CompareKey {
     /// equal only when the fingerprints *and* the frame bytes are, so two
     /// different frames that collide on the fingerprint stay two keys —
     /// unlike [`CompareKey::U64`], whose collisions are accepted by design.
-    /// Keys over one shared buffer are equal without a byte comparison.
+    /// Frames compare part by part (`Frame`'s `==`): an encapsulating
+    /// frame's bytes are never built, and keys over one shared buffer are
+    /// equal without a byte comparison.
     Exact {
         /// 128-bit content fingerprint ([`fp128`]).
         fp: u128,
@@ -80,7 +82,7 @@ impl PartialEq for CompareKey {
     fn eq(&self, other: &CompareKey) -> bool {
         match (self, other) {
             (CompareKey::Exact { fp: a, frame: x }, CompareKey::Exact { fp: b, frame: y }) => {
-                a == b && ((x.as_ptr() == y.as_ptr() && x.len() == y.len()) || x == y)
+                a == b && x == y
             }
             (CompareKey::Bytes(a), CompareKey::Bytes(b)) => a == b,
             (CompareKey::U64(a), CompareKey::U64(b)) => a == b,

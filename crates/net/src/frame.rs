@@ -35,8 +35,9 @@
 //! [`slice`](Frame::slice) of the wrapper — after any number of clones
 //! and hops — is the inner frame itself. The wrapper's contiguous bytes
 //! (`head ++ inner`) are built once, on the first call that needs them
-//! ([`Frame::bytes`], `Deref`, a derivation of the wrapper's own
-//! content); on a compare link only a recording tap or link corruption
+//! ([`Frame::bytes`], `Deref`, a parse of the wrapper); its fingerprint,
+//! its FNV-1a and `==` read the head and the inner frame part by part
+//! instead. On a compare link only a recording tap or link corruption
 //! asks, on a control channel only corruption or a reader that decodes
 //! the whole message. A wrapper that was corrupted, truncated or
 //! re-injected on the way is a new `Frame` and carries nothing. There is
@@ -360,24 +361,39 @@ impl Frame {
         bump(|s| {
             s.fp_misses.fetch_add(1, Ordering::Relaxed);
         });
-        *memo.fp.get_or_init(|| fp128(self.bytes()))
+        *memo.fp.get_or_init(|| {
+            let mut fp = Fp128::new();
+            self.parts().for_each(|part| fp.feed(part));
+            fp.finish()
+        })
     }
 
     /// [`fnv1a`] of the wire bytes, computed on first call and shared by
     /// all clones of this frame — what a tap digest folds at every hop
-    /// the frame crosses. On an encapsulating frame it folds the head,
-    /// then the inner frame's bytes, without building `head ++ inner`.
-    /// Not counted in [`MemoStats`].
+    /// the frame crosses. Not counted in [`MemoStats`].
     pub fn fnv1a(&self) -> u64 {
-        *self.memo().fnv.get_or_init(|| self.fnv1a_from(FNV_BASIS))
+        *self
+            .memo()
+            .fnv
+            .get_or_init(|| self.parts().fold(FNV_BASIS, fnv1a_fold))
     }
 
-    /// Continues an FNV-1a fold over this frame's bytes from state `hash`.
-    fn fnv1a_from(&self, hash: u64) -> u64 {
-        match &self.repr {
-            Repr::Contiguous(c) => fnv1a_fold(hash, &c.bytes),
-            Repr::Encapsulated(e) => e.inner.fnv1a_from(fnv1a_fold(hash, e.head())),
-        }
+    /// The wire bytes in the parts this frame holds them in: each
+    /// encapsulation's head, outermost first, then the innermost frame's
+    /// contiguous bytes. What hashes and compares an encapsulating frame
+    /// without building `head ++ inner`.
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        let mut next = Some(self);
+        std::iter::from_fn(move || match &next?.repr {
+            Repr::Contiguous(c) => {
+                next = None;
+                Some(&c.bytes[..])
+            }
+            Repr::Encapsulated(e) => {
+                next = Some(&e.inner);
+                Some(e.head())
+            }
+        })
     }
 
     /// The parsed OpenFlow 12-tuple with `in_port = 0`, computed on first
@@ -507,8 +523,31 @@ impl From<Frame> for Bytes {
 }
 
 impl PartialEq for Frame {
+    /// Equal content, compared part by part: never builds an
+    /// encapsulating frame's bytes, and parts over one shared buffer are
+    /// equal without a byte comparison.
     fn eq(&self, other: &Frame) -> bool {
-        self.bytes() == other.bytes()
+        if self.len() != other.len() {
+            return false;
+        }
+        let (mut a, mut b) = (self.parts(), other.parts());
+        let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+        loop {
+            // Equal lengths: when either side runs out, both have.
+            if x.is_empty() {
+                let Some(part) = a.next() else { return true };
+                x = part;
+            } else if y.is_empty() {
+                let Some(part) = b.next() else { return true };
+                y = part;
+            } else {
+                let n = x.len().min(y.len());
+                if x.as_ptr() != y.as_ptr() && x[..n] != y[..n] {
+                    return false;
+                }
+                (x, y) = (&x[n..], &y[n..]);
+            }
+        }
     }
 }
 
@@ -566,44 +605,101 @@ fn fnv1a_fold(mut hash: u64, data: &[u8]) -> u64 {
 /// This is the *uncached* primitive; prefer [`Frame::fp128`], which
 /// computes it at most once per unique frame content.
 pub fn fp128(data: &[u8]) -> u128 {
-    const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95; // Fx multiplier
-    const K2: u64 = 0x9e37_79b9_7f4a_7c15; // 2^64 / golden ratio
-    let mut h1 = 0x243f_6a88_85a3_08d3u64; // pi fraction digits
-    let mut h2 = 0x1319_8a2e_0370_7344u64;
-    let mut h3 = 0xa409_3822_299f_31d0u64;
-    let mut h4 = 0x082e_fa98_ec4e_6c89u64;
-    let mut blocks = data.chunks_exact(32);
-    for b in blocks.by_ref() {
-        let w1 = u64::from_le_bytes(b[0..8].try_into().expect("8-byte lane"));
-        let w2 = u64::from_le_bytes(b[8..16].try_into().expect("8-byte lane"));
-        let w3 = u64::from_le_bytes(b[16..24].try_into().expect("8-byte lane"));
-        let w4 = u64::from_le_bytes(b[24..32].try_into().expect("8-byte lane"));
-        h1 = (h1.rotate_left(5) ^ w1).wrapping_mul(K1);
-        h2 = (h2.rotate_left(7) ^ w2).wrapping_mul(K2);
-        h3 = (h3.rotate_left(5) ^ w3).wrapping_mul(K1);
-        h4 = (h4.rotate_left(7) ^ w4).wrapping_mul(K2);
+    let mut fp = Fp128::new();
+    fp.feed(data);
+    fp.finish()
+}
+
+const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95; // Fx multiplier
+const K2: u64 = 0x9e37_79b9_7f4a_7c15; // 2^64 / golden ratio
+const FP_BLOCK: usize = 32;
+
+/// [`fp128`] folded over bytes that arrive in parts — a frame's heads
+/// and its inner bytes — equal to `fp128` of the parts concatenated. At
+/// most 31 bytes, short of a 32-byte block, wait between parts.
+struct Fp128 {
+    lanes: [u64; 4],
+    pending: [u8; FP_BLOCK],
+    pending_len: usize,
+    len: usize,
+}
+
+impl Fp128 {
+    fn new() -> Fp128 {
+        Fp128 {
+            // pi fraction digits
+            lanes: [
+                0x243f_6a88_85a3_08d3,
+                0x1319_8a2e_0370_7344,
+                0xa409_3822_299f_31d0,
+                0x082e_fa98_ec4e_6c89,
+            ],
+            pending: [0; FP_BLOCK],
+            pending_len: 0,
+            len: 0,
+        }
     }
-    let mut chunks = blocks.remainder().chunks_exact(8);
-    for chunk in chunks.by_ref() {
-        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h1 = (h1.rotate_left(5) ^ w).wrapping_mul(K1);
-        h2 = (h2.rotate_left(7) ^ w).wrapping_mul(K2);
+
+    /// Mixes one 32-byte block into the four lanes.
+    #[inline]
+    fn block(&mut self, b: &[u8]) {
+        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8-byte lane"));
+        let [h1, h2, h3, h4] = &mut self.lanes;
+        *h1 = (h1.rotate_left(5) ^ word(0)).wrapping_mul(K1);
+        *h2 = (h2.rotate_left(7) ^ word(8)).wrapping_mul(K2);
+        *h3 = (h3.rotate_left(5) ^ word(16)).wrapping_mul(K1);
+        *h4 = (h4.rotate_left(7) ^ word(24)).wrapping_mul(K2);
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        let w = u64::from_le_bytes(buf);
-        h1 = (h1.rotate_left(5) ^ w).wrapping_mul(K1);
-        h2 = (h2.rotate_left(7) ^ w).wrapping_mul(K2);
+
+    /// Folds in the next part of the bytes.
+    fn feed(&mut self, mut data: &[u8]) {
+        self.len += data.len();
+        if self.pending_len > 0 {
+            let take = (FP_BLOCK - self.pending_len).min(data.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&data[..take]);
+            self.pending_len += take;
+            data = &data[take..];
+            if self.pending_len < FP_BLOCK {
+                return;
+            }
+            let block = self.pending;
+            self.block(&block);
+            self.pending_len = 0;
+        }
+        let mut blocks = data.chunks_exact(FP_BLOCK);
+        for b in blocks.by_ref() {
+            self.block(b);
+        }
+        let rest = blocks.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
-    // Fold the wide lanes in (avalanched, so every input bit reaches both
-    // output lanes), then make length part of the digest.
-    h1 = (h1.rotate_left(5) ^ mix64(h3)).wrapping_mul(K1);
-    h2 = (h2.rotate_left(7) ^ mix64(h4)).wrapping_mul(K2);
-    h1 = (h1.rotate_left(5) ^ data.len() as u64).wrapping_mul(K1);
-    h2 = (h2.rotate_left(7) ^ data.len() as u64).wrapping_mul(K2);
-    ((mix64(h1) as u128) << 64) | mix64(h2) as u128
+
+    /// The fingerprint of everything fed so far.
+    fn finish(self) -> u128 {
+        let [mut h1, mut h2, h3, h4] = self.lanes;
+        let mut chunks = self.pending[..self.pending_len].chunks_exact(8);
+        for chunk in chunks.by_ref() {
+            let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            h1 = (h1.rotate_left(5) ^ w).wrapping_mul(K1);
+            h2 = (h2.rotate_left(7) ^ w).wrapping_mul(K2);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rem.len()].copy_from_slice(rem);
+            let w = u64::from_le_bytes(buf);
+            h1 = (h1.rotate_left(5) ^ w).wrapping_mul(K1);
+            h2 = (h2.rotate_left(7) ^ w).wrapping_mul(K2);
+        }
+        // Fold the wide lanes in (avalanched, so every input bit reaches
+        // both output lanes), then make length part of the digest.
+        h1 = (h1.rotate_left(5) ^ mix64(h3)).wrapping_mul(K1);
+        h2 = (h2.rotate_left(7) ^ mix64(h4)).wrapping_mul(K2);
+        h1 = (h1.rotate_left(5) ^ self.len as u64).wrapping_mul(K1);
+        h2 = (h2.rotate_left(7) ^ self.len as u64).wrapping_mul(K2);
+        ((mix64(h1) as u128) << 64) | mix64(h2) as u128
+    }
 }
 
 #[cfg(test)]
@@ -773,6 +869,77 @@ mod tests {
         let head = f.slice(..40);
         assert_eq!(head.bytes().as_ptr(), f.bytes().as_ptr());
         assert_eq!(head.len(), 40);
+    }
+
+    /// `true` when some encapsulation in `frame` has built its bytes.
+    fn built(frame: &Frame) -> bool {
+        match &frame.repr {
+            Repr::Contiguous(_) => false,
+            Repr::Encapsulated(e) => e.wire.get().is_some() || built(&e.inner),
+        }
+    }
+
+    /// The fold over a wrap's parts is `fp128` (and `fnv1a`) of its
+    /// flattened bytes for every head length 0..=48 around every inner
+    /// length 0..=200, and computing it builds nothing.
+    #[test]
+    fn the_fold_over_a_wrap_is_the_hash_of_its_flattened_bytes() {
+        let bytes: Vec<u8> = (0..MAX_ENCAP_HEAD + 200)
+            .map(|i| (i * 37 + 11) as u8)
+            .collect();
+        for head_len in 0..=MAX_ENCAP_HEAD {
+            for inner_len in 0..=200 {
+                let flat = &bytes[..head_len + inner_len];
+                let inner = Frame::from(flat[head_len..].to_vec());
+                let wrap = Frame::encapsulating(&flat[..head_len], &inner);
+                assert_eq!(
+                    wrap.fp128(),
+                    fp128(flat),
+                    "head {head_len}, inner {inner_len}"
+                );
+                assert_eq!(
+                    wrap.fnv1a(),
+                    fnv1a(flat),
+                    "head {head_len}, inner {inner_len}"
+                );
+                assert!(!built(&wrap));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Nested wraps hash and compare as their flattened bytes do,
+        /// against a contiguous copy and against the same bytes split
+        /// elsewhere, without building any wrap's bytes.
+        #[test]
+        fn nested_wraps_hash_and_compare_like_their_flattened_bytes(
+            heads in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..MAX_ENCAP_HEAD + 1),
+                0..4,
+            ),
+            inner in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..201),
+            at in proptest::prelude::any::<usize>(),
+        ) {
+            let mut frame = Frame::from(inner.clone());
+            let mut flat = inner;
+            for head in &heads {
+                frame = Frame::encapsulating(head, &frame);
+                flat.splice(0..0, head.iter().copied());
+            }
+            proptest::prop_assert_eq!(frame.fp128(), fp128(&flat));
+            proptest::prop_assert_eq!(frame.fnv1a(), fnv1a(&flat));
+            let split = (at % (flat.len() + 1)).min(MAX_ENCAP_HEAD);
+            let resplit = Frame::encapsulating(&flat[..split], &Frame::from(flat[split..].to_vec()));
+            proptest::prop_assert!(frame == resplit);
+            proptest::prop_assert!(frame == Frame::from(flat.clone()));
+            if !flat.is_empty() {
+                let mut flipped = flat.clone();
+                flipped[at % flat.len()] ^= 1;
+                proptest::prop_assert!(frame != Frame::from(flipped));
+                proptest::prop_assert!(frame != Frame::from(flat[1..].to_vec()));
+            }
+            proptest::prop_assert!(!built(&frame) && !built(&resplit));
+        }
     }
 
     #[test]
