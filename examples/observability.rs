@@ -14,15 +14,15 @@
 //! `ctlvote.*` cells) in one registry.
 
 use netco_adversary::{ActivationWindow, Behavior};
-use netco_bench::control_chaos;
+use netco_bench::{chaos, control_chaos};
 use netco_controller::apps::FlowStatsMonitor;
 use netco_controller::Controller;
-use netco_core::{Compare, ControlVoter, SecurityEvent, SupervisorConfig};
+use netco_core::{Compare, ControlVoter, SecurityEvent};
 use netco_net::{CpuModel, PortId, TraceRecorder};
 use netco_openflow::{FlowMatch, OfSwitch};
-use netco_sim::{SimDuration, SimTime};
+use netco_sim::SimDuration;
 use netco_telemetry::TelemetrySink;
-use netco_topo::{AdversarySpec, BuiltScenario, FaultKind, Profile, Scenario, ScenarioKind, H2_IP};
+use netco_topo::{AdversarySpec, Profile, Scenario, ScenarioKind, H2_IP};
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         // the data-plane lifecycle histograms *and* the control-plane
         // `ctlvote.*` cells.
         let sink = TelemetrySink::enabled();
-        let _ = run_quarantine_scenario(sink.clone());
+        let _ = chaos::run_with_sink(Some(sink.clone()));
         let _ = control_chaos::run_with_sink(Some(sink.clone()));
         print!("{}", sink.metrics_json());
         return;
@@ -143,52 +143,13 @@ fn mirror_attack_screening() {
     );
 }
 
-/// Builds and runs the flapping-replica scenario feeding `sink`,
-/// returning the finished world.
-fn run_quarantine_scenario(sink: TelemetrySink) -> BuiltScenario {
-    let at_ms = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
-    let scenario = Scenario::build(ScenarioKind::Central3, Profile::functional(), 33)
-        .with_miss_alarm_threshold(3)
-        .with_supervisor(
-            SupervisorConfig::default()
-                .with_quarantine_strikes(1)
-                .with_probation_delay(SimDuration::from_millis(50))
-                .with_readmit_streak(4)
-                .with_escalation_cap(2),
-        )
-        .with_replica_fault(
-            1,
-            FaultKind::Flaps {
-                first_down: at_ms(150),
-                down_for: SimDuration::from_millis(100),
-                up_for: SimDuration::from_millis(150),
-                cycles: 3,
-            },
-        );
-    let mut built = scenario.build_world(
-        0,
-        |nic| {
-            Pinger::new(
-                nic,
-                PingConfig::new(H2_IP)
-                    .with_count(100)
-                    .with_interval(SimDuration::from_millis(10)),
-            )
-        },
-        IcmpEchoResponder::new,
-    );
-    built.world.set_telemetry(sink);
-    built.world.run_for(SimDuration::from_secs(2));
-    built
-}
-
 /// Screening method 4: the supervisor's own event log. A flapping replica
 /// is quarantined, the lane degrades to detection, and after probation the
 /// replica is re-admitted — all visible as timestamped security events and
 /// as packet-lifecycle latency histograms in the registry snapshot.
 fn quarantine_timeline() {
     let sink = TelemetrySink::enabled();
-    let built = run_quarantine_scenario(sink.clone());
+    let built = chaos::run_with_sink(Some(sink.clone()));
 
     let report = built.world.device::<Pinger>(built.h1).unwrap().report();
     println!("\nquarantine timeline (r2 flaps 3×, supervisor attached):");
