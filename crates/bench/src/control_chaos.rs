@@ -35,8 +35,6 @@ pub const LIAR: usize = 1;
 /// controller 1 corrupting every votable output inside
 /// `byzantine_window`.
 pub fn equivocating_scenario() -> Scenario {
-    let mut profile = Profile::functional();
-    profile.seed = 41;
     let voter = ControlVoterConfig::default()
         .with_miss_alarm_threshold(8)
         .with_supervisor(
@@ -46,7 +44,7 @@ pub fn equivocating_scenario() -> Scenario {
                 .with_readmit_streak(4)
                 .with_escalation_cap(2),
         );
-    Scenario::build(ScenarioKind::Pox3, profile, 41).with_control_replication(
+    Scenario::build(ScenarioKind::Pox3, Profile::functional(), 41).with_control_replication(
         ControlReplication::new(3).with_voter(voter).with_byzantine(
             LIAR,
             ByzantineBehavior::Equivocate { every_nth: 1 },

@@ -18,6 +18,10 @@ use netco_traffic::{IperfConfig, PingConfig};
 
 use crate::ExperimentScale;
 
+/// The seed every runner here builds its scenarios with; a trial index
+/// perturbs it per world.
+pub const SEED: u64 = 0xC0FFEE;
+
 /// The two transfer directions, in the canonical job-enumeration order.
 const DIRECTIONS: [Direction; 2] = [Direction::H1ToH2, Direction::H2ToH1];
 
@@ -55,7 +59,7 @@ fn tcp_rows(
         })
         .collect();
     let outs = pool.map(&jobs, |&(kind, run, dir)| {
-        let scenario = Scenario::build(kind, profile.clone(), profile.seed);
+        let scenario = Scenario::build(kind, profile.clone(), SEED);
         let out = scenario.run_tcp(dir, scale.duration, run);
         (out.mbps, out.sender.fast_retransmits, out.sender.timeouts)
     });
@@ -126,7 +130,7 @@ fn udp_rows(
         .flat_map(|&kind| DIRECTIONS.into_iter().map(move |dir| (kind, dir)))
         .collect();
     let outs = pool.map(&jobs, |&(kind, dir)| {
-        let scenario = Scenario::build(kind, profile.clone(), profile.seed);
+        let scenario = Scenario::build(kind, profile.clone(), SEED);
         scenario
             .run_udp_max_rate(dir, &iperf, 1470, trial, scale.duration)
             .map(|(_rate, report)| report)
@@ -181,7 +185,7 @@ pub fn fig6_loss_correlation(
 ) -> Vec<LossPoint> {
     let jobs: Vec<u64> = (0..=15u64).collect();
     pool.map(&jobs, |&step| {
-        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), profile.seed);
+        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), SEED);
         let offered = 150_000_000 + step * 10_000_000; // 150..300 Mbit/s
         let out = scenario.run_udp(Direction::H1ToH2, offered, 1470, scale.duration, step);
         LossPoint {
@@ -230,7 +234,7 @@ fn rtt_rows(
         .flat_map(|&kind| (0..sequences).map(move |seq| (kind, seq)))
         .collect();
     let outs = pool.map(&jobs, |&(kind, seq)| {
-        let scenario = Scenario::build(kind, profile.clone(), profile.seed);
+        let scenario = Scenario::build(kind, profile.clone(), SEED);
         let cfg = PingConfig::default()
             .with_count(50)
             .with_interval(SimDuration::from_millis(10));
@@ -294,7 +298,7 @@ pub fn fig8_jitter(pool: &Pool, profile: &Profile, scale: ExperimentScale) -> Ve
         })
         .collect();
     let outs = pool.map(&jobs, |&(kind, payload, run)| {
-        let scenario = Scenario::build(kind, profile.clone(), profile.seed);
+        let scenario = Scenario::build(kind, profile.clone(), SEED);
         // POX cannot carry 60 Mbit/s; cap its offered rate so the jitter
         // measurement reflects delivery, not pure loss.
         let offered = if kind == ScenarioKind::Pox3 {
@@ -370,7 +374,7 @@ pub fn case_study_all(profile: &Profile) -> [(case_study::Phase, case_study::Out
         case_study::Phase::Attack,
         case_study::Phase::NetCo,
     ]
-    .map(|phase| (phase, case_study::run(phase, profile, profile.seed, 10)))
+    .map(|phase| (phase, case_study::run(phase, profile, SEED, 10)))
 }
 
 /// §VII: the virtualized combiner, clean and under a one-tunnel attack.
@@ -435,7 +439,7 @@ pub fn ablation_sampling(profile: &Profile) -> Vec<SamplingRow> {
     [0.05, 0.1, 0.25, 0.5, 1.0]
         .into_iter()
         .map(|probability| {
-            let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), profile.seed)
+            let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), SEED)
                 .with_sampling(probability)
                 .with_adversary(netco_topo::AdversarySpec {
                     replica_index: 1,
@@ -517,7 +521,7 @@ pub fn ablation_strategies(profile: &Profile) -> Vec<StrategyRow> {
     ]
     .into_iter()
     .map(|(name, strategy)| {
-        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), profile.seed)
+        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), SEED)
             .with_strategy(strategy)
             .with_adversary(netco_topo::AdversarySpec {
                 replica_index: 0,

@@ -3,7 +3,7 @@
 //! job order, so even float accumulation must not change by a single ulp
 //! when the worker count does.
 
-use netco_bench::experiments::{ablation_modes, fig4_tcp, fig7_rtt, table1, TcpRow};
+use netco_bench::experiments::{ablation_modes, fig4_tcp, fig7_rtt, table1, TcpRow, SEED};
 use netco_bench::ExperimentScale;
 use netco_harness::Pool;
 use netco_topo::{Direction, Profile, Scenario, ScenarioKind};
@@ -34,7 +34,7 @@ fn central3_tcp_sweep_bit_identical_serial_vs_pooled() {
         })
         .collect();
     let run_one = |&(run, dir): &(u64, Direction)| {
-        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), profile.seed);
+        let scenario = Scenario::build(ScenarioKind::Central3, profile.clone(), SEED);
         let out = scenario.run_tcp(dir, scale.duration, run);
         (out.mbps.to_bits(), out.events)
     };

@@ -33,8 +33,6 @@ pub struct Profile {
     /// high-packet-rate flows trigger cleanup sweeps (the Fig. 8 jitter
     /// mechanism).
     pub compare_cache_entries: usize,
-    /// Base RNG seed; runners derive per-trial seeds from it.
-    pub seed: u64,
 }
 
 impl Default for Profile {
@@ -69,7 +67,6 @@ impl Default for Profile {
                 latency: SimDuration::from_micros(500),
             },
             compare_cache_entries: 384,
-            seed: 0xC0FFEE,
         }
     }
 }
@@ -87,7 +84,6 @@ impl Profile {
             controller_cpu: CpuModel::default(),
             control_channel: ControlChannelSpec::default(),
             compare_cache_entries: 1 << 20,
-            seed: 1,
         }
     }
 }

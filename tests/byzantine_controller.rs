@@ -281,15 +281,12 @@ fn voting_disabled_by_default_keeps_the_single_controller_topology() {
 /// remaining 2-of-3 majority keeps voting.
 #[test]
 fn rolling_controller_restart_keeps_service_up() {
-    let mut profile = Profile::functional();
-    profile.seed = 43;
-    let scenario = Scenario::build(ScenarioKind::Pox3, profile, 43).with_control_replication(
-        ControlReplication::new(3).rolling_restart(
+    let scenario = Scenario::build(ScenarioKind::Pox3, Profile::functional(), 43)
+        .with_control_replication(ControlReplication::new(3).rolling_restart(
             SimTime::ZERO + SimDuration::from_millis(100),
             SimDuration::from_millis(150),
             SimDuration::from_millis(300),
-        ),
-    );
+        ));
     let report = scenario.run_ping(
         PingConfig::default()
             .with_count(100)
@@ -308,17 +305,14 @@ fn rolling_controller_restart_keeps_service_up() {
 /// controllers form the majority.
 #[test]
 fn delayed_control_channel_does_not_stall_the_vote() {
-    let mut profile = Profile::functional();
-    profile.seed = 44;
-    let scenario = Scenario::build(ScenarioKind::Pox3, profile, 44).with_control_replication(
-        ControlReplication::new(3).with_controller_fault(
+    let scenario = Scenario::build(ScenarioKind::Pox3, Profile::functional(), 44)
+        .with_control_replication(ControlReplication::new(3).with_controller_fault(
             2,
             FaultKind::Delay {
                 extra: SimDuration::from_millis(2),
                 window: netco_sim::ActivationWindow::always(),
             },
-        ),
-    );
+        ));
     let report = scenario.run_ping(
         PingConfig::default()
             .with_count(50)

@@ -17,13 +17,12 @@ fn at_ms(ms: u64) -> SimTime {
 
 #[test]
 fn replica_crash_does_not_interrupt_service() {
-    let mut profile = Profile::functional();
-    profile.seed = 3;
     // Crash replica r2 (both links down) after 30 ping cycles, forever.
-    let scenario = Scenario::build(ScenarioKind::Central3, profile, 3).with_replica_fault(
-        1,
-        FaultKind::Outage(ActivationWindow::starting_at(at_ms(300))),
-    );
+    let scenario = Scenario::build(ScenarioKind::Central3, Profile::functional(), 3)
+        .with_replica_fault(
+            1,
+            FaultKind::Outage(ActivationWindow::starting_at(at_ms(300))),
+        );
     let mut built = scenario.build_world(
         0,
         |nic| {
@@ -48,12 +47,11 @@ fn replica_crash_does_not_interrupt_service() {
 fn compare_raises_down_alarm_and_recovery() {
     // Sustained traffic so the consecutive-miss counter can trip. Replica
     // r3 crashes at 500 ms and recovers at 2 s — one bounded outage window.
-    let mut profile = Profile::functional();
-    profile.seed = 4;
-    let scenario = Scenario::build(ScenarioKind::Central3, profile, 4).with_replica_fault(
-        2,
-        FaultKind::Outage(ActivationWindow::between(at_ms(500), at_ms(2000))),
-    );
+    let scenario = Scenario::build(ScenarioKind::Central3, Profile::functional(), 4)
+        .with_replica_fault(
+            2,
+            FaultKind::Outage(ActivationWindow::between(at_ms(500), at_ms(2000))),
+        );
     let mut built = scenario.build_world(
         0,
         |nic| {
@@ -108,12 +106,11 @@ fn compare_raises_down_alarm_and_recovery() {
 fn detection_mode_survives_replica_crash_too() {
     // k = 2 detection: the first copy is forwarded immediately, so losing
     // one replica costs nothing but alarms.
-    let mut profile = Profile::functional();
-    profile.seed = 5;
-    let scenario = Scenario::build(ScenarioKind::Detect2, profile, 5).with_replica_fault(
-        0,
-        FaultKind::Outage(ActivationWindow::starting_at(at_ms(100))),
-    );
+    let scenario = Scenario::build(ScenarioKind::Detect2, Profile::functional(), 5)
+        .with_replica_fault(
+            0,
+            FaultKind::Outage(ActivationWindow::starting_at(at_ms(100))),
+        );
     let mut built = scenario.build_world(
         0,
         |nic| {
