@@ -5,7 +5,7 @@
 //! open, misbehaves in a chosen, fully deterministic way: corrupting
 //! votable outputs (equivocation — the replica's vote differs from its
 //! honest peers'), suppressing them (a silent controller), or holding
-//! them back (a slow controller). Handshake and echo traffic always
+//! them back (a slow controller). Handshake traffic always
 //! passes through unmodified, so the replica looks *alive* while lying —
 //! the failure mode majority voting exists to catch.
 //!

@@ -39,7 +39,7 @@ use crate::Action;
 pub enum Canonical {
     /// A votable output (flow-mod or packet-out) in canonical wire form.
     Votable(Frame),
-    /// A well-formed message that is not voted on (handshake, echo, stats
+    /// A well-formed message that is not voted on (handshake, stats
     /// plumbing); the decoded message and original xid are returned
     /// so the caller can answer or relay it.
     Opaque(Box<OfMessage>, u32),
