@@ -3,7 +3,7 @@
 use std::any::Any;
 
 use netco_net::{Ctx, Frame, NodeId};
-use netco_openflow::{wire, Action, FlowMatch, OfMessage, OfPort, PacketInReason};
+use netco_openflow::{wire, Action, FlowMatch, OfMessage, OfPort};
 use netco_sim::{SimDuration, SimTime};
 
 /// What an app can do while handling a controller event: inspect time and
@@ -136,7 +136,6 @@ pub trait ControllerApp: Any + Send {
         switch: NodeId,
         buffer_id: Option<u32>,
         in_port: u16,
-        reason: PacketInReason,
         data: Frame,
     ) {
     }

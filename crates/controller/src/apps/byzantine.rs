@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use netco_net::{Frame, NodeId};
 use netco_openflow::wire::{self, FrameMessage, SplitHead};
-use netco_openflow::{OfMessage, PacketInReason};
+use netco_openflow::OfMessage;
 use netco_sim::{ActivationWindow, SimDuration};
 
 use crate::app::{ControllerApp, ControllerCtx};
@@ -193,11 +193,10 @@ impl<A: ControllerApp> ControllerApp for ByzantineApp<A> {
         switch: NodeId,
         buffer_id: Option<u32>,
         in_port: u16,
-        reason: PacketInReason,
         data: Frame,
     ) {
         self.drive(cx, |app, cx| {
-            app.on_packet_in(cx, switch, buffer_id, in_port, reason, data)
+            app.on_packet_in(cx, switch, buffer_id, in_port, data)
         });
     }
 

@@ -132,18 +132,11 @@ impl Device for Controller {
             Other(OfMessage::FeaturesReply { .. }) if self.up.insert(from) => {
                 self.app.on_switch_up(&mut cx, from);
             }
-            Payload(
-                SplitHead::PacketIn {
-                    buffer_id,
-                    in_port,
-                    reason,
-                },
-                data,
-            ) => {
+            Payload(SplitHead::PacketIn { buffer_id, in_port }, data) => {
                 self.packet_ins += 1;
                 cx.ctx.telemetry().counter("controller.packet_ins").inc();
                 self.app
-                    .on_packet_in(&mut cx, from, buffer_id, in_port, reason, data);
+                    .on_packet_in(&mut cx, from, buffer_id, in_port, data);
             }
             Other(OfMessage::FlowStatsReply { flows }) => {
                 self.app.on_flow_stats(&mut cx, from, flows);

@@ -26,7 +26,7 @@ const _: () = assert!(DOS_REPEAT_THRESHOLD <= COUNT_CAP);
 /// slot it lives in, and it is 80 bytes, so the per-copy bookkeeping packs
 /// arrival order and repeat counts into fixed arrays.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// The first received copy (the one released on majority). Its memo
     /// carries the fingerprint computed when the compare key was derived,
     /// so expiry/drop accounting never re-hashes the bytes.
@@ -114,7 +114,7 @@ impl CacheEntry {
 
 /// What `PacketCache::observe` saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Observed {
+pub(crate) enum Observed {
     /// First copy of a new packet.
     New,
     /// A copy from a port that had not delivered this packet yet.
@@ -153,7 +153,7 @@ pub enum Observed {
 /// calls (`PacketCache::mark_released` etc.) with it share the stored
 /// buffer and compare no bytes.
 #[derive(Debug, Default)]
-pub struct PacketCache {
+pub(crate) struct PacketCache {
     map: HashMap<CompareKey, CacheEntry, FxBuildHasher>,
     /// Every key in `map`, oldest first, with its entry's `first_seen`.
     order: VecDeque<(SimTime, CompareKey)>,

@@ -6,7 +6,9 @@ use netco_telemetry::{Counter, Gauge, TelemetrySink};
 use std::vec::Drain;
 
 use super::cache::{CacheEntry, Observed, PacketCache};
-use crate::config::{CompareConfig, Mode, BLOCK_DURATION, DOS_REPEAT_THRESHOLD};
+use crate::config::{
+    CompareConfig, Mode, BLOCK_DURATION, CLEANUP_COST_PER_ENTRY, DOS_REPEAT_THRESHOLD,
+};
 use crate::events::{EventCounts, SecurityEvent};
 use crate::supervisor::LaneSupervisor;
 
@@ -55,8 +57,6 @@ pub enum CompareAction {
         /// Modeled processing pause.
         duration: SimDuration,
     },
-    /// A security event to log/alert.
-    Event(SecurityEvent),
 }
 
 /// Aggregate compare statistics.
@@ -162,7 +162,8 @@ struct Lane {
 /// (OpenFlow-over-link, controller packet-outs, or direct forwarding for
 /// the inband variant). The actions are queued in one buffer the core
 /// keeps and handed back as a [`Drain`] of it, so a call allocates no
-/// action list.
+/// action list; the security events a call raises wait in another (see
+/// [`CompareCore::events`]).
 #[derive(Debug)]
 pub struct CompareCore {
     cfg: CompareConfig,
@@ -171,9 +172,11 @@ pub struct CompareCore {
     cells: StatCells,
     event_counts: EventCounts,
     telemetry: TelemetrySink,
-    /// The actions of the current call, drained by its caller (the host
-    /// moves the events out first).
+    /// The actions of the current call, drained by its caller.
     pub(super) actions: Vec<CompareAction>,
+    /// The security events of the current call, in emission order: the
+    /// host moves them into its log.
+    pub(super) events: Vec<SecurityEvent>,
 }
 
 impl CompareCore {
@@ -186,6 +189,7 @@ impl CompareCore {
             event_counts: EventCounts::default(),
             telemetry: TelemetrySink::disabled(),
             actions: Vec::new(),
+            events: Vec::new(),
         }
     }
 
@@ -345,7 +349,9 @@ impl CompareCore {
 
     /// Records one copy arriving on `lane` from replica ingress `in_port`.
     /// Returns the actions the embedding must carry out, in order; what
-    /// the caller leaves in the drain is dropped with it.
+    /// the caller leaves in the drain is dropped with it. The events the
+    /// call raised replace the previous call's in
+    /// [`events`](CompareCore::events).
     pub fn observe(
         &mut self,
         lane_id: u16,
@@ -353,18 +359,26 @@ impl CompareCore {
         frame: impl Into<Frame>,
         now: SimTime,
     ) -> Drain<'_, CompareAction> {
+        self.events.clear();
         self.record(lane_id, in_port, frame.into(), now);
         self.actions.drain(..)
     }
 
+    /// The security events the last [`observe`](CompareCore::observe) or
+    /// [`sweep`](CompareCore::sweep) raised, in emission order.
+    pub fn events(&self) -> &[SecurityEvent] {
+        &self.events
+    }
+
     /// [`observe`](CompareCore::observe)'s work: its actions go into
-    /// `self.actions`.
+    /// `self.actions`, its events into `self.events`.
     pub(super) fn record(&mut self, lane_id: u16, in_port: u16, frame: Frame, now: SimTime) {
         let Ok(slot) = self.lane_slot(lane_id) else {
             self.cells.unknown_port.inc();
             return;
         };
         let actions = &mut self.actions;
+        let events = &mut self.events;
         let release_threshold = self.cfg.release_threshold();
         let lane = &mut self.lanes[slot].1;
         let Some(replica_idx) = lane.info.replica_ports.iter().position(|&p| p == in_port) else {
@@ -386,7 +400,18 @@ impl CompareCore {
             let n = evicted.len();
             self.cells.cleanups.inc();
             self.cells.evicted.add(n as u64);
-            let mut evict_actions = Vec::new();
+            actions.push(CompareAction::Stall {
+                lane: lane_id,
+                duration: CLEANUP_COST_PER_ENTRY * n as u64,
+            });
+            Self::emit(
+                &mut self.event_counts,
+                events,
+                SecurityEvent::CacheCleanup {
+                    lane: lane_id,
+                    evicted: n,
+                },
+            );
             for (_, entry) in evicted {
                 Self::account_removed_entry(
                     &self.cfg,
@@ -395,25 +420,12 @@ impl CompareCore {
                     entry,
                     now,
                     RemovalCause::Evicted,
-                    &mut evict_actions,
+                    events,
                     &self.cells,
                     &mut self.event_counts,
                     &self.telemetry,
                 );
             }
-            actions.push(CompareAction::Stall {
-                lane: lane_id,
-                duration: self.cfg.cleanup_cost_per_entry * n as u64,
-            });
-            Self::emit(
-                &mut self.event_counts,
-                actions,
-                SecurityEvent::CacheCleanup {
-                    lane: lane_id,
-                    evicted: n,
-                },
-            );
-            actions.extend(evict_actions);
         }
 
         let key = self.cfg.strategy.key(&frame);
@@ -478,7 +490,7 @@ impl CompareCore {
                     self.cells.dos_advices.inc();
                     Self::emit(
                         &mut self.event_counts,
-                        actions,
+                        events,
                         SecurityEvent::DosSuspected {
                             lane: lane_id,
                             port: in_port,
@@ -492,7 +504,7 @@ impl CompareCore {
                     });
                     Self::emit(
                         &mut self.event_counts,
-                        actions,
+                        events,
                         SecurityEvent::PortBlocked {
                             lane: lane_id,
                             port: in_port,
@@ -510,7 +522,7 @@ impl CompareCore {
                             &mut transitions,
                         );
                         for ev in transitions {
-                            Self::emit(&mut self.event_counts, actions, ev);
+                            Self::emit(&mut self.event_counts, events, ev);
                         }
                     }
                 }
@@ -519,16 +531,18 @@ impl CompareCore {
     }
 
     /// Expires overdue cache entries on every lane, in lane-id order; call
-    /// periodically (e.g. every `hold_time / 4`). A sweep that finds
+    /// periodically (e.g. every `hold_time / 4`). A sweep raises events
+    /// (alarms for what expired unreleased) and no action; one that finds
     /// nothing due reads the oldest entry's age per lane and allocates
-    /// nothing.
-    pub fn sweep(&mut self, now: SimTime) -> Drain<'_, CompareAction> {
+    /// nothing. Its events replace the previous call's in
+    /// [`events`](CompareCore::events).
+    pub fn sweep(&mut self, now: SimTime) {
+        self.events.clear();
         self.expire(now);
-        self.actions.drain(..)
     }
 
-    /// [`sweep`](CompareCore::sweep)'s work: its actions go into
-    /// `self.actions`.
+    /// [`sweep`](CompareCore::sweep)'s work: its events go into
+    /// `self.events`.
     pub(super) fn expire(&mut self, now: SimTime) {
         let hold = self.cfg.hold_time;
         for (lane_id, lane) in &mut self.lanes {
@@ -540,7 +554,7 @@ impl CompareCore {
                     entry,
                     now,
                     RemovalCause::Expired,
-                    &mut self.actions,
+                    &mut self.events,
                     &self.cells,
                     &mut self.event_counts,
                     &self.telemetry,
@@ -549,10 +563,10 @@ impl CompareCore {
         }
     }
 
-    /// Counts an event and appends it to the action list.
-    fn emit(events: &mut EventCounts, actions: &mut Vec<CompareAction>, event: SecurityEvent) {
-        events.note(&event);
-        actions.push(CompareAction::Event(event));
+    /// Counts an event and appends it to the call's events.
+    fn emit(counts: &mut EventCounts, events: &mut Vec<SecurityEvent>, event: SecurityEvent) {
+        counts.note(&event);
+        events.push(event);
     }
 
     /// Miss/alarm bookkeeping when an entry leaves the cache for good.
@@ -567,14 +581,14 @@ impl CompareCore {
         entry: CacheEntry,
         now: SimTime,
         cause: RemovalCause,
-        actions: &mut Vec<CompareAction>,
+        events: &mut Vec<SecurityEvent>,
         cells: &StatCells,
         event_counts: &mut EventCounts,
         telemetry: &TelemetrySink,
     ) {
         // Liveness first (it only reads the ports): replicas that did not
         // deliver this packet accumulate consecutive misses; replicas that
-        // delivered reset them. Alarms are buffered so the emitted action
+        // delivered reset them. Alarms are buffered so the emitted event
         // order (mismatch/single-path event, then liveness events) is
         // unchanged; the buffer allocates nothing in the common quiet case.
         let mut liveness = Vec::new();
@@ -590,7 +604,7 @@ impl CompareCore {
                         port,
                     };
                     event_counts.note(&ev);
-                    liveness.push(CompareAction::Event(ev));
+                    liveness.push(ev);
                 }
             } else {
                 lane.consecutive_miss[idx] += 1;
@@ -603,7 +617,7 @@ impl CompareCore {
                         port,
                     };
                     event_counts.note(&ev);
-                    liveness.push(CompareAction::Event(ev));
+                    liveness.push(ev);
                 }
             }
         }
@@ -663,7 +677,7 @@ impl CompareCore {
             if active_mode == Mode::Detect && healthy_delivered < expected {
                 Self::emit(
                     event_counts,
-                    actions,
+                    events,
                     SecurityEvent::DetectionMismatch {
                         lane: lane_id,
                         delivering_ports: entry.ports(&lane.info.replica_ports),
@@ -682,16 +696,16 @@ impl CompareCore {
             }
             Self::emit(
                 event_counts,
-                actions,
+                events,
                 SecurityEvent::SinglePathPacket {
                     lane: lane_id,
                     suspect_ports: entry.ports(&lane.info.replica_ports),
                 },
             );
         }
-        actions.extend(liveness);
+        events.extend(liveness);
         for ev in transitions {
-            Self::emit(event_counts, actions, ev);
+            Self::emit(event_counts, events, ev);
         }
     }
 }
@@ -729,11 +743,6 @@ mod tests {
         now: SimTime,
     ) -> Vec<CompareAction> {
         c.observe(lane, port, frame, now).collect()
-    }
-
-    /// [`CompareCore::sweep`]'s actions, collected.
-    fn sweep(c: &mut CompareCore, now: SimTime) -> Vec<CompareAction> {
-        c.sweep(now).collect()
     }
 
     fn releases(actions: &[CompareAction]) -> usize {
@@ -779,11 +788,10 @@ mod tests {
         // The two honest copies still win.
         assert_eq!(releases(&observe(&mut c, 0, 3, pkt(1), t)), 1);
         // The malicious copy expires unsent and raises an alarm.
-        let actions = sweep(&mut c, t + SimDuration::from_millis(10));
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            CompareAction::Event(SecurityEvent::SinglePathPacket { suspect_ports, .. })
-            if suspect_ports == &vec![2]
+        c.sweep(t + SimDuration::from_millis(10));
+        assert!(c.events().iter().any(|e| matches!(
+            e,
+            SecurityEvent::SinglePathPacket { suspect_ports, .. } if suspect_ports == &vec![2]
         )));
         assert_eq!(c.stats().expired_unreleased, 1);
     }
@@ -804,12 +812,12 @@ mod tests {
         let mut c = core(3);
         let t = SimTime::ZERO;
         assert_eq!(releases(&observe(&mut c, 0, 2, pkt(7), t)), 0);
-        let actions = sweep(&mut c, t + SimDuration::from_millis(10));
+        c.sweep(t + SimDuration::from_millis(10));
         assert_eq!(c.stats().expired_unreleased, 1);
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            CompareAction::Event(SecurityEvent::SinglePathPacket { .. })
-        )));
+        assert!(c
+            .events()
+            .iter()
+            .any(|e| matches!(e, SecurityEvent::SinglePathPacket { .. })));
         assert_eq!(c.stats().released, 0);
     }
 
@@ -830,15 +838,11 @@ mod tests {
         // Second replica delivers a *different* packet: released too
         // (detection cannot prevent), but both entries later alarm.
         assert_eq!(releases(&observe(&mut c, 0, 2, pkt(2), t)), 1);
-        let actions = sweep(&mut c, t + SimDuration::from_millis(10));
-        let mismatches = actions
+        c.sweep(t + SimDuration::from_millis(10));
+        let mismatches = c
+            .events()
             .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    CompareAction::Event(SecurityEvent::DetectionMismatch { .. })
-                )
-            })
+            .filter(|e| matches!(e, SecurityEvent::DetectionMismatch { .. }))
             .count();
         assert_eq!(mismatches, 2);
     }
@@ -857,11 +861,11 @@ mod tests {
         let t = SimTime::ZERO;
         observe(&mut c, 0, 1, pkt(1), t);
         observe(&mut c, 0, 2, pkt(1), t);
-        let actions = sweep(&mut c, t + SimDuration::from_millis(10));
-        assert!(!actions.iter().any(|a| matches!(
-            a,
-            CompareAction::Event(SecurityEvent::DetectionMismatch { .. })
-        )));
+        c.sweep(t + SimDuration::from_millis(10));
+        assert!(!c
+            .events()
+            .iter()
+            .any(|e| matches!(e, SecurityEvent::DetectionMismatch { .. })));
     }
 
     #[test]
@@ -890,14 +894,13 @@ mod tests {
         let (mut fired, mut blocks) = (Vec::new(), Vec::new());
         for copy in 1..=40u32 {
             for a in observe(&mut c, 0, 1, pkt(1), t) {
-                match a {
-                    CompareAction::Event(SecurityEvent::DosSuspected { port, repeats, .. }) => {
-                        fired.push((copy, port, repeats));
-                    }
-                    CompareAction::BlockReplicaPort { port, duration, .. } => {
-                        blocks.push((copy, port, duration));
-                    }
-                    _ => {}
+                if let CompareAction::BlockReplicaPort { port, duration, .. } = a {
+                    blocks.push((copy, port, duration));
+                }
+            }
+            for e in c.events() {
+                if let SecurityEvent::DosSuspected { port, repeats, .. } = *e {
+                    fired.push((copy, port, repeats));
                 }
             }
         }
@@ -925,15 +928,14 @@ mod tests {
             observe(&mut c, 0, 1, pkt(i), t);
             observe(&mut c, 0, 2, pkt(i), t);
             t += SimDuration::from_millis(2);
-            for a in sweep(&mut c, t) {
-                match a {
-                    CompareAction::Event(SecurityEvent::ReplicaSuspectedDown { port, .. }) => {
+            c.sweep(t);
+            for e in c.events() {
+                match *e {
+                    SecurityEvent::ReplicaSuspectedDown { port, .. } => {
                         assert_eq!(port, 3);
                         down_alarms += 1;
                     }
-                    CompareAction::Event(SecurityEvent::ReplicaRecovered { .. }) => {
-                        recoveries += 1;
-                    }
+                    SecurityEvent::ReplicaRecovered { .. } => recoveries += 1,
                     _ => {}
                 }
             }
@@ -944,22 +946,18 @@ mod tests {
         observe(&mut c, 0, 2, pkt(50), t);
         observe(&mut c, 0, 3, pkt(50), t);
         t += SimDuration::from_millis(2);
-        for a in sweep(&mut c, t) {
-            if matches!(
-                a,
-                CompareAction::Event(SecurityEvent::ReplicaRecovered { port: 3, .. })
-            ) {
-                recoveries += 1;
-            }
-        }
+        c.sweep(t);
+        recoveries += c
+            .events()
+            .iter()
+            .filter(|e| matches!(e, SecurityEvent::ReplicaRecovered { port: 3, .. }))
+            .count();
         assert_eq!(recoveries, 1);
     }
 
     #[test]
     fn cache_capacity_triggers_cleanup_and_stall() {
-        let mut cfg = CompareConfig::prevent(3).with_cache_capacity(8);
-        cfg.cleanup_cost_per_entry = SimDuration::from_micros(10);
-        let mut c = CompareCore::new(cfg);
+        let mut c = CompareCore::new(CompareConfig::prevent(3).with_cache_capacity(8));
         c.attach_lane(
             0,
             LaneInfo {
@@ -977,10 +975,48 @@ mod tests {
             }
         }
         assert!(!stalls.is_empty(), "cleanup must have fired");
-        assert!(stalls[0] > SimDuration::ZERO);
+        // The first cleanup halves the full cache: 4 of 8 entries go.
+        assert_eq!(stalls[0], CLEANUP_COST_PER_ENTRY * 4);
         assert!(c.stats().cleanups >= 1);
         assert!(c.stats().evicted >= 4);
         assert!(c.cache_len(0) <= 8);
+    }
+
+    /// A bare core holds only the last call's events: `observe` and
+    /// `sweep` clear them first, so a caller that never reads them (a
+    /// timing loop) keeps at most one call's worth.
+    #[test]
+    fn bare_core_holds_only_the_last_calls_events() {
+        let mut c = CompareCore::new(CompareConfig::prevent(3).with_cache_capacity(2));
+        c.attach_lane(
+            0,
+            LaneInfo {
+                replica_ports: vec![1, 2, 3],
+                host_port: 9,
+            },
+        );
+        let t = SimTime::ZERO;
+        for i in 0..200u8 {
+            observe(&mut c, 0, 1, pkt(i), t);
+        }
+        // From the third lone copy on, each observe evicts an earlier one.
+        assert_eq!(c.stats().events.single_path, 198);
+        assert_eq!(
+            c.events(),
+            [
+                SecurityEvent::CacheCleanup {
+                    lane: 0,
+                    evicted: 1
+                },
+                SecurityEvent::SinglePathPacket {
+                    lane: 0,
+                    suspect_ports: vec![1]
+                },
+            ]
+        );
+        // Nothing is due yet: the sweep raises nothing and keeps nothing.
+        c.sweep(t);
+        assert!(c.events().is_empty());
     }
 
     #[test]
@@ -1075,7 +1111,8 @@ mod tests {
                 if port_sel == 3 {
                     // Jump time and sweep both sides.
                     now += SimDuration::from_millis(advance as u64);
-                    proptest::prop_assert_eq!(sweep(&mut fp, now), sweep(&mut oracle, now));
+                    fp.sweep(now);
+                    oracle.sweep(now);
                 } else {
                     let frame = Bytes::from(vec![tag; 40 + 20 * len_sel as usize]);
                     let port = port_sel as u16 + 1;
@@ -1084,6 +1121,7 @@ mod tests {
                         observe(&mut oracle, 0, port, frame, now)
                     );
                 }
+                proptest::prop_assert_eq!(fp.events(), oracle.events());
                 proptest::prop_assert_eq!(fp.stats(), oracle.stats());
                 proptest::prop_assert_eq!(fp.cache_len(0), oracle.cache_len(0));
             }
@@ -1112,22 +1150,22 @@ mod tests {
         );
         let mut events = Vec::new();
         let mut t = SimTime::ZERO;
-        fn drive(events: &mut Vec<SecurityEvent>, actions: Vec<CompareAction>) {
-            for a in actions {
-                if let CompareAction::Event(e) = a {
-                    events.push(e);
-                }
-            }
+        /// Collects the events the last call raised.
+        fn drive(events: &mut Vec<SecurityEvent>, c: &CompareCore) {
+            events.extend_from_slice(c.events());
         }
 
         // Phase 1: replica 3 goes silent. Two expired entries without its
         // copy hit miss_alarm_threshold → down alarm → strike → quarantine
         // → degraded (healthy 2 < 3).
         for i in 0..2u8 {
-            drive(&mut events, observe(&mut c, 0, 1, pkt(i), t));
-            drive(&mut events, observe(&mut c, 0, 2, pkt(i), t));
+            observe(&mut c, 0, 1, pkt(i), t);
+            drive(&mut events, &c);
+            observe(&mut c, 0, 2, pkt(i), t);
+            drive(&mut events, &c);
             t += SimDuration::from_millis(2);
-            drive(&mut events, sweep(&mut c, t));
+            c.sweep(t);
+            drive(&mut events, &c);
         }
         assert_eq!(c.quarantined_ports(0), vec![3]);
         assert!(c.lane_degraded(0));
@@ -1147,23 +1185,29 @@ mod tests {
             1,
             "degraded lane releases on first healthy copy"
         );
-        drive(&mut events, a);
-        drive(&mut events, observe(&mut c, 0, 2, pkt(10), t));
+        drive(&mut events, &c);
+        observe(&mut c, 0, 2, pkt(10), t);
+        drive(&mut events, &c);
         let a = observe(&mut c, 0, 3, pkt(11), t);
         assert_eq!(releases(&a), 0, "quarantined copies never win the quorum");
-        drive(&mut events, a);
+        drive(&mut events, &c);
         t += SimDuration::from_millis(2);
-        drive(&mut events, sweep(&mut c, t)); // expires both; pkt(11) single-path
+        c.sweep(t); // expires both; pkt(11) single-path
+        drive(&mut events, &c);
 
         // Phase 3: replica 3 returns; agreeing shadow copies past the
         // probation gate rebuild trust and re-admit it. (The first round
         // sweeps before the probation window opens and does not count.)
         for i in 20..24u8 {
-            drive(&mut events, observe(&mut c, 0, 1, pkt(i), t));
-            drive(&mut events, observe(&mut c, 0, 2, pkt(i), t));
-            drive(&mut events, observe(&mut c, 0, 3, pkt(i), t));
+            observe(&mut c, 0, 1, pkt(i), t);
+            drive(&mut events, &c);
+            observe(&mut c, 0, 2, pkt(i), t);
+            drive(&mut events, &c);
+            observe(&mut c, 0, 3, pkt(i), t);
+            drive(&mut events, &c);
             t += SimDuration::from_millis(2);
-            drive(&mut events, sweep(&mut c, t));
+            c.sweep(t);
+            drive(&mut events, &c);
         }
         assert!(c.quarantined_ports(0).is_empty());
         assert!(!c.lane_degraded(0));
@@ -1206,7 +1250,7 @@ mod tests {
         let mut c = core(3);
         let t = SimTime::ZERO;
         observe(&mut c, 0, 2, pkt(7), t);
-        sweep(&mut c, t + SimDuration::from_millis(10));
+        c.sweep(t + SimDuration::from_millis(10));
         assert_eq!(c.stats().events.single_path, 1);
         assert_eq!(c.stats().events.alarms(), 1);
         // DoS repeats: DosSuspected + PortBlocked counted.

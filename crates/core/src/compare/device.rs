@@ -123,8 +123,6 @@ impl Outbox {
                 CompareAction::Stall { duration, .. } => {
                     self.stall_until = self.stall_until.max(now) + duration;
                 }
-                // Already in the host's log.
-                CompareAction::Event(_) => {}
             }
         }
     }
@@ -153,9 +151,7 @@ impl Device for Compare {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             SWEEP_TIMER => {
-                let now = ctx.now();
-                let actions = self.host.sweep(now);
-                self.out.apply_actions(ctx, actions);
+                self.host.sweep(ctx.now());
                 ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
             }
             DRAIN_TIMER => {
@@ -186,6 +182,7 @@ impl std::fmt::Debug for Compare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CLEANUP_COST_PER_ENTRY;
     use crate::encap::of_unwrap;
     use bytes::Bytes;
     use netco_net::testutil::CollectorDevice;
@@ -325,10 +322,9 @@ mod tests {
     fn stall_delays_release() {
         let mut w = World::new(7);
         let guard = w.add_node("guard", CollectorDevice::default(), CpuModel::default());
-        let mut cfg = CompareConfig::prevent(3)
+        let cfg = CompareConfig::prevent(3)
             .with_hold_time(SimDuration::from_secs(1))
             .with_cache_capacity(4);
-        cfg.cleanup_cost_per_entry = SimDuration::from_millis(1);
         let mut compare = Compare::new(cfg);
         compare.attach_guard(
             PortId(0),
@@ -357,13 +353,16 @@ mod tests {
         w.run_for(SimDuration::from_millis(100));
         let frames = &w.device::<CollectorDevice>(guard).unwrap().frames;
         assert_eq!(frames.len(), 1);
+        let compare = w.device::<Compare>(cmp).unwrap();
+        assert_eq!(compare.stats().cleanups, 1);
+        // The cleanup halved the full cache: 2 of 4 entries went.
+        let stall = CLEANUP_COST_PER_ENTRY * 2;
+        assert_eq!(compare.stats().evicted, 2);
         assert!(
-            frames[0].0 >= SimTime::ZERO + SimDuration::from_millis(2),
-            "release at {} should be delayed by the cleanup stall",
+            frames[0].0 >= SimTime::ZERO + stall,
+            "release at {} should be delayed by the {stall} cleanup stall",
             frames[0].0
         );
-        let compare = w.device::<Compare>(cmp).unwrap();
-        assert!(compare.stats().cleanups >= 1);
         assert!(compare
             .events()
             .iter()

@@ -21,10 +21,10 @@ use crate::events::{trace_security_event, SecurityEvent};
 /// The core itself stays log-free and I/O-free (timing loops drive it
 /// directly); the host is the one writer of the event log.
 ///
-/// A call's actions wait in the one buffer the core keeps: the host moves
-/// the events out into its log and the placement drains the rest from
-/// what `observe` / `sweep` hand back, so a call allocates no action
-/// list.
+/// A call's actions and events wait in two buffers the core keeps: the
+/// host moves the events into its log and the placement drains the
+/// actions from what `observe` hands back (a sweep raises events only),
+/// so a call allocates no list of either.
 #[derive(Debug)]
 pub struct CompareHost {
     core: CompareCore,
@@ -87,26 +87,23 @@ impl CompareHost {
         now: SimTime,
     ) -> Drain<'_, CompareAction> {
         self.core.record(lane, in_port, frame.into(), now);
-        self.transport(now)
+        self.log_events(now);
+        self.core.actions.drain(..)
     }
 
     /// [`CompareCore::sweep`], events logged as in
     /// [`observe`](CompareHost::observe).
-    pub(crate) fn sweep(&mut self, now: SimTime) -> Drain<'_, CompareAction> {
+    pub(crate) fn sweep(&mut self, now: SimTime) {
         self.core.expire(now);
-        self.transport(now)
+        self.log_events(now);
     }
 
-    /// Moves the events among the core's queued actions into the log
-    /// (tracing each) and hands back the rest, in order.
-    fn transport(&mut self, now: SimTime) -> Drain<'_, CompareAction> {
-        let is_event = |a: &mut CompareAction| matches!(a, CompareAction::Event(_));
-        for action in self.core.actions.extract_if(.., is_event) {
-            if let CompareAction::Event(e) = action {
-                trace_security_event(&self.sink, &self.scope, &e, now.as_nanos());
-                self.events.push(now, e);
-            }
+    /// Moves the events the core raised into the log, in order, tracing
+    /// each.
+    fn log_events(&mut self, now: SimTime) {
+        for e in self.core.events.drain(..) {
+            trace_security_event(&self.sink, &self.scope, &e, now.as_nanos());
+            self.events.push(now, e);
         }
-        self.core.actions.drain(..)
     }
 }

@@ -5,10 +5,6 @@ use std::hash::{Hash, Hasher};
 use bytes::Bytes;
 use netco_net::Frame;
 
-// The fingerprint/digest primitives moved next to the `Frame` memo in
-// `netco_net`; re-exported here so `netco_core::fp128` keeps working.
-pub use netco_net::frame::fp128;
-
 /// The comparison granularity (paper §III: "packets may be compared
 /// bit-by-bit, or just based on the header, or hashing can be used").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +53,7 @@ impl CompareStrategy {
 /// A comparison key: a verified fingerprint, the (possibly truncated) bytes
 /// themselves, or a digest.
 #[derive(Debug, Clone, Eq)]
-pub enum CompareKey {
+pub(crate) enum CompareKey {
     /// Bit-by-bit semantics: hashed by a precomputed 128-bit fingerprint,
     /// equal only when the fingerprints *and* the frame bytes are, so two
     /// different frames that collide on the fingerprint stay two keys —
@@ -152,7 +148,7 @@ mod tests {
         let a = frame(b"wire frame bytes");
         match CompareStrategy::FullPacket.key(&a) {
             CompareKey::Exact { fp, frame } => {
-                assert_eq!(fp, fp128(&a));
+                assert_eq!(fp, netco_net::fp128(&a));
                 assert_eq!(frame, a);
             }
             other => panic!("unexpected key {other:?}"),

@@ -40,6 +40,10 @@ impl Mode {
 /// [`supervisor`]: CompareConfig::supervisor
 pub(crate) const DOS_REPEAT_THRESHOLD: u32 = 16;
 
+/// Modeled processing pause per entry a cache cleanup evicts: the compare
+/// stalls its output by this times the evicted count (the Fig. 8 jitter).
+pub(crate) const CLEANUP_COST_PER_ENTRY: SimDuration = SimDuration::from_nanos(150);
+
 /// How long an advised port block lasts. Blocks are temporary by design;
 /// the [`supervisor`](CompareConfig::supervisor) provides the durable
 /// remediation (quarantine with probation-gated re-admission) when a
@@ -62,8 +66,6 @@ pub struct CompareConfig {
     /// Packet-cache capacity in entries; reaching it triggers a cleanup
     /// sweep (the jitter mechanism of Fig. 8).
     pub cache_capacity: usize,
-    /// Modeled processing pause per entry evicted by a cleanup sweep.
-    pub cleanup_cost_per_entry: SimDuration,
     /// Consecutive packets missing from a replica before the replica is
     /// reported down (§IV case 3).
     pub miss_alarm_threshold: u32,
@@ -107,7 +109,6 @@ impl CompareConfig {
             strategy: CompareStrategy::FullPacket,
             hold_time: SimDuration::from_millis(20),
             cache_capacity: 4096,
-            cleanup_cost_per_entry: SimDuration::from_nanos(150),
             miss_alarm_threshold: 64,
             passive: false,
             supervisor: None,

@@ -168,7 +168,7 @@ mod tests {
         let output = [Action::Output(OfPort::Physical(4))];
         let cases = [
             (
-                wire::packet_in_frame(link, 9, None, 2, PacketInReason::NoMatch, &data),
+                wire::packet_in_frame(link, 9, None, 2, &data),
                 OfMessage::PacketIn {
                     buffer_id: None,
                     in_port: 2,
@@ -272,7 +272,6 @@ mod tests {
             byte_count: packets * 98,
             actions: output.to_vec(),
         };
-        let in_reason = PacketInReason::NoMatch;
         let none = OfPort::None.to_u16();
         let rewrite = [
             Action::SetVlanVid(7),
@@ -326,11 +325,11 @@ mod tests {
             ),
             (
                 "packet-in, compare link",
-                wire::packet_in_frame(&COMPARE_LINK, 3, None, 2, in_reason, &data).into_bytes(),
+                wire::packet_in_frame(&COMPARE_LINK, 3, None, 2, &data).into_bytes(),
             ),
             (
                 "packet-in, control channel",
-                wire::packet_in_frame(&[], 3, Some(1), 2, in_reason, &data).into_bytes(),
+                wire::packet_in_frame(&[], 3, Some(1), 2, &data).into_bytes(),
             ),
             (
                 "packet-out, compare link",

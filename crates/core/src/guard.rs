@@ -6,7 +6,7 @@ use std::vec::Drain;
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_openflow::wire::FrameMessage::{Other, Payload};
 use netco_openflow::wire::{self, SplitHead};
-use netco_openflow::{Action, OfMessage, OfPort, PacketInReason};
+use netco_openflow::{Action, OfMessage, OfPort};
 use netco_sim::{SimDuration, SimTime};
 
 use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
@@ -209,7 +209,7 @@ impl GuardSwitch {
                 CompareAction::BlockReplicaPort { port, duration, .. } => {
                     blocked.insert(port, now + duration);
                 }
-                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
+                CompareAction::Stall { .. } => {}
             }
         }
     }
@@ -259,8 +259,7 @@ impl GuardSwitch {
         // The copy itself rides in the packet-in, memo included: the
         // compare unwraps it.
         let xid = self.fresh_xid();
-        let reason = PacketInReason::NoMatch;
-        let msg = wire::packet_in_frame(self.link(), xid, None, in_port.number(), reason, &frame);
+        let msg = wire::packet_in_frame(self.link(), xid, None, in_port.number(), &frame);
         match self.cfg.compare {
             CompareAttachment::DataPort(p) => ctx.send_frame(p, msg),
             CompareAttachment::Controller(c) => ctx.send_control(c, msg),
@@ -358,11 +357,8 @@ impl Device for GuardSwitch {
             return;
         }
         if let Some(host) = &mut self.embedded {
-            let interval = host.sweep_interval();
-            let actions = host.sweep(ctx.now());
-            let (stats, blocked) = (&mut self.stats, &mut self.blocked);
-            Self::apply_embedded(ctx, actions, self.cfg.host_port, stats, blocked);
-            ctx.schedule_timer(interval, EMBEDDED_SWEEP_TIMER);
+            host.sweep(ctx.now());
+            ctx.schedule_timer(host.sweep_interval(), EMBEDDED_SWEEP_TIMER);
         }
     }
 

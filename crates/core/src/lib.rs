@@ -5,8 +5,8 @@
 //! vendor-diverse routers plus two simple trusted components:
 //!
 //! * the **hub** — a stateless duplicator placing the untrusted replicas in
-//!   a parallel circuit ([`Hub`], and the richer edge component
-//!   [`GuardSwitch`] that plays the role of the paper's `s1`/`s2`),
+//!   a parallel circuit ([`GuardSwitch`], the edge component that plays
+//!   the role of the paper's `s1`/`s2`),
 //! * the **compare** — the voting element that releases a packet only once
 //!   a majority of replicas delivered bit-identical copies
 //!   ([`CompareCore`] is the protocol-agnostic logic; [`Compare`] is the
@@ -44,7 +44,8 @@
 //! Embed a [`CompareHost`], not the bare core: it owns the core, the
 //! security event log and its trace markers, the telemetry scope (`start`
 //! in `on_start`) and the sweep cadence (`sweep` every `sweep_interval()`).
-//! The placement only carries out what `observe` / `sweep` hand back:
+//! The host logs the security events a call raises (`host.events()`); the
+//! placement only carries out the actions `observe` / `sweep` hand back:
 //!
 //! ```
 //! # use netco_core::{CompareAction, CompareConfig, CompareHost, LaneInfo};
@@ -55,7 +56,6 @@
 //!         CompareAction::Release { .. } => { /* emit `frame` on `host_port` */ }
 //!         CompareAction::BlockReplicaPort { .. } => { /* tell the guard */ }
 //!         CompareAction::Stall { .. } => { /* delay later output */ }
-//!         CompareAction::Event(_) => { /* never: already in `host.events()` */ }
 //!     }
 //! }
 //! ```
@@ -68,21 +68,18 @@ mod config;
 mod encap;
 mod events;
 mod guard;
-mod hub;
 mod pox;
 mod supervisor;
 pub mod virtualized;
 mod voter;
 
 pub use compare::{
-    fp128, CacheEntry, Compare, CompareAction, CompareCore, CompareHost, CompareKey, CompareStats,
-    CompareStrategy, LaneInfo, Observed, PacketCache,
+    Compare, CompareAction, CompareCore, CompareHost, CompareStats, CompareStrategy, LaneInfo,
 };
 pub use config::{CompareConfig, Mode};
 pub use encap::{of_wrap, COMPARE_LINK};
 pub use events::{EventCounts, SecurityEvent};
 pub use guard::{CompareAttachment, GuardConfig, GuardStats, GuardSwitch};
-pub use hub::Hub;
 pub use pox::PoxCompareApp;
-pub use supervisor::{LaneSupervisor, ReplicaStatus, SupervisorConfig};
+pub use supervisor::SupervisorConfig;
 pub use voter::{ControlVoter, ControlVoterConfig, ControlVoterStats};

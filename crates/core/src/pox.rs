@@ -4,7 +4,7 @@ use std::vec::Drain;
 
 use netco_controller::{ControllerApp, ControllerCtx};
 use netco_net::{Frame, NodeId};
-use netco_openflow::{OfPort, PacketInReason};
+use netco_openflow::OfPort;
 use netco_sim::EventLog;
 
 use crate::compare::{CompareAction, CompareHost, CompareStats, LaneInfo};
@@ -86,8 +86,8 @@ impl PoxCompareApp {
                     duration,
                 } => cx.send(guards[lane as usize], &block_advice(port, duration)),
                 // Controller processing cost is modeled by the node's CPU
-                // model; events are already in the host's log.
-                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
+                // model.
+                CompareAction::Stall { .. } => {}
             }
         }
     }
@@ -104,7 +104,6 @@ impl ControllerApp for PoxCompareApp {
         switch: NodeId,
         _buffer_id: Option<u32>,
         in_port: u16,
-        _reason: PacketInReason,
         data: Frame,
     ) {
         let Some(lane) = self.lane_of(switch) else {
@@ -115,8 +114,7 @@ impl ControllerApp for PoxCompareApp {
     }
 
     fn tick(&mut self, cx: &mut ControllerCtx<'_, '_>) {
-        let actions = self.host.sweep(cx.now());
-        Self::apply(&self.guards, cx, actions);
+        self.host.sweep(cx.now());
     }
 }
 

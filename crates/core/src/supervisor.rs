@@ -106,8 +106,9 @@ impl SupervisorConfig {
 }
 
 /// Health of one replica as seen by the supervisor.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaStatus {
+pub(crate) enum ReplicaStatus {
     /// Counted toward the quorum.
     Healthy,
     /// Excluded from the quorum, cooling down before probation opens.
@@ -145,7 +146,7 @@ impl ReplicaState {
 /// Per-lane supervisor state machine. Owned by the compare core; one
 /// instance per lane when [`CompareConfig::supervisor`] is set.
 #[derive(Debug, Clone)]
-pub struct LaneSupervisor {
+pub(crate) struct LaneSupervisor {
     cfg: SupervisorConfig,
     replicas: Vec<ReplicaState>,
     degraded: bool,

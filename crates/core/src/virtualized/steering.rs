@@ -171,8 +171,7 @@ impl Device for VirtualGuard {
         if token != SWEEP_TIMER {
             return;
         }
-        let actions = self.host.sweep(ctx.now());
-        Self::apply(ctx, actions, self.cfg.host_port, &mut self.stats);
+        self.host.sweep(ctx.now());
         ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 }

@@ -34,13 +34,11 @@
 //! Prevent to Detect semantics below three healthy controllers; agreeing
 //! shadow votes past the probation gate re-admit it.
 
-use std::vec::Drain;
-
 use netco_net::{Ctx, Device, Frame, NodeId, PortId};
 use netco_openflow::canonical::{canonicalize, Canonical};
 use netco_openflow::wire::{self, FrameMessage, SplitHead};
 use netco_openflow::OfMessage;
-use netco_sim::{mix64, EventLog, SimTime};
+use netco_sim::{mix64, EventLog};
 use netco_telemetry::{Counter, Histogram};
 
 use crate::compare::{CompareAction, CompareHost, LaneInfo};
@@ -203,17 +201,12 @@ impl ControlVoter {
         self.controllers.iter().position(|&c| c == node)
     }
 
-    /// Runs one `observe` / `sweep` call on the host and carries out its
-    /// decisions. The log tail the call appended is what it raised: each
-    /// expired entry there is a lost vote.
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        call: impl for<'h> FnOnce(&'h mut CompareHost, SimTime) -> Drain<'h, CompareAction>,
-    ) {
+    /// Votes one controller replica's canonical output and carries out
+    /// the decisions.
+    fn vote(&mut self, ctx: &mut Ctx<'_>, index: usize, canon: Frame) {
         let now = ctx.now();
         let logged = self.host.events().iter().len();
-        for action in call(&mut self.host, now) {
+        for action in self.host.observe(VOTE_LANE, index as u16 + 1, canon, now) {
             match action {
                 CompareAction::Release {
                     frame, first_seen, ..
@@ -233,11 +226,16 @@ impl ControlVoter {
                     // which the DoS strike already feeds.
                 }
                 // Vote bookkeeping cost is covered by the voter node's CPU
-                // model; events are counted from the log below.
-                CompareAction::Stall { .. } | CompareAction::Event(_) => {}
+                // model.
+                CompareAction::Stall { .. } => {}
             }
         }
+        self.count_lost_votes(logged);
+    }
 
+    /// Counts what the host logged past its first `logged` events: each
+    /// expired entry there is a lost vote.
+    fn count_lost_votes(&mut self, logged: usize) {
         for e in self.host.events().iter().skip(logged) {
             if let SecurityEvent::SinglePathPacket { suspect_ports, .. } = &e.record {
                 self.rejected.inc();
@@ -256,9 +254,7 @@ impl ControlVoter {
         match canonicalize(msg) {
             Canonical::Votable(canon) => {
                 self.sent.inc();
-                self.drive(ctx, |host, now| {
-                    host.observe(VOTE_LANE, index as u16 + 1, canon, now)
-                });
+                self.vote(ctx, index, canon);
             }
             Canonical::Opaque(message, xid) => match *message {
                 OfMessage::Hello => {}
@@ -312,7 +308,9 @@ impl Device for ControlVoter {
         if token != SWEEP_TIMER {
             return;
         }
-        self.drive(ctx, CompareHost::sweep);
+        let logged = self.host.events().iter().len();
+        self.host.sweep(ctx.now());
+        self.count_lost_votes(logged);
         ctx.schedule_timer(self.host.sweep_interval(), SWEEP_TIMER);
     }
 
@@ -353,7 +351,7 @@ mod tests {
     use bytes::Bytes;
     use netco_net::{CpuModel, World};
     use netco_openflow::{Action, OfPort, PacketInReason};
-    use netco_sim::SimDuration;
+    use netco_sim::{SimDuration, SimTime};
 
     /// Records control messages it receives; sends nothing.
     #[derive(Default)]

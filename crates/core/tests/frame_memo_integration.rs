@@ -21,14 +21,14 @@
 use bytes::Bytes;
 use netco_controller::Controller;
 use netco_core::{
-    Compare, CompareAttachment, CompareConfig, CompareStats, GuardConfig, GuardSwitch, Hub,
-    LaneInfo, PoxCompareApp,
+    Compare, CompareAttachment, CompareConfig, CompareStats, GuardConfig, GuardSwitch, LaneInfo,
+    PoxCompareApp,
 };
 use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
 use netco_net::{
-    fp128, memo_stats, ControlChannelSpec, CpuModel, FaultKind, FaultPlan, LinkId, LinkSpec,
-    MacAddr, NodeId, PortId, TapDirection, TapEvent, World,
+    fp128, memo_stats, ControlChannelSpec, CpuModel, Ctx, Device, FaultKind, FaultPlan, Frame,
+    LinkId, LinkSpec, MacAddr, NodeId, PortId, TapDirection, TapEvent, World,
 };
 use netco_openflow::{Action, FlowEntry, FlowMatch, OfPort, OfSwitch};
 use netco_sim::{mix64, ActivationWindow, SimDuration, SimTime};
@@ -51,6 +51,21 @@ fn unique_frame(tag: u16) -> Bytes {
     )
 }
 
+/// The host side of each rig: copies every frame to every other port,
+/// clones sharing the frame's memo.
+#[derive(Debug)]
+struct Hub;
+
+impl Device for Hub {
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: Frame) {
+        for p in ctx.ports() {
+            if p != port {
+                ctx.send_frame(p, frame.clone());
+            }
+        }
+    }
+}
+
 /// An OpenFlow switch with the honest routing the controller installed:
 /// everything out p1.
 fn forward_all(datapath_id: u64) -> OfSwitch {
@@ -68,7 +83,7 @@ fn forward_all(datapath_id: u64) -> OfSwitch {
 /// hub p1..pk ↔ replica_i p0; replica_i p1 ↔ guard p1..pk; guard p0 ↔ sink.
 fn build_world() -> (World, netco_net::NodeId, netco_net::NodeId) {
     let mut w = World::new(11);
-    let hub = w.add_node("hub", Hub::new(), CpuModel::default());
+    let hub = w.add_node("hub", Hub, CpuModel::default());
     let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
     let guard = w.add_node(
         "guard",
@@ -149,7 +164,7 @@ fn reinjected_bytes_start_a_fresh_memo() {
 /// as well.
 fn build_central_world() -> (World, [NodeId; 3], LinkId, NodeId) {
     let mut w = World::new(11);
-    let hub = w.add_node("hub", Hub::new(), CpuModel::default());
+    let hub = w.add_node("hub", Hub, CpuModel::default());
     let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
     let replica_ports: Vec<PortId> = (1..=K).map(PortId).collect();
     let compare_port = PortId(K + 1);
@@ -257,7 +272,7 @@ fn corrupted_compare_link_copy_is_refingerprinted_and_outvoted() {
 /// injection. Returns the hub, the sink, the guard and the controller.
 fn build_pox_world() -> (World, [NodeId; 4]) {
     let mut w = World::new(11);
-    let hub = w.add_node("hub", Hub::new(), CpuModel::default());
+    let hub = w.add_node("hub", Hub, CpuModel::default());
     let sink = w.add_node("sink", CollectorDevice::default(), CpuModel::default());
     let replica_ports: Vec<PortId> = (1..=K).map(PortId).collect();
     let cfg = CompareConfig::prevent(K as usize).with_hold_time(SimDuration::from_millis(5));

@@ -7,7 +7,7 @@ use netco_net::packet::builder;
 use netco_net::testutil::CollectorDevice;
 use netco_net::{CpuModel, Frame, LinkSpec, MacAddr, NodeId, PortId, World};
 use netco_openflow::wire::{self, FrameMessage, SplitHead};
-use netco_openflow::{Action, FlowMatch, FlowModCommand, OfMessage, OfPort, PacketInReason};
+use netco_openflow::{Action, FlowMatch, FlowModCommand, OfMessage, OfPort};
 use netco_sim::SimDuration;
 use std::net::Ipv4Addr;
 
@@ -24,20 +24,14 @@ fn data_frame(tag: u8) -> Bytes {
     )
 }
 
-/// Reads a compare-link packet-in: the replica ingress port, the reason
-/// and the copy it carries.
-fn read_packet_in(frame: &Bytes) -> Option<(u16, PacketInReason, Bytes)> {
+/// Reads a compare-link packet-in: the replica ingress port and the copy
+/// it carries.
+fn read_packet_in(frame: &Bytes) -> Option<(u16, Bytes)> {
     let frame = Frame::new(frame.clone());
     match wire::read_frame(&COMPARE_LINK, &frame)? {
-        (
-            FrameMessage::Payload(
-                SplitHead::PacketIn {
-                    in_port, reason, ..
-                },
-                data,
-            ),
-            _,
-        ) => Some((in_port, reason, data.into_bytes())),
+        (FrameMessage::Payload(SplitHead::PacketIn { in_port, .. }, data), _) => {
+            Some((in_port, data.into_bytes()))
+        }
         _ => None,
     }
 }
@@ -119,9 +113,11 @@ fn replica_traffic_is_wrapped_as_packet_in() {
     r.world.run_for(SimDuration::from_millis(1));
     let got = &r.world.device::<CollectorDevice>(r.compare).unwrap().frames;
     assert_eq!(got.len(), 1);
-    let (in_port, reason, data) = read_packet_in(&got[0].1).expect("NetCo-framed packet-in");
+    let (in_port, data) = read_packet_in(&got[0].1).expect("NetCo-framed packet-in");
     assert_eq!(in_port, 2, "replica ingress port travels with the copy");
-    assert_eq!(reason, PacketInReason::NoMatch);
+    // After the link prefix: ofp_header (8), buffer_id (4), total_len (2),
+    // in_port (2), then the reason byte.
+    assert_eq!(got[0].1[COMPARE_LINK.len() + 16], 0, "reason OFPR_NO_MATCH");
     assert_eq!(data, frame, "full frame, no truncation");
 }
 
@@ -265,7 +261,7 @@ fn sampling_is_consistent_across_replicas() {
     // Group the sampled copies by packet payload tag.
     let mut counts = std::collections::HashMap::new();
     for (_, f) in got {
-        let (_, _, data) = read_packet_in(f).unwrap();
+        let (_, data) = read_packet_in(f).unwrap();
         *counts.entry(data).or_insert(0u32) += 1;
     }
     assert!(!counts.is_empty(), "something must be sampled at p = 0.5");

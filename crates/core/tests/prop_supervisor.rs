@@ -116,13 +116,10 @@ proptest! {
         let mut lifecycle = Lifecycle::default();
         let mut t = SimTime::ZERO;
 
-        let drive = |lifecycle: &mut Lifecycle,
-                         actions: &[CompareAction]|
-         -> Result<(), String> {
-            for a in actions {
-                if let CompareAction::Event(e) = a {
-                    lifecycle.apply(e)?;
-                }
+        // The events the core's last call raised.
+        let drive = |lifecycle: &mut Lifecycle, c: &CompareCore| -> Result<(), String> {
+            for e in c.events() {
+                lifecycle.apply(e)?;
             }
             Ok(())
         };
@@ -155,14 +152,14 @@ proptest! {
                     );
                 }
             }
-            if let Err(v) = drive(&mut lifecycle, &actions) {
+            if let Err(v) = drive(&mut lifecycle, &c) {
                 prop_assert!(false, "{}", v);
             }
 
             t += SimDuration::from_micros(advance_us as u64);
             if do_sweep {
-                let actions: Vec<_> = c.sweep(t).collect();
-                if let Err(v) = drive(&mut lifecycle, &actions) {
+                c.sweep(t);
+                if let Err(v) = drive(&mut lifecycle, &c) {
                     prop_assert!(false, "{}", v);
                 }
                 cache.retain(|_, (first_seen, _)| t.saturating_since(*first_seen) < hold);
@@ -171,8 +168,8 @@ proptest! {
 
         // Drain everything and reconcile the models.
         t += SimDuration::from_secs(1);
-        let actions: Vec<_> = c.sweep(t).collect();
-        if let Err(v) = drive(&mut lifecycle, &actions) {
+        c.sweep(t);
+        if let Err(v) = drive(&mut lifecycle, &c) {
             prop_assert!(false, "{}", v);
         }
 

@@ -12,13 +12,13 @@ use crate::action::Action;
 use crate::flow_match::FlowMatch;
 use crate::ports::OfPort;
 
-/// Why a packet-in was sent to the controller.
+/// Why a packet-in was sent to the controller. The only packet-in a
+/// device sends is a table miss, and no receiver reads the reason: the
+/// codec writes `OFPR_NO_MATCH` and reads any reason byte as it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketInReason {
     /// No flow entry matched (`OFPR_NO_MATCH`).
     NoMatch,
-    /// An explicit output-to-controller action (`OFPR_ACTION`).
-    Action,
 }
 
 /// The flow-mod command (`ofp_flow_mod_command`).

@@ -12,7 +12,7 @@ use netco_telemetry::Counter;
 
 use crate::action::{apply_actions, Action};
 use crate::flow_table::{FlowEntry, FlowTable};
-use crate::messages::{FlowModCommand, OfMessage, PacketInReason, PortDesc};
+use crate::messages::{FlowModCommand, OfMessage, PortDesc};
 use crate::ports::OfPort;
 use crate::wire::FrameMessage::{Other, Payload};
 use crate::wire::{self, SplitHead};
@@ -106,8 +106,7 @@ impl OfSwitch {
         let buffer_id = Some(self.buffer_packet(in_port, &frame));
         let xid = self.fresh_xid();
         let data = frame.slice(..frame.len().min(MISS_SEND_LEN));
-        let reason = PacketInReason::NoMatch;
-        let msg = wire::packet_in_frame(&[], xid, buffer_id, in_port, reason, &data);
+        let msg = wire::packet_in_frame(&[], xid, buffer_id, in_port, &data);
         ctx.send_control(controller, msg);
     }
 
@@ -363,7 +362,7 @@ impl std::fmt::Debug for OfSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowMatch;
+    use crate::{FlowMatch, PacketInReason};
     use bytes::Bytes;
     use netco_net::packet::builder;
     use netco_net::testutil::CollectorDevice;

@@ -128,10 +128,10 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Bytes {
         OfMessage::PacketIn {
             buffer_id,
             in_port,
-            reason,
             data,
+            ..
         } => {
-            put_packet_in_head(&mut buf, xid, *buffer_id, *in_port, *reason, data.len());
+            put_packet_in_head(&mut buf, xid, *buffer_id, *in_port, data.len());
             buf.put_slice(data);
         }
         OfMessage::PacketOut {
@@ -163,12 +163,11 @@ pub fn packet_in_frame(
     xid: u32,
     buffer_id: Option<u32>,
     in_port: u16,
-    reason: PacketInReason,
     data: &Frame,
 ) -> Frame {
     let head_len = link.len() + HEADER_LEN + PACKET_IN_LEN;
     wrap(link, head_len, data, |b| {
-        put_packet_in_head(b, xid, buffer_id, in_port, reason, data.len())
+        put_packet_in_head(b, xid, buffer_id, in_port, data.len())
     })
 }
 
@@ -260,7 +259,6 @@ fn put_packet_in_head(
     xid: u32,
     buffer_id: Option<u32>,
     in_port: u16,
-    reason: PacketInReason,
     data_len: usize,
 ) {
     put_header(
@@ -272,10 +270,7 @@ fn put_packet_in_head(
     b.put_u32(buffer_id.unwrap_or(NO_BUFFER));
     b.put_u16(data_len as u16);
     b.put_u16(in_port);
-    b.put_u8(match reason {
-        PacketInReason::NoMatch => 0,
-        PacketInReason::Action => 1,
-    });
+    b.put_u8(0); // reason: OFPR_NO_MATCH
     b.put_u8(0);
 }
 
@@ -317,8 +312,6 @@ pub enum SplitHead<'a> {
         buffer_id: Option<u32>,
         /// Ingress port.
         in_port: u16,
-        /// Why the packet was sent.
-        reason: PacketInReason,
     },
     /// `OFPT_PACKET_OUT`.
     PacketOut {
@@ -336,14 +329,10 @@ impl SplitHead<'_> {
     /// [`decode_shared`] returns for the head's bytes followed by `data`'s.
     pub fn with_data(&self, data: Bytes) -> OfMessage {
         match *self {
-            SplitHead::PacketIn {
+            SplitHead::PacketIn { buffer_id, in_port } => OfMessage::PacketIn {
                 buffer_id,
                 in_port,
-                reason,
-            } => OfMessage::PacketIn {
-                buffer_id,
-                in_port,
-                reason,
+                reason: PacketInReason::NoMatch,
                 data,
             },
             SplitHead::PacketOut {
@@ -425,14 +414,10 @@ fn decode_payload_head(
             if u16_at(4) as usize != data_len {
                 return Err(WireError::Malformed("packet-in total_len"));
             }
+            // The reason byte (8) is read as `NoMatch`, whatever it holds.
             Ok(SplitHead::PacketIn {
                 buffer_id: buffer_id(),
                 in_port: u16_at(6),
-                reason: if body[8] == 0 {
-                    PacketInReason::NoMatch
-                } else {
-                    PacketInReason::Action
-                },
             })
         }
         OFPT_PACKET_OUT if body.len() >= PACKET_OUT_LEN => {
@@ -943,9 +928,24 @@ mod tests {
         round_trip(OfMessage::PacketIn {
             buffer_id: None,
             in_port: 0,
-            reason: PacketInReason::Action,
+            reason: PacketInReason::NoMatch,
             data: Bytes::new(),
         });
+    }
+
+    #[test]
+    fn any_packet_in_reason_byte_reads_as_no_match() {
+        let msg = OfMessage::PacketIn {
+            buffer_id: None,
+            in_port: 5,
+            reason: PacketInReason::NoMatch,
+            data: Bytes::from_static(b"copy"),
+        };
+        let mut wire = BytesMut::from(&encode(&msg, 7)[..]);
+        // ofp_header (8), buffer_id (4), total_len (2), in_port (2): reason.
+        assert_eq!(wire[16], 0, "written as OFPR_NO_MATCH");
+        wire[16] = 1; // OFPR_ACTION
+        assert_eq!(decode_shared(&wire.freeze()), Ok((msg, 7)));
     }
 
     #[test]

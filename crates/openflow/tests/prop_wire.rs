@@ -120,12 +120,11 @@ fn arb_payload_msg() -> impl Strategy<Value = (OfMessage, u32)> {
         any::<bool>(),
         proptest::option::of(0u32..u32::MAX - 1),
         any::<u16>(),
-        any::<bool>(),
         proptest::collection::vec(arb_action(), 0..5),
         proptest::collection::vec(any::<u8>(), 0..1600),
         any::<u32>(),
     )
-        .prop_map(|(out, buffer_id, in_port, no_match, actions, data, xid)| {
+        .prop_map(|(out, buffer_id, in_port, actions, data, xid)| {
             let data = Bytes::from(data);
             let msg = if out {
                 OfMessage::PacketOut {
@@ -138,11 +137,7 @@ fn arb_payload_msg() -> impl Strategy<Value = (OfMessage, u32)> {
                 OfMessage::PacketIn {
                     buffer_id,
                     in_port,
-                    reason: if no_match {
-                        PacketInReason::NoMatch
-                    } else {
-                        PacketInReason::Action
-                    },
+                    reason: PacketInReason::NoMatch,
                     data,
                 }
             };
@@ -161,11 +156,11 @@ fn wrap(link: &[u8], msg: &OfMessage, xid: u32) -> (Frame, Bytes) {
         OfMessage::PacketIn {
             buffer_id,
             in_port,
-            reason,
             data,
+            ..
         } => {
             let carried = Frame::from(data.clone());
-            let frame = wire::packet_in_frame(link, xid, *buffer_id, *in_port, *reason, &carried);
+            let frame = wire::packet_in_frame(link, xid, *buffer_id, *in_port, &carried);
             (frame, data.clone())
         }
         OfMessage::PacketOut {

@@ -1,7 +1,7 @@
 //! The packet-lifecycle flight recorder.
 //!
 //! Frames are tagged at hub ingress with their content fingerprint
-//! (`netco_core::fp128`, the same key the compare uses to pair replica
+//! (`netco_net::fp128`, the same key the compare uses to pair replica
 //! copies) and per-stage timestamps are recorded as the frame moves
 //! through the NetCo pipeline:
 //!

@@ -12,9 +12,7 @@ use netco_controller::{Controller, ControllerApp, ControllerCtx};
 use netco_net::packet::{builder, EthernetFrame};
 use netco_net::testutil::CollectorDevice;
 use netco_net::{CpuModel, Frame, HostNic, LinkSpec, MacAddr, NodeId, PortId, World};
-use netco_openflow::{
-    Action, FlowEntry, FlowMatch, FlowModCommand, OfMessage, OfPort, OfSwitch, PacketInReason,
-};
+use netco_openflow::{Action, FlowEntry, FlowMatch, FlowModCommand, OfMessage, OfPort, OfSwitch};
 use netco_sim::SimDuration;
 use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger};
 use std::net::Ipv4Addr;
@@ -36,7 +34,6 @@ impl ControllerApp for Learn {
         switch: NodeId,
         buffer_id: Option<u32>,
         in_port: u16,
-        _reason: PacketInReason,
         data: Frame,
     ) {
         let Ok(EthernetFrame { dst, src, .. }) = EthernetFrame::decode(data.bytes()) else {
