@@ -44,8 +44,9 @@
 //! Embed a [`CompareHost`], not the bare core: it owns the core, the
 //! security event log and its trace markers, the telemetry scope (`start`
 //! in `on_start`) and the sweep cadence (`sweep` every `sweep_interval()`).
-//! The host logs the security events a call raises (`host.events()`); the
-//! placement only carries out the actions `observe` / `sweep` hand back:
+//! The host logs the security events a call raises (`host.events()`), and
+//! a sweep raises nothing else; the placement only carries out the actions
+//! `observe` hands back:
 //!
 //! ```
 //! # use netco_core::{CompareAction, CompareConfig, CompareHost, LaneInfo};

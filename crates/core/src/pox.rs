@@ -1,7 +1,5 @@
 //! The compare as an SDN controller application (the paper's POX baseline).
 
-use std::vec::Drain;
-
 use netco_controller::{ControllerApp, ControllerCtx};
 use netco_net::{Frame, NodeId};
 use netco_openflow::OfPort;
@@ -64,11 +62,27 @@ impl PoxCompareApp {
         let lane = self.guards.iter().position(|&g| g == guard)?;
         Some(lane as u16)
     }
+}
 
-    /// Sends each decision to the guard of its lane (`guards`, not
-    /// `self`: `actions` borrows the host).
-    fn apply(guards: &[NodeId], cx: &mut ControllerCtx<'_, '_>, actions: Drain<'_, CompareAction>) {
-        for action in actions {
+impl ControllerApp for PoxCompareApp {
+    fn on_start(&mut self, cx: &mut ControllerCtx<'_, '_>) {
+        self.host.start(cx.device());
+    }
+
+    fn on_packet_in(
+        &mut self,
+        cx: &mut ControllerCtx<'_, '_>,
+        switch: NodeId,
+        _buffer_id: Option<u32>,
+        in_port: u16,
+        data: Frame,
+    ) {
+        let Some(lane) = self.lane_of(switch) else {
+            return;
+        };
+        // Each decision goes to the guard of its lane.
+        let guards = &self.guards;
+        for action in self.host.observe(lane, in_port, data, cx.now()) {
             match action {
                 CompareAction::Release {
                     lane,
@@ -90,27 +104,6 @@ impl PoxCompareApp {
                 CompareAction::Stall { .. } => {}
             }
         }
-    }
-}
-
-impl ControllerApp for PoxCompareApp {
-    fn on_start(&mut self, cx: &mut ControllerCtx<'_, '_>) {
-        self.host.start(cx.device());
-    }
-
-    fn on_packet_in(
-        &mut self,
-        cx: &mut ControllerCtx<'_, '_>,
-        switch: NodeId,
-        _buffer_id: Option<u32>,
-        in_port: u16,
-        data: Frame,
-    ) {
-        let Some(lane) = self.lane_of(switch) else {
-            return;
-        };
-        let actions = self.host.observe(lane, in_port, data, cx.now());
-        Self::apply(&self.guards, cx, actions);
     }
 
     fn tick(&mut self, cx: &mut ControllerCtx<'_, '_>) {

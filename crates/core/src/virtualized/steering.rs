@@ -1,8 +1,6 @@
 //! The virtual guard: VLAN splitting at the ingress, inband combining at
 //! the egress.
 
-use std::vec::Drain;
-
 use netco_net::packet::{EthernetFrame, VlanTag};
 use netco_net::{Ctx, Device, Frame, PortId};
 
@@ -109,22 +107,6 @@ impl VirtualGuard {
     pub(crate) fn events(&self) -> &netco_sim::EventLog<crate::events::SecurityEvent> {
         self.host.events()
     }
-
-    /// Releases go to the host; tunnels have no local port to block (the
-    /// event accompanying the advice is in the host's log).
-    fn apply(
-        ctx: &mut Ctx<'_>,
-        actions: Drain<'_, CompareAction>,
-        host_port: PortId,
-        stats: &mut VirtualGuardStats,
-    ) {
-        for action in actions {
-            if let CompareAction::Release { frame, .. } = action {
-                stats.released += 1;
-                ctx.send_frame(host_port, frame);
-            }
-        }
-    }
 }
 
 impl Device for VirtualGuard {
@@ -162,8 +144,14 @@ impl Device for VirtualGuard {
             eth.vlan = None;
             let untagged = eth.encode();
             self.stats.collected += 1;
-            let actions = self.host.observe(0, tag, untagged, ctx.now());
-            Self::apply(ctx, actions, self.cfg.host_port, &mut self.stats);
+            // Releases go to the host; tunnels have no local port to block
+            // (the event accompanying the advice is in the host's log).
+            for action in self.host.observe(0, tag, untagged, ctx.now()) {
+                if let CompareAction::Release { frame, .. } = action {
+                    self.stats.released += 1;
+                    ctx.send_frame(self.cfg.host_port, frame);
+                }
+            }
         }
     }
 
