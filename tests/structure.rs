@@ -31,7 +31,7 @@ const SOURCES: &[&str] = &["crates/*/src", "src", "tests", "examples"];
 
 struct Rule {
     name: &'static str,
-    /// Why the rule holds, and the change that introduced it.
+    /// Why the rule holds.
     reason: &'static str,
     pattern: &'static str,
     scope: &'static [&'static str],
@@ -85,32 +85,32 @@ const fn absent(
 const RULES: &[Rule] = &[
     absent(
         "one-device-table",
-        "PR 14: the world stores devices one way; no enum-dispatch fork and no switch to select one",
+        "the world stores devices one way; no enum-dispatch fork and no switch to select one",
         "DeviceStore|GenericWorld|DeviceKind|DispatchMode|netco_fastpath|netco-fastpath",
         &["Cargo.toml", "crates", "src", "tests", "examples"],
     ),
     absent(
         "one-instrument",
-        "PR 16: no CPU-bypass or full-copy-vote knob, no second or third measurement instrument",
+        "no CPU-bypass or full-copy-vote knob, no second or third measurement instrument",
         "set_cpu_bypass|bypass_enabled|vote_full_copies|with_full_copy_votes|perf_report|criterion",
         &["Cargo.toml", "crates/*/Cargo.toml", "crates/*/src", "src", "tests", "examples"],
     ),
     absent(
         "no-public-oracle",
-        "PR 16: a test oracle is not part of any public API",
+        "a test oracle is not part of any public API",
         "pub (mod|use) .*baseline",
         CRATE_SRC,
     ),
     absent(
         "one-form-per-measurement",
-        "PR 19: one pooled fold per figure, no serial copies, timing envelope, copying batch drain \
+        "one pooled fold per figure, no serial copies, timing envelope, copying batch drain \
          or caller-less combiner presets",
         r"flow_smoke|map_timed|(row|trial|rate)_counted\(|pop_batch|CombinerConfig|ComparePlacement|struct Sweep",
         SOURCES,
     ),
     absent(
         "one-cell-one-routed-switch",
-        "PR 21: `netco_topo::cell` and `routed_switch` are the only NetCo cell and MAC-routed switch",
+        "`netco_topo::cell` and `routed_switch` are the only NetCo cell and MAC-routed switch",
         "wire_replicas|fn mac_rules|fn of_switch|fn router_rules|fn used_ports|fn port_wired|with_fault_seed",
         SOURCES,
     ),
@@ -118,14 +118,14 @@ const RULES: &[Rule] = &[
         except: &["graph.rs"],
         ..absent(
             "link-ends-move-through-rewire-far",
-            "PR 21: a write to a link end goes through its port table (`rewire_far`)",
+            "a write to a link end goes through its port table (`rewire_far`)",
             r"links\[[a-z_]*\]\.b(_port)? *=",
             &["crates/topogen/src"],
         )
     },
     absent(
         "one-compare-host",
-        "PR 22: `CompareHost` replaced the unrepresentable `GuardConfig` states and POX's lane \
+        "`CompareHost` replaced the unrepresentable `GuardConfig` states and POX's lane \
          from a truncated node index (`embedded_compare_stats` stays)",
         r"primary_forward|embedded_compare([^_]|$)|guard\.index\(\) as u16|fn guard_of",
         CODE,
@@ -135,7 +135,7 @@ const RULES: &[Rule] = &[
         expect: Expect::Lines(1),
         ..absent(
             "one-sweep-cadence",
-            "PR 22: `CompareConfig::sweep_interval` is the one statement of the sweep cadence",
+            "`CompareConfig::sweep_interval` is the one statement of the sweep cadence",
             "hold_time / 4",
             CRATE_SRC,
         )
@@ -144,14 +144,14 @@ const RULES: &[Rule] = &[
         except: &["crates/core/src/events.rs", "crates/core/src/compare/host.rs"],
         ..absent(
             "one-security-event-tracer",
-            "PR 22: only the compare host traces security events",
+            "only the compare host traces security events",
             "trace_security_event",
             CODE,
         )
     },
     absent(
         "one-mix64",
-        "PR 22: no private copy of `netco_sim::mix64`",
+        "no private copy of `netco_sim::mix64`",
         "fn splitmix",
         &[
             "crates/net",
@@ -165,7 +165,7 @@ const RULES: &[Rule] = &[
         expect: Expect::Lines(1),
         ..absent(
             "one-encapsulated-memo-link",
-            "PR 40: the link from an encapsulating frame to its inner frame's memo is made in \
+            "the link from an encapsulating frame to its inner frame's memo is made in \
              `Frame::encapsulating` only",
             r"Repr::Encapsulated\(Arc::new",
             &["crates/net/src/frame.rs"],
@@ -173,19 +173,19 @@ const RULES: &[Rule] = &[
     },
     absent(
         "no-copying-wrap",
-        "PR 40: a compare-link wrap shares the inner frame instead of copying encoded bytes",
+        "a compare-link wrap shares the inner frame instead of copying encoded bytes",
         r"encapsulating\(of_wrap|Frame::encapsulating\(Bytes",
         CRATE_SRC,
     ),
     absent(
         "taps-fold-the-memo",
-        "PR 41: a tap folds `Frame::fnv1a()`, not a re-hash of the frame's bytes",
+        "a tap folds `Frame::fnv1a()`, not a re-hash of the frame's bytes",
         r"fnv1a\((ev|e)\.frame\)",
         CRATE_SRC,
     ),
     absent(
         "taps-record-the-frame",
-        "PR 41: `run_taps` records the frame, not a copy of its bytes",
+        "`run_taps` records the frame, not a copy of its bytes",
         r"bytes\(\).clone\(\)",
         &["crates/net/src/substrate.rs"],
     ),
@@ -193,14 +193,14 @@ const RULES: &[Rule] = &[
         except: &["crates/net/src/frame.rs"],
         ..absent(
             "one-memo-writer",
-            "PR 23: no file but `frame.rs` names the frame memo",
+            "no file but `frame.rs` names the frame memo",
             r"\bMemo\b",
             &["crates/*/src", "src", "examples", "benchmark/src"],
         )
     },
     absent(
         "one-event-loop",
-        "PR 27: one CPU admission path and one event loop; no bypass fork, stepping or keyed pop",
+        "one CPU admission path and one event loop; no bypass fork, stepping or keyed pop",
         r"cpu_bypass|bypassed\(|recompute_bypass|run_until_per_event|fn step\(|pop_keyed|fn flush_taps",
         SOURCES,
     ),
@@ -209,14 +209,14 @@ const RULES: &[Rule] = &[
         expect: Expect::Lines(1),
         ..absent(
             "one-tick-loop",
-            "PR 27: `WorldCore::run_ticks` is the world's one caller of `pop_tick_until`",
+            "`WorldCore::run_ticks` is the world's one caller of `pop_tick_until`",
             r"pop_tick_until\(",
             &["crates/net/src"],
         )
     },
     absent(
         "one-topology-stack",
-        "PR 28: the fat-tree world, §VII's included, is a `TopoGraph` lowered in `build.rs`",
+        "the fat-tree world, §VII's included, is a `TopoGraph` lowered in `build.rs`",
         r"PathGraph|FatTreeOptions|ExtraRules|struct FatTree\b",
         SOURCES,
     ),
@@ -224,14 +224,14 @@ const RULES: &[Rule] = &[
         expect: Expect::OnlyIn("crates/topogen/src/build.rs"),
         ..absent(
             "one-world-builder-in-topogen",
-            "PR 28: `build.rs` is the only place in netco-topogen that creates a `World`",
+            "`build.rs` is the only place in netco-topogen that creates a `World`",
             r"World::new\(",
             &["crates/topogen/src"],
         )
     },
     absent(
         "one-decoder-per-format",
-        "PR 29: each codec has one decoder, and hosts read frames through `HostNic::receive`",
+        "each codec has one decoder, and hosts read frames through `HostNic::receive`",
         "decode_inner|parse_shared|deliver_shared|of_unwrap_shared|fn handle_arp|ethertype_is_arp|fn peek_(dst|src)|collided",
         CODE,
     ),
@@ -239,7 +239,7 @@ const RULES: &[Rule] = &[
         expect: Expect::OnlyIn("crates/openflow/src/wire.rs"),
         ..absent(
             "one-openflow-decoder",
-            "PR 29: the OpenFlow codec's one decoder is `wire::decode_shared`",
+            "the OpenFlow codec's one decoder is `wire::decode_shared`",
             "fn decode_shared",
             CODE,
         )
@@ -248,20 +248,20 @@ const RULES: &[Rule] = &[
         part: Part::Production,
         ..absent(
             "codecs-slice-not-copy",
-            "PR 29: a decoder slices its payload out of the frame instead of copying it",
+            "a decoder slices its payload out of the frame instead of copying it",
             "Bytes::copy_from_slice",
             &["crates/net/src/packet/*.rs", "crates/openflow/src/wire.rs"],
         )
     },
     absent(
         "no-world-core-deref",
-        "PR 30: callers reach the substrate as `core.sub`, not through a deref",
+        "callers reach the substrate as `core.sub`, not through a deref",
         r"impl (std::ops::)?Deref(Mut)? for WorldCore",
         &["crates/net/src"],
     ),
     absent(
         "a-shard-is-a-world-core",
-        "PR 30: a region shard is a `WorldCore`, not a wrapper around one",
+        "a region shard is a `WorldCore`, not a wrapper around one",
         "struct RegionRunner",
         &["crates/net/src"],
     ),
@@ -269,20 +269,20 @@ const RULES: &[Rule] = &[
         expect: Expect::OnlyIn("crates/net/src/substrate.rs"),
         ..absent(
             "one-substrate-builder",
-            "PR 30: only `substrate.rs` builds or destructures a `Substrate`",
+            "only `substrate.rs` builds or destructures a `Substrate`",
             r"\bSubstrate \{",
             &["crates/net/src"],
         )
     },
     absent(
         "private-partition",
-        "PR 30: the region partition stays private to netco-net",
+        "the region partition stays private to netco-net",
         "RegionMap",
         &["crates/net/src/lib.rs"],
     ),
     absent(
         "one-fault-model",
-        "PR 33: a link outage is a window judged at transmit, and links and control channels \
+        "a link outage is a window judged at transmit, and links and control channels \
          share one fault type",
         r"LinkAdmin|key_link_admin|set_link_enabled|schedule_link_state|fn owns\b|struct (LinkFault|ControlFault)\b",
         &["crates/net/src"],
@@ -292,26 +292,26 @@ const RULES: &[Rule] = &[
         expect: Expect::Lines(1),
         ..absent(
             "one-flap-expansion",
-            "PR 33: a flap schedule is expanded into its windows in one place (`Impairments::push`)",
+            "a flap schedule is expanded into its windows in one place (`Impairments::push`)",
             r"FaultKind::Flaps \{",
             &["crates/net/src"],
         )
     },
     absent(
         "one-graph-walk",
-        "PR 35: `graph::bfs` is netco-topogen's one breadth-first walk",
+        "`graph::bfs` is netco-topogen's one breadth-first walk",
         "VecDeque",
         &["crates/topogen/src"],
     ),
     absent(
         "ports-from-the-graph",
-        "PR 35: the fat-tree's ports and hosts are read from the `TopoGraph`",
+        "the fat-tree's ports and hosts are read from the `TopoGraph`",
         "ports_between|fn host_port|pub use fattree",
         &["crates/topogen/src"],
     ),
     absent(
         "what-no-paper-world-runs",
-        "PR 36: no learning or static-routing app, controller liveness, unimplemented app hook, \
+        "no learning or static-routing app, controller liveness, unimplemented app hook, \
          switch port block or one-value option",
         "LearningSwitchApp|StaticRoutingApp|RuleSpec|with_liveness|LIVENESS_TIMER|on_switch_down|on_flow_removed|block_port|SwitchConfig|with_mss|dos_repeat_threshold|miss_send_len",
         CODE,
@@ -320,7 +320,7 @@ const RULES: &[Rule] = &[
         part: Part::File,
         ..absent(
             "control-channels-carry-frames",
-            "PR 44: a control channel carries a `Frame` like a link; no `on_control` takes `Bytes`",
+            "a control channel carries a `Frame` like a link; no `on_control` takes `Bytes`",
             r"fn on_control\([^)]*\bBytes\b",
             CODE,
         )
@@ -330,7 +330,7 @@ const RULES: &[Rule] = &[
         part: Part::Production,
         ..absent(
             "one-openflow-transport",
-            "PR 44: every packet-in and packet-out outside the codec is a frame wrap from `wire.rs`",
+            "every packet-in and packet-out outside the codec is a frame wrap from `wire.rs`",
             r"wire::encode\(&OfMessage::PacketIn|OfMessage::PacketIn \{|OfMessage::packet_out\(",
             CRATE_SRC,
         )
@@ -339,7 +339,7 @@ const RULES: &[Rule] = &[
         expect: Expect::OnlyIn("crates/openflow/src/wire.rs"),
         ..absent(
             "wraps-defined-in-wire",
-            "PR 44: the frame wraps and their one reader are defined in `wire.rs` only",
+            "the frame wraps and their one reader are defined in `wire.rs` only",
             r"fn (packet_in_frame|packet_out_frame|read_frame)\b",
             CODE,
         )
@@ -348,7 +348,7 @@ const RULES: &[Rule] = &[
         part: Part::Production,
         ..absent(
             "read-through-read-frame",
-            "PR 44: the guard, the compare and the controller read OpenFlow through `read_frame`",
+            "the guard, the compare and the controller read OpenFlow through `read_frame`",
             "decode_shared|of_unwrap|unwrap_split|decode_split",
             &[
                 "crates/core/src/guard.rs",
@@ -359,69 +359,69 @@ const RULES: &[Rule] = &[
     },
     absent(
         "no-vote-side-table",
-        "PR 45: the voter's compare cache keeps the one canonical frame it releases",
+        "the voter's compare cache keeps the one canonical frame it releases",
         "vote_key|retained_bytes",
         CRATE_SRC,
     ),
     absent(
         "vote-on-the-frame",
-        "PR 45: the voter hands `canonicalize` the controller's frame, not its flattened bytes",
+        "the voter hands `canonicalize` the controller's frame, not its flattened bytes",
         r"canonicalize\(.*\.bytes\(\)",
         &["crates/core/src/voter.rs"],
     ),
     absent(
         "openflow-some-world-sends",
-        "PR 48: no echo, barrier, error or flow-removed message, flow-removed flag, L3/L4 \
+        "no echo, barrier, error or flow-removed message, flow-removed flag, L3/L4 \
          rewrite action or CONTROLLER port",
         r"OfMessage::(EchoRequest|BarrierRequest|Error)\b|FlowRemoved|SetNwSrc|SetTpSrc|OfPort::Controller|with_notify",
         CODE,
     ),
     absent(
         "one-seed",
-        "PR 48: `Scenario::build`'s seed is the only one; `Profile` has none",
+        "`Scenario::build`'s seed is the only one; `Profile` has none",
         r"profile\.seed",
         CODE,
     ),
     absent(
         "no-per-frame-link-event",
-        "PR 13: a frame's end of serialisation is not an event",
+        "a frame's end of serialisation is not an event",
         "LinkTxDone",
         CRATE_SRC,
     ),
     absent(
         "one-rendezvous",
-        "PR 15: the region round loop meets through its own rendezvous only",
+        "the region round loop meets through its own rendezvous only",
         "Barrier",
         &["crates/net/src"],
     ),
     absent(
         "compare-events-go-to-the-host",
-        "PR 50: the core raises security events into its own buffer; no placement receives one \
+        "the core raises security events into its own buffer; no placement receives one \
          as an action",
         "CompareAction::Event",
         CODE,
     ),
     absent(
         "one-packet-in-reason",
-        "PR 50: the only packet-in a device sends is a table miss, and no receiver reads the reason",
+        "the only packet-in a device sends is a table miss, and no receiver reads the reason",
         "PacketInReason::Action",
         CODE,
     ),
     absent(
         "the-guard-is-the-hub",
-        "PR 50: `GuardSwitch` is the trusted hub; no second duplicator device",
+        "`GuardSwitch` is the trusted hub; no second duplicator device",
         r"struct Hub\b",
         CRATE_SRC,
     ),
     absent(
         "one-cleanup-cost",
-        "PR 50: the cleanup cost per evicted entry is the constant `CLEANUP_COST_PER_ENTRY`",
+        "the cleanup cost per evicted entry is the constant `CLEANUP_COST_PER_ENTRY`",
         "cleanup_cost_per_entry",
         CODE,
     ),
     absent(
         "fp128-lives-in-netco-net",
-        "PR 50: `fp128` is netco-net's, not re-exported by netco-core",
+        "`fp128` is netco-net's, not re-exported by netco-core",
         "pub use netco_net::frame::fp128",
         CRATE_SRC,
     ),
