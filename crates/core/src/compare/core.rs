@@ -3,6 +3,7 @@
 use netco_net::Frame;
 use netco_sim::{SimDuration, SimTime};
 use netco_telemetry::{Counter, Gauge, TelemetrySink};
+use std::cell::Cell;
 use std::vec::Drain;
 
 use super::cache::{CacheEntry, Observed, PacketCache};
@@ -85,44 +86,85 @@ pub struct CompareStats {
     pub events: EventCounts,
 }
 
-/// The live stat cells behind [`CompareStats`]. Detached (always-counting)
-/// telemetry handles so the [`CompareCore::stats`] façade works with or
-/// without an installed [`TelemetrySink`]; [`CompareCore::set_telemetry`]
-/// adopts them into the world registry under scoped `compare.<scope>.*`
-/// names without losing counts accumulated before installation.
-#[derive(Debug)]
-struct StatCells {
-    received: Counter,
-    released: Counter,
-    suppressed_duplicates: Counter,
-    expired_unreleased: Counter,
-    dos_advices: Counter,
-    cleanups: Counter,
-    evicted: Counter,
-    unknown_port: Counter,
-    /// Entries that expired unreleased out of a *sweep* (the paper's hold
-    /// timeout), as opposed to capacity eviction.
-    hold_timeouts: Counter,
-    /// Live cache entries of the lane last touched; its peak is the
-    /// [`CompareStats::peak_cache_entries`] high-water mark.
-    cache_entries: Gauge,
+/// One compare statistic: a plain count, which [`CompareStats`] reads,
+/// mirrored into a registry counter once [`CompareCore::set_telemetry`]
+/// adopts it. Until then the registry handle is disabled, so a compare
+/// without telemetry allocates nothing for it and counts with no atomic.
+#[derive(Debug, Default)]
+struct Stat {
+    /// A `Cell` so that code holding `&StatCells` can count.
+    n: Cell<u64>,
+    registry: Counter,
 }
 
-impl StatCells {
-    fn detached() -> StatCells {
-        StatCells {
-            received: Counter::detached(),
-            released: Counter::detached(),
-            suppressed_duplicates: Counter::detached(),
-            expired_unreleased: Counter::detached(),
-            dos_advices: Counter::detached(),
-            cleanups: Counter::detached(),
-            evicted: Counter::detached(),
-            unknown_port: Counter::detached(),
-            hold_timeouts: Counter::detached(),
-            cache_entries: Gauge::detached(),
-        }
+impl Stat {
+    fn inc(&self) {
+        self.add(1);
     }
+
+    fn add(&self, n: u64) {
+        self.n.set(self.n.get() + n);
+        self.registry.add(n);
+    }
+
+    fn get(&self) -> u64 {
+        self.n.get()
+    }
+
+    /// Registers this statistic as `name`, carrying over its count so far.
+    fn adopt(&mut self, sink: &TelemetrySink, name: &str) {
+        sink.adopt_counter(name, &mut self.registry);
+        self.registry.add(self.get());
+    }
+}
+
+/// A last-value statistic with its high-water mark; mirrored into a
+/// registry gauge like [`Stat`].
+#[derive(Debug, Default)]
+struct Level {
+    value: u64,
+    peak: u64,
+    registry: Gauge,
+}
+
+impl Level {
+    fn set(&mut self, value: u64) {
+        self.value = value;
+        self.peak = self.peak.max(value);
+        self.registry.set(value);
+    }
+
+    /// Registers this statistic as `name`, carrying over its value and
+    /// its peak so far.
+    fn adopt(&mut self, sink: &TelemetrySink, name: &str) {
+        sink.adopt_gauge(name, &mut self.registry);
+        // The peak first: the gauge keeps the larger peak either way.
+        self.registry.set(self.peak);
+        self.registry.set(self.value);
+    }
+}
+
+/// The statistics behind [`CompareStats`], kept by the core itself so that
+/// the [`CompareCore::stats`] façade works with or without an installed
+/// [`TelemetrySink`]; [`CompareCore::set_telemetry`] mirrors them into
+/// the world registry under scoped `compare.<scope>.*` names without
+/// losing counts accumulated before installation.
+#[derive(Debug, Default)]
+struct StatCells {
+    received: Stat,
+    released: Stat,
+    suppressed_duplicates: Stat,
+    expired_unreleased: Stat,
+    dos_advices: Stat,
+    cleanups: Stat,
+    evicted: Stat,
+    unknown_port: Stat,
+    /// Entries that expired unreleased out of a *sweep* (the paper's hold
+    /// timeout), as opposed to capacity eviction.
+    hold_timeouts: Stat,
+    /// Live cache entries of the lane last touched; its peak is the
+    /// [`CompareStats::peak_cache_entries`] high-water mark.
+    cache_entries: Level,
 }
 
 /// Why an entry left the cache for good (lifecycle drop attribution).
@@ -185,7 +227,7 @@ impl CompareCore {
         CompareCore {
             cfg,
             lanes: Vec::new(),
-            cells: StatCells::detached(),
+            cells: StatCells::default(),
             event_counts: EventCounts::default(),
             telemetry: TelemetrySink::disabled(),
             actions: Vec::new(),
@@ -208,8 +250,7 @@ impl CompareCore {
         &self.cfg
     }
 
-    /// Aggregate statistics, assembled from the registry-adoptable stat
-    /// cells — [`CompareStats`] is a thin façade over the live handles.
+    /// Aggregate statistics, read from the core's own counts.
     pub fn stats(&self) -> CompareStats {
         CompareStats {
             received: self.cells.received.get(),
@@ -220,57 +261,40 @@ impl CompareCore {
             cleanups: self.cells.cleanups.get(),
             evicted: self.cells.evicted.get(),
             unknown_port: self.cells.unknown_port.get(),
-            peak_cache_entries: self.cells.cache_entries.peak(),
+            peak_cache_entries: self.cells.cache_entries.peak,
             events: self.event_counts,
         }
     }
 
-    /// Installs a telemetry sink: the stat cells are adopted into the
+    /// Installs a telemetry sink: the statistics are mirrored into the
     /// registry under `compare.<scope>.*` (carrying over anything counted
     /// so far), and packet verdicts start feeding the sink's packet
     /// lifecycle recorder. `scope` should name the hosting device (node
-    /// name) so two compares in one world never collide.
+    /// name) so two compares in one world never collide. Only the first
+    /// enabled sink is installed: a second would carry the counts over
+    /// twice.
     pub(crate) fn set_telemetry(&mut self, sink: &TelemetrySink, scope: &str) {
-        if !sink.is_enabled() {
+        if !sink.is_enabled() || self.telemetry.is_enabled() {
             return;
         }
-        sink.adopt_counter(
-            &format!("compare.{scope}.received"),
-            &mut self.cells.received,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.released"),
-            &mut self.cells.released,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.suppressed_duplicates"),
-            &mut self.cells.suppressed_duplicates,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.expired_unreleased"),
-            &mut self.cells.expired_unreleased,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.dos_advices"),
-            &mut self.cells.dos_advices,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.cleanups"),
-            &mut self.cells.cleanups,
-        );
-        sink.adopt_counter(&format!("compare.{scope}.evicted"), &mut self.cells.evicted);
-        sink.adopt_counter(
-            &format!("compare.{scope}.unknown_port"),
-            &mut self.cells.unknown_port,
-        );
-        sink.adopt_counter(
-            &format!("compare.{scope}.hold_timeouts"),
-            &mut self.cells.hold_timeouts,
-        );
-        sink.adopt_gauge(
-            &format!("compare.{scope}.cache_entries"),
-            &mut self.cells.cache_entries,
-        );
+        let cells = &mut self.cells;
+        let counters = [
+            ("received", &mut cells.received),
+            ("released", &mut cells.released),
+            ("suppressed_duplicates", &mut cells.suppressed_duplicates),
+            ("expired_unreleased", &mut cells.expired_unreleased),
+            ("dos_advices", &mut cells.dos_advices),
+            ("cleanups", &mut cells.cleanups),
+            ("evicted", &mut cells.evicted),
+            ("unknown_port", &mut cells.unknown_port),
+            ("hold_timeouts", &mut cells.hold_timeouts),
+        ];
+        for (name, stat) in counters {
+            stat.adopt(sink, &format!("compare.{scope}.{name}"));
+        }
+        cells
+            .cache_entries
+            .adopt(sink, &format!("compare.{scope}.cache_entries"));
         self.telemetry = sink.clone();
     }
 

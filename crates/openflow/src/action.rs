@@ -38,25 +38,32 @@ impl fmt::Display for Action {
 /// order, and each `Output` emits the frame *as rewritten so far*.
 ///
 /// Hands `emit` each `(port, frame)` an `Output` action emits, in order;
-/// nothing is collected, so a table hit allocates nothing here. An empty
-/// action list (or one without any `Output`) therefore drops the packet,
-/// exactly as in OpenFlow 1.0.
+/// nothing is collected, so a table hit allocates nothing here. The last
+/// `Output` gets `frame` itself, moved, so a one-output list clones
+/// nothing. An empty action list (or one without any `Output`) therefore
+/// drops the packet, exactly as in OpenFlow 1.0; rewrites after the last
+/// `Output` are not carried out, since no output would see them.
 ///
 /// A rewrite of a frame whose Ethernet header does not decode is skipped
 /// — a real ASIC would have rewritten garbage; skipping keeps behaviour
 /// deterministic and observable via the unchanged bytes.
-pub fn apply_actions(frame: &Frame, actions: &[Action], mut emit: impl FnMut(OfPort, Frame)) {
-    let mut current = frame.clone();
-    for action in actions {
+pub fn apply_actions(mut frame: Frame, actions: &[Action], mut emit: impl FnMut(OfPort, Frame)) {
+    let Some(last) = actions.iter().rposition(|a| matches!(a, Action::Output(_))) else {
+        return;
+    };
+    for action in &actions[..last] {
         match action {
-            Action::Output(port) => emit(*port, current.clone()),
+            Action::Output(port) => emit(*port, frame.clone()),
             other => {
-                if let Some(rewritten) = rewrite(current.bytes(), other) {
+                if let Some(rewritten) = rewrite(frame.bytes(), other) {
                     // Rewritten bytes are new content: fresh memo.
-                    current = Frame::new(rewritten);
+                    frame = Frame::new(rewritten);
                 }
             }
         }
+    }
+    if let Action::Output(port) = actions[last] {
+        emit(port, frame);
     }
 }
 
@@ -99,7 +106,7 @@ mod tests {
     /// The `(port, frame)` pairs `apply_actions` emits, collected.
     fn outputs(frame: &Frame, actions: &[Action]) -> Vec<(OfPort, Frame)> {
         let mut out = Vec::new();
-        apply_actions(frame, actions, |port, f| out.push((port, f)));
+        apply_actions(frame.clone(), actions, |port, f| out.push((port, f)));
         out
     }
 

@@ -169,6 +169,14 @@ impl FlowMatch {
         })
     }
 
+    /// When `dl_dst` is this match's only concrete field — the shape of
+    /// every MAC route — that destination: the key of the flow table's
+    /// `dl_dst` index. `None` for any other match.
+    pub(crate) fn dl_dst_key(&self) -> Option<MacAddr> {
+        let mac = self.dl_dst?;
+        (*self == FlowMatch::any().with_dl_dst(mac)).then_some(mac)
+    }
+
     /// Builds the wildcard-free match for exactly `fields` (the inverse of
     /// `FlowMatch::exact_key`) — what a microflow rule installs.
     pub fn exact(fields: &PacketFields) -> FlowMatch {

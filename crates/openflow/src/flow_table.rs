@@ -9,16 +9,16 @@ use netco_sim::{SimDuration, SimTime};
 use crate::action::Action;
 use crate::flow_match::FlowMatch;
 use netco_net::packet::PacketFields;
+use netco_net::MacAddr;
 
 /// One match-action rule with counters and timeouts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
     priority: u16,
     matcher: FlowMatch,
-    // Shared so the per-packet fast path clones a handle, not the list.
-    // Atomically counted (`Arc`, not `Rc`) so whole tables can move across
-    // the NETCO_THREADS sweep workers without a deep copy; the atomic bump
-    // is a wash against the cache miss the clone already pays.
+    // Shared so the routes a world builder installs toward one port hold
+    // one list between them. Atomically counted (`Arc`, not `Rc`) so whole
+    // tables can move across the NETCO_THREADS sweep workers.
     actions: Arc<[Action]>,
     cookie: u64,
     idle_timeout: Option<SimDuration>,
@@ -30,8 +30,10 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    /// Creates an entry with no timeouts and zero cookie.
-    pub fn new(priority: u16, matcher: FlowMatch, actions: Vec<Action>) -> FlowEntry {
+    /// Creates an entry with no timeouts and zero cookie. `actions` is a
+    /// `Vec` or an already shared `Arc<[Action]>`, which the entry then
+    /// shares rather than copies.
+    pub fn new(priority: u16, matcher: FlowMatch, actions: impl Into<Arc<[Action]>>) -> FlowEntry {
         FlowEntry {
             priority,
             matcher,
@@ -79,12 +81,6 @@ impl FlowEntry {
         &self.actions
     }
 
-    /// A shared handle to the action list — what the switch data path
-    /// clones per matched packet (reference-count bump, not a list copy).
-    pub(crate) fn shared_actions(&self) -> Arc<[Action]> {
-        Arc::clone(&self.actions)
-    }
-
     /// The controller cookie.
     pub(crate) fn cookie(&self) -> u64 {
         self.cookie
@@ -118,16 +114,25 @@ impl FlowEntry {
 ///
 /// # Classification index
 ///
-/// Wildcard-free entries (the microflow rules a reactive controller
-/// installs per flow) are additionally indexed by their full-tuple
-/// [`PacketFields`] key in a deterministic Fx-hashed map, making the
-/// common lookup O(1): hash the packet's 12-tuple, then consult only the
-/// (usually empty) list of *wildcard* entries that precede the exact hit
-/// in scan order. The linear scan remains as the general path — and as
-/// the semantics reference: a differential proptest at the bottom of this
-/// file drives this table and a scan-only implementation through random
-/// add/delete/lookup/expire interleavings to prove the index changes
-/// nothing observable.
+/// Two shapes of entry are indexed in deterministic Fx-hashed maps, each
+/// key to its scan-order-first slot:
+///
+/// * wildcard-free entries (the microflow rules a reactive controller
+///   installs per flow), by their full-tuple [`PacketFields`] key;
+/// * entries whose match sets `dl_dst` and nothing else (every MAC route
+///   a world builder installs), by that destination MAC.
+///
+/// Every other entry is a *wildcard* entry, kept in a scan-ordered slot
+/// list. A lookup hashes the packet's 12-tuple and its `dl_dst`, takes
+/// the lower of the two indexed slots, and consults only the (usually
+/// empty) wildcard entries that precede it in scan order. `add` searches
+/// for a same-(match, priority) entry to replace only when an index
+/// already holds the new entry's key, or the entry is a wildcard one, so
+/// a table of n routes installs in O(n). The linear scan
+/// remains as the general path — and as the semantics reference: a
+/// differential proptest at the bottom of this file drives this table and
+/// a scan-only implementation through random add/delete/lookup/expire
+/// interleavings to prove the index changes nothing observable.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     // Sorted by descending priority; stable within a priority. This order
@@ -136,8 +141,27 @@ pub struct FlowTable {
     // Full-tuple key → scan-order-first wildcard-free entry with that key.
     // Deterministic hasher; only point queries, never iterated.
     exact: HashMap<PacketFields, usize, FxBuildHasher>,
-    // Scan-order slots of entries with at least one wildcarded field.
+    // Destination MAC → scan-order-first `dl_dst`-only entry for it.
+    dl_dst: HashMap<MacAddr, usize, FxBuildHasher>,
+    // Scan-order slots of the entries neither map holds.
     wildcard_slots: Vec<usize>,
+}
+
+/// Which index, if either, holds an entry with a given match.
+enum IndexKey {
+    Exact(PacketFields),
+    DlDst(MacAddr),
+    Wildcard,
+}
+
+impl IndexKey {
+    fn of(matcher: &FlowMatch) -> IndexKey {
+        match (matcher.exact_key(), matcher.dl_dst_key()) {
+            (Some(key), _) => IndexKey::Exact(key),
+            (None, Some(mac)) => IndexKey::DlDst(mac),
+            (None, None) => IndexKey::Wildcard,
+        }
+    }
 }
 
 impl FlowTable {
@@ -161,20 +185,45 @@ impl FlowTable {
         self.entries.iter()
     }
 
+    /// Installs `entries` in order at `now`, each as [`FlowTable::add`]
+    /// would, after sizing the entry list and the `dl_dst` index for them
+    /// in one allocation each.
+    pub(crate) fn add_all(&mut self, entries: Vec<FlowEntry>, now: SimTime) {
+        self.entries.reserve(entries.len());
+        let routes = entries
+            .iter()
+            .filter(|e| e.matcher.dl_dst_key().is_some())
+            .count();
+        self.dl_dst.reserve(routes);
+        for entry in entries {
+            self.add(entry, now);
+        }
+    }
+
     /// Installs `entry` at `now`. An existing entry with identical match
     /// and priority is replaced (OF 1.0 `OFPFC_ADD` overlap semantics
     /// without `CHECK_OVERLAP`), preserving nothing of the old counters.
     pub fn add(&mut self, mut entry: FlowEntry, now: SimTime) {
         entry.created_at = now;
         entry.last_matched = now;
-        if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.priority == entry.priority && e.matcher == entry.matcher)
-        {
-            // Same slot, same matcher: the index stays valid as-is.
-            *existing = entry;
-            return;
+        let key = IndexKey::of(&entry.matcher);
+        // An indexed shape with no entry under its key has no same-match
+        // entry to replace: skip the scan.
+        let may_repeat = match &key {
+            IndexKey::Exact(fields) => self.exact.contains_key(fields),
+            IndexKey::DlDst(mac) => self.dl_dst.contains_key(mac),
+            IndexKey::Wildcard => true,
+        };
+        if may_repeat {
+            if let Some(existing) = self
+                .entries
+                .iter_mut()
+                .find(|e| e.priority == entry.priority && e.matcher == entry.matcher)
+            {
+                // Same slot, same matcher: the index stays valid as-is.
+                *existing = entry;
+                return;
+            }
         }
         // Insert after the last entry with priority >= new priority.
         let pos = self
@@ -184,12 +233,7 @@ impl FlowTable {
             // Appended last in scan order (every route a world builder
             // installs at one priority): no slot shifts, so the new slot
             // goes in exactly where `reindex` would put it.
-            Self::index_slot(
-                &mut self.exact,
-                &mut self.wildcard_slots,
-                pos,
-                &entry.matcher,
-            );
+            self.index_slot(pos, key);
             self.entries.push(entry);
             return;
         }
@@ -197,31 +241,31 @@ impl FlowTable {
         self.reindex();
     }
 
-    /// Adds slot `i`, holding `matcher`, to the index; slots must arrive
-    /// in scan order.
-    fn index_slot(
-        exact: &mut HashMap<PacketFields, usize, FxBuildHasher>,
-        wildcard_slots: &mut Vec<usize>,
-        i: usize,
-        matcher: &FlowMatch,
-    ) {
-        match matcher.exact_key() {
-            // First scan-order slot per key wins, mirroring the scan.
-            Some(key) => {
-                exact.entry(key).or_insert(i);
+    /// Adds slot `i`, whose match has index key `key`, to the index;
+    /// slots must arrive in scan order.
+    fn index_slot(&mut self, i: usize, key: IndexKey) {
+        // First scan-order slot per key wins, mirroring the scan.
+        match key {
+            IndexKey::Exact(fields) => {
+                self.exact.entry(fields).or_insert(i);
             }
-            None => wildcard_slots.push(i),
+            IndexKey::DlDst(mac) => {
+                self.dl_dst.entry(mac).or_insert(i);
+            }
+            IndexKey::Wildcard => self.wildcard_slots.push(i),
         }
     }
 
-    /// Rebuilds the exact-match index and the wildcard slot list after a
-    /// structural change (slots shift on insert/remove). O(n) per
-    /// flow-mod — negligible next to the per-packet lookups it buys.
+    /// Rebuilds both maps and the wildcard slot list after a structural
+    /// change (slots shift on insert/remove). O(n) per flow-mod —
+    /// negligible next to the per-packet lookups it buys.
     fn reindex(&mut self) {
         self.exact.clear();
+        self.dl_dst.clear();
         self.wildcard_slots.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            Self::index_slot(&mut self.exact, &mut self.wildcard_slots, i, &e.matcher);
+        for i in 0..self.entries.len() {
+            let key = IndexKey::of(&self.entries[i].matcher);
+            self.index_slot(i, key);
         }
     }
 
@@ -301,36 +345,34 @@ impl FlowTable {
     /// The winning (live, matching) slot for `fields`, or `None` on a
     /// table miss — the indexed equivalent of the priority-ordered scan.
     fn classify(&self, fields: &PacketFields, now: SimTime) -> Option<usize> {
-        match self.exact.get(fields).copied() {
-            // A wildcard-free entry matches the tuple exactly. Any entry
-            // beating it sits strictly earlier in scan order, and — since
-            // the index maps each key to its scan-order-first exact slot —
-            // such an entry must carry a wildcard. Scan only those.
+        let exact = self.exact.get(fields).copied();
+        let dl_dst = self.dl_dst.get(&fields.dl_dst).copied();
+        let live = |j: usize| {
+            let e = &self.entries[j];
+            !e.expired(now) && e.matcher.matches(fields)
+        };
+        match exact.into_iter().chain(dl_dst).min() {
+            // An indexed entry matches. Any entry beating it sits strictly
+            // earlier in scan order, and — since each map holds its key's
+            // scan-order-first slot, and the packet has one tuple and one
+            // `dl_dst` — such an entry must be a wildcard one. Scan only
+            // those.
             Some(i) if !self.entries[i].expired(now) => Some(
                 self.wildcard_slots
                     .iter()
                     .copied()
                     .take_while(|&j| j < i)
-                    .find(|&j| {
-                        let e = &self.entries[j];
-                        !e.expired(now) && e.matcher.matches(fields)
-                    })
+                    .find(|&j| live(j))
                     .unwrap_or(i),
             ),
             // The indexed entry has lazily expired: a same-key duplicate
             // at lower priority may hide behind it, so fall back to the
             // full reference scan (rare — the next `expire` sweep removes
             // the entry and restores the fast path).
-            Some(_) => self
-                .entries
-                .iter()
-                .position(|e| !e.expired(now) && e.matcher.matches(fields)),
-            // No exact entry carries this tuple; only wildcard entries
-            // can match.
-            None => self.wildcard_slots.iter().copied().find(|&j| {
-                let e = &self.entries[j];
-                !e.expired(now) && e.matcher.matches(fields)
-            }),
+            Some(_) => (0..self.entries.len()).find(|&j| live(j)),
+            // No indexed entry carries this tuple or this `dl_dst`; only
+            // wildcard entries can match.
+            None => self.wildcard_slots.iter().copied().find(|&j| live(j)),
         }
     }
 
@@ -522,37 +564,35 @@ mod prop_flow_table {
             })
     }
 
-    /// Either the wildcard-free match for a generated tuple (exercising the
-    /// exact index) or a random wildcard subset of it (exercising the scan
-    /// path and the exact/wildcard precedence interplay).
+    /// The wildcard-free match for a generated tuple (exercising the exact
+    /// index), its `dl_dst` alone (the `dl_dst` index, which a random
+    /// subset reaches 1 time in 8,192), or a random wildcard subset of it
+    /// (the scan path and the indexed/wildcard precedence interplay).
     fn arb_matcher() -> impl Strategy<Value = FlowMatch> {
-        (
-            arb_fields(),
-            0u16..=0x0fff,
-            proptest::arbitrary::any::<bool>(),
-        )
-            .prop_map(|(fields, mask, exact)| {
-                let full = FlowMatch::exact(&fields);
-                if exact {
-                    return full;
-                }
-                // Keep each concrete field iff its mask bit is set; bit 12
-                // cleared means mask 0 is possible → FlowMatch::any().
-                FlowMatch {
-                    in_port: full.in_port.filter(|_| mask & 0x001 != 0),
-                    dl_src: full.dl_src.filter(|_| mask & 0x002 != 0),
-                    dl_dst: full.dl_dst.filter(|_| mask & 0x004 != 0),
-                    dl_vlan: full.dl_vlan.filter(|_| mask & 0x008 != 0),
-                    dl_vlan_pcp: full.dl_vlan_pcp.filter(|_| mask & 0x010 != 0),
-                    dl_type: full.dl_type.filter(|_| mask & 0x020 != 0),
-                    nw_tos: full.nw_tos.filter(|_| mask & 0x040 != 0),
-                    nw_proto: full.nw_proto.filter(|_| mask & 0x080 != 0),
-                    nw_src: full.nw_src.filter(|_| mask & 0x100 != 0),
-                    nw_dst: full.nw_dst.filter(|_| mask & 0x200 != 0),
-                    tp_src: full.tp_src.filter(|_| mask & 0x400 != 0),
-                    tp_dst: full.tp_dst.filter(|_| mask & 0x800 != 0),
-                }
-            })
+        (arb_fields(), 0u16..=0x0fff, 0u8..3).prop_map(|(fields, mask, shape)| {
+            let full = FlowMatch::exact(&fields);
+            match shape {
+                0 => return full,
+                1 => return FlowMatch::any().with_dl_dst(fields.dl_dst),
+                _ => {}
+            }
+            // Keep each concrete field iff its mask bit is set; bit 12
+            // cleared means mask 0 is possible → FlowMatch::any().
+            FlowMatch {
+                in_port: full.in_port.filter(|_| mask & 0x001 != 0),
+                dl_src: full.dl_src.filter(|_| mask & 0x002 != 0),
+                dl_dst: full.dl_dst.filter(|_| mask & 0x004 != 0),
+                dl_vlan: full.dl_vlan.filter(|_| mask & 0x008 != 0),
+                dl_vlan_pcp: full.dl_vlan_pcp.filter(|_| mask & 0x010 != 0),
+                dl_type: full.dl_type.filter(|_| mask & 0x020 != 0),
+                nw_tos: full.nw_tos.filter(|_| mask & 0x040 != 0),
+                nw_proto: full.nw_proto.filter(|_| mask & 0x080 != 0),
+                nw_src: full.nw_src.filter(|_| mask & 0x100 != 0),
+                nw_dst: full.nw_dst.filter(|_| mask & 0x200 != 0),
+                tp_src: full.tp_src.filter(|_| mask & 0x400 != 0),
+                tp_dst: full.tp_dst.filter(|_| mask & 0x800 != 0),
+            }
+        })
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -676,6 +716,7 @@ mod prop_flow_table {
                 let mut rebuilt = table.clone();
                 rebuilt.reindex();
                 prop_assert_eq!(&table.exact, &rebuilt.exact);
+                prop_assert_eq!(&table.dl_dst, &rebuilt.dl_dst);
                 prop_assert_eq!(&table.wildcard_slots, &rebuilt.wildcard_slots);
                 for fields in &probes {
                     prop_assert_eq!(
@@ -857,5 +898,64 @@ mod tests {
             t.lookup(&f, SimTime::ZERO).unwrap().actions(),
             out(9).as_slice()
         );
+    }
+
+    /// A MAC route.
+    fn route(priority: u16, mac: MacAddr, port: u16) -> FlowEntry {
+        FlowEntry::new(priority, FlowMatch::any().with_dl_dst(mac), out(port))
+    }
+
+    #[test]
+    fn repeated_dl_dst_route_replaces_the_first_in_place() {
+        let mut t = FlowTable::new();
+        t.add(route(100, MacAddr::local(1), 1), SimTime::ZERO);
+        t.add(route(100, MacAddr::local(2), 2), SimTime::ZERO);
+        t.add(route(100, MacAddr::local(1), 3), SimTime::ZERO);
+        assert_eq!(t.len(), 2);
+        let slots: Vec<_> = t.iter().map(|e| e.actions().to_vec()).collect();
+        assert_eq!(slots, [out(3), out(2)], "replaced in its own slot");
+        assert_eq!(t.dl_dst.get(&MacAddr::local(1)), Some(&0));
+        let e = t.lookup(&fields_to(MacAddr::local(1)), SimTime::ZERO);
+        assert_eq!(e.unwrap().actions(), out(3).as_slice());
+    }
+
+    #[test]
+    fn one_mac_at_two_priorities_resolves_to_the_higher() {
+        let mut t = FlowTable::new();
+        let mac = MacAddr::local(4);
+        t.add(route(10, mac, 1), SimTime::ZERO);
+        // Lands before the first route in scan order: the index rebuilds.
+        t.add(route(200, mac, 2), SimTime::ZERO);
+        assert_eq!(t.len(), 2, "different priorities: no replacement");
+        assert_eq!(t.dl_dst.get(&mac), Some(&0));
+        let e = t.lookup(&fields_to(mac), SimTime::ZERO).unwrap();
+        assert_eq!(e.actions(), out(2).as_slice());
+        // A wildcard entry between them still loses to the higher route.
+        t.add(FlowEntry::new(100, FlowMatch::any(), out(7)), SimTime::ZERO);
+        let e = t.lookup(&fields_to(mac), SimTime::ZERO).unwrap();
+        assert_eq!(e.actions(), out(2).as_slice());
+    }
+
+    #[test]
+    fn expired_indexed_route_falls_back_to_the_scan() {
+        let mut t = FlowTable::new();
+        let mac = MacAddr::local(5);
+        t.add(
+            route(200, mac, 1).with_hard_timeout(SimDuration::from_secs(1)),
+            SimTime::ZERO,
+        );
+        t.add(route(100, mac, 2), SimTime::ZERO);
+        let before = SimTime::ZERO + SimDuration::from_millis(999);
+        let e = t.lookup(&fields_to(mac), before).unwrap();
+        assert_eq!(e.actions(), out(1).as_slice());
+        // The indexed slot has expired but is not yet swept: the scan
+        // finds the lower-priority route behind it.
+        let after = SimTime::ZERO + SimDuration::from_secs(1);
+        assert_eq!(t.dl_dst.get(&mac), Some(&0));
+        let e = t.lookup(&fields_to(mac), after).unwrap();
+        assert_eq!(e.actions(), out(2).as_slice());
+        t.expire(after);
+        assert_eq!(t.dl_dst.get(&mac), Some(&0), "the sweep re-indexes");
+        assert_eq!(t.len(), 1);
     }
 }

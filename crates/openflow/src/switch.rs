@@ -88,6 +88,12 @@ impl OfSwitch {
         self.preinstalled.push(entry);
     }
 
+    /// Makes room for `additional` more [`preinstall`](OfSwitch::preinstall)ed
+    /// entries in one allocation.
+    pub fn reserve_preinstalled(&mut self, additional: usize) {
+        self.preinstalled.reserve_exact(additional);
+    }
+
     /// Read access to the flow table (e.g. to monitor counters, as the
     /// paper's case study does).
     pub fn table(&self) -> &FlowTable {
@@ -143,7 +149,7 @@ impl OfSwitch {
         match command {
             FlowModCommand::Add => {
                 let mut entry =
-                    FlowEntry::new(priority, matcher, actions.clone()).with_cookie(cookie);
+                    FlowEntry::new(priority, matcher, actions.as_slice()).with_cookie(cookie);
                 if idle_timeout_s > 0 {
                     entry = entry.with_idle_timeout(SimDuration::from_secs(idle_timeout_s as u64));
                 }
@@ -159,7 +165,7 @@ impl OfSwitch {
                 if n == 0 {
                     // OF 1.0: modify with no match behaves like add.
                     self.table
-                        .add(FlowEntry::new(priority, matcher, actions.clone()), now);
+                        .add(FlowEntry::new(priority, matcher, actions.as_slice()), now);
                 }
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
@@ -171,7 +177,7 @@ impl OfSwitch {
         // Run a buffered packet through the (new) table state.
         if let Some(id) = buffer_id {
             if let Some((in_port, frame)) = self.take_buffer(id) {
-                apply_actions(&frame, &actions, |port, out| emit(ctx, in_port, port, out));
+                apply_actions(frame, &actions, |port, out| emit(ctx, in_port, port, out));
             }
         }
     }
@@ -211,10 +217,8 @@ impl Device for OfSwitch {
                 packet_ins: ctx.telemetry().counter("openflow.packet_ins"),
             };
         }
-        let now = ctx.now();
-        for entry in std::mem::take(&mut self.preinstalled) {
-            self.table.add(entry, now);
-        }
+        self.table
+            .add_all(std::mem::take(&mut self.preinstalled), ctx.now());
         if let Some(controller) = self.controller {
             let xid = self.fresh_xid();
             ctx.send_control(controller, wire::encode(&OfMessage::Hello, xid));
@@ -230,11 +234,9 @@ impl Device for OfSwitch {
         match self.table.lookup_counted(&fields, frame.len(), now) {
             Some(entry) => {
                 self.tel.table_hits.inc();
-                // Clone the Arc handle, not the list: `lookup_counted`
-                // borrows the table mutably, so the actions must outlive
-                // the borrow, but a per-packet Vec copy is not the way.
-                let actions = entry.shared_actions();
-                apply_actions(&frame, &actions, |out_port, out| {
+                // `emit` needs only `ctx`: the entry's actions stay
+                // borrowed from the table while they run.
+                apply_actions(frame, entry.actions(), |out_port, out| {
                     emit(ctx, port.number(), out_port, out);
                 });
             }
@@ -279,7 +281,7 @@ impl Device for OfSwitch {
                 };
                 if let Some((in_port, frame)) = payload {
                     let actions: Vec<Action> = actions.iter().collect();
-                    apply_actions(&frame, &actions, |port, out| emit(ctx, in_port, port, out));
+                    apply_actions(frame, &actions, |port, out| emit(ctx, in_port, port, out));
                 }
                 return;
             }

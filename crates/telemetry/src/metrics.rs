@@ -4,11 +4,13 @@
 //! operation on it is a single branch; an *enabled* handle shares its
 //! cell with the [`MetricsRegistry`], so instrumented code updates an
 //! atomic cell with no lookup on the hot path. A *detached* handle owns
-//! a live cell that is not (yet) in any registry — the always-on façade
-//! statistics (`World::events_processed`, `CompareStats`) use detached
-//! handles and are *adopted* into the registry when telemetry is
-//! enabled, which is how one cell can back both the façade accessor and
-//! the registry snapshot.
+//! a live cell that is not (yet) in any registry — an always-on façade
+//! statistic (`World::events_processed`) uses a detached handle that is
+//! *adopted* into the registry when telemetry is enabled, which is how
+//! one cell can back both the façade accessor and the registry snapshot.
+//! `CompareStats` does without: the compare keeps plain counts beside
+//! disabled handles, adopts those when telemetry is enabled and adds the
+//! counts so far, so a compare in a world without a sink pays no `Arc`.
 //!
 //! Storage is `Arc` + relaxed atomics (not `Rc` + `Cell`) so metric
 //! handles — and therefore the devices that embed them — are `Send`:
@@ -98,11 +100,6 @@ impl Gauge {
     /// An inert handle: every operation is a no-op.
     pub fn disabled() -> Gauge {
         Gauge(None)
-    }
-
-    /// A live handle that is not registered anywhere.
-    pub fn detached() -> Gauge {
-        Gauge(Some(Arc::new(GaugeCell::default())))
     }
 
     /// Sets the current value, raising the peak if needed.
@@ -232,8 +229,9 @@ impl MetricsRegistry {
     /// Registers a detached counter handle under `name`, so the cell the
     /// caller has been incrementing becomes the registry's cell. If
     /// `name` already exists the carried count is folded in and the
-    /// handle is repointed at the registered cell. Idempotent: adopting
-    /// an already-adopted handle is a no-op.
+    /// handle is repointed at the registered cell. A disabled handle is
+    /// pointed at the registered cell (a new one at zero if `name` is
+    /// new). Idempotent: adopting an already-adopted handle is a no-op.
     pub(crate) fn adopt_counter(&mut self, name: &str, handle: &mut Counter) {
         match self.metrics.entry(name.to_string()) {
             Entry::Occupied(entry) => match entry.get() {
@@ -258,9 +256,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers a detached gauge handle under `name`; the counterpart of
+    /// Registers a gauge handle under `name`; the counterpart of
     /// [`adopt_counter`](MetricsRegistry::adopt_counter). On a name
-    /// collision the handle's value/peak are folded in (peak = max).
+    /// collision a live handle's value/peak are folded in (peak = max); a
+    /// disabled handle carries nothing and just shares the cell.
     pub(crate) fn adopt_gauge(&mut self, name: &str, handle: &mut Gauge) {
         match self.metrics.entry(name.to_string()) {
             Entry::Occupied(entry) => match entry.get() {
@@ -437,6 +436,28 @@ mod tests {
         other.add(10);
         reg.adopt_counter("n", &mut other);
         assert_eq!(detached.get(), 16);
+    }
+
+    #[test]
+    fn adopting_a_disabled_handle_shares_the_registered_cell() {
+        let mut reg = MetricsRegistry::new();
+        let mut fresh = Counter::disabled();
+        reg.adopt_counter("fresh", &mut fresh);
+        fresh.add(2);
+        assert_eq!(reg.counter("fresh").get(), 2);
+        reg.counter("taken").add(3);
+        let mut late = Counter::disabled();
+        reg.adopt_counter("taken", &mut late);
+        late.inc();
+        assert_eq!(reg.counter("taken").get(), 4);
+        reg.gauge("depth").set(9);
+        let mut level = Gauge::disabled();
+        reg.adopt_gauge("depth", &mut level);
+        level.set(4);
+        assert_eq!(
+            (reg.gauge("depth").get(), reg.gauge("depth").peak()),
+            (4, 9)
+        );
     }
 
     #[test]

@@ -84,8 +84,8 @@ impl TelemetrySink {
         }
     }
 
-    /// Adopts a detached counter into the registry under `name`; no-op
-    /// when disabled (the handle keeps its private storage).
+    /// Adopts a detached or disabled counter into the registry under
+    /// `name`; no-op when disabled (the handle keeps its private storage).
     pub fn adopt_counter(&self, name: &str, handle: &mut Counter) {
         if let Some(inner) = &self.inner {
             inner
@@ -96,8 +96,8 @@ impl TelemetrySink {
         }
     }
 
-    /// Adopts a detached gauge into the registry under `name`; no-op
-    /// when disabled.
+    /// Adopts a gauge into the registry under `name`; no-op when
+    /// disabled.
     pub fn adopt_gauge(&self, name: &str, handle: &mut Gauge) {
         if let Some(inner) = &self.inner {
             inner

@@ -2,7 +2,9 @@
 //! POX3, voted POX3 and Linespeed TCP worlds and on the inband lattice:
 //! the number the compare link's or the control channel's encapsulation,
 //! the replica switches, the compare cache, the control voter and the
-//! endpoints add up to.
+//! endpoints add up to. Three more rows count construction itself, as
+//! exact totals: the full campaign's serial build pass, and Central-3's
+//! and the lattice's build and start.
 //!
 //! A counting global allocator (per thread, so the test harness's other
 //! threads do not leak in) counts every `alloc` / `realloc` made while
@@ -21,10 +23,12 @@ use std::cell::Cell;
 use netco_bench::grid::build_grid;
 use netco_controller::Controller;
 use netco_core::{Compare, PoxCompareApp};
-use netco_net::World;
-use netco_sim::SimDuration;
+use netco_net::{Device, World};
+use netco_sim::{mix64, SimDuration};
 use netco_topo::{BuiltScenario, ControlReplication, Profile, Scenario, ScenarioKind, H2_IP};
-use netco_traffic::{TcpConfig, TcpReceiver, TcpSender};
+use netco_topogen::campaign::CampaignConfig;
+use netco_topogen::{build_world, netcoize, AdversarySpec, NetcoizeSpec};
+use netco_traffic::{IcmpEchoResponder, PingConfig, Pinger, TcpConfig, TcpReceiver, TcpSender};
 
 struct Counting;
 
@@ -214,4 +218,135 @@ fn lattice_allocates_within_budget_per_delivery() {
         "the ping-pongs ran: {deliveries} deliveries"
     );
     assert_within(made, deliveries, "deliveries", LATTICE_BUDGET_PER_DELIVERY);
+}
+
+/// Allocations `f` makes on this thread, with what it returns. The
+/// thread's memo-stats cell is registered before the window opens (see
+/// [`count_run`]).
+fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    netco_net::memo_stats();
+    let before = allocations();
+    let out = f();
+    (out, allocations() - before)
+}
+
+/// Asserts that the construction row `what` made no more than `recorded`
+/// allocations.
+fn assert_no_more(what: &str, made: u64, recorded: u64) {
+    println!("{what}: {made} allocations (recorded {recorded})");
+    assert!(
+        made <= recorded,
+        "{what} made {made} allocations, {} more than the recorded {recorded}",
+        made - recorded
+    );
+}
+
+/// The serial build pass of `CampaignConfig::full(7)` — every cell's
+/// generate → `netcoize` → `build_world`, in sweep order, each world
+/// dropped unstarted. 1,048,707 while every route built its own action
+/// list twice over (a `Vec`, then an `Arc`), each switch's staged entries
+/// grew by doubling, and every compare held ten `Arc`ed statistics: the
+/// 6,922 routed switches' 338,460 routes and the 13,212 guards' compares
+/// account for the 803,671 fewer.
+const CAMPAIGN_FULL_BUILD_PASS: u64 = 245_036;
+
+/// Central-3's TCP world built and started at seed 7. 161 before the
+/// routes shared their lists (−6), the compare kept its statistics inline
+/// (−10) and each replica's table sized its entries and its `dl_dst`
+/// index once at start (+1 each: the index is one more table than a
+/// four-entry switch had).
+const CENTRAL3_BUILD_AND_START: u64 = 148;
+
+/// `build_grid(16, 5, 7)` built and started. 5,683 before: its 240
+/// two-route replicas saved two allocations each, its 160 compares ten.
+const LATTICE_BUILD_AND_START: u64 = 3_603;
+
+#[test]
+fn campaign_full_build_pass_allocations_do_not_grow() {
+    let cfg = CampaignConfig::full(7);
+    let ((), made) = count(|| {
+        for (class_idx, class) in cfg.classes.iter().enumerate() {
+            let base = class.graph(cfg.hosts, cfg.seed.wrapping_add(class_idx as u64));
+            for &k in &cfg.ks {
+                let netco = netcoize(&base, &NetcoizeSpec::full(k, cfg.seed));
+                let pairs = cfg.pairs.min(netco.hosts.len() / 2);
+                for (frac_idx, &fraction) in cfg.adversary_fractions.iter().enumerate() {
+                    // The seeds and the host devices of `run_campaign`'s cells.
+                    let adversary = AdversarySpec {
+                        fraction,
+                        seed: mix64(cfg.seed ^ ((k as u64) << 32) ^ frac_idx as u64),
+                        every_nth: 1,
+                    };
+                    let world_seed = mix64(
+                        cfg.seed
+                            ^ ((class_idx as u64) << 48)
+                            ^ ((k as u64) << 24)
+                            ^ frac_idx as u64,
+                    );
+                    let host = |h: usize, nic| -> Box<dyn Device> {
+                        let pair = h / 2;
+                        if h.is_multiple_of(2) && pair < pairs {
+                            Box::new(Pinger::new(
+                                nic,
+                                PingConfig {
+                                    dst_ip: netco.hosts[h + 1].ip,
+                                    count: cfg.pings_per_pair,
+                                    interval: SimDuration::from_millis(10),
+                                    payload_len: 56,
+                                    identifier: pair as u16 + 1,
+                                    start_after: SimDuration::from_micros((pair as u64 % 16) * 500),
+                                },
+                            ))
+                        } else {
+                            Box::new(IcmpEchoResponder::new(nic))
+                        }
+                    };
+                    let built = build_world(
+                        &netco,
+                        &Profile::default(),
+                        world_seed,
+                        host,
+                        Some(&adversary),
+                    );
+                    std::hint::black_box(built);
+                }
+            }
+        }
+    });
+    assert_no_more("full campaign build pass", made, CAMPAIGN_FULL_BUILD_PASS);
+}
+
+#[test]
+fn central3_build_and_start_allocations_do_not_grow() {
+    let (mut built, made) = count(|| {
+        let cfg = TcpConfig::new(H2_IP).with_duration(SimDuration::from_secs(1));
+        let receiver_cfg = cfg.clone();
+        let mut built = at_seed_7(ScenarioKind::Central3).build_world(
+            0,
+            |nic| TcpSender::new(nic, cfg),
+            |nic| TcpReceiver::new(nic, receiver_cfg),
+        );
+        let now = built.world.now();
+        built.world.run_until(now);
+        built
+    });
+    assert_no_more("Central-3 build + start", made, CENTRAL3_BUILD_AND_START);
+    // The world is whole: the transfer runs.
+    built.world.run_for(SimDuration::from_millis(50));
+    let compare = built.compare.expect("Central-3 has a compare host");
+    let released = built.world.device::<Compare>(compare).unwrap().stats();
+    assert!(released.released > 0, "nothing released");
+}
+
+#[test]
+fn lattice_build_and_start_allocations_do_not_grow() {
+    let (mut grid, made) = count(|| {
+        let mut grid = build_grid(16, 5, 7);
+        let now = grid.world.now();
+        grid.world.run_until(now);
+        grid
+    });
+    assert_no_more("lattice build + start", made, LATTICE_BUILD_AND_START);
+    grid.world.run_for(SimDuration::from_millis(50));
+    assert!(grid.deliveries() > 0, "nothing delivered");
 }
